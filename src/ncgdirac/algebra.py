@@ -171,19 +171,33 @@ class Presentation:
 
     @staticmethod
     def from_json(data: dict) -> "Presentation":
-        n = int(data["generators"])
-        R = [[Scalar.from_json(s) for s in row] for row in data["R"]]
-        pres = Presentation(n, R, (), name=data.get("name", ""))
-        rules = []
-        for entry in data.get("ideal", []):
-            lhs = [0] * n
-            for g in entry["lhs"]:
-                lhs[int(g)] += 1
-            rhs = _element_terms_from_json(entry["rhs"], n)
-            rules.append(RewriteRule(tuple(lhs), rhs))
-        if rules:
-            pres = Presentation(n, R, rules, name=data.get("name", ""))
-        return pres
+        if not isinstance(data, dict):
+            raise PresentationError("presentation must be a JSON object")
+        try:
+            n = int(data["generators"])
+            if n < 1:
+                raise PresentationError("presentation needs at least one generator")
+            rows = data["R"]
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise PresentationError("R must be a list of rows")
+            R = [[_scalar_from_json(s) for s in row] for row in rows]
+            pres = Presentation(n, R, (), name=data.get("name", ""))
+            rules = []
+            for entry in data.get("ideal", []):
+                lhs = [0] * n
+                for g in entry["lhs"]:
+                    if type(g) is not int or not 0 <= g < n:  # JSON true is not a letter
+                        raise PresentationError(
+                            f"rule letter {g!r} is not a generator index 0..{n - 1}"
+                        )
+                    lhs[g] += 1
+                rhs = _element_terms_from_json(entry["rhs"], n)
+                rules.append(RewriteRule(tuple(lhs), rhs))
+            if rules:
+                pres = Presentation(n, R, rules, name=data.get("name", ""))
+            return pres
+        except TypeError as exc:
+            raise PresentationError(f"malformed presentation: {exc}") from exc
 
     def __repr__(self) -> str:
         return f"Presentation({self.name or 'anonymous'}, n={self.n}, rules={len(self.rules)})"
@@ -202,8 +216,16 @@ def _element_terms_from_json(data: list, n: int) -> dict[Monomial, Scalar]:
         m = tuple(int(e) for e in entry["exps"])
         if len(m) != n:
             raise PresentationError("monomial arity mismatch in serialized element")
-        out[m] = Scalar.from_json(entry["coeff"])
+        if any(e < 0 for e in m):
+            raise PresentationError(f"negative exponent in serialized monomial {list(m)}")
+        out[m] = _scalar_from_json(entry["coeff"])
     return out
+
+
+def _scalar_from_json(data) -> Scalar:
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+        raise PresentationError("a serialized scalar must be an object with a 'terms' list")
+    return Scalar.from_json(data)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +264,14 @@ def _extraction_exp(mono: Monomial, lhs: Monomial, p: Presentation) -> tuple[Mon
     return tuple(remaining), exp
 
 
-def _add_term(out: dict[Monomial, Scalar], mono: Monomial, coeff: Scalar):
-    s = out.get(mono)
+def add_term(out: dict, key, coeff):
+    """out[key] += coeff in a sparse map (monomials or basis words), dropping zeros."""
+    s = out.get(key)
     s = coeff if s is None else s + coeff
     if s.is_zero():
-        out.pop(mono, None)
+        out.pop(key, None)
     else:
-        out[mono] = s
+        out[key] = s
 
 
 def _accumulate(out: dict, mono: Monomial, coeff: Scalar, qexp: int, p: Presentation, budget: _Budget):
@@ -262,7 +285,7 @@ def _accumulate(out: dict, mono: Monomial, coeff: Scalar, qexp: int, p: Presenta
             for rmono, rcoef in rule.rhs.items():
                 _mul_letters(out, rem, _mono_letters(rmono), coeff * rcoef, qexp + exp, p, budget)
             return
-    _add_term(out, mono, coeff.q_shift(qexp))
+    add_term(out, mono, coeff.q_shift(qexp))
 
 
 def _mul_letters(out: dict, base: Monomial, letters, coeff: Scalar, qexp: int, p: Presentation, budget: _Budget):
@@ -328,7 +351,7 @@ class AlgebraElement:
         self._require_same(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            _add_term(out, m, c)
+            add_term(out, m, c)
         return AlgebraElement(self.presentation, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -345,7 +368,7 @@ class AlgebraElement:
             for m2, c2 in other.terms.items():
                 factor = c1 * c2
                 for m, s in _mono_product(p, m1, m2).items():
-                    _add_term(out, m, s * factor)
+                    add_term(out, m, s * factor)
         return AlgebraElement(p, out)
 
     def scale(self, s: Scalar) -> "AlgebraElement":
@@ -534,7 +557,7 @@ def brute_force_normal_form(word, coeff: Scalar, p: Presentation, _memo=None) ->
                         for rmono, rcoef in rule.rhs.items():
                             spliced = u[:pos] + tuple(_mono_letters(rmono)) + u[pos + span:]
                             for m, c in nf_word(spliced).items():
-                                _add_term(total, m, c * rcoef * phase)
+                                add_term(total, m, c * rcoef * phase)
                         results.append(total)
         if not results:
             srt = tuple(sorted(w))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraElement, Presentation, normal_form
+from .algebra import AlgebraElement, Presentation, add_term, normal_form
 from .geometry import Calculus, Connection, Metric, verify_metric
 from .hypersurface import (
     HypersurfaceSpec,
@@ -28,12 +28,12 @@ from .spin import (
     SpinStructure,
     StructureSet,
     gamma_from_matrices,
-    mat_add,
     mat_mul,
     mat_scale,
+    theta_commutator,
     verify_spinorial,
 )
-from .tensors import BasisWord, LeftLinearMap, TensorElement, tensor
+from .tensors import BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
 
 N_GEN = 4
 SPINOR_RANK = 4
@@ -217,13 +217,6 @@ def torus_level_function(p: Presentation) -> AlgebraElement:
 
 def _z(p: Presentation, i: int) -> AlgebraElement:
     return AlgebraElement.generator(p, i)
-
-
-def _scalar_combination(p: Presentation, pairs) -> AlgebraElement:
-    total = AlgebraElement.zero(p)
-    for elem, scalar in pairs:
-        total = total + elem.scale(scalar)
-    return total
 
 
 def _matrix_spinor(p: Presentation, matrix: ScalarMatrix, alpha: int, coeff: AlgebraElement) -> TensorElement:
@@ -441,7 +434,12 @@ def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
         )
 
 
-def _verified_bundle(name, h, matrices, check) -> SpaceBundle:
+def _induce(ambient: SpaceBundle, f: AlgebraElement, name: str, golden, check) -> SpaceBundle:
+    """One induction step: hypersurface, certificate, verifiers (if check), golden forms."""
+    h = build_hypersurface(ambient.structures, f, name=name)
+    cert = check_assumptions(h)
+    if not cert.all_passed:
+        raise GoldenMismatch(f"{name} assumption certificate", cert.residuals)
     structures = induced_structures(h)
     if check:
         mr = verify_metric(structures.metric, structures.connection, structures.calculus)
@@ -452,33 +450,20 @@ def _verified_bundle(name, h, matrices, check) -> SpaceBundle:
             if not report.all_passed:
                 failing = ", ".join(c.name for c in report.failures())
                 raise GoldenMismatch(f"{name} verification: {failing}", report.to_json())
-    return SpaceBundle(name, structures, h, matrices)
+    golden(h, structures, ambient.base_matrices)
+    return SpaceBundle(name, structures, h, ambient.base_matrices)
 
 
 def build_s3(check: bool = True) -> SpaceBundle:
     """Induce the sphere structures and compare them with their closed forms."""
     r4 = build_r4()
-    f = sphere_level_function(r4.presentation)
-    h = build_hypersurface(r4.structures, f, name="s3")
-    cert = check_assumptions(h)
-    if not cert.all_passed:
-        raise GoldenMismatch("s3 assumption certificate", cert.residuals)
-    bundle = _verified_bundle("s3", h, r4.base_matrices, check)
-    _golden_s3(h, bundle.structures, r4.base_matrices)
-    return bundle
+    return _induce(r4, sphere_level_function(r4.presentation), "s3", _golden_s3, check)
 
 
 def build_t2(check: bool = True) -> SpaceBundle:
     """Iterate the induction: the torus as a hypersurface of the sphere."""
     s3 = build_s3(check=check)
-    f = torus_level_function(s3.presentation)
-    h = build_hypersurface(s3.structures, f, name="t2")
-    cert = check_assumptions(h)
-    if not cert.all_passed:
-        raise GoldenMismatch("t2 assumption certificate", cert.residuals)
-    bundle = _verified_bundle("t2", h, s3.base_matrices, check)
-    _golden_t2(h, bundle.structures, s3.base_matrices)
-    return bundle
+    return _induce(s3, torus_level_function(s3.presentation), "t2", _golden_t2, check)
 
 
 def build_space(name: str, check: bool = True) -> SpaceBundle:
@@ -512,23 +497,9 @@ def _matrix_act(matrix: ScalarMatrix, s: TensorElement) -> TensorElement:
     for w, c in s.terms.items():
         for alpha in range(SPINOR_RANK):
             entry = matrix[alpha][w.spin]
-            if entry.is_zero():
-                continue
-            key = BasisWord(w.forms, alpha)
-            add = c.scale(entry)
-            prev = terms.get(key)
-            add = add if prev is None else prev + add
-            if add.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = add
+            if not entry.is_zero():
+                add_term(terms, BasisWord(w.forms, alpha), c.scale(entry))
     return TensorElement(p, s.degree, True, terms)
-
-
-def _spinor_right_mul(s: TensorElement, a: AlgebraElement) -> TensorElement:
-    from .tensors import right_mul
-
-    return right_mul(s, a)
 
 
 def phi_momentum_derivative(s: TensorElement, which: int) -> TensorElement:
@@ -562,7 +533,7 @@ def gamma_tilde(t2: SpaceBundle, which: int, s: TensorElement) -> TensorElement:
         a, b, z, zbar = gam[0], gam[2], _z(p, 0), _z(p, 2)
     else:
         a, b, z, zbar = gam[1], gam[3], _z(p, 1), _z(p, 3)
-    out = _matrix_act(a, _spinor_right_mul(s, zbar)) - _matrix_act(b, _spinor_right_mul(s, z))
+    out = _matrix_act(a, right_mul(s, zbar)) - _matrix_act(b, right_mul(s, z))
     return out.scale(minus_i)
 
 
@@ -579,11 +550,8 @@ def _flat_gamma_map(t2: SpaceBundle) -> "LeftLinearMap":
 def _mass_matrix(t2: SpaceBundle, which: int) -> ScalarMatrix:
     """(1/(8i)) [gamma_1, gamma_3]_theta, resp. [gamma_2, gamma_4]_theta."""
     gam = t2.base_matrices
-    p = t2.presentation
     i, j = (0, 2) if which == 1 else (1, 3)
-    ij = mat_mul(gam[i], gam[j])
-    ji = mat_scale(mat_mul(gam[j], gam[i]), p.R[j][i])
-    comm = mat_add(ij, mat_scale(ji, Scalar.rational(-1)))
+    comm = theta_commutator(gam[i], gam[j], t2.presentation.R[j][i])
     return mat_scale(comm, Scalar.gaussian(0, Fraction(-1, 8)))
 
 

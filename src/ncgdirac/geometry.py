@@ -9,7 +9,7 @@ classes is equality of canonical representatives.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, Presentation
+from .algebra import AlgebraElement, Presentation, add_term
 from .reports import Report
 from .tensors import (
     BasisWord,
@@ -61,6 +61,17 @@ class Calculus:
         return self.canon(TensorElement.basis(self.presentation, (i,)))
 
 
+def _add_leibniz(out: dict, c: AlgebraElement, w: BasisWord, value: TensorElement):
+    """Accumulate the left Leibniz rule c*value + d(c) (x) w into the sparse map out."""
+    for key, coeff in value.left_mul(c).terms.items():
+        add_term(out, key, coeff)
+    dc = differential(c)
+    if not dc.is_zero():
+        lifted = tensor(dc, TensorElement.basis(c.presentation, w.forms, w.spin))
+        for key, coeff in lifted.terms.items():
+            add_term(out, key, coeff)
+
+
 class Connection:
     """Connection on a free-basis module, with optional braiding (bimodule case).
 
@@ -89,17 +100,14 @@ class Connection:
         enough when the result feeds another extensional (class-correct) map.
         """
         calc = self.calculus
-        p = calc.presentation
         sample = next(iter(self.values.values()))
-        out = TensorElement.zero(p, sample.degree, sample.has_spin)
+        terms: dict[BasisWord, AlgebraElement] = {}
         for w, c in e.terms.items():
             value = self.values.get(w)
             if value is None:
                 raise KeyError(f"connection has no value for basis word {w}")
-            out = out + value.left_mul(c)
-            dc = differential(c)
-            if not dc.is_zero():
-                out = out + tensor(dc, TensorElement.basis(p, w.forms, w.spin))
+            _add_leibniz(terms, c, w, value)
+        out = TensorElement(calc.presentation, sample.degree, sample.has_spin, terms)
         return calc.canon(out) if canonical else out
 
 
@@ -138,8 +146,7 @@ def tensor_connection_apply(
         raise ValueError("left factor connection must carry a braiding")
     calc = conn_v.calculus
     p = calc.presentation
-    out_degree = e.degree + 1
-    out = TensorElement.zero(p, out_degree, e.has_spin)
+    terms: dict[BasisWord, AlgebraElement] = {}
     for w, c in e.terms.items():
         i = w.forms[0]
         rest = BasisWord(w.forms[1:], w.spin)
@@ -149,10 +156,8 @@ def tensor_connection_apply(
         # braid dz_i past nabla_E of the remainder
         inner = conn_e.apply(rest_elem, canonical=False)
         term2 = conn_v.sigma.apply_at(tensor(TensorElement.basis(p, (i,)), inner), 0)
-        out = out + (term1 + term2).left_mul(c)
-        dc = differential(c)
-        if not dc.is_zero():
-            out = out + tensor(dc, TensorElement.basis(p, w.forms, w.spin))
+        _add_leibniz(terms, c, w, term1 + term2)
+    out = TensorElement(p, e.degree + 1, e.has_spin, terms)
     return calc.canon(out) if canonical else out
 
 

@@ -14,9 +14,9 @@ quotient as the ambient space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .algebra import AlgebraElement, extend_presentation, is_central
+from .algebra import AlgebraElement, Presentation, extend_presentation, is_central
 from .geometry import Calculus, Connection, Metric
 from .reports import Report
 from .scalars import HALF, Scalar
@@ -64,35 +64,28 @@ class AssumptionCertificate:
         return report
 
 
+@dataclass(slots=True, eq=False)
 class HypersurfaceSpec:
-    """A built level-set hypersurface, ready for assumption checks and induction."""
+    """A built level-set hypersurface, ready for assumption checks and induction.
 
-    __slots__ = (
-        "ambient",
-        "f",
-        "name",
-        "quotient_presentation",
-        "qcalc",
-        "quotient_calculus",
-        "nu",
-        "nu_q",
-        "nabla_nu",
-        "nabla_nu_q",
-        "pi",
-        "sigma_q",
-        "sigma_inv_q",
-        "g_inv_q",
-        "g_element_q",
-        "gamma_q",
-        "conn_q",
-        "spin_conn_q",
-        "certificate",
-        "_induced",
-    )
+    The *_q fields are the ambient structures with coefficients converted to
+    the quotient presentation; conn_q carries the ambient braiding and its inverse.
+    """
 
-    def __init__(self, **fields):
-        for name in self.__slots__:
-            setattr(self, name, fields.get(name))
+    ambient: StructureSet
+    quotient_presentation: Presentation
+    qcalc: Calculus
+    quotient_calculus: Calculus
+    nu: TensorElement
+    nu_q: TensorElement
+    nabla_nu_q: TensorElement
+    pi: LeftLinearMap
+    metric_q: Metric
+    gamma_q: LeftLinearMap
+    conn_q: Connection
+    spin_conn_q: Connection
+    certificate: AssumptionCertificate | None = None
+    _induced: StructureSet | None = field(default=None, init=False)
 
     def require_certificate(self):
         if self.certificate is None:
@@ -105,14 +98,6 @@ class HypersurfaceSpec:
                 "certificate_failed",
                 "assumption certificate has failing clauses; induction refused",
             )
-
-
-def _pair_value(g_inv: LeftLinearMap, e: TensorElement) -> AlgebraElement:
-    out = g_inv.apply(e)
-    total = AlgebraElement.zero(e.presentation)
-    for _, c in out.terms.items():
-        total = total + c
-    return total
 
 
 def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "") -> HypersurfaceSpec:
@@ -136,7 +121,7 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
         if not residual.is_zero():
             raise HypersurfaceError("nu_not_central", f"nu*z{j + 1} != z{j + 1}*nu")
 
-    norm = _pair_value(ambient.metric.g_inv, tensor(nu, nu)).convert(quotient)
+    norm = ambient.metric.pair(tensor(nu, nu)).convert(quotient)
     if not norm.is_one():
         raise HypersurfaceError(
             "normalization",
@@ -146,20 +131,15 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
     prev_proj = ambient.calculus.projector
     qcalc = Calculus(quotient, prev_proj.convert(quotient) if prev_proj else None)
     nu_q = nu.convert(quotient)
-    g_inv_q = ambient.metric.g_inv.convert(quotient)
-    g_element_q = ambient.metric.g_element.convert(quotient)
-    sigma_q = ambient.connection.sigma.convert(quotient)
-    sigma_inv_q = (
-        ambient.connection.sigma_inv.convert(quotient)
-        if ambient.connection.sigma_inv is not None
-        else None
+    metric_q = Metric(
+        ambient.metric.g_element.convert(quotient), ambient.metric.g_inv.convert(quotient)
     )
-    gamma_q = ambient.spin.gamma.convert(quotient)
+    sigma_inv = ambient.connection.sigma_inv
     conn_q = Connection(
         qcalc,
         {w: v.convert(quotient) for w, v in ambient.connection.values.items()},
-        sigma_q,
-        sigma_inv_q,
+        ambient.connection.sigma.convert(quotient),
+        sigma_inv.convert(quotient) if sigma_inv is not None else None,
     )
     spin_conn_q = Connection(
         qcalc,
@@ -170,33 +150,23 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
     pi_images = {}
     for i in range(p_amb.n):
         free = TensorElement.basis(quotient, (i,))
-        b = _pair_value(g_inv_q, tensor(free, nu_q))
+        b = metric_q.pair(tensor(free, nu_q))
         pi_images[BasisWord((i,), None)] = qcalc.canon(free) - nu_q.left_mul(b)
     pi = LeftLinearMap(quotient, (1, False), (1, False), pi_images)
 
-    nabla_nu = ambient.connection.apply(nu)
-
     return HypersurfaceSpec(
         ambient=ambient,
-        f=f,
-        name=name or quotient.name,
         quotient_presentation=quotient,
         qcalc=qcalc,
         quotient_calculus=Calculus(quotient, pi),
         nu=nu,
         nu_q=nu_q,
-        nabla_nu=nabla_nu,
-        nabla_nu_q=nabla_nu.convert(quotient),
+        nabla_nu_q=ambient.connection.apply(nu).convert(quotient),
         pi=pi,
-        sigma_q=sigma_q,
-        sigma_inv_q=sigma_inv_q,
-        g_inv_q=g_inv_q,
-        g_element_q=g_element_q,
-        gamma_q=gamma_q,
+        metric_q=metric_q,
+        gamma_q=ambient.spin.gamma.convert(quotient),
         conn_q=conn_q,
         spin_conn_q=spin_conn_q,
-        certificate=None,
-        _induced=None,
     )
 
 
@@ -244,12 +214,13 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
 
     # assumption 2: sigma interchanges (Pi (x) id) and (id (x) Pi) on q_! (x) q_!
     pi_ok = True
+    sigma_q = h.conn_q.sigma
     qbasis = [h.qcalc.canon(TensorElement.basis(quotient, (i,))) for i in range(p_amb.n)]
     for i in range(p_amb.n):
         for j in range(p_amb.n):
             x = tensor(qbasis[i], qbasis[j])
-            res1 = h.sigma_q.apply(h.pi.apply_at(x, 0)) - h.pi.apply_at(h.sigma_q.apply(x), 1)
-            res2 = h.sigma_q.apply(h.pi.apply_at(x, 1)) - h.pi.apply_at(h.sigma_q.apply(x), 0)
+            res1 = sigma_q.apply(h.pi.apply_at(x, 0)) - h.pi.apply_at(sigma_q.apply(x), 1)
+            res2 = sigma_q.apply(h.pi.apply_at(x, 1)) - h.pi.apply_at(sigma_q.apply(x), 0)
             for res in (res1, res2):
                 if not res.is_zero():
                     pi_ok = False
@@ -263,7 +234,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     for i in range(p_amb.n):
         base = h.pi.apply(TensorElement.basis(quotient, (i,)))
         x = tensor(base, h.nabla_nu_q)
-        lhs = h.sigma_q.apply_at(h.sigma_q.apply_at(x, 0), 1)
+        lhs = sigma_q.apply_at(sigma_q.apply_at(x, 0), 1)
         res = canon3(lhs) - canon3(tensor(h.nabla_nu_q, base))
         if not res.is_zero():
             nabla_ok = False
@@ -273,15 +244,15 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     cor_ok = True
     for i in range(p_amb.n):
         base = h.pi.apply(TensorElement.basis(quotient, (i,)))
-        c1 = _pair_value(h.g_inv_q, tensor(base, h.nu_q))
-        c2 = _pair_value(h.g_inv_q, tensor(h.nu_q, base))
+        c1 = h.metric_q.pair(tensor(base, h.nu_q))
+        c2 = h.metric_q.pair(tensor(h.nu_q, base))
         for res in (c1, c2):
             if not res.is_zero():
                 cor_ok = False
                 residuals.setdefault("corollaries", res.to_json())
     # lemma item: [(id (x) g^-1)(nabla(nu) (x) nu)] vanishes as a quotient
     # 1-form class, so the residual is projected before testing
-    c3 = h.g_inv_q.apply_at(tensor(h.nabla_nu_q, h.nu_q), 1)
+    c3 = h.metric_q.g_inv.apply_at(tensor(h.nabla_nu_q, h.nu_q), 1)
     c3 = h.pi.apply_at(h.qcalc.canon(c3), 0)
     if not c3.is_zero():
         cor_ok = False
@@ -313,13 +284,13 @@ def induced_metric(h: HypersurfaceSpec) -> Metric:
     h.require_certificate()
     quotient = h.quotient_presentation
     qc = h.quotient_calculus
-    g_element = qc.canon(h.g_element_q)
+    g_element = qc.canon(h.metric_q.g_element)
     images = {}
     for i in range(quotient.n):
         pi_i = h.pi.apply(TensorElement.basis(quotient, (i,)))
         for j in range(quotient.n):
             pi_j = h.pi.apply(TensorElement.basis(quotient, (j,)))
-            value = _pair_value(h.g_inv_q, tensor(pi_i, pi_j))
+            value = h.metric_q.pair(tensor(pi_i, pi_j))
             images[BasisWord((i, j), None)] = TensorElement.basis(
                 quotient, (), None, value
             )
@@ -335,13 +306,13 @@ def induced_connection(h: HypersurfaceSpec) -> Connection:
     values = {}
     for i in range(quotient.n):
         free = TensorElement.basis(quotient, (i,))
-        b = _pair_value(h.g_inv_q, tensor(free, h.nu_q))
+        b = h.metric_q.pair(tensor(free, h.nu_q))
         raw = h.conn_q.values[BasisWord((i,), None)] - h.nabla_nu_q.left_mul(b)
         values[BasisWord((i,), None)] = qc.canon(raw)
     # the braiding descends untouched; keeping the ambient single-word images
     # as the working representatives is exact (extensional maps are
     # class-correct at any representative) and much cheaper to apply
-    return Connection(qc, values, h.sigma_q, h.sigma_inv_q)
+    return Connection(qc, values, h.conn_q.sigma, h.conn_q.sigma_inv)
 
 
 def induced_spin(h: HypersurfaceSpec) -> SpinStructure:
@@ -402,7 +373,7 @@ def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement, via: str = "compos
         raise ValueError("via must be 'composite' or 'explicit'")
     minus_half = Scalar.rational(-1) * HALF
     t = tensor(h.nu_q, h.spin_conn_q.apply(spinor))
-    term1 = (_gamma2(h, t) - _gamma2(h, h.sigma_q.apply_at(t, 0))).scale(minus_half)
+    term1 = (_gamma2(h, t) - _gamma2(h, h.conn_q.sigma.apply_at(t, 0))).scale(minus_half)
     projected = h.pi.apply_at(h.nabla_nu_q, 0)
     term2 = _gamma2(h, tensor(projected, spinor)).scale(HALF)
     return term1 + term2

@@ -26,11 +26,6 @@ class Report:
     def add(self, name: str, passed: bool, residual=None):
         self.clauses.append(Clause(name, passed, None if passed else residual))
 
-    def add_residual(self, name: str, residual_element):
-        """Record a clause judged by an exact residual element."""
-        passed = residual_element.is_zero()
-        self.add(name, passed, None if passed else residual_element.to_json())
-
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.clauses)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, Presentation
-from .geometry import Calculus, Connection, Metric, tensor_connection_apply
+from .geometry import Calculus, Connection, Metric, _run_clause_family, tensor_connection_apply
 from .reports import Report
 from .scalars import Scalar
 from .tensors import BasisWord, LeftLinearMap, TensorElement, tensor
@@ -115,6 +115,11 @@ def gamma_iterated(spin: SpinStructure, e: TensorElement, n: int | None = None) 
     return out
 
 
+def theta_commutator(a: ScalarMatrix, b: ScalarMatrix, phase: Scalar) -> ScalarMatrix:
+    """a b - phase b a: [g_i, g_j]_theta for phase R[j][i], the anticommutator for -R[j][i]."""
+    return mat_add(mat_mul(a, b), mat_scale(mat_mul(b, a), -phase))
+
+
 def theta_brackets(spin: SpinStructure, i: int, j: int) -> tuple[ScalarMatrix, ScalarMatrix]:
     """(theta-anticommutator, theta-commutator) of gamma_i and gamma_j.
 
@@ -123,12 +128,9 @@ def theta_brackets(spin: SpinStructure, i: int, j: int) -> tuple[ScalarMatrix, S
     """
     if spin.matrices is None:
         raise ValueError("theta brackets need a constant-matrix Clifford action")
-    p = spin.calculus.presentation
     gi, gj = spin.matrices[i], spin.matrices[j]
-    phase = p.R[j][i]
-    ij = mat_mul(gi, gj)
-    ji = mat_scale(mat_mul(gj, gi), phase)
-    return mat_add(ij, ji), mat_add(ij, mat_scale(ji, Scalar.rational(-1)))
+    phase = spin.calculus.presentation.R[j][i]
+    return theta_commutator(gi, gj, -phase), theta_commutator(gi, gj, phase)
 
 
 def dirac(spin: SpinStructure, spinor: TensorElement) -> TensorElement:
@@ -142,8 +144,6 @@ def verify_spinorial(
     spin: SpinStructure, metric: Metric, conn: Connection, calculus: Calculus | None = None
 ) -> Report:
     """Check the Clifford relations and Clifford compatibility exactly."""
-    from .geometry import _run_clause_family
-
     calc = calculus or spin.calculus
     p = calc.presentation
     report = Report(subject=(p.name or "spinorial"))

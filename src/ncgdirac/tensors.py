@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, Monomial, Presentation
+from .algebra import AlgebraElement, Monomial, Presentation, add_term
 from .scalars import Scalar
 
 
@@ -112,12 +112,7 @@ class TensorElement:
         self._require_same_shape(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            add_term(out, w, c)
         return TensorElement(self.presentation, self.degree, self.has_spin, out)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
@@ -212,14 +207,7 @@ def right_mul(e: TensorElement, a: AlgebraElement) -> TensorElement:
     p = e.presentation
     out: dict[BasisWord, AlgebraElement] = {}
     for w, c in e.terms.items():
-        total = c * _twisted_through(p, w.forms, a)
-        if not total.is_zero():
-            prev = out.get(w)
-            total = total if prev is None else prev + total
-            if total.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = total
+        add_term(out, w, c * _twisted_through(p, w.forms, a))
     return TensorElement(p, e.degree, e.has_spin, out)
 
 
@@ -233,16 +221,8 @@ def tensor(e1: TensorElement, e2: TensorElement) -> TensorElement:
     out: dict[BasisWord, AlgebraElement] = {}
     for w1, c1 in e1.terms.items():
         for w2, c2 in e2.terms.items():
-            coeff = c1 * _twisted_through(p, w1.forms, c2)
-            if coeff.is_zero():
-                continue
             w = BasisWord(w1.forms + w2.forms, w2.spin)
-            prev = out.get(w)
-            coeff = coeff if prev is None else prev + coeff
-            if coeff.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = coeff
+            add_term(out, w, c1 * _twisted_through(p, w1.forms, c2))
     return TensorElement(p, e1.degree + e2.degree, e2.has_spin, out)
 
 
@@ -310,19 +290,11 @@ class LeftLinearMap:
             if img is None:
                 raise KeyError(f"map has no image for basis word {mid}")
             for w2, c2 in img.terms.items():
-                coeff = c * _twisted_through(p, prefix, c2)
-                if coeff.is_zero():
-                    continue
                 out_word = BasisWord(
                     prefix + w2.forms + suffix,
                     w2.spin if self.codomain[1] else (w.spin if not dspin else None),
                 )
-                prev = out.get(out_word)
-                coeff = coeff if prev is None else prev + coeff
-                if coeff.is_zero():
-                    out.pop(out_word, None)
-                else:
-                    out[out_word] = coeff
+                add_term(out, out_word, c * _twisted_through(p, prefix, c2))
         return TensorElement(p, out_degree, out_spin, out)
 
     def compose(self, inner: "LeftLinearMap") -> "LeftLinearMap":
@@ -418,13 +390,7 @@ def differential(a: AlgebraElement) -> TensorElement:
             coeff = AlgebraElement(
                 p, {tuple(reduced): c.q_shift(exp) * Scalar.rational(e)}
             )
-            w = BasisWord((g,), None)
-            prev = out.get(w)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = total
+            add_term(out, BasisWord((g,), None), coeff)
     return TensorElement(p, 1, False, out)
 
 

@@ -169,10 +169,8 @@ def test_t2_metric_normalization_identity():
 
 
 def test_t2_nu_normalized(t2):
-    from ncgdirac.hypersurface import _pair_value
-
     h = t2.hypersurface
-    got = _pair_value(h.g_inv_q, tensor(h.nu_q, h.nu_q))
+    got = h.metric_q.pair(tensor(h.nu_q, h.nu_q))
     assert got == AlgebraElement.one(h.quotient_presentation)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ncgdirac.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 from ncgdirac.catalog import r4_presentation
 
@@ -142,6 +144,41 @@ def test_user_presentation_non_confluent_fails(tmp_path, capsys):
     assert code == EXIT_FAILED
     payload = json.loads(out)
     assert not payload["pass"]
+
+
+def _doc(**changes):
+    doc = r4_presentation().to_json()
+    doc.update(changes)
+    return doc
+
+
+def _rule(lhs, exps=(0, 0, 0, 0)):
+    return {"lhs": lhs, "rhs": [{"exps": list(exps), "coeff": {"terms": [[0, "1", "0"]]}}]}
+
+
+MALFORMED_PRESENTATIONS = [
+    pytest.param([], "JSON object", id="top-level-list"),
+    pytest.param(_doc(R=5), "R must be", id="R-not-a-list"),
+    pytest.param(_doc(R=[5, 5, 5, 5]), "R must be", id="R-row-not-a-list"),
+    pytest.param(_doc(R=[[{"terms": None}] * 4] * 4), "'terms' list", id="terms-null"),
+    pytest.param(_doc(ideal=[_rule([0, 7])]), "generator index", id="letter-too-large"),
+    pytest.param(_doc(ideal=[_rule([0, -1])]), "generator index", id="letter-negative"),
+    pytest.param(_doc(ideal=[_rule([0, True])]), "generator index", id="letter-boolean"),
+    pytest.param(_doc(ideal=[_rule([0, 2], (0, -1, 0, 0))]), "negative exp", id="negative-exps"),
+    pytest.param(_doc(generators=0, R=[]), "at least one generator", id="no-generators"),
+    pytest.param(_doc(generators=None), "malformed presentation", id="generators-null"),
+    pytest.param(_doc(ideal=5), "malformed presentation", id="ideal-not-a-list"),
+    pytest.param(_doc(ideal=[{"lhs": [0, 2], "rhs": None}]), "malformed", id="rhs-null"),
+]
+
+
+@pytest.mark.parametrize("payload, reason", MALFORMED_PRESENTATIONS)
+def test_malformed_presentation_rejected(tmp_path, capsys, payload, reason):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "verify", "--presentation", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:") and reason in err
 
 
 def test_user_presentation_missing_file(capsys):

@@ -11,6 +11,7 @@ from ncgdirac.catalog import (
 from ncgdirac.geometry import Connection, verify_metric
 from ncgdirac.hypersurface import (
     HypersurfaceError,
+    HypersurfaceSpec,
     build_hypersurface,
     check_assumptions,
     induced_connection,
@@ -141,19 +142,24 @@ def test_induction_gated_on_certificate():
     assert exc.value.kind == "certificate_missing"
 
 
+def test_spec_rejects_unknown_and_missing_fields(s3):
+    with pytest.raises(TypeError):
+        HypersurfaceSpec(bogus=1)
+    with pytest.raises(TypeError):
+        HypersurfaceSpec(ambient=s3.hypersurface.ambient)
+
+
 # -- lemma consequences ----------------------------------------------------------
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
 def test_lemma_consequences(space, s3, t2):
-    from ncgdirac.hypersurface import _pair_value
-
     h = {"s3": s3, "t2": t2}[space].hypersurface
     p = h.quotient_presentation
     for i in range(4):
         base = h.pi.apply(dz(p, i))
-        assert _pair_value(h.g_inv_q, tensor(base, h.nu_q)).is_zero()
-        assert _pair_value(h.g_inv_q, tensor(h.nu_q, base)).is_zero()
-    contracted = h.g_inv_q.apply_at(tensor(h.nabla_nu_q, h.nu_q), 1)
+        assert h.metric_q.pair(tensor(base, h.nu_q)).is_zero()
+        assert h.metric_q.pair(tensor(h.nu_q, base)).is_zero()
+    contracted = h.metric_q.g_inv.apply_at(tensor(h.nabla_nu_q, h.nu_q), 1)
     assert h.pi.apply_at(h.qcalc.canon(contracted), 0).is_zero()
 
 
