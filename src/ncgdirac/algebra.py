@@ -191,8 +191,16 @@ class Presentation:
                             f"rule letter {g!r} is not a generator index 0..{n - 1}"
                         )
                     lhs[g] += 1
-                rhs = _element_terms_from_json(entry["rhs"], n)
-                rules.append(RewriteRule(tuple(lhs), rhs))
+                rule = RewriteRule(tuple(lhs), _element_terms_from_json(entry["rhs"], n))
+                # the graded order is compatible with multiplication, so strictly
+                # decreasing rules make every rewriting sequence terminate
+                for mono in rule.rhs:
+                    if monomial_key(mono) >= monomial_key(rule.lhs):
+                        raise PresentationError(
+                            f"rule {entry['lhs']} does not terminate: rhs monomial "
+                            f"{list(mono)} is not below its lhs in the graded order"
+                        )
+                rules.append(rule)
             if rules:
                 pres = Presentation(n, R, rules, name=data.get("name", ""))
             return pres

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .algebra import AlgebraElement, Presentation, add_term, normal_form
+from .algebra import AlgebraElement, Presentation, normal_form
 from .geometry import Calculus, Connection, Metric, verify_metric
 from .hypersurface import (
     HypersurfaceSpec,
@@ -30,6 +31,7 @@ from .spin import (
     gamma_from_matrices,
     mat_mul,
     mat_scale,
+    matrix_act,
     theta_commutator,
     verify_spinorial,
 )
@@ -115,7 +117,11 @@ class GoldenMismatch(RuntimeError):
 
 @dataclass
 class SpaceBundle:
-    """One catalog space: presentation, structures, and its hypersurface link."""
+    """One catalog space: presentation, structures, and its hypersurface link.
+
+    The constant Clifford data of the rotated torus operator (flat_gamma,
+    mass_matrices) is derived from base_matrices once, on first use.
+    """
 
     name: str
     structures: StructureSet
@@ -129,6 +135,27 @@ class SpaceBundle:
     @property
     def calculus(self) -> Calculus:
         return self.structures.calculus
+
+    @cached_property
+    def flat_gamma(self) -> LeftLinearMap:
+        """The constant-matrix Clifford action of the embedding space, over C.
+
+        The rotated torus operator and its square contract against the flat
+        gamma matrices acting on representatives, not against the induced
+        sphere action.
+        """
+        calc = Calculus(self.presentation, None)
+        return gamma_from_matrices(calc, self.base_matrices, SPINOR_RANK)
+
+    @cached_property
+    def mass_matrices(self) -> tuple[ScalarMatrix, ScalarMatrix]:
+        """(1/(8i)) [gamma_1, gamma_3]_theta and (1/(8i)) [gamma_2, gamma_4]_theta."""
+        gam, R = self.base_matrices, self.presentation.R
+        factor = Scalar.gaussian(0, Fraction(-1, 8))
+        return tuple(
+            mat_scale(theta_commutator(gam[i], gam[j], R[j][i]), factor)
+            for i, j in ((0, 2), (1, 3))
+        )
 
 
 def build_r4(classical: bool = False) -> SpaceBundle:
@@ -219,28 +246,6 @@ def _z(p: Presentation, i: int) -> AlgebraElement:
     return AlgebraElement.generator(p, i)
 
 
-def _matrix_spinor(p: Presentation, matrix: ScalarMatrix, alpha: int, coeff: AlgebraElement) -> TensorElement:
-    """coeff * (matrix acting on e_alpha) as a spinor element."""
-    terms = {}
-    for beta in range(SPINOR_RANK):
-        entry = matrix[beta][alpha]
-        if not entry.is_zero():
-            terms[BasisWord((), beta)] = coeff.scale(entry)
-    return TensorElement(p, 0, True, terms)
-
-
-def _matrix_one_form(
-    p: Presentation, i: int, matrix: ScalarMatrix, alpha: int, coeff: AlgebraElement
-) -> TensorElement:
-    """coeff * dz_i (x) (matrix e_alpha) with the coefficient already on the left."""
-    terms = {}
-    for beta in range(SPINOR_RANK):
-        entry = matrix[beta][alpha]
-        if not entry.is_zero():
-            terms[BasisWord((i,), beta)] = coeff.scale(entry)
-    return TensorElement(p, 1, True, terms)
-
-
 def _expect(label: str, got, want):
     residual = got - want
     if not residual.is_zero():
@@ -250,7 +255,7 @@ def _expect(label: str, got, want):
 def _golden_s3(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
     p = h.quotient_presentation
     qc = h.quotient_calculus
-    gam = matrices
+    gam_ab = [[mat_mul(a, b) for b in matrices] for a in matrices]  # gamma_a gamma_b
 
     free = [TensorElement.basis(p, (i,)) for i in range(N_GEN)]
     zs = [_z(p, i) for i in range(N_GEN)]
@@ -291,9 +296,9 @@ def _golden_s3(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
                 for l in range(N_GEN):
                     v = metric_lower(k, l)
                     if v:
-                        want = want + _matrix_spinor(
-                            p, mat_mul(gam[l], gam[i]), alpha, zs[k].scale(Scalar.rational(-v))
-                        )
+                        coeff = zs[k].scale(Scalar.rational(-v))
+                        term = TensorElement.basis(p, (), alpha, coeff)
+                        want = want + matrix_act(gam_ab[l][i], term)
             got = structures.spin.gamma.images[BasisWord((i,), alpha)]
             _expect(f"gamma_B[dz{i + 1},e{alpha + 1}]", got, want)
 
@@ -310,13 +315,9 @@ def _golden_s3(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
                         gkl = metric_lower(k, l)
                         if not gkl:
                             continue
-                        want = want + _matrix_one_form(
-                            p,
-                            i,
-                            mat_mul(gam[j], gam[l]),
-                            alpha,
-                            zs[k].scale(Scalar.rational(gij * gkl * Fraction(1, 2))),
-                        )
+                        coeff = zs[k].scale(Scalar.rational(gij * gkl * Fraction(1, 2)))
+                        term = TensorElement.basis(p, (i,), alpha, coeff)
+                        want = want + matrix_act(gam_ab[j][l], term)
         got = structures.spin.spin_connection.values[BasisWord((), alpha)]
         _expect(f"nabla_sp_B[e{alpha + 1}]", got, qc.canon(want))
 
@@ -330,7 +331,7 @@ def _golden_s3(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
 def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
     p = h.quotient_presentation
     qc = h.quotient_calculus
-    gam = matrices
+    gam_ab = [[mat_mul(a, b) for b in matrices] for a in matrices]  # gamma_a gamma_b
     free = [TensorElement.basis(p, (i,)) for i in range(N_GEN)]
     zs = [_z(p, i) for i in range(N_GEN)]
 
@@ -391,16 +392,17 @@ def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
                     hkl = h_lower(k, l)
                     if not hkl:
                         continue
-                    want = want + _matrix_spinor(
-                        p, mat_mul(gam[l], gam[i]), alpha, zs[k].scale(Scalar.rational(-hkl))
-                    )
+                    coeff = zs[k].scale(Scalar.rational(-hkl))
+                    term = TensorElement.basis(p, (), alpha, coeff)
+                    want = want + matrix_act(gam_ab[l][i], term)
                     for m in range(N_GEN):
                         for n in range(N_GEN):
                             gmn = metric_lower(m, n)
                             if not gmn:
                                 continue
                             coeff = (zs[i] * zs[m] * zs[k]).scale(Scalar.rational(gmn * hkl))
-                            want = want + _matrix_spinor(p, mat_mul(gam[l], gam[n]), alpha, coeff)
+                            term = TensorElement.basis(p, (), alpha, coeff)
+                            want = want + matrix_act(gam_ab[l][n], term)
             got = structures.spin.gamma.images[BasisWord((i,), alpha)]
             _expect(f"gamma_C[dz{i + 1},e{alpha + 1}]", got, want)
 
@@ -414,13 +416,9 @@ def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
                         v = metric_lower(i, j) * metric_lower(k, l) + h_lower(i, j) * h_lower(k, l)
                         if not v:
                             continue
-                        want = want + _matrix_one_form(
-                            p,
-                            i,
-                            mat_mul(gam[j], gam[l]),
-                            alpha,
-                            zs[k].scale(Scalar.rational(v * Fraction(1, 2))),
-                        )
+                        coeff = zs[k].scale(Scalar.rational(v * Fraction(1, 2)))
+                        term = TensorElement.basis(p, (i,), alpha, coeff)
+                        want = want + matrix_act(gam_ab[j][l], term)
         got = structures.spin.spin_connection.values[BasisWord((), alpha)]
         _expect(f"nabla_sp_C[e{alpha + 1}]", got, qc.canon(want))
 
@@ -491,32 +489,19 @@ def phi_basis(t2: SpaceBundle) -> tuple[TensorElement, TensorElement]:
     return dphi1, dphi2
 
 
-def _matrix_act(matrix: ScalarMatrix, s: TensorElement) -> TensorElement:
-    p = s.presentation
-    terms: dict[BasisWord, AlgebraElement] = {}
-    for w, c in s.terms.items():
-        for alpha in range(SPINOR_RANK):
-            entry = matrix[alpha][w.spin]
-            if not entry.is_zero():
-                add_term(terms, BasisWord(w.forms, alpha), c.scale(entry))
-    return TensorElement(p, s.degree, True, terms)
-
-
 def phi_momentum_derivative(s: TensorElement, which: int) -> TensorElement:
     """d/dphi_which on torus spinors via the momentum grading of monomials."""
     p = s.presentation
     lo, hi = (0, 2) if which == 1 else (1, 3)
     terms = {}
     for w, c in s.terms.items():
-        new = AlgebraElement.zero(p)
-        for mono, scal in c.terms.items():
-            momentum = mono[lo] - mono[hi]
-            if momentum:
-                new = new + AlgebraElement(
-                    p, {mono: scal * Scalar.gaussian(0, momentum)}
-                )
-        if not new.is_zero():
-            terms[w] = new
+        new = {
+            mono: scal * Scalar.gaussian(0, mono[lo] - mono[hi])
+            for mono, scal in c.terms.items()
+            if mono[lo] != mono[hi]
+        }
+        if new:
+            terms[w] = AlgebraElement(p, new)
     return TensorElement(p, s.degree, s.has_spin, terms)
 
 
@@ -533,26 +518,8 @@ def gamma_tilde(t2: SpaceBundle, which: int, s: TensorElement) -> TensorElement:
         a, b, z, zbar = gam[0], gam[2], _z(p, 0), _z(p, 2)
     else:
         a, b, z, zbar = gam[1], gam[3], _z(p, 1), _z(p, 3)
-    out = _matrix_act(a, right_mul(s, zbar)) - _matrix_act(b, right_mul(s, z))
+    out = matrix_act(a, right_mul(s, zbar)) - matrix_act(b, right_mul(s, z))
     return out.scale(minus_i)
-
-
-def _flat_gamma_map(t2: SpaceBundle) -> "LeftLinearMap":
-    """The constant-matrix Clifford action of the embedding space, over C.
-
-    The rotated operator and its square contract against the flat gamma
-    matrices acting on representatives, not against the induced sphere action.
-    """
-    calc = Calculus(t2.presentation, None)
-    return gamma_from_matrices(calc, t2.base_matrices, SPINOR_RANK)
-
-
-def _mass_matrix(t2: SpaceBundle, which: int) -> ScalarMatrix:
-    """(1/(8i)) [gamma_1, gamma_3]_theta, resp. [gamma_2, gamma_4]_theta."""
-    gam = t2.base_matrices
-    i, j = (0, 2) if which == 1 else (1, 3)
-    comm = theta_commutator(gam[i], gam[j], t2.presentation.R[j][i])
-    return mat_scale(comm, Scalar.gaussian(0, Fraction(-1, 8)))
 
 
 def dtilde_apply(t2: SpaceBundle, s: TensorElement, via: str = "definition") -> TensorElement:
@@ -570,12 +537,12 @@ def dtilde_apply(t2: SpaceBundle, s: TensorElement, via: str = "definition") -> 
     if via == "definition":
         ds = induced_dirac(h, s, via="composite")
         t = tensor(h.nu_q, ds)
-        return _flat_gamma_map(t2).apply_at(t, 0)
+        return t2.flat_gamma.apply_at(t, 0)
     if via != "expanded":
         raise ValueError("via must be 'definition' or 'expanded'")
     out = TensorElement.zero(t2.presentation, 0, True)
-    for which in (1, 2):
-        inner = phi_momentum_derivative(s, which) + _matrix_act(_mass_matrix(t2, which), s)
+    for which, mass in zip((1, 2), t2.mass_matrices):
+        inner = phi_momentum_derivative(s, which) + matrix_act(mass, s)
         out = out + gamma_tilde(t2, which, inner)
     return out
 
@@ -585,7 +552,7 @@ def gamma_nu_tilde(t2: SpaceBundle, s: TensorElement) -> TensorElement:
     h = t2.hypersurface
     if s.presentation != t2.presentation:
         s = s.convert(t2.presentation)
-    return _flat_gamma_map(t2).apply_at(tensor(h.nu_q, s), 0)
+    return t2.flat_gamma.apply_at(tensor(h.nu_q, s), 0)
 
 
 def verify_space(bundle: SpaceBundle) -> Report:

@@ -11,7 +11,13 @@ import argparse
 import json
 import sys
 
-from .algebra import Presentation, PresentationError, brute_force_normal_form, normal_form
+from .algebra import (
+    Presentation,
+    PresentationError,
+    RewriteBudgetExceeded,
+    brute_force_normal_form,
+    normal_form,
+)
 from .catalog import GoldenMismatch, SpaceBundle, build_space, verify_space
 from .hypersurface import HypersurfaceError, induced_dirac
 from .reports import Report, write_report_atomic
@@ -90,7 +96,7 @@ def _cmd_verify(args) -> int:
     if args.presentation:
         try:
             report = _verify_user_presentation(args.presentation)
-        except (OSError, KeyError, ValueError, PresentationError) as exc:
+        except (OSError, KeyError, ValueError, PresentationError, RewriteBudgetExceeded) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
         _emit(report.to_json(), args)

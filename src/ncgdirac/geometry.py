@@ -52,10 +52,6 @@ class Calculus:
     def d(self, a: AlgebraElement) -> TensorElement:
         return self.canon(differential(a))
 
-    def one_form_basis(self) -> list[TensorElement]:
-        p = self.presentation
-        return [TensorElement.basis(p, (i,)) for i in range(p.n)]
-
     def canon_basis_form(self, i: int) -> TensorElement:
         """Canonical representative of the class of dz_i."""
         return self.canon(TensorElement.basis(self.presentation, (i,)))

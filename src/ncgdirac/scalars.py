@@ -117,10 +117,6 @@ class Scalar:
     def gaussian(re, im) -> "Scalar":
         return Scalar({0: GaussianRational(re, im)})
 
-    @staticmethod
-    def imag_unit() -> "Scalar":
-        return Scalar({0: GaussianRational(0, 1)})
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -248,7 +244,3 @@ class Scalar:
 
 
 HALF = Scalar.rational(Fraction(1, 2))
-ONE = Scalar.one()
-ZERO = Scalar.zero()
-MINUS_ONE = Scalar.rational(-1)
-I_UNIT = Scalar.imag_unit()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, Presentation
+from .algebra import AlgebraElement, Presentation, add_term
 from .geometry import Calculus, Connection, Metric, _run_clause_family, tensor_connection_apply
 from .reports import Report
 from .scalars import Scalar
@@ -37,10 +37,6 @@ def mat_scale(a: ScalarMatrix, s: Scalar) -> ScalarMatrix:
 
 def mat_is_zero(a: ScalarMatrix) -> bool:
     return all(x.is_zero() for row in a for x in row)
-
-
-def mat_eq(a: ScalarMatrix, b: ScalarMatrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def identity_matrix(rank: int) -> ScalarMatrix:
@@ -82,20 +78,27 @@ class SpinStructure:
         return [TensorElement.basis(p, (), alpha) for alpha in range(self.rank)]
 
 
+def matrix_act(matrix: ScalarMatrix, s: TensorElement) -> TensorElement:
+    """Act with a constant matrix on the spinor slot of s; form slots are untouched."""
+    terms: dict[BasisWord, AlgebraElement] = {}
+    for w, c in s.terms.items():
+        for beta, row in enumerate(matrix):
+            entry = row[w.spin]
+            if not entry.is_zero():
+                add_term(terms, BasisWord(w.forms, beta), c.scale(entry))
+    return TensorElement(s.presentation, s.degree, True, terms)
+
+
 def gamma_from_matrices(
     calculus: Calculus, matrices: tuple[ScalarMatrix, ...], rank: int
 ) -> LeftLinearMap:
     """Clifford map with gamma(dz_i (x) e_alpha) = column alpha of matrix i."""
     p = calculus.presentation
-    images = {}
-    for i in range(p.n):
-        for alpha in range(rank):
-            terms = {}
-            for beta in range(rank):
-                entry = matrices[i][beta][alpha]
-                if not entry.is_zero():
-                    terms[BasisWord((), beta)] = AlgebraElement.from_scalar(p, entry)
-            images[BasisWord((i,), alpha)] = TensorElement(p, 0, True, terms)
+    images = {
+        BasisWord((i,), alpha): matrix_act(matrices[i], TensorElement.basis(p, (), alpha))
+        for i in range(p.n)
+        for alpha in range(rank)
+    }
     return LeftLinearMap(p, (1, True), (0, True), images)
 
 

@@ -253,6 +253,12 @@ def test_presentation_json_round_trip(p_s3):
     ).convert(back)
 
 
+def test_catalog_rules_load_as_terminating(p_s3, p_t2):
+    # from_json refuses a rule unless each rhs monomial is below its lhs
+    for p in (p_s3, p_t2):
+        assert Presentation.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+
 def test_element_json_round_trip(p_s3):
     a = normal_form([0, 1, 3], Scalar.q_power(2), p_s3)
     assert AlgebraElement.from_json(a.to_json(), p_s3) == a

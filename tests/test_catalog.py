@@ -19,7 +19,7 @@ from ncgdirac.catalog import (
 )
 from ncgdirac.hypersurface import induced_dirac
 from ncgdirac.scalars import Scalar
-from ncgdirac.spin import dirac, mat_eq, mat_mul, mat_scale
+from ncgdirac.spin import dirac, mat_mul, mat_scale
 from ncgdirac.tensors import BasisWord, TensorElement, tensor
 
 
@@ -260,4 +260,4 @@ def test_deformed_gamma_clifford_at_q1():
                 ),
                 Scalar.rational(-2 * metric_upper(i, j)),
             )
-            assert mat_eq(anti, want)
+            assert anti == want

@@ -169,6 +169,7 @@ MALFORMED_PRESENTATIONS = [
     pytest.param(_doc(generators=None), "malformed presentation", id="generators-null"),
     pytest.param(_doc(ideal=5), "malformed presentation", id="ideal-not-a-list"),
     pytest.param(_doc(ideal=[{"lhs": [0, 2], "rhs": None}]), "malformed", id="rhs-null"),
+    pytest.param(_doc(ideal=[_rule([0], (2, 0, 0, 0))]), "not below", id="non-terminating-rule"),
 ]
 
 
@@ -179,6 +180,15 @@ def test_malformed_presentation_rejected(tmp_path, capsys, payload, reason):
     code, _, err = run(capsys, "verify", "--presentation", str(path))
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and reason in err
+
+
+def test_exhausted_step_budget_rejected(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(r4_presentation().to_json()))
+    monkeypatch.setenv("NCG_STEP_BUDGET", "3")
+    code, _, err = run(capsys, "verify", "--presentation", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:") and "budget" in err
 
 
 def test_user_presentation_missing_file(capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ncgdirac import catalog
 from ncgdirac.spectrum import (
     closed_form_value,
     momentum_monomial,
@@ -104,3 +106,20 @@ def test_report_json_schema(t2):
     payload = spectrum_scan(t2, 1, 0.7).to_json()
     assert set(payload) == {"theta", "mmax", "eigenvalues", "max_deviation", "fallback_used"}
     assert all(set(e) == {"value", "m", "n", "deviation"} for e in payload["eigenvalues"])
+
+
+def test_mass_matrices_built_once_per_bundle(t2, monkeypatch):
+    # the rotated operator's constant matrices belong to the bundle, not to
+    # each sector column: two scans of a fresh bundle take two commutators
+    calls = []
+    theta_commutator = catalog.theta_commutator
+
+    def counted(*args):
+        calls.append(args)
+        return theta_commutator(*args)
+
+    monkeypatch.setattr(catalog, "theta_commutator", counted)
+    fresh = dataclasses.replace(t2)
+    spectrum_scan(fresh, 1, 0.7)
+    spectrum_scan(fresh, 1, 1.3)
+    assert len(calls) <= 2

@@ -14,7 +14,6 @@ from ncgdirac.spin import (
     dirac,
     gamma_apply,
     gamma_iterated,
-    mat_eq,
     mat_is_zero,
     mat_scale,
     identity_matrix,
@@ -55,13 +54,13 @@ def test_theta_anticommutator_table(r4):
         for j in range(4):
             anti, _ = theta_brackets(spin, i, j)
             want = mat_scale(identity_matrix(4), Scalar.rational(-2 * metric_upper(i, j)))
-            assert mat_eq(anti, want), (i, j)
+            assert anti == want, (i, j)
 
 
 def test_theta_anticommutator_examples(r4):
     spin = r4.structures.spin
     anti13, _ = theta_brackets(spin, 0, 2)
-    assert mat_eq(anti13, mat_scale(identity_matrix(4), Scalar.rational(-4)))
+    assert anti13 == mat_scale(identity_matrix(4), Scalar.rational(-4))
     anti11, _ = theta_brackets(spin, 0, 0)
     assert mat_is_zero(anti11)
 
@@ -73,7 +72,7 @@ def test_theta_anticommutator_symmetry(r4):
         for j in range(4):
             aij, _ = theta_brackets(spin, i, j)
             aji, _ = theta_brackets(spin, j, i)
-            assert mat_eq(aij, mat_scale(aji, p.R[j][i]))
+            assert aij == mat_scale(aji, p.R[j][i])
 
 
 def test_theta_commutator_antisymmetry(r4):
@@ -84,7 +83,7 @@ def test_theta_commutator_antisymmetry(r4):
             _, cij = theta_brackets(spin, i, j)
             _, cji = theta_brackets(spin, j, i)
             flipped = mat_scale(cji, Scalar.rational(-1) * p.R[j][i])
-            assert mat_eq(cij, flipped)
+            assert cij == flipped
 
 
 def test_gamma2_on_symmetrized_pair(r4):
