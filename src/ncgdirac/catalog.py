@@ -433,23 +433,19 @@ def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
 
 
 def _induce(ambient: SpaceBundle, f: AlgebraElement, name: str, golden, check) -> SpaceBundle:
-    """One induction step: hypersurface, certificate, verifiers (if check), golden forms."""
+    """One induction step: hypersurface, certificate, verify_space (if check), golden forms."""
     h = build_hypersurface(ambient.structures, f, name=name)
     cert = check_assumptions(h)
     if not cert.all_passed:
-        raise GoldenMismatch(f"{name} assumption certificate", cert.residuals)
-    structures = induced_structures(h)
+        raise GoldenMismatch(f"{name} assumption certificate", cert.to_json())
+    bundle = SpaceBundle(name, induced_structures(h), h, ambient.base_matrices)
     if check:
-        mr = verify_metric(structures.metric, structures.connection, structures.calculus)
-        sr = verify_spinorial(
-            structures.spin, structures.metric, structures.connection, structures.calculus
-        )
-        for report in (mr, sr):
-            if not report.all_passed:
-                failing = ", ".join(c.name for c in report.failures())
-                raise GoldenMismatch(f"{name} verification: {failing}", report.to_json())
-    golden(h, structures, ambient.base_matrices)
-    return SpaceBundle(name, structures, h, ambient.base_matrices)
+        report = verify_space(bundle)
+        if not report.all_passed:
+            failing = ", ".join(c.name for c in report.failures())
+            raise GoldenMismatch(f"{name} verification: {failing}", report.to_json())
+    golden(h, bundle.structures, ambient.base_matrices)
+    return bundle
 
 
 def build_s3(check: bool = True) -> SpaceBundle:
@@ -557,16 +553,10 @@ def gamma_nu_tilde(t2: SpaceBundle, s: TensorElement) -> TensorElement:
 
 def verify_space(bundle: SpaceBundle) -> Report:
     """Aggregate verification report for one catalog space."""
-    structures = bundle.structures
+    s = bundle.structures
     report = Report(subject=bundle.name)
-    mr = verify_metric(structures.metric, structures.connection, structures.calculus)
-    sr = verify_spinorial(
-        structures.spin, structures.metric, structures.connection, structures.calculus
-    )
-    for sub in (mr, sr):
-        report.clauses.extend(sub.clauses)
+    report.clauses.extend(verify_metric(s.metric, s.connection).clauses)
+    report.clauses.extend(verify_spinorial(s.spin, s.metric, s.connection).clauses)
     if bundle.hypersurface is not None and bundle.hypersurface.certificate is not None:
-        report.clauses.extend(
-            bundle.hypersurface.certificate.to_report(bundle.name).clauses
-        )
+        report.clauses.extend(bundle.hypersurface.certificate.clauses)
     return report

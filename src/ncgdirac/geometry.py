@@ -130,18 +130,17 @@ class Metric:
         return total
 
 
-def tensor_connection_apply(
-    conn_v: Connection, conn_e: Connection, e: TensorElement, canonical: bool = True
-) -> TensorElement:
+def tensor_connection_apply(conn_v: Connection, conn_e: Connection, e: TensorElement) -> TensorElement:
     """Tensor-product connection on Omega^1 (x) E applied to an element.
 
     nabla(x)(v (x) s) = nabla(v) (x) s + (sigma (x) id)(v (x) nabla(s)), plus
-    the Leibniz term for the left coefficients.
+    the Leibniz term for the left coefficients.  The result is an unprojected
+    class representative: every caller contracts it with an extensional
+    (class-correct) map and projects afterwards.
     """
     if conn_v.sigma is None:
         raise ValueError("left factor connection must carry a braiding")
-    calc = conn_v.calculus
-    p = calc.presentation
+    p = conn_v.calculus.presentation
     terms: dict[BasisWord, AlgebraElement] = {}
     for w, c in e.terms.items():
         i = w.forms[0]
@@ -153,26 +152,16 @@ def tensor_connection_apply(
         inner = conn_e.apply(rest_elem, canonical=False)
         term2 = conn_v.sigma.apply_at(tensor(TensorElement.basis(p, (i,)), inner), 0)
         _add_leibniz(terms, c, w, term1 + term2)
-    out = TensorElement(p, e.degree + 1, e.has_spin, terms)
-    return calc.canon(out) if canonical else out
+    return TensorElement(p, e.degree + 1, e.has_spin, terms)
 
 
-def _run_clause_family(report: Report, name: str, checks):
-    """Record one passing clause for the family, or each failing instance."""
-    failures = [(label, residual) for label, residual in checks if not residual.is_zero()]
-    if not failures:
-        report.add(name, True)
-    for label, residual in failures:
-        report.add(f"{name}[{label}]", False, residual.to_json())
-
-
-def verify_metric(metric: Metric, conn: Connection, calculus: Calculus | None = None) -> Report:
+def verify_metric(metric: Metric, conn: Connection) -> Report:
     """Check every Riemannian-structure clause exactly, on generating elements.
 
     All maps involved are left-linear or Leibniz over generating sets, so
     these finite checks witness the full clauses.
     """
-    calc = calculus or conn.calculus
+    calc = conn.calculus
     p = calc.presentation
     report = Report(subject=p.name or "metric")
     g1 = calc.canon(metric.g_element)
@@ -181,21 +170,18 @@ def verify_metric(metric: Metric, conn: Connection, calculus: Calculus | None = 
     def gen(j):
         return AlgebraElement.generator(p, j)
 
-    _run_clause_family(
-        report,
+    report.family(
         "g_central",
         ((f"z{j + 1}", right_mul(g1, gen(j)) - g1.left_mul(gen(j))) for j in range(p.n)),
     )
-    _run_clause_family(
-        report,
+    report.family(
         "inverse_left",
         (
             (f"dz{i + 1}", calc.canon(metric.g_inv.apply_at(tensor(basis[i], g1), 0)) - basis[i])
             for i in range(p.n)
         ),
     )
-    _run_clause_family(
-        report,
+    report.family(
         "inverse_right",
         (
             (f"dz{i + 1}", calc.canon(metric.g_inv.apply_at(tensor(g1, basis[i]), 1)) - basis[i])
@@ -212,20 +198,20 @@ def verify_metric(metric: Metric, conn: Connection, calculus: Calculus | None = 
                     metric.pair(conn.sigma.apply(pair)) - metric.pair(pair),
                 )
 
-    _run_clause_family(report, "symmetry", symmetry_checks())
+    report.family("symmetry", symmetry_checks())
 
     def compatibility_checks():
         for i in range(p.n):
             for j in range(p.n):
                 pair = tensor(basis[i], basis[j])
-                raw = tensor_connection_apply(conn, conn, pair, canonical=False)
+                raw = tensor_connection_apply(conn, conn, pair)
                 lhs = metric.g_inv.apply_at(raw, 1)
                 yield (
                     f"dz{i + 1},dz{j + 1}",
                     calc.canon(lhs) - calc.d(metric.pair(pair)),
                 )
 
-    _run_clause_family(report, "metric_compatibility", compatibility_checks())
+    report.family("metric_compatibility", compatibility_checks())
 
     report.add("sigma_right_linear", check_right_linearity(conn.sigma))
     if conn.sigma_inv is not None:
@@ -236,7 +222,7 @@ def verify_metric(metric: Metric, conn: Connection, calculus: Calculus | None = 
                 got = conn.sigma_inv.apply(conn.sigma.apply(base))
                 yield (repr(w), calc.canon(got) - calc.canon(base))
 
-        _run_clause_family(report, "sigma_invertible", inverse_checks())
+        report.family("sigma_invertible", inverse_checks())
 
     def leibniz_checks():
         for i in range(p.n):
@@ -248,5 +234,5 @@ def verify_metric(metric: Metric, conn: Connection, calculus: Calculus | None = 
                 )
                 yield (f"dz{i + 1},z{j + 1}", lhs - calc.canon(rhs))
 
-    _run_clause_family(report, "right_leibniz", leibniz_checks())
+    report.family("right_leibniz", leibniz_checks())
     return report

@@ -32,36 +32,15 @@ class HypersurfaceError(ValueError):
         self.kind = kind
 
 
-@dataclass
-class AssumptionCertificate:
-    """Verified-assumption record gating the induction operations."""
+class AssumptionCertificate(Report):
+    """Verified-assumption record gating the induction operations.
 
-    nu_transparency: bool
-    pi_transparency: bool
-    nabla_nu_transparency: bool
-    corollaries: bool
-    residuals: dict
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            self.nu_transparency
-            and self.pi_transparency
-            and self.nabla_nu_transparency
-            and self.corollaries
-        )
+    One clause family per assumption, plus the lemma corollaries:
+    nu_transparency, pi_transparency, nabla_nu_transparency, corollaries.
+    """
 
     def to_report(self, subject: str) -> Report:
-        report = Report(subject=subject)
-        report.add("nu_transparency", self.nu_transparency, self.residuals.get("nu_transparency"))
-        report.add("pi_transparency", self.pi_transparency, self.residuals.get("pi_transparency"))
-        report.add(
-            "nabla_nu_transparency",
-            self.nabla_nu_transparency,
-            self.residuals.get("nabla_nu_transparency"),
-        )
-        report.add("corollaries", self.corollaries, self.residuals.get("corollaries"))
-        return report
+        return Report(subject, list(self.clauses))
 
 
 @dataclass(slots=True, eq=False)
@@ -185,6 +164,12 @@ def _gamma2(h: HypersurfaceSpec, e: TensorElement) -> TensorElement:
     return h.gamma_q.apply_at(out, out.degree - 1)
 
 
+def _projected_basis(h: HypersurfaceSpec) -> list[TensorElement]:
+    """Pi(dz_i) for every ambient generator, on quotient representatives."""
+    quotient = h.quotient_presentation
+    return [h.pi.apply(TensorElement.basis(quotient, (i,))) for i in range(quotient.n)]
+
+
 def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     """Verify the three induction assumptions and the lemma corollaries.
 
@@ -193,84 +178,65 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     statements require.  Residuals are recorded verbatim.
     """
     amb = h.ambient
-    p_amb = amb.presentation
+    n = amb.presentation.n
     quotient = h.quotient_presentation
-    residuals: dict[str, object] = {}
-
-    # assumption 1: sigma(w (x) nu) = nu (x) w and sigma(nu (x) w) = w (x) nu
-    sigma_amb = amb.connection.sigma
-    acanon = amb.calculus.canon
-    nu_ok = True
-    for i in range(p_amb.n):
-        base = amb.calculus.canon_basis_form(i)
-        lhs1 = sigma_amb.apply(tensor(base, h.nu))
-        res1 = acanon(lhs1) - acanon(tensor(h.nu, base))
-        lhs2 = sigma_amb.apply(tensor(h.nu, base))
-        res2 = acanon(lhs2) - acanon(tensor(base, h.nu))
-        for res in (res1, res2):
-            if not res.is_zero():
-                nu_ok = False
-                residuals.setdefault("nu_transparency", res.to_json())
-
-    # assumption 2: sigma interchanges (Pi (x) id) and (id (x) Pi) on q_! (x) q_!
-    pi_ok = True
+    cert = AssumptionCertificate(subject=quotient.name or "assumptions")
     sigma_q = h.conn_q.sigma
-    qbasis = [h.qcalc.canon(TensorElement.basis(quotient, (i,))) for i in range(p_amb.n)]
-    for i in range(p_amb.n):
-        for j in range(p_amb.n):
-            x = tensor(qbasis[i], qbasis[j])
-            res1 = sigma_q.apply(h.pi.apply_at(x, 0)) - h.pi.apply_at(sigma_q.apply(x), 1)
-            res2 = sigma_q.apply(h.pi.apply_at(x, 1)) - h.pi.apply_at(sigma_q.apply(x), 0)
-            for res in (res1, res2):
-                if not res.is_zero():
-                    pi_ok = False
-                    residuals.setdefault("pi_transparency", res.to_json())
+    nabla_nu = h.nabla_nu_q
+    pbasis = _projected_basis(h)
 
-    # assumption 3: sigma_23 sigma_12 (Pi(w) (x) nabla(nu)) = nabla(nu) (x) Pi(w)
-    def canon3(e: TensorElement) -> TensorElement:
-        return h.pi.apply_at(h.qcalc.canon(e), 0)
+    def nu_checks():
+        # assumption 1: sigma(w (x) nu) = nu (x) w and sigma(nu (x) w) = w (x) nu
+        sigma_amb = amb.connection.sigma
+        acanon = amb.calculus.canon
+        for i in range(n):
+            base = amb.calculus.canon_basis_form(i)
+            for label, x, want in (
+                (f"dz{i + 1},nu", tensor(base, h.nu), tensor(h.nu, base)),
+                (f"nu,dz{i + 1}", tensor(h.nu, base), tensor(base, h.nu)),
+            ):
+                yield label, acanon(sigma_amb.apply(x)) - acanon(want)
 
-    nabla_ok = True
-    for i in range(p_amb.n):
-        base = h.pi.apply(TensorElement.basis(quotient, (i,)))
-        x = tensor(base, h.nabla_nu_q)
-        lhs = sigma_q.apply_at(sigma_q.apply_at(x, 0), 1)
-        res = canon3(lhs) - canon3(tensor(h.nabla_nu_q, base))
-        if not res.is_zero():
-            nabla_ok = False
-            residuals.setdefault("nabla_nu_transparency", res.to_json())
+    def pi_checks():
+        # assumption 2: sigma interchanges (Pi (x) id) and (id (x) Pi) on q_! (x) q_!
+        qbasis = [h.qcalc.canon(TensorElement.basis(quotient, (i,))) for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                x = tensor(qbasis[i], qbasis[j])
+                for slot, side in ((0, "left"), (1, "right")):
+                    yield (
+                        f"dz{i + 1},dz{j + 1},{side}",
+                        sigma_q.apply(h.pi.apply_at(x, slot))
+                        - h.pi.apply_at(sigma_q.apply(x), 1 - slot),
+                    )
 
-    # lemma corollaries and centrality of nabla(nu)
-    cor_ok = True
-    for i in range(p_amb.n):
-        base = h.pi.apply(TensorElement.basis(quotient, (i,)))
-        c1 = h.metric_q.pair(tensor(base, h.nu_q))
-        c2 = h.metric_q.pair(tensor(h.nu_q, base))
-        for res in (c1, c2):
-            if not res.is_zero():
-                cor_ok = False
-                residuals.setdefault("corollaries", res.to_json())
-    # lemma item: [(id (x) g^-1)(nabla(nu) (x) nu)] vanishes as a quotient
-    # 1-form class, so the residual is projected before testing
-    c3 = h.metric_q.g_inv.apply_at(tensor(h.nabla_nu_q, h.nu_q), 1)
-    c3 = h.pi.apply_at(h.qcalc.canon(c3), 0)
-    if not c3.is_zero():
-        cor_ok = False
-        residuals.setdefault("corollaries", c3.to_json())
-    for j in range(p_amb.n):
-        zj = AlgebraElement.generator(quotient, j)
-        res = right_mul(h.nabla_nu_q, zj) - h.nabla_nu_q.left_mul(zj)
-        if not res.is_zero():
-            cor_ok = False
-            residuals.setdefault("corollaries", res.to_json())
+    def nabla_nu_checks():
+        # assumption 3: sigma_23 sigma_12 (Pi(w) (x) nabla(nu)) = nabla(nu) (x) Pi(w)
+        def canon3(e: TensorElement) -> TensorElement:
+            return h.pi.apply_at(h.qcalc.canon(e), 0)
 
-    cert = AssumptionCertificate(
-        nu_transparency=nu_ok,
-        pi_transparency=pi_ok,
-        nabla_nu_transparency=nabla_ok,
-        corollaries=cor_ok,
-        residuals=residuals,
-    )
+        for i in range(n):
+            x = tensor(pbasis[i], nabla_nu)
+            lhs = sigma_q.apply_at(sigma_q.apply_at(x, 0), 1)
+            yield f"dz{i + 1}", canon3(lhs) - canon3(tensor(nabla_nu, pbasis[i]))
+
+    def corollary_checks():
+        # lemma corollaries and centrality of nabla(nu)
+        for i in range(n):
+            yield f"dz{i + 1},nu", h.metric_q.pair(tensor(pbasis[i], h.nu_q))
+            yield f"nu,dz{i + 1}", h.metric_q.pair(tensor(h.nu_q, pbasis[i]))
+        # lemma item: [(id (x) g^-1)(nabla(nu) (x) nu)] vanishes as a quotient
+        # 1-form class, so the residual is projected before testing
+        c3 = h.metric_q.g_inv.apply_at(tensor(nabla_nu, h.nu_q), 1)
+        yield "nabla_nu,nu", h.pi.apply_at(h.qcalc.canon(c3), 0)
+        for j in range(n):
+            zj = AlgebraElement.generator(quotient, j)
+            yield f"nabla_nu,z{j + 1}", right_mul(nabla_nu, zj) - nabla_nu.left_mul(zj)
+
+    cert.family("nu_transparency", nu_checks())
+    cert.family("pi_transparency", pi_checks())
+    cert.family("nabla_nu_transparency", nabla_nu_checks())
+    cert.family("corollaries", corollary_checks())
     h.certificate = cert
     return cert
 
@@ -285,12 +251,11 @@ def induced_metric(h: HypersurfaceSpec) -> Metric:
     quotient = h.quotient_presentation
     qc = h.quotient_calculus
     g_element = qc.canon(h.metric_q.g_element)
+    pbasis = _projected_basis(h)
     images = {}
     for i in range(quotient.n):
-        pi_i = h.pi.apply(TensorElement.basis(quotient, (i,)))
         for j in range(quotient.n):
-            pi_j = h.pi.apply(TensorElement.basis(quotient, (j,)))
-            value = h.metric_q.pair(tensor(pi_i, pi_j))
+            value = h.metric_q.pair(tensor(pbasis[i], pbasis[j]))
             images[BasisWord((i, j), None)] = TensorElement.basis(
                 quotient, (), None, value
             )
@@ -322,12 +287,12 @@ def induced_spin(h: HypersurfaceSpec) -> SpinStructure:
     qc = h.quotient_calculus
     rank = h.ambient.spin.rank
 
+    pbasis = _projected_basis(h)
     gamma_images = {}
     for i in range(quotient.n):
-        pi_i = h.pi.apply(TensorElement.basis(quotient, (i,)))
         for alpha in range(rank):
             e_a = TensorElement.basis(quotient, (), alpha)
-            t = tensor(tensor(pi_i, h.nu_q), e_a)
+            t = tensor(tensor(pbasis[i], h.nu_q), e_a)
             gamma_images[BasisWord((i,), alpha)] = _gamma2(h, t)
     gamma = LeftLinearMap(quotient, (1, True), (0, True), gamma_images)
 

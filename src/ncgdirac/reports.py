@@ -26,6 +26,18 @@ class Report:
     def add(self, name: str, passed: bool, residual=None):
         self.clauses.append(Clause(name, passed, None if passed else residual))
 
+    def family(self, name: str, checks):
+        """Record one passing clause for the family, or each failing instance.
+
+        checks yields (label, residual) pairs; an instance passes when its
+        exact residual is zero, and a failure is recorded as name[label].
+        """
+        failures = [(label, residual) for label, residual in checks if not residual.is_zero()]
+        if not failures:
+            self.add(name, True)
+        for label, residual in failures:
+            self.add(f"{name}[{label}]", False, residual.to_json())
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.clauses)

@@ -91,6 +91,11 @@ class SpectrumReport:
     max_deviation: float = 0.0
     fallback_used: bool = False
 
+    @property
+    def all_passed(self) -> bool:
+        """Every sector factored exactly and matched its closed form to 1e-9."""
+        return not self.fallback_used and self.max_deviation < 1e-9
+
     def sorted_values(self) -> list[float]:
         return sorted(e["value"] for e in self.eigenvalues)
 

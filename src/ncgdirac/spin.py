@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, Presentation, add_term
-from .geometry import Calculus, Connection, Metric, _run_clause_family, tensor_connection_apply
+from .geometry import Calculus, Connection, Metric, tensor_connection_apply
 from .reports import Report
 from .scalars import Scalar
 from .tensors import BasisWord, LeftLinearMap, TensorElement, tensor
@@ -143,11 +143,9 @@ def dirac(spin: SpinStructure, spinor: TensorElement) -> TensorElement:
     return gamma_apply(spin, spin.spin_connection.apply(spinor))
 
 
-def verify_spinorial(
-    spin: SpinStructure, metric: Metric, conn: Connection, calculus: Calculus | None = None
-) -> Report:
+def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> Report:
     """Check the Clifford relations and Clifford compatibility exactly."""
-    calc = calculus or spin.calculus
+    calc = spin.calculus
     p = calc.presentation
     report = Report(subject=(p.name or "spinorial"))
     basis = [calc.canon_basis_form(i) for i in range(p.n)]
@@ -167,18 +165,18 @@ def verify_spinorial(
                     rhs = e_a.left_mul(g_val).scale(Scalar.rational(-2))
                     yield (f"dz{i + 1},dz{j + 1},e{alpha + 1}", lhs - rhs)
 
-    _run_clause_family(report, "clifford_relations", clifford_checks())
+    report.family("clifford_relations", clifford_checks())
 
     def compatibility_checks():
         for i in range(p.n):
             for alpha in range(spin.rank):
                 base = tensor(basis[i], spinors[alpha])
                 lhs = spin.spin_connection.apply(gamma_apply(spin, base))
-                big = tensor_connection_apply(conn, spin.spin_connection, base, canonical=False)
+                big = tensor_connection_apply(conn, spin.spin_connection, base)
                 rhs = spin.gamma.apply_at(big, 1)
                 yield (f"dz{i + 1},e{alpha + 1}", lhs - calc.canon(rhs))
 
-    _run_clause_family(report, "clifford_compatibility", compatibility_checks())
+    report.family("clifford_compatibility", compatibility_checks())
     return report
 
 

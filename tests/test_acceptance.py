@@ -57,8 +57,8 @@ def test_criterion_1_r4_axiom_suite():
     start = time.monotonic()
     r4 = build_r4()
     s = r4.structures
-    mr = verify_metric(s.metric, s.connection, s.calculus)
-    sr = verify_spinorial(s.spin, s.metric, s.connection, s.calculus)
+    mr = verify_metric(s.metric, s.connection)
+    sr = verify_spinorial(s.spin, s.metric, s.connection)
     elapsed = time.monotonic() - start
     clauses = len(mr.clauses) + len(sr.clauses)
     failures = mr.failures() + sr.failures()
@@ -75,7 +75,7 @@ def test_criterion_2_undeformed_negative_control():
     r4 = build_r4()
     s = r4.structures
     undeformed = undeformed_spin_structure(r4)
-    symbolic = verify_spinorial(undeformed, s.metric, s.connection, s.calculus)
+    symbolic = verify_spinorial(undeformed, s.metric, s.connection)
     clifford_failures = [
         c for c in symbolic.failures() if c.name.startswith("clifford_relations")
     ]
@@ -83,7 +83,7 @@ def test_criterion_2_undeformed_negative_control():
 
     classical = build_r4(classical=True)
     sc = classical.structures
-    at_zero = verify_spinorial(sc.spin, sc.metric, sc.connection, sc.calculus)
+    at_zero = verify_spinorial(sc.spin, sc.metric, sc.connection)
 
     ok = bool(clifford_failures) and nonzero_residuals and at_zero.all_passed
     _report(

@@ -1,8 +1,9 @@
-"""Every engine name the benchmark tracer wraps must still resolve.
+"""The engine surface the benchmark files rely on.
 
 bench/tracer.py patches functions and methods by (module, qualified name); a
 renamed or moved target would otherwise break only the traced benchmark run.
-The tracer file is loaded read-only and its own resolver is used.
+The tracer file is loaded read-only and its own resolver is used.  The
+structure digest bench/workloads.py checks each build against must not move.
 """
 
 import importlib.util
@@ -10,17 +11,25 @@ from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+TRACER_PATH = BENCH_DIR / "tracer.py"
+
+# bundle_fingerprint digests of the catalog spaces: every induced structure
+# and the assumption certificate, all exact, so the same on any machine
+FINGERPRINTS = {
+    "s3": "9b8ec76f87541ac114aeded8aa42ae9918b844d7d334fe5d46babea510dfabdd",
+    "t2": "63660b1a7b6dd952869858dd363571095bcd1690f10acee1c6f9d48c72411e26",
+}
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("ncgdirac_bench_tracer", TRACER_PATH)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("ncgdirac_bench_tracer", TRACER_PATH)
 TARGETS = [
     pytest.param(module, qualname, id=key)
     for table in (tracer.COUNTED, tracer.TIMED, tracer.STAGES)
@@ -55,3 +64,14 @@ def test_sector_clock_targets_are_reached(t2, monkeypatch):
     monkeypatch.setattr(spectrum.SectorMatrix, "eigenvalues", counted_eigenvalues)
     spectrum.spectrum_scan(t2, 1, 0.7)
     assert calls == {"sector_matrix": 9, "eigenvalues": 9}
+
+
+@pytest.mark.parametrize("space", sorted(FINGERPRINTS))
+def test_bundle_fingerprint_unchanged(space, s3, t2, monkeypatch):
+    # bench/workloads.py checks every build against this digest, reading the
+    # certificate through certificate.to_report; it imports its tracer by
+    # plain module name, so bench/ goes on the path while it loads
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = _load("ncgdirac_bench_workloads", BENCH_DIR / "workloads.py")
+    bundle = {"s3": s3, "t2": t2}[space]
+    assert workloads.bundle_fingerprint(bundle) == FINGERPRINTS[space]

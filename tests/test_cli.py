@@ -182,11 +182,16 @@ def test_malformed_presentation_rejected(tmp_path, capsys, payload, reason):
     assert err.startswith("error:") and reason in err
 
 
-def test_exhausted_step_budget_rejected(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["verify-presentation", "dirac-t2"])
+def test_exhausted_step_budget_rejected(command, tmp_path, capsys, monkeypatch):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(r4_presentation().to_json()))
+    argv = {
+        "verify-presentation": ["verify", "--presentation", str(path)],
+        "dirac-t2": ["dirac", "t2"],
+    }[command]
     monkeypatch.setenv("NCG_STEP_BUDGET", "3")
-    code, _, err = run(capsys, "verify", "--presentation", str(path))
+    code, _, err = run(capsys, *argv)
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and "budget" in err
 

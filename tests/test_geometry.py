@@ -13,13 +13,13 @@ def dz(p, *indices):
 
 def test_r4_metric_suite_passes(r4):
     s = r4.structures
-    report = verify_metric(s.metric, s.connection, s.calculus)
+    report = verify_metric(s.metric, s.connection)
     assert report.all_passed, [c.name for c in report.failures()]
 
 
 def test_s3_metric_suite_passes(s3):
     s = s3.structures
-    report = verify_metric(s.metric, s.connection, s.calculus)
+    report = verify_metric(s.metric, s.connection)
     assert report.all_passed, [c.name for c in report.failures()]
 
 
@@ -31,7 +31,7 @@ def test_perturbed_metric_fails_inverse_condition(r4):
     key = BasisWord((0, 2), None)
     terms[key] = terms[key].scale(Scalar.rational(2))
     bad = Metric(TensorElement(p, 2, False, terms), s.metric.g_inv)
-    report = verify_metric(bad, s.connection, s.calculus)
+    report = verify_metric(bad, s.connection)
     failing = {c.name for c in report.failures()}
     assert any(name.startswith("inverse_") for name in failing)
     residuals = [c.residual for c in report.failures() if c.residual is not None]
@@ -101,7 +101,7 @@ def test_tensor_connection_against_manual_expansion(s3):
     for i in range(4):
         for j in range(4):
             base = tensor(dz(p, i), dz(p, j))
-            got = tensor_connection_apply(conn, conn, base)
+            got = canon(tensor_connection_apply(conn, conn, base))
             term1 = tensor(conn.values[BasisWord((i,), None)], dz(p, j))
             inner = tensor(dz(p, i), conn.values[BasisWord((j,), None)])
             term2 = conn.sigma.apply_at(inner, 0)
@@ -114,7 +114,7 @@ def test_metric_compatibility_residual_exactly_zero(r4):
     for i in range(4):
         for j in range(4):
             pair = tensor(dz(p, i), dz(p, j))
-            raw = tensor_connection_apply(s.connection, s.connection, pair, canonical=False)
+            raw = tensor_connection_apply(s.connection, s.connection, pair)
             lhs = s.metric.g_inv.apply_at(raw, 1)
             rhs = s.calculus.d(s.metric.pair(pair))
             assert (s.calculus.canon(lhs) - rhs).is_zero()
@@ -122,7 +122,7 @@ def test_metric_compatibility_residual_exactly_zero(r4):
 
 def test_report_json_shape(r4):
     s = r4.structures
-    report = verify_metric(s.metric, s.connection, s.calculus)
+    report = verify_metric(s.metric, s.connection)
     payload = report.to_json()
     assert payload["pass"] is True
     assert all(set(c) == {"clause", "pass", "residual"} for c in payload["clauses"])

@@ -97,10 +97,13 @@ def test_projector_idempotent_and_kills_nu(space, s3, t2):
 
 # -- assumption certificates ----------------------------------------------------
 
+CERTIFICATE_FAMILIES = ("nu_transparency", "pi_transparency", "nabla_nu_transparency", "corollaries")
+
+
 def test_sphere_certificate_passes(s3):
     cert = s3.hypersurface.certificate
     assert cert.all_passed
-    assert cert.nu_transparency and cert.pi_transparency and cert.nabla_nu_transparency
+    assert tuple(c.name for c in cert.clauses) == CERTIFICATE_FAMILIES
 
 
 def test_torus_certificate_passes(t2):
@@ -128,7 +131,14 @@ def test_trivial_flip_braiding_fails_assumptions():
     h = build_hypersurface(ambient, sphere_level_function(p), name="flip")
     cert = check_assumptions(h)
     assert not cert.all_passed
-    assert cert.residuals, "a failing certificate must carry residuals"
+    failures = cert.failures()
+    for clause in failures:
+        family, _, label = clause.name.partition("[")
+        assert family in CERTIFICATE_FAMILIES and label.endswith("]"), clause.name
+        assert clause.residual is not None, "a failing clause must carry its residual"
+    report = cert.to_report("flip")
+    assert report.subject == "flip"
+    assert [c.to_json() for c in report.clauses] == [c.to_json() for c in cert.clauses]
     with pytest.raises(HypersurfaceError) as exc:
         induced_metric(h)
     assert exc.value.kind == "certificate_failed"
@@ -177,8 +187,8 @@ def test_nabla_nu_central(space, s3, t2):
 @pytest.mark.parametrize("space", ["s3", "t2"])
 def test_induced_structures_verify(space, s3, t2):
     s = {"s3": s3, "t2": t2}[space].structures
-    assert verify_metric(s.metric, s.connection, s.calculus).all_passed
-    assert verify_spinorial(s.spin, s.metric, s.connection, s.calculus).all_passed
+    assert verify_metric(s.metric, s.connection).all_passed
+    assert verify_spinorial(s.spin, s.metric, s.connection).all_passed
 
 
 def test_right_leibniz_on_quotient(s3):

@@ -159,14 +159,14 @@ def test_dirac_derivation_property(r4):
 
 def test_r4_spinorial_suite_passes(r4):
     s = r4.structures
-    report = verify_spinorial(s.spin, s.metric, s.connection, s.calculus)
+    report = verify_spinorial(s.spin, s.metric, s.connection)
     assert report.all_passed, [c.name for c in report.failures()]
 
 
 def test_undeformed_gammas_fail_symbolically(r4):
     s = r4.structures
     undeformed = undeformed_spin_structure(r4)
-    report = verify_spinorial(undeformed, s.metric, s.connection, s.calculus)
+    report = verify_spinorial(undeformed, s.metric, s.connection)
     failing = [c for c in report.failures() if c.name.startswith("clifford_relations")]
     assert failing, "classical gamma matrices must violate the braided Clifford relations"
     assert all(c.residual is not None for c in failing)
@@ -174,7 +174,7 @@ def test_undeformed_gammas_fail_symbolically(r4):
 
 def test_undeformed_gammas_pass_at_theta_zero(r4_classical):
     s = r4_classical.structures
-    report = verify_spinorial(s.spin, s.metric, s.connection, s.calculus)
+    report = verify_spinorial(s.spin, s.metric, s.connection)
     assert report.all_passed, [c.name for c in report.failures()]
 
 
