@@ -174,7 +174,11 @@ class Presentation:
         if not isinstance(data, dict):
             raise PresentationError("presentation must be a JSON object")
         try:
-            n = int(data["generators"])
+            n = data["generators"]
+            if type(n) is not int:  # JSON 4.5 or true is not a generator count
+                raise PresentationError(
+                    f"malformed presentation: generators must be a JSON integer, not {n!r}"
+                )
             if n < 1:
                 raise PresentationError("presentation needs at least one generator")
             rows = data["R"]
@@ -221,7 +225,9 @@ def _element_terms_to_json(terms: dict[Monomial, Scalar]) -> list:
 def _element_terms_from_json(data: list, n: int) -> dict[Monomial, Scalar]:
     out = {}
     for entry in data:
-        m = tuple(int(e) for e in entry["exps"])
+        m = tuple(entry["exps"])
+        if any(type(e) is not int for e in m):
+            raise PresentationError(f"exponents {list(m)} are not all JSON integers")
         if len(m) != n:
             raise PresentationError("monomial arity mismatch in serialized element")
         if any(e < 0 for e in m):
@@ -233,7 +239,21 @@ def _element_terms_from_json(data: list, n: int) -> dict[Monomial, Scalar]:
 def _scalar_from_json(data) -> Scalar:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise PresentationError("a serialized scalar must be an object with a 'terms' list")
-    return Scalar.from_json(data)
+    for term in data["terms"]:
+        # a float re would be read as its binary value, a float k truncated
+        if not (
+            isinstance(term, list)
+            and len(term) == 3
+            and type(term[0]) is int
+            and all(isinstance(part, str) for part in term[1:])
+        ):
+            raise PresentationError(
+                f"a scalar term must be [k, re, im] with integer k and string re, im: {term!r}"
+            )
+    try:
+        return Scalar.from_json(data)
+    except ZeroDivisionError as exc:
+        raise PresentationError(f"scalar {data['terms']!r} has a zero denominator") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +314,15 @@ def _accumulate(out: dict, mono: Monomial, coeff: Scalar, qexp: int, p: Presenta
                 _mul_letters(out, rem, _mono_letters(rmono), coeff * rcoef, qexp + exp, p, budget)
             return
     add_term(out, mono, coeff.q_shift(qexp))
+
+
+def _reduce(terms: dict[Monomial, Scalar], p: Presentation) -> dict[Monomial, Scalar]:
+    """Normal form in p of a sparse sum of (possibly reducible) monomials."""
+    budget = _Budget()
+    out: dict[Monomial, Scalar] = {}
+    for m, c in terms.items():
+        _accumulate(out, m, c, 0, p, budget)
+    return out
 
 
 def _mul_letters(out: dict, base: Monomial, letters, coeff: Scalar, qexp: int, p: Presentation, budget: _Budget):
@@ -410,11 +439,7 @@ class AlgebraElement:
         """Re-reduce under another presentation with the same generators and R."""
         if target.n != self.presentation.n or target.R != self.presentation.R:
             raise ValueError("conversion requires identical generators and R matrix")
-        budget = _Budget()
-        out: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            _accumulate(out, m, c, 0, target, budget)
-        return AlgebraElement(target, out)
+        return AlgebraElement(target, _reduce(self.terms, target))
 
     # -- serialization and display ------------------------------------------
 
@@ -423,12 +448,7 @@ class AlgebraElement:
 
     @staticmethod
     def from_json(data: list, p: Presentation) -> "AlgebraElement":
-        raw = _element_terms_from_json(data, p.n)
-        out: dict[Monomial, Scalar] = {}
-        budget = _Budget()
-        for m, c in raw.items():
-            _accumulate(out, m, c, 0, p, budget)
-        return AlgebraElement(p, out)
+        return AlgebraElement(p, _reduce(_element_terms_from_json(data, p.n), p))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -498,25 +518,11 @@ def extend_presentation(p: Presentation, f: AlgebraElement, name: str = "") -> P
         rhs[m] = -(c * inv)
     new_rule = RewriteRule(lead, rhs)
     extended = Presentation(p.n, p.R, p.rules + (new_rule,), name=name or p.name)
-    # inter-reduce: re-normalize every rhs against the full rule set
-    changed = True
-    rules = list(extended.rules)
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        if guard > 100:
-            raise PresentationError("rule inter-reduction did not stabilize")
-        for idx, rule in enumerate(rules):
-            trial = Presentation(p.n, p.R, tuple(rules[:idx] + rules[idx + 1:]), name="tmp")
-            budget = _Budget()
-            out: dict[Monomial, Scalar] = {}
-            for m, c in rule.rhs.items():
-                _accumulate(out, m, c, 0, trial, budget)
-            if out != rule.rhs:
-                rules[idx] = RewriteRule(rule.lhs, out)
-                changed = True
-    return Presentation(p.n, p.R, tuple(rules), name=name or p.name)
+    # inter-reduce: every rule is strictly decreasing, so no rule rewrites its
+    # own rhs, and reducing an rhs keeps the set of left-hand sides; one pass
+    # against the extended set therefore leaves every rhs irreducible
+    rules = tuple(RewriteRule(r.lhs, _reduce(r.rhs, extended)) for r in extended.rules)
+    return Presentation(p.n, p.R, rules, name=name or p.name)
 
 
 def brute_force_normal_form(word, coeff: Scalar, p: Presentation, _memo=None) -> AlgebraElement:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .algebra import AlgebraElement, Presentation, normal_form
 from .geometry import Calculus, Connection, Metric, verify_metric
@@ -23,7 +24,7 @@ from .hypersurface import (
     induced_structures,
 )
 from .reports import Report
-from .scalars import HALF, Scalar
+from .scalars import Scalar
 from .spin import (
     ScalarMatrix,
     SpinStructure,
@@ -163,15 +164,7 @@ def build_r4(classical: bool = False) -> SpaceBundle:
     p = r4_presentation(classical)
     calc = Calculus(p, None)
 
-    g_terms = {}
-    for i in range(N_GEN):
-        for j in range(N_GEN):
-            v = metric_lower(i, j)
-            if v:
-                g_terms[BasisWord((i, j), None)] = AlgebraElement.from_scalar(
-                    p, Scalar.rational(v)
-                )
-    g_element = TensorElement(p, 2, False, g_terms)
+    g_element = _form_sum(p, metric_lower)
     g_inv_images = {
         BasisWord((i, j), None): TensorElement.basis(
             p, (), None, AlgebraElement.from_scalar(p, Scalar.rational(metric_upper(i, j)))
@@ -215,35 +208,39 @@ def undeformed_spin_structure(bundle: SpaceBundle) -> SpinStructure:
     )
 
 
+def _form_sum(p: Presentation, coeff) -> TensorElement:
+    """sum_kl coeff(k, l) dz_k (x) dz_l for a rational coefficient function."""
+    terms = {}
+    for k, l in product(range(N_GEN), repeat=2):
+        v = coeff(k, l)
+        if v:
+            terms[BasisWord((k, l), None)] = AlgebraElement.from_scalar(p, Scalar.rational(v))
+    return TensorElement(p, 2, False, terms)
+
+
+def _half_quadratic(p: Presentation, coeff, constant: int) -> AlgebraElement:
+    """(1/2)(sum_ij coeff(i, j) z_i z_j + constant)."""
+    f = AlgebraElement.from_scalar(p, Scalar.rational(Fraction(constant, 2)))
+    for i, j in product(range(N_GEN), repeat=2):
+        v = coeff(i, j)
+        if v:
+            f = f + normal_form([i, j], Scalar.rational(v * Fraction(1, 2)), p)
+    return f
+
+
 def sphere_level_function(p: Presentation) -> AlgebraElement:
     """f = (1/2)(sum_ij g_ij z_i z_j - 1), the unit sphere level function."""
-    f = AlgebraElement.from_scalar(p, -HALF)
-    for i in range(N_GEN):
-        for j in range(N_GEN):
-            v = metric_lower(i, j)
-            if v:
-                f = f + normal_form([i, j], Scalar.rational(v * Fraction(1, 2)), p)
-    return f
+    return _half_quadratic(p, metric_lower, -1)
 
 
 def torus_level_function(p: Presentation) -> AlgebraElement:
     """f~ = (1/2) sum_ij h_ij z_i z_j, cutting the torus out of the sphere."""
-    f = AlgebraElement.zero(p)
-    for i in range(N_GEN):
-        for j in range(N_GEN):
-            v = h_lower(i, j)
-            if v:
-                f = f + normal_form([i, j], Scalar.rational(v * Fraction(1, 2)), p)
-    return f
+    return _half_quadratic(p, h_lower, 0)
 
 
 # ---------------------------------------------------------------------------
 # golden closed forms
 # ---------------------------------------------------------------------------
-
-
-def _z(p: Presentation, i: int) -> AlgebraElement:
-    return AlgebraElement.generator(p, i)
 
 
 def _expect(label: str, got, want):
@@ -252,74 +249,82 @@ def _expect(label: str, got, want):
         raise GoldenMismatch(label, residual.to_json())
 
 
-def _golden_s3(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
+def _golden_families(h: HypersurfaceSpec, structures: StructureSet, matrices, tag: str,
+                     g_inv_factor, nabla_coeff, nabla_sp_coeff):
+    """Compare the five families whose closed forms share one shape in s3 and t2.
+
+    A space enters by its tag (B or C) and its rational coefficient functions.
+    Returns the free dz basis, the generators and the gamma_a gamma_b table.
+    """
     p = h.quotient_presentation
     qc = h.quotient_calculus
     gam_ab = [[mat_mul(a, b) for b in matrices] for a in matrices]  # gamma_a gamma_b
-
     free = [TensorElement.basis(p, (i,)) for i in range(N_GEN)]
-    zs = [_z(p, i) for i in range(N_GEN)]
+    zs = [AlgebraElement.generator(p, i) for i in range(N_GEN)]
 
-    # sigma_B(dz_i (x) dz_j) = R^{ji} dz_j (x) dz_i
+    # sigma(dz_i (x) dz_j) = R^{ji} dz_j (x) dz_i
     for i in range(N_GEN):
         for j in range(N_GEN):
             want = qc.canon(tensor(free[j], free[i]).scale(p.R[j][i]))
             got = structures.connection.sigma.apply(tensor(free[i], free[j]))
-            _expect(f"sigma_B[dz{i + 1},dz{j + 1}]", qc.canon(got), want)
+            _expect(f"sigma_{tag}[dz{i + 1},dz{j + 1}]", qc.canon(got), want)
 
-    # g_B = sum g_ij dz_i (x) dz_j
-    g_want = TensorElement.zero(p, 2, False)
+    # g = sum g_ij dz_i (x) dz_j
+    _expect(f"g_{tag}", qc.canon(structures.metric.g_element), qc.canon(_form_sum(p, metric_lower)))
+
+    # g^-1(dz_i (x) dz_j) = g^{ij} - g_inv_factor(i, j) z_i z_j
     for i in range(N_GEN):
         for j in range(N_GEN):
-            v = metric_lower(i, j)
-            if v:
-                g_want = g_want + tensor(free[i], free[j]).scale(Scalar.rational(v))
-    _expect("g_B", qc.canon(structures.metric.g_element), qc.canon(g_want))
-
-    # g_B^-1(dz_i (x) dz_j) = g^{ij} - z_i z_j
-    for i in range(N_GEN):
-        for j in range(N_GEN):
-            want = AlgebraElement.from_scalar(p, Scalar.rational(metric_upper(i, j))) - zs[i] * zs[j]
+            want = AlgebraElement.from_scalar(p, Scalar.rational(metric_upper(i, j)))
+            factor = g_inv_factor(i, j)
+            if factor:
+                want = want - (zs[i] * zs[j]).scale(Scalar.rational(factor))
             got = structures.metric.pair(tensor(free[i], free[j]))
-            _expect(f"g_B_inv[dz{i + 1},dz{j + 1}]", got, want)
+            _expect(f"g_{tag}_inv[dz{i + 1},dz{j + 1}]", got, want)
 
-    # nabla_B(dz_i) = -z_i sum g_kl dz_k (x) dz_l
+    # nabla(dz_i) = -z_i sum nabla_coeff(i, k, l) dz_k (x) dz_l
     for i in range(N_GEN):
-        want = qc.canon(g_want.left_mul(zs[i]).scale(Scalar.rational(-1)))
-        _expect(f"nabla_B[dz{i + 1}]", structures.connection.values[BasisWord((i,), None)], want)
+        want = qc.canon(_form_sum(p, lambda k, l: -nabla_coeff(i, k, l)).left_mul(zs[i]))
+        _expect(f"nabla_{tag}[dz{i + 1}]", structures.connection.values[BasisWord((i,), None)], want)
+
+    # nabla^sp(e_a) = 1/2 sum nabla_sp_coeff(i, j, k, l) z_k dz_i (x) gamma_j gamma_l e_a
+    for alpha in range(SPINOR_RANK):
+        want = TensorElement.zero(p, 1, True)
+        for i, j, k, l in product(range(N_GEN), repeat=4):
+            v = nabla_sp_coeff(i, j, k, l)
+            if v:
+                coeff = zs[k].scale(Scalar.rational(v * Fraction(1, 2)))
+                term = TensorElement.basis(p, (i,), alpha, coeff)
+                want = want + matrix_act(gam_ab[j][l], term)
+        got = structures.spin.spin_connection.values[BasisWord((), alpha)]
+        _expect(f"nabla_sp_{tag}[e{alpha + 1}]", got, qc.canon(want))
+    return free, zs, gam_ab
+
+
+def _golden_s3(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
+    p = h.quotient_presentation
+    _, zs, gam_ab = _golden_families(
+        h, structures, matrices, "B",
+        # g_B^-1(dz_i (x) dz_j) = g^{ij} - z_i z_j
+        g_inv_factor=lambda i, j: 1,
+        # nabla_B(dz_i) = -z_i sum g_kl dz_k (x) dz_l
+        nabla_coeff=lambda i, k, l: metric_lower(k, l),
+        # nabla^sp_B(e_a) = 1/2 sum g_ij g_kl z_k dz_i (x) gamma_j gamma_l e_a
+        nabla_sp_coeff=lambda i, j, k, l: metric_lower(i, j) * metric_lower(k, l),
+    )
 
     # gamma_B(dz_i (x) e_a) = -(sum g_kl z_k gamma_l gamma_i + z_i) e_a
     for i in range(N_GEN):
         for alpha in range(SPINOR_RANK):
             want = TensorElement.basis(p, (), alpha, zs[i]).scale(Scalar.rational(-1))
-            for k in range(N_GEN):
-                for l in range(N_GEN):
-                    v = metric_lower(k, l)
-                    if v:
-                        coeff = zs[k].scale(Scalar.rational(-v))
-                        term = TensorElement.basis(p, (), alpha, coeff)
-                        want = want + matrix_act(gam_ab[l][i], term)
+            for k, l in product(range(N_GEN), repeat=2):
+                v = metric_lower(k, l)
+                if v:
+                    coeff = zs[k].scale(Scalar.rational(-v))
+                    term = TensorElement.basis(p, (), alpha, coeff)
+                    want = want + matrix_act(gam_ab[l][i], term)
             got = structures.spin.gamma.images[BasisWord((i,), alpha)]
             _expect(f"gamma_B[dz{i + 1},e{alpha + 1}]", got, want)
-
-    # nabla^sp_B(e_a) = 1/2 sum g_ij g_kl z_k dz_i (x) gamma_j gamma_l e_a
-    for alpha in range(SPINOR_RANK):
-        want = TensorElement.zero(p, 1, True)
-        for i in range(N_GEN):
-            for j in range(N_GEN):
-                gij = metric_lower(i, j)
-                if not gij:
-                    continue
-                for k in range(N_GEN):
-                    for l in range(N_GEN):
-                        gkl = metric_lower(k, l)
-                        if not gkl:
-                            continue
-                        coeff = zs[k].scale(Scalar.rational(gij * gkl * Fraction(1, 2)))
-                        term = TensorElement.basis(p, (i,), alpha, coeff)
-                        want = want + matrix_act(gam_ab[j][l], term)
-        got = structures.spin.spin_connection.values[BasisWord((), alpha)]
-        _expect(f"nabla_sp_B[e{alpha + 1}]", got, qc.canon(want))
 
     # D_B(e_a) = -(3/2) e_a
     for alpha in range(SPINOR_RANK):
@@ -330,14 +335,22 @@ def _golden_s3(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
 
 def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
     p = h.quotient_presentation
-    qc = h.quotient_calculus
-    gam_ab = [[mat_mul(a, b) for b in matrices] for a in matrices]  # gamma_a gamma_b
-    free = [TensorElement.basis(p, (i,)) for i in range(N_GEN)]
-    zs = [_z(p, i) for i in range(N_GEN)]
 
     def sign(i: int) -> int:
         # (-1)^i for 1-based generator numbering
         return -1 if (i + 1) % 2 else 1
+
+    free, zs, gam_ab = _golden_families(
+        h, structures, matrices, "C",
+        # g_C^-1(dz_i (x) dz_j) = g^{ij} - (1 + (-1)^i (-1)^j) z_i z_j
+        g_inv_factor=lambda i, j: 1 + sign(i) * sign(j),
+        # nabla_C(dz_i) = -z_i sum (g_kl - (-1)^i h_kl) dz_k (x) dz_l
+        nabla_coeff=lambda i, k, l: metric_lower(k, l) - sign(i) * h_lower(k, l),
+        # nabla^sp_C(e_a) = 1/2 sum (g_kl z_k g_ij + h_kl z_k h_ij) dz_i (x) g_j g_l e_a
+        nabla_sp_coeff=lambda i, j, k, l: (
+            metric_lower(i, j) * metric_lower(k, l) + h_lower(i, j) * h_lower(k, l)
+        ),
+    )
 
     # projector: Pi~(dz_i) = dz_i + (-1)^i z_i nu~
     for i in range(N_GEN):
@@ -345,82 +358,27 @@ def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
         got = h.pi.images[BasisWord((i,), None)]
         _expect(f"pi_T2[dz{i + 1}]", got, want)
 
-    # g_C^-1(dz_i (x) dz_j) = g^{ij} - (1 + (-1)^i (-1)^j) z_i z_j
-    for i in range(N_GEN):
-        for j in range(N_GEN):
-            factor = 1 + sign(i) * sign(j)
-            want = AlgebraElement.from_scalar(p, Scalar.rational(metric_upper(i, j)))
-            if factor:
-                want = want - (zs[i] * zs[j]).scale(Scalar.rational(factor))
-            got = structures.metric.pair(tensor(free[i], free[j]))
-            _expect(f"g_C_inv[dz{i + 1},dz{j + 1}]", got, want)
-
-    # g_C = sum g_ij dz_i (x) dz_j
-    g_want = TensorElement.zero(p, 2, False)
-    for i in range(N_GEN):
-        for j in range(N_GEN):
-            v = metric_lower(i, j)
-            if v:
-                g_want = g_want + tensor(free[i], free[j]).scale(Scalar.rational(v))
-    _expect("g_C", qc.canon(structures.metric.g_element), qc.canon(g_want))
-
-    # sigma_C(dz_i (x) dz_j) = R^{ji} dz_j (x) dz_i
-    for i in range(N_GEN):
-        for j in range(N_GEN):
-            want = qc.canon(tensor(free[j], free[i]).scale(p.R[j][i]))
-            got = structures.connection.sigma.apply(tensor(free[i], free[j]))
-            _expect(f"sigma_C[dz{i + 1},dz{j + 1}]", qc.canon(got), want)
-
-    # nabla_C(dz_i) = -z_i sum (g_kl - (-1)^i h_kl) dz_k (x) dz_l
-    for i in range(N_GEN):
-        want = TensorElement.zero(p, 2, False)
-        for k in range(N_GEN):
-            for l in range(N_GEN):
-                v = metric_lower(k, l) - sign(i) * h_lower(k, l)
-                if v:
-                    want = want + tensor(free[k], free[l]).scale(Scalar.rational(-v))
-        want = qc.canon(want.left_mul(zs[i]))
-        _expect(f"nabla_C[dz{i + 1}]", structures.connection.values[BasisWord((i,), None)], want)
-
     # gamma_C(dz_i (x) e_a) = (z_i sum g_mn z_m h_kl z_k g_l g_n
     #                          - sum h_kl z_k g_l g_i + (-1)^i z_i) e_a
     for i in range(N_GEN):
         for alpha in range(SPINOR_RANK):
             want = TensorElement.basis(p, (), alpha, zs[i].scale(Scalar.rational(sign(i))))
-            for k in range(N_GEN):
-                for l in range(N_GEN):
-                    hkl = h_lower(k, l)
-                    if not hkl:
+            for k, l in product(range(N_GEN), repeat=2):
+                hkl = h_lower(k, l)
+                if not hkl:
+                    continue
+                coeff = zs[k].scale(Scalar.rational(-hkl))
+                term = TensorElement.basis(p, (), alpha, coeff)
+                want = want + matrix_act(gam_ab[l][i], term)
+                for m, n in product(range(N_GEN), repeat=2):
+                    gmn = metric_lower(m, n)
+                    if not gmn:
                         continue
-                    coeff = zs[k].scale(Scalar.rational(-hkl))
+                    coeff = (zs[i] * zs[m] * zs[k]).scale(Scalar.rational(gmn * hkl))
                     term = TensorElement.basis(p, (), alpha, coeff)
-                    want = want + matrix_act(gam_ab[l][i], term)
-                    for m in range(N_GEN):
-                        for n in range(N_GEN):
-                            gmn = metric_lower(m, n)
-                            if not gmn:
-                                continue
-                            coeff = (zs[i] * zs[m] * zs[k]).scale(Scalar.rational(gmn * hkl))
-                            term = TensorElement.basis(p, (), alpha, coeff)
-                            want = want + matrix_act(gam_ab[l][n], term)
+                    want = want + matrix_act(gam_ab[l][n], term)
             got = structures.spin.gamma.images[BasisWord((i,), alpha)]
             _expect(f"gamma_C[dz{i + 1},e{alpha + 1}]", got, want)
-
-    # nabla^sp_C(e_a) = 1/2 sum (g_kl z_k g_ij + h_kl z_k h_ij) dz_i (x) g_j g_l e_a
-    for alpha in range(SPINOR_RANK):
-        want = TensorElement.zero(p, 1, True)
-        for i in range(N_GEN):
-            for j in range(N_GEN):
-                for k in range(N_GEN):
-                    for l in range(N_GEN):
-                        v = metric_lower(i, j) * metric_lower(k, l) + h_lower(i, j) * h_lower(k, l)
-                        if not v:
-                            continue
-                        coeff = zs[k].scale(Scalar.rational(v * Fraction(1, 2)))
-                        term = TensorElement.basis(p, (i,), alpha, coeff)
-                        want = want + matrix_act(gam_ab[j][l], term)
-        got = structures.spin.spin_connection.values[BasisWord((), alpha)]
-        _expect(f"nabla_sp_C[e{alpha + 1}]", got, qc.canon(want))
 
     # composite and explicit Dirac paths agree on basis spinors
     for alpha in range(SPINOR_RANK):
@@ -480,8 +438,8 @@ def phi_basis(t2: SpaceBundle) -> tuple[TensorElement, TensorElement]:
     """
     p = t2.presentation
     minus_2i = Scalar.gaussian(0, -2)
-    dphi1 = TensorElement.basis(p, (0,), None, _z(p, 2).scale(minus_2i))
-    dphi2 = TensorElement.basis(p, (1,), None, _z(p, 3).scale(minus_2i))
+    dphi1 = TensorElement.basis(p, (0,), None, AlgebraElement.generator(p, 2).scale(minus_2i))
+    dphi2 = TensorElement.basis(p, (1,), None, AlgebraElement.generator(p, 3).scale(minus_2i))
     return dphi1, dphi2
 
 
@@ -510,11 +468,9 @@ def gamma_tilde(t2: SpaceBundle, which: int, s: TensorElement) -> TensorElement:
     p = t2.presentation
     gam = t2.base_matrices
     minus_i = Scalar.gaussian(0, -1)
-    if which == 1:
-        a, b, z, zbar = gam[0], gam[2], _z(p, 0), _z(p, 2)
-    else:
-        a, b, z, zbar = gam[1], gam[3], _z(p, 1), _z(p, 3)
-    out = matrix_act(a, right_mul(s, zbar)) - matrix_act(b, right_mul(s, z))
+    lo, hi = (0, 2) if which == 1 else (1, 3)
+    z, zbar = AlgebraElement.generator(p, lo), AlgebraElement.generator(p, hi)
+    out = matrix_act(gam[lo], right_mul(s, zbar)) - matrix_act(gam[hi], right_mul(s, z))
     return out.scale(minus_i)
 
 
@@ -529,11 +485,8 @@ def dtilde_apply(t2: SpaceBundle, s: TensorElement, via: str = "definition") -> 
         raise ValueError("operator acts on torus spinors")
     if s.presentation != t2.presentation:
         s = s.convert(t2.presentation)
-    h = t2.hypersurface
     if via == "definition":
-        ds = induced_dirac(h, s, via="composite")
-        t = tensor(h.nu_q, ds)
-        return t2.flat_gamma.apply_at(t, 0)
+        return gamma_nu_tilde(t2, induced_dirac(t2.hypersurface, s))
     if via != "expanded":
         raise ValueError("via must be 'definition' or 'expanded'")
     out = TensorElement.zero(t2.presentation, 0, True)

@@ -18,10 +18,11 @@ from .algebra import (
     normal_form,
 )
 from .catalog import GoldenMismatch, SpaceBundle, build_space, verify_space
-from .hypersurface import HypersurfaceError, induced_dirac
+from .hypersurface import HypersurfaceError
 from .reports import Report, write_report_atomic
 from .scalars import Scalar
 from .spectrum import spectrum_scan
+from .spin import dirac
 from .tensors import TensorElement
 
 EXIT_OK = 0
@@ -103,34 +104,22 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_FAILED
 
 
+def _basis_values_json(values: dict) -> dict:
+    """An extensional map or connection as JSON, keyed by printed basis word."""
+    return {repr(w): v.to_json() for w, v in sorted(values.items(), key=lambda t: t[0])}
+
+
 def _structures_payload(bundle: SpaceBundle) -> dict:
     structures = bundle.structures
-    p = bundle.presentation
     payload: dict = {"space": bundle.name}
     payload["metric"] = {
         "g_element": structures.calculus.canon(structures.metric.g_element).to_json(),
-        "g_inverse": {
-            repr(w): img.to_json() for w, img in sorted(
-                structures.metric.g_inv.images.items(), key=lambda t: t[0]
-            )
-        },
+        "g_inverse": _basis_values_json(structures.metric.g_inv.images),
     }
-    payload["connection"] = {
-        repr(w): v.to_json()
-        for w, v in sorted(structures.connection.values.items(), key=lambda t: t[0])
-    }
-    payload["sigma"] = {
-        repr(w): img.to_json()
-        for w, img in sorted(structures.connection.sigma.images.items(), key=lambda t: t[0])
-    }
-    payload["gamma"] = {
-        repr(w): img.to_json()
-        for w, img in sorted(structures.spin.gamma.images.items(), key=lambda t: t[0])
-    }
-    payload["spin_connection"] = {
-        repr(w): v.to_json()
-        for w, v in sorted(structures.spin.spin_connection.values.items(), key=lambda t: t[0])
-    }
+    payload["connection"] = _basis_values_json(structures.connection.values)
+    payload["sigma"] = _basis_values_json(structures.connection.sigma.images)
+    payload["gamma"] = _basis_values_json(structures.spin.gamma.images)
+    payload["spin_connection"] = _basis_values_json(structures.spin.spin_connection.values)
     if bundle.hypersurface is not None:
         payload["nu"] = bundle.hypersurface.nu_q.to_json()
         payload["certificate"] = bundle.hypersurface.certificate.to_report(
@@ -155,14 +144,8 @@ def _cmd_dirac(args) -> int:
     bundle = build_space(args.space)
     p = bundle.presentation
     payload = {"space": args.space, "basis_dirac": {}}
-    from .spin import dirac as dirac_op
-
     for alpha in range(bundle.structures.spin.rank):
-        e_a = TensorElement.basis(p, (), alpha)
-        if bundle.hypersurface is None:
-            value = dirac_op(bundle.structures.spin, e_a)
-        else:
-            value = induced_dirac(bundle.hypersurface, e_a)
+        value = dirac(bundle.structures.spin, TensorElement.basis(p, (), alpha))
         payload["basis_dirac"][f"e{alpha + 1}"] = value.to_json()
     _emit(payload, args)
     return EXIT_OK

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import (
     SPINOR_RANK,
     GoldenMismatch,
+    _golden_s3,
+    _golden_t2,
     build_space,
     dtilde_apply,
     gamma_nu_tilde,
@@ -17,10 +20,11 @@ from ncgdirac.catalog import (
     phi_basis,
     verify_space,
 )
+from ncgdirac.geometry import Connection, Metric
 from ncgdirac.hypersurface import induced_dirac
 from ncgdirac.scalars import Scalar
-from ncgdirac.spin import dirac, mat_mul, mat_scale
-from ncgdirac.tensors import BasisWord, TensorElement, tensor
+from ncgdirac.spin import SpinStructure, dirac, mat_mul, mat_scale
+from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, tensor
 
 
 def e(p, alpha, coeff=None):
@@ -152,6 +156,59 @@ def test_golden_mismatch_reports_residual(s3):
     with pytest.raises(GoldenMismatch) as exc:
         _expect("demo", e(p, 0), e(p, 0).scale(Scalar.rational(2)))
     assert exc.value.residual is not None
+
+
+def _doubled(m: LeftLinearMap, key: BasisWord) -> LeftLinearMap:
+    """A copy of an extensional map whose image of one basis word is doubled."""
+    images = dict(m.images)
+    images[key] = images[key] + images[key]
+    return LeftLinearMap(m.presentation, m.domain, m.codomain, images)
+
+
+def _corrupt(s, family: str):
+    """A copy of the structure set with one induced value of one family doubled."""
+    conn, metric, spin = s.connection, s.metric, s.spin
+    if family == "sigma":
+        sigma = _doubled(conn.sigma, BasisWord((0, 2), None))
+        return replace(s, connection=Connection(conn.calculus, conn.values, sigma, conn.sigma_inv))
+    if family == "g":
+        return replace(s, metric=Metric(metric.g_element + metric.g_element, metric.g_inv))
+    if family == "g^-1":
+        g_inv = _doubled(metric.g_inv, BasisWord((0, 2), None))
+        return replace(s, metric=Metric(metric.g_element, g_inv))
+    if family == "nabla":
+        values = dict(conn.values)
+        values[BasisWord((1,), None)] = values[BasisWord((1,), None)].scale(Scalar.rational(2))
+        return replace(s, connection=Connection(conn.calculus, values, conn.sigma, conn.sigma_inv))
+    if family == "gamma":
+        gamma = _doubled(spin.gamma, BasisWord((1,), 2))
+        return replace(s, spin=SpinStructure(spin.calculus, spin.rank, gamma, spin.spin_connection))
+    values = dict(spin.spin_connection.values)
+    values[BasisWord((), 1)] = values[BasisWord((), 1)].scale(Scalar.rational(2))
+    spin_connection = Connection(spin.calculus, values)
+    return replace(s, spin=SpinStructure(spin.calculus, spin.rank, spin.gamma, spin_connection))
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+@pytest.mark.parametrize(
+    "family, label",
+    [
+        ("sigma", "sigma_{}[dz1,dz3]"),
+        ("g", "g_{}"),
+        ("g^-1", "g_{}_inv[dz1,dz3]"),
+        ("nabla", "nabla_{}[dz2]"),
+        ("gamma", "gamma_{}[dz2,e3]"),
+        ("nabla^sp", "nabla_sp_{}[e2]"),
+    ],
+    ids=["sigma", "g", "g^-1", "nabla", "gamma", "nabla^sp"],
+)
+def test_golden_rejects_corrupted_family(request, space, family, label):
+    golden, tag = {"s3": (_golden_s3, "B"), "t2": (_golden_t2, "C")}[space]
+    bundle = request.getfixturevalue(space)
+    corrupted = _corrupt(bundle.structures, family)
+    with pytest.raises(GoldenMismatch) as exc:
+        golden(bundle.hypersurface, corrupted, bundle.base_matrices)
+    assert exc.value.label == label.format(tag)
 
 
 # -- torus ---------------------------------------------------------------------

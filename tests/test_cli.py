@@ -152,8 +152,8 @@ def _doc(**changes):
     return doc
 
 
-def _rule(lhs, exps=(0, 0, 0, 0)):
-    return {"lhs": lhs, "rhs": [{"exps": list(exps), "coeff": {"terms": [[0, "1", "0"]]}}]}
+def _rule(lhs, exps=(0, 0, 0, 0), term=(0, "1", "0")):
+    return {"lhs": lhs, "rhs": [{"exps": list(exps), "coeff": {"terms": [list(term)]}}]}
 
 
 MALFORMED_PRESENTATIONS = [
@@ -170,6 +170,14 @@ MALFORMED_PRESENTATIONS = [
     pytest.param(_doc(ideal=5), "malformed presentation", id="ideal-not-a-list"),
     pytest.param(_doc(ideal=[{"lhs": [0, 2], "rhs": None}]), "malformed", id="rhs-null"),
     pytest.param(_doc(ideal=[_rule([0], (2, 0, 0, 0))]), "not below", id="non-terminating-rule"),
+    pytest.param(_doc(generators=4.5), "JSON integer", id="generators-float"),
+    pytest.param(_doc(ideal=[_rule([0, 2], (0.7, 0, 0, 0))]), "JSON integer", id="exps-float"),
+    pytest.param(_doc(ideal=[_rule([0, 2], (True, 0, 0, 0))]), "JSON integer", id="exps-boolean"),
+    pytest.param(_doc(ideal=[_rule([0, 2], term=(0, 0.1, "0"))]), "[k, re, im]", id="re-number"),
+    pytest.param(_doc(ideal=[_rule([0, 2], term=(0, "1"))]), "[k, re, im]", id="term-pair"),
+    pytest.param(_doc(ideal=[_rule([0, 2], term=(0.5, "1", "0"))]), "[k, re, im]", id="q-exp-float"),
+    pytest.param(_doc(ideal=[_rule([0, 2], term=(True, "1", "0"))]), "[k, re, im]", id="q-exp-boolean"),
+    pytest.param(_doc(ideal=[_rule([0, 2], term=(0, "1/0", "0"))]), "zero denominator", id="re-zero-denominator"),
 ]
 
 
