@@ -23,9 +23,9 @@ from .tensors import (
     LeftLinearMap,
     ShapeError,
     TensorElement,
-    check_right_linearity,
     differential,
     partial_coeffs,
+    right_linearity_residuals,
     right_mul,
     tensor,
 )
@@ -42,7 +42,6 @@ from .hypersurface import (
     induced_metric,
     induced_spin,
     induced_structures,
-    projector_apply,
 )
 from .catalog import SpaceBundle, build_r4, build_s3, build_t2, dtilde_apply, phi_basis
 from .spectrum import SectorMatrix, sector_matrix, spectrum_scan
@@ -63,9 +62,9 @@ __all__ = [
     "LeftLinearMap",
     "ShapeError",
     "TensorElement",
-    "check_right_linearity",
     "differential",
     "partial_coeffs",
+    "right_linearity_residuals",
     "right_mul",
     "tensor",
     "Calculus",
@@ -89,7 +88,6 @@ __all__ = [
     "induced_metric",
     "induced_spin",
     "induced_structures",
-    "projector_apply",
     "SpaceBundle",
     "build_r4",
     "build_s3",

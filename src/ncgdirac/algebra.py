@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 from .scalars import GaussianRational, Scalar
 
 Monomial = tuple[int, ...]
 
 DEFAULT_STEP_BUDGET = 10**6
+
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)  # the string form of a Fraction
 
 
 class PresentationError(ValueError):
@@ -240,20 +243,24 @@ def _scalar_from_json(data) -> Scalar:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise PresentationError("a serialized scalar must be an object with a 'terms' list")
     for term in data["terms"]:
-        # a float re would be read as its binary value, a float k truncated
+        # a float re would be read as its binary value, a float k truncated, and
+        # Fraction("1e1000000000") would build a huge integer, so re and im take
+        # only the integer or p/q strings that Scalar.to_json writes
         if not (
             isinstance(term, list)
             and len(term) == 3
             and type(term[0]) is int
-            and all(isinstance(part, str) for part in term[1:])
+            and all(isinstance(part, str) and _RATIONAL.fullmatch(part) for part in term[1:])
         ):
             raise PresentationError(
-                f"a scalar term must be [k, re, im] with integer k and string re, im: {term!r}"
+                f"a scalar term must be [k, re, im] with integer k and p/q strings re, im: {term!r}"
             )
     try:
         return Scalar.from_json(data)
     except ZeroDivisionError as exc:
         raise PresentationError(f"scalar {data['terms']!r} has a zero denominator") from exc
+    except ValueError as exc:  # e.g. the interpreter's integer string digit limit
+        raise PresentationError(f"scalar part out of range: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +436,6 @@ class AlgebraElement:
 
     def __hash__(self) -> int:
         return hash((self.presentation.key(), frozenset((m, c) for m, c in self.terms.items())))
-
-    def degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
 
     # -- conversion --------------------------------------------------------
 

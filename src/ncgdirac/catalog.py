@@ -99,12 +99,12 @@ def gamma_theta_matrices(classical: bool = False) -> tuple[ScalarMatrix, ...]:
     return (g1, g2, g3, g4)
 
 
-def r4_presentation(classical: bool = False, name: str = "r4") -> Presentation:
+def r4_presentation(classical: bool = False) -> Presentation:
     R = tuple(
         tuple(Scalar.q_power(0 if classical else R_EXP[i][j]) for j in range(N_GEN))
         for i in range(N_GEN)
     )
-    return Presentation(N_GEN, R, (), name=name)
+    return Presentation(N_GEN, R, (), name="r4")
 
 
 class GoldenMismatch(RuntimeError):
@@ -146,7 +146,7 @@ class SpaceBundle:
         sphere action.
         """
         calc = Calculus(self.presentation, None)
-        return gamma_from_matrices(calc, self.base_matrices, SPINOR_RANK)
+        return gamma_from_matrices(calc, self.base_matrices)
 
     @cached_property
     def mass_matrices(self) -> tuple[ScalarMatrix, ScalarMatrix]:
@@ -188,7 +188,7 @@ def build_r4(classical: bool = False) -> SpaceBundle:
     connection = Connection(calc, conn_values, sigma, sigma.inverse_permutation())
 
     matrices = gamma_theta_matrices(classical)
-    gamma = gamma_from_matrices(calc, matrices, SPINOR_RANK)
+    gamma = gamma_from_matrices(calc, matrices)
     spin_values = {
         BasisWord((), alpha): TensorElement.zero(p, 1, True) for alpha in range(SPINOR_RANK)
     }
@@ -202,7 +202,7 @@ def undeformed_spin_structure(bundle: SpaceBundle) -> SpinStructure:
     """Classical gamma matrices over the deformed calculus (negative control)."""
     calc = bundle.calculus
     matrices = gamma_theta_matrices(classical=True)
-    gamma = gamma_from_matrices(calc, matrices, SPINOR_RANK)
+    gamma = gamma_from_matrices(calc, matrices)
     return SpinStructure(
         calc, SPINOR_RANK, gamma, bundle.structures.spin.spin_connection, matrices
     )
@@ -474,21 +474,14 @@ def gamma_tilde(t2: SpaceBundle, which: int, s: TensorElement) -> TensorElement:
     return out.scale(minus_i)
 
 
-def dtilde_apply(t2: SpaceBundle, s: TensorElement, via: str = "definition") -> TensorElement:
-    """The rotated torus Dirac operator D~ = gamma(nu~ (x) D_C(-)).
+def dtilde_apply(t2: SpaceBundle, s: TensorElement) -> TensorElement:
+    """The rotated torus Dirac operator D~ = gamma(nu~ (x) D_C(-)), in phi-basis form.
 
-    The definition path composes the induced Dirac operator with one ambient
-    Clifford contraction against nu~; the expanded path is the phi-basis form
-    gamma~(dphi_a (x) (d/dphi_a + mass_a)) summed over the two directions.
+    Evaluates gamma~(dphi_a (x) (d/dphi_a + mass_a)) summed over the two
+    directions; it equals the definition gamma_nu_tilde(t2, induced_dirac(h, s)).
     """
     if s.degree != 0 or not s.has_spin:
         raise ValueError("operator acts on torus spinors")
-    if s.presentation != t2.presentation:
-        s = s.convert(t2.presentation)
-    if via == "definition":
-        return gamma_nu_tilde(t2, induced_dirac(t2.hypersurface, s))
-    if via != "expanded":
-        raise ValueError("via must be 'definition' or 'expanded'")
     out = TensorElement.zero(t2.presentation, 0, True)
     for which, mass in zip((1, 2), t2.mass_matrices):
         inner = phi_momentum_derivative(s, which) + matrix_act(mass, s)
@@ -499,8 +492,6 @@ def dtilde_apply(t2: SpaceBundle, s: TensorElement, via: str = "definition") -> 
 def gamma_nu_tilde(t2: SpaceBundle, s: TensorElement) -> TensorElement:
     """One flat Clifford contraction against the torus normal form."""
     h = t2.hypersurface
-    if s.presentation != t2.presentation:
-        s = s.convert(t2.presentation)
     return t2.flat_gamma.apply_at(tensor(h.nu_q, s), 0)
 
 
@@ -510,6 +501,6 @@ def verify_space(bundle: SpaceBundle) -> Report:
     report = Report(subject=bundle.name)
     report.clauses.extend(verify_metric(s.metric, s.connection).clauses)
     report.clauses.extend(verify_spinorial(s.spin, s.metric, s.connection).clauses)
-    if bundle.hypersurface is not None and bundle.hypersurface.certificate is not None:
+    if bundle.hypersurface is not None:
         report.clauses.extend(bundle.hypersurface.certificate.clauses)
     return report

@@ -41,19 +41,18 @@ def _emit(payload: dict, args) -> None:
         _print_text(payload)
 
 
-def _print_text(payload: dict, indent: int = 0) -> None:
-    pad = "  " * indent
+def _print_text(payload: dict) -> None:
     if "clauses" in payload:
-        print(f"{pad}{payload.get('subject', 'report')}: "
+        print(f"{payload.get('subject', 'report')}: "
               f"{'PASS' if payload.get('pass') else 'FAIL'}")
         for clause in payload["clauses"]:
             mark = "ok " if clause["pass"] else "FAIL"
-            print(f"{pad}  [{mark}] {clause['clause']}")
+            print(f"  [{mark}] {clause['clause']}")
     elif "eigenvalues" in payload:
-        print(f"{pad}theta={payload['theta']} mmax={payload['mmax']} "
+        print(f"theta={payload['theta']} mmax={payload['mmax']} "
               f"max_deviation={payload['max_deviation']:.3e}")
         for entry in payload["eigenvalues"]:
-            print(f"{pad}  {entry['value']:+.9f}  (m={entry['m']}, n={entry['n']}, "
+            print(f"  {entry['value']:+.9f}  (m={entry['m']}, n={entry['n']}, "
                   f"dev={entry['deviation']:.2e})")
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -120,11 +119,10 @@ def _structures_payload(bundle: SpaceBundle) -> dict:
     payload["sigma"] = _basis_values_json(structures.connection.sigma.images)
     payload["gamma"] = _basis_values_json(structures.spin.gamma.images)
     payload["spin_connection"] = _basis_values_json(structures.spin.spin_connection.values)
-    if bundle.hypersurface is not None:
-        payload["nu"] = bundle.hypersurface.nu_q.to_json()
-        payload["certificate"] = bundle.hypersurface.certificate.to_report(
-            bundle.name
-        ).to_json()
+    payload["nu"] = bundle.hypersurface.nu_q.to_json()
+    payload["certificate"] = bundle.hypersurface.certificate.to_report(
+        bundle.name
+    ).to_json()
     return payload
 
 

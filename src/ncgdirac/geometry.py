@@ -16,8 +16,8 @@ from .tensors import (
     LeftLinearMap,
     TensorElement,
     all_basis_words,
-    check_right_linearity,
     differential,
+    right_linearity_residuals,
     right_mul,
     tensor,
 )
@@ -84,6 +84,8 @@ class Connection:
         sigma: LeftLinearMap | None = None,
         sigma_inv: LeftLinearMap | None = None,
     ):
+        if (sigma is None) != (sigma_inv is None):
+            raise ValueError("a braided connection needs both sigma and sigma_inv")
         self.calculus = calculus
         self.values = dict(values)
         self.sigma = sigma
@@ -213,16 +215,15 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
 
     report.family("metric_compatibility", compatibility_checks())
 
-    report.add("sigma_right_linear", check_right_linearity(conn.sigma))
-    if conn.sigma_inv is not None:
+    report.family("sigma_right_linear", right_linearity_residuals(conn.sigma))
 
-        def inverse_checks():
-            for w in all_basis_words(p, 2):
-                base = TensorElement.basis(p, w.forms)
-                got = conn.sigma_inv.apply(conn.sigma.apply(base))
-                yield (repr(w), calc.canon(got) - calc.canon(base))
+    def inverse_checks():
+        for w in all_basis_words(p, 2):
+            base = TensorElement.basis(p, w.forms)
+            got = conn.sigma_inv.apply(conn.sigma.apply(base))
+            yield (repr(w), calc.canon(got) - calc.canon(base))
 
-        report.family("sigma_invertible", inverse_checks())
+    report.family("sigma_invertible", inverse_checks())
 
     def leibniz_checks():
         for i in range(p.n):

@@ -113,12 +113,11 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
     metric_q = Metric(
         ambient.metric.g_element.convert(quotient), ambient.metric.g_inv.convert(quotient)
     )
-    sigma_inv = ambient.connection.sigma_inv
     conn_q = Connection(
         qcalc,
         {w: v.convert(quotient) for w, v in ambient.connection.values.items()},
         ambient.connection.sigma.convert(quotient),
-        sigma_inv.convert(quotient) if sigma_inv is not None else None,
+        ambient.connection.sigma_inv.convert(quotient),
     )
     spin_conn_q = Connection(
         qcalc,
@@ -147,15 +146,6 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
         conn_q=conn_q,
         spin_conn_q=spin_conn_q,
     )
-
-
-def projector_apply(h: HypersurfaceSpec, e: TensorElement) -> TensorElement:
-    """The tangential projector on quotient 1-form representatives."""
-    if e.shape() != (1, False):
-        raise ValueError("projector acts on 1-forms")
-    if e.presentation == h.ambient.presentation:
-        e = e.convert(h.quotient_presentation)
-    return h.pi.apply(e)
 
 
 def _gamma2(h: HypersurfaceSpec, e: TensorElement) -> TensorElement:
@@ -329,8 +319,6 @@ def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement, via: str = "compos
     on ambient-level data at quotient coefficients.
     """
     h.require_certificate()
-    if spinor.presentation != h.quotient_presentation:
-        spinor = spinor.convert(h.quotient_presentation)
     if via == "composite":
         structures = induced_structures(h)
         return dirac(structures.spin, spinor)

@@ -23,8 +23,8 @@ class Report:
     subject: str
     clauses: list[Clause] = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, residual=None):
-        self.clauses.append(Clause(name, passed, None if passed else residual))
+    def add(self, name: str, passed: bool):
+        self.clauses.append(Clause(name, passed))
 
     def family(self, name: str, checks):
         """Record one passing clause for the family, or each failing instance.
@@ -36,7 +36,7 @@ class Report:
         if not failures:
             self.add(name, True)
         for label, residual in failures:
-            self.add(f"{name}[{label}]", False, residual.to_json())
+            self.clauses.append(Clause(f"{name}[{label}]", False, residual.to_json()))
 
     @property
     def all_passed(self) -> bool:

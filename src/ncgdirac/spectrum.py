@@ -70,7 +70,7 @@ def sector_matrix(t2: SpaceBundle, m: int, n: int, theta: float) -> SectorMatrix
     for col, (mono, alpha) in enumerate(basis):
         coeff = AlgebraElement(p, {mono: Scalar.one()})
         spinor = TensorElement.basis(p, (), alpha, coeff)
-        image = dtilde_apply(t2, spinor, via="expanded")
+        image = dtilde_apply(t2, spinor)
         for w, c in image.terms.items():
             beta = w.spin
             target = mono_for_alpha[beta]
@@ -165,7 +165,7 @@ def truncated_spectrum(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumRepo
     matrix = np.zeros((size, size), dtype=complex)
     for col, (mono, alpha) in enumerate(basis):
         spinor = TensorElement.basis(p, (), alpha, AlgebraElement(p, {mono: Scalar.one()}))
-        image = dtilde_apply(t2, spinor, via="expanded")
+        image = dtilde_apply(t2, spinor)
         for w, c in image.terms.items():
             for out_mono, scal in c.terms.items():
                 row = index.get((out_mono, w.spin))

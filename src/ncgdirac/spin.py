@@ -90,14 +90,14 @@ def matrix_act(matrix: ScalarMatrix, s: TensorElement) -> TensorElement:
 
 
 def gamma_from_matrices(
-    calculus: Calculus, matrices: tuple[ScalarMatrix, ...], rank: int
+    calculus: Calculus, matrices: tuple[ScalarMatrix, ...]
 ) -> LeftLinearMap:
     """Clifford map with gamma(dz_i (x) e_alpha) = column alpha of matrix i."""
     p = calculus.presentation
     images = {
         BasisWord((i,), alpha): matrix_act(matrices[i], TensorElement.basis(p, (), alpha))
         for i in range(p.n)
-        for alpha in range(rank)
+        for alpha in range(len(matrices[0]))
     }
     return LeftLinearMap(p, (1, True), (0, True), images)
 
@@ -109,11 +109,10 @@ def gamma_apply(spin: SpinStructure, e: TensorElement) -> TensorElement:
     return spin.gamma.apply_at(e, e.degree - 1)
 
 
-def gamma_iterated(spin: SpinStructure, e: TensorElement, n: int | None = None) -> TensorElement:
-    """gamma_[n]: n-fold contraction (all the way to a spinor when n is None)."""
-    steps = e.degree if n is None else n
+def gamma_iterated(spin: SpinStructure, e: TensorElement) -> TensorElement:
+    """gamma_[k]: contract all k form slots of e, down to a spinor."""
     out = e
-    for _ in range(steps):
+    for _ in range(e.degree):
         out = gamma_apply(spin, out)
     return out
 

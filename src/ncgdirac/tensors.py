@@ -153,9 +153,6 @@ class TensorElement:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("TensorElement is not hashable")
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -249,14 +246,9 @@ class LeftLinearMap:
                 raise ShapeError(f"image of {w} does not fit codomain {codomain}")
 
     @staticmethod
-    def identity(p: Presentation, degree: int, has_spin: bool = False, rank: int = 0) -> "LeftLinearMap":
-        images = {}
-        spins = range(rank) if has_spin else [None]
-        for w in _all_words(p.n, degree):
-            for s in spins:
-                bw = BasisWord(w, s)
-                images[bw] = TensorElement.basis(p, w, s)
-        return LeftLinearMap(p, (degree, has_spin), (degree, has_spin), images)
+    def identity(p: Presentation, degree: int) -> "LeftLinearMap":
+        images = {w: TensorElement.basis(p, w.forms) for w in all_basis_words(p, degree)}
+        return LeftLinearMap(p, (degree, False), (degree, False), images)
 
     def apply(self, e: TensorElement) -> TensorElement:
         if e.shape() != self.domain:
@@ -338,29 +330,20 @@ def _all_words(n: int, degree: int) -> list[tuple[int, ...]]:
     return words
 
 
-def all_basis_words(p: Presentation, degree: int, spins=None) -> list[BasisWord]:
-    out = []
-    for w in _all_words(p.n, degree):
-        if spins is None:
-            out.append(BasisWord(w, None))
-        else:
-            out.extend(BasisWord(w, s) for s in spins)
-    return out
+def all_basis_words(p: Presentation, degree: int) -> list[BasisWord]:
+    return [BasisWord(w, None) for w in _all_words(p.n, degree)]
 
 
-def check_right_linearity(m: LeftLinearMap) -> bool:
-    """True iff m(w * z_j) = m(w) * z_j on every basis word and generator."""
+def right_linearity_residuals(m: LeftLinearMap):
+    """(label, m(w * z_j) - m(w) * z_j) for every form basis word w and generator z_j."""
     p = m.presentation
-    spins = range(4) if m.domain[1] else None
-    for w in all_basis_words(p, m.domain[0], spins):
-        base = TensorElement.basis(p, w.forms, w.spin)
+    for w in all_basis_words(p, m.domain[0]):
+        base = TensorElement.basis(p, w.forms)
         for j in range(p.n):
             zj = AlgebraElement.generator(p, j)
             lhs = m.apply(right_mul(base, zj))
             rhs = right_mul(m.apply(base), zj)
-            if not (lhs - rhs).is_zero():
-                return False
-    return True
+            yield f"{w!r},z{j + 1}", lhs - rhs
 
 
 # ---------------------------------------------------------------------------

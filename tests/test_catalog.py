@@ -278,9 +278,21 @@ def test_dtilde_paths_agree(t2):
         word = [rng.randrange(4) for _ in range(rng.randint(0, 2))]
         cases.append(e(p, rng.randrange(SPINOR_RANK), normal_form(word, Scalar.one(), p)))
     for s in cases:
-        d1 = dtilde_apply(t2, s, via="definition")
-        d2 = dtilde_apply(t2, s, via="expanded")
+        d1 = gamma_nu_tilde(t2, induced_dirac(t2.hypersurface, s))
+        d2 = dtilde_apply(t2, s)
         assert (d1 - d2).is_zero()
+
+
+def test_torus_operators_reject_foreign_spinor(s3, t2):
+    # a spinor over another presentation is an error, never silently re-reduced
+    s = e(s3.presentation, 0, z(s3.presentation, 0))
+    for apply in (
+        lambda x: dtilde_apply(t2, x),
+        lambda x: gamma_nu_tilde(t2, x),
+        lambda x: induced_dirac(t2.hypersurface, x),
+    ):
+        with pytest.raises(ValueError, match="presentation mismatch"):
+            apply(s)
 
 
 def test_gamma_nu_tilde_squares_to_minus_id(t2):

@@ -20,6 +20,14 @@ def test_verify_r4(capsys):
     assert any(c["clause"] == "clifford_relations" for c in payload["clauses"])
 
 
+def test_verify_text_format(capsys):
+    code, out, _ = run(capsys, "verify", "r4", "--format", "text")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "r4: PASS"
+    assert lines[1] == "  [ok ] g_central"
+
+
 def test_verify_writes_report_atomically(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", "r4", "--out", str(target))
@@ -178,6 +186,9 @@ MALFORMED_PRESENTATIONS = [
     pytest.param(_doc(ideal=[_rule([0, 2], term=(0.5, "1", "0"))]), "[k, re, im]", id="q-exp-float"),
     pytest.param(_doc(ideal=[_rule([0, 2], term=(True, "1", "0"))]), "[k, re, im]", id="q-exp-boolean"),
     pytest.param(_doc(ideal=[_rule([0, 2], term=(0, "1/0", "0"))]), "zero denominator", id="re-zero-denominator"),
+    pytest.param(_doc(ideal=[_rule([0, 2], term=(0, "1e5", "0"))]), "p/q", id="re-exponent"),
+    pytest.param(_doc(ideal=[_rule([0, 2], term=(0, "0", "0.5"))]), "p/q", id="im-decimal"),
+    pytest.param(_doc(ideal=[_rule([0, 2], term=(0, "1" * 5000, "0"))]), "out of range", id="re-5000-digits"),
 ]
 
 

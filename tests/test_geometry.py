@@ -1,10 +1,12 @@
 import random
 
+import pytest
+
 from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import sphere_level_function
-from ncgdirac.geometry import Metric, tensor_connection_apply, verify_metric
+from ncgdirac.geometry import Connection, Metric, tensor_connection_apply, verify_metric
 from ncgdirac.scalars import Scalar
-from ncgdirac.tensors import BasisWord, TensorElement, differential, tensor
+from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, differential, tensor
 
 
 def dz(p, *indices):
@@ -36,6 +38,30 @@ def test_perturbed_metric_fails_inverse_condition(r4):
     assert any(name.startswith("inverse_") for name in failing)
     residuals = [c.residual for c in report.failures() if c.residual is not None]
     assert residuals, "failures must carry their residual elements"
+
+
+def test_non_right_linear_braiding_reports_residual(r4):
+    s = r4.structures
+    p = r4.presentation
+    # sigma(dz1 (x) dz1) = z1 dz1 (x) dz1 does not commute with right
+    # multiplication by z2, since z2 z1 = q^4 z1 z2
+    images = dict(s.connection.sigma.images)
+    key = BasisWord((0, 0), None)
+    images[key] = images[key].left_mul(AlgebraElement.generator(p, 0))
+    sigma = LeftLinearMap(p, (2, False), (2, False), images)
+    conn = Connection(s.calculus, s.connection.values, sigma, s.connection.sigma_inv)
+    report = verify_metric(s.metric, conn)
+    failing = [c for c in report.failures() if c.name.startswith("sigma_right_linear[")]
+    assert failing
+    assert all(c.residual is not None for c in failing)
+
+
+def test_braided_connection_needs_its_inverse(r4):
+    conn = r4.structures.connection
+    with pytest.raises(ValueError, match="sigma_inv"):
+        Connection(conn.calculus, conn.values, conn.sigma)
+    with pytest.raises(ValueError, match="sigma_inv"):
+        Connection(conn.calculus, conn.values, sigma_inv=conn.sigma_inv)
 
 
 def test_flat_connection_values(r4):

@@ -17,7 +17,6 @@ from ncgdirac.hypersurface import (
     induced_connection,
     induced_dirac,
     induced_metric,
-    projector_apply,
 )
 from ncgdirac.scalars import Scalar
 from ncgdirac.spin import verify_spinorial
@@ -70,7 +69,7 @@ def test_sphere_projector_closed_form(s3):
     p = h.quotient_presentation
     nu_q = h.nu_q
     for i in range(4):
-        got = projector_apply(h, dz(p, i))
+        got = h.pi.apply(dz(p, i))
         want = dz(p, i) - nu_q.left_mul(z(p, i))
         assert got == want
 
@@ -90,9 +89,9 @@ def test_projector_idempotent_and_kills_nu(space, s3, t2):
     h = {"s3": s3, "t2": t2}[space].hypersurface
     p = h.quotient_presentation
     for i in range(4):
-        once = projector_apply(h, dz(p, i))
-        assert projector_apply(h, once) == once
-    assert projector_apply(h, h.nu_q).is_zero()
+        once = h.pi.apply(dz(p, i))
+        assert h.pi.apply(once) == once
+    assert h.pi.apply(h.nu_q).is_zero()
 
 
 # -- assumption certificates ----------------------------------------------------
