@@ -36,10 +36,9 @@ from .spin import (
     theta_commutator,
     verify_spinorial,
 )
-from .tensors import BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
+from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
 
 N_GEN = 4
-SPINOR_RANK = 4
 
 # q-exponents of the R-matrix, R[i][j] = q**R_EXP[i][j] with q**4 = exp(i*theta)
 R_EXP = (

@@ -4,6 +4,13 @@ Every symbolic coefficient in the engine lives in this ring: q**4 carries the
 deformation phase exp(i*theta), q**(+-1) the quarter phases of the deformed
 gamma matrices.  Numeric evaluation substitutes q = exp(i*theta/4) late, so the
 symbolic layer never touches floats.
+
+A coefficient in Q(i) is stored as two integer numerators over one positive
+denominator, the content-and-denominator layout of FLINT's ``fmpq_poly``, so a
+product or sum costs a few integer operations and at most one gcd.  Most
+coefficients met in a build are the units 1, -1, i and -i; a product with a
+unit term u*q**k is an exponent shift plus a rotation or negation of the
+numerators, with no coefficient multiply at all.
 """
 
 from __future__ import annotations
@@ -12,81 +19,163 @@ import cmath
 import math
 from fractions import Fraction
 
+_new = object.__new__
+
 
 class GaussianRational:
-    """A complex number a + b*i with rational a, b."""
+    """A complex number (a + b*i)/d with integers a, b, d.
 
-    __slots__ = ("re", "im")
+    The form is canonical: d > 0 and gcd(a, b, d) == 1, so zero is (0, 0, 1)
+    and equal values have equal fields.  ``re`` and ``im`` give the parts as
+    reduced ``Fraction``s, which is how values are printed and serialized.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators no prime divides a, b and d
+        d = math.lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, f = self.d, other.d
+        if d == f:
+            a, b = self.a + other.a, self.b + other.b
+            if d == 1:
+                return _canonical(a, b, 1)
+        else:
+            a, b = self.a * f + other.a * d, self.b * f + other.b * d
+            d *= f
+        return _reduced(a, b, d)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _canonical(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        a, b = self.re, self.im
-        c, d = other.re, other.im
+        a, b = self.a, self.b
+        c, e = other.a, other.b
         # most coefficients are purely real or purely imaginary
         if not b:
             if not a:
                 return _GR_ZERO
-            return GaussianRational(a * c, a * d)
-        if not d:
-            return GaussianRational(c * a, c * b)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+            re, im = a * c, a * e
+        elif not e:
+            re, im = c * a, c * b
+        else:
+            re, im = a * c - b * e, a * e + b * c
+        d = self.d * other.d
+        if d == 1:
+            return _canonical(re, im, 1)
+        return _reduced(re, im, d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        n = other.re * other.re + other.im * other.im
+        c, e = other.a, other.b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b, f = self.a, self.b, other.d
+        # ((a + b i)/d) / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _canonical(self.a, -self.b, self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __complex__(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}*i)"
+
+
+def _canonical(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational (a + b*i)/d, whose fields are already canonical."""
+    g = _new(GaussianRational)
+    g.a, g.b, g.d = a, b, d
+    return g
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational (a + b*i)/d for d > 0, divided by gcd(a, b, d)."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _canonical(a, b, d)
 
 
 _GR_ZERO = GaussianRational(0)
 _GR_ONE = GaussianRational(1)
 
 
+def _term_times(k: int, c: GaussianRational, terms: dict) -> dict:
+    """The terms of c*q**k times sum(terms), for nonzero c.
+
+    A product of nonzero elements of Q(i) is never zero, so nothing is
+    filtered.  A unit c in {1, -1, i, -i} shifts the exponents and rotates or
+    negates the numerators, with no coefficient multiply.
+    """
+    if c.d == 1:
+        a, b = c.a, c.b
+        if not b:
+            if a == 1:
+                return dict(terms) if k == 0 else {k + kk: v for kk, v in terms.items()}
+            if a == -1:
+                return {k + kk: _canonical(-v.a, -v.b, v.d) for kk, v in terms.items()}
+        elif not a:
+            if b == 1:  # i (x + y i) = -y + x i
+                return {k + kk: _canonical(-v.b, v.a, v.d) for kk, v in terms.items()}
+            if b == -1:  # -i (x + y i) = y - x i
+                return {k + kk: _canonical(v.b, -v.a, v.d) for kk, v in terms.items()}
+    return {k + kk: c * v for kk, v in terms.items()}
+
+
+def _scalar(terms: dict) -> "Scalar":
+    """A Scalar that takes ownership of terms, which hold no zero coefficient."""
+    s = _new(Scalar)
+    s.terms = terms
+    return s
+
+
 class Scalar:
     """Sparse Laurent polynomial sum_k c_k q**k with GaussianRational c_k.
 
     Instances are immutable by convention; every operation returns a fresh
-    normalized value with no stored zero coefficients.
+    normalized value with no stored zero coefficients, and never shares its
+    ``terms`` dict with an operand.
     """
 
     __slots__ = ("terms",)
@@ -122,27 +211,31 @@ class Scalar:
     def __add__(self, other: "Scalar") -> "Scalar":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, _GR_ZERO) + c
+            s = out.get(k)
+            if s is None:
+                out[k] = c
+                continue
+            s = s + c
             if s.is_zero():
-                out.pop(k, None)
+                del out[k]
             else:
                 out[k] = s
-        return Scalar(out)
+        return _scalar(out)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __neg__(self) -> "Scalar":
-        return Scalar({k: -c for k, c in self.terms.items()})
+        return _scalar({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b = self.terms, other.terms
         if len(a) == 1:
-            ((k1, c1),) = a.items()
-            return Scalar({k1 + k2: c1 * c2 for k2, c2 in b.items()})
+            ((k, c),) = a.items()
+            return _scalar(_term_times(k, c, b))
         if len(b) == 1:
-            ((k2, c2),) = b.items()
-            return Scalar({k1 + k2: c1 * c2 for k1, c1 in a.items()})
+            ((k, c),) = b.items()
+            return _scalar(_term_times(k, c, a))
         out: dict[int, GaussianRational] = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
@@ -152,17 +245,17 @@ class Scalar:
                     out.pop(k, None)
                 else:
                     out[k] = s
-        return Scalar(out)
+        return _scalar(out)
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation: i -> -i and q -> q**-1 (q is a unit phase)."""
-        return Scalar({-k: c.conjugate() for k, c in self.terms.items()})
+        return _scalar({-k: c.conjugate() for k, c in self.terms.items()})
 
     def q_shift(self, k: int) -> "Scalar":
         """Multiplication by the pure power q**k, as an exponent shift."""
         if k == 0:
             return self
-        return Scalar({kk + k: c for kk, c in self.terms.items()})
+        return _scalar({kk + k: c for kk, c in self.terms.items()})
 
     def inverse(self) -> "Scalar":
         """Invert a single-term scalar c*q**k; other shapes are not units here."""

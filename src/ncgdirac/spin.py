@@ -35,17 +35,6 @@ def mat_scale(a: ScalarMatrix, s: Scalar) -> ScalarMatrix:
     return tuple(tuple(x * s for x in row) for row in a)
 
 
-def mat_is_zero(a: ScalarMatrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-def identity_matrix(rank: int) -> ScalarMatrix:
-    return tuple(
-        tuple(Scalar.one() if r == c else Scalar.zero() for c in range(rank))
-        for r in range(rank)
-    )
-
-
 class SpinStructure:
     """Spinor module data: Clifford map, spin connection, optional gamma matrices.
 

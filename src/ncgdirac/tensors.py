@@ -14,6 +14,8 @@ from typing import NamedTuple
 from .algebra import AlgebraElement, Monomial, Presentation, add_term
 from .scalars import Scalar
 
+SPINOR_RANK = 4  # every spinor slot e_alpha has alpha in 0..3
+
 
 class ShapeError(ValueError):
     """Raised when tensor shapes (degree / spinor slot) do not match."""
@@ -177,11 +179,27 @@ class TensorElement:
 
     @staticmethod
     def from_json(data: dict, p: Presentation) -> "TensorElement":
+        """Read what to_json writes; any other type or range raises ValueError.
+
+        A word whose length is not the degree, or an alpha that does not match
+        the spinor flag, is a ShapeError (a ValueError) from the constructor.
+        """
+        degree, has_spin = data["degree"], data["spinor"]
+        # bool is an int subclass, so the type checks are exact
+        if type(degree) is not int or degree < 0:
+            raise ValueError(f"tensor degree must be a non-negative JSON integer: {degree!r}")
+        if type(has_spin) is not bool:
+            raise ValueError(f"tensor spinor flag must be a JSON boolean: {has_spin!r}")
         terms = {}
         for entry in data["terms"]:
-            w = BasisWord(tuple(int(i) for i in entry["word"]), entry.get("alpha"))
-            terms[w] = AlgebraElement.from_json(entry["coeff"], p)
-        return TensorElement(p, int(data["degree"]), bool(data["spinor"]), terms)
+            forms = tuple(entry["word"])
+            if any(type(i) is not int or not 0 <= i < p.n for i in forms):
+                raise ValueError(f"word letters must be JSON integers in 0..{p.n - 1}: {list(forms)}")
+            alpha = entry.get("alpha")
+            if alpha is not None and (type(alpha) is not int or not 0 <= alpha < SPINOR_RANK):
+                raise ValueError(f"spinor index must be a JSON integer in 0..{SPINOR_RANK - 1}: {alpha!r}")
+            terms[BasisWord(forms, alpha)] = AlgebraElement.from_json(entry["coeff"], p)
+        return TensorElement(p, degree, has_spin, terms)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from ncgdirac.catalog import build_r4, build_s3, build_t2
 
@@ -21,3 +22,8 @@ def s3():
 @pytest.fixture(scope="session")
 def t2():
     return build_t2()
+
+
+# `pytest --hypothesis-profile=ci` runs the property tests harder; a plain run
+# keeps hypothesis's defaults
+settings.register_profile("ci", max_examples=500, deadline=None)

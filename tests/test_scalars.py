@@ -8,6 +8,15 @@ from hypothesis import given, strategies as st
 from ncgdirac.scalars import GaussianRational, Scalar
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+# numerators and denominators far past machine words, sharing factors often
+big_rationals = st.builds(
+    Fraction,
+    st.integers(-(10**40), 10**40) | st.integers(-(2**70), 2**70).map(lambda n: n * 6**20),
+    st.integers(1, 10**40) | st.integers(1, 2**64).map(lambda n: n * 6**20),
+)
+any_rationals = rationals | big_rationals
+pairs = st.tuples(any_rationals, any_rationals)
+UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 
 @st.composite
@@ -113,3 +122,65 @@ def test_unimodular_predicate():
 @given(scalars())
 def test_json_round_trip(s):
     assert Scalar.from_json(s.to_json()) == s
+
+
+# -- integer kernel against a (Fraction, Fraction) oracle ----------------------
+
+
+def _oracle_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _assert_matches(g, pair):
+    re, im = pair
+    assert g.re == re and g.im == im
+    assert str(g.re) == str(re) and str(g.im) == str(im)
+    assert g.d > 0 and math.gcd(g.a, g.b, g.d) == 1
+    assert g == GaussianRational(re, im) and hash(g) == hash(GaussianRational(re, im))
+
+
+@given(pairs, pairs)
+def test_kernel_matches_fraction_pair_oracle(x, y):
+    g, h = GaussianRational(*x), GaussianRational(*y)
+    _assert_matches(g, x)
+    _assert_matches(g + h, (x[0] + y[0], x[1] + y[1]))
+    _assert_matches(g - h, (x[0] - y[0], x[1] - y[1]))
+    _assert_matches(g * h, _oracle_mul(x, y))
+    _assert_matches(-g, (-x[0], -x[1]))
+    _assert_matches(g.conjugate(), (x[0], -x[1]))
+    assert (g == h) == (x == y)
+    assert complex(g) == complex(x[0]) + 1j * complex(x[1])
+    if y != (0, 0):
+        n = y[0] * y[0] + y[1] * y[1]
+        _assert_matches(g / h, ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n))
+
+
+@given(pairs)
+def test_kernel_division_by_zero_raises(x):
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(*x) / GaussianRational(0)
+
+
+@given(st.sampled_from(UNITS), st.integers(-12, 12), st.lists(st.tuples(st.integers(-8, 8), pairs), max_size=4))
+def test_unit_fast_path_equals_generic_product(unit, k, raw):
+    u = GaussianRational(*unit)
+    terms = {kk: GaussianRational(*x) for kk, x in raw}
+    s = Scalar(terms)
+    want = {k + kk: GaussianRational(*_oracle_mul(unit, (c.re, c.im))) for kk, c in s.terms.items()}
+    generic = {k + kk: GaussianRational.__mul__(u, c) for kk, c in s.terms.items()}
+    assert want == generic
+    for product in (Scalar.q_power(k, u) * s, s * Scalar.q_power(k, u)):
+        assert product.terms == want and product.terms is not s.terms
+        for c in product.terms.values():
+            assert c.d > 0 and math.gcd(c.a, c.b, c.d) == 1
+
+
+@given(scalars(), scalars())
+def test_results_own_their_terms_and_store_no_zero(a, b):
+    before = (dict(a.terms), dict(b.terms))
+    for result in (a * b, b * a, a + b, a - b, -a, a.conjugate()):
+        assert not any(c.is_zero() for c in result.terms.values())
+        assert result.terms is not a.terms and result.terms is not b.terms
+        result.terms[99] = GaussianRational(7)
+    assert (a.terms, b.terms) == before

@@ -14,13 +14,22 @@ from ncgdirac.spin import (
     dirac,
     gamma_apply,
     gamma_iterated,
-    mat_is_zero,
     mat_scale,
-    identity_matrix,
     theta_brackets,
     verify_spinorial,
 )
 from ncgdirac.tensors import TensorElement, differential, partial_coeffs, tensor
+
+
+def mat_is_zero(a):
+    return all(x.is_zero() for row in a for x in row)
+
+
+def identity_matrix(rank):
+    return tuple(
+        tuple(Scalar.one() if r == c else Scalar.zero() for c in range(rank))
+        for r in range(rank)
+    )
 
 
 def e(p, alpha, coeff=None):

@@ -341,3 +341,52 @@ def test_tensor_json_round_trip():
     for degree, spin in ((0, True), (1, False), (2, True)):
         e = rand_tensor(rng, degree=degree, spin=spin)
         assert TensorElement.from_json(e.to_json(), P) == e
+
+
+def _one_term(word, alpha=None, degree=None, spinor=None):
+    entry = {"word": word, "coeff": AlgebraElement.one(P).to_json()}
+    if alpha is not None:
+        entry["alpha"] = alpha
+    return {
+        "degree": len(word) if degree is None else degree,
+        "spinor": alpha is not None if spinor is None else spinor,
+        "terms": [entry],
+    }
+
+
+MALFORMED_TENSORS = {
+    # every field of this input used to be converted silently, to dz1(x)e1
+    "all-fields": {
+        "degree": "1",
+        "spinor": "no",
+        "terms": [{"word": [0.7], "alpha": 0, "coeff": AlgebraElement.one(P).to_json()}],
+    },
+    "letter-float": _one_term([0.7]),
+    "letter-string": _one_term(["1"]),
+    "letter-bool": _one_term([True]),
+    "letter-negative": _one_term([-1]),
+    "letter-out-of-range": _one_term([4]),
+    "spinor-string": _one_term([0], alpha=0, spinor="yes"),
+    "spinor-int": _one_term([0], alpha=0, spinor=1),
+    "degree-string": _one_term([0], degree="1"),
+    "degree-bool": _one_term([0], degree=True),
+    "degree-float": _one_term([0], degree=1.0),
+    "degree-not-word-length": _one_term([0, 1], degree=1),
+    "alpha-string": _one_term([0], alpha="0"),
+    "alpha-bool": _one_term([0], alpha=False),
+    "alpha-float": _one_term([0], alpha=0.0),
+    "alpha-out-of-range": _one_term([0], alpha=4),
+    "alpha-negative": _one_term([0], alpha=-1),
+    "alpha-without-spinor": _one_term([0], alpha=0, spinor=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TENSORS))
+def test_tensor_from_json_rejects_malformed(name):
+    with pytest.raises(ValueError):
+        TensorElement.from_json(MALFORMED_TENSORS[name], P)
+
+
+def test_tensor_from_json_reads_well_formed():
+    e = TensorElement.from_json(_one_term([0, 3], alpha=3), P)
+    assert e == TensorElement.basis(P, (0, 3), 3)
