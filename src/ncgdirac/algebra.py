@@ -14,14 +14,13 @@ operation reuses one well-tested kernel.
 from __future__ import annotations
 
 import json
-import os
 import re
 
 from .scalars import GaussianRational, Scalar
 
 Monomial = tuple[int, ...]
 
-DEFAULT_STEP_BUDGET = 10**6
+STEP_BUDGET = 10**6  # rewrite steps per normal-form computation
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)  # the string form of a Fraction
 
@@ -33,28 +32,23 @@ class PresentationError(ValueError):
 class RewriteBudgetExceeded(RuntimeError):
     """Raised when a normal-form computation exceeds the step budget.
 
-    Hitting this signals a non-terminating (or explosive) user presentation;
-    the built-in catalog presentations never trigger it.
+    Every presentation's rules strictly decrease, so rewriting terminates;
+    the budget is a backstop against an explosive (not endless) computation,
+    and the built-in catalog presentations never trigger it.
     """
-
-
-def _step_budget() -> int:
-    raw = os.environ.get("NCG_STEP_BUDGET", "")
-    return int(raw) if raw else DEFAULT_STEP_BUDGET
 
 
 class _Budget:
     __slots__ = ("left",)
 
     def __init__(self):
-        self.left = _step_budget()
+        self.left = STEP_BUDGET
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
             raise RewriteBudgetExceeded(
-                "rewrite step budget exceeded; presentation is likely "
-                "non-terminating (override with NCG_STEP_BUDGET)"
+                f"rewrite step budget of {STEP_BUDGET} steps exceeded"
             )
 
 
@@ -132,19 +126,21 @@ class Presentation:
                 raise PresentationError("rule lhs arity does not match generators")
             if _mono_degree(rule.lhs) == 0:
                 raise PresentationError("rule lhs must be a nonconstant monomial")
+            # the graded order is compatible with multiplication, so strictly
+            # decreasing rules make every rewriting sequence terminate
+            for mono in rule.rhs:
+                if monomial_key(mono) >= monomial_key(rule.lhs):
+                    raise PresentationError(
+                        f"rule {_mono_letters(rule.lhs)} does not terminate: rhs monomial "
+                        f"{list(mono)} is not below its lhs in the graded order"
+                    )
         self._key = None
 
     def key(self) -> str:
-        """Structural identity; presentations compare by content, not object."""
+        """Structural identity: to_json without the name, so content decides equality."""
         if self._key is None:
-            payload = {
-                "n": self.n,
-                "R": [[s.to_json() for s in row] for row in self.R],
-                "rules": [
-                    [list(r.lhs), sorted((list(m), c.to_json()) for m, c in r.rhs.items())]
-                    for r in self.rules
-                ],
-            }
+            payload = self.to_json()
+            del payload["name"]
             self._key = json.dumps(payload, sort_keys=True)
         return self._key
 
@@ -188,7 +184,6 @@ class Presentation:
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise PresentationError("R must be a list of rows")
             R = [[_scalar_from_json(s) for s in row] for row in rows]
-            pres = Presentation(n, R, (), name=data.get("name", ""))
             rules = []
             for entry in data.get("ideal", []):
                 lhs = [0] * n
@@ -198,19 +193,8 @@ class Presentation:
                             f"rule letter {g!r} is not a generator index 0..{n - 1}"
                         )
                     lhs[g] += 1
-                rule = RewriteRule(tuple(lhs), _element_terms_from_json(entry["rhs"], n))
-                # the graded order is compatible with multiplication, so strictly
-                # decreasing rules make every rewriting sequence terminate
-                for mono in rule.rhs:
-                    if monomial_key(mono) >= monomial_key(rule.lhs):
-                        raise PresentationError(
-                            f"rule {entry['lhs']} does not terminate: rhs monomial "
-                            f"{list(mono)} is not below its lhs in the graded order"
-                        )
-                rules.append(rule)
-            if rules:
-                pres = Presentation(n, R, rules, name=data.get("name", ""))
-            return pres
+                rules.append(RewriteRule(tuple(lhs), _element_terms_from_json(entry["rhs"], n)))
+            return Presentation(n, R, rules, name=data.get("name", ""))
         except TypeError as exc:
             raise PresentationError(f"malformed presentation: {exc}") from exc
 
@@ -433,9 +417,6 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.presentation == other.presentation and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.presentation.key(), frozenset((m, c) for m, c in self.terms.items())))
 
     # -- conversion --------------------------------------------------------
 

@@ -191,7 +191,7 @@ def build_r4(classical: bool = False) -> SpaceBundle:
     spin_values = {
         BasisWord((), alpha): TensorElement.zero(p, 1, True) for alpha in range(SPINOR_RANK)
     }
-    spin = SpinStructure(calc, SPINOR_RANK, gamma, Connection(calc, spin_values), matrices)
+    spin = SpinStructure(calc, gamma, Connection(calc, spin_values))
 
     structures = StructureSet(calculus=calc, metric=metric, connection=connection, spin=spin)
     return SpaceBundle("r4", structures, None, matrices)
@@ -202,9 +202,7 @@ def undeformed_spin_structure(bundle: SpaceBundle) -> SpinStructure:
     calc = bundle.calculus
     matrices = gamma_theta_matrices(classical=True)
     gamma = gamma_from_matrices(calc, matrices)
-    return SpinStructure(
-        calc, SPINOR_RANK, gamma, bundle.structures.spin.spin_connection, matrices
-    )
+    return SpinStructure(calc, gamma, bundle.structures.spin.spin_connection)
 
 
 def _form_sum(p: Presentation, coeff) -> TensorElement:

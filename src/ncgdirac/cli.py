@@ -23,7 +23,7 @@ from .reports import Report, write_report_atomic
 from .scalars import Scalar
 from .spectrum import spectrum_scan
 from .spin import dirac
-from .tensors import TensorElement
+from .tensors import SPINOR_RANK, TensorElement
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -127,9 +127,6 @@ def _structures_payload(bundle: SpaceBundle) -> dict:
 
 
 def _cmd_induce(args) -> int:
-    if args.space not in ("s3", "t2"):
-        print("error: induce requires a hypersurface space (s3 or t2)", file=sys.stderr)
-        return EXIT_BAD_INPUT
     bundle = build_space(args.space)
     payload = {"space": args.space, "pass": True}
     if args.emit_structures:
@@ -142,7 +139,7 @@ def _cmd_dirac(args) -> int:
     bundle = build_space(args.space)
     p = bundle.presentation
     payload = {"space": args.space, "basis_dirac": {}}
-    for alpha in range(bundle.structures.spin.rank):
+    for alpha in range(SPINOR_RANK):
         value = dirac(bundle.structures.spin, TensorElement.basis(p, (), alpha))
         payload["basis_dirac"][f"e{alpha + 1}"] = value.to_json()
     _emit(payload, args)
@@ -150,10 +147,7 @@ def _cmd_dirac(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.space != "t2":
-        print("error: spectrum requires space t2", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    bundle = build_space("t2")
+    bundle = build_space(args.space)
     report = spectrum_scan(bundle, args.mmax, args.theta)
     _emit(report.to_json(), args)
     return EXIT_OK if report.all_passed else EXIT_FAILED
@@ -186,9 +180,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_space=True):
-        if with_space:
-            sp.add_argument("space", choices=CATALOG_NAMES, nargs="?", default="r4")
+    def add_common(sp, spaces=CATALOG_NAMES):
+        if spaces:
+            sp.add_argument("space", choices=spaces, nargs="?", default=spaces[0])
         sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--out", default=None, help="write the report to this path")
 
@@ -198,7 +192,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("induce", help="run the hypersurface induction and golden checks")
-    add_common(sp)
+    add_common(sp, ("s3", "t2"))
     sp.add_argument("--emit-structures", action="store_true")
     sp.set_defaults(func=_cmd_induce)
 
@@ -207,13 +201,13 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_dirac)
 
     sp = sub.add_parser("spectrum", help="numeric torus spectrum against the closed form")
-    add_common(sp)
+    add_common(sp, ("t2",))
     sp.add_argument("--theta", type=float, default=0.0)
     sp.add_argument("--mmax", type=int, default=2)
     sp.set_defaults(func=_cmd_spectrum)
 
     sp = sub.add_parser("report-all", help="full verification and spectrum report")
-    add_common(sp, with_space=False)
+    add_common(sp, ())
     sp.add_argument("--theta", type=float, default=0.7)
     sp.add_argument("--mmax", type=int, default=2)
     sp.set_defaults(func=_cmd_report_all)

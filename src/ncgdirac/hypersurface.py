@@ -21,7 +21,7 @@ from .geometry import Calculus, Connection, Metric
 from .reports import Report
 from .scalars import HALF, Scalar
 from .spin import SpinStructure, StructureSet, dirac
-from .tensors import BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
+from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
 
 
 class HypersurfaceError(ValueError):
@@ -154,12 +154,6 @@ def _gamma2(h: HypersurfaceSpec, e: TensorElement) -> TensorElement:
     return h.gamma_q.apply_at(out, out.degree - 1)
 
 
-def _projected_basis(h: HypersurfaceSpec) -> list[TensorElement]:
-    """Pi(dz_i) for every ambient generator, on quotient representatives."""
-    quotient = h.quotient_presentation
-    return [h.pi.apply(TensorElement.basis(quotient, (i,))) for i in range(quotient.n)]
-
-
 def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     """Verify the three induction assumptions and the lemma corollaries.
 
@@ -173,7 +167,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     cert = AssumptionCertificate(subject=quotient.name or "assumptions")
     sigma_q = h.conn_q.sigma
     nabla_nu = h.nabla_nu_q
-    pbasis = _projected_basis(h)
+    pbasis = [h.quotient_calculus.canon_basis_form(i) for i in range(n)]
 
     def nu_checks():
         # assumption 1: sigma(w (x) nu) = nu (x) w and sigma(nu (x) w) = w (x) nu
@@ -241,7 +235,7 @@ def induced_metric(h: HypersurfaceSpec) -> Metric:
     quotient = h.quotient_presentation
     qc = h.quotient_calculus
     g_element = qc.canon(h.metric_q.g_element)
-    pbasis = _projected_basis(h)
+    pbasis = [qc.canon_basis_form(i) for i in range(quotient.n)]
     images = {}
     for i in range(quotient.n):
         for j in range(quotient.n):
@@ -275,26 +269,24 @@ def induced_spin(h: HypersurfaceSpec) -> SpinStructure:
     h.require_certificate()
     quotient = h.quotient_presentation
     qc = h.quotient_calculus
-    rank = h.ambient.spin.rank
-
-    pbasis = _projected_basis(h)
+    pbasis = [qc.canon_basis_form(i) for i in range(quotient.n)]
     gamma_images = {}
     for i in range(quotient.n):
-        for alpha in range(rank):
+        for alpha in range(SPINOR_RANK):
             e_a = TensorElement.basis(quotient, (), alpha)
             t = tensor(tensor(pbasis[i], h.nu_q), e_a)
             gamma_images[BasisWord((i,), alpha)] = _gamma2(h, t)
     gamma = LeftLinearMap(quotient, (1, True), (0, True), gamma_images)
 
     spin_values = {}
-    for alpha in range(rank):
+    for alpha in range(SPINOR_RANK):
         e_a = TensorElement.basis(quotient, (), alpha)
         base = h.spin_conn_q.values[BasisWord((), alpha)]
         t = tensor(tensor(h.nabla_nu_q, h.nu_q), e_a)
-        correction = h.gamma_q.apply_at(h.gamma_q.apply_at(t, 2), 1).scale(HALF)
+        correction = _gamma2(h, t).scale(HALF)
         spin_values[BasisWord((), alpha)] = qc.canon(base + correction)
     spin_connection = Connection(qc, spin_values)
-    return SpinStructure(qc, rank, gamma, spin_connection, matrices=None)
+    return SpinStructure(qc, gamma, spin_connection)
 
 
 def induced_structures(h: HypersurfaceSpec) -> StructureSet:

@@ -284,9 +284,6 @@ class Scalar:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     # -- evaluation --------------------------------------------------------
 
     def eval_numeric(self, theta: float) -> complex:

@@ -8,7 +8,7 @@ from .algebra import AlgebraElement, Presentation, add_term
 from .geometry import Calculus, Connection, Metric, tensor_connection_apply
 from .reports import Report
 from .scalars import Scalar
-from .tensors import BasisWord, LeftLinearMap, TensorElement, tensor
+from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, tensor
 
 ScalarMatrix = tuple[tuple[Scalar, ...], ...]
 
@@ -36,35 +36,25 @@ def mat_scale(a: ScalarMatrix, s: Scalar) -> ScalarMatrix:
 
 
 class SpinStructure:
-    """Spinor module data: Clifford map, spin connection, optional gamma matrices.
+    """Clifford map and spin connection on the rank-SPINOR_RANK spinor module.
 
-    The Clifford action is always stored as a left-linear map on dz_i (x)
-    e_alpha; for the flat ambient space its images come from constant Scalar
-    matrices (kept in `matrices` for bracket computations), while induced
-    hypersurface actions have algebra-valued images and no matrix form.
+    The Clifford action is stored as a left-linear map on dz_i (x) e_alpha;
+    for the flat ambient space its images come from constant Scalar matrices,
+    while induced hypersurface actions have algebra-valued images.
     """
 
-    __slots__ = ("calculus", "rank", "gamma", "spin_connection", "matrices")
+    __slots__ = ("calculus", "gamma", "spin_connection")
 
-    def __init__(
-        self,
-        calculus: Calculus,
-        rank: int,
-        gamma: LeftLinearMap,
-        spin_connection: Connection,
-        matrices: tuple[ScalarMatrix, ...] | None = None,
-    ):
+    def __init__(self, calculus: Calculus, gamma: LeftLinearMap, spin_connection: Connection):
         if gamma.domain != (1, True) or gamma.codomain != (0, True):
             raise ValueError("gamma must map dz_i (x) e_alpha to spinors")
         self.calculus = calculus
-        self.rank = rank
         self.gamma = gamma
         self.spin_connection = spin_connection
-        self.matrices = matrices
 
     def spinor_basis(self) -> list[TensorElement]:
         p = self.calculus.presentation
-        return [TensorElement.basis(p, (), alpha) for alpha in range(self.rank)]
+        return [TensorElement.basis(p, (), alpha) for alpha in range(SPINOR_RANK)]
 
 
 def matrix_act(matrix: ScalarMatrix, s: TensorElement) -> TensorElement:
@@ -111,17 +101,16 @@ def theta_commutator(a: ScalarMatrix, b: ScalarMatrix, phase: Scalar) -> ScalarM
     return mat_add(mat_mul(a, b), mat_scale(mat_mul(b, a), -phase))
 
 
-def theta_brackets(spin: SpinStructure, i: int, j: int) -> tuple[ScalarMatrix, ScalarMatrix]:
-    """(theta-anticommutator, theta-commutator) of gamma_i and gamma_j.
+def theta_brackets(
+    matrices: tuple[ScalarMatrix, ...], R, i: int, j: int
+) -> tuple[ScalarMatrix, ScalarMatrix]:
+    """(theta-anticommutator, theta-commutator) of the constant gamma_i and gamma_j.
 
     {g_i, g_j}_theta = g_i g_j + R[j][i] g_j g_i, and the commutator with the
-    minus sign; only available for constant-matrix Clifford actions.
+    minus sign.
     """
-    if spin.matrices is None:
-        raise ValueError("theta brackets need a constant-matrix Clifford action")
-    gi, gj = spin.matrices[i], spin.matrices[j]
-    phase = spin.calculus.presentation.R[j][i]
-    return theta_commutator(gi, gj, -phase), theta_commutator(gi, gj, phase)
+    gi, gj = matrices[i], matrices[j]
+    return theta_commutator(gi, gj, -R[j][i]), theta_commutator(gi, gj, R[j][i])
 
 
 def dirac(spin: SpinStructure, spinor: TensorElement) -> TensorElement:
@@ -145,7 +134,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
                 pair = tensor(basis[i], basis[j])
                 braided = conn.sigma.apply_at(pair, 0)
                 g_val = metric.pair(pair)
-                for alpha in range(spin.rank):
+                for alpha in range(SPINOR_RANK):
                     e_a = spinors[alpha]
                     lhs = gamma_iterated(spin, tensor(pair, e_a)) + gamma_iterated(
                         spin, tensor(braided, e_a)
@@ -157,7 +146,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
 
     def compatibility_checks():
         for i in range(p.n):
-            for alpha in range(spin.rank):
+            for alpha in range(SPINOR_RANK):
                 base = tensor(basis[i], spinors[alpha])
                 lhs = spin.spin_connection.apply(gamma_apply(spin, base))
                 big = tensor_connection_apply(conn, spin.spin_connection, base)

@@ -46,11 +46,6 @@ def _twist_exp(p: Presentation, forms: tuple[int, ...], mono: Monomial) -> int:
     return exp
 
 
-def twist_phase(p: Presentation, forms: tuple[int, ...], mono: Monomial) -> Scalar:
-    """Phase from commuting the monomial left through the basis letters."""
-    return Scalar.q_power(_twist_exp(p, forms, mono))
-
-
 def _twisted_through(p: Presentation, forms: tuple[int, ...], a: AlgebraElement) -> AlgebraElement:
     """a moved left through the basis letters, as w * a = (moved a) * w."""
     if not forms:
@@ -184,22 +179,25 @@ class TensorElement:
         A word whose length is not the degree, or an alpha that does not match
         the spinor flag, is a ShapeError (a ValueError) from the constructor.
         """
-        degree, has_spin = data["degree"], data["spinor"]
-        # bool is an int subclass, so the type checks are exact
-        if type(degree) is not int or degree < 0:
-            raise ValueError(f"tensor degree must be a non-negative JSON integer: {degree!r}")
-        if type(has_spin) is not bool:
-            raise ValueError(f"tensor spinor flag must be a JSON boolean: {has_spin!r}")
-        terms = {}
-        for entry in data["terms"]:
-            forms = tuple(entry["word"])
-            if any(type(i) is not int or not 0 <= i < p.n for i in forms):
-                raise ValueError(f"word letters must be JSON integers in 0..{p.n - 1}: {list(forms)}")
-            alpha = entry.get("alpha")
-            if alpha is not None and (type(alpha) is not int or not 0 <= alpha < SPINOR_RANK):
-                raise ValueError(f"spinor index must be a JSON integer in 0..{SPINOR_RANK - 1}: {alpha!r}")
-            terms[BasisWord(forms, alpha)] = AlgebraElement.from_json(entry["coeff"], p)
-        return TensorElement(p, degree, has_spin, terms)
+        try:
+            degree, has_spin = data["degree"], data["spinor"]
+            # bool is an int subclass, so the type checks are exact
+            if type(degree) is not int or degree < 0:
+                raise ValueError(f"tensor degree must be a non-negative JSON integer: {degree!r}")
+            if type(has_spin) is not bool:
+                raise ValueError(f"tensor spinor flag must be a JSON boolean: {has_spin!r}")
+            terms = {}
+            for entry in data["terms"]:
+                forms = tuple(entry["word"])
+                if any(type(i) is not int or not 0 <= i < p.n for i in forms):
+                    raise ValueError(f"word letters must be JSON integers in 0..{p.n - 1}: {list(forms)}")
+                alpha = entry.get("alpha")
+                if alpha is not None and (type(alpha) is not int or not 0 <= alpha < SPINOR_RANK):
+                    raise ValueError(f"spinor index must be a JSON integer in 0..{SPINOR_RANK - 1}: {alpha!r}")
+                terms[BasisWord(forms, alpha)] = AlgebraElement.from_json(entry["coeff"], p)
+            return TensorElement(p, degree, has_spin, terms)
+        except (TypeError, KeyError) as exc:  # a list for an object, a missing field
+            raise ValueError(f"malformed tensor: {exc!r}") from exc
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -263,11 +261,6 @@ class LeftLinearMap:
             if img.shape() != codomain:
                 raise ShapeError(f"image of {w} does not fit codomain {codomain}")
 
-    @staticmethod
-    def identity(p: Presentation, degree: int) -> "LeftLinearMap":
-        images = {w: TensorElement.basis(p, w.forms) for w in all_basis_words(p, degree)}
-        return LeftLinearMap(p, (degree, False), (degree, False), images)
-
     def apply(self, e: TensorElement) -> TensorElement:
         if e.shape() != self.domain:
             raise ShapeError(f"element shape {e.shape()} does not match domain {self.domain}")
@@ -306,13 +299,6 @@ class LeftLinearMap:
                 )
                 add_term(out, out_word, c * _twisted_through(p, prefix, c2))
         return TensorElement(p, out_degree, out_spin, out)
-
-    def compose(self, inner: "LeftLinearMap") -> "LeftLinearMap":
-        """Eager composition self after inner (domains must chain exactly)."""
-        if inner.codomain != self.domain:
-            raise ShapeError("composition shapes do not chain")
-        images = {w: self.apply(img) for w, img in inner.images.items()}
-        return LeftLinearMap(self.presentation, inner.domain, self.codomain, images)
 
     def convert(self, target: Presentation) -> "LeftLinearMap":
         return LeftLinearMap(

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgdirac import algebra
 from ncgdirac.algebra import (
     AlgebraElement,
     Presentation,
@@ -229,17 +230,35 @@ def test_convert_between_presentations(p_r4, p_s3):
     assert b == normal_form([1, 3, 0], Scalar.one(), p_s3)
 
 
-def test_step_budget_guard(monkeypatch, p_r4):
-    # a rule that reproduces its own left side loops forever without the guard
-    looping = Presentation(
-        4,
-        p_r4.R,
-        (RewriteRule((2, 0, 0, 0), {(2, 0, 0, 0): Scalar.q_power(4)}),),
-        name="loop",
-    )
-    monkeypatch.setenv("NCG_STEP_BUDGET", "500")
+def test_non_decreasing_rule_rejected_at_construction(p_r4):
+    # a rule that reproduces its own left side would rewrite forever
+    looping = (RewriteRule((2, 0, 0, 0), {(2, 0, 0, 0): Scalar.q_power(4)}),)
+    with pytest.raises(PresentationError, match=r"rule \[0, 0\] .* not below its lhs"):
+        Presentation(4, p_r4.R, looping, name="loop")
+
+
+def test_step_budget_guard(monkeypatch, p_s3):
+    monkeypatch.setattr(algebra, "STEP_BUDGET", 3)
     with pytest.raises(RewriteBudgetExceeded):
-        normal_form([0, 0], Scalar.one(), looping)
+        normal_form([3, 2, 1, 0], Scalar.one(), p_s3)
+
+
+def test_presentation_equality_ignores_name(p_s3):
+    renamed = Presentation(p_s3.n, p_s3.R, p_s3.rules, name="renamed")
+    assert renamed == p_s3
+    assert hash(renamed) == hash(p_s3)
+
+
+def test_presentation_equality_sees_content(p_r4, p_s3):
+    (rule,) = p_s3.rules
+    first = min(rule.rhs)
+    rhs = {m: c * Scalar.rational(2) if m == first else c for m, c in rule.rhs.items()}
+    recoefficient = Presentation(p_s3.n, p_s3.R, (RewriteRule(rule.lhs, rhs),), name="s3")
+    assert recoefficient != p_s3
+    # R[0][2] * R[2][0] must stay 1, so the mirrored entry moves with it
+    R = [list(row) for row in p_r4.R]
+    R[0][2], R[2][0] = Scalar.q_power(4), Scalar.q_power(-4)
+    assert Presentation(p_r4.n, R, (), name="r4") != p_r4
 
 
 # -- serialization -----------------------------------------------------------

@@ -182,11 +182,11 @@ def _corrupt(s, family: str):
         return replace(s, connection=Connection(conn.calculus, values, conn.sigma, conn.sigma_inv))
     if family == "gamma":
         gamma = _doubled(spin.gamma, BasisWord((1,), 2))
-        return replace(s, spin=SpinStructure(spin.calculus, spin.rank, gamma, spin.spin_connection))
+        return replace(s, spin=SpinStructure(spin.calculus, gamma, spin.spin_connection))
     values = dict(spin.spin_connection.values)
     values[BasisWord((), 1)] = values[BasisWord((), 1)].scale(Scalar.rational(2))
     spin_connection = Connection(spin.calculus, values)
-    return replace(s, spin=SpinStructure(spin.calculus, spin.rank, spin.gamma, spin_connection))
+    return replace(s, spin=SpinStructure(spin.calculus, spin.gamma, spin_connection))
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])

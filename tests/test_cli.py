@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ncgdirac import algebra
 from ncgdirac.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 from ncgdirac.catalog import r4_presentation
 
@@ -75,7 +76,7 @@ def test_induce_s3_emit_structures(capsys, s3):
 def test_induce_rejects_flat_space(capsys):
     code, _, err = run(capsys, "induce", "r4")
     assert code == EXIT_BAD_INPUT
-    assert "hypersurface" in err
+    assert "'s3'" in err and "'t2'" in err
 
 
 def test_dirac_command_t2(capsys):
@@ -113,6 +114,12 @@ def test_spectrum_requires_torus(capsys):
     code, _, err = run(capsys, "spectrum", "s3")
     assert code == EXIT_BAD_INPUT
     assert "t2" in err
+
+
+def test_spectrum_defaults_to_torus(capsys):
+    code, out, _ = run(capsys, "spectrum", "--mmax", "0")
+    assert code == EXIT_OK
+    assert json.loads(out)["mmax"] == 0
 
 
 def test_spectrum_text_format(capsys):
@@ -209,7 +216,7 @@ def test_exhausted_step_budget_rejected(command, tmp_path, capsys, monkeypatch):
         "verify-presentation": ["verify", "--presentation", str(path)],
         "dirac-t2": ["dirac", "t2"],
     }[command]
-    monkeypatch.setenv("NCG_STEP_BUDGET", "3")
+    monkeypatch.setattr(algebra, "STEP_BUDGET", 3)
     code, _, err = run(capsys, *argv)
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and "budget" in err

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import (
     SPINOR_RANK,
@@ -58,39 +56,35 @@ def test_gamma_matches_matrix_action(r4):
 
 
 def test_theta_anticommutator_table(r4):
-    spin = r4.structures.spin
     for i in range(4):
         for j in range(4):
-            anti, _ = theta_brackets(spin, i, j)
+            anti, _ = theta_brackets(r4.base_matrices, r4.presentation.R, i, j)
             want = mat_scale(identity_matrix(4), Scalar.rational(-2 * metric_upper(i, j)))
             assert anti == want, (i, j)
 
 
 def test_theta_anticommutator_examples(r4):
-    spin = r4.structures.spin
-    anti13, _ = theta_brackets(spin, 0, 2)
+    anti13, _ = theta_brackets(r4.base_matrices, r4.presentation.R, 0, 2)
     assert anti13 == mat_scale(identity_matrix(4), Scalar.rational(-4))
-    anti11, _ = theta_brackets(spin, 0, 0)
+    anti11, _ = theta_brackets(r4.base_matrices, r4.presentation.R, 0, 0)
     assert mat_is_zero(anti11)
 
 
 def test_theta_anticommutator_symmetry(r4):
     p = r4.presentation
-    spin = r4.structures.spin
     for i in range(4):
         for j in range(4):
-            aij, _ = theta_brackets(spin, i, j)
-            aji, _ = theta_brackets(spin, j, i)
+            aij, _ = theta_brackets(r4.base_matrices, p.R, i, j)
+            aji, _ = theta_brackets(r4.base_matrices, p.R, j, i)
             assert aij == mat_scale(aji, p.R[j][i])
 
 
 def test_theta_commutator_antisymmetry(r4):
     p = r4.presentation
-    spin = r4.structures.spin
     for i in range(4):
         for j in range(4):
-            _, cij = theta_brackets(spin, i, j)
-            _, cji = theta_brackets(spin, j, i)
+            _, cij = theta_brackets(r4.base_matrices, p.R, i, j)
+            _, cji = theta_brackets(r4.base_matrices, p.R, j, i)
             flipped = mat_scale(cji, Scalar.rational(-1) * p.R[j][i])
             assert cij == flipped
 
@@ -194,8 +188,3 @@ def test_deformed_matrices_specialize_to_classical():
         for r in range(4):
             for c in range(4):
                 assert deformed[i][r][c].at_q_one() == classical[i][r][c]
-
-
-def test_theta_brackets_require_matrices(s3):
-    with pytest.raises(ValueError):
-        theta_brackets(s3.structures.spin, 0, 1)
