@@ -38,20 +38,6 @@ class RewriteBudgetExceeded(RuntimeError):
     """
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self):
-        self.left = STEP_BUDGET
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise RewriteBudgetExceeded(
-                f"rewrite step budget of {STEP_BUDGET} steps exceeded"
-            )
-
-
 class RewriteRule:
     """Oriented quotient rule lhs -> rhs with lhs an ordered monomial."""
 
@@ -197,6 +183,8 @@ class Presentation:
             return Presentation(n, R, rules, name=data.get("name", ""))
         except TypeError as exc:
             raise PresentationError(f"malformed presentation: {exc}") from exc
+        except KeyError as exc:  # str(exc) is the quoted field name
+            raise PresentationError(f"malformed presentation: missing field {exc}") from exc
 
     def __repr__(self) -> str:
         return f"Presentation({self.name or 'anonymous'}, n={self.n}, rules={len(self.rules)})"
@@ -293,36 +281,43 @@ def add_term(out: dict, key, coeff):
         out[key] = s
 
 
-def _accumulate(out: dict, mono: Monomial, coeff: Scalar, qexp: int, p: Presentation, budget: _Budget):
-    """Add coeff * q**qexp * mono in normal form into out, to the rule fixpoint."""
-    if coeff.is_zero():
-        return
-    for rule in p.rules:
-        if _divides(rule.lhs, mono):
-            budget.spend()
-            rem, exp = _extraction_exp(mono, rule.lhs, p)
-            for rmono, rcoef in rule.rhs.items():
-                _mul_letters(out, rem, _mono_letters(rmono), coeff * rcoef, qexp + exp, p, budget)
-            return
-    add_term(out, mono, coeff.q_shift(qexp))
+def _normal_sum(p: Presentation, pending: list) -> dict[Monomial, Scalar]:
+    """Normal form of a sum of products coeff * mono * z_{letters[0]} * ...
+
+    pending holds (mono, letters, coeff) triples.  Each product is multiplied
+    out letter by letter and rewritten to the rule fixpoint on an explicit
+    stack, so a long rewriting chain is bounded by the step budget (one step
+    per inserted letter and per rule application), not by the interpreter's
+    recursion limit.  A rule's rhs terms are pushed in reverse, so terms are
+    added in depth-first order, first rhs term first.
+    """
+    out: dict[Monomial, Scalar] = {}
+    stack = [(mono, letters, coeff, 0) for mono, letters, coeff in reversed(pending)]
+    left = STEP_BUDGET
+    while stack:
+        mono, letters, coeff, qexp = stack.pop()
+        left -= len(letters)
+        for k in letters:
+            mono, exp = _insert_gen(mono, k, p)
+            qexp += exp
+        if not coeff.is_zero():
+            for rule in p.rules:
+                if _divides(rule.lhs, mono):
+                    left -= 1
+                    rem, exp = _extraction_exp(mono, rule.lhs, p)
+                    for rmono, rcoef in reversed(rule.rhs.items()):
+                        stack.append((rem, _mono_letters(rmono), coeff * rcoef, qexp + exp))
+                    break
+            else:
+                add_term(out, mono, coeff.q_shift(qexp))
+        if left < 0:
+            raise RewriteBudgetExceeded(f"rewrite step budget of {STEP_BUDGET} steps exceeded")
+    return out
 
 
 def _reduce(terms: dict[Monomial, Scalar], p: Presentation) -> dict[Monomial, Scalar]:
     """Normal form in p of a sparse sum of (possibly reducible) monomials."""
-    budget = _Budget()
-    out: dict[Monomial, Scalar] = {}
-    for m, c in terms.items():
-        _accumulate(out, m, c, 0, p, budget)
-    return out
-
-
-def _mul_letters(out: dict, base: Monomial, letters, coeff: Scalar, qexp: int, p: Presentation, budget: _Budget):
-    """Accumulate coeff * q**qexp * base * z_{letters[0]} * ... in normal form."""
-    for k in letters:
-        budget.spend()
-        base, exp = _insert_gen(base, k, p)
-        qexp += exp
-    _accumulate(out, base, coeff, qexp, p, budget)
+    return _normal_sum(p, [(m, (), c) for m, c in terms.items()])
 
 
 def _mono_product(p: Presentation, m1: Monomial, m2: Monomial) -> dict[Monomial, Scalar]:
@@ -334,9 +329,7 @@ def _mono_product(p: Presentation, m1: Monomial, m2: Monomial) -> dict[Monomial,
     key = (m1, m2)
     cached = p._product_cache.get(key)
     if cached is None:
-        out: dict[Monomial, Scalar] = {}
-        _mul_letters(out, m1, _mono_letters(m2), Scalar.one(), 0, p, _Budget())
-        p._product_cache[key] = cached = out
+        p._product_cache[key] = cached = _normal_sum(p, [(m1, _mono_letters(m2), Scalar.one())])
     return cached
 
 
@@ -463,10 +456,7 @@ def normal_form(word, coeff: Scalar, p: Presentation) -> AlgebraElement:
     for k in word:
         if not 0 <= k < p.n:
             raise IndexError(f"generator index {k} out of range")
-    budget = _Budget()
-    out: dict[Monomial, Scalar] = {}
-    _mul_letters(out, (0,) * p.n, list(word), coeff, 0, p, budget)
-    return AlgebraElement(p, out)
+    return AlgebraElement(p, _normal_sum(p, [((0,) * p.n, list(word), coeff)]))
 
 
 def is_central(a: AlgebraElement) -> bool:

@@ -19,7 +19,6 @@ from .geometry import Calculus, Connection, Metric, verify_metric
 from .hypersurface import (
     HypersurfaceSpec,
     build_hypersurface,
-    check_assumptions,
     induced_dirac,
     induced_structures,
 )
@@ -29,6 +28,7 @@ from .spin import (
     ScalarMatrix,
     SpinStructure,
     StructureSet,
+    dirac,
     gamma_from_matrices,
     mat_mul,
     mat_scale,
@@ -184,7 +184,9 @@ def build_r4(classical: bool = False) -> SpaceBundle:
     conn_values = {
         BasisWord((i,), None): TensorElement.zero(p, 2, False) for i in range(N_GEN)
     }
-    connection = Connection(calc, conn_values, sigma, sigma.inverse_permutation())
+    # sigma^-1(dz_j (x) dz_i) = R[i][j] dz_i (x) dz_j, which is sigma(dz_j (x) dz_i):
+    # R[i][j] R[j][i] = 1 makes the braiding an involution
+    connection = Connection(calc, conn_values, sigma, sigma)
 
     matrices = gamma_theta_matrices(classical)
     gamma = gamma_from_matrices(calc, matrices)
@@ -327,7 +329,7 @@ def _golden_s3(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
     for alpha in range(SPINOR_RANK):
         e_a = TensorElement.basis(p, (), alpha)
         want = e_a.scale(Scalar.rational(Fraction(-3, 2)))
-        _expect(f"D_B[e{alpha + 1}]", induced_dirac(h, e_a), want)
+        _expect(f"D_B[e{alpha + 1}]", dirac(structures.spin, e_a), want)
 
 
 def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
@@ -377,22 +379,21 @@ def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
             got = structures.spin.gamma.images[BasisWord((i,), alpha)]
             _expect(f"gamma_C[dz{i + 1},e{alpha + 1}]", got, want)
 
-    # composite and explicit Dirac paths agree on basis spinors
+    # composite gamma o nabla^sp and explicit Dirac formula agree on basis spinors
     for alpha in range(SPINOR_RANK):
         e_a = TensorElement.basis(p, (), alpha)
         _expect(
             f"D_C_paths[e{alpha + 1}]",
-            induced_dirac(h, e_a, via="composite"),
-            induced_dirac(h, e_a, via="explicit"),
+            dirac(structures.spin, e_a),
+            induced_dirac(h, e_a),
         )
 
 
 def _induce(ambient: SpaceBundle, f: AlgebraElement, name: str, golden, check) -> SpaceBundle:
     """One induction step: hypersurface, certificate, verify_space (if check), golden forms."""
     h = build_hypersurface(ambient.structures, f, name=name)
-    cert = check_assumptions(h)
-    if not cert.all_passed:
-        raise GoldenMismatch(f"{name} assumption certificate", cert.to_json())
+    if not h.certificate.all_passed:
+        raise GoldenMismatch(f"{name} assumption certificate", h.certificate.to_json())
     bundle = SpaceBundle(name, induced_structures(h), h, ambient.base_matrices)
     if check:
         report = verify_space(bundle)

@@ -91,12 +91,8 @@ class Connection:
         self.sigma = sigma
         self.sigma_inv = sigma_inv
 
-    def apply(self, e: TensorElement, canonical: bool = True) -> TensorElement:
-        """Left Leibniz extension: nabla(c*w) = c*nabla(w) + d(c) (x) w.
-
-        canonical=False returns an unprojected class representative, which is
-        enough when the result feeds another extensional (class-correct) map.
-        """
+    def apply(self, e: TensorElement) -> TensorElement:
+        """Left Leibniz extension: nabla(c*w) = c*nabla(w) + d(c) (x) w."""
         calc = self.calculus
         sample = next(iter(self.values.values()))
         terms: dict[BasisWord, AlgebraElement] = {}
@@ -106,7 +102,7 @@ class Connection:
                 raise KeyError(f"connection has no value for basis word {w}")
             _add_leibniz(terms, c, w, value)
         out = TensorElement(calc.presentation, sample.degree, sample.has_spin, terms)
-        return calc.canon(out) if canonical else out
+        return calc.canon(out)
 
 
 class Metric:
@@ -150,8 +146,8 @@ def tensor_connection_apply(conn_v: Connection, conn_e: Connection, e: TensorEle
         rest_elem = TensorElement.basis(p, rest.forms, rest.spin)
         # nabla_V on the first slot
         term1 = tensor(conn_v.values[BasisWord((i,), None)], rest_elem)
-        # braid dz_i past nabla_E of the remainder
-        inner = conn_e.apply(rest_elem, canonical=False)
+        # braid dz_i past nabla_E of the remainder, a basis word with coefficient 1
+        inner = conn_e.values[rest]
         term2 = conn_v.sigma.apply_at(tensor(TensorElement.basis(p, (i,)), inner), 0)
         _add_leibniz(terms, c, w, term1 + term2)
     return TensorElement(p, e.degree + 1, e.has_spin, terms)

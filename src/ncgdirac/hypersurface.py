@@ -20,7 +20,7 @@ from .algebra import AlgebraElement, Presentation, extend_presentation, is_centr
 from .geometry import Calculus, Connection, Metric
 from .reports import Report
 from .scalars import HALF, Scalar
-from .spin import SpinStructure, StructureSet, dirac
+from .spin import SpinStructure, StructureSet
 from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
 
 
@@ -45,7 +45,7 @@ class AssumptionCertificate(Report):
 
 @dataclass(slots=True, eq=False)
 class HypersurfaceSpec:
-    """A built level-set hypersurface, ready for assumption checks and induction.
+    """A built level-set hypersurface with its assumption certificate, ready for induction.
 
     The *_q fields are the ambient structures with coefficients converted to
     the quotient presentation; conn_q carries the ambient braiding and its inverse.
@@ -63,15 +63,9 @@ class HypersurfaceSpec:
     gamma_q: LeftLinearMap
     conn_q: Connection
     spin_conn_q: Connection
-    certificate: AssumptionCertificate | None = None
-    _induced: StructureSet | None = field(default=None, init=False)
+    certificate: AssumptionCertificate = field(init=False)
 
     def require_certificate(self):
-        if self.certificate is None:
-            raise HypersurfaceError(
-                "certificate_missing",
-                "run check_assumptions before inducing structures",
-            )
         if not self.certificate.all_passed:
             raise HypersurfaceError(
                 "certificate_failed",
@@ -80,10 +74,11 @@ class HypersurfaceSpec:
 
 
 def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "") -> HypersurfaceSpec:
-    """Construct the quotient data for the level-set hypersurface of f.
+    """Construct the quotient data for the level-set hypersurface of f, certified.
 
     Raises HypersurfaceError with kind "f_not_central", "nu_not_central" or
-    "normalization" when the corresponding Definition clause fails.
+    "normalization" when the corresponding Definition clause fails.  A failing
+    assumption certificate is recorded, not raised: induction refuses it.
     """
     p_amb = ambient.presentation
     if f.presentation != p_amb:
@@ -132,7 +127,7 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
         pi_images[BasisWord((i,), None)] = qcalc.canon(free) - nu_q.left_mul(b)
     pi = LeftLinearMap(quotient, (1, False), (1, False), pi_images)
 
-    return HypersurfaceSpec(
+    h = HypersurfaceSpec(
         ambient=ambient,
         quotient_presentation=quotient,
         qcalc=qcalc,
@@ -146,6 +141,8 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
         conn_q=conn_q,
         spin_conn_q=spin_conn_q,
     )
+    h.certificate = check_assumptions(h)
+    return h
 
 
 def _gamma2(h: HypersurfaceSpec, e: TensorElement) -> TensorElement:
@@ -221,7 +218,6 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     cert.family("pi_transparency", pi_checks())
     cert.family("nabla_nu_transparency", nabla_nu_checks())
     cert.family("corollaries", corollary_checks())
-    h.certificate = cert
     return cert
 
 
@@ -290,32 +286,27 @@ def induced_spin(h: HypersurfaceSpec) -> SpinStructure:
 
 
 def induced_structures(h: HypersurfaceSpec) -> StructureSet:
-    if h._induced is None:
-        h.require_certificate()
-        h._induced = StructureSet(
-            calculus=h.quotient_calculus,
-            metric=induced_metric(h),
-            connection=induced_connection(h),
-            spin=induced_spin(h),
-        )
-    return h._induced
+    return StructureSet(
+        calculus=h.quotient_calculus,
+        metric=induced_metric(h),
+        connection=induced_connection(h),
+        spin=induced_spin(h),
+    )
 
 
-def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement, via: str = "composite") -> TensorElement:
-    """Induced Dirac operator, by the composite or the explicit closed formula.
+def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement) -> TensorElement:
+    """Induced Dirac operator by its explicit formula in ambient data.
 
-    The two code paths are maintained independently and tested equal; the
-    explicit path evaluates
+    Evaluates
     -1/2 (gamma_[2] - gamma_[2] (sigma (x) id))(nu (x) nabla^sp(s))
     + 1/2 gamma_[2]((Pi (x) id) nabla(nu) (x) s)
-    on ambient-level data at quotient coefficients.
+    on ambient-level data at quotient coefficients.  It equals the composite
+    spin.dirac(induced_spin(h), s) = gamma o nabla^sp of the induced
+    structures; the torus golden check compares the two on basis spinors.
     """
     h.require_certificate()
-    if via == "composite":
-        structures = induced_structures(h)
-        return dirac(structures.spin, spinor)
-    if via != "explicit":
-        raise ValueError("via must be 'composite' or 'explicit'")
+    if spinor.degree != 0 or not spinor.has_spin:
+        raise ValueError("Dirac operator acts on spinors")
     minus_half = Scalar.rational(-1) * HALF
     t = tensor(h.nu_q, h.spin_conn_q.apply(spinor))
     term1 = (_gamma2(h, t) - _gamma2(h, h.conn_q.sigma.apply_at(t, 0))).scale(minus_half)

@@ -308,24 +308,6 @@ class LeftLinearMap:
             {w: img.convert(target) for w, img in self.images.items()},
         )
 
-    def inverse_permutation(self) -> "LeftLinearMap":
-        """Invert a map whose images are single basis words with unit scalars."""
-        images: dict[BasisWord, TensorElement] = {}
-        p = self.presentation
-        for w, img in self.images.items():
-            if len(img.terms) != 1:
-                raise ValueError("map is not a scaled basis permutation")
-            (w2, c), = img.terms.items()
-            if len(c.terms) != 1:
-                raise ValueError("map is not a scaled basis permutation")
-            (mono, s), = c.terms.items()
-            if any(mono):
-                raise ValueError("map is not a scaled basis permutation")
-            images[w2] = TensorElement.basis(
-                p, w.forms, w.spin, AlgebraElement.from_scalar(p, s.inverse())
-            )
-        return LeftLinearMap(p, self.codomain, self.domain, images)
-
 
 def _all_words(n: int, degree: int) -> list[tuple[int, ...]]:
     words: list[tuple[int, ...]] = [()]

@@ -113,7 +113,7 @@ def test_criterion_3_s3_induction():
     rng = random.Random(2024)
     for _ in range(25):
         s = _rand_spinor(p, rng, max_degree=2)
-        diff = induced_dirac(h, s, via="composite") - induced_dirac(h, s, via="explicit")
+        diff = dirac(s3.structures.spin, s) - induced_dirac(h, s)
         assert diff.is_zero()
         assert (induced_dirac(h, s) - sphere_dirac_closed_form(s3, s)).is_zero()
         checks += 2
@@ -151,7 +151,7 @@ def test_criterion_4_t2_induction():
             gamma_nu_tilde(t2, induced_dirac(h, s)) - dtilde_apply(t2, s)
         ).is_zero()
         assert (gamma_nu_tilde(t2, gamma_nu_tilde(t2, s)) + s).is_zero()
-        diff = induced_dirac(h, s, via="composite") - induced_dirac(h, s, via="explicit")
+        diff = dirac(t2.structures.spin, s) - induced_dirac(h, s)
         assert diff.is_zero()
         assert (induced_dirac(h, s) - torus_dirac_closed_form(t2, s)).is_zero()
         checks += 4

@@ -243,6 +243,26 @@ def test_step_budget_guard(monkeypatch, p_s3):
         normal_form([3, 2, 1, 0], Scalar.one(), p_s3)
 
 
+def _chain_presentation(p_r4):
+    # the single valid rule z4 -> z3 over the r4 R: z4^n rewrites one letter
+    # at a time, a chain of n rule steps
+    return Presentation(p_r4.n, p_r4.R, (RewriteRule((0, 0, 0, 1), {(0, 0, 1, 0): Scalar.one()}),))
+
+
+def test_long_rewriting_chain_has_no_recursion_limit(p_r4):
+    n = 2000
+    got = normal_form([3] * n, Scalar.one(), _chain_presentation(p_r4))
+    assert got.terms == {(0, 0, n, 0): Scalar.q_power(-2 * n * (n - 1))}
+
+
+def test_long_rewriting_chain_hits_the_step_budget(monkeypatch, p_r4):
+    # the word takes 6000 steps (2000 letters, 2000 rule steps, 2000 rhs
+    # letters); a budget past the first 2000 lets the chain itself run out
+    monkeypatch.setattr(algebra, "STEP_BUDGET", 5000)
+    with pytest.raises(RewriteBudgetExceeded):
+        normal_form([3] * 2000, Scalar.one(), _chain_presentation(p_r4))
+
+
 def test_presentation_equality_ignores_name(p_s3):
     renamed = Presentation(p_s3.n, p_s3.R, p_s3.rules, name="renamed")
     assert renamed == p_s3

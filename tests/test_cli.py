@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,18 @@ import pytest
 from ncgdirac import algebra
 from ncgdirac.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 from ncgdirac.catalog import r4_presentation
+
+
+# sha256 of exact report bytes; every change to these outputs must be named.
+# The spectrum floats are left out: numpy's eigvals may differ in the last bits
+# across platforms, while these reports are exact.
+VERIFY_S3_SHA256 = "13d90232674ecf9e793d6dd106c29cd6f8280cb3a75345de98cb62ee69bb673c"
+DIRAC_T2_SHA256 = "4ebf2f4685bcbf4770bf75d36fafb6caf2a79e33fe320d00893224b23a275755"
+REPORT_ALL_SPACES_SHA256 = "98446bf25b26fdb24544e6557b0ef08387aa1a50f1421c05ef284985399d6dd2"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def run(capsys, *argv):
@@ -43,6 +56,7 @@ def test_verify_deterministic_output(tmp_path, capsys):
     run(capsys, "verify", "s3", "--out", str(a))
     run(capsys, "verify", "s3", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+    assert sha256(a.read_bytes()) == VERIFY_S3_SHA256
 
 
 def test_induce_s3_emit_structures(capsys, s3):
@@ -84,6 +98,7 @@ def test_dirac_command_t2(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert set(payload["basis_dirac"]) == {"e1", "e2", "e3", "e4"}
+    assert sha256(out.encode()) == DIRAC_T2_SHA256
 
 
 def test_dirac_command_flat_space(capsys):
@@ -196,6 +211,20 @@ MALFORMED_PRESENTATIONS = [
     pytest.param(_doc(ideal=[_rule([0, 2], term=(0, "1e5", "0"))]), "p/q", id="re-exponent"),
     pytest.param(_doc(ideal=[_rule([0, 2], term=(0, "0", "0.5"))]), "p/q", id="im-decimal"),
     pytest.param(_doc(ideal=[_rule([0, 2], term=(0, "1" * 5000, "0"))]), "out of range", id="re-5000-digits"),
+    pytest.param({"name": "x", "R": []}, "missing field 'generators'", id="generators-missing"),
+    pytest.param({"name": "x", "generators": 4}, "missing field 'R'", id="R-missing"),
+    pytest.param(_doc(ideal=[{"rhs": []}]), "missing field 'lhs'", id="lhs-missing"),
+    pytest.param(_doc(ideal=[{"lhs": [0, 2]}]), "missing field 'rhs'", id="rhs-missing"),
+    pytest.param(
+        _doc(ideal=[{"lhs": [0, 2], "rhs": [{"coeff": {"terms": [[0, "1", "0"]]}}]}]),
+        "missing field 'exps'",
+        id="exps-missing",
+    ),
+    pytest.param(
+        _doc(ideal=[{"lhs": [0, 2], "rhs": [{"exps": [0, 0, 0, 0]}]}]),
+        "missing field 'coeff'",
+        id="coeff-missing",
+    ),
 ]
 
 
@@ -235,3 +264,5 @@ def test_report_all(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert set(payload["spaces"]) == {"r4", "s3", "t2"}
     assert payload["spectrum"]["max_deviation"] < 1e-9
+    spaces = json.dumps(payload["spaces"], indent=2, sort_keys=True)
+    assert sha256(spaces.encode()) == REPORT_ALL_SPACES_SHA256

@@ -13,13 +13,11 @@ from ncgdirac.hypersurface import (
     HypersurfaceError,
     HypersurfaceSpec,
     build_hypersurface,
-    check_assumptions,
-    induced_connection,
     induced_dirac,
     induced_metric,
 )
 from ncgdirac.scalars import Scalar
-from ncgdirac.spin import verify_spinorial
+from ncgdirac.spin import dirac, verify_spinorial
 from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
 
 
@@ -128,7 +126,7 @@ def test_trivial_flip_braiding_fails_assumptions():
 
     ambient = StructureSet(s.calculus, s.metric, broken, s.spin)
     h = build_hypersurface(ambient, sphere_level_function(p), name="flip")
-    cert = check_assumptions(h)
+    cert = h.certificate  # recorded by the build, failing clauses and all
     assert not cert.all_passed
     failures = cert.failures()
     for clause in failures:
@@ -141,14 +139,6 @@ def test_trivial_flip_braiding_fails_assumptions():
     with pytest.raises(HypersurfaceError) as exc:
         induced_metric(h)
     assert exc.value.kind == "certificate_failed"
-
-
-def test_induction_gated_on_certificate():
-    r4 = build_r4()
-    h = build_hypersurface(r4.structures, sphere_level_function(r4.presentation))
-    with pytest.raises(HypersurfaceError) as exc:
-        induced_connection(h)
-    assert exc.value.kind == "certificate_missing"
 
 
 def test_spec_rejects_unknown_and_missing_fields(s3):
@@ -218,13 +208,14 @@ def rand_spinor(p, rng, max_degree=2):
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
 def test_composite_equals_explicit_dirac(space, s3, t2):
-    h = {"s3": s3, "t2": t2}[space].hypersurface
+    bundle = {"s3": s3, "t2": t2}[space]
+    h = bundle.hypersurface
     p = h.quotient_presentation
     rng = random.Random(41 if space == "s3" else 43)
     for _ in range(15):
         s = rand_spinor(p, rng)
-        lhs = induced_dirac(h, s, via="composite")
-        rhs = induced_dirac(h, s, via="explicit")
+        lhs = dirac(bundle.structures.spin, s)
+        rhs = induced_dirac(h, s)
         assert (lhs - rhs).is_zero()
 
 
@@ -236,15 +227,20 @@ def test_induced_dirac_derivation_property(space, s3, t2):
     h = bundle.hypersurface
     spin = bundle.structures.spin
     p = h.quotient_presentation
-    rng = random.Random(47)
-    for _ in range(15):
-        word = [rng.randrange(4) for _ in range(rng.randint(0, 3))]
-        a = normal_form(word, Scalar.one(), p)
-        s = rand_spinor(p, rng)
-        lhs = induced_dirac(h, s.left_mul(a))
-        da = bundle.structures.calculus.d(a)
-        rhs = induced_dirac(h, s).left_mul(a) + gamma_apply(spin, tensor(da, s))
-        assert (lhs - rhs).is_zero()
+    operators = {
+        "composite": lambda x: dirac(spin, x),
+        "explicit": lambda x: induced_dirac(h, x),
+    }
+    for name, apply_dirac in operators.items():
+        rng = random.Random(47)  # both operators see the same pairs
+        for _ in range(15):
+            word = [rng.randrange(4) for _ in range(rng.randint(0, 3))]
+            a = normal_form(word, Scalar.one(), p)
+            s = rand_spinor(p, rng)
+            lhs = apply_dirac(s.left_mul(a))
+            da = bundle.structures.calculus.d(a)
+            rhs = apply_dirac(s).left_mul(a) + gamma_apply(spin, tensor(da, s))
+            assert (lhs - rhs).is_zero(), name
 
 
 def test_iterated_ambient_is_previous_quotient(t2):

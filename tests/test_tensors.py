@@ -190,12 +190,6 @@ def test_missing_basis_image():
         m.apply(dz(1))
 
 
-def test_inverse_permutation_rejects_non_permutation():
-    m = g_inv_map()
-    with pytest.raises(ValueError):
-        m.inverse_permutation()
-
-
 def test_add_shape_mismatch():
     with pytest.raises(ShapeError):
         dz(0) + tensor(dz(0), dz(1))
