@@ -9,6 +9,12 @@ The rewriting strategy is insertion based.  Multiplying a normal monomial by a
 single generator on the right commutes the generator into place (collecting
 the exact q-phases) and then reduces to the rule fixpoint, so every compound
 operation reuses one well-tested kernel.
+
+Products of elements (and, in ``tensors`` and ``geometry``, of tensor
+coefficients) go through one accumulation kernel, ``_accumulate``: it adds
+c1 * c2 * (cached monomial product) straight into a raw map
+{monomial: {q-exponent: GaussianRational}} and builds a Scalar and an
+AlgebraElement only once per output coefficient.
 """
 
 from __future__ import annotations
@@ -16,11 +22,17 @@ from __future__ import annotations
 import json
 import re
 
-from .scalars import GaussianRational, Scalar
+from .scalars import _GR_ONE, GaussianRational, Scalar, _scalar
 
 Monomial = tuple[int, ...]
 
 STEP_BUDGET = 10**6  # rewrite steps per normal-form computation
+# monomial products kept per presentation: t2 holds 581 after a checked build
+# and 6,164 after spectrum scans up to mmax=16; past the bound, products are
+# computed without being stored
+PRODUCT_CACHE_BOUND = 50_000
+
+_new = object.__new__
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)  # the string form of a Fraction
 
@@ -320,17 +332,74 @@ def _reduce(terms: dict[Monomial, Scalar], p: Presentation) -> dict[Monomial, Sc
     return _normal_sum(p, [(m, (), c) for m, c in terms.items()])
 
 
-def _mono_product(p: Presentation, m1: Monomial, m2: Monomial) -> dict[Monomial, Scalar]:
+def _mono_product(p: Presentation, m1: Monomial, m2: Monomial) -> tuple:
     """Normal form of the monomial product m1 * m2, memoized per presentation.
 
-    The cache stays small (catalog monomials are low degree) and turns the
-    repeated basis-word products of the verifiers into dictionary lookups.
+    The product is a tuple of (monomial, q-exponent, GaussianRational) triples,
+    so no caller can change a cached value; a coefficient equal to 1 is the
+    shared _GR_ONE, which the kernel turns into a pure exponent shift.  The
+    cache holds at most PRODUCT_CACHE_BOUND entries and turns the repeated
+    basis-word products of the verifiers into dictionary lookups.
     """
     key = (m1, m2)
     cached = p._product_cache.get(key)
     if cached is None:
-        p._product_cache[key] = cached = _normal_sum(p, [(m1, _mono_letters(m2), Scalar.one())])
+        cached = tuple(
+            (m, k, _GR_ONE if g == _GR_ONE else g)
+            for m, s in _normal_sum(p, [(m1, _mono_letters(m2), Scalar.one())]).items()
+            for k, g in s.terms.items()
+        )
+        if len(p._product_cache) < PRODUCT_CACHE_BOUND:
+            p._product_cache[key] = cached
     return cached
+
+
+def _accumulate(acc: dict, p: Presentation, left: dict, right: dict, twist=None) -> None:
+    """acc += (sum of left terms) * (sum of right terms), all in normal form.
+
+    acc is a raw map {monomial: {q-exponent: GaussianRational}}; left and right
+    are the terms of AlgebraElements.  A coefficient that cancels is dropped
+    (a monomial left with no coefficient is dropped by _element).  twist, if
+    given, holds one q-exponent per generator: each right monomial m is
+    multiplied by q**(twist . m), the phase of moving it left through basis
+    letters (see tensors._twist).  A coefficient 1 costs no multiply.
+    """
+    cache = p._product_cache
+    for m1, c1 in left.items():
+        t1 = c1.terms.items()
+        for m2, c2 in right.items():
+            entry = cache.get((m1, m2))
+            if entry is None:
+                entry = _mono_product(p, m1, m2)
+            shift = 0 if twist is None else sum(map(int.__mul__, twist, m2))
+            for k1, g1 in t1:
+                for k2, g2 in c2.terms.items():
+                    k = k1 + k2 + shift
+                    g = g2 if g1 is _GR_ONE else g1 if g2 is _GR_ONE else g1 * g2
+                    for m, kp, gp in entry:
+                        v = g if gp is _GR_ONE else g * gp
+                        kk = k + kp
+                        coeffs = acc.get(m)
+                        if coeffs is None:
+                            acc[m] = {kk: v}
+                            continue
+                        old = coeffs.get(kk)
+                        if old is None:
+                            coeffs[kk] = v
+                            continue
+                        v = old + v
+                        if v.a or v.b:
+                            coeffs[kk] = v
+                        else:
+                            del coeffs[kk]
+
+
+def _element(p: Presentation, acc: dict) -> "AlgebraElement":
+    """The AlgebraElement of a raw map filled by _accumulate, which it takes over."""
+    a = _new(AlgebraElement)
+    a.presentation = p
+    a.terms = {m: _scalar(coeffs) for m, coeffs in acc.items() if coeffs}
+    return a
 
 
 class AlgebraElement:
@@ -383,14 +452,9 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same(other)
-        p = self.presentation
-        out: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                factor = c1 * c2
-                for m, s in _mono_product(p, m1, m2).items():
-                    add_term(out, m, s * factor)
-        return AlgebraElement(p, out)
+        acc: dict = {}
+        _accumulate(acc, self.presentation, self.terms, other.terms)
+        return _element(self.presentation, acc)
 
     def scale(self, s: Scalar) -> "AlgebraElement":
         return AlgebraElement(

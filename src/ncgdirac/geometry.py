@@ -9,12 +9,15 @@ classes is equality of canonical representatives.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, Presentation, add_term
+from .algebra import AlgebraElement, Presentation
 from .reports import Report
 from .tensors import (
     BasisWord,
     LeftLinearMap,
     TensorElement,
+    _left_mul_into,
+    _tensor_into,
+    _wrap,
     all_basis_words,
     differential,
     right_linearity_residuals,
@@ -58,14 +61,14 @@ class Calculus:
 
 
 def _add_leibniz(out: dict, c: AlgebraElement, w: BasisWord, value: TensorElement):
-    """Accumulate the left Leibniz rule c*value + d(c) (x) w into the sparse map out."""
-    for key, coeff in value.left_mul(c).terms.items():
-        add_term(out, key, coeff)
-    dc = differential(c)
-    if not dc.is_zero():
-        lifted = tensor(dc, TensorElement.basis(c.presentation, w.forms, w.spin))
-        for key, coeff in lifted.terms.items():
-            add_term(out, key, coeff)
+    """Accumulate the left Leibniz rule c*value + d(c) (x) w into out.
+
+    out maps basis words to raw maps of algebra._accumulate; tensors._wrap
+    turns it into a TensorElement.
+    """
+    p = c.presentation
+    _left_mul_into(out, c, value.terms)
+    _tensor_into(out, p, differential(c).terms, {w: AlgebraElement.one(p)})
 
 
 class Connection:
@@ -95,14 +98,13 @@ class Connection:
         """Left Leibniz extension: nabla(c*w) = c*nabla(w) + d(c) (x) w."""
         calc = self.calculus
         sample = next(iter(self.values.values()))
-        terms: dict[BasisWord, AlgebraElement] = {}
+        out: dict = {}
         for w, c in e.terms.items():
             value = self.values.get(w)
             if value is None:
                 raise KeyError(f"connection has no value for basis word {w}")
-            _add_leibniz(terms, c, w, value)
-        out = TensorElement(calc.presentation, sample.degree, sample.has_spin, terms)
-        return calc.canon(out)
+            _add_leibniz(out, c, w, value)
+        return calc.canon(_wrap(calc.presentation, sample.degree, sample.has_spin, out))
 
 
 class Metric:
@@ -119,13 +121,13 @@ class Metric:
         self.g_inv = g_inv
 
     def pair(self, e: TensorElement) -> AlgebraElement:
-        """Evaluate g^{-1} on a degree-2 element, returning the algebra value."""
+        """Evaluate g^{-1} on a degree-2 element, returning the algebra value.
+
+        The value has degree 0 and no spinor slot, so its only basis word is
+        the empty one, under which apply has accumulated every summand.
+        """
         out = self.g_inv.apply(e)
-        p = e.presentation
-        total = AlgebraElement.zero(p)
-        for w, c in out.terms.items():
-            total = total + c
-        return total
+        return out.terms.get(BasisWord((), None), AlgebraElement.zero(e.presentation))
 
 
 def tensor_connection_apply(conn_v: Connection, conn_e: Connection, e: TensorElement) -> TensorElement:
@@ -139,7 +141,7 @@ def tensor_connection_apply(conn_v: Connection, conn_e: Connection, e: TensorEle
     if conn_v.sigma is None:
         raise ValueError("left factor connection must carry a braiding")
     p = conn_v.calculus.presentation
-    terms: dict[BasisWord, AlgebraElement] = {}
+    out: dict = {}
     for w, c in e.terms.items():
         i = w.forms[0]
         rest = BasisWord(w.forms[1:], w.spin)
@@ -149,8 +151,8 @@ def tensor_connection_apply(conn_v: Connection, conn_e: Connection, e: TensorEle
         # braid dz_i past nabla_E of the remainder, a basis word with coefficient 1
         inner = conn_e.values[rest]
         term2 = conn_v.sigma.apply_at(tensor(TensorElement.basis(p, (i,)), inner), 0)
-        _add_leibniz(terms, c, w, term1 + term2)
-    return TensorElement(p, e.degree + 1, e.has_spin, terms)
+        _add_leibniz(out, c, w, term1 + term2)
+    return _wrap(p, e.degree + 1, e.has_spin, out)
 
 
 def verify_metric(metric: Metric, conn: Connection) -> Report:

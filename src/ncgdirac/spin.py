@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, Presentation, add_term
+from .algebra import Presentation, _accumulate
 from .geometry import Calculus, Connection, Metric, tensor_connection_apply
 from .reports import Report
 from .scalars import Scalar
-from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, tensor
+from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, _wrap, tensor
 
 ScalarMatrix = tuple[tuple[Scalar, ...], ...]
 
@@ -59,13 +59,15 @@ class SpinStructure:
 
 def matrix_act(matrix: ScalarMatrix, s: TensorElement) -> TensorElement:
     """Act with a constant matrix on the spinor slot of s; form slots are untouched."""
-    terms: dict[BasisWord, AlgebraElement] = {}
+    p = s.presentation
+    unit = (0,) * p.n
+    out: dict = {}
     for w, c in s.terms.items():
         for beta, row in enumerate(matrix):
             entry = row[w.spin]
             if not entry.is_zero():
-                add_term(terms, BasisWord(w.forms, beta), c.scale(entry))
-    return TensorElement(s.presentation, s.degree, True, terms)
+                _accumulate(out.setdefault(BasisWord(w.forms, beta), {}), p, c.terms, {unit: entry})
+    return _wrap(p, s.degree, True, out)
 
 
 def gamma_from_matrices(

@@ -4,14 +4,16 @@ An element of Omega^{(x)k} (x) E is stored in left-normal form: a sparse map
 from basis words dz_{i1} (x) ... (x) dz_{ik} [(x) e_alpha] to normal-form
 algebra coefficients, all coefficients on the left.  The right action twists
 coefficients through basis letters via dz_i z_j = R[j][i] z_j dz_i; the spinor
-slot is transparent to the twist.
+slot is transparent to the twist.  Every product of coefficients (the right
+action, tensor products, applying a map) accumulates through
+algebra._accumulate, with the twist as a per-monomial exponent shift.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, Monomial, Presentation, add_term
+from .algebra import AlgebraElement, Presentation, _accumulate, _element, add_term
 from .scalars import Scalar
 
 SPINOR_RANK = 4  # every spinor slot e_alpha has alpha in 0..3
@@ -36,23 +38,24 @@ def word_key(w: BasisWord) -> tuple:
     return (w.forms, -1 if w.spin is None else w.spin)
 
 
-def _twist_exp(p: Presentation, forms: tuple[int, ...], mono: Monomial) -> int:
-    exp = 0
-    for j, e in enumerate(mono):
-        if e:
-            col = p.q_exp[j]
-            for i in forms:
-                exp += col[i] * e
-    return exp
+def _twist(p: Presentation, forms: tuple[int, ...]) -> list[int] | None:
+    """Per-generator q-exponents of moving a coefficient left through forms.
 
-
-def _twisted_through(p: Presentation, forms: tuple[int, ...], a: AlgebraElement) -> AlgebraElement:
-    """a moved left through the basis letters, as w * a = (moved a) * w."""
+    w * z^m = q**(twist . m) z^m * w, by dz_i z_j = R[j][i] z_j dz_i; None for
+    the empty word, which moves nothing.
+    """
     if not forms:
-        return a
-    return AlgebraElement(
-        p, {mono: s.q_shift(_twist_exp(p, forms, mono)) for mono, s in a.terms.items()}
-    )
+        return None
+    twist = [0] * p.n
+    for i in forms:
+        for j, e in enumerate(p.q_exp[i]):  # R[j][i] = R[i][j]**-1
+            twist[j] -= e
+    return twist
+
+
+def _wrap(p: Presentation, degree: int, has_spin: bool, out: dict) -> "TensorElement":
+    """The TensorElement of {basis word: raw map} filled by algebra._accumulate."""
+    return TensorElement(p, degree, has_spin, {w: _element(p, acc) for w, acc in out.items()})
 
 
 class TensorElement:
@@ -126,12 +129,9 @@ class TensorElement:
     def left_mul(self, a: AlgebraElement) -> "TensorElement":
         if a.presentation != self.presentation:
             raise ValueError("presentation mismatch")
-        return TensorElement(
-            self.presentation,
-            self.degree,
-            self.has_spin,
-            {w: a * c for w, c in self.terms.items()},
-        )
+        out: dict = {}
+        _left_mul_into(out, a, self.terms)
+        return _wrap(self.presentation, self.degree, self.has_spin, out)
 
     def scale(self, s: Scalar) -> "TensorElement":
         return TensorElement(
@@ -213,15 +213,31 @@ class TensorElement:
 # ---------------------------------------------------------------------------
 
 
+def _left_mul_into(out: dict, a: AlgebraElement, terms: dict) -> None:
+    """out[w] += a * c for every basis word w and coefficient c in terms."""
+    p = a.presentation
+    for w, c in terms.items():
+        _accumulate(out.setdefault(w, {}), p, a.terms, c.terms)
+
+
+def _tensor_into(out: dict, p: Presentation, terms1: dict, terms2: dict) -> None:
+    """out += sum of c1 w1 (x) c2 w2, with c2 moved left through w1."""
+    for w1, c1 in terms1.items():
+        twist = _twist(p, w1.forms)
+        for w2, c2 in terms2.items():
+            acc = out.setdefault(BasisWord(w1.forms + w2.forms, w2.spin), {})
+            _accumulate(acc, p, c1.terms, c2.terms, twist)
+
+
 def right_mul(e: TensorElement, a: AlgebraElement) -> TensorElement:
     """Right action e * a, pushing a left through every basis word."""
     if a.presentation != e.presentation:
         raise ValueError("presentation mismatch")
     p = e.presentation
-    out: dict[BasisWord, AlgebraElement] = {}
+    out: dict = {}
     for w, c in e.terms.items():
-        add_term(out, w, c * _twisted_through(p, w.forms, a))
-    return TensorElement(p, e.degree, e.has_spin, out)
+        _accumulate(out.setdefault(w, {}), p, c.terms, a.terms, _twist(p, w.forms))
+    return _wrap(p, e.degree, e.has_spin, out)
 
 
 def tensor(e1: TensorElement, e2: TensorElement) -> TensorElement:
@@ -230,13 +246,9 @@ def tensor(e1: TensorElement, e2: TensorElement) -> TensorElement:
         raise ValueError("presentation mismatch")
     if e1.has_spin:
         raise ShapeError("left tensor factor cannot carry the spinor slot")
-    p = e1.presentation
-    out: dict[BasisWord, AlgebraElement] = {}
-    for w1, c1 in e1.terms.items():
-        for w2, c2 in e2.terms.items():
-            w = BasisWord(w1.forms + w2.forms, w2.spin)
-            add_term(out, w, c1 * _twisted_through(p, w1.forms, c2))
-    return TensorElement(p, e1.degree + e2.degree, e2.has_spin, out)
+    out: dict = {}
+    _tensor_into(out, e1.presentation, e1.terms, e2.terms)
+    return _wrap(e1.presentation, e1.degree + e2.degree, e2.has_spin, out)
 
 
 class LeftLinearMap:
@@ -284,7 +296,7 @@ class LeftLinearMap:
         p = e.presentation
         out_spin = self.codomain[1] or (e.has_spin and not dspin)
         out_degree = e.degree - k + self.codomain[0]
-        out: dict[BasisWord, AlgebraElement] = {}
+        out: dict = {}
         for w, c in e.terms.items():
             prefix = w.forms[:at]
             mid = BasisWord(w.forms[at:at + k], w.spin if dspin else None)
@@ -292,13 +304,14 @@ class LeftLinearMap:
             img = self.images.get(mid)
             if img is None:
                 raise KeyError(f"map has no image for basis word {mid}")
+            twist = _twist(p, prefix)
             for w2, c2 in img.terms.items():
                 out_word = BasisWord(
                     prefix + w2.forms + suffix,
                     w2.spin if self.codomain[1] else (w.spin if not dspin else None),
                 )
-                add_term(out, out_word, c * _twisted_through(p, prefix, c2))
-        return TensorElement(p, out_degree, out_spin, out)
+                _accumulate(out.setdefault(out_word, {}), p, c.terms, c2.terms, twist)
+        return _wrap(p, out_degree, out_spin, out)
 
     def convert(self, target: Presentation) -> "LeftLinearMap":
         return LeftLinearMap(

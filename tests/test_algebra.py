@@ -1,5 +1,7 @@
+import functools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,23 +19,33 @@ from ncgdirac.algebra import (
     normal_form,
 )
 from ncgdirac.catalog import r4_presentation, sphere_level_function, torus_level_function
-from ncgdirac.scalars import Scalar
+from ncgdirac.scalars import GaussianRational, Scalar
+
+
+@functools.cache
+def presentation(name):
+    p_r4 = r4_presentation()
+    if name == "r4":
+        return p_r4
+    p_s3 = extend_presentation(p_r4, sphere_level_function(p_r4), name="s3")
+    if name == "s3":
+        return p_s3
+    return extend_presentation(p_s3, torus_level_function(p_r4).convert(p_s3), name="t2")
 
 
 @pytest.fixture(scope="module")
 def p_r4():
-    return r4_presentation()
+    return presentation("r4")
 
 
 @pytest.fixture(scope="module")
-def p_s3(p_r4):
-    return extend_presentation(p_r4, sphere_level_function(p_r4), name="s3")
+def p_s3():
+    return presentation("s3")
 
 
 @pytest.fixture(scope="module")
-def p_t2(p_s3):
-    f = torus_level_function(r4_presentation()).convert(p_s3)
-    return extend_presentation(p_s3, f, name="t2")
+def p_t2():
+    return presentation("t2")
 
 
 def gens(p):
@@ -301,3 +313,87 @@ def test_catalog_rules_load_as_terminating(p_s3, p_t2):
 def test_element_json_round_trip(p_s3):
     a = normal_form([0, 1, 3], Scalar.q_power(2), p_s3)
     assert AlgebraElement.from_json(a.to_json(), p_s3) == a
+
+
+# -- the product kernel against term-by-term normal forms --------------------
+
+small_gaussians = st.builds(
+    GaussianRational,
+    st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-3, 2), 2]),
+    st.sampled_from([0, 0, 1, -1, Fraction(1, 3)]),
+)
+coefficients = st.dictionaries(st.integers(-6, 6), small_gaussians, min_size=1, max_size=2).map(Scalar)
+
+
+@st.composite
+def elements(draw, p, max_len=4):
+    """A sum of up to three normal forms of random words with random coefficients."""
+    total = AlgebraElement.zero(p)
+    for _ in range(draw(st.integers(0, 3))):
+        word = draw(st.lists(st.integers(0, p.n - 1), max_size=max_len))
+        total = total + normal_form(word, draw(coefficients), p)
+    return total
+
+
+presentations = st.sampled_from(["r4", "s3", "t2"]).map(presentation)
+
+
+def letters(mono):
+    return [g for g, e in enumerate(mono) for _ in range(e)]
+
+
+@given(st.data())
+def test_kernel_product_matches_term_by_term_normal_forms(data):
+    p = data.draw(presentations)
+    a, b = data.draw(elements(p)), data.draw(elements(p))
+    want = AlgebraElement.zero(p)
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            want = want + normal_form(letters(m1) + letters(m2), c1 * c2, p)
+    assert a * b == want
+
+
+@given(st.data())
+def test_kernel_product_is_associative(data):
+    p = data.draw(presentations)
+    a, b, c = (data.draw(elements(p, max_len=3)) for _ in range(3))
+    assert (a * b) * c == a * (b * c)
+
+
+@pytest.mark.parametrize("name", ["r4", "s3", "t2"])
+@pytest.mark.parametrize("which", ["a*b", "a*1", "1*a"])
+def test_kernel_product_shares_nothing_with_its_caller(name, which):
+    # a result's terms and its Scalars' terms are the caller's to change; the
+    # product cache and the operands must not see the change
+    p = presentation(name)
+    a = normal_form([0, 2, 3], Scalar.q_power(1), p) + normal_form([1, 3], Scalar.rational(2), p)
+    b = normal_form([2, 1, 0], Scalar.one(), p) + normal_form([3, 3], Scalar.q_power(-4), p)
+    x, y = {"a*b": (a, b), "a*1": (a, AlgebraElement.one(p)), "1*a": (AlgebraElement.one(p), a)}[which]
+    want = json.dumps((x * y).to_json())
+    first = x * y
+    for s in first.terms.values():
+        s.terms.clear()
+        s.terms[99] = GaussianRational(7)
+    assert json.dumps((x * y).to_json()) == want
+    first = x * y
+    first.terms.clear()
+    assert json.dumps((x * y).to_json()) == want
+
+
+def test_product_cache_holds_immutable_triples(p_s3):
+    normal_form([0, 3], Scalar.one(), p_s3) * normal_form([1, 2, 3], Scalar.one(), p_s3)
+    assert p_s3._product_cache
+    for entry in p_s3._product_cache.values():
+        assert type(entry) is tuple
+        assert all(type(m) is tuple and type(k) is int and type(g) is GaussianRational for m, k, g in entry)
+
+
+def test_product_cache_stops_growing_at_its_bound(monkeypatch):
+    # past the bound products are computed without being stored
+    monkeypatch.setattr(algebra, "PRODUCT_CACHE_BOUND", 3)
+    p = r4_presentation()
+    for _ in range(2):
+        for i, x in enumerate(gens(p)):
+            for j, y in enumerate(gens(p)):
+                assert x * y == normal_form([i, j], Scalar.one(), p)
+    assert len(p._product_cache) == 3

@@ -75,3 +75,25 @@ def test_bundle_fingerprint_unchanged(space, s3, t2, monkeypatch):
     workloads = _load("ncgdirac_bench_workloads", BENCH_DIR / "workloads.py")
     bundle = {"s3": s3, "t2": t2}[space]
     assert workloads.bundle_fingerprint(bundle) == FINGERPRINTS[space]
+
+
+def test_bounded_product_cache_changes_no_output(t2, monkeypatch):
+    # past algebra.PRODUCT_CACHE_BOUND products are computed without being
+    # stored; a tiny bound must give the same bundle and scan bytes, and no
+    # presentation's cache may pass it
+    from ncgdirac import algebra
+    from ncgdirac.catalog import build_t2
+    from ncgdirac.spectrum import spectrum_scan
+
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = _load("ncgdirac_bench_workloads", BENCH_DIR / "workloads.py")
+    want_scan = workloads.scan_bytes(spectrum_scan(t2, 2, 0.7))
+    bound = 16
+    monkeypatch.setattr(algebra, "PRODUCT_CACHE_BOUND", bound)
+    with tracer.PresentationTracker() as tracked:
+        small = build_t2(check=True)
+        scan = workloads.scan_bytes(spectrum_scan(small, 2, 0.7))
+    assert workloads.bundle_fingerprint(small) == FINGERPRINTS["t2"]
+    assert scan == want_scan
+    assert tracked.presentations
+    assert max(len(p._product_cache) for p in tracked.presentations) <= bound

@@ -1,16 +1,20 @@
+import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgdirac.algebra import AlgebraElement, normal_form
-from ncgdirac.catalog import r4_presentation
-from ncgdirac.scalars import Scalar
+from ncgdirac.algebra import AlgebraElement, extend_presentation, normal_form
+from ncgdirac.catalog import r4_presentation, sphere_level_function, torus_level_function
+from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.tensors import (
+    SPINOR_RANK,
     BasisWord,
     LeftLinearMap,
     ShapeError,
     TensorElement,
+    all_basis_words,
     differential,
     partial_coeffs,
     right_linearity_residuals,
@@ -361,3 +365,166 @@ def test_tensor_from_json_rejects_malformed(name):
 def test_tensor_from_json_reads_well_formed():
     e = TensorElement.from_json(_one_term([0, 3], alpha=3), P)
     assert e == TensorElement.basis(P, (0, 3), 3)
+
+
+# -- the accumulation kernel against a naive reference -----------------------
+#
+# The reference moves a coefficient left through a basis word one letter and
+# one generator at a time by dz_i z_j = R[j][i] z_j dz_i, multiplies
+# coefficients as sums of normal forms of concatenated words, and adds every
+# contribution as a whole AlgebraElement.
+
+@functools.cache
+def presentation(name):
+    p_r4 = r4_presentation()
+    if name == "r4":
+        return p_r4
+    p_s3 = extend_presentation(p_r4, sphere_level_function(p_r4), name="s3")
+    if name == "s3":
+        return p_s3
+    return extend_presentation(p_s3, torus_level_function(p_r4).convert(p_s3), name="t2")
+
+
+COEFFS = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+          GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(-3, 2), Fraction(1, 3))]
+
+
+def kernel_element(rng, p, max_len=3):
+    total = AlgebraElement.zero(p)
+    for _ in range(rng.randint(0, 3)):
+        word = [rng.randrange(p.n) for _ in range(rng.randint(0, max_len))]
+        coeff = Scalar({rng.randint(-6, 6): rng.choice(COEFFS) for _ in range(rng.randint(1, 2))})
+        total = total + normal_form(word, coeff, p)
+    return total
+
+
+def kernel_tensor(rng, p, degree, spin):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        w = BasisWord(tuple(rng.randrange(p.n) for _ in range(degree)),
+                      rng.randrange(SPINOR_RANK) if spin else None)
+        terms[w] = kernel_element(rng, p)
+    return TensorElement(p, degree, spin, terms)
+
+
+def kernel_map(rng, p, domain, codomain):
+    words = [BasisWord(w.forms, alpha) for w in all_basis_words(p, domain[0])
+             for alpha in (range(SPINOR_RANK) if domain[1] else [None])]
+    return LeftLinearMap(p, domain, codomain, {w: kernel_tensor(rng, p, *codomain) for w in words})
+
+
+def letters(mono):
+    return [g for g, e in enumerate(mono) for _ in range(e)]
+
+
+def naive_mul(a, b):
+    p = a.presentation
+    out = AlgebraElement.zero(p)
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            out = out + normal_form(letters(m1) + letters(m2), c1 * c2, p)
+    return out
+
+
+def naive_moved(forms, a):
+    """The coefficient a' with w * a = a' * w for the basis word w = forms."""
+    p = a.presentation
+    terms = {}
+    for m, c in a.terms.items():
+        for i in forms:
+            for j in letters(m):
+                c = c * p.R[j][i]
+        terms[m] = c
+    return AlgebraElement(p, terms)
+
+
+def naive_add(out, word, coeff):
+    out[word] = out[word] + coeff if word in out else coeff
+
+
+def naive_right_mul(e, a):
+    out = {}
+    for w, c in e.terms.items():
+        naive_add(out, w, naive_mul(c, naive_moved(w.forms, a)))
+    return TensorElement(e.presentation, e.degree, e.has_spin, out)
+
+
+def naive_tensor(e1, e2):
+    out = {}
+    for w1, c1 in e1.terms.items():
+        for w2, c2 in e2.terms.items():
+            naive_add(out, BasisWord(w1.forms + w2.forms, w2.spin), naive_mul(c1, naive_moved(w1.forms, c2)))
+    return TensorElement(e1.presentation, e1.degree + e2.degree, e2.has_spin, out)
+
+
+def naive_apply_at(m, e, at):
+    (k, dspin), (ck, cspin) = m.domain, m.codomain
+    out = {}
+    for w, c in e.terms.items():
+        prefix, suffix = w.forms[:at], w.forms[at + k:]
+        for w2, c2 in m.images[BasisWord(w.forms[at:at + k], w.spin if dspin else None)].terms.items():
+            spin = w2.spin if cspin else (None if dspin else w.spin)
+            naive_add(out, BasisWord(prefix + w2.forms + suffix, spin), naive_mul(c, naive_moved(prefix, c2)))
+    return TensorElement(e.presentation, e.degree - k + ck, cspin or (e.has_spin and not dspin), out)
+
+
+spaces = st.sampled_from(["r4", "s3", "t2"])
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(spaces, seeds)
+def test_kernel_right_mul_matches_twist_rule(space, seed):
+    rng = random.Random(seed)
+    p = presentation(space)
+    e = kernel_tensor(rng, p, rng.randint(0, 2), rng.random() < 0.5)
+    a = kernel_element(rng, p)
+    assert right_mul(e, a) == naive_right_mul(e, a)
+
+
+@given(spaces, seeds)
+def test_kernel_tensor_matches_twist_rule(space, seed):
+    rng = random.Random(seed)
+    p = presentation(space)
+    e1 = kernel_tensor(rng, p, rng.randint(0, 2), False)
+    e2 = kernel_tensor(rng, p, rng.randint(0, 1), rng.random() < 0.5)
+    assert tensor(e1, e2) == naive_tensor(e1, e2)
+
+
+# (domain, codomain, element degree): form maps anywhere in a word, and a
+# spinor-consuming or spinor-producing map at its right end
+MAP_SHAPES = [
+    ((1, False), (1, False), 2),
+    ((1, False), (2, False), 2),
+    ((2, False), (0, False), 3),
+    ((1, True), (0, True), 2),
+    ((0, True), (1, True), 1),
+]
+
+
+@given(spaces, seeds, st.sampled_from(MAP_SHAPES))
+def test_kernel_apply_at_matches_twist_rule(space, seed, shape):
+    domain, codomain, degree = shape
+    rng = random.Random(seed)
+    p = presentation(space)
+    m = kernel_map(rng, p, domain, codomain)
+    e = kernel_tensor(rng, p, degree, domain[1] or (not codomain[1] and rng.random() < 0.5))
+    at = degree - domain[0] if domain[1] else rng.randint(0, degree - domain[0])
+    assert m.apply_at(e, at) == naive_apply_at(m, e, at)
+
+
+@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
+def test_kernel_tensor_results_share_nothing_with_their_caller(space):
+    rng = random.Random(5)
+    p = presentation(space)
+    e1, e2 = kernel_tensor(rng, p, 1, False), kernel_tensor(rng, p, 1, True)
+    assert not e1.is_zero() and not e2.is_zero()
+    m = kernel_map(rng, p, (1, True), (0, True))
+    for product in (lambda: tensor(e1, e2), lambda: m.apply_at(tensor(e1, e2), 1),
+                    lambda: right_mul(e1, e2.terms[next(iter(e2.terms))])):
+        want = product().to_json()
+        first = product()
+        for c in first.terms.values():
+            for s in c.terms.values():
+                s.terms.clear()
+            c.terms.clear()
+        assert product().to_json() == want
