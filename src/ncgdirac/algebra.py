@@ -10,11 +10,12 @@ single generator on the right commutes the generator into place (collecting
 the exact q-phases) and then reduces to the rule fixpoint, so every compound
 operation reuses one well-tested kernel.
 
-Products of elements (and, in ``tensors`` and ``geometry``, of tensor
+Products of elements (and, through ``tensors.TensorSum``, of tensor
 coefficients) go through one accumulation kernel, ``_accumulate``: it adds
 c1 * c2 * (cached monomial product) straight into a raw map
 {monomial: {q-exponent: GaussianRational}} and builds a Scalar and an
-AlgebraElement only once per output coefficient.
+AlgebraElement only once per output coefficient.  The raw map is known only
+here and in ``tensors``.
 """
 
 from __future__ import annotations
@@ -392,6 +393,30 @@ def _accumulate(acc: dict, p: Presentation, left: dict, right: dict, twist=None)
                             coeffs[kk] = v
                         else:
                             del coeffs[kk]
+
+
+def _accumulate_scaled(acc: dict, terms: dict, s: Scalar | None = None) -> None:
+    """acc += (sum of terms) * s for a constant s, or + (sum of terms) if s is None.
+
+    acc is a raw map of _accumulate; no monomial product is taken.
+    """
+    for m, c in terms.items():
+        if s is not None:
+            c = c * s
+        coeffs = acc.get(m)
+        if coeffs is None:
+            acc[m] = dict(c.terms)
+            continue
+        for k, v in c.terms.items():
+            old = coeffs.get(k)
+            if old is None:
+                coeffs[k] = v
+                continue
+            v = old + v
+            if v.a or v.b:
+                coeffs[k] = v
+            else:
+                del coeffs[k]
 
 
 def _element(p: Presentation, acc: dict) -> "AlgebraElement":

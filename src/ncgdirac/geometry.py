@@ -15,9 +15,7 @@ from .tensors import (
     BasisWord,
     LeftLinearMap,
     TensorElement,
-    _left_mul_into,
-    _tensor_into,
-    _wrap,
+    TensorSum,
     all_basis_words,
     differential,
     right_linearity_residuals,
@@ -60,15 +58,13 @@ class Calculus:
         return self.canon(TensorElement.basis(self.presentation, (i,)))
 
 
-def _add_leibniz(out: dict, c: AlgebraElement, w: BasisWord, value: TensorElement):
-    """Accumulate the left Leibniz rule c*value + d(c) (x) w into out.
-
-    out maps basis words to raw maps of algebra._accumulate; tensors._wrap
-    turns it into a TensorElement.
-    """
-    p = c.presentation
-    _left_mul_into(out, c, value.terms)
-    _tensor_into(out, p, differential(c).terms, {w: AlgebraElement.one(p)})
+def _add_leibniz(out: TensorSum, c: AlgebraElement, w: BasisWord, value: TensorElement):
+    """Accumulate the left Leibniz rule c*value + d(c) (x) w into out."""
+    for w2, c2 in value.terms.items():
+        out.add_product(w2, c, c2)
+    # the coefficient 1 of w moves left through dz_i with no phase
+    for w1, c1 in differential(c).terms.items():
+        out.add(BasisWord(w1.forms + w.forms, w.spin), c1)
 
 
 class Connection:
@@ -97,14 +93,16 @@ class Connection:
     def apply(self, e: TensorElement) -> TensorElement:
         """Left Leibniz extension: nabla(c*w) = c*nabla(w) + d(c) (x) w."""
         calc = self.calculus
+        if e.presentation != calc.presentation:
+            raise ValueError("presentation mismatch")
         sample = next(iter(self.values.values()))
-        out: dict = {}
+        out = TensorSum(calc.presentation)
         for w, c in e.terms.items():
             value = self.values.get(w)
             if value is None:
                 raise KeyError(f"connection has no value for basis word {w}")
             _add_leibniz(out, c, w, value)
-        return calc.canon(_wrap(calc.presentation, sample.degree, sample.has_spin, out))
+        return calc.canon(out.element(sample.degree, sample.has_spin))
 
 
 class Metric:
@@ -141,7 +139,9 @@ def tensor_connection_apply(conn_v: Connection, conn_e: Connection, e: TensorEle
     if conn_v.sigma is None:
         raise ValueError("left factor connection must carry a braiding")
     p = conn_v.calculus.presentation
-    out: dict = {}
+    if e.presentation != p:
+        raise ValueError("presentation mismatch")
+    out = TensorSum(p)
     for w, c in e.terms.items():
         i = w.forms[0]
         rest = BasisWord(w.forms[1:], w.spin)
@@ -152,7 +152,7 @@ def tensor_connection_apply(conn_v: Connection, conn_e: Connection, e: TensorEle
         inner = conn_e.values[rest]
         term2 = conn_v.sigma.apply_at(tensor(TensorElement.basis(p, (i,)), inner), 0)
         _add_leibniz(out, c, w, term1 + term2)
-    return _wrap(p, e.degree + 1, e.has_spin, out)
+    return out.element(e.degree + 1, e.has_spin)
 
 
 def verify_metric(metric: Metric, conn: Connection) -> Report:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Presentation, _accumulate
+from .algebra import Presentation
 from .geometry import Calculus, Connection, Metric, tensor_connection_apply
 from .reports import Report
 from .scalars import Scalar
-from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, _wrap, tensor
+from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, tensor
 
 ScalarMatrix = tuple[tuple[Scalar, ...], ...]
 
@@ -59,15 +59,13 @@ class SpinStructure:
 
 def matrix_act(matrix: ScalarMatrix, s: TensorElement) -> TensorElement:
     """Act with a constant matrix on the spinor slot of s; form slots are untouched."""
-    p = s.presentation
-    unit = (0,) * p.n
-    out: dict = {}
+    out = TensorSum(s.presentation)
     for w, c in s.terms.items():
         for beta, row in enumerate(matrix):
             entry = row[w.spin]
             if not entry.is_zero():
-                _accumulate(out.setdefault(BasisWord(w.forms, beta), {}), p, c.terms, {unit: entry})
-    return _wrap(p, s.degree, True, out)
+                out.add(BasisWord(w.forms, beta), c, entry)
+    return out.element(s.degree, True)
 
 
 def gamma_from_matrices(

@@ -5,7 +5,8 @@ from basis words dz_{i1} (x) ... (x) dz_{ik} [(x) e_alpha] to normal-form
 algebra coefficients, all coefficients on the left.  The right action twists
 coefficients through basis letters via dz_i z_j = R[j][i] z_j dz_i; the spinor
 slot is transparent to the twist.  Every product of coefficients (the right
-action, tensor products, applying a map) accumulates through
+action, tensor products, applying a map, and the Leibniz and spinor-matrix
+sums of ``geometry`` and ``spin``) accumulates in a TensorSum through
 algebra._accumulate, with the twist as a per-monomial exponent shift.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, Presentation, _accumulate, _element, add_term
+from .algebra import AlgebraElement, Presentation, _accumulate, _accumulate_scaled, _element, add_term
 from .scalars import Scalar
 
 SPINOR_RANK = 4  # every spinor slot e_alpha has alpha in 0..3
@@ -53,9 +54,30 @@ def _twist(p: Presentation, forms: tuple[int, ...]) -> list[int] | None:
     return twist
 
 
-def _wrap(p: Presentation, degree: int, has_spin: bool, out: dict) -> "TensorElement":
-    """The TensorElement of {basis word: raw map} filled by algebra._accumulate."""
-    return TensorElement(p, degree, has_spin, {w: _element(p, acc) for w, acc in out.items()})
+class TensorSum:
+    """A sum of coefficient products under basis words, built into a TensorElement once.
+
+    Each word holds a raw map of algebra._accumulate, so adding a term builds
+    no intermediate Scalar, AlgebraElement or TensorElement.
+    """
+
+    __slots__ = ("presentation", "words")
+
+    def __init__(self, presentation: Presentation):
+        self.presentation = presentation
+        self.words: dict[BasisWord, dict] = {}
+
+    def add(self, w: BasisWord, c: AlgebraElement, s: Scalar | None = None):
+        """Add c * s under w for a constant s, or c itself if s is None."""
+        _accumulate_scaled(self.words.setdefault(w, {}), c.terms, s)
+
+    def add_product(self, w: BasisWord, a: AlgebraElement, b: AlgebraElement, twist=None):
+        """Add a * b under w; twist (see _twist) first moves b left through basis letters."""
+        _accumulate(self.words.setdefault(w, {}), self.presentation, a.terms, b.terms, twist)
+
+    def element(self, degree: int, has_spin: bool) -> "TensorElement":
+        p = self.presentation
+        return TensorElement(p, degree, has_spin, {w: _element(p, acc) for w, acc in self.words.items()})
 
 
 class TensorElement:
@@ -129,9 +151,10 @@ class TensorElement:
     def left_mul(self, a: AlgebraElement) -> "TensorElement":
         if a.presentation != self.presentation:
             raise ValueError("presentation mismatch")
-        out: dict = {}
-        _left_mul_into(out, a, self.terms)
-        return _wrap(self.presentation, self.degree, self.has_spin, out)
+        out = TensorSum(self.presentation)
+        for w, c in self.terms.items():
+            out.add_product(w, a, c)
+        return out.element(self.degree, self.has_spin)
 
     def scale(self, s: Scalar) -> "TensorElement":
         return TensorElement(
@@ -213,31 +236,15 @@ class TensorElement:
 # ---------------------------------------------------------------------------
 
 
-def _left_mul_into(out: dict, a: AlgebraElement, terms: dict) -> None:
-    """out[w] += a * c for every basis word w and coefficient c in terms."""
-    p = a.presentation
-    for w, c in terms.items():
-        _accumulate(out.setdefault(w, {}), p, a.terms, c.terms)
-
-
-def _tensor_into(out: dict, p: Presentation, terms1: dict, terms2: dict) -> None:
-    """out += sum of c1 w1 (x) c2 w2, with c2 moved left through w1."""
-    for w1, c1 in terms1.items():
-        twist = _twist(p, w1.forms)
-        for w2, c2 in terms2.items():
-            acc = out.setdefault(BasisWord(w1.forms + w2.forms, w2.spin), {})
-            _accumulate(acc, p, c1.terms, c2.terms, twist)
-
-
 def right_mul(e: TensorElement, a: AlgebraElement) -> TensorElement:
     """Right action e * a, pushing a left through every basis word."""
     if a.presentation != e.presentation:
         raise ValueError("presentation mismatch")
     p = e.presentation
-    out: dict = {}
+    out = TensorSum(p)
     for w, c in e.terms.items():
-        _accumulate(out.setdefault(w, {}), p, c.terms, a.terms, _twist(p, w.forms))
-    return _wrap(p, e.degree, e.has_spin, out)
+        out.add_product(w, c, a, _twist(p, w.forms))
+    return out.element(e.degree, e.has_spin)
 
 
 def tensor(e1: TensorElement, e2: TensorElement) -> TensorElement:
@@ -246,9 +253,13 @@ def tensor(e1: TensorElement, e2: TensorElement) -> TensorElement:
         raise ValueError("presentation mismatch")
     if e1.has_spin:
         raise ShapeError("left tensor factor cannot carry the spinor slot")
-    out: dict = {}
-    _tensor_into(out, e1.presentation, e1.terms, e2.terms)
-    return _wrap(e1.presentation, e1.degree + e2.degree, e2.has_spin, out)
+    p = e1.presentation
+    out = TensorSum(p)
+    for w1, c1 in e1.terms.items():
+        twist = _twist(p, w1.forms)
+        for w2, c2 in e2.terms.items():
+            out.add_product(BasisWord(w1.forms + w2.forms, w2.spin), c1, c2, twist)
+    return out.element(e1.degree + e2.degree, e2.has_spin)
 
 
 class LeftLinearMap:
@@ -296,7 +307,7 @@ class LeftLinearMap:
         p = e.presentation
         out_spin = self.codomain[1] or (e.has_spin and not dspin)
         out_degree = e.degree - k + self.codomain[0]
-        out: dict = {}
+        out = TensorSum(p)
         for w, c in e.terms.items():
             prefix = w.forms[:at]
             mid = BasisWord(w.forms[at:at + k], w.spin if dspin else None)
@@ -310,8 +321,8 @@ class LeftLinearMap:
                     prefix + w2.forms + suffix,
                     w2.spin if self.codomain[1] else (w.spin if not dspin else None),
                 )
-                _accumulate(out.setdefault(out_word, {}), p, c.terms, c2.terms, twist)
-        return _wrap(p, out_degree, out_spin, out)
+                out.add_product(out_word, c, c2, twist)
+        return out.element(out_degree, out_spin)
 
     def convert(self, target: Presentation) -> "LeftLinearMap":
         return LeftLinearMap(

@@ -20,7 +20,7 @@ from ncgdirac.catalog import (
     phi_basis,
     verify_space,
 )
-from ncgdirac.geometry import Connection, Metric
+from ncgdirac.geometry import Connection, Metric, tensor_connection_apply
 from ncgdirac.hypersurface import induced_dirac
 from ncgdirac.scalars import Scalar
 from ncgdirac.spin import SpinStructure, dirac, mat_mul, mat_scale
@@ -284,15 +284,24 @@ def test_dtilde_paths_agree(t2):
 
 
 def test_torus_operators_reject_foreign_spinor(s3, t2):
-    # a spinor over another presentation is an error, never silently re-reduced
-    s = e(s3.presentation, 0, z(s3.presentation, 0))
+    # an element over another presentation is an error, never silently
+    # re-reduced; the connections' Leibniz sums must refuse it before any
+    # product is taken
+    p = s3.presentation
+    s = e(p, 0, z(p, 0))
+    structures = t2.structures
+    conn, spin_conn = structures.connection, structures.spin.spin_connection
     for apply in (
-        lambda x: dtilde_apply(t2, x),
-        lambda x: gamma_nu_tilde(t2, x),
-        lambda x: induced_dirac(t2.hypersurface, x),
+        lambda: dtilde_apply(t2, s),
+        lambda: gamma_nu_tilde(t2, s),
+        lambda: induced_dirac(t2.hypersurface, s),
+        lambda: dirac(structures.spin, s),
+        lambda: spin_conn.apply(s),
+        lambda: conn.apply(TensorElement.basis(p, (0,), coeff=z(p, 1))),
+        lambda: tensor_connection_apply(conn, spin_conn, TensorElement.basis(p, (0,), 2, z(p, 1))),
     ):
         with pytest.raises(ValueError, match="presentation mismatch"):
-            apply(s)
+            apply()
 
 
 def test_gamma_nu_tilde_squares_to_minus_id(t2):

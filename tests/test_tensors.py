@@ -1,12 +1,11 @@
-import functools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncgdirac.algebra import AlgebraElement, extend_presentation, normal_form
-from ncgdirac.catalog import r4_presentation, sphere_level_function, torus_level_function
+from ncgdirac.algebra import AlgebraElement, normal_form
+from ncgdirac.catalog import r4_presentation
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.tensors import (
     SPINOR_RANK,
@@ -21,6 +20,8 @@ from ncgdirac.tensors import (
     right_mul,
     tensor,
 )
+
+from kernel_reference import letters, naive_mul, presentation
 
 P = r4_presentation()
 
@@ -374,17 +375,6 @@ def test_tensor_from_json_reads_well_formed():
 # coefficients as sums of normal forms of concatenated words, and adds every
 # contribution as a whole AlgebraElement.
 
-@functools.cache
-def presentation(name):
-    p_r4 = r4_presentation()
-    if name == "r4":
-        return p_r4
-    p_s3 = extend_presentation(p_r4, sphere_level_function(p_r4), name="s3")
-    if name == "s3":
-        return p_s3
-    return extend_presentation(p_s3, torus_level_function(p_r4).convert(p_s3), name="t2")
-
-
 COEFFS = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
           GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(-3, 2), Fraction(1, 3))]
 
@@ -411,19 +401,6 @@ def kernel_map(rng, p, domain, codomain):
     words = [BasisWord(w.forms, alpha) for w in all_basis_words(p, domain[0])
              for alpha in (range(SPINOR_RANK) if domain[1] else [None])]
     return LeftLinearMap(p, domain, codomain, {w: kernel_tensor(rng, p, *codomain) for w in words})
-
-
-def letters(mono):
-    return [g for g, e in enumerate(mono) for _ in range(e)]
-
-
-def naive_mul(a, b):
-    p = a.presentation
-    out = AlgebraElement.zero(p)
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            out = out + normal_form(letters(m1) + letters(m2), c1 * c2, p)
-    return out
 
 
 def naive_moved(forms, a):
