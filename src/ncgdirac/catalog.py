@@ -119,8 +119,9 @@ class GoldenMismatch(RuntimeError):
 class SpaceBundle:
     """One catalog space: presentation, structures, and its hypersurface link.
 
-    The constant Clifford data of the rotated torus operator (flat_gamma,
-    mass_matrices) is derived from base_matrices once, on first use.
+    The constant data of the rotated torus operator (flat_gamma,
+    mass_matrices, generators) is derived once, on first use; the exact
+    momentum sectors of the spectrum are kept in sector_store.
     """
 
     name: str
@@ -156,6 +157,20 @@ class SpaceBundle:
             mat_scale(theta_commutator(gam[i], gam[j], R[j][i]), factor)
             for i, j in ((0, 2), (1, 3))
         )
+
+    @cached_property
+    def generators(self) -> tuple[AlgebraElement, ...]:
+        """The generators z_1, ..., z_n in normal form."""
+        p = self.presentation
+        return tuple(AlgebraElement.generator(p, i) for i in range(p.n))
+
+    @cached_property
+    def sector_store(self) -> dict:
+        """Exact sector matrices by momentum (m, n), filled by spectrum.sector_matrix.
+
+        It holds at most spectrum.SECTOR_STORE_BOUND sectors.
+        """
+        return {}
 
 
 def build_r4(classical: bool = False) -> SpaceBundle:
@@ -434,10 +449,10 @@ def phi_basis(t2: SpaceBundle) -> tuple[TensorElement, TensorElement]:
     dphi_1 = (1/i) ubar du = (2/i) z3 dz1 and dphi_2 = (2/i) z4 dz2; the
     sqrt(2) rescaling of the torus generators cancels and never enters.
     """
-    p = t2.presentation
+    p, zs = t2.presentation, t2.generators
     minus_2i = Scalar.gaussian(0, -2)
-    dphi1 = TensorElement.basis(p, (0,), None, AlgebraElement.generator(p, 2).scale(minus_2i))
-    dphi2 = TensorElement.basis(p, (1,), None, AlgebraElement.generator(p, 3).scale(minus_2i))
+    dphi1 = TensorElement.basis(p, (0,), None, zs[2].scale(minus_2i))
+    dphi2 = TensorElement.basis(p, (1,), None, zs[3].scale(minus_2i))
     return dphi1, dphi2
 
 
@@ -463,11 +478,10 @@ def gamma_tilde(t2: SpaceBundle, which: int, s: TensorElement) -> TensorElement:
     gamma~(dphi_1 (x) s) = (1/i)(gamma_1 s zbar_1 - gamma_3 s z_1), and the
     (dphi_2, gamma_2, gamma_4, z_2) analogue.
     """
-    p = t2.presentation
     gam = t2.base_matrices
     minus_i = Scalar.gaussian(0, -1)
     lo, hi = (0, 2) if which == 1 else (1, 3)
-    z, zbar = AlgebraElement.generator(p, lo), AlgebraElement.generator(p, hi)
+    z, zbar = t2.generators[lo], t2.generators[hi]
     out = matrix_act(gam[lo], right_mul(s, zbar)) - matrix_act(gam[hi], right_mul(s, z))
     return out.scale(minus_i)
 

@@ -1,10 +1,13 @@
-"""Numeric spectrum of the rotated torus Dirac operator via momentum sectors.
+"""Spectrum of the rotated torus Dirac operator via momentum sectors.
 
 The operator commutes with the total momentum grading: the monomial bidegree
 of the coefficient plus the half-integer weight of the spinor basis vector.
-Each sector is 4-dimensional and the operator restricts to an exactly
-computable matrix; eigenvalues are compared against the closed form
-+-sqrt(2) sqrt((m+1/2)^2 + (n+1/2)^2).
+Each sector is 4-dimensional and the operator restricts to a 4x4 matrix over
+Q(i)[q, q^-1] that does not depend on theta (exact_sector).  It is built once
+per bundle and kept in the bundle's sector_store; a scan at any theta only
+substitutes q = exp(i*theta/4) and takes eigenvalues, which are compared
+against the closed form +-sqrt(2) sqrt((m+1/2)^2 + (n+1/2)^2).  numpy is
+imported only when eigenvalues are computed.
 """
 
 from __future__ import annotations
@@ -12,12 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algebra import AlgebraElement, Monomial
 from .catalog import SPINOR_RANK, SpaceBundle, dtilde_apply
 from .scalars import Scalar
+from .spin import ScalarMatrix
 from .tensors import TensorElement
+
+# sectors kept per bundle: every sector up to mmax = 24 (49^2 = 2401), about
+# 3 KB each; past the bound a sector is computed on each use without being kept
+SECTOR_STORE_BOUND = 2500
 
 
 class SectorEscape(RuntimeError):
@@ -52,21 +58,24 @@ class SectorMatrix:
     theta: float
     entries: list[list[complex]]
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(np.array(self.entries, dtype=complex))
+    def eigenvalues(self) -> "numpy.ndarray":
+        import numpy
+
+        return numpy.linalg.eigvals(numpy.array(self.entries, dtype=complex))
 
 
-def sector_matrix(t2: SpaceBundle, m: int, n: int, theta: float) -> SectorMatrix:
+def exact_sector(t2: SpaceBundle, m: int, n: int) -> ScalarMatrix:
     """Apply the operator symbolically to the sector basis and factor it out.
 
-    The factoring must be exact: every output coefficient is a single scalar
-    multiple of the receiving basis monomial, otherwise SectorEscape is raised
-    and the caller falls back to the truncated matrix.
+    Entry (beta, col) is the coefficient of basis vector beta in the image of
+    basis vector col.  The factoring must be exact: every output coefficient
+    is a single scalar multiple of the receiving basis monomial, otherwise
+    SectorEscape is raised and the caller falls back to the truncated matrix.
     """
     p = t2.presentation
     basis = sector_basis(m, n)
     mono_for_alpha = {alpha: mono for mono, alpha in basis}
-    entries = [[0j] * SPINOR_RANK for _ in range(SPINOR_RANK)]
+    entries = [[Scalar.zero()] * SPINOR_RANK for _ in range(SPINOR_RANK)]
     for col, (mono, alpha) in enumerate(basis):
         coeff = AlgebraElement(p, {mono: Scalar.one()})
         spinor = TensorElement.basis(p, (), alpha, coeff)
@@ -79,7 +88,19 @@ def sector_matrix(t2: SpaceBundle, m: int, n: int, theta: float) -> SectorMatrix
                     f"sector ({m},{n}): image of basis column {col} has "
                     f"coefficient {c!r} outside monomial {target}"
                 )
-            entries[beta][col] = c.terms[target].eval_numeric(theta)
+            entries[beta][col] = c.terms[target]
+    return tuple(tuple(row) for row in entries)
+
+
+def sector_matrix(t2: SpaceBundle, m: int, n: int, theta: float) -> SectorMatrix:
+    """The sector's exact matrix, from the bundle's store, evaluated at theta."""
+    store = t2.sector_store
+    exact = store.get((m, n))
+    if exact is None:
+        exact = exact_sector(t2, m, n)
+        if len(store) < SECTOR_STORE_BOUND:
+            store[(m, n)] = exact
+    entries = [[c.eval_numeric(theta) for c in row] for row in exact]
     return SectorMatrix(m, n, theta, entries)
 
 
@@ -150,6 +171,8 @@ def truncated_spectrum(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumRepo
     Image terms leaving the span are truncated away; only eigenvalues that
     match the closed form for interior sectors (|m|, |n| <= mmax) are kept.
     """
+    import numpy
+
     p = t2.presentation
     cut = mmax + 1
     index: dict[tuple[Monomial, int], int] = {}
@@ -162,7 +185,7 @@ def truncated_spectrum(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumRepo
                     index[key] = len(basis)
                     basis.append(key)
     size = len(basis)
-    matrix = np.zeros((size, size), dtype=complex)
+    matrix = numpy.zeros((size, size), dtype=complex)
     for col, (mono, alpha) in enumerate(basis):
         spinor = TensorElement.basis(p, (), alpha, AlgebraElement(p, {mono: Scalar.one()}))
         image = dtilde_apply(t2, spinor)
@@ -171,7 +194,7 @@ def truncated_spectrum(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumRepo
                 row = index.get((out_mono, w.spin))
                 if row is not None:
                     matrix[row][col] += scal.eval_numeric(theta)
-    eigenvalues = np.linalg.eigvals(matrix)
+    eigenvalues = numpy.linalg.eigvals(matrix)
     report = SpectrumReport(theta=theta, mmax=mmax)
     targets = sorted(
         {closed_form_value(m, n) for m in range(-mmax, mmax + 1) for n in range(-mmax, mmax + 1)}

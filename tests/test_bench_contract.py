@@ -6,6 +6,7 @@ The tracer file is loaded read-only and its own resolver is used.  The
 structure digest bench/workloads.py checks each build against must not move.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -97,3 +98,33 @@ def test_bounded_product_cache_changes_no_output(t2, monkeypatch):
     assert scan == want_scan
     assert tracked.presentations
     assert max(len(p._product_cache) for p in tracked.presentations) <= bound
+
+
+def test_scan_bytes_do_not_depend_on_scan_history(t2, monkeypatch):
+    # the spectrum workload compares a warm traced scan with the cold scan
+    # before it: a bundle's stored sectors must give the bytes a fresh
+    # bundle gives, whichever thetas it scanned before
+    from ncgdirac.spectrum import spectrum_scan
+
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = _load("ncgdirac_bench_workloads", BENCH_DIR / "workloads.py")
+    thetas = (0.7, 2.3, 0.7)
+    cold = [workloads.scan_bytes(spectrum_scan(dataclasses.replace(t2), 2, th)) for th in thetas]
+    fresh = dataclasses.replace(t2)
+    warm = [workloads.scan_bytes(spectrum_scan(fresh, 2, th)) for th in thetas]
+    assert warm == cold
+
+
+def test_bounded_sector_store_changes_no_output(t2, monkeypatch):
+    # past spectrum.SECTOR_STORE_BOUND a sector is computed without being
+    # stored; a tiny bound must give the same scan bytes
+    from ncgdirac import spectrum
+
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    workloads = _load("ncgdirac_bench_workloads", BENCH_DIR / "workloads.py")
+    want = workloads.scan_bytes(spectrum.spectrum_scan(dataclasses.replace(t2), 2, 0.7))
+    monkeypatch.setattr(spectrum, "SECTOR_STORE_BOUND", 5)
+    small = dataclasses.replace(t2)
+    for _ in range(2):
+        assert workloads.scan_bytes(spectrum.spectrum_scan(small, 2, 0.7)) == want
+    assert len(small.sector_store) == 5

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,29 @@ def test_dirac_command_t2(capsys):
     payload = json.loads(out)
     assert set(payload["basis_dirac"]) == {"e1", "e2", "e3", "e4"}
     assert sha256(out.encode()) == DIRAC_T2_SHA256
+
+
+# numpy serves only the eigenvalue scan: the CLI imports without it, and a
+# command that takes no eigenvalues runs with numpy unimportable
+NO_NUMPY_SCRIPT = """
+import sys
+import ncgdirac.cli
+if "numpy" in sys.modules:
+    sys.exit("numpy imported by ncgdirac.cli")
+sys.modules["numpy"] = None
+sys.exit(ncgdirac.cli.main(["dirac", "t2"]))
+"""
+
+
+def test_cli_runs_without_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT], capture_output=True, env=env, timeout=120
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    assert sha256(proc.stdout) == DIRAC_T2_SHA256
 
 
 def test_dirac_command_flat_space(capsys):

@@ -1,18 +1,23 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ncgdirac import catalog
+from ncgdirac import catalog, spectrum
+from ncgdirac.algebra import AlgebraElement
+from ncgdirac.scalars import Scalar
 from ncgdirac.spectrum import (
     closed_form_value,
+    exact_sector,
     momentum_monomial,
     sector_basis,
     sector_matrix,
     spectrum_scan,
     truncated_spectrum,
 )
+from ncgdirac.spin import mat_mul
 
 THETAS = (0.0, 0.7, math.pi / 3)
 
@@ -123,3 +128,71 @@ def test_mass_matrices_built_once_per_bundle(t2, monkeypatch):
     spectrum_scan(fresh, 1, 0.7)
     spectrum_scan(fresh, 1, 1.3)
     assert len(calls) <= 2
+
+
+def test_generators_built_once_per_bundle(t2, monkeypatch):
+    # gamma~ multiplies by z and zbar in every sector column; the bundle
+    # builds its generators once, not one normal form per use
+    calls = []
+    generator = AlgebraElement.generator
+
+    def counted(p, i):
+        calls.append(i)
+        return generator(p, i)
+
+    monkeypatch.setattr(AlgebraElement, "generator", staticmethod(counted))
+    fresh = dataclasses.replace(t2)
+    spectrum_scan(fresh, 1, 0.7)
+    spectrum_scan(fresh, 1, 1.3)
+    assert len(calls) <= 4
+
+
+def test_exact_sector_certificate(t2):
+    # M(m, n)^2 = lambda^2 I and tr M = 0 exactly in Mat_4(Q(i)[q, q^-1]), so
+    # every sector has the eigenvalues +-lambda, each twice, at every theta
+    zero = Scalar.zero()
+    for m in range(-4, 5):
+        for n in range(-4, 5):
+            lam2 = Scalar.rational(2 * (Fraction(2 * m + 1, 2) ** 2 + Fraction(2 * n + 1, 2) ** 2))
+            sector = exact_sector(t2, m, n)
+            square = mat_mul(sector, sector)
+            for r in range(4):
+                for c in range(4):
+                    assert square[r][c] == (lam2 if r == c else zero), (m, n, r, c)
+            trace = sector[0][0] + sector[1][1] + sector[2][2] + sector[3][3]
+            assert trace == zero, (m, n)
+
+
+def test_second_scan_applies_no_operator(t2, monkeypatch):
+    # a bundle keeps its exact sectors: a scan at another theta only
+    # evaluates them, while a copy of the bundle starts with none
+    calls = []
+    dtilde_apply = spectrum.dtilde_apply
+
+    def counted(*args):
+        calls.append(args)
+        return dtilde_apply(*args)
+
+    monkeypatch.setattr(spectrum, "dtilde_apply", counted)
+    fresh = dataclasses.replace(t2)
+    spectrum_scan(fresh, 1, 0.7)
+    cold = len(calls)
+    assert cold == 9 * 4
+    spectrum_scan(fresh, 1, 1.3)
+    assert len(calls) == cold
+    spectrum_scan(dataclasses.replace(fresh), 1, 1.3)
+    assert len(calls) == 2 * cold
+
+
+def test_sector_store_hands_out_no_stored_object(t2):
+    fresh = dataclasses.replace(t2)
+    want = spectrum_scan(fresh, 1, 0.7).to_json()
+    sector = sector_matrix(fresh, 0, 0, 0.7)
+    assert sector.entries is not sector_matrix(fresh, 0, 0, 0.7).entries
+    sector.entries[0][0] = 99.0
+    sector.entries[1] = [0j] * 4
+    assert spectrum_scan(fresh, 1, 0.7).to_json() == want
+    assert len(fresh.sector_store) == 9
+    for exact in fresh.sector_store.values():
+        assert type(exact) is tuple and all(type(row) is tuple for row in exact)
+        assert all(type(c) is Scalar for row in exact for c in row)
