@@ -425,9 +425,14 @@ def build_s3(check: bool = True) -> SpaceBundle:
     return _induce(r4, sphere_level_function(r4.presentation), "s3", _golden_s3, check)
 
 
-def build_t2(check: bool = True) -> SpaceBundle:
-    """Iterate the induction: the torus as a hypersurface of the sphere."""
-    s3 = build_s3(check=check)
+def build_t2(check: bool = True, s3: SpaceBundle | None = None) -> SpaceBundle:
+    """Iterate the induction: the torus as a hypersurface of the sphere.
+
+    A prebuilt s3 bundle is used as the ambient space as it is; it is not
+    verified again.
+    """
+    if s3 is None:
+        s3 = build_s3(check=check)
     return _induce(s3, torus_level_function(s3.presentation), "t2", _golden_t2, check)
 
 

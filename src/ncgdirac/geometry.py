@@ -58,15 +58,6 @@ class Calculus:
         return self.canon(TensorElement.basis(self.presentation, (i,)))
 
 
-def _add_leibniz(out: TensorSum, c: AlgebraElement, w: BasisWord, value: TensorElement):
-    """Accumulate the left Leibniz rule c*value + d(c) (x) w into out."""
-    for w2, c2 in value.terms.items():
-        out.add_product(w2, c, c2)
-    # the coefficient 1 of w moves left through dz_i with no phase
-    for w1, c1 in differential(c).terms.items():
-        out.add(BasisWord(w1.forms + w.forms, w.spin), c1)
-
-
 class Connection:
     """Connection on a free-basis module, with optional braiding (bimodule case).
 
@@ -101,7 +92,11 @@ class Connection:
             value = self.values.get(w)
             if value is None:
                 raise KeyError(f"connection has no value for basis word {w}")
-            _add_leibniz(out, c, w, value)
+            for w2, c2 in value.terms.items():
+                out.add_product(w2, c, c2)
+            # the coefficient 1 of w moves left through dz_i with no phase
+            for w1, c1 in differential(c).terms.items():
+                out.add(BasisWord(w1.forms + w.forms, w.spin), c1)
         return calc.canon(out.element(sample.degree, sample.has_spin))
 
 
@@ -128,31 +123,38 @@ class Metric:
         return out.terms.get(BasisWord((), None), AlgebraElement.zero(e.presentation))
 
 
-def tensor_connection_apply(conn_v: Connection, conn_e: Connection, e: TensorElement) -> TensorElement:
-    """Tensor-product connection on Omega^1 (x) E applied to an element.
+def tensor_connection(conn_v: Connection, conn_e: Connection) -> Connection:
+    """Tensor-product connection on Omega^1 (x) E, built on its basis words once.
 
-    nabla(x)(v (x) s) = nabla(v) (x) s + (sigma (x) id)(v (x) nabla(s)), plus
-    the Leibniz term for the left coefficients.  The result is an unprojected
-    class representative: every caller contracts it with an extensional
-    (class-correct) map and projects afterwards.
+    nabla(x)(dz_i (x) w) = nabla_V(dz_i) (x) w + (sigma (x) id)(dz_i (x) nabla_E(w))
+    for every basis word w of conn_e; Connection.apply adds the Leibniz term
+    for left coefficients.  The calculus is free (no projector), so apply
+    returns an unprojected class representative: every caller contracts it
+    with an extensional (class-correct) map and projects afterwards.
     """
     if conn_v.sigma is None:
         raise ValueError("left factor connection must carry a braiding")
     p = conn_v.calculus.presentation
-    if e.presentation != p:
+    values = {}
+    for i in range(p.n):
+        dz_i = TensorElement.basis(p, (i,))
+        nabla_dz_i = conn_v.values[BasisWord((i,), None)]
+        for w, nabla_w in conn_e.values.items():
+            term1 = tensor(nabla_dz_i, TensorElement.basis(p, w.forms, w.spin))
+            term2 = conn_v.sigma.apply_at(tensor(dz_i, nabla_w), 0)
+            values[BasisWord((i,) + w.forms, w.spin)] = term1 + term2
+    return Connection(Calculus(p), values)
+
+
+def tensor_connection_apply(conn_v: Connection, conn_e: Connection, e: TensorElement) -> TensorElement:
+    """The tensor-product connection (see tensor_connection) applied to one element.
+
+    It builds the connection's basis values on every call; to evaluate many
+    elements, build tensor_connection once and apply it to each.
+    """
+    if e.presentation != conn_v.calculus.presentation:
         raise ValueError("presentation mismatch")
-    out = TensorSum(p)
-    for w, c in e.terms.items():
-        i = w.forms[0]
-        rest = BasisWord(w.forms[1:], w.spin)
-        rest_elem = TensorElement.basis(p, rest.forms, rest.spin)
-        # nabla_V on the first slot
-        term1 = tensor(conn_v.values[BasisWord((i,), None)], rest_elem)
-        # braid dz_i past nabla_E of the remainder, a basis word with coefficient 1
-        inner = conn_e.values[rest]
-        term2 = conn_v.sigma.apply_at(tensor(TensorElement.basis(p, (i,)), inner), 0)
-        _add_leibniz(out, c, w, term1 + term2)
-    return out.element(e.degree + 1, e.has_spin)
+    return tensor_connection(conn_v, conn_e).apply(e)
 
 
 def verify_metric(metric: Metric, conn: Connection) -> Report:
@@ -166,13 +168,11 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     report = Report(subject=p.name or "metric")
     g1 = calc.canon(metric.g_element)
     basis = [calc.canon_basis_form(i) for i in range(p.n)]
-
-    def gen(j):
-        return AlgebraElement.generator(p, j)
+    gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
 
     report.family(
         "g_central",
-        ((f"z{j + 1}", right_mul(g1, gen(j)) - g1.left_mul(gen(j))) for j in range(p.n)),
+        ((f"z{j + 1}", right_mul(g1, zj) - g1.left_mul(zj)) for j, zj in enumerate(gens)),
     )
     report.family(
         "inverse_left",
@@ -201,10 +201,11 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     report.family("symmetry", symmetry_checks())
 
     def compatibility_checks():
+        tensor_nabla = tensor_connection(conn, conn)
         for i in range(p.n):
             for j in range(p.n):
                 pair = tensor(basis[i], basis[j])
-                raw = tensor_connection_apply(conn, conn, pair)
+                raw = tensor_nabla.apply(pair)
                 lhs = metric.g_inv.apply_at(raw, 1)
                 yield (
                     f"dz{i + 1},dz{j + 1}",
@@ -224,13 +225,12 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     report.family("sigma_invertible", inverse_checks())
 
     def leibniz_checks():
+        d_gens = [calc.d(zj) for zj in gens]
         for i in range(p.n):
-            for j in range(p.n):
-                zj = gen(j)
+            nabla_i = conn.apply(basis[i])
+            for j, zj in enumerate(gens):
                 lhs = conn.apply(right_mul(basis[i], zj))
-                rhs = right_mul(conn.apply(basis[i]), zj) + conn.sigma.apply(
-                    tensor(basis[i], calc.d(zj))
-                )
+                rhs = right_mul(nabla_i, zj) + conn.sigma.apply(tensor(basis[i], d_gens[j]))
                 yield (f"dz{i + 1},z{j + 1}", lhs - calc.canon(rhs))
 
     report.family("right_leibniz", leibniz_checks())

@@ -172,11 +172,9 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
         acanon = amb.calculus.canon
         for i in range(n):
             base = amb.calculus.canon_basis_form(i)
-            for label, x, want in (
-                (f"dz{i + 1},nu", tensor(base, h.nu), tensor(h.nu, base)),
-                (f"nu,dz{i + 1}", tensor(h.nu, base), tensor(base, h.nu)),
-            ):
-                yield label, acanon(sigma_amb.apply(x)) - acanon(want)
+            w_nu, nu_w = tensor(base, h.nu), tensor(h.nu, base)
+            yield f"dz{i + 1},nu", acanon(sigma_amb.apply(w_nu)) - acanon(nu_w)
+            yield f"nu,dz{i + 1}", acanon(sigma_amb.apply(nu_w)) - acanon(w_nu)
 
     def pi_checks():
         # assumption 2: sigma interchanges (Pi (x) id) and (id (x) Pi) on q_! (x) q_!
@@ -184,11 +182,11 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
         for i in range(n):
             for j in range(n):
                 x = tensor(qbasis[i], qbasis[j])
+                braided = sigma_q.apply(x)
                 for slot, side in ((0, "left"), (1, "right")):
                     yield (
                         f"dz{i + 1},dz{j + 1},{side}",
-                        sigma_q.apply(h.pi.apply_at(x, slot))
-                        - h.pi.apply_at(sigma_q.apply(x), 1 - slot),
+                        sigma_q.apply(h.pi.apply_at(x, slot)) - h.pi.apply_at(braided, 1 - slot),
                     )
 
     def nabla_nu_checks():

@@ -100,7 +100,8 @@ def sector_matrix(t2: SpaceBundle, m: int, n: int, theta: float) -> SectorMatrix
         exact = exact_sector(t2, m, n)
         if len(store) < SECTOR_STORE_BOUND:
             store[(m, n)] = exact
-    entries = [[c.eval_numeric(theta) for c in row] for row in exact]
+    # half the entries of a sector are zero; they need no evaluation
+    entries = [[0j if c.is_zero() else c.eval_numeric(theta) for c in row] for row in exact]
     return SectorMatrix(m, n, theta, entries)
 
 

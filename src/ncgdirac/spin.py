@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Presentation
-from .geometry import Calculus, Connection, Metric, tensor_connection_apply
+from .geometry import Calculus, Connection, Metric, tensor_connection
 from .reports import Report
 from .scalars import Scalar
 from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, tensor
@@ -145,11 +145,12 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     report.family("clifford_relations", clifford_checks())
 
     def compatibility_checks():
+        tensor_nabla = tensor_connection(conn, spin.spin_connection)
         for i in range(p.n):
             for alpha in range(SPINOR_RANK):
                 base = tensor(basis[i], spinors[alpha])
                 lhs = spin.spin_connection.apply(gamma_apply(spin, base))
-                big = tensor_connection_apply(conn, spin.spin_connection, base)
+                big = tensor_nabla.apply(base)
                 rhs = spin.gamma.apply_at(big, 1)
                 yield (f"dz{i + 1},e{alpha + 1}", lhs - calc.canon(rhs))
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -209,6 +211,34 @@ def test_golden_rejects_corrupted_family(request, space, family, label):
     with pytest.raises(GoldenMismatch) as exc:
         golden(bundle.hypersurface, corrupted, bundle.base_matrices)
     assert exc.value.label == label.format(tag)
+
+
+# sha256 of the verify_space report of each corrupted bundle (json.dumps with
+# indent=2, sort_keys=True): the verifiers alone, without the golden forms,
+# catch a corrupted connection with the same residuals, byte for byte
+CORRUPTED_REPORT_SHA256 = {
+    ("s3", "nabla"): "53a1ac07d313ee6076e4cbf33237e4b4ae75ad5f6fea9b54172b6b87282c5f5e",
+    ("s3", "nabla^sp"): "e9aa48872827e2835f334ebdd3c830e4d02e2d0c7ddc3c3e9246dfceb9ffec76",
+    ("t2", "nabla"): "133310b99c9ce66dc356faa6737f85a45adf47a3ba61f3cb6da84c2a04bc77d7",
+    ("t2", "nabla^sp"): "535a733c2deaeb24620bff3d5db4bf48d8ce7dc5244e95f5ed0958d2ee6b6683",
+}
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+@pytest.mark.parametrize(
+    "family, failing",
+    [
+        ("nabla", {"metric_compatibility", "clifford_compatibility"}),
+        ("nabla^sp", {"clifford_compatibility"}),
+    ],
+    ids=["nabla", "nabla^sp"],
+)
+def test_verifiers_reject_corrupted_connection(request, space, family, failing):
+    bundle = request.getfixturevalue(space)
+    report = verify_space(replace(bundle, structures=_corrupt(bundle.structures, family)))
+    assert {c.name.split("[")[0] for c in report.failures()} == failing
+    data = json.dumps(report.to_json(), indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(data).hexdigest() == CORRUPTED_REPORT_SHA256[space, family]
 
 
 # -- torus ---------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ncgdirac import algebra
+from ncgdirac import algebra, catalog
 from ncgdirac.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 from ncgdirac.catalog import r4_presentation
 
@@ -293,3 +293,34 @@ def test_report_all(tmp_path, capsys):
     assert payload["spectrum"]["max_deviation"] < 1e-9
     spaces = json.dumps(payload["spaces"], indent=2, sort_keys=True)
     assert sha256(spaces.encode()) == REPORT_ALL_SPACES_SHA256
+
+
+def test_report_all_induces_each_space_once(tmp_path, capsys, monkeypatch):
+    # report-all induces t2 from the s3 bundle it has just built and verified
+    names = []
+    build_hypersurface = catalog.build_hypersurface
+
+    def counted(ambient, f, name=""):
+        names.append(name)
+        return build_hypersurface(ambient, f, name=name)
+
+    monkeypatch.setattr(catalog, "build_hypersurface", counted)
+    code, _, _ = run(capsys, "report-all", "--mmax", "0", "--out", str(tmp_path / "all.json"))
+    assert code == EXIT_OK
+    assert names == ["s3", "t2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--theta", "nan"],
+        ["spectrum", "--theta=-inf"],
+        ["report-all", "--theta", "inf"],
+    ],
+    ids=["spectrum-nan", "spectrum-minus-inf", "report-all-inf"],
+)
+def test_non_finite_theta_rejected(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == "error: theta must be finite\n"

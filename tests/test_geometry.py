@@ -4,8 +4,15 @@ import pytest
 
 from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import sphere_level_function
-from ncgdirac.geometry import Connection, Metric, tensor_connection_apply, verify_metric
+from ncgdirac.geometry import (
+    Connection,
+    Metric,
+    tensor_connection,
+    tensor_connection_apply,
+    verify_metric,
+)
 from ncgdirac.scalars import Scalar
+from ncgdirac.spin import verify_spinorial
 from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, differential, tensor
 
 
@@ -102,9 +109,11 @@ def test_tensor_connection_flat_basis(r4):
             assert tensor_connection_apply(s.connection, s.spin.spin_connection, base).is_zero()
 
 
-def test_tensor_connection_leibniz(r4):
-    s = r4.structures
-    p = r4.presentation
+@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
+def test_tensor_connection_leibniz(request, space):
+    bundle = request.getfixturevalue(space)
+    s = bundle.structures
+    p = bundle.presentation
     rng = random.Random(31)
     for _ in range(10):
         word = [rng.randrange(4) for _ in range(rng.randint(1, 3))]
@@ -132,6 +141,55 @@ def test_tensor_connection_against_manual_expansion(s3):
             inner = tensor(dz(p, i), conn.values[BasisWord((j,), None)])
             term2 = conn.sigma.apply_at(inner, 0)
             assert got == canon(term1 + term2)
+
+
+class _CountingBraiding(LeftLinearMap):
+    """A copy of a braiding that counts the elements it braids past a tail."""
+
+    def __init__(self, sigma: LeftLinearMap):
+        super().__init__(sigma.presentation, sigma.domain, sigma.codomain, sigma.images)
+        self.with_tail = 0
+
+    def apply_at(self, e, at):
+        # only the tensor-product connection braids dz_i past the value of
+        # another connection; every other verifier clause braids a pair
+        if e.degree > self.domain[0] or e.has_spin:
+            self.with_tail += 1
+        return super().apply_at(e, at)
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_tensor_connection_braids_each_basis_word_once(request, space):
+    # each verifier builds nabla(x) on the basis words dz_i (x) w once, so the
+    # braiding runs at most n * |conn_e.values| times per connection pair,
+    # however many words the projected basis forms carry
+    s = request.getfixturevalue(space).structures
+    conn = s.connection
+    sigma = _CountingBraiding(conn.sigma)
+    counted = Connection(conn.calculus, conn.values, sigma, conn.sigma_inv)
+    n = s.presentation.n
+    assert verify_metric(s.metric, counted).all_passed
+    assert 0 < sigma.with_tail <= n * len(conn.values)
+    sigma.with_tail = 0
+    assert verify_spinorial(s.spin, s.metric, counted).all_passed
+    assert 0 < sigma.with_tail <= n * len(s.spin.spin_connection.values)
+
+
+def test_tensor_connection_values_on_basis_words(s3):
+    # nabla(x) is stored over the free calculus on every dz_i (x) e_alpha as
+    # nabla(dz_i) (x) e_alpha + (sigma (x) id)(dz_i (x) nabla^sp(e_alpha))
+    s = s3.structures
+    p = s3.presentation
+    conn, spin_conn = s.connection, s.spin.spin_connection
+    nabla = tensor_connection(conn, spin_conn)
+    assert nabla.calculus.projector is None
+    words = {BasisWord((i,), alpha) for i in range(p.n) for alpha in range(4)}
+    assert set(nabla.values) == words
+    for w in words:
+        (i,), alpha = w
+        term1 = tensor(conn.values[BasisWord((i,), None)], TensorElement.basis(p, (), alpha))
+        inner = tensor(dz(p, i), spin_conn.values[BasisWord((), alpha)])
+        assert nabla.values[w] == term1 + conn.sigma.apply_at(inner, 0)
 
 
 def test_metric_compatibility_residual_exactly_zero(r4):

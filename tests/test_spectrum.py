@@ -107,6 +107,29 @@ def test_scan_rejects_negative_mmax(t2):
         spectrum_scan(t2, -1, 0.0)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_scan_rejects_non_finite_theta(t2, theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        spectrum_scan(t2, 1, theta)
+
+
+def test_zero_sector_entries_are_not_evaluated(t2, monkeypatch):
+    # a stored zero entry reads 0j; only the other entries substitute q
+    calls = []
+    eval_numeric = Scalar.eval_numeric
+
+    def counted(self, theta):
+        calls.append(self)
+        return eval_numeric(self, theta)
+
+    exact = exact_sector(t2, 1, -2)
+    monkeypatch.setattr(Scalar, "eval_numeric", counted)
+    sector = sector_matrix(dataclasses.replace(t2), 1, -2, 0.7)
+    zeros = [(r, c) for r in range(4) for c in range(4) if exact[r][c].is_zero()]
+    assert len(zeros) == 8 and len(calls) == 16 - len(zeros)
+    assert all(sector.entries[r][c] == 0j for r, c in zeros)
+
+
 def test_report_json_schema(t2):
     payload = spectrum_scan(t2, 1, 0.7).to_json()
     assert set(payload) == {"theta", "mmax", "eigenvalues", "max_deviation", "fallback_used"}
