@@ -593,75 +593,92 @@ def brute_force_normal_form(word, coeff: Scalar, p: Presentation, _memo=None) ->
     """Confluence oracle: exhaustive one-step rewriting, all orders.
 
     A step is a single adjacent transposition z_a z_b = R[b][a] z_b z_a (in
-    either direction) or an adjacent rule replacement.  The full transposition
-    closure of the word is enumerated with phase bookkeeping (inconsistent
-    phases on re-visits flag a broken R matrix), every rule occurrence in the
-    closure is branched on, and all branches must recursively normalize to the
-    same element.  Exponential but memoized; intended for short words.
+    either direction) or an adjacent rule replacement.  Transpositions keep a
+    word's letter multiset, so the oracle works one multiset class at a time.
+    From the sorted word srt it enumerates the whole class, recording for each
+    word u the q-exponent e with srt = q**e * u (a re-visit with another
+    exponent flags a broken R matrix).  It branches on every rule occurrence
+    in every word of the class, and all branches must recursively normalize
+    srt to the same element; a word u then normalizes to q**-e times that.
+    Phase consistency does not depend on the word the class is entered from,
+    and entering it from another word multiplies every branch by one common
+    factor, so memoizing per class gives the per-word verdict.
+    The memo maps srt to (exponents, normal form of srt) and shares nothing
+    with the rewriting kernel.  Exponential in the word length; intended for
+    short words.
     """
     memo = {} if _memo is None else _memo
+    q_exp = p.q_exp
+    rules = []
+    for r in p.rules:
+        rhs = [(m, tuple(_mono_letters(m)), c) for m, c in r.rhs.items()]
+        rules.append((tuple(_mono_letters(r.lhs)), r.lhs, rhs))
 
-    def nf_word(w: tuple[int, ...]) -> dict[Monomial, Scalar]:
-        if w in memo:
-            return memo[w]
+    def nf_class(srt: tuple[int, ...]) -> tuple[dict, dict[Monomial, Scalar]]:
+        entry = memo.get(srt)
+        if entry is not None:
+            return entry
         # closure under adjacent transpositions, both directions
-        reach: dict[tuple[int, ...], Scalar] = {w: Scalar.one()}
-        frontier = [w]
+        reach = {srt: 0}
+        frontier = [srt]
         while frontier:
             u = frontier.pop()
-            pu = reach[u]
+            eu = reach[u]
             for pos in range(len(u) - 1):
                 a, b = u[pos], u[pos + 1]
                 if a == b:
                     continue
                 v = u[:pos] + (b, a) + u[pos + 2:]
-                phase = pu * p.R[b][a]
+                e = eu + q_exp[b][a]
                 seen = reach.get(v)
                 if seen is None:
-                    reach[v] = phase
+                    reach[v] = e
                     frontier.append(v)
-                elif seen != phase:
+                elif seen != e:
                     raise AssertionError(
-                        f"inconsistent transposition phases reaching {v} from {w}"
+                        f"inconsistent transposition phases reaching {v} from {srt}"
                     )
-        results = []
-        for u, phase in reach.items():
-            for rule in p.rules:
-                letters = tuple(_mono_letters(rule.lhs))
-                span = len(letters)
+        mono = [0] * p.n
+        for k in srt:
+            mono[k] += 1
+        value = None
+        for letters, lhs, rhs in rules:
+            if not _divides(lhs, mono):
+                continue
+            # every occurrence splices into the same classes, one per rhs monomial
+            targets = [
+                nf_class(tuple(_mono_letters([m - l + r for m, l, r in zip(mono, lhs, rmono)])))
+                for rmono, _, _ in rhs
+            ]
+            # srt = q**e_u * u = sum of c * q**(e_u - e_s) * s over the spliced
+            # words s; equal exponent shifts give equal branches, summed once
+            span = len(letters)
+            branches = set()
+            for u, eu in reach.items():
                 for pos in range(len(u) - span + 1):
                     if u[pos:pos + span] == letters:
-                        total: dict[Monomial, Scalar] = {}
-                        for rmono, rcoef in rule.rhs.items():
-                            spliced = u[:pos] + tuple(_mono_letters(rmono)) + u[pos + span:]
-                            for m, c in nf_word(spliced).items():
-                                add_term(total, m, c * rcoef * phase)
-                        results.append(total)
-        if not results:
-            srt = tuple(sorted(w))
-            mono = [0] * p.n
-            for k in srt:
-                mono[k] += 1
-            value = _scale_terms({tuple(mono): Scalar.one()}, reach[srt])
-        else:
-            value = results[0]
-            for other in results[1:]:
-                if other != value:
+                        head, tail = u[:pos], u[pos + span:]
+                        branches.add(tuple(
+                            eu - sreach[head + rletters + tail]
+                            for (_, rletters, _), (sreach, _) in zip(rhs, targets)
+                        ))
+            for shifts in sorted(branches):
+                total: dict[Monomial, Scalar] = {}
+                for (_, _, rcoef), (_, svalue), shift in zip(rhs, targets, shifts):
+                    for m, c in svalue.items():
+                        add_term(total, m, (c * rcoef).q_shift(shift))
+                if value is None:
+                    value = total
+                elif total != value:
                     raise AssertionError(
-                        f"non-confluent rewriting detected at word {w}: "
-                        f"{value} vs {other}"
+                        f"non-confluent rewriting detected in the class of word {srt}: "
+                        f"{value} vs {total}"
                     )
-        memo[w] = value
-        return value
+        if value is None:
+            value = {tuple(mono): Scalar.one()}
+        memo[srt] = entry = (reach, value)
+        return entry
 
-    terms = _scale_terms(nf_word(tuple(word)), coeff)
-    return AlgebraElement(p, terms)
-
-
-def _scale_terms(terms: dict[Monomial, Scalar], s: Scalar) -> dict[Monomial, Scalar]:
-    out = {}
-    for m, c in terms.items():
-        v = c * s
-        if not v.is_zero():
-            out[m] = v
-    return out
+    w = tuple(word)
+    reach, value = nf_class(tuple(sorted(w)))
+    return AlgebraElement(p, {m: (c * coeff).q_shift(-reach[w]) for m, c in value.items()})

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -211,6 +212,49 @@ def test_oracle_flags_non_confluent_rules(p_r4):
         for _ in range(3):
             brute_force_normal_form([0, 2, 1], Scalar.one(), bad)
             brute_force_normal_form([0, 1, 2], Scalar.one(), bad)
+
+
+
+@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
+def test_oracle_decides_every_short_word(space):
+    # every word of length <= 5 over the 4 generators: 1,365 words
+    p = presentation(space)
+    memo = {}
+    words = [w for n in range(6) for w in itertools.product(range(4), repeat=n)]
+    assert len(words) == 1365
+    for word in words:
+        assert brute_force_normal_form(word, Scalar.one(), p, memo) == normal_form(
+            word, Scalar.one(), p
+        ), word
+
+
+def test_oracle_memo_holds_one_entry_per_multiset(p_s3):
+    words = set(itertools.permutations([0, 0, 1, 2, 3, 3]))
+    assert len(words) == 180
+    memo = {}
+    for word in sorted(words):
+        assert brute_force_normal_form(word, Scalar.one(), p_s3, memo) == normal_form(
+            word, Scalar.one(), p_s3
+        )
+    assert all(key == tuple(sorted(key)) for key in memo)
+    # z2 z4 -> 1 - z1 z3 leaves the class once, to two classes with no z2
+    assert set(memo) == {(0, 0, 1, 2, 3, 3), (0, 0, 2, 3), (0, 0, 0, 2, 2, 3)}
+
+
+def test_oracle_checks_every_word_of_the_class(p_r4):
+    # z1 z2 z3 -> 1 fires in the sorted word; z1 z3 -> 1 only in z1 z3 z2, a
+    # reordering of it, where it gives a multiple of z2 instead
+    bad = Presentation(
+        4,
+        p_r4.R,
+        (
+            RewriteRule((1, 0, 1, 0), {(0, 0, 0, 0): Scalar.one()}),
+            RewriteRule((1, 1, 1, 0), {(0, 0, 0, 0): Scalar.one()}),
+        ),
+        name="bad",
+    )
+    with pytest.raises(AssertionError, match="non-confluent"):
+        brute_force_normal_form([0, 1, 2], Scalar.one(), bad, {})
 
 
 # -- quotient construction ---------------------------------------------------

@@ -11,6 +11,8 @@ from ncgdirac import algebra, catalog
 from ncgdirac.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 from ncgdirac.catalog import r4_presentation
 
+from kernel_reference import presentation
+
 
 # sha256 of exact report bytes; every change to these outputs must be named.
 # The spectrum floats are left out: numpy's eigvals may differ in the last bits
@@ -201,6 +203,29 @@ def test_user_presentation_non_confluent_fails(tmp_path, capsys):
     assert code == EXIT_FAILED
     payload = json.loads(out)
     assert not payload["pass"]
+
+
+
+# stdout of `verify --presentation` on the catalog quotient presentations, the
+# cli benchmark's input, in the default JSON format
+PRESENTATION_SHA256 = {
+    "s3": "76d7f0f03007604a59eddefe799ea622d8c1e6260f82e498b5854140fc5cbdf9",
+    "t2": "b94136bab21dbcfae7d01678d2143fb5ef316f85e7514be3854ee08c4dcd7756",
+}
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_catalog_quotient_presentation_verifies(space, tmp_path, capsys):
+    path = tmp_path / f"{space}.json"
+    path.write_text(json.dumps(presentation(space).to_json()))
+    code, out, _ = run(capsys, "verify", "--presentation", str(path))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert [(c["clause"], c["pass"]) for c in payload["clauses"]] == [
+        ("normal_form_idempotent", True),
+        ("brute_force_oracle_agreement", True),
+    ]
+    assert sha256(out.encode()) == PRESENTATION_SHA256[space]
 
 
 def _doc(**changes):
