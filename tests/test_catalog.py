@@ -23,7 +23,7 @@ from ncgdirac.catalog import (
     verify_space,
 )
 from ncgdirac.geometry import Connection, Metric, tensor_connection_apply
-from ncgdirac.hypersurface import induced_dirac
+from ncgdirac.hypersurface import check_assumptions, induced_dirac
 from ncgdirac.scalars import Scalar
 from ncgdirac.spin import SpinStructure, dirac, mat_mul, mat_scale
 from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, tensor
@@ -221,7 +221,19 @@ CORRUPTED_REPORT_SHA256 = {
     ("s3", "nabla^sp"): "e9aa48872827e2835f334ebdd3c830e4d02e2d0c7ddc3c3e9246dfceb9ffec76",
     ("t2", "nabla"): "133310b99c9ce66dc356faa6737f85a45adf47a3ba61f3cb6da84c2a04bc77d7",
     ("t2", "nabla^sp"): "535a733c2deaeb24620bff3d5db4bf48d8ce7dc5244e95f5ed0958d2ee6b6683",
+    ("s3", "sigma"): "0e1e0aadd8dec805bacb93da36ae9dd55c72c3b6920f134015fc99b91f1f2687",
+    ("s3", "g"): "fe546c7abe4ea50f3f97dabf19d53f3be51ae1502aed98eeeada69035527ac9f",
+    ("s3", "g^-1"): "e724770c2f7431e6e48ae06fd8ce394fe609a5c8d8754eec7b626da38a4006df",
+    ("s3", "gamma"): "24e584cfd93d1280ba66e3017a33d11d95808fb677ee976b313a9a8c297a96e4",
+    ("t2", "sigma"): "9a6c153d84710b9e9380c87287742b999056a38f37f98601af2ab2ea10253c08",
+    ("t2", "g"): "79308b93b59e0dbf37d6ee93036c04cd6bc0e887a49e27dffde3b2849e5074f7",
+    ("t2", "g^-1"): "48e2968cbc9448472885254cfab2bd8c44b08ff30e8da2288804d33bcf80ab66",
+    ("t2", "gamma"): "aafb18aaf2ea546afd656b147bb8bb9f29b584fe751698707b25f7a1447273af",
 }
+
+
+def _report_sha256(report) -> str:
+    return hashlib.sha256(json.dumps(report.to_json(), indent=2, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
@@ -237,8 +249,75 @@ def test_verifiers_reject_corrupted_connection(request, space, family, failing):
     bundle = request.getfixturevalue(space)
     report = verify_space(replace(bundle, structures=_corrupt(bundle.structures, family)))
     assert {c.name.split("[")[0] for c in report.failures()} == failing
-    data = json.dumps(report.to_json(), indent=2, sort_keys=True).encode()
-    assert hashlib.sha256(data).hexdigest() == CORRUPTED_REPORT_SHA256[space, family]
+    assert _report_sha256(report) == CORRUPTED_REPORT_SHA256[space, family]
+
+
+_SIGMA_FAILS = {
+    "symmetry", "sigma_invertible", "right_leibniz", "clifford_relations", "clifford_compatibility",
+}
+
+
+@pytest.mark.parametrize(
+    "space, family, failing",
+    [
+        ("s3", "sigma", _SIGMA_FAILS),
+        ("t2", "sigma", _SIGMA_FAILS),
+        ("s3", "g", {"inverse_left", "inverse_right"}),
+        ("t2", "g", {"inverse_left", "inverse_right"}),
+        (
+            "s3",
+            "g^-1",
+            {"inverse_left", "inverse_right", "symmetry", "metric_compatibility", "clifford_relations"},
+        ),
+        ("t2", "g^-1", {"inverse_left", "inverse_right", "clifford_relations"}),
+        ("s3", "gamma", {"clifford_relations", "clifford_compatibility"}),
+        ("t2", "gamma", {"clifford_relations", "clifford_compatibility"}),
+    ],
+)
+def test_verifiers_reject_corrupted_structure(request, space, family, failing):
+    # byte guards on the braiding, metric and Clifford residuals of the verifiers
+    bundle = request.getfixturevalue(space)
+    report = verify_space(replace(bundle, structures=_corrupt(bundle.structures, family)))
+    assert {c.name.split("[")[0] for c in report.failures()} == failing
+    assert _report_sha256(report) == CORRUPTED_REPORT_SHA256[space, family]
+
+
+# sha256 of the assumption certificate (as a report named after the space) when
+# one braiding image, at dz1 (x) dz3, is doubled: in the ambient connection it
+# breaks nu_transparency; in the quotient-coefficient copy conn_q, pi_ and
+# nabla_nu_transparency
+CORRUPTED_CERTIFICATE_SHA256 = {
+    ("s3", "ambient"): "c5926844532f0a736251905d662a8b05aa302127e2bd1d2e852f60fe3d794f8b",
+    ("s3", "conn_q"): "ac9733119c6ae8452f2ee28a87c5507976c6bbafff5d7111477580ff44d7ffef",
+    ("t2", "ambient"): "2568409f18d7f6f8bbba6305a1deec3fab138c762632ef632b3568838c078f76",
+    ("t2", "conn_q"): "bdadc75b3832a238be49a2cbada79ba85f844bcaac180ebe1dfd8e4f67fc2e54",
+}
+
+
+def _doubled_braiding(conn: Connection) -> Connection:
+    sigma = _doubled(conn.sigma, BasisWord((0, 2), None))
+    return Connection(conn.calculus, conn.values, sigma, conn.sigma_inv)
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+@pytest.mark.parametrize(
+    "where, failing",
+    [
+        ("ambient", {"nu_transparency"}),
+        ("conn_q", {"pi_transparency", "nabla_nu_transparency"}),
+    ],
+    ids=["ambient", "conn_q"],
+)
+def test_certificate_rejects_doubled_braiding(request, space, where, failing):
+    h = request.getfixturevalue(space).hypersurface
+    if where == "ambient":
+        amb = h.ambient
+        broken = replace(h, ambient=replace(amb, connection=_doubled_braiding(amb.connection)))
+    else:
+        broken = replace(h, conn_q=_doubled_braiding(h.conn_q))
+    cert = check_assumptions(broken)
+    assert {c.name.split("[")[0] for c in cert.failures()} == failing
+    assert _report_sha256(cert.to_report(space)) == CORRUPTED_CERTIFICATE_SHA256[space, where]
 
 
 # -- torus ---------------------------------------------------------------------
