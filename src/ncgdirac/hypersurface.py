@@ -173,8 +173,8 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
         for i in range(n):
             base = amb.calculus.canon_basis_form(i)
             w_nu, nu_w = tensor(base, h.nu), tensor(h.nu, base)
-            yield f"dz{i + 1},nu", acanon(sigma_amb.apply(w_nu)) - acanon(nu_w)
-            yield f"nu,dz{i + 1}", acanon(sigma_amb.apply(nu_w)) - acanon(w_nu)
+            yield f"dz{i + 1},nu", acanon(sigma_amb.apply(w_nu) - nu_w)
+            yield f"nu,dz{i + 1}", acanon(sigma_amb.apply(nu_w) - w_nu)
 
     def pi_checks():
         # assumption 2: sigma interchanges (Pi (x) id) and (id (x) Pi) on q_! (x) q_!
@@ -197,7 +197,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
         for i in range(n):
             x = tensor(pbasis[i], nabla_nu)
             lhs = sigma_q.apply_at(sigma_q.apply_at(x, 0), 1)
-            yield f"dz{i + 1}", canon3(lhs) - canon3(tensor(nabla_nu, pbasis[i]))
+            yield f"dz{i + 1}", canon3(lhs - tensor(nabla_nu, pbasis[i]))
 
     def corollary_checks():
         # lemma corollaries and centrality of nabla(nu)

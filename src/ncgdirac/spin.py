@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Presentation
-from .geometry import Calculus, Connection, Metric, tensor_connection
+from .geometry import Calculus, Connection, Metric, contracted_connection, tensor_connection
 from .reports import Report
 from .scalars import Scalar
 from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, tensor
@@ -132,27 +132,25 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
         for i in range(p.n):
             for j in range(p.n):
                 pair = tensor(basis[i], basis[j])
-                braided = conn.sigma.apply_at(pair, 0)
+                # gamma_[2] is left-linear: apply it once to pair + sigma(pair)
+                symmetrised = pair + conn.sigma.apply_at(pair, 0)
                 g_val = metric.pair(pair)
                 for alpha in range(SPINOR_RANK):
                     e_a = spinors[alpha]
-                    lhs = gamma_iterated(spin, tensor(pair, e_a)) + gamma_iterated(
-                        spin, tensor(braided, e_a)
-                    )
+                    lhs = gamma_iterated(spin, tensor(symmetrised, e_a))
                     rhs = e_a.left_mul(g_val).scale(Scalar.rational(-2))
                     yield (f"dz{i + 1},dz{j + 1},e{alpha + 1}", lhs - rhs)
 
     report.family("clifford_relations", clifford_checks())
 
     def compatibility_checks():
-        tensor_nabla = tensor_connection(conn, spin.spin_connection)
+        # (id (x) gamma) nabla(x)(base), with gamma applied to each basis value once
+        contracted = contracted_connection(tensor_connection(conn, spin.spin_connection), spin.gamma)
         for i in range(p.n):
             for alpha in range(SPINOR_RANK):
                 base = tensor(basis[i], spinors[alpha])
                 lhs = spin.spin_connection.apply(gamma_apply(spin, base))
-                big = tensor_nabla.apply(base)
-                rhs = spin.gamma.apply_at(big, 1)
-                yield (f"dz{i + 1},e{alpha + 1}", lhs - calc.canon(rhs))
+                yield (f"dz{i + 1},e{alpha + 1}", lhs - calc.canon(contracted(base)))
 
     report.family("clifford_compatibility", compatibility_checks())
     return report

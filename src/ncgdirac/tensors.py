@@ -347,10 +347,10 @@ def all_basis_words(p: Presentation, degree: int) -> list[BasisWord]:
 def right_linearity_residuals(m: LeftLinearMap):
     """(label, m(w * z_j) - m(w) * z_j) for every form basis word w and generator z_j."""
     p = m.presentation
+    gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
     for w in all_basis_words(p, m.domain[0]):
         base = TensorElement.basis(p, w.forms)
-        for j in range(p.n):
-            zj = AlgebraElement.generator(p, j)
+        for j, zj in enumerate(gens):
             lhs = m.apply(right_mul(base, zj))
             rhs = right_mul(m.apply(base), zj)
             yield f"{w!r},z{j + 1}", lhs - rhs

@@ -8,11 +8,12 @@ from ncgdirac.catalog import (
     metric_lower,
     sphere_level_function,
 )
-from ncgdirac.geometry import Connection, verify_metric
+from ncgdirac.geometry import Calculus, Connection, verify_metric
 from ncgdirac.hypersurface import (
     HypersurfaceError,
     HypersurfaceSpec,
     build_hypersurface,
+    check_assumptions,
     induced_dirac,
     induced_metric,
 )
@@ -105,6 +106,26 @@ def test_sphere_certificate_passes(s3):
 
 def test_torus_certificate_passes(t2):
     assert t2.hypersurface.certificate.all_passed
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_nu_transparency_projects_each_residual_once(request, monkeypatch, space):
+    # nu_transparency projects sigma(a) - b, not sigma(a) and b apart: the
+    # ambient calculus (used by no other family) projects each of the n basis
+    # forms and each of the 2n residuals once
+    h = request.getfixturevalue(space).hypersurface
+    canon = Calculus.canon
+    ambient_calls = []
+
+    def counting(self, e):
+        if self is h.ambient.calculus:
+            ambient_calls.append(e.degree)
+        return canon(self, e)
+
+    monkeypatch.setattr(Calculus, "canon", counting)
+    assert check_assumptions(h).all_passed
+    n = h.ambient.presentation.n
+    assert sorted(ambient_calls) == [1] * n + [2] * (2 * n)
 
 
 def test_trivial_flip_braiding_fails_assumptions():

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from ncgdirac import spin as spin_module
 from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import (
     SPINOR_RANK,
@@ -164,6 +167,24 @@ def test_r4_spinorial_suite_passes(r4):
     s = r4.structures
     report = verify_spinorial(s.spin, s.metric, s.connection)
     assert report.all_passed, [c.name for c in report.failures()]
+
+
+@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
+def test_verify_spinorial_applies_gamma_once_per_residual_slot(request, monkeypatch, space):
+    # clifford_relations applies gamma_[2] to pair + sigma(pair), not to each
+    # summand: 2 gamma applications per (i, j, alpha), plus one per
+    # clifford_compatibility residual (4 per (i, j, alpha) and n*4 before)
+    s = request.getfixturevalue(space).structures
+    calls = []
+
+    def counting(spin, e):
+        calls.append(e.degree)
+        return gamma_apply(spin, e)
+
+    monkeypatch.setattr(spin_module, "gamma_apply", counting)
+    assert verify_spinorial(s.spin, s.metric, s.connection).all_passed
+    n = s.presentation.n
+    assert len(calls) == 2 * n * n * SPINOR_RANK + n * SPINOR_RANK
 
 
 def test_undeformed_gammas_fail_symbolically(r4):
