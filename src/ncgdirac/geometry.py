@@ -117,9 +117,9 @@ def contracted_connection(conn: Connection, phi: LeftLinearMap):
         raise ValueError("contraction needs a connection over the free calculus")
     p = conn.calculus.presentation
     images = {w: phi.apply_at(v, 1) for w, v in conn.values.items()}
-    w0, img0 = next(iter(images.items()))
-    k = LeftLinearMap(p, (len(w0.forms), w0.spin is not None), img0.shape(), images)
-    degree, has_spin = next(iter(conn.values.values())).shape()
+    w0 = next(iter(images))
+    k = LeftLinearMap(p, (len(w0.forms), w0.spin is not None), images[w0].shape(), images)
+    degree, has_spin = conn.values[w0].shape()
 
     def apply(x: TensorElement) -> TensorElement:
         leibniz = TensorSum(p)

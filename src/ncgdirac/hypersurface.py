@@ -191,13 +191,12 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
 
     def nabla_nu_checks():
         # assumption 3: sigma_23 sigma_12 (Pi(w) (x) nabla(nu)) = nabla(nu) (x) Pi(w)
-        def canon3(e: TensorElement) -> TensorElement:
-            return h.pi.apply_at(h.qcalc.canon(e), 0)
-
+        # as classes: the difference is projected, with Pi on its first slot
         for i in range(n):
             x = tensor(pbasis[i], nabla_nu)
             lhs = sigma_q.apply_at(sigma_q.apply_at(x, 0), 1)
-            yield f"dz{i + 1}", canon3(lhs - tensor(nabla_nu, pbasis[i]))
+            residual = lhs - tensor(nabla_nu, pbasis[i])
+            yield f"dz{i + 1}", h.pi.apply_at(h.qcalc.canon(residual), 0)
 
     def corollary_checks():
         # lemma corollaries and centrality of nabla(nu)
