@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -20,6 +22,11 @@ from ncgdirac.spectrum import (
 from ncgdirac.spin import mat_mul
 
 THETAS = (0.0, 0.7, math.pi / 3)
+
+# sha256 of the exact sectors M(m, n), |m|,|n| <= 4, as [m, n, Scalar.to_json
+# rows] in row-major order (json.dumps with sort_keys): exact values, so the
+# pin does not depend on the platform's floating point
+EXACT_SECTORS_SHA256 = "0f47210b2619f79fa4fe8b2fb884ab506bdb18b225d7bbbec5b985abf005ae3f"
 
 
 def test_momentum_monomials_are_irreducible():
@@ -184,6 +191,16 @@ def test_exact_sector_certificate(t2):
                     assert square[r][c] == (lam2 if r == c else zero), (m, n, r, c)
             trace = sector[0][0] + sector[1][1] + sector[2][2] + sector[3][3]
             assert trace == zero, (m, n)
+
+
+def test_exact_sectors_pinned(t2):
+    doc = [
+        [m, n, [[c.to_json() for c in row] for row in exact_sector(t2, m, n)]]
+        for m in range(-4, 5)
+        for n in range(-4, 5)
+    ]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == EXACT_SECTORS_SHA256
 
 
 def test_second_scan_applies_no_operator(t2, monkeypatch):
