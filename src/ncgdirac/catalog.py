@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import product
 
 from .algebra import AlgebraElement, Presentation, normal_form
-from .geometry import Calculus, Connection, Metric, verify_metric
+from .geometry import Calculus, Connection, Metric, contracted_connection, verify_metric
 from .hypersurface import (
     HypersurfaceSpec,
     build_hypersurface,
@@ -31,12 +31,10 @@ from .spin import (
     dirac,
     gamma_from_matrices,
     mat_mul,
-    mat_scale,
     matrix_act,
-    theta_commutator,
     verify_spinorial,
 )
-from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
+from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, tensor
 
 N_GEN = 4
 
@@ -119,9 +117,10 @@ class GoldenMismatch(RuntimeError):
 class SpaceBundle:
     """One catalog space: presentation, structures, and its hypersurface link.
 
-    The constant data of the rotated torus operator (flat_gamma,
-    mass_matrices, generators) is derived once, on first use; the exact
-    momentum sectors of the spectrum are kept in sector_store.
+    The data of the rotated torus operator (flat_gamma, rotated_gamma and
+    its contraction with the spin connection, rotated_dirac) is derived
+    once, on first use; the exact momentum sectors of the spectrum are kept
+    in sector_store.
     """
 
     name: str
@@ -149,20 +148,19 @@ class SpaceBundle:
         return gamma_from_matrices(calc, self.base_matrices)
 
     @cached_property
-    def mass_matrices(self) -> tuple[ScalarMatrix, ScalarMatrix]:
-        """(1/(8i)) [gamma_1, gamma_3]_theta and (1/(8i)) [gamma_2, gamma_4]_theta."""
-        gam, R = self.base_matrices, self.presentation.R
-        factor = Scalar.gaussian(0, Fraction(-1, 8))
-        return tuple(
-            mat_scale(theta_commutator(gam[i], gam[j], R[j][i]), factor)
-            for i, j in ((0, 2), (1, 3))
-        )
+    def rotated_gamma(self) -> LeftLinearMap:
+        """Phi: dz_i (x) e_a -> flat_gamma(nu~ (x) gamma_C(dz_i (x) e_a)).
+
+        nu~ is central, so Phi is left-linear and is stored on its 16 images.
+        """
+        gamma = self.structures.spin.gamma
+        images = {w: gamma_nu_tilde(self, img) for w, img in gamma.images.items()}
+        return LeftLinearMap(self.presentation, gamma.domain, gamma.codomain, images)
 
     @cached_property
-    def generators(self) -> tuple[AlgebraElement, ...]:
-        """The generators z_1, ..., z_n in normal form."""
-        p = self.presentation
-        return tuple(AlgebraElement.generator(p, i) for i in range(p.n))
+    def rotated_dirac(self):
+        """D~ = Phi o canon o nabla^sp, as one contraction of the spin connection."""
+        return contracted_connection(self.structures.spin.spin_connection, self.rotated_gamma)
 
     @cached_property
     def sector_store(self) -> dict:
@@ -454,56 +452,24 @@ def phi_basis(t2: SpaceBundle) -> tuple[TensorElement, TensorElement]:
     dphi_1 = (1/i) ubar du = (2/i) z3 dz1 and dphi_2 = (2/i) z4 dz2; the
     sqrt(2) rescaling of the torus generators cancels and never enters.
     """
-    p, zs = t2.presentation, t2.generators
+    p = t2.presentation
     minus_2i = Scalar.gaussian(0, -2)
-    dphi1 = TensorElement.basis(p, (0,), None, zs[2].scale(minus_2i))
-    dphi2 = TensorElement.basis(p, (1,), None, zs[3].scale(minus_2i))
+    dphi1 = TensorElement.basis(p, (0,), None, AlgebraElement.generator(p, 2).scale(minus_2i))
+    dphi2 = TensorElement.basis(p, (1,), None, AlgebraElement.generator(p, 3).scale(minus_2i))
     return dphi1, dphi2
 
 
-def phi_momentum_derivative(s: TensorElement, which: int) -> TensorElement:
-    """d/dphi_which on torus spinors via the momentum grading of monomials."""
-    p = s.presentation
-    lo, hi = (0, 2) if which == 1 else (1, 3)
-    terms = {}
-    for w, c in s.terms.items():
-        new = {
-            mono: scal * Scalar.gaussian(0, mono[lo] - mono[hi])
-            for mono, scal in c.terms.items()
-            if mono[lo] != mono[hi]
-        }
-        if new:
-            terms[w] = AlgebraElement(p, new)
-    return TensorElement(p, s.degree, s.has_spin, terms)
-
-
-def gamma_tilde(t2: SpaceBundle, which: int, s: TensorElement) -> TensorElement:
-    """The phi-basis Clifford action on torus spinors.
-
-    gamma~(dphi_1 (x) s) = (1/i)(gamma_1 s zbar_1 - gamma_3 s z_1), and the
-    (dphi_2, gamma_2, gamma_4, z_2) analogue.
-    """
-    gam = t2.base_matrices
-    minus_i = Scalar.gaussian(0, -1)
-    lo, hi = (0, 2) if which == 1 else (1, 3)
-    z, zbar = t2.generators[lo], t2.generators[hi]
-    out = matrix_act(gam[lo], right_mul(s, zbar)) - matrix_act(gam[hi], right_mul(s, z))
-    return out.scale(minus_i)
-
-
 def dtilde_apply(t2: SpaceBundle, s: TensorElement) -> TensorElement:
-    """The rotated torus Dirac operator D~ = gamma(nu~ (x) D_C(-)), in phi-basis form.
+    """The rotated torus Dirac operator D~ = gamma(nu~ (x) D_C(-)), by its definition.
 
-    Evaluates gamma~(dphi_a (x) (d/dphi_a + mass_a)) summed over the two
-    directions; it equals the definition gamma_nu_tilde(t2, induced_dirac(h, s)).
+    D_C = gamma_C o canon o nabla^sp, so D~(s) = Phi(canon(nabla^sp(s))) with
+    Phi = t2.rotated_gamma; t2.rotated_dirac evaluates it as Phi of the
+    projected basis values (once per bundle) times s's coefficients, plus
+    Phi of the projected Leibniz term of s.
     """
     if s.degree != 0 or not s.has_spin:
         raise ValueError("operator acts on torus spinors")
-    out = TensorElement.zero(t2.presentation, 0, True)
-    for which, mass in zip((1, 2), t2.mass_matrices):
-        inner = phi_momentum_derivative(s, which) + matrix_act(mass, s)
-        out = out + gamma_tilde(t2, which, inner)
-    return out
+    return t2.rotated_dirac(s)
 
 
 def gamma_nu_tilde(t2: SpaceBundle, s: TensorElement) -> TensorElement:

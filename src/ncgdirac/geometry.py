@@ -107,24 +107,34 @@ def add_leibniz_term(out: TensorSum, e: TensorElement):
 
 
 def contracted_connection(conn: Connection, phi: LeftLinearMap):
-    """x -> phi.apply_at(conn.apply(x), 1) for a connection over the free calculus.
+    """x -> phi applied at the rightmost slots of conn.apply(x).
 
-    conn.apply(x) is sum_w c_w * value(w) plus the Leibniz term, and phi is
-    left-linear, so phi runs once on each basis value (here) and once on the
-    Leibniz term of each x, instead of on the expanded sum.
+    conn.apply(x) is canon(sum_w c_w * value(w) + Leibniz term), and canon
+    and phi are left-linear, so phi o canon is stored once on the basis words
+    of the values' shape and runs once on each basis value (here) and once on
+    the Leibniz term of each x, instead of on the expanded sum.
     """
-    if conn.calculus.projector is not None:
-        raise ValueError("contraction needs a connection over the free calculus")
-    p = conn.calculus.presentation
-    images = {w: phi.apply_at(v, 1) for w, v in conn.values.items()}
-    w0 = next(iter(images))
-    k = LeftLinearMap(p, (len(w0.forms), w0.spin is not None), images[w0].shape(), images)
-    degree, has_spin = conn.values[w0].shape()
+    calc = conn.calculus
+    p = calc.presentation
+    w0, v0 = next(iter(conn.values.items()))
+    degree, has_spin = v0.shape()
+    at = degree - phi.domain[0]
+    canon_images = {}
+    for pre in all_basis_words(p, at):
+        for u in phi.images:
+            forms = pre.forms + u.forms
+            basis = TensorElement.basis(p, forms, u.spin)
+            canon_images[BasisWord(forms, u.spin)] = phi.apply_at(calc.canon(basis), at)
+    shape = next(iter(canon_images.values())).shape()
+    phi_canon = LeftLinearMap(p, (degree, has_spin), shape, canon_images)
+    images = {w: phi_canon.apply(v) for w, v in conn.values.items()}
+    k = LeftLinearMap(p, (len(w0.forms), w0.spin is not None), phi_canon.codomain, images)
 
     def apply(x: TensorElement) -> TensorElement:
+        out = k.apply(x)
         leibniz = TensorSum(p)
         add_leibniz_term(leibniz, x)
-        return k.apply(x) + phi.apply_at(leibniz.element(degree, has_spin), 1)
+        return out + phi_canon.apply(leibniz.element(degree, has_spin))
 
     return apply
 
@@ -222,10 +232,8 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
         for i in range(p.n):
             for j in range(p.n):
                 pair = tensor(basis[i], basis[j])
-                yield (
-                    f"dz{i + 1},dz{j + 1}",
-                    metric.pair(conn.sigma.apply(pair)) - metric.pair(pair),
-                )
+                # g^-1 is left-linear: apply it once to sigma(pair) - pair
+                yield f"dz{i + 1},dz{j + 1}", metric.pair(conn.sigma.apply(pair) - pair)
 
     report.family("symmetry", symmetry_checks())
 

@@ -1,8 +1,9 @@
 """Closed-form Dirac operators of the catalog spaces, built independently.
 
 These evaluate the pinned coordinate formulas termwise (theta-commutators of
-the flat gamma matrices against the representative partials) so that tests can
-compare them against the composite operators computed by the engine.
+the flat gamma matrices against the representative partials, or the phi-basis
+form of the rotated torus operator) so that tests can compare them against the
+composite operators computed by the engine.
 """
 
 from fractions import Fraction
@@ -10,8 +11,8 @@ from fractions import Fraction
 from ncgdirac.algebra import AlgebraElement
 from ncgdirac.catalog import SPINOR_RANK, h_lower, metric_lower
 from ncgdirac.scalars import Scalar
-from ncgdirac.spin import mat_mul, mat_scale
-from ncgdirac.tensors import TensorElement, partial_coeffs
+from ncgdirac.spin import mat_mul, mat_scale, matrix_act
+from ncgdirac.tensors import TensorElement, partial_coeffs, right_mul
 
 
 def _lowered_coordinate(p, i, matrix):
@@ -84,4 +85,41 @@ def torus_dirac_closed_form(bundle, s):
                         out = out + _spinor(
                             p, beta, inner.scale(entry * Scalar.rational(Fraction(-1, 2)))
                         )
+    return out
+
+
+def phi_momentum_derivative(s, which):
+    """d/dphi_which on torus spinors via the momentum grading of monomials."""
+    p = s.presentation
+    lo, hi = (0, 2) if which == 1 else (1, 3)
+    terms = {}
+    for w, c in s.terms.items():
+        new = {
+            mono: scal * Scalar.gaussian(0, mono[lo] - mono[hi])
+            for mono, scal in c.terms.items()
+            if mono[lo] != mono[hi]
+        }
+        if new:
+            terms[w] = AlgebraElement(p, new)
+    return TensorElement(p, s.degree, s.has_spin, terms)
+
+
+def rotated_torus_dirac_closed_form(bundle, s):
+    """sum_a gamma~(dphi_a (x) (d/dphi_a + mass_a) s) on the Clifford torus.
+
+    mass_1 = (1/(8i)) [g_1, g_3]_theta and mass_2 = (1/(8i)) [g_2, g_4]_theta
+    (the unit radii), and gamma~(dphi_1 (x) s) = (1/i)(g_1 s zbar_1 - g_3 s z_1)
+    (the 2/i of the sqrt(2) rescaling cancels), with the (dphi_2, g_2, g_4, z_2)
+    analogue.
+    """
+    p = bundle.presentation
+    gam = bundle.base_matrices
+    minus_i = Scalar.gaussian(0, -1)
+    out = TensorElement.zero(p, 0, True)
+    for which, (lo, hi) in ((1, (0, 2)), (2, (1, 3))):
+        mass = mat_scale(_theta_commutator(p, gam, lo, hi), Scalar.gaussian(0, Fraction(-1, 8)))
+        inner = phi_momentum_derivative(s, which) + matrix_act(mass, s)
+        z, zbar = AlgebraElement.generator(p, lo), AlgebraElement.generator(p, hi)
+        rotated = matrix_act(gam[lo], right_mul(inner, zbar)) - matrix_act(gam[hi], right_mul(inner, z))
+        out = out + rotated.scale(minus_i)
     return out

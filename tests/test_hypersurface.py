@@ -8,7 +8,7 @@ from ncgdirac.catalog import (
     metric_lower,
     sphere_level_function,
 )
-from ncgdirac.geometry import Calculus, Connection, verify_metric
+from ncgdirac.geometry import Calculus, Connection, Metric, verify_metric
 from ncgdirac.hypersurface import (
     HypersurfaceError,
     HypersurfaceSpec,
@@ -126,6 +126,25 @@ def test_nu_transparency_projects_each_residual_once(request, monkeypatch, space
     assert check_assumptions(h).all_passed
     n = h.ambient.presentation.n
     assert sorted(ambient_calls) == [1] * n + [2] * (2 * n)
+
+
+@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
+def test_metric_symmetry_pairs_each_residual_once(request, monkeypatch, space):
+    # the symmetry family evaluates g^-1 once on sigma(pair) - pair, not on
+    # sigma(pair) and pair apart: with metric_compatibility's one g^-1(pair)
+    # per pair (inside d), verify_metric pairs 2 n^2 elements
+    s = request.getfixturevalue(space).structures
+    pair = Metric.pair
+    calls = []
+
+    def counting(self, e):
+        calls.append(e.degree)
+        return pair(self, e)
+
+    monkeypatch.setattr(Metric, "pair", counting)
+    assert verify_metric(s.metric, s.connection).all_passed
+    n = s.presentation.n
+    assert calls == [2] * (2 * n * n)
 
 
 def test_trivial_flip_braiding_fails_assumptions():

@@ -143,26 +143,34 @@ def test_report_json_schema(t2):
     assert all(set(e) == {"value", "m", "n", "deviation"} for e in payload["eigenvalues"])
 
 
-def test_mass_matrices_built_once_per_bundle(t2, monkeypatch):
-    # the rotated operator's constant matrices belong to the bundle, not to
-    # each sector column: two scans of a fresh bundle take two commutators
-    calls = []
-    theta_commutator = catalog.theta_commutator
+def test_rotated_dirac_built_once_per_bundle(t2, monkeypatch):
+    # D~'s contraction data (the 16 images of Phi and the contracted basis
+    # values) belongs to the bundle, not to each sector column: two scans of a
+    # fresh bundle build it once
+    contractions, rotations = [], []
+    contracted_connection = catalog.contracted_connection
+    gamma_nu_tilde = catalog.gamma_nu_tilde
 
-    def counted(*args):
-        calls.append(args)
-        return theta_commutator(*args)
+    def counted_contraction(*args):
+        contractions.append(args)
+        return contracted_connection(*args)
 
-    monkeypatch.setattr(catalog, "theta_commutator", counted)
+    def counted_rotation(*args):
+        rotations.append(args)
+        return gamma_nu_tilde(*args)
+
+    monkeypatch.setattr(catalog, "contracted_connection", counted_contraction)
+    monkeypatch.setattr(catalog, "gamma_nu_tilde", counted_rotation)
     fresh = dataclasses.replace(t2)
     spectrum_scan(fresh, 1, 0.7)
     spectrum_scan(fresh, 1, 1.3)
-    assert len(calls) <= 2
+    assert len(contractions) == 1
+    assert len(rotations) == 16
 
 
 def test_generators_built_once_per_bundle(t2, monkeypatch):
-    # gamma~ multiplies by z and zbar in every sector column; the bundle
-    # builds its generators once, not one normal form per use
+    # a sector column multiplies by no freshly built generator: two scans of
+    # a fresh bundle take at most one normal form per generator
     calls = []
     generator = AlgebraElement.generator
 

@@ -268,7 +268,7 @@ def test_partials_reconstruct_differential():
 
 
 def _phi_derivative(a, which):
-    from ncgdirac.catalog import phi_momentum_derivative
+    from closed_forms import phi_momentum_derivative
 
     p = a.presentation
     spinor = TensorElement.basis(p, (), 0, a)
