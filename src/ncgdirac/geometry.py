@@ -131,10 +131,9 @@ def contracted_connection(conn: Connection, phi: LeftLinearMap):
     k = LeftLinearMap(p, (len(w0.forms), w0.spin is not None), phi_canon.codomain, images)
 
     def apply(x: TensorElement) -> TensorElement:
-        out = k.apply(x)
         leibniz = TensorSum(p)
         add_leibniz_term(leibniz, x)
-        return out + phi_canon.apply(leibniz.element(degree, has_spin))
+        return k.apply(x) + phi_canon.apply(leibniz.element(degree, has_spin))
 
     return apply
 

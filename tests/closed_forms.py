@@ -120,6 +120,7 @@ def rotated_torus_dirac_closed_form(bundle, s):
         mass = mat_scale(_theta_commutator(p, gam, lo, hi), Scalar.gaussian(0, Fraction(-1, 8)))
         inner = phi_momentum_derivative(s, which) + matrix_act(mass, s)
         z, zbar = AlgebraElement.generator(p, lo), AlgebraElement.generator(p, hi)
-        rotated = matrix_act(gam[lo], right_mul(inner, zbar)) - matrix_act(gam[hi], right_mul(inner, z))
+        rotated = matrix_act(gam[lo], right_mul(inner, zbar))
+        rotated = rotated - matrix_act(gam[hi], right_mul(inner, z))
         out = out + rotated.scale(minus_i)
     return out
