@@ -30,7 +30,7 @@ from .tensors import (
     tensor,
 )
 from .geometry import Calculus, Connection, Metric, tensor_connection_apply, verify_metric
-from .spin import SpinStructure, StructureSet, dirac, gamma_apply, theta_brackets, verify_spinorial
+from .spin import SpinStructure, StructureSet, dirac, gamma_apply, verify_spinorial
 from .hypersurface import (
     AssumptionCertificate,
     HypersurfaceError,
@@ -76,7 +76,6 @@ __all__ = [
     "StructureSet",
     "dirac",
     "gamma_apply",
-    "theta_brackets",
     "verify_spinorial",
     "AssumptionCertificate",
     "HypersurfaceError",

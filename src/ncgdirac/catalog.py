@@ -466,7 +466,14 @@ def dtilde_apply(t2: SpaceBundle, s: TensorElement) -> TensorElement:
     Phi = t2.rotated_gamma; t2.rotated_dirac evaluates it as Phi of the
     projected basis values (once per bundle) times s's coefficients, plus
     Phi of the projected Leibniz term of s.
+
+    Any hypersurface bundle is accepted: on s3 the same definition gives
+    gamma(nu (x) D_B(s)), the flat Clifford action of the sphere's normal in
+    r4 after the sphere's Dirac operator.  A bundle without a hypersurface
+    (r4) has no normal, and is refused with ValueError.
     """
+    if t2.hypersurface is None:
+        raise ValueError(f"{t2.name} is not a hypersurface: the operator needs its normal")
     if s.degree != 0 or not s.has_spin:
         raise ValueError("operator acts on torus spinors")
     return t2.rotated_dirac(s)

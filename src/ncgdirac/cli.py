@@ -50,7 +50,8 @@ def _print_text(payload: dict) -> None:
             print(f"  [{mark}] {clause['clause']}")
     elif "eigenvalues" in payload:
         print(f"theta={payload['theta']} mmax={payload['mmax']} "
-              f"max_deviation={payload['max_deviation']:.3e}")
+              f"max_deviation={payload['max_deviation']:.3e} "
+              f"certificate={'PASS' if payload['certificate']['pass'] else 'FAIL'}")
         for entry in payload["eigenvalues"]:
             print(f"  {entry['value']:+.9f}  (m={entry['m']}, n={entry['n']}, "
                   f"dev={entry['deviation']:.2e})")
@@ -202,7 +203,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.set_defaults(func=_cmd_dirac)
 
-    sp = sub.add_parser("spectrum", help="numeric torus spectrum against the closed form")
+    sp = sub.add_parser("spectrum", help="certified torus spectrum against the closed form")
     add_common(sp, ("t2",))
     sp.add_argument("--theta", type=float, default=0.0)
     sp.add_argument("--mmax", type=int, default=2)

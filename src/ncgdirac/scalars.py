@@ -80,10 +80,15 @@ class GaussianRational:
             re, im = c * a, c * b
         else:
             re, im = a * c - b * e, a * e + b * c
-        d = self.d * other.d
+        d, f = self.d, other.d
+        # a unit factor (1, -1, i or -i over 1) only rotates or negates the
+        # other factor's numerators, which keeps them canonical
         if d == 1:
-            return _canonical(re, im, 1)
-        return _reduced(re, im, d)
+            if f == 1 or abs(a) + abs(b) == 1:
+                return _canonical(re, im, f)
+        elif f == 1 and abs(c) + abs(e) == 1:
+            return _canonical(re, im, d)
+        return _reduced(re, im, d * f)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         c, e = other.a, other.b

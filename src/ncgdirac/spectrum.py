@@ -2,27 +2,37 @@
 
 The operator commutes with the total momentum grading: the monomial bidegree
 of the coefficient plus the half-integer weight of the spinor basis vector.
-Each sector is 4-dimensional and the operator restricts to a 4x4 matrix over
-Q(i)[q, q^-1] that does not depend on theta (exact_sector).  It is built once
-per bundle and kept in the bundle's sector_store; a scan at any theta only
-substitutes q = exp(i*theta/4) and takes eigenvalues, which are compared
-against the closed form +-sqrt(2) sqrt((m+1/2)^2 + (n+1/2)^2).  numpy is
-imported only when eigenvalues are computed.
+Each sector is 4-dimensional and the operator restricts to a 4x4 matrix M over
+Q(i)[q, q^-1] that does not depend on theta (exact_sector).  When a bundle
+first needs a sector, certify_sector checks exactly that M^2 - lambda^2 I = 0
+and tr M = 0, with lambda^2 = ((2m+1)^2 + (2n+1)^2)/2 a Fraction; the sector
+and this verdict are kept in the bundle's sector_store.  A certified sector
+has the eigenvalues -lambda, -lambda, +lambda, +lambda at every theta (the
+isospectrality of the Connes-Landi deformation), so a scan reports
++-sqrt(lambda^2) and substitutes q = exp(i*theta/4) into no entry.  A sector
+whose certificate fails fails the scan's report, and its eigenvalues are
+taken numerically (numpy, imported only then) so that its deviation from the
+closed form +-sqrt(2) sqrt((m+1/2)^2 + (n+1/2)^2) shows as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
 from .algebra import AlgebraElement, Monomial
 from .catalog import SPINOR_RANK, SpaceBundle, dtilde_apply
+from .reports import Report
 from .scalars import Scalar
-from .spin import ScalarMatrix
+from .spin import ScalarMatrix, mat_mul
 from .tensors import TensorElement
 
 # sectors kept per bundle: every sector up to mmax = 24 (49^2 = 2401), about
-# 3 KB each; past the bound a sector is computed on each use without being kept
+# 4 KB each (3.5 KB of it the matrix, by a recursive sys.getsizeof of the
+# sectors |m|,|n| <= 8), so about 10 MB at the bound; past the bound a sector
+# is computed and certified on each use without being kept
 SECTOR_STORE_BOUND = 2500
 
 
@@ -51,14 +61,62 @@ def sector_basis(m: int, n: int) -> list[tuple[Monomial, int]]:
     ]
 
 
+@dataclass(frozen=True)
+class StoredSector:
+    """One exact sector and its certificate, as the bundle's sector_store keeps it.
+
+    square and trace hold the nonzero residuals of M^2 - lambda^2 I (labelled
+    "m,n,row,col") and of tr M (labelled "m,n"); the sector is certified when
+    both are empty.
+    """
+
+    matrix: ScalarMatrix
+    lambda_sq: Fraction
+    square: tuple[tuple[str, Scalar], ...]
+    trace: tuple[tuple[str, Scalar], ...]
+
+    @property
+    def certified(self) -> bool:
+        return not self.square and not self.trace
+
+
+def certify_sector(m: int, n: int, matrix: ScalarMatrix) -> StoredSector:
+    """Check M^2 = lambda^2 I and tr M = 0 exactly, over Q(i)[q, q^-1]."""
+    # 2((m + 1/2)^2 + (n + 1/2)^2), the square of the closed-form eigenvalue
+    lam2 = Fraction((2 * m + 1) ** 2 + (2 * n + 1) ** 2, 2)
+    diagonal = Scalar.rational(lam2)
+    square_residuals = tuple(
+        (f"{m},{n},{r + 1},{c + 1}", residual)
+        for r, row in enumerate(mat_mul(matrix, matrix))
+        for c, entry in enumerate(row)
+        if not (residual := (entry - diagonal if r == c else entry)).is_zero()
+    )
+    trace = sum((matrix[r][r] for r in range(SPINOR_RANK)), Scalar.zero())
+    trace_residuals = () if trace.is_zero() else ((f"{m},{n}", trace),)
+    return StoredSector(matrix, lam2, square_residuals, trace_residuals)
+
+
 @dataclass
 class SectorMatrix:
+    """A stored sector at theta; its entries are evaluated only when read."""
+
     m: int
     n: int
     theta: float
-    entries: list[list[complex]]
+    exact: StoredSector
 
-    def eigenvalues(self) -> "numpy.ndarray":
+    @cached_property
+    def entries(self) -> list[list[complex]]:
+        # half the entries of a sector are zero; they need no evaluation
+        theta = self.theta
+        return [[0j if c.is_zero() else c.eval_numeric(theta) for c in row]
+                for row in self.exact.matrix]
+
+    def eigenvalues(self) -> "list[float] | numpy.ndarray":
+        """+-sqrt(lambda^2), each twice, when certified; numpy's eigvals otherwise."""
+        if self.exact.certified:
+            root = math.sqrt(self.exact.lambda_sq)
+            return [-root, -root, root, root]
         import numpy
 
         return numpy.linalg.eigvals(numpy.array(self.entries, dtype=complex))
@@ -93,16 +151,14 @@ def exact_sector(t2: SpaceBundle, m: int, n: int) -> ScalarMatrix:
 
 
 def sector_matrix(t2: SpaceBundle, m: int, n: int, theta: float) -> SectorMatrix:
-    """The sector's exact matrix, from the bundle's store, evaluated at theta."""
+    """The sector from the bundle's store, built and certified on first use."""
     store = t2.sector_store
     exact = store.get((m, n))
     if exact is None:
-        exact = exact_sector(t2, m, n)
+        exact = certify_sector(m, n, exact_sector(t2, m, n))
         if len(store) < SECTOR_STORE_BOUND:
             store[(m, n)] = exact
-    # half the entries of a sector are zero; they need no evaluation
-    entries = [[0j if c.is_zero() else c.eval_numeric(theta) for c in row] for row in exact]
-    return SectorMatrix(m, n, theta, entries)
+    return SectorMatrix(m, n, theta, exact)
 
 
 @dataclass
@@ -112,11 +168,16 @@ class SpectrumReport:
     eigenvalues: list[dict] = field(default_factory=list)
     max_deviation: float = 0.0
     fallback_used: bool = False
+    certificate: Report = field(default_factory=lambda: Report("t2"))
 
     @property
     def all_passed(self) -> bool:
-        """Every sector factored exactly and matched its closed form to 1e-9."""
-        return not self.fallback_used and self.max_deviation < 1e-9
+        """Every sector factored exactly, is certified and matched its closed form to 1e-9."""
+        return (
+            not self.fallback_used
+            and self.certificate.all_passed
+            and self.max_deviation < 1e-9
+        )
 
     def sorted_values(self) -> list[float]:
         return sorted(e["value"] for e in self.eigenvalues)
@@ -128,20 +189,31 @@ class SpectrumReport:
             "eigenvalues": self.eigenvalues,
             "max_deviation": self.max_deviation,
             "fallback_used": self.fallback_used,
+            "certificate": self.certificate.to_json(),
         }
 
 
 def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
-    """Eigenvalues of every sector with |m|, |n| <= mmax, matched to closed form."""
+    """Eigenvalues of every sector with |m|, |n| <= mmax, matched to closed form.
+
+    The report's certificate section holds the families sector_square and
+    sector_trace over all these sectors.
+    """
     if mmax < 0:
         raise ValueError("mmax must be nonnegative")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     report = SpectrumReport(theta=theta, mmax=mmax)
+    square: list[tuple[str, Scalar]] = []
+    trace: list[tuple[str, Scalar]] = []
     for m in range(-mmax, mmax + 1):
         for n in range(-mmax, mmax + 1):
             try:
                 sector = sector_matrix(t2, m, n, theta)
             except SectorEscape:
                 return _truncated_scan(t2, mmax, theta)
+            square.extend(sector.exact.square)
+            trace.extend(sector.exact.trace)
             target = closed_form_value(m, n)
             values = sorted(sector.eigenvalues(), key=lambda v: v.real)
             expected = sorted([-target, -target, target, target])
@@ -152,6 +224,8 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
                 )
                 report.max_deviation = max(report.max_deviation, deviation)
     report.eigenvalues.sort(key=lambda e: (e["value"], e["m"], e["n"]))
+    report.certificate.family("sector_square", square)
+    report.certificate.family("sector_trace", trace)
     return report
 
 

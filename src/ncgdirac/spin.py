@@ -27,14 +27,6 @@ def mat_mul(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
     return tuple(out)
 
 
-def mat_add(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: ScalarMatrix, s: Scalar) -> ScalarMatrix:
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
 class SpinStructure:
     """Clifford map and spin connection on the rank-SPINOR_RANK spinor module.
 
@@ -94,23 +86,6 @@ def gamma_iterated(spin: SpinStructure, e: TensorElement) -> TensorElement:
     for _ in range(e.degree):
         out = gamma_apply(spin, out)
     return out
-
-
-def theta_commutator(a: ScalarMatrix, b: ScalarMatrix, phase: Scalar) -> ScalarMatrix:
-    """a b - phase b a: [g_i, g_j]_theta for phase R[j][i], the anticommutator for -R[j][i]."""
-    return mat_add(mat_mul(a, b), mat_scale(mat_mul(b, a), -phase))
-
-
-def theta_brackets(
-    matrices: tuple[ScalarMatrix, ...], R, i: int, j: int
-) -> tuple[ScalarMatrix, ScalarMatrix]:
-    """(theta-anticommutator, theta-commutator) of the constant gamma_i and gamma_j.
-
-    {g_i, g_j}_theta = g_i g_j + R[j][i] g_j g_i, and the commutator with the
-    minus sign.
-    """
-    gi, gj = matrices[i], matrices[j]
-    return theta_commutator(gi, gj, -R[j][i]), theta_commutator(gi, gj, R[j][i])
 
 
 def dirac(spin: SpinStructure, spinor: TensorElement) -> TensorElement:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from ncgdirac.algebra import AlgebraElement
 from ncgdirac.catalog import SPINOR_RANK, h_lower, metric_lower
 from ncgdirac.scalars import Scalar
-from ncgdirac.spin import mat_mul, mat_scale, matrix_act
+from ncgdirac.spin import mat_mul, matrix_act
 from ncgdirac.tensors import TensorElement, partial_coeffs, right_mul
 
 
@@ -24,10 +24,28 @@ def _lowered_coordinate(p, i, matrix):
     return out
 
 
+def mat_scale(a, s):
+    return tuple(tuple(x * s for x in row) for row in a)
+
+
+def theta_commutator(a, b, phase):
+    """a b - phase b a: [g_i, g_j]_theta for phase R[j][i], the anticommutator for -R[j][i]."""
+    ab, ba = mat_mul(a, b), mat_mul(b, a)
+    return tuple(tuple(x - phase * y for x, y in zip(ra, rb)) for ra, rb in zip(ab, ba))
+
+
+def theta_brackets(matrices, R, i, j):
+    """(theta-anticommutator, theta-commutator) of the constant gamma_i and gamma_j.
+
+    {g_i, g_j}_theta = g_i g_j + R[j][i] g_j g_i, and the commutator with the
+    minus sign.
+    """
+    gi, gj = matrices[i], matrices[j]
+    return theta_commutator(gi, gj, -R[j][i]), theta_commutator(gi, gj, R[j][i])
+
+
 def _theta_commutator(p, gam, j, i):
-    ij = mat_mul(gam[j], gam[i])
-    ji = mat_scale(mat_mul(gam[i], gam[j]), p.R[i][j])
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(ij, ji))
+    return theta_commutator(gam[j], gam[i], p.R[i][j])
 
 
 def _spinor(p, alpha, coeff):

@@ -25,7 +25,7 @@ from ncgdirac.catalog import (
 from ncgdirac.geometry import Connection, Metric, tensor_connection_apply
 from ncgdirac.hypersurface import check_assumptions, induced_dirac
 from ncgdirac.scalars import Scalar
-from ncgdirac.spin import SpinStructure, dirac, mat_mul, mat_scale
+from ncgdirac.spin import SpinStructure, dirac, mat_mul
 from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, tensor
 
 
@@ -443,6 +443,22 @@ def test_torus_operators_reject_foreign_spinor(s3, t2):
             apply()
 
 
+def test_dtilde_refuses_a_bundle_without_hypersurface(r4):
+    p = r4.presentation
+    with pytest.raises(ValueError, match="not a hypersurface"):
+        dtilde_apply(r4, e(p, 0, z(p, 0)))
+
+
+def test_dtilde_on_the_sphere_is_normal_after_sphere_dirac(s3):
+    # on s3 the definition reads gamma(nu (x) D_B(s)), as its docstring says
+    p = s3.presentation
+    rng = random.Random(73)
+    cases = [e(p, alpha, z(p, alpha)) for alpha in range(SPINOR_RANK)]
+    cases += [_rand_polynomial_spinor(p, rng) for _ in range(4)]
+    for s in cases:
+        assert dtilde_apply(s3, s) == gamma_nu_tilde(s3, dirac(s3.structures.spin, s))
+
+
 def test_gamma_nu_tilde_squares_to_minus_id(t2):
     p = t2.presentation
     rng = random.Random(67)
@@ -463,6 +479,8 @@ def test_build_space_names():
 
 def test_deformed_gamma_clifford_at_q1():
     # {gamma^i, gamma^j} = -2 g^{ij} for the classical matrices
+    from closed_forms import mat_scale
+
     gam = gamma_theta_matrices(classical=True)
     for i in range(4):
         for j in range(4):

@@ -107,15 +107,15 @@ def test_dirac_command_t2(capsys):
     assert sha256(out.encode()) == DIRAC_T2_SHA256
 
 
-# numpy serves only the eigenvalue scan: the CLI imports without it, and a
-# command that takes no eigenvalues runs with numpy unimportable
+# numpy is only a cross-check of the certified spectrum: the CLI imports
+# without it, and the commands run with numpy unimportable on the catalog torus
 NO_NUMPY_SCRIPT = """
 import sys
 import ncgdirac.cli
 if "numpy" in sys.modules:
     sys.exit("numpy imported by ncgdirac.cli")
 sys.modules["numpy"] = None
-sys.exit(ncgdirac.cli.main(["dirac", "t2"]))
+sys.exit(ncgdirac.cli.main(sys.argv[1:]))
 """
 
 
@@ -123,11 +123,22 @@ def test_cli_runs_without_numpy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_SCRIPT], capture_output=True, env=env, timeout=120
-    )
-    assert proc.returncode == EXIT_OK, proc.stderr.decode()
-    assert sha256(proc.stdout) == DIRAC_T2_SHA256
+
+    def run_without_numpy(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_NUMPY_SCRIPT, *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr.decode()
+        return proc.stdout
+
+    assert sha256(run_without_numpy("dirac", "t2")) == DIRAC_T2_SHA256
+    report = json.loads(run_without_numpy("report-all"))
+    spaces = json.dumps(report["spaces"], indent=2, sort_keys=True)
+    assert sha256(spaces.encode()) == REPORT_ALL_SPACES_SHA256
+    assert report["spectrum"]["certificate"]["pass"] is True
+    scan = json.loads(run_without_numpy("spectrum", "t2", "--mmax", "2"))
+    assert scan["certificate"]["pass"] is True and len(scan["eigenvalues"]) == 4 * 25
 
 
 def test_dirac_command_flat_space(capsys):

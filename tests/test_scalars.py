@@ -176,6 +176,19 @@ def test_unit_fast_path_equals_generic_product(unit, k, raw):
             assert c.d > 0 and math.gcd(c.a, c.b, c.d) == 1
 
 
+@given(st.sampled_from(UNITS), pairs)
+def test_unit_factor_skips_no_reduction(unit, x):
+    # a unit factor takes no gcd; the product must still have the fields of
+    # the general path, which divides (re + im i)/d by gcd(re, im, d)
+    from ncgdirac.scalars import _reduced
+
+    u, g = GaussianRational(*unit), GaussianRational(*x)
+    re, im = _oracle_mul(unit, (g.a, g.b))
+    want = _reduced(re, im, g.d)
+    for product in (u * g, g * u):
+        assert (product.a, product.b, product.d) == (want.a, want.b, want.d)
+
+
 @given(scalars(), scalars())
 def test_results_own_their_terms_and_store_no_zero(a, b):
     before = (dict(a.terms), dict(b.terms))

@@ -11,6 +11,8 @@ from ncgdirac import catalog, spectrum
 from ncgdirac.algebra import AlgebraElement
 from ncgdirac.scalars import Scalar
 from ncgdirac.spectrum import (
+    StoredSector,
+    certify_sector,
     closed_form_value,
     exact_sector,
     momentum_monomial,
@@ -121,7 +123,8 @@ def test_scan_rejects_non_finite_theta(t2, theta):
 
 
 def test_zero_sector_entries_are_not_evaluated(t2, monkeypatch):
-    # a stored zero entry reads 0j; only the other entries substitute q
+    # a certified sector substitutes q into no entry until entries is read;
+    # then a stored zero entry reads 0j and only the others substitute q
     calls = []
     eval_numeric = Scalar.eval_numeric
 
@@ -131,16 +134,82 @@ def test_zero_sector_entries_are_not_evaluated(t2, monkeypatch):
 
     exact = exact_sector(t2, 1, -2)
     monkeypatch.setattr(Scalar, "eval_numeric", counted)
-    sector = sector_matrix(dataclasses.replace(t2), 1, -2, 0.7)
+    fresh = dataclasses.replace(t2)
+    spectrum_scan(fresh, 2, 0.7)
+    sector = sector_matrix(fresh, 1, -2, 0.7)
+    sector.eigenvalues()
+    assert calls == []
     zeros = [(r, c) for r in range(4) for c in range(4) if exact[r][c].is_zero()]
-    assert len(zeros) == 8 and len(calls) == 16 - len(zeros)
-    assert all(sector.entries[r][c] == 0j for r, c in zeros)
+    assert len(zeros) == 8 and all(sector.entries[r][c] == 0j for r, c in zeros)
+    assert len(calls) == 16 - len(zeros)
 
 
 def test_report_json_schema(t2):
     payload = spectrum_scan(t2, 1, 0.7).to_json()
-    assert set(payload) == {"theta", "mmax", "eigenvalues", "max_deviation", "fallback_used"}
+    assert set(payload) == {
+        "theta", "mmax", "eigenvalues", "max_deviation", "fallback_used", "certificate"
+    }
     assert all(set(e) == {"value", "m", "n", "deviation"} for e in payload["eigenvalues"])
+    assert payload["certificate"] == {
+        "subject": "t2",
+        "pass": True,
+        "clauses": [
+            {"clause": "sector_square", "pass": True, "residual": None},
+            {"clause": "sector_trace", "pass": True, "residual": None},
+        ],
+    }
+
+
+def test_certified_values_match_numpy_eigvals(t2):
+    # numpy is a cross-check only: the eigenvalues of the evaluated entries
+    # agree with the certified +-sqrt(lambda^2) at every sampled theta
+    for theta in THETAS:
+        for m in range(-4, 5):
+            for n in range(-4, 5):
+                sector = sector_matrix(t2, m, n, theta)
+                assert sector.exact.certified
+                certified = sorted(sector.eigenvalues())
+                lam2 = 2 * (Fraction(2 * m + 1, 2) ** 2 + Fraction(2 * n + 1, 2) ** 2)
+                assert sector.exact.lambda_sq == lam2
+                numeric = sorted(np.linalg.eigvals(np.array(sector.entries)), key=lambda v: v.real)
+                assert np.allclose(numeric, certified, rtol=0, atol=1e-9), (m, n, theta)
+
+
+def _phase_corrupted(matrix):
+    """The sector with its first nonzero entry multiplied by q^4 = exp(i theta)."""
+    rows = [list(row) for row in matrix]
+    r, c = next((r, c) for r in range(4) for c in range(4) if not rows[r][c].is_zero())
+    rows[r][c] = rows[r][c].q_shift(4)
+    return tuple(tuple(row) for row in rows)
+
+
+def test_corrupted_stored_sector_fails_the_certificate(t2):
+    fresh = dataclasses.replace(t2)
+    fresh.sector_store[(1, 0)] = certify_sector(1, 0, _phase_corrupted(exact_sector(t2, 1, 0)))
+    for theta in (0.0, 0.7):
+        report = spectrum_scan(fresh, 1, theta)
+        assert not report.all_passed
+        failed = [c.name for c in report.certificate.failures()]
+        assert failed and all(name.startswith("sector_square[1,0,") for name in failed)
+        assert [c.name for c in report.certificate.clauses if c.passed] == ["sector_trace"]
+    # at theta = 0 the phase is 1 and only the exact check sees the change;
+    # at theta = 0.7 the failing sector's numeric eigenvalues miss as well
+    assert spectrum_scan(fresh, 1, 0.0).max_deviation < 1e-9
+    assert spectrum_scan(fresh, 1, 0.7).max_deviation > 1e-3
+
+
+def test_corrupted_sector_makes_the_command_fail(capsys, monkeypatch):
+    from ncgdirac.cli import EXIT_FAILED, main
+
+    def corrupted(t2, m, n):
+        matrix = exact_sector(t2, m, n)
+        return _phase_corrupted(matrix) if (m, n) == (0, 0) else matrix
+
+    monkeypatch.setattr(spectrum, "exact_sector", corrupted)
+    assert main(["spectrum", "t2", "--theta", "0", "--mmax", "1"]) == EXIT_FAILED
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"]["pass"] is False
+    assert payload["max_deviation"] < 1e-9
 
 
 def test_rotated_dirac_built_once_per_bundle(t2, monkeypatch):
@@ -239,8 +308,13 @@ def test_sector_store_hands_out_no_stored_object(t2):
     assert sector.entries is not sector_matrix(fresh, 0, 0, 0.7).entries
     sector.entries[0][0] = 99.0
     sector.entries[1] = [0j] * 4
+    sector.eigenvalues()[0] = 99.0
     assert spectrum_scan(fresh, 1, 0.7).to_json() == want
     assert len(fresh.sector_store) == 9
-    for exact in fresh.sector_store.values():
-        assert type(exact) is tuple and all(type(row) is tuple for row in exact)
-        assert all(type(c) is Scalar for row in exact for c in row)
+    for stored in fresh.sector_store.values():
+        assert type(stored) is StoredSector and stored.certified
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stored.square = (("forged", Scalar.one()),)
+        assert type(stored.matrix) is tuple and all(type(row) is tuple for row in stored.matrix)
+        assert all(type(c) is Scalar for row in stored.matrix for c in row)
+        assert type(stored.square) is tuple and type(stored.trace) is tuple

@@ -11,15 +11,10 @@ from ncgdirac.catalog import (
     undeformed_spin_structure,
 )
 from ncgdirac.scalars import Scalar
-from ncgdirac.spin import (
-    dirac,
-    gamma_apply,
-    gamma_iterated,
-    mat_scale,
-    theta_brackets,
-    verify_spinorial,
-)
+from ncgdirac.spin import dirac, gamma_apply, gamma_iterated, verify_spinorial
 from ncgdirac.tensors import TensorElement, differential, partial_coeffs, tensor
+
+from closed_forms import mat_scale, theta_brackets
 
 
 def mat_is_zero(a):
