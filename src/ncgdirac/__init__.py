@@ -2,7 +2,7 @@
 
 Builds R-matrix quasi-commutative algebras with normal-form rewriting, the
 Riemannian and spinorial layers on their free form modules, the level-set
-hypersurface induction producing quotient Dirac operators, and the numeric
+hypersurface induction producing quotient Dirac operators, and the certified
 spectrum of the induced torus operator.
 """
 
@@ -24,7 +24,6 @@ from .tensors import (
     ShapeError,
     TensorElement,
     differential,
-    partial_coeffs,
     right_linearity_residuals,
     right_mul,
     tensor,
@@ -37,13 +36,10 @@ from .hypersurface import (
     HypersurfaceSpec,
     build_hypersurface,
     check_assumptions,
-    induced_connection,
     induced_dirac,
-    induced_metric,
-    induced_spin,
     induced_structures,
 )
-from .catalog import SpaceBundle, build_r4, build_s3, build_t2, dtilde_apply, phi_basis
+from .catalog import SpaceBundle, build_r4, build_s3, build_t2, dtilde_apply
 from .spectrum import SectorMatrix, sector_matrix, spectrum_scan
 
 __all__ = [
@@ -63,7 +59,6 @@ __all__ = [
     "ShapeError",
     "TensorElement",
     "differential",
-    "partial_coeffs",
     "right_linearity_residuals",
     "right_mul",
     "tensor",
@@ -82,17 +77,13 @@ __all__ = [
     "HypersurfaceSpec",
     "build_hypersurface",
     "check_assumptions",
-    "induced_connection",
     "induced_dirac",
-    "induced_metric",
-    "induced_spin",
     "induced_structures",
     "SpaceBundle",
     "build_r4",
     "build_s3",
     "build_t2",
     "dtilde_apply",
-    "phi_basis",
     "SectorMatrix",
     "sector_matrix",
     "spectrum_scan",

@@ -212,14 +212,6 @@ def build_r4(classical: bool = False) -> SpaceBundle:
     return SpaceBundle("r4", structures, None, matrices)
 
 
-def undeformed_spin_structure(bundle: SpaceBundle) -> SpinStructure:
-    """Classical gamma matrices over the deformed calculus (negative control)."""
-    calc = bundle.calculus
-    matrices = gamma_theta_matrices(classical=True)
-    gamma = gamma_from_matrices(calc, matrices)
-    return SpinStructure(calc, gamma, bundle.structures.spin.spin_connection)
-
-
 def _form_sum(p: Presentation, coeff) -> TensorElement:
     """sum_kl coeff(k, l) dz_k (x) dz_l for a rational coefficient function."""
     terms = {}
@@ -403,10 +395,11 @@ def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
 
 
 def _induce(ambient: SpaceBundle, f: AlgebraElement, name: str, golden, check) -> SpaceBundle:
-    """One induction step: hypersurface, certificate, verify_space (if check), golden forms."""
+    """One induction step: hypersurface, certificate, verify_space (if check), golden forms.
+
+    induced_structures refuses a failing certificate with HypersurfaceError.
+    """
     h = build_hypersurface(ambient.structures, f, name=name)
-    if not h.certificate.all_passed:
-        raise GoldenMismatch(f"{name} assumption certificate", h.certificate.to_json())
     bundle = SpaceBundle(name, induced_structures(h), h, ambient.base_matrices)
     if check:
         report = verify_space(bundle)
@@ -442,21 +435,8 @@ def build_space(name: str, check: bool = True) -> SpaceBundle:
 
 
 # ---------------------------------------------------------------------------
-# torus extras: phi-basis and the rotated Dirac operator
+# torus extras: the rotated Dirac operator
 # ---------------------------------------------------------------------------
-
-
-def phi_basis(t2: SpaceBundle) -> tuple[TensorElement, TensorElement]:
-    """Central basis 1-forms of the torus calculus, in z-coordinates.
-
-    dphi_1 = (1/i) ubar du = (2/i) z3 dz1 and dphi_2 = (2/i) z4 dz2; the
-    sqrt(2) rescaling of the torus generators cancels and never enters.
-    """
-    p = t2.presentation
-    minus_2i = Scalar.gaussian(0, -2)
-    dphi1 = TensorElement.basis(p, (0,), None, AlgebraElement.generator(p, 2).scale(minus_2i))
-    dphi2 = TensorElement.basis(p, (1,), None, AlgebraElement.generator(p, 3).scale(minus_2i))
-    return dphi1, dphi2
 
 
 def dtilde_apply(t2: SpaceBundle, s: TensorElement) -> TensorElement:

@@ -66,10 +66,12 @@ class HypersurfaceSpec:
     certificate: AssumptionCertificate = field(init=False)
 
     def require_certificate(self):
+        """The induction gate: refuse a certificate with failing clauses, naming them."""
         if not self.certificate.all_passed:
+            failing = ", ".join(c.name for c in self.certificate.failures())
             raise HypersurfaceError(
                 "certificate_failed",
-                "assumption certificate has failing clauses; induction refused",
+                f"assumption certificate fails {failing}; induction refused",
             )
 
 
@@ -223,8 +225,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
 # ---------------------------------------------------------------------------
 
 
-def induced_metric(h: HypersurfaceSpec) -> Metric:
-    h.require_certificate()
+def _induced_metric(h: HypersurfaceSpec) -> Metric:
     quotient = h.quotient_presentation
     qc = h.quotient_calculus
     g_element = qc.canon(h.metric_q.g_element)
@@ -240,9 +241,8 @@ def induced_metric(h: HypersurfaceSpec) -> Metric:
     return Metric(g_element, g_inv)
 
 
-def induced_connection(h: HypersurfaceSpec) -> Connection:
+def _induced_connection(h: HypersurfaceSpec) -> Connection:
     """Gauss formula: nabla_B(w) = [nabla(w) - g^-1(w (x) nu) nabla(nu)]."""
-    h.require_certificate()
     quotient = h.quotient_presentation
     qc = h.quotient_calculus
     values = {}
@@ -257,9 +257,8 @@ def induced_connection(h: HypersurfaceSpec) -> Connection:
     return Connection(qc, values, h.conn_q.sigma, h.conn_q.sigma_inv)
 
 
-def induced_spin(h: HypersurfaceSpec) -> SpinStructure:
+def _induced_spin(h: HypersurfaceSpec) -> SpinStructure:
     """Clifford action gamma_[2](Pi(w) (x) nu (x) s) and the spinorial Gauss formula."""
-    h.require_certificate()
     quotient = h.quotient_presentation
     qc = h.quotient_calculus
     pbasis = [qc.canon_basis_form(i) for i in range(quotient.n)]
@@ -283,11 +282,13 @@ def induced_spin(h: HypersurfaceSpec) -> SpinStructure:
 
 
 def induced_structures(h: HypersurfaceSpec) -> StructureSet:
+    """The induced metric, connection and spin structure, if the certificate passes."""
+    h.require_certificate()
     return StructureSet(
         calculus=h.quotient_calculus,
-        metric=induced_metric(h),
-        connection=induced_connection(h),
-        spin=induced_spin(h),
+        metric=_induced_metric(h),
+        connection=_induced_connection(h),
+        spin=_induced_spin(h),
     )
 
 
@@ -298,7 +299,7 @@ def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement) -> TensorElement:
     -1/2 (gamma_[2] - gamma_[2] (sigma (x) id))(nu (x) nabla^sp(s))
     + 1/2 gamma_[2]((Pi (x) id) nabla(nu) (x) s)
     on ambient-level data at quotient coefficients.  It equals the composite
-    spin.dirac(induced_spin(h), s) = gamma o nabla^sp of the induced
+    spin.dirac(_induced_spin(h), s) = gamma o nabla^sp of the induced
     structures; the torus golden check compares the two on basis spinors.
     """
     h.require_certificate()

@@ -99,9 +99,6 @@ class GaussianRational:
         # ((a + b i)/d) / ((c + e i)/f) = (a + b i)(c - e i) f / (d (c^2 + e^2))
         return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * n)
 
-    def conjugate(self) -> "GaussianRational":
-        return _canonical(self.a, -self.b, self.d)
-
     def is_zero(self) -> bool:
         return not self.a and not self.b
 
@@ -207,10 +204,6 @@ class Scalar:
     def rational(value) -> "Scalar":
         return Scalar({0: GaussianRational(value)})
 
-    @staticmethod
-    def gaussian(re, im) -> "Scalar":
-        return Scalar({0: GaussianRational(re, im)})
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
@@ -252,10 +245,6 @@ class Scalar:
                     out[k] = s
         return _scalar(out)
 
-    def conjugate(self) -> "Scalar":
-        """Complex conjugation: i -> -i and q -> q**-1 (q is a unit phase)."""
-        return _scalar({-k: c.conjugate() for k, c in self.terms.items()})
-
     def q_shift(self, k: int) -> "Scalar":
         """Multiplication by the pure power q**k, as an exponent shift."""
         if k == 0:
@@ -276,13 +265,6 @@ class Scalar:
 
     def is_one(self) -> bool:
         return self.terms == {0: _GR_ONE}
-
-    def is_unimodular(self) -> bool:
-        """True for a single term c*q**k with |c| = 1 (c rational or imaginary)."""
-        if len(self.terms) != 1:
-            return False
-        (c,) = self.terms.values()
-        return c * c.conjugate() == _GR_ONE
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):

@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .algebra import AlgebraElement, Monomial
 from .catalog import SPINOR_RANK, SpaceBundle, dtilde_apply
-from .reports import Report
+from .reports import Clause, Report
 from .scalars import Scalar
 from .spin import ScalarMatrix, mat_mul
 from .tensors import TensorElement
@@ -179,9 +179,6 @@ class SpectrumReport:
             and self.max_deviation < 1e-9
         )
 
-    def sorted_values(self) -> list[float]:
-        return sorted(e["value"] for e in self.eigenvalues)
-
     def to_json(self) -> dict:
         return {
             "theta": self.theta,
@@ -197,7 +194,9 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
     """Eigenvalues of every sector with |m|, |n| <= mmax, matched to closed form.
 
     The report's certificate section holds the families sector_square and
-    sector_trace over all these sectors.
+    sector_trace over all these sectors.  A sector that escapes its momentum
+    (SectorEscape) leaves the scan to the truncated fallback, whose
+    certificate fails with the clause sector_exact[m,n] for that sector.
     """
     if mmax < 0:
         raise ValueError("mmax must be nonnegative")
@@ -210,8 +209,11 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
         for n in range(-mmax, mmax + 1):
             try:
                 sector = sector_matrix(t2, m, n, theta)
-            except SectorEscape:
-                return _truncated_scan(t2, mmax, theta)
+            except SectorEscape as exc:
+                fallback = _truncated_scan(t2, mmax, theta)
+                escape = Clause(f"sector_exact[{m},{n}]", False, str(exc))
+                fallback.certificate.clauses.append(escape)
+                return fallback
             square.extend(sector.exact.square)
             trace.extend(sector.exact.trace)
             target = closed_form_value(m, n)
@@ -230,21 +232,12 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
 
 
 def _truncated_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
-    """Fallback: assemble the operator on all momenta <= mmax+1 and truncate.
+    """Fallback: the operator on the span of momenta within mmax+1, edge rows dropped.
 
     Never needed for the shipped catalog; its use indicates a regression and
-    is reported via fallback_used.
-    """
-    report = truncated_spectrum(t2, mmax, theta)
-    report.fallback_used = True
-    return report
-
-
-def truncated_spectrum(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
-    """Operator matrix on the span of momenta within mmax+1, edge rows dropped.
-
-    Image terms leaving the span are truncated away; only eigenvalues that
-    match the closed form for interior sectors (|m|, |n| <= mmax) are kept.
+    is reported via fallback_used.  Image terms leaving the span are truncated
+    away; only eigenvalues that match the closed form for interior sectors
+    (|m|, |n| <= mmax) are kept.
     """
     import numpy
 
@@ -270,7 +263,7 @@ def truncated_spectrum(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumRepo
                 if row is not None:
                     matrix[row][col] += scal.eval_numeric(theta)
     eigenvalues = numpy.linalg.eigvals(matrix)
-    report = SpectrumReport(theta=theta, mmax=mmax)
+    report = SpectrumReport(theta=theta, mmax=mmax, fallback_used=True)
     targets = sorted(
         {closed_form_value(m, n) for m in range(-mmax, mmax + 1) for n in range(-mmax, mmax + 1)}
     )

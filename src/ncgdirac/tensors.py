@@ -385,13 +385,3 @@ def differential(a: AlgebraElement) -> TensorElement:
             )
             add_term(out, BasisWord((g,), None), coeff)
     return TensorElement(p, 1, False, out)
-
-
-def partial_coeffs(a: AlgebraElement) -> list[AlgebraElement]:
-    """Coefficients of d(a) = sum_i (partial_i a) dz_i on the free basis."""
-    d = differential(a)
-    p = a.presentation
-    out = []
-    for i in range(p.n):
-        out.append(d.terms.get(BasisWord((i,), None), AlgebraElement.zero(p)))
-    return out

@@ -3,16 +3,45 @@
 These evaluate the pinned coordinate formulas termwise (theta-commutators of
 the flat gamma matrices against the representative partials, or the phi-basis
 form of the rotated torus operator) so that tests can compare them against the
-composite operators computed by the engine.
+composite operators computed by the engine.  The partials, the torus
+phi-basis and the undeformed negative control live here too: only tests use
+them.
 """
 
 from fractions import Fraction
 
 from ncgdirac.algebra import AlgebraElement
-from ncgdirac.catalog import SPINOR_RANK, h_lower, metric_lower
-from ncgdirac.scalars import Scalar
-from ncgdirac.spin import mat_mul, matrix_act
-from ncgdirac.tensors import TensorElement, partial_coeffs, right_mul
+from ncgdirac.catalog import SPINOR_RANK, gamma_theta_matrices, h_lower, metric_lower
+from ncgdirac.scalars import GaussianRational, Scalar
+from ncgdirac.spin import SpinStructure, gamma_from_matrices, mat_mul, matrix_act
+from ncgdirac.tensors import BasisWord, TensorElement, differential, right_mul
+
+
+def partial_coeffs(a):
+    """Coefficients of d(a) = sum_i (partial_i a) dz_i on the free basis."""
+    d = differential(a)
+    p = a.presentation
+    return [d.terms.get(BasisWord((i,), None), AlgebraElement.zero(p)) for i in range(p.n)]
+
+
+def phi_basis(t2):
+    """Central basis 1-forms of the torus calculus, in z-coordinates.
+
+    dphi_1 = (1/i) ubar du = (2/i) z3 dz1 and dphi_2 = (2/i) z4 dz2; the
+    sqrt(2) rescaling of the torus generators cancels and never enters.
+    """
+    p = t2.presentation
+    minus_2i = Scalar.q_power(0, GaussianRational(0, -2))
+    dphi1 = TensorElement.basis(p, (0,), None, AlgebraElement.generator(p, 2).scale(minus_2i))
+    dphi2 = TensorElement.basis(p, (1,), None, AlgebraElement.generator(p, 3).scale(minus_2i))
+    return dphi1, dphi2
+
+
+def undeformed_spin_structure(bundle):
+    """Classical gamma matrices over the deformed calculus (negative control)."""
+    calc = bundle.calculus
+    gamma = gamma_from_matrices(calc, gamma_theta_matrices(classical=True))
+    return SpinStructure(calc, gamma, bundle.structures.spin.spin_connection)
 
 
 def _lowered_coordinate(p, i, matrix):
@@ -113,7 +142,7 @@ def phi_momentum_derivative(s, which):
     terms = {}
     for w, c in s.terms.items():
         new = {
-            mono: scal * Scalar.gaussian(0, mono[lo] - mono[hi])
+            mono: scal * Scalar.q_power(0, GaussianRational(0, mono[lo] - mono[hi]))
             for mono, scal in c.terms.items()
             if mono[lo] != mono[hi]
         }
@@ -132,10 +161,11 @@ def rotated_torus_dirac_closed_form(bundle, s):
     """
     p = bundle.presentation
     gam = bundle.base_matrices
-    minus_i = Scalar.gaussian(0, -1)
+    minus_i = Scalar.q_power(0, GaussianRational(0, -1))
     out = TensorElement.zero(p, 0, True)
     for which, (lo, hi) in ((1, (0, 2)), (2, (1, 3))):
-        mass = mat_scale(_theta_commutator(p, gam, lo, hi), Scalar.gaussian(0, Fraction(-1, 8)))
+        minus_i_over_8 = Scalar.q_power(0, GaussianRational(0, Fraction(-1, 8)))
+        mass = mat_scale(_theta_commutator(p, gam, lo, hi), minus_i_over_8)
         inner = phi_momentum_derivative(s, which) + matrix_act(mass, s)
         z, zbar = AlgebraElement.generator(p, lo), AlgebraElement.generator(p, hi)
         rotated = matrix_act(gam[lo], right_mul(inner, zbar))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ncgdirac import catalog
 from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import (
     build_r4,
@@ -15,10 +16,10 @@ from ncgdirac.hypersurface import (
     build_hypersurface,
     check_assumptions,
     induced_dirac,
-    induced_metric,
+    induced_structures,
 )
 from ncgdirac.scalars import Scalar
-from ncgdirac.spin import dirac, verify_spinorial
+from ncgdirac.spin import StructureSet, dirac, verify_spinorial
 from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
 
 
@@ -147,8 +148,8 @@ def test_metric_symmetry_pairs_each_residual_once(request, monkeypatch, space):
     assert calls == [2] * (2 * n * n)
 
 
-def test_trivial_flip_braiding_fails_assumptions():
-    r4 = build_r4()
+def _flip_ambient(r4):
+    """The r4 structures with the plain flip dz_i (x) dz_j -> dz_j (x) dz_i as braiding."""
     s = r4.structures
     p = r4.presentation
     flip = LeftLinearMap(
@@ -162,10 +163,17 @@ def test_trivial_flip_braiding_fails_assumptions():
         },
     )
     broken = Connection(s.calculus, s.connection.values, flip, flip)
-    from ncgdirac.spin import StructureSet
+    return StructureSet(s.calculus, s.metric, broken, s.spin)
 
-    ambient = StructureSet(s.calculus, s.metric, broken, s.spin)
-    h = build_hypersurface(ambient, sphere_level_function(p), name="flip")
+
+def _refusal(cert) -> str:
+    failing = ", ".join(c.name for c in cert.failures())
+    return f"assumption certificate fails {failing}; induction refused"
+
+
+def test_trivial_flip_braiding_fails_assumptions():
+    r4 = build_r4()
+    h = build_hypersurface(_flip_ambient(r4), sphere_level_function(r4.presentation), name="flip")
     cert = h.certificate  # recorded by the build, failing clauses and all
     assert not cert.all_passed
     failures = cert.failures()
@@ -177,8 +185,25 @@ def test_trivial_flip_braiding_fails_assumptions():
     assert report.subject == "flip"
     assert [c.to_json() for c in report.clauses] == [c.to_json() for c in cert.clauses]
     with pytest.raises(HypersurfaceError) as exc:
-        induced_metric(h)
+        induced_structures(h)
     assert exc.value.kind == "certificate_failed"
+    assert str(exc.value) == _refusal(cert)
+    with pytest.raises(HypersurfaceError) as exc:
+        induced_dirac(h, TensorElement.basis(h.quotient_presentation, (), 0))
+    assert exc.value.kind == "certificate_failed"
+
+
+def test_catalog_induction_refuses_failing_certificate():
+    # the catalog has no gate of its own: induced_structures refuses, naming
+    # every failing clause of the certificate
+    r4 = build_r4()
+    ambient = catalog.SpaceBundle("flip_r4", _flip_ambient(r4), None, r4.base_matrices)
+    f = sphere_level_function(r4.presentation)
+    with pytest.raises(HypersurfaceError) as exc:
+        catalog._induce(ambient, f, "flip", catalog._golden_s3, check=False)
+    assert exc.value.kind == "certificate_failed"
+    cert = build_hypersurface(ambient.structures, f, name="flip").certificate
+    assert cert.failures() and str(exc.value) == _refusal(cert)
 
 
 def test_spec_rejects_unknown_and_missing_fields(s3):

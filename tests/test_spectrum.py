@@ -19,7 +19,6 @@ from ncgdirac.spectrum import (
     sector_basis,
     sector_matrix,
     spectrum_scan,
-    truncated_spectrum,
 )
 from ncgdirac.spin import mat_mul
 
@@ -29,6 +28,10 @@ THETAS = (0.0, 0.7, math.pi / 3)
 # rows] in row-major order (json.dumps with sort_keys): exact values, so the
 # pin does not depend on the platform's floating point
 EXACT_SECTORS_SHA256 = "0f47210b2619f79fa4fe8b2fb884ab506bdb18b225d7bbbec5b985abf005ae3f"
+
+
+def _sorted_values(report):
+    return sorted(e["value"] for e in report.eigenvalues)
 
 
 def test_momentum_monomials_are_irreducible():
@@ -81,12 +84,12 @@ def test_spectrum_matches_closed_form(t2):
 
 
 def test_spectrum_symmetric_under_negation(t2):
-    values = spectrum_scan(t2, 1, 0.7).sorted_values()
+    values = _sorted_values(spectrum_scan(t2, 1, 0.7))
     assert np.allclose(values, sorted(-v for v in values), atol=1e-9)
 
 
 def test_isospectrality(t2):
-    spectra = [spectrum_scan(t2, 2, theta).sorted_values() for theta in THETAS]
+    spectra = [_sorted_values(spectrum_scan(t2, 2, theta)) for theta in THETAS]
     for other in spectra[1:]:
         assert np.allclose(spectra[0], other, atol=1e-9)
 
@@ -97,13 +100,14 @@ def test_zero_sector_closed_form_value():
 
 def test_mmax_zero_scan(t2):
     report = spectrum_scan(t2, 0, 0.0)
-    assert report.sorted_values() == pytest.approx([-1.0, -1.0, 1.0, 1.0], abs=1e-10)
+    assert _sorted_values(report) == pytest.approx([-1.0, -1.0, 1.0, 1.0], abs=1e-10)
 
 
 def test_truncated_fallback_runs_but_is_not_needed(t2):
     # the fallback must work when invoked directly, and the sector path must
     # never trigger it for the catalog torus
-    report = truncated_spectrum(t2, 0, 0.0)
+    report = spectrum._truncated_scan(t2, 0, 0.0)
+    assert report.fallback_used
     assert report.eigenvalues, "truncated operator must retain interior eigenvalues"
     ones = [e for e in report.eigenvalues if abs(abs(e["value"]) - 1.0) < 1e-6]
     assert len(ones) >= 4
@@ -210,6 +214,26 @@ def test_corrupted_sector_makes_the_command_fail(capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"]["pass"] is False
     assert payload["max_deviation"] < 1e-9
+
+
+def test_sector_escape_fails_the_certificate(capsys, monkeypatch):
+    # the truncated fallback checks no sector, so the escape is a failing clause
+    from ncgdirac.cli import EXIT_FAILED, main
+
+    def escaping(t2, m, n):
+        raise spectrum.SectorEscape(f"sector ({m},{n}) forced out")
+
+    monkeypatch.setattr(spectrum, "exact_sector", escaping)
+    assert main(["spectrum", "t2", "--mmax", "0"]) == EXIT_FAILED
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["fallback_used"] is True
+    assert payload["certificate"] == {
+        "subject": "t2",
+        "pass": False,
+        "clauses": [
+            {"clause": "sector_exact[0,0]", "pass": False, "residual": "sector (0,0) forced out"},
+        ],
+    }
 
 
 def test_rotated_dirac_built_once_per_bundle(t2, monkeypatch):

@@ -8,13 +8,12 @@ from ncgdirac.catalog import (
     SPINOR_RANK,
     gamma_theta_matrices,
     metric_upper,
-    undeformed_spin_structure,
 )
 from ncgdirac.scalars import Scalar
 from ncgdirac.spin import dirac, gamma_apply, gamma_iterated, verify_spinorial
-from ncgdirac.tensors import TensorElement, differential, partial_coeffs, tensor
+from ncgdirac.tensors import TensorElement, differential, tensor
 
-from closed_forms import mat_scale, theta_brackets
+from closed_forms import mat_scale, partial_coeffs, theta_brackets, undeformed_spin_structure
 
 
 def mat_is_zero(a):
