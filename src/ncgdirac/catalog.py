@@ -132,10 +132,6 @@ class SpaceBundle:
     def presentation(self) -> Presentation:
         return self.structures.presentation
 
-    @property
-    def calculus(self) -> Calculus:
-        return self.structures.calculus
-
     @cached_property
     def flat_gamma(self) -> LeftLinearMap:
         """The constant-matrix Clifford action of the embedding space, over C.
@@ -164,9 +160,10 @@ class SpaceBundle:
 
     @cached_property
     def sector_store(self) -> dict:
-        """Exact sector matrices by momentum (m, n), filled by spectrum.sector_matrix.
+        """Certified sectors (frozen spectrum.SectorMatrix) by momentum (m, n).
 
-        It holds at most spectrum.SECTOR_STORE_BOUND sectors.
+        spectrum.sector_matrix fills it and hands out the stored sector
+        itself; it holds at most spectrum.SECTOR_STORE_BOUND sectors.
         """
         return {}
 

@@ -60,6 +60,10 @@ def write_report_atomic(payload: dict, path: str):
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp makes the file private; give the report open()'s mode
+            mask = os.umask(0)
+            os.umask(mask)
+            os.fchmod(handle.fileno(), 0o666 & ~mask)
             handle.write(data)
             handle.write("\n")
         os.replace(tmp, path)

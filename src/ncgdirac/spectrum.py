@@ -6,13 +6,13 @@ Each sector is 4-dimensional and the operator restricts to a 4x4 matrix M over
 Q(i)[q, q^-1] that does not depend on theta (exact_sector).  When a bundle
 first needs a sector, certify_sector checks exactly that M^2 - lambda^2 I = 0
 and tr M = 0, with lambda^2 = ((2m+1)^2 + (2n+1)^2)/2 a Fraction; the sector
-and this verdict are kept in the bundle's sector_store.  A certified sector
-has the eigenvalues -lambda, -lambda, +lambda, +lambda at every theta (the
-isospectrality of the Connes-Landi deformation), so a scan reports
-+-sqrt(lambda^2) and substitutes q = exp(i*theta/4) into no entry.  A sector
-whose certificate fails fails the scan's report, and its eigenvalues are
-taken numerically (numpy, imported only then) so that its deviation from the
-closed form +-sqrt(2) sqrt((m+1/2)^2 + (n+1/2)^2) shows as well.
+and this verdict are one frozen SectorMatrix, kept in the bundle's
+sector_store and handed out as it is.  A certified sector has the eigenvalues
+-lambda, -lambda, +lambda, +lambda at every theta (the isospectrality of the
+Connes-Landi deformation), so a scan reports +-sqrt(lambda^2) and substitutes
+q = exp(i*theta/4) into no entry.  A sector whose certificate fails fails the
+scan's report and reports no eigenvalues: the certificate is the verdict.
+numpy is imported only by the truncated fallback.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .algebra import AlgebraElement, Monomial
 from .catalog import SPINOR_RANK, SpaceBundle, dtilde_apply
@@ -30,8 +29,8 @@ from .spin import ScalarMatrix, mat_mul
 from .tensors import TensorElement
 
 # sectors kept per bundle: every sector up to mmax = 24 (49^2 = 2401), about
-# 4 KB each (3.5 KB of it the matrix, by a recursive sys.getsizeof of the
-# sectors |m|,|n| <= 8), so about 10 MB at the bound; past the bound a sector
+# 4.3 KB each (3.7 KB of it the matrix, by a recursive sys.getsizeof of each
+# sector |m|,|n| <= 8), so about 11 MB at the bound; past the bound a sector
 # is computed and certified on each use without being kept
 SECTOR_STORE_BOUND = 2500
 
@@ -62,14 +61,16 @@ def sector_basis(m: int, n: int) -> list[tuple[Monomial, int]]:
 
 
 @dataclass(frozen=True)
-class StoredSector:
-    """One exact sector and its certificate, as the bundle's sector_store keeps it.
+class SectorMatrix:
+    """One exact sector M(m, n) and its certificate, as the bundle's sector_store keeps it.
 
     square and trace hold the nonzero residuals of M^2 - lambda^2 I (labelled
     "m,n,row,col") and of tr M (labelled "m,n"); the sector is certified when
     both are empty.
     """
 
+    m: int
+    n: int
     matrix: ScalarMatrix
     lambda_sq: Fraction
     square: tuple[tuple[str, Scalar], ...]
@@ -79,8 +80,13 @@ class StoredSector:
     def certified(self) -> bool:
         return not self.square and not self.trace
 
+    def eigenvalues(self) -> list[float]:
+        """-sqrt(lambda^2) and +sqrt(lambda^2), each twice: what a certificate proves."""
+        root = math.sqrt(self.lambda_sq)
+        return [-root, -root, root, root]
 
-def certify_sector(m: int, n: int, matrix: ScalarMatrix) -> StoredSector:
+
+def certify_sector(m: int, n: int, matrix: ScalarMatrix) -> SectorMatrix:
     """Check M^2 = lambda^2 I and tr M = 0 exactly, over Q(i)[q, q^-1]."""
     # 2((m + 1/2)^2 + (n + 1/2)^2), the square of the closed-form eigenvalue
     lam2 = Fraction((2 * m + 1) ** 2 + (2 * n + 1) ** 2, 2)
@@ -93,42 +99,17 @@ def certify_sector(m: int, n: int, matrix: ScalarMatrix) -> StoredSector:
     )
     trace = sum((matrix[r][r] for r in range(SPINOR_RANK)), Scalar.zero())
     trace_residuals = () if trace.is_zero() else ((f"{m},{n}", trace),)
-    return StoredSector(matrix, lam2, square_residuals, trace_residuals)
-
-
-@dataclass
-class SectorMatrix:
-    """A stored sector at theta; its entries are evaluated only when read."""
-
-    m: int
-    n: int
-    theta: float
-    exact: StoredSector
-
-    @cached_property
-    def entries(self) -> list[list[complex]]:
-        # half the entries of a sector are zero; they need no evaluation
-        theta = self.theta
-        return [[0j if c.is_zero() else c.eval_numeric(theta) for c in row]
-                for row in self.exact.matrix]
-
-    def eigenvalues(self) -> "list[float] | numpy.ndarray":
-        """+-sqrt(lambda^2), each twice, when certified; numpy's eigvals otherwise."""
-        if self.exact.certified:
-            root = math.sqrt(self.exact.lambda_sq)
-            return [-root, -root, root, root]
-        import numpy
-
-        return numpy.linalg.eigvals(numpy.array(self.entries, dtype=complex))
+    return SectorMatrix(m, n, matrix, lam2, square_residuals, trace_residuals)
 
 
 def exact_sector(t2: SpaceBundle, m: int, n: int) -> ScalarMatrix:
     """Apply the operator symbolically to the sector basis and factor it out.
 
     Entry (beta, col) is the coefficient of basis vector beta in the image of
-    basis vector col.  The factoring must be exact: every output coefficient
-    is a single scalar multiple of the receiving basis monomial, otherwise
-    SectorEscape is raised and the caller falls back to the truncated matrix.
+    basis vector col; sector_matrix certifies the result and stores it.  The
+    factoring must be exact: every output coefficient is a single scalar
+    multiple of the receiving basis monomial, otherwise SectorEscape is
+    raised and spectrum_scan falls back to the truncated matrix.
     """
     p = t2.presentation
     basis = sector_basis(m, n)
@@ -150,15 +131,15 @@ def exact_sector(t2: SpaceBundle, m: int, n: int) -> ScalarMatrix:
     return tuple(tuple(row) for row in entries)
 
 
-def sector_matrix(t2: SpaceBundle, m: int, n: int, theta: float) -> SectorMatrix:
+def sector_matrix(t2: SpaceBundle, m: int, n: int) -> SectorMatrix:
     """The sector from the bundle's store, built and certified on first use."""
     store = t2.sector_store
-    exact = store.get((m, n))
-    if exact is None:
-        exact = certify_sector(m, n, exact_sector(t2, m, n))
+    sector = store.get((m, n))
+    if sector is None:
+        sector = certify_sector(m, n, exact_sector(t2, m, n))
         if len(store) < SECTOR_STORE_BOUND:
-            store[(m, n)] = exact
-    return SectorMatrix(m, n, theta, exact)
+            store[(m, n)] = sector
+    return sector
 
 
 @dataclass
@@ -208,22 +189,20 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
     for m in range(-mmax, mmax + 1):
         for n in range(-mmax, mmax + 1):
             try:
-                sector = sector_matrix(t2, m, n, theta)
+                sector = sector_matrix(t2, m, n)
             except SectorEscape as exc:
                 fallback = _truncated_scan(t2, mmax, theta)
                 escape = Clause(f"sector_exact[{m},{n}]", False, str(exc))
                 fallback.certificate.clauses.append(escape)
                 return fallback
-            square.extend(sector.exact.square)
-            trace.extend(sector.exact.trace)
-            target = closed_form_value(m, n)
-            values = sorted(sector.eigenvalues(), key=lambda v: v.real)
-            expected = sorted([-target, -target, target, target])
-            for got, want in zip(values, expected):
-                deviation = abs(complex(got) - want)
-                report.eigenvalues.append(
-                    {"value": float(got.real), "m": m, "n": n, "deviation": deviation}
-                )
+            square.extend(sector.square)
+            trace.extend(sector.trace)
+            if not sector.certified:
+                continue
+            t = closed_form_value(m, n)
+            for got, want in zip(sector.eigenvalues(), (-t, -t, t, t)):
+                deviation = abs(got - want)
+                report.eigenvalues.append({"value": got, "m": m, "n": n, "deviation": deviation})
                 report.max_deviation = max(report.max_deviation, deviation)
     report.eigenvalues.sort(key=lambda e: (e["value"], e["m"], e["n"]))
     report.certificate.family("sector_square", square)

@@ -182,7 +182,7 @@ def test_criterion_5_spectrum():
         float(np.max(np.abs(np.array(spectra[0]) - np.array(other))))
         for other in spectra[1:]
     )
-    zero_values = sorted(v.real for v in sector_matrix(t2, 0, 0, 0.0).eigenvalues())
+    zero_values = sorted(v.real for v in sector_matrix(t2, 0, 0).eigenvalues())
     zero_dev = float(np.max(np.abs(np.array(zero_values) - np.array([-1.0, -1.0, 1.0, 1.0]))))
     elapsed = time.monotonic() - start
     ok = max_dev < 1e-9 and iso_dev < 1e-9 and zero_dev < 1e-10 and elapsed < 5.0

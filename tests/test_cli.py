@@ -56,6 +56,19 @@ def test_verify_writes_report_atomically(tmp_path, capsys):
     assert payload["pass"] is True
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_report_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
+    # the report gets the mode a plain open() would give it, not mkstemp's 0600
+    target = tmp_path / "report.json"
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run(capsys, "verify", "r4", "--out", str(target))
+    finally:
+        os.umask(previous)
+    assert code == EXIT_OK
+    assert target.stat().st_mode & 0o777 == mode
+
+
 def test_verify_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from ncgdirac import catalog, spectrum
 from ncgdirac.algebra import AlgebraElement
 from ncgdirac.scalars import Scalar
 from ncgdirac.spectrum import (
-    StoredSector,
+    SectorMatrix,
     certify_sector,
     closed_form_value,
     exact_sector,
@@ -54,14 +55,14 @@ def test_sector_basis_momenta():
 
 
 def test_zero_sector_eigenvalues(t2):
-    m = sector_matrix(t2, 0, 0, 0.0)
+    m = sector_matrix(t2, 0, 0)
     values = sorted(v.real for v in m.eigenvalues())
     assert np.allclose(values, [-1.0, -1.0, 1.0, 1.0], atol=1e-10)
 
 
 def test_one_zero_sector_is_sqrt5(t2):
     # +-sqrt(2) sqrt((1+1/2)^2 + (0+1/2)^2) = +-sqrt(5)
-    m = sector_matrix(t2, 1, 0, 0.7)
+    m = sector_matrix(t2, 1, 0)
     values = sorted(v.real for v in m.eigenvalues())
     root5 = math.sqrt(5.0)
     assert np.allclose(values, [-root5, -root5, root5, root5], atol=1e-9)
@@ -69,8 +70,8 @@ def test_one_zero_sector_is_sqrt5(t2):
 
 def test_sector_symmetry_m_n(t2):
     for m, n in ((2, -1), (0, 3), (-2, 1)):
-        a = sorted(v.real for v in sector_matrix(t2, m, n, 0.7).eigenvalues())
-        b = sorted(v.real for v in sector_matrix(t2, n, m, 0.7).eigenvalues())
+        a = sorted(v.real for v in sector_matrix(t2, m, n).eigenvalues())
+        b = sorted(v.real for v in sector_matrix(t2, n, m).eigenvalues())
         assert np.allclose(a, b, atol=1e-9)
 
 
@@ -127,8 +128,8 @@ def test_scan_rejects_non_finite_theta(t2, theta):
 
 
 def test_zero_sector_entries_are_not_evaluated(t2, monkeypatch):
-    # a certified sector substitutes q into no entry until entries is read;
-    # then a stored zero entry reads 0j and only the others substitute q
+    # a certified scan substitutes q into no entry, zero or not: its
+    # eigenvalues come from the certificate alone
     calls = []
     eval_numeric = Scalar.eval_numeric
 
@@ -136,16 +137,14 @@ def test_zero_sector_entries_are_not_evaluated(t2, monkeypatch):
         calls.append(self)
         return eval_numeric(self, theta)
 
-    exact = exact_sector(t2, 1, -2)
     monkeypatch.setattr(Scalar, "eval_numeric", counted)
     fresh = dataclasses.replace(t2)
     spectrum_scan(fresh, 2, 0.7)
-    sector = sector_matrix(fresh, 1, -2, 0.7)
+    sector = sector_matrix(fresh, 1, -2)
     sector.eigenvalues()
     assert calls == []
-    zeros = [(r, c) for r in range(4) for c in range(4) if exact[r][c].is_zero()]
-    assert len(zeros) == 8 and all(sector.entries[r][c] == 0j for r, c in zeros)
-    assert len(calls) == 16 - len(zeros)
+    zeros = [(r, c) for r in range(4) for c in range(4) if sector.matrix[r][c].is_zero()]
+    assert len(zeros) == 8
 
 
 def test_report_json_schema(t2):
@@ -165,17 +164,19 @@ def test_report_json_schema(t2):
 
 
 def test_certified_values_match_numpy_eigvals(t2):
-    # numpy is a cross-check only: the eigenvalues of the evaluated entries
-    # agree with the certified +-sqrt(lambda^2) at every sampled theta
+    # numpy is a cross-check only: the eigenvalues of the stored matrix,
+    # evaluated here at each sampled theta, agree with the certified
+    # +-sqrt(lambda^2)
     for theta in THETAS:
         for m in range(-4, 5):
             for n in range(-4, 5):
-                sector = sector_matrix(t2, m, n, theta)
-                assert sector.exact.certified
+                sector = sector_matrix(t2, m, n)
+                assert sector.certified
                 certified = sorted(sector.eigenvalues())
                 lam2 = 2 * (Fraction(2 * m + 1, 2) ** 2 + Fraction(2 * n + 1, 2) ** 2)
-                assert sector.exact.lambda_sq == lam2
-                numeric = sorted(np.linalg.eigvals(np.array(sector.entries)), key=lambda v: v.real)
+                assert sector.lambda_sq == lam2
+                entries = [[c.eval_numeric(theta) for c in row] for row in sector.matrix]
+                numeric = sorted(np.linalg.eigvals(np.array(entries)), key=lambda v: v.real)
                 assert np.allclose(numeric, certified, rtol=0, atol=1e-9), (m, n, theta)
 
 
@@ -197,9 +198,11 @@ def test_corrupted_stored_sector_fails_the_certificate(t2):
         assert failed and all(name.startswith("sector_square[1,0,") for name in failed)
         assert [c.name for c in report.certificate.clauses if c.passed] == ["sector_trace"]
     # at theta = 0 the phase is 1 and only the exact check sees the change;
-    # at theta = 0.7 the failing sector's numeric eigenvalues miss as well
+    # at any theta the failing sector reports no eigenvalues, the others four each
     assert spectrum_scan(fresh, 1, 0.0).max_deviation < 1e-9
-    assert spectrum_scan(fresh, 1, 0.7).max_deviation > 1e-3
+    entries = spectrum_scan(fresh, 1, 0.7).eigenvalues
+    assert len(entries) == 8 * 4
+    assert all((e["m"], e["n"]) != (1, 0) for e in entries)
 
 
 def test_corrupted_sector_makes_the_command_fail(capsys, monkeypatch):
@@ -214,6 +217,24 @@ def test_corrupted_sector_makes_the_command_fail(capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["certificate"]["pass"] is False
     assert payload["max_deviation"] < 1e-9
+
+
+def test_failing_sector_needs_no_numpy(capsys, monkeypatch):
+    # the failing certificate is the verdict: the failing sector takes no
+    # numeric eigenvalues, so the command refuses it without numpy
+    from ncgdirac.cli import EXIT_FAILED, main
+
+    def corrupted(t2, m, n):
+        matrix = exact_sector(t2, m, n)
+        return _phase_corrupted(matrix) if (m, n) == (0, 0) else matrix
+
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setattr(spectrum, "exact_sector", corrupted)
+    assert main(["spectrum", "t2", "--mmax", "1", "--theta", "0.7"]) == EXIT_FAILED
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certificate"]["pass"] is False
+    assert len(payload["eigenvalues"]) == 32
+    assert all((e["m"], e["n"]) != (0, 0) for e in payload["eigenvalues"])
 
 
 def test_sector_escape_fails_the_certificate(capsys, monkeypatch):
@@ -326,17 +347,17 @@ def test_second_scan_applies_no_operator(t2, monkeypatch):
 
 
 def test_sector_store_hands_out_no_stored_object(t2):
+    # the store hands out its sector itself, but nothing in it that a caller
+    # can change: the sector is frozen and eigenvalues() is a fresh list
     fresh = dataclasses.replace(t2)
     want = spectrum_scan(fresh, 1, 0.7).to_json()
-    sector = sector_matrix(fresh, 0, 0, 0.7)
-    assert sector.entries is not sector_matrix(fresh, 0, 0, 0.7).entries
-    sector.entries[0][0] = 99.0
-    sector.entries[1] = [0j] * 4
+    sector = sector_matrix(fresh, 0, 0)
+    assert sector is fresh.sector_store[(0, 0)]
     sector.eigenvalues()[0] = 99.0
     assert spectrum_scan(fresh, 1, 0.7).to_json() == want
     assert len(fresh.sector_store) == 9
     for stored in fresh.sector_store.values():
-        assert type(stored) is StoredSector and stored.certified
+        assert type(stored) is SectorMatrix and stored.certified
         with pytest.raises(dataclasses.FrozenInstanceError):
             stored.square = (("forged", Scalar.one()),)
         assert type(stored.matrix) is tuple and all(type(row) is tuple for row in stored.matrix)
