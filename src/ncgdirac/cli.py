@@ -21,7 +21,7 @@ from .catalog import GoldenMismatch, SpaceBundle, build_space, build_t2, verify_
 from .hypersurface import HypersurfaceError
 from .reports import Report, write_report_atomic
 from .scalars import Scalar
-from .spectrum import spectrum_scan
+from .spectrum import check_scan_arguments, spectrum_scan
 from .spin import dirac
 from .tensors import SPINOR_RANK, TensorElement
 
@@ -148,6 +148,7 @@ def _cmd_dirac(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    check_scan_arguments(args.mmax, args.theta)
     bundle = build_space(args.space)
     report = spectrum_scan(bundle, args.mmax, args.theta)
     _emit(report.to_json(), args)
@@ -155,6 +156,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_report_all(args) -> int:
+    check_scan_arguments(args.mmax, args.theta)
     payload = {"spaces": {}}
     status = EXIT_OK
     bundles: dict[str, SpaceBundle] = {}

@@ -12,7 +12,8 @@ sector_store and handed out as it is.  A certified sector has the eigenvalues
 Connes-Landi deformation), so a scan reports +-sqrt(lambda^2) and substitutes
 q = exp(i*theta/4) into no entry.  A sector whose certificate fails fails the
 scan's report and reports no eigenvalues: the certificate is the verdict.
-numpy is imported only by the truncated fallback.
+A sector that escapes its momentum fails the scan with the clause
+sector_exact[m,n], and the scan then reports no eigenvalues at all.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def exact_sector(t2: SpaceBundle, m: int, n: int) -> ScalarMatrix:
     basis vector col; sector_matrix certifies the result and stores it.  The
     factoring must be exact: every output coefficient is a single scalar
     multiple of the receiving basis monomial, otherwise SectorEscape is
-    raised and spectrum_scan falls back to the truncated matrix.
+    raised and spectrum_scan fails with no eigenvalues.
     """
     p = t2.presentation
     basis = sector_basis(m, n)
@@ -171,18 +172,23 @@ class SpectrumReport:
         }
 
 
+def check_scan_arguments(mmax: int, theta: float) -> None:
+    """Refuse a scan range or angle that no scan can use, before anything is built."""
+    if mmax < 0:
+        raise ValueError("mmax must be nonnegative")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
+
+
 def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
     """Eigenvalues of every sector with |m|, |n| <= mmax, matched to closed form.
 
     The report's certificate section holds the families sector_square and
     sector_trace over all these sectors.  A sector that escapes its momentum
-    (SectorEscape) leaves the scan to the truncated fallback, whose
+    (SectorEscape) ends the scan: the report is _truncated_scan's, whose
     certificate fails with the clause sector_exact[m,n] for that sector.
     """
-    if mmax < 0:
-        raise ValueError("mmax must be nonnegative")
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    check_scan_arguments(mmax, theta)
     report = SpectrumReport(theta=theta, mmax=mmax)
     square: list[tuple[str, Scalar]] = []
     trace: list[tuple[str, Scalar]] = []
@@ -191,10 +197,8 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
             try:
                 sector = sector_matrix(t2, m, n)
             except SectorEscape as exc:
-                fallback = _truncated_scan(t2, mmax, theta)
                 escape = Clause(f"sector_exact[{m},{n}]", False, str(exc))
-                fallback.certificate.clauses.append(escape)
-                return fallback
+                return _truncated_scan(mmax, theta, escape)
             square.extend(sector.square)
             trace.extend(sector.trace)
             if not sector.certified:
@@ -210,45 +214,13 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
     return report
 
 
-def _truncated_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
-    """Fallback: the operator on the span of momenta within mmax+1, edge rows dropped.
+def _truncated_scan(mmax: int, theta: float, escape: Clause) -> SpectrumReport:
+    """The report of a scan cut short by a sector that escaped its momentum.
 
-    Never needed for the shipped catalog; its use indicates a regression and
-    is reported via fallback_used.  Image terms leaving the span are truncated
-    away; only eigenvalues that match the closed form for interior sectors
-    (|m|, |n| <= mmax) are kept.
+    It carries the failing escape clause, no eigenvalues and fallback_used.
+    bench/tracer.py counts its calls by this name (spectrum.fallback_scans)
+    until the in-engine tracer replaces that wrapper (ROADMAP item 5).
     """
-    import numpy
-
-    p = t2.presentation
-    cut = mmax + 1
-    index: dict[tuple[Monomial, int], int] = {}
-    basis: list[tuple[Monomial, int]] = []
-    for m in range(-cut, cut + 1):
-        for n in range(-cut, cut + 1):
-            for mono, alpha in sector_basis(m, n):
-                key = (mono, alpha)
-                if key not in index:
-                    index[key] = len(basis)
-                    basis.append(key)
-    size = len(basis)
-    matrix = numpy.zeros((size, size), dtype=complex)
-    for col, (mono, alpha) in enumerate(basis):
-        spinor = TensorElement.basis(p, (), alpha, AlgebraElement(p, {mono: Scalar.one()}))
-        image = dtilde_apply(t2, spinor)
-        for w, c in image.terms.items():
-            for out_mono, scal in c.terms.items():
-                row = index.get((out_mono, w.spin))
-                if row is not None:
-                    matrix[row][col] += scal.eval_numeric(theta)
-    eigenvalues = numpy.linalg.eigvals(matrix)
     report = SpectrumReport(theta=theta, mmax=mmax, fallback_used=True)
-    targets = sorted(
-        {closed_form_value(m, n) for m in range(-mmax, mmax + 1) for n in range(-mmax, mmax + 1)}
-    )
-    for value in sorted(float(v.real) for v in eigenvalues):
-        best = min((abs(abs(value) - t) for t in targets), default=math.inf)
-        if best < 1e-6:
-            report.eigenvalues.append({"value": value, "m": None, "n": None, "deviation": best})
-            report.max_deviation = max(report.max_deviation, best)
+    report.certificate.clauses.append(escape)
     return report

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ncgdirac import algebra, catalog
+from ncgdirac import algebra, catalog, cli
 from ncgdirac.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 from ncgdirac.catalog import r4_presentation
 
@@ -15,8 +15,8 @@ from kernel_reference import presentation
 
 
 # sha256 of exact report bytes; every change to these outputs must be named.
-# The spectrum floats are left out: numpy's eigvals may differ in the last bits
-# across platforms, while these reports are exact.
+# The spectrum section is left out: its values and deviations are floats
+# (math.sqrt and math.hypot of the closed form), while these reports are exact.
 VERIFY_S3_SHA256 = "13d90232674ecf9e793d6dd106c29cd6f8280cb3a75345de98cb62ee69bb673c"
 DIRAC_T2_SHA256 = "4ebf2f4685bcbf4770bf75d36fafb6caf2a79e33fe320d00893224b23a275755"
 REPORT_ALL_SPACES_SHA256 = "98446bf25b26fdb24544e6557b0ef08387aa1a50f1421c05ef284985399d6dd2"
@@ -360,16 +360,27 @@ def test_report_all_induces_each_space_once(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["spectrum", "--theta", "nan"],
-        ["spectrum", "--theta=-inf"],
-        ["report-all", "--theta", "inf"],
+        (["spectrum", "--theta", "nan"], "theta must be finite"),
+        (["spectrum", "--theta=-inf"], "theta must be finite"),
+        (["report-all", "--theta", "inf"], "theta must be finite"),
+        (["spectrum", "--mmax", "-1"], "mmax must be nonnegative"),
+        (["report-all", "--mmax", "-1"], "mmax must be nonnegative"),
     ],
-    ids=["spectrum-nan", "spectrum-minus-inf", "report-all-inf"],
+    ids=[
+        "spectrum-nan", "spectrum-minus-inf", "report-all-inf",
+        "spectrum-negative-mmax", "report-all-negative-mmax",
+    ],
 )
-def test_non_finite_theta_rejected(argv, capsys):
+def test_non_finite_theta_rejected(argv, message, capsys, monkeypatch):
+    # the arguments are refused before any space is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a space was built before the scan arguments were checked")
+
+    monkeypatch.setattr(cli, "build_space", no_build)
+    monkeypatch.setattr(cli, "build_t2", no_build)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_BAD_INPUT
     assert out == ""
-    assert err == "error: theta must be finite\n"
+    assert err == f"error: {message}\n"

@@ -22,6 +22,10 @@ ALLOWED_UNUSED = {
     "scalars.Scalar.at_q_one": (
         "the per-sector similarity clause will be its first caller (ROADMAP item 3)"
     ),
+    "scalars.Scalar.eval_numeric": (
+        "bench/tracer.py counts it by name (scalars.eval_numeric_calls) until ROADMAP item 5, "
+        "and the tests evaluate sectors with it for the numpy cross-check"
+    ),
 }
 
 

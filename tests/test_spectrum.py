@@ -104,14 +104,8 @@ def test_mmax_zero_scan(t2):
     assert _sorted_values(report) == pytest.approx([-1.0, -1.0, 1.0, 1.0], abs=1e-10)
 
 
-def test_truncated_fallback_runs_but_is_not_needed(t2):
-    # the fallback must work when invoked directly, and the sector path must
-    # never trigger it for the catalog torus
-    report = spectrum._truncated_scan(t2, 0, 0.0)
-    assert report.fallback_used
-    assert report.eigenvalues, "truncated operator must retain interior eigenvalues"
-    ones = [e for e in report.eigenvalues if abs(abs(e["value"]) - 1.0) < 1e-6]
-    assert len(ones) >= 4
+def test_no_catalog_sector_escapes(t2):
+    # every sector of the catalog torus factors exactly in its momentum
     scan = spectrum_scan(t2, 1, 0.0)
     assert not scan.fallback_used
 
@@ -238,16 +232,19 @@ def test_failing_sector_needs_no_numpy(capsys, monkeypatch):
 
 
 def test_sector_escape_fails_the_certificate(capsys, monkeypatch):
-    # the truncated fallback checks no sector, so the escape is a failing clause
+    # an escaping sector ends the scan with a failing clause and no numbers;
+    # nothing numeric stands in for it, so the scan runs without numpy
     from ncgdirac.cli import EXIT_FAILED, main
 
     def escaping(t2, m, n):
         raise spectrum.SectorEscape(f"sector ({m},{n}) forced out")
 
+    monkeypatch.setitem(sys.modules, "numpy", None)
     monkeypatch.setattr(spectrum, "exact_sector", escaping)
     assert main(["spectrum", "t2", "--mmax", "0"]) == EXIT_FAILED
     payload = json.loads(capsys.readouterr().out)
     assert payload["fallback_used"] is True
+    assert payload["eigenvalues"] == []
     assert payload["certificate"] == {
         "subject": "t2",
         "pass": False,
@@ -346,7 +343,7 @@ def test_second_scan_applies_no_operator(t2, monkeypatch):
     assert len(calls) == 2 * cold
 
 
-def test_sector_store_hands_out_no_stored_object(t2):
+def test_sector_store_hands_out_a_frozen_sector(t2):
     # the store hands out its sector itself, but nothing in it that a caller
     # can change: the sector is frozen and eigenvalues() is a fresh list
     fresh = dataclasses.replace(t2)
