@@ -21,7 +21,7 @@ from ncgdirac.catalog import (
     metric_upper,
     verify_space,
 )
-from ncgdirac.geometry import Connection, Metric, tensor_connection_apply
+from ncgdirac.geometry import Calculus, Connection, Metric, tensor_connection_apply
 from ncgdirac.hypersurface import check_assumptions, induced_dirac
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spin import SpinStructure, dirac, mat_mul
@@ -317,6 +317,56 @@ def test_certificate_rejects_doubled_braiding(request, space, where, failing):
     cert = check_assumptions(broken)
     assert {c.name.split("[")[0] for c in cert.failures()} == failing
     assert _report_sha256(cert.to_report(space)) == CORRUPTED_CERTIFICATE_SHA256[space, where]
+
+
+# sha256 of the verify_space report and of the assumption certificate (as a
+# report named after the space) when the projector image Pi(dz2) is scaled by
+# q^4 in every calculus of the structures.  Pi o Pi != Pi then, so these bytes
+# change if a verifier projects a residual at another place or more than once.
+# The t2 certificate still passes: no clause of it sees a scaled Pi image.
+CORRUPTED_PROJECTOR_SHA256 = {
+    ("s3", "verify_space"): "c71420903e43c02a4917d9e0765b5d285b7a74894e4f6dd7c3eaebbe5441c43e",
+    ("s3", "certificate"): "fa715ef2231a62195f0abeb14a31aefb8246c83f115950ff7eaaadea2b9326d2",
+    ("t2", "verify_space"): "5dced34ee80413a578dfd2036558a847bd7eec24c2c1357ce7ae680515c2d4e5",
+    ("t2", "certificate"): "fecd9689bc608ce9f9116b27376ad1c3c7bb172a3a66146684518ba9d573d0fd",
+}
+_PROJECTOR_FAILS = {
+    "inverse_left", "inverse_right", "metric_compatibility", "right_leibniz", "clifford_compatibility",
+}
+
+
+def _corrupted_projector(h):
+    """The hypersurface and its quotient calculus with Pi(dz2) scaled by q^4."""
+    pi = h.pi
+    images = dict(pi.images)
+    key = BasisWord((1,), None)
+    images[key] = images[key].scale(Scalar.q_power(4))
+    broken = LeftLinearMap(pi.presentation, pi.domain, pi.codomain, images)
+    calc = Calculus(pi.presentation, broken)
+    return replace(h, pi=broken, quotient_calculus=calc), calc
+
+
+def _with_calculus(s, calc):
+    """A copy of the structure set whose calculus, connections and spin structure use calc."""
+    conn, spin = s.connection, s.spin
+    connection = Connection(calc, conn.values, conn.sigma, conn.sigma_inv)
+    spin_connection = Connection(calc, spin.spin_connection.values)
+    spin = SpinStructure(calc, spin.gamma, spin_connection)
+    return replace(s, calculus=calc, connection=connection, spin=spin)
+
+
+@pytest.mark.parametrize(
+    "space, cert_fails", [("s3", {"corollaries"}), ("t2", set())], ids=["s3", "t2"]
+)
+def test_verifiers_and_certificate_pin_a_corrupted_projector(request, space, cert_fails):
+    bundle = request.getfixturevalue(space)
+    h, calc = _corrupted_projector(bundle.hypersurface)
+    report = verify_space(replace(bundle, structures=_with_calculus(bundle.structures, calc)))
+    assert {c.name.split("[")[0] for c in report.failures()} == _PROJECTOR_FAILS
+    assert _report_sha256(report) == CORRUPTED_PROJECTOR_SHA256[space, "verify_space"]
+    cert = check_assumptions(h)
+    assert {c.name.split("[")[0] for c in cert.failures()} == cert_fails
+    assert _report_sha256(cert.to_report(space)) == CORRUPTED_PROJECTOR_SHA256[space, "certificate"]
 
 
 # -- torus ---------------------------------------------------------------------
