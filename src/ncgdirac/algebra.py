@@ -16,6 +16,13 @@ c1 * c2 * (cached monomial product) straight into a raw map
 {monomial: {q-exponent: GaussianRational}} and builds a Scalar and an
 AlgebraElement only once per output coefficient.  The raw map is known only
 here and in ``tensors``.
+
+A monomial product is rewritten once per ordered monomial, not once per pair:
+z^m1 z^m2 = q**e z^(m1+m2) with e from the R exponents in closed form, and the
+rules act only on z^(m1+m2), so its reduction is kept in a second memo and
+shared by every pair with the same sum (the normal form is unique for a
+confluent presentation: Bergman, "The diamond lemma for ring theory", Adv.
+Math. 29, 1978).
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ from .scalars import _GR_ONE, GaussianRational, Scalar, _scalar
 Monomial = tuple[int, ...]
 
 STEP_BUDGET = 10**6  # rewrite steps per normal-form computation
-# monomial products kept per presentation: t2 holds 581 after a checked build
-# and 6,164 after spectrum scans up to mmax=16; past the bound, products are
+# monomial products kept per presentation, and as many reductions of ordered
+# monomials: t2 holds 581 products after a checked build and 6,164 after
+# spectrum scans up to mmax=16; past the bound, products and reductions are
 # computed without being stored
 PRODUCT_CACHE_BOUND = 50_000
 
@@ -92,12 +100,13 @@ class Presentation:
     integer addition instead of scalar multiplication.
     """
 
-    __slots__ = ("name", "n", "R", "q_exp", "rules", "_key", "_product_cache")
+    __slots__ = ("name", "n", "R", "q_exp", "rules", "_key", "_product_cache", "_reduction_cache")
 
     def __init__(self, n: int, R, rules=(), name: str = ""):
         self.name = name
         self.n = n
         self._product_cache = {}
+        self._reduction_cache = {}
         self.R = tuple(tuple(row) for row in R)
         if len(self.R) != n or any(len(row) != n for row in self.R):
             raise PresentationError("R must be an n x n scalar matrix")
@@ -294,15 +303,20 @@ def add_term(out: dict, key, coeff):
         out[key] = s
 
 
-def _normal_sum(p: Presentation, pending: list) -> dict[Monomial, Scalar]:
-    """Normal form of a sum of products coeff * mono * z_{letters[0]} * ...
+def _budget_exceeded() -> RewriteBudgetExceeded:
+    return RewriteBudgetExceeded(f"rewrite step budget of {STEP_BUDGET} steps exceeded")
+
+
+def _normal_sum(p: Presentation, pending: list) -> tuple[dict[Monomial, Scalar], int]:
+    """Normal form of a sum of products coeff * mono * z_{letters[0]} * ..., and its steps.
 
     pending holds (mono, letters, coeff) triples.  Each product is multiplied
     out letter by letter and rewritten to the rule fixpoint on an explicit
     stack, so a long rewriting chain is bounded by the step budget (one step
     per inserted letter and per rule application), not by the interpreter's
     recursion limit.  A rule's rhs terms are pushed in reverse, so terms are
-    added in depth-first order, first rhs term first.
+    added in depth-first order, first rhs term first.  The steps taken are
+    returned with the normal form.
     """
     out: dict[Monomial, Scalar] = {}
     stack = [(mono, letters, coeff, 0) for mono, letters, coeff in reversed(pending)]
@@ -324,13 +338,34 @@ def _normal_sum(p: Presentation, pending: list) -> dict[Monomial, Scalar]:
             else:
                 add_term(out, mono, coeff.q_shift(qexp))
         if left < 0:
-            raise RewriteBudgetExceeded(f"rewrite step budget of {STEP_BUDGET} steps exceeded")
-    return out
+            raise _budget_exceeded()
+    return out, STEP_BUDGET - left
 
 
 def _reduce(terms: dict[Monomial, Scalar], p: Presentation) -> dict[Monomial, Scalar]:
     """Normal form in p of a sparse sum of (possibly reducible) monomials."""
-    return _normal_sum(p, [(m, (), c) for m, c in terms.items()])
+    return _normal_sum(p, [(m, (), c) for m, c in terms.items()])[0]
+
+
+def _mono_reduction(p: Presentation, mono: Monomial) -> tuple:
+    """(normal form of the ordered monomial mono, its rule steps), memoized per presentation.
+
+    The normal form is a tuple of (monomial, q-exponent, GaussianRational)
+    triples, as _mono_product hands out; the memo holds at most
+    PRODUCT_CACHE_BOUND entries.
+    """
+    cached = p._reduction_cache.get(mono)
+    if cached is None:
+        out, steps = _normal_sum(p, [(mono, (), Scalar.one())])
+        terms = tuple(
+            (m, k, _GR_ONE if g == _GR_ONE else g)
+            for m, s in out.items()
+            for k, g in s.terms.items()
+        )
+        cached = (terms, steps)
+        if len(p._reduction_cache) < PRODUCT_CACHE_BOUND:
+            p._reduction_cache[mono] = cached
+    return cached
 
 
 def _mono_product(p: Presentation, m1: Monomial, m2: Monomial) -> tuple:
@@ -341,15 +376,28 @@ def _mono_product(p: Presentation, m1: Monomial, m2: Monomial) -> tuple:
     shared _GR_ONE, which the kernel turns into a pure exponent shift.  The
     cache holds at most PRODUCT_CACHE_BOUND entries and turns the repeated
     basis-word products of the verifiers into dictionary lookups.
+
+    On a miss, z^m1 z^m2 = q**e z^(m1+m2), where inserting the letters of m2 in
+    ascending order swaps each z_k past the letters j > k of m1:
+    e = sum_k m2[k] sum_{j>k} q_exp[k][j] m1[j].  The rules act only on the
+    ordered monomial m1 + m2, whose reduction _mono_reduction keeps.  The
+    product charges the budget deg(m2) for the inserted letters plus the
+    reduction's rule steps, so it raises RewriteBudgetExceeded exactly when
+    rewriting m1 * z_{letters of m2} from scratch would.
     """
     key = (m1, m2)
     cached = p._product_cache.get(key)
     if cached is None:
-        cached = tuple(
-            (m, k, _GR_ONE if g == _GR_ONE else g)
-            for m, s in _normal_sum(p, [(m1, _mono_letters(m2), Scalar.one())]).items()
-            for k, g in s.terms.items()
-        )
+        q_exp = p.q_exp
+        e = 0
+        for k, ek in enumerate(m2):
+            if ek:
+                row = q_exp[k]
+                e += ek * sum(row[j] * m1[j] for j in range(k + 1, p.n))
+        terms, steps = _mono_reduction(p, tuple(map(int.__add__, m1, m2)))
+        if _mono_degree(m2) + steps > STEP_BUDGET:
+            raise _budget_exceeded()
+        cached = tuple((m, k + e, g) for m, k, g in terms) if e else terms
         if len(p._product_cache) < PRODUCT_CACHE_BOUND:
             p._product_cache[key] = cached
     return cached
@@ -545,7 +593,7 @@ def normal_form(word, coeff: Scalar, p: Presentation) -> AlgebraElement:
     for k in word:
         if not 0 <= k < p.n:
             raise IndexError(f"generator index {k} out of range")
-    return AlgebraElement(p, _normal_sum(p, [((0,) * p.n, list(word), coeff)]))
+    return AlgebraElement(p, _normal_sum(p, [((0,) * p.n, list(word), coeff)])[0])
 
 
 def is_central(a: AlgebraElement) -> bool:

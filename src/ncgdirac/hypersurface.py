@@ -21,7 +21,7 @@ from .geometry import Calculus, Connection, Metric
 from .reports import Report
 from .scalars import HALF, Scalar
 from .spin import SpinStructure, StructureSet
-from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
+from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, all_basis_words, right_mul, tensor
 
 
 class HypersurfaceError(ValueError):
@@ -179,17 +179,23 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
             yield f"nu,dz{i + 1}", acanon(sigma_amb.apply(nu_w) - w_nu)
 
     def pi_checks():
-        # assumption 2: sigma interchanges (Pi (x) id) and (id (x) Pi) on q_! (x) q_!
+        # assumption 2: sigma interchanges (Pi (x) id) and (id (x) Pi) on q_! (x) q_!;
+        # each side's difference sigma o (Pi at slot) - (Pi at the other slot) o sigma
+        # is left-linear, so it is stored once on the free pairs and applied
+        # once per residual
+        sides = []
+        for slot, side in ((0, "left"), (1, "right")):
+            images = {}
+            for w in all_basis_words(quotient, 2):
+                b = TensorElement.basis(quotient, w.forms)
+                images[w] = sigma_q.apply(h.pi.apply_at(b, slot)) - h.pi.apply_at(sigma_q.apply(b), 1 - slot)
+            sides.append((side, LeftLinearMap(quotient, (2, False), (2, False), images)))
         qbasis = [h.qcalc.canon(TensorElement.basis(quotient, (i,))) for i in range(n)]
         for i in range(n):
             for j in range(n):
                 x = tensor(qbasis[i], qbasis[j])
-                braided = sigma_q.apply(x)
-                for slot, side in ((0, "left"), (1, "right")):
-                    yield (
-                        f"dz{i + 1},dz{j + 1},{side}",
-                        sigma_q.apply(h.pi.apply_at(x, slot)) - h.pi.apply_at(braided, 1 - slot),
-                    )
+                for side, difference in sides:
+                    yield f"dz{i + 1},dz{j + 1},{side}", difference.apply(x)
 
     def nabla_nu_checks():
         # assumption 3: sigma_23 sigma_12 (Pi(w) (x) nabla(nu)) = nabla(nu) (x) Pi(w)

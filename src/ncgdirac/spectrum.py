@@ -147,10 +147,10 @@ def sector_matrix(t2: SpaceBundle, m: int, n: int) -> SectorMatrix:
 class SpectrumReport:
     theta: float
     mmax: int
+    certificate: Report
     eigenvalues: list[dict] = field(default_factory=list)
     max_deviation: float = 0.0
     fallback_used: bool = False
-    certificate: Report = field(default_factory=lambda: Report("t2"))
 
     @property
     def all_passed(self) -> bool:
@@ -183,13 +183,19 @@ def check_scan_arguments(mmax: int, theta: float) -> None:
 def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
     """Eigenvalues of every sector with |m|, |n| <= mmax, matched to closed form.
 
-    The report's certificate section holds the families sector_square and
-    sector_trace over all these sectors.  A sector that escapes its momentum
-    (SectorEscape) ends the scan: the report is _truncated_scan's, whose
-    certificate fails with the clause sector_exact[m,n] for that sector.
+    The report's certificate, named after the bundle, holds the families
+    sector_square and sector_trace over all these sectors.  A sector that
+    escapes its momentum (SectorEscape) ends the scan: the report is
+    _truncated_scan's, whose certificate fails with the clause
+    sector_exact[m,n] for that sector.  A bundle that is not a hypersurface
+    of a hypersurface (r4, s3) has no torus sectors and is refused with
+    ValueError before any sector is built.
     """
     check_scan_arguments(mmax, theta)
-    report = SpectrumReport(theta=theta, mmax=mmax)
+    h = t2.hypersurface
+    if h is None or h.ambient.calculus.projector is None:
+        raise ValueError(f"{t2.name} is not a hypersurface of a hypersurface: the scan needs the torus")
+    report = SpectrumReport(theta=theta, mmax=mmax, certificate=Report(t2.name))
     square: list[tuple[str, Scalar]] = []
     trace: list[tuple[str, Scalar]] = []
     for m in range(-mmax, mmax + 1):
@@ -198,7 +204,7 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
                 sector = sector_matrix(t2, m, n)
             except SectorEscape as exc:
                 escape = Clause(f"sector_exact[{m},{n}]", False, str(exc))
-                return _truncated_scan(mmax, theta, escape)
+                return _truncated_scan(mmax, theta, escape, t2.name)
             square.extend(sector.square)
             trace.extend(sector.trace)
             if not sector.certified:
@@ -214,13 +220,13 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
     return report
 
 
-def _truncated_scan(mmax: int, theta: float, escape: Clause) -> SpectrumReport:
+def _truncated_scan(mmax: int, theta: float, escape: Clause, subject: str) -> SpectrumReport:
     """The report of a scan cut short by a sector that escaped its momentum.
 
-    It carries the failing escape clause, no eigenvalues and fallback_used.
-    bench/tracer.py counts its calls by this name (spectrum.fallback_scans)
-    until the in-engine tracer replaces that wrapper (ROADMAP item 5).
+    It carries the failing escape clause in a certificate named subject, no
+    eigenvalues and fallback_used.  bench/tracer.py counts its calls by this
+    name (spectrum.fallback_scans) until the in-engine tracer replaces that
+    wrapper (ROADMAP item 5).
     """
-    report = SpectrumReport(theta=theta, mmax=mmax, fallback_used=True)
-    report.certificate.clauses.append(escape)
-    return report
+    certificate = Report(subject, [escape])
+    return SpectrumReport(theta=theta, mmax=mmax, certificate=certificate, fallback_used=True)

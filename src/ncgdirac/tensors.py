@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, Presentation, _accumulate, _accumulate_scaled, _element, add_term
+from .algebra import AlgebraElement, Presentation, _accumulate, _accumulate_scaled, _element, _new, add_term
 from .scalars import Scalar
 
 SPINOR_RANK = 4  # every spinor slot e_alpha has alpha in 0..3
@@ -69,15 +69,39 @@ class TensorSum:
 
     def add(self, w: BasisWord, c: AlgebraElement, s: Scalar | None = None):
         """Add c * s under w for a constant s, or c itself if s is None."""
-        _accumulate_scaled(self.words.setdefault(w, {}), c.terms, s)
+        _accumulate_scaled(_word_map(self.words, w), c.terms, s)
 
     def add_product(self, w: BasisWord, a: AlgebraElement, b: AlgebraElement, twist=None):
         """Add a * b under w; twist (see _twist) first moves b left through basis letters."""
-        _accumulate(self.words.setdefault(w, {}), self.presentation, a.terms, b.terms, twist)
+        _accumulate(_word_map(self.words, w), self.presentation, a.terms, b.terms, twist)
 
     def element(self, degree: int, has_spin: bool) -> "TensorElement":
+        """The sum, whose words the caller vouches fit (degree, has_spin); cancelled words drop."""
         p = self.presentation
-        return TensorElement(p, degree, has_spin, {w: _element(p, acc) for w, acc in self.words.items()})
+        terms = {}
+        for w, acc in self.words.items():
+            c = _element(p, acc)
+            if c.terms:
+                terms[w] = c
+        return _tensor(p, degree, has_spin, terms)
+
+
+def _word_map(words: dict, w: BasisWord) -> dict:
+    """The raw map of algebra._accumulate kept under w, created on first use."""
+    acc = words.get(w)
+    if acc is None:
+        acc = words[w] = {}
+    return acc
+
+
+def _tensor(p: Presentation, degree: int, has_spin: bool, terms: dict) -> "TensorElement":
+    """A TensorElement that takes over terms: words of its shape, no zero coefficient."""
+    e = _new(TensorElement)
+    e.presentation = p
+    e.degree = degree
+    e.has_spin = has_spin
+    e.terms = terms
+    return e
 
 
 class TensorElement:
@@ -135,13 +159,13 @@ class TensorElement:
         out = dict(self.terms)
         for w, c in other.terms.items():
             add_term(out, w, c)
-        return TensorElement(self.presentation, self.degree, self.has_spin, out)
+        return _tensor(self.presentation, self.degree, self.has_spin, out)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + (-other)
 
     def __neg__(self) -> "TensorElement":
-        return TensorElement(
+        return _tensor(
             self.presentation,
             self.degree,
             self.has_spin,
@@ -308,6 +332,7 @@ class LeftLinearMap:
         out_spin = self.codomain[1] or (e.has_spin and not dspin)
         out_degree = e.degree - k + self.codomain[0]
         out = TensorSum(p)
+        words = out.words  # accumulated into directly, with no call per product
         for w, c in e.terms.items():
             prefix = w.forms[:at]
             mid = BasisWord(w.forms[at:at + k], w.spin if dspin else None)
@@ -321,7 +346,7 @@ class LeftLinearMap:
                     prefix + w2.forms + suffix,
                     w2.spin if self.codomain[1] else (w.spin if not dspin else None),
                 )
-                out.add_product(out_word, c, c2, twist)
+                _accumulate(_word_map(words, out_word), p, c.terms, c2.terms, twist)
         return out.element(out_degree, out_spin)
 
     def convert(self, target: Presentation) -> "LeftLinearMap":

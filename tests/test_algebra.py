@@ -423,3 +423,99 @@ def test_product_cache_stops_growing_at_its_bound(monkeypatch):
             for j, y in enumerate(gens(p)):
                 assert x * y == normal_form([i, j], Scalar.one(), p)
     assert len(p._product_cache) == 3
+
+
+# -- monomial products through the reduction memo ------------------------------
+
+
+def _fresh(p):
+    """A copy of p whose product and reduction memos are empty."""
+    return Presentation(p.n, p.R, p.rules, name=p.name)
+
+
+def _normal_monomials(p, max_degree):
+    """Every monomial of degree <= max_degree that no rule of p rewrites."""
+    monos = (m for m in itertools.product(range(max_degree + 1), repeat=p.n) if sum(m) <= max_degree)
+    return [m for m in monos if not any(all(a <= b for a, b in zip(r.lhs, m)) for r in p.rules)]
+
+
+def _product_element(p, triples):
+    terms = {}
+    for m, k, g in triples:
+        terms.setdefault(m, {})[k] = g
+    return AlgebraElement(p, {m: Scalar(c) for m, c in terms.items()})
+
+
+@pytest.mark.parametrize("name", ["r4", "s3", "t2"])
+def test_kernel_mono_product_matches_naive_mul_on_short_monomials(name):
+    # every pair of normal monomials of degree <= 3, each product taken once
+    # from empty memos: pairs with one sum share a reduction
+    p = _fresh(presentation(name))
+    monos = _normal_monomials(p, 3)
+    elements = {m: AlgebraElement(p, {m: Scalar.one()}) for m in monos}
+    for m1 in monos:
+        for m2 in monos:
+            got = _product_element(p, algebra._mono_product(p, m1, m2))
+            assert got == naive_mul(elements[m1], elements[m2]), (m1, m2)
+    assert len(p._product_cache) == len(monos) ** 2 > len(p._reduction_cache)
+
+
+def test_kernel_reduction_memo_holds_immutable_entries(p_t2):
+    p = _fresh(p_t2)
+    normal_form([0, 3], Scalar.one(), p) * normal_form([1, 2, 3], Scalar.one(), p)
+    assert p._reduction_cache
+    for mono, entry in p._reduction_cache.items():
+        assert type(mono) is tuple and type(entry) is tuple
+        terms, steps = entry
+        assert type(terms) is tuple and type(steps) is int
+        assert all(type(m) is tuple and type(k) is int and type(g) is GaussianRational for m, k, g in terms)
+
+
+def test_kernel_reduction_memo_stops_growing_at_its_bound(monkeypatch):
+    # past the bound reductions are computed without being stored; the 16
+    # generator pairs of r4 have 10 distinct sums
+    monkeypatch.setattr(algebra, "PRODUCT_CACHE_BOUND", 3)
+    p = r4_presentation()
+    for _ in range(2):
+        for i, x in enumerate(gens(p)):
+            for j, y in enumerate(gens(p)):
+                assert x * y == normal_form([i, j], Scalar.one(), p)
+    assert len(p._reduction_cache) == 3
+
+
+def _raises_over_budget(compute):
+    try:
+        compute()
+    except RewriteBudgetExceeded:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_kernel_product_budget_matches_rewriting_the_word(monkeypatch, p_t2, warm):
+    # a product charges deg(m2) inserted letters plus the rule steps of its
+    # reduction, as rewriting m1 * z_{letters of m2} from scratch does; the
+    # word letters(m1) + letters(m2) costs deg(m1) more steps.  Warm: the
+    # reductions were stored under the full budget and are reused under the
+    # lowered one, so the stored step count decides.
+    monos = _normal_monomials(p_t2, 2)
+    assert max(algebra._mono_reduction(_fresh(p_t2), tuple(map(int.__add__, m1, m2)))[1]
+               for m1 in monos for m2 in monos) > 0
+    warmed = _fresh(p_t2)
+    for m1 in monos:
+        for m2 in monos:
+            algebra._mono_product(warmed, m1, m2)
+    for budget in range(8):
+        p = _fresh(p_t2)
+        if warm:
+            p._reduction_cache.update(warmed._reduction_cache)
+        for m1 in monos:
+            for m2 in monos:
+                monkeypatch.setattr(algebra, "STEP_BUDGET", budget)
+                product = _raises_over_budget(lambda: algebra._mono_product(p, m1, m2))
+                direct = _raises_over_budget(
+                    lambda: algebra._normal_sum(p, [(m1, letters(m2), Scalar.one())])
+                )
+                monkeypatch.setattr(algebra, "STEP_BUDGET", budget + sum(m1))
+                word = _raises_over_budget(lambda: normal_form(letters(m1) + letters(m2), Scalar.one(), p))
+                assert product == direct == word, (budget, m1, m2)

@@ -110,6 +110,23 @@ def test_no_catalog_sector_escapes(t2):
     assert not scan.fallback_used
 
 
+@pytest.mark.parametrize("space", ["r4", "s3"])
+def test_scan_refuses_a_bundle_that_is_not_the_torus(request, space):
+    # s3 is a hypersurface but not of a hypersurface: it has no torus sectors,
+    # so the scan refuses it before building one instead of failing a
+    # certificate; r4 has no hypersurface at all
+    bundle = dataclasses.replace(request.getfixturevalue(space))
+    with pytest.raises(ValueError, match=f"{space} is not a hypersurface of a hypersurface"):
+        spectrum_scan(bundle, 0, 0.7)
+    assert bundle.sector_store == {}
+
+
+def test_scan_certificate_is_named_after_the_bundle(t2):
+    renamed = dataclasses.replace(t2, name="torus")
+    assert spectrum_scan(renamed, 0, 0.7).certificate.subject == "torus"
+    assert spectrum_scan(t2, 0, 0.7).certificate.subject == "t2"
+
+
 def test_scan_rejects_negative_mmax(t2):
     with pytest.raises(ValueError):
         spectrum_scan(t2, -1, 0.0)
