@@ -207,7 +207,9 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     """Check every Riemannian-structure clause exactly, on generating elements.
 
     All maps involved are left-linear or Leibniz over generating sets, so
-    these finite checks witness the full clauses.
+    these finite checks witness the full clauses.  metric_compatibility and
+    right_leibniz compare unprojected sides and project their difference
+    once (canon is additive); no value is projected a second time.
     """
     calc = conn.calculus
     p = calc.presentation

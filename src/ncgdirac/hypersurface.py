@@ -158,7 +158,9 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
 
     Assumption 1 lives at the ambient level; assumptions 2 and 3 are checked
     on quotient-coefficient representatives, with the class projections the
-    statements require.  Residuals are recorded verbatim.
+    statements require.  Residuals are recorded verbatim.  pi_transparency
+    stores each side's difference of composites on the 16 free pairs once,
+    which is exact because every map in it is left-linear.
     """
     amb = h.ambient
     n = amb.presentation.n

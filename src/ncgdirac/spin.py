@@ -96,7 +96,14 @@ def dirac(spin: SpinStructure, spinor: TensorElement) -> TensorElement:
 
 
 def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> Report:
-    """Check the Clifford relations and Clifford compatibility exactly."""
+    """Check the Clifford relations and Clifford compatibility exactly.
+
+    clifford_relations applies gamma_[2] o (id + sigma), stored once per call
+    on the basis words dz_i (x) dz_j (x) e_a, to each residual's pair;
+    clifford_compatibility projects the difference of its unprojected sides
+    once.  Both are exact: the maps are left-linear, canon is additive and
+    the normal-form product is associative.
+    """
     calc = spin.calculus
     p = calc.presentation
     report = Report(subject=(p.name or "spinorial"))
