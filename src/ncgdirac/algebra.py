@@ -348,10 +348,11 @@ def _reduce(terms: dict[Monomial, Scalar], p: Presentation) -> dict[Monomial, Sc
 
 
 def _mono_reduction(p: Presentation, mono: Monomial) -> tuple:
-    """(normal form of the ordered monomial mono, its rule steps), memoized per presentation.
+    """(normal form of the ordered monomial mono, its rewriting steps), memoized per presentation.
 
-    The normal form is a tuple of (monomial, q-exponent, GaussianRational)
-    triples, as _mono_product hands out; the memo holds at most
+    The steps are the rule applications and the rhs letters they insert; the
+    normal form is a tuple of (monomial, q-exponent, GaussianRational)
+    triples, as _mono_product hands out.  The memo holds at most
     PRODUCT_CACHE_BOUND entries.
     """
     cached = p._reduction_cache.get(mono)
@@ -382,7 +383,7 @@ def _mono_product(p: Presentation, m1: Monomial, m2: Monomial) -> tuple:
     e = sum_k m2[k] sum_{j>k} q_exp[k][j] m1[j].  The rules act only on the
     ordered monomial m1 + m2, whose reduction _mono_reduction keeps.  The
     product charges the budget deg(m2) for the inserted letters plus the
-    reduction's rule steps, so it raises RewriteBudgetExceeded exactly when
+    reduction's steps, so it raises RewriteBudgetExceeded exactly when
     rewriting m1 * z_{letters of m2} from scratch would.
     """
     key = (m1, m2)

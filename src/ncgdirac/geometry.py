@@ -247,8 +247,7 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     report.family("symmetry", symmetry_checks())
 
     def compatibility_checks():
-        # (id (x) g^-1) nabla(x)(pair), with g^-1 applied to each basis value
-        # once; canon is additive, so the difference is projected once
+        # (id (x) g^-1) nabla(x)(pair), with g^-1 applied to each basis value once
         contracted = contracted_connection(tensor_connection(conn, conn), metric.g_inv)
         for i in range(p.n):
             for j in range(p.n):
@@ -271,7 +270,6 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     report.family("sigma_invertible", inverse_checks())
 
     def leibniz_checks():
-        # canon is additive: both sides are projected as one difference
         d_gens = [calc.d(zj) for zj in gens]
         for i in range(p.n):
             nabla_i = conn.apply(basis[i])

@@ -183,14 +183,14 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     def pi_checks():
         # assumption 2: sigma interchanges (Pi (x) id) and (id (x) Pi) on q_! (x) q_!;
         # each side's difference sigma o (Pi at slot) - (Pi at the other slot) o sigma
-        # is left-linear, so it is stored once on the free pairs and applied
-        # once per residual
+        # is stored on the free pairs
         sides = []
         for slot, side in ((0, "left"), (1, "right")):
             images = {}
             for w in all_basis_words(quotient, 2):
                 b = TensorElement.basis(quotient, w.forms)
-                images[w] = sigma_q.apply(h.pi.apply_at(b, slot)) - h.pi.apply_at(sigma_q.apply(b), 1 - slot)
+                braided = sigma_q.apply(b)
+                images[w] = sigma_q.apply(h.pi.apply_at(b, slot)) - h.pi.apply_at(braided, 1 - slot)
             sides.append((side, LeftLinearMap(quotient, (2, False), (2, False), images)))
         qbasis = [h.qcalc.canon(TensorElement.basis(quotient, (i,))) for i in range(n)]
         for i in range(n):

@@ -111,9 +111,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     spinors = spin.spinor_basis()
 
     def clifford_checks():
-        # gamma_[2] o (id + sigma) is left-linear, and so is its tensor with
-        # the spinor slot: store it once on the words dz_i (x) dz_j (x) e_a,
-        # from b + sigma(b) on the free pairs b, and apply it once per residual
+        # built from b + sigma(b) on the free pairs b, so sigma braids pairs only
         symmetrised = {}
         for w in all_basis_words(p, 2):
             b = TensorElement.basis(p, w.forms)
@@ -134,8 +132,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     report.family("clifford_relations", clifford_checks())
 
     def compatibility_checks():
-        # (id (x) gamma) nabla(x)(base), with gamma applied to each basis value
-        # once; canon is additive, so the difference is projected once
+        # (id (x) gamma) nabla(x)(base), with gamma applied to each basis value once
         contracted = contracted_connection(tensor_connection(conn, spin.spin_connection), spin.gamma)
         for i in range(p.n):
             for alpha in range(SPINOR_RANK):
