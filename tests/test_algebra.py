@@ -518,3 +518,41 @@ def test_kernel_product_budget_matches_rewriting_the_word(monkeypatch, p_t2, war
                 monkeypatch.setattr(algebra, "STEP_BUDGET", budget + sum(m1))
                 word = _raises_over_budget(lambda: normal_form(letters(m1) + letters(m2), Scalar.one(), p))
                 assert product == direct == word, (budget, m1, m2)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_kernel_conversion_budget_sums_the_reductions(monkeypatch, p_r4, warm):
+    # under z4 -> z3, z4^3 takes 3 rule steps and z4^4 takes 4, each inserting
+    # one letter: 6 + 8 steps, charged against one budget.  Warm: the
+    # reductions were stored by a conversion under the full budget.
+    full = algebra.STEP_BUDGET
+    a = normal_form([3] * 3, Scalar.one(), p_r4) + normal_form([3] * 4, Scalar.one(), p_r4)
+    want = {(0, 0, 3, 0): Scalar.q_power(-12), (0, 0, 4, 0): Scalar.q_power(-24)}
+    for budget in (13, 14):
+        chain = _chain_presentation(p_r4)
+        monkeypatch.setattr(algebra, "STEP_BUDGET", full)
+        if warm:
+            assert a.convert(chain).terms == want
+        monkeypatch.setattr(algebra, "STEP_BUDGET", budget)
+        if budget == 13:
+            with pytest.raises(RewriteBudgetExceeded):
+                a.convert(chain)
+        else:
+            assert a.convert(chain).terms == want
+
+
+# one confluence-oracle memo per presentation, shared by the examples
+_ORACLE_MEMOS = {"r4": {}, "s3": {}, "t2": {}}
+
+
+@given(st.data())
+def test_kernel_word_products_match_the_oracle(data):
+    # the oracle shares nothing with the kernel, unlike naive_mul, which
+    # multiplies through the same normal forms as the product it checks
+    name = data.draw(st.sampled_from(sorted(_ORACLE_MEMOS)))
+    p = presentation(name)
+    words = st.lists(st.integers(0, p.n - 1), max_size=3)
+    w1, w2 = data.draw(words), data.draw(words)
+    c1, c2 = data.draw(coefficients), data.draw(coefficients)
+    got = normal_form(w1, c1, p) * normal_form(w2, c2, p)
+    assert got == brute_force_normal_form(w1 + w2, c1 * c2, p, _ORACLE_MEMOS[name])
