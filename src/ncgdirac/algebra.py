@@ -5,10 +5,11 @@ R[j][i]; quotients add rewrite rules whose left sides are low-degree ordered
 monomials.  Elements are kept in normal form at all times: ascending-ordered
 monomials, irreducible under the quotient rules, mapped to nonzero scalars.
 
-The rewriting strategy is insertion based.  Multiplying a normal monomial by a
-single generator on the right commutes the generator into place (collecting
-the exact q-phases) and then reduces to the rule fixpoint, so every compound
-operation reuses one well-tested kernel.
+Words, conversions and products take their phases from one closed form,
+_phase (z^m1 z^m2 = q**e z^(m1+m2)), and their rewriting from one loop,
+_mono_reduction, whose reductions of ordered monomials are memoized per
+presentation (the normal form is unique for a confluent presentation:
+Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).
 
 Products of elements (and, through ``tensors.TensorSum``, of tensor
 coefficients) go through one accumulation kernel, ``_accumulate``: it adds
@@ -16,13 +17,6 @@ c1 * c2 * (cached monomial product) straight into a raw map
 {monomial: {q-exponent: GaussianRational}} and builds a Scalar and an
 AlgebraElement only once per output coefficient.  The raw map is known only
 here and in ``tensors``.
-
-A monomial product is rewritten once per ordered monomial, not once per pair:
-z^m1 z^m2 = q**e z^(m1+m2) with e from the R exponents in closed form, and the
-rules act only on z^(m1+m2), so its reduction is kept in a second memo and
-shared by every pair with the same sum (the normal form is unique for a
-confluent presentation: Bergman, "The diamond lemma for ring theory", Adv.
-Math. 29, 1978).
 """
 
 from __future__ import annotations
@@ -72,10 +66,6 @@ class RewriteRule:
         return f"RewriteRule({self.lhs} -> {self.rhs})"
 
 
-def _mono_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def _mono_letters(mono: Monomial) -> list[int]:
     out = []
     for g, e in enumerate(mono):
@@ -89,7 +79,7 @@ def _divides(lhs: Monomial, mono: Monomial) -> bool:
 
 def monomial_key(mono: Monomial) -> tuple:
     # graded order, ties broken lexicographically from the highest generator
-    return (_mono_degree(mono), tuple(reversed(mono)))
+    return (sum(mono), tuple(reversed(mono)))
 
 
 class Presentation:
@@ -132,7 +122,7 @@ class Presentation:
         for rule in self.rules:
             if len(rule.lhs) != n:
                 raise PresentationError("rule lhs arity does not match generators")
-            if _mono_degree(rule.lhs) == 0:
+            if sum(rule.lhs) == 0:
                 raise PresentationError("rule lhs must be a nonconstant monomial")
             # the graded order is compatible with multiplication, so strictly
             # decreasing rules make every rewriting sequence terminate
@@ -262,35 +252,19 @@ def _scalar_from_json(data) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _insert_gen(mono: Monomial, k: int, p: Presentation) -> tuple[Monomial, int]:
-    """Free product mono * z_k, commuting z_k into ascending position.
+def _phase(p: Presentation, m1, m2) -> int:
+    """The q-exponent e with z^m1 z^m2 = q**e z^(m1+m2), for ordered monomials.
 
-    Each swap past a letter j > k applies z_j z_k = q-power(q_exp[k][j]) z_k z_j;
-    the accumulated phase is returned as a q-exponent.
+    Each z_k of m2 moves left past the letters j > k of m1, by z_j z_k =
+    q**q_exp[k][j] z_k z_j, so e = sum_k m2[k] sum_{j>k} q_exp[k][j] m1[j].
     """
-    exp = 0
-    row = p.q_exp[k]
-    for j in range(k + 1, p.n):
-        e = mono[j]
-        if e:
-            exp += row[j] * e
-    out = list(mono)
-    out[k] += 1
-    return tuple(out), exp
-
-
-def _extraction_exp(mono: Monomial, lhs: Monomial, p: Presentation) -> tuple[Monomial, int]:
-    """q-exponent for rewriting mono = q-power * remainder * lhs."""
-    remaining = list(mono)
-    exp = 0
-    for g in reversed(range(p.n)):
-        for _ in range(lhs[g]):
-            remaining[g] -= 1
-            for j in range(g + 1, p.n):
-                e = remaining[j]
-                if e:
-                    exp += p.q_exp[j][g] * e
-    return tuple(remaining), exp
+    q_exp = p.q_exp
+    e = 0
+    for k, ek in enumerate(m2):
+        if ek:
+            row = q_exp[k]
+            e += ek * sum(row[j] * m1[j] for j in range(k + 1, p.n))
+    return e
 
 
 def add_term(out: dict, key, coeff):
@@ -307,57 +281,40 @@ def _budget_exceeded() -> RewriteBudgetExceeded:
     return RewriteBudgetExceeded(f"rewrite step budget of {STEP_BUDGET} steps exceeded")
 
 
-def _normal_sum(p: Presentation, pending: list) -> tuple[dict[Monomial, Scalar], int]:
-    """Normal form of a sum of products coeff * mono * z_{letters[0]} * ..., and its steps.
-
-    pending holds (mono, letters, coeff) triples.  Each product is multiplied
-    out letter by letter and rewritten to the rule fixpoint on an explicit
-    stack, so a long rewriting chain is bounded by the step budget (one step
-    per inserted letter and per rule application), not by the interpreter's
-    recursion limit.  A rule's rhs terms are pushed in reverse, so terms are
-    added in depth-first order, first rhs term first.  The steps taken are
-    returned with the normal form.
-    """
-    out: dict[Monomial, Scalar] = {}
-    stack = [(mono, letters, coeff, 0) for mono, letters, coeff in reversed(pending)]
-    left = STEP_BUDGET
-    while stack:
-        mono, letters, coeff, qexp = stack.pop()
-        left -= len(letters)
-        for k in letters:
-            mono, exp = _insert_gen(mono, k, p)
-            qexp += exp
-        if not coeff.is_zero():
-            for rule in p.rules:
-                if _divides(rule.lhs, mono):
-                    left -= 1
-                    rem, exp = _extraction_exp(mono, rule.lhs, p)
-                    for rmono, rcoef in reversed(rule.rhs.items()):
-                        stack.append((rem, _mono_letters(rmono), coeff * rcoef, qexp + exp))
-                    break
-            else:
-                add_term(out, mono, coeff.q_shift(qexp))
-        if left < 0:
-            raise _budget_exceeded()
-    return out, STEP_BUDGET - left
-
-
-def _reduce(terms: dict[Monomial, Scalar], p: Presentation) -> dict[Monomial, Scalar]:
-    """Normal form in p of a sparse sum of (possibly reducible) monomials."""
-    return _normal_sum(p, [(m, (), c) for m, c in terms.items()])[0]
-
-
 def _mono_reduction(p: Presentation, mono: Monomial) -> tuple:
     """(normal form of the ordered monomial mono, its rewriting steps), memoized per presentation.
 
-    The steps are the rule applications and the rhs letters they insert; the
-    normal form is a tuple of (monomial, q-exponent, GaussianRational)
-    triples, as _mono_product hands out.  The memo holds at most
+    The kernel's only rewriting loop runs on an explicit stack of (ordered
+    monomial, coeff, q-exponent) entries, so the step budget, not the
+    recursion limit, bounds a long chain.  A rule lhs -> sum c * r dividing m
+    rewrites z^m = q**-phase(rem, lhs) z^rem z^lhs, rem = m - lhs, as the sum
+    of c * q**phase(rem, r) z^(rem + r), at one step plus deg(r) per rhs
+    monomial r; the rhs is pushed in reverse, so terms are added depth first.
+    The normal form is a tuple of (monomial, q-exponent, GaussianRational)
+    triples, as _mono_product hands out; the memo holds at most
     PRODUCT_CACHE_BOUND entries.
     """
     cached = p._reduction_cache.get(mono)
     if cached is None:
-        out, steps = _normal_sum(p, [(mono, (), Scalar.one())])
+        out: dict[Monomial, Scalar] = {}
+        stack = [(mono, Scalar.one(), 0)]
+        steps = 0
+        while stack:
+            m, coeff, qexp = stack.pop()
+            for rule in p.rules:
+                if _divides(rule.lhs, m):
+                    rem = tuple(map(int.__sub__, m, rule.lhs))
+                    qexp -= _phase(p, rem, rule.lhs)
+                    steps += 1
+                    for r, c in reversed(rule.rhs.items()):
+                        steps += sum(r)
+                        rmono = tuple(map(int.__add__, rem, r))
+                        stack.append((rmono, coeff * c, qexp + _phase(p, rem, r)))
+                    break
+            else:
+                add_term(out, m, coeff.q_shift(qexp))
+            if steps > STEP_BUDGET:
+                raise _budget_exceeded()
         terms = tuple(
             (m, k, _GR_ONE if g == _GR_ONE else g)
             for m, s in out.items()
@@ -378,30 +335,58 @@ def _mono_product(p: Presentation, m1: Monomial, m2: Monomial) -> tuple:
     cache holds at most PRODUCT_CACHE_BOUND entries and turns the repeated
     basis-word products of the verifiers into dictionary lookups.
 
-    On a miss, z^m1 z^m2 = q**e z^(m1+m2), where inserting the letters of m2 in
-    ascending order swaps each z_k past the letters j > k of m1:
-    e = sum_k m2[k] sum_{j>k} q_exp[k][j] m1[j].  The rules act only on the
-    ordered monomial m1 + m2, whose reduction _mono_reduction keeps.  The
-    product charges the budget deg(m2) for the inserted letters plus the
-    reduction's steps, so it raises RewriteBudgetExceeded exactly when
+    On a miss, z^m1 z^m2 = q**phase(m1, m2) z^(m1+m2), and the rules act only
+    on the ordered monomial m1 + m2, whose reduction _mono_reduction keeps.
+    The product charges the budget deg(m2) for the letters it inserts plus
+    the reduction's steps, so it raises RewriteBudgetExceeded exactly when
     rewriting m1 * z_{letters of m2} from scratch would.
     """
     key = (m1, m2)
     cached = p._product_cache.get(key)
     if cached is None:
-        q_exp = p.q_exp
-        e = 0
-        for k, ek in enumerate(m2):
-            if ek:
-                row = q_exp[k]
-                e += ek * sum(row[j] * m1[j] for j in range(k + 1, p.n))
+        e = _phase(p, m1, m2)
         terms, steps = _mono_reduction(p, tuple(map(int.__add__, m1, m2)))
-        if _mono_degree(m2) + steps > STEP_BUDGET:
+        if sum(m2) + steps > STEP_BUDGET:
             raise _budget_exceeded()
         cached = tuple((m, k + e, g) for m, k, g in terms) if e else terms
         if len(p._product_cache) < PRODUCT_CACHE_BOUND:
             p._product_cache[key] = cached
     return cached
+
+
+def _accumulate_reduction(acc: dict, terms: tuple, s: Scalar, shift: int = 0) -> None:
+    """acc += s * q**shift * (the triples of a reduction), in a raw map of _accumulate."""
+    for m, kp, gp in terms:
+        coeffs = acc.get(m)
+        if coeffs is None:
+            coeffs = acc[m] = {}
+        for k, g in s.terms.items():
+            v = g if gp is _GR_ONE else g * gp
+            kk = k + kp + shift
+            old = coeffs.get(kk)
+            if old is None:
+                coeffs[kk] = v
+                continue
+            v = old + v
+            if v.a or v.b:
+                coeffs[kk] = v
+            else:
+                del coeffs[kk]
+
+
+def _reduce(terms: dict[Monomial, Scalar], p: Presentation) -> "AlgebraElement":
+    """Normal form in p of a sparse sum of monomials, their steps charged to one budget."""
+    acc: dict = {}
+    steps = 0
+    for m, c in terms.items():
+        if c.is_zero():  # from_json may read one; it costs no steps and adds nothing
+            continue
+        reduction, mono_steps = _mono_reduction(p, m)
+        steps += mono_steps
+        if steps > STEP_BUDGET:
+            raise _budget_exceeded()
+        _accumulate_reduction(acc, reduction, c)
+    return _element(p, acc)
 
 
 def _accumulate(acc: dict, p: Presentation, left: dict, right: dict, twist=None) -> None:
@@ -555,7 +540,7 @@ class AlgebraElement:
         """Re-reduce under another presentation with the same generators and R."""
         if target.n != self.presentation.n or target.R != self.presentation.R:
             raise ValueError("conversion requires identical generators and R matrix")
-        return AlgebraElement(target, _reduce(self.terms, target))
+        return _reduce(self.terms, target)
 
     # -- serialization and display ------------------------------------------
 
@@ -564,7 +549,7 @@ class AlgebraElement:
 
     @staticmethod
     def from_json(data: list, p: Presentation) -> "AlgebraElement":
-        return AlgebraElement(p, _reduce(_element_terms_from_json(data, p.n), p))
+        return _reduce(_element_terms_from_json(data, p.n), p)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -590,11 +575,26 @@ class AlgebraElement:
 
 
 def normal_form(word, coeff: Scalar, p: Presentation) -> AlgebraElement:
-    """Normal form of coeff * z_{word[0]} * z_{word[1]} * ... in p."""
+    """Normal form of coeff * z_{word[0]} * z_{word[1]} * ... in p.
+
+    The word is folded into its ordered monomial, adding the phase of each
+    z^mono z_k, and the monomial is reduced through the memo, at one step per
+    letter plus the reduction's steps (none for a zero coeff, which gives 0).
+    """
+    mono = [0] * p.n
+    e = 0
     for k in word:
         if not 0 <= k < p.n:
             raise IndexError(f"generator index {k} out of range")
-    return AlgebraElement(p, _normal_sum(p, [((0,) * p.n, list(word), coeff)])[0])
+        e += _phase(p, mono, (0,) * k + (1,) + (0,) * (p.n - 1 - k))
+        mono[k] += 1
+    mono = tuple(mono)
+    reduction, steps = ((), 0) if coeff.is_zero() else _mono_reduction(p, mono)
+    if sum(mono) + steps > STEP_BUDGET:
+        raise _budget_exceeded()
+    acc: dict = {}
+    _accumulate_reduction(acc, reduction, coeff, e)
+    return _element(p, acc)
 
 
 def is_central(a: AlgebraElement) -> bool:
@@ -634,7 +634,7 @@ def extend_presentation(p: Presentation, f: AlgebraElement, name: str = "") -> P
     # inter-reduce: every rule is strictly decreasing, so no rule rewrites its
     # own rhs, and reducing an rhs keeps the set of left-hand sides; one pass
     # against the extended set therefore leaves every rhs irreducible
-    rules = tuple(RewriteRule(r.lhs, _reduce(r.rhs, extended)) for r in extended.rules)
+    rules = tuple(RewriteRule(r.lhs, _reduce(r.rhs, extended).terms) for r in extended.rules)
     return Presentation(p.n, p.R, rules, name=name or p.name)
 
 

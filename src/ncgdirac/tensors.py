@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import AlgebraElement, Presentation, _accumulate, _accumulate_scaled, _element, _new, add_term
+from .algebra import (
+    AlgebraElement, Presentation, _accumulate, _accumulate_scaled, _element, _new, _phase, add_term,
+)
 from .scalars import Scalar
 
 SPINOR_RANK = 4  # every spinor slot e_alpha has alpha in 0..3
@@ -399,14 +401,9 @@ def differential(a: AlgebraElement) -> TensorElement:
         for g, e in enumerate(mono):
             if not e:
                 continue
-            exp = 0
-            for l in range(g + 1, p.n):
-                if mono[l]:
-                    exp += p.q_exp[l][g] * mono[l]
             reduced = list(mono)
             reduced[g] -= 1
-            coeff = AlgebraElement(
-                p, {tuple(reduced): c.q_shift(exp) * Scalar.rational(e)}
-            )
+            exp = -_phase(p, reduced, (0,) * g + (1,) + (0,) * (p.n - 1 - g))
+            coeff = AlgebraElement(p, {tuple(reduced): c.q_shift(exp) * Scalar.rational(e)})
             add_term(out, BasisWord((g,), None), coeff)
     return TensorElement(p, 1, False, out)

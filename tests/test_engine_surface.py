@@ -20,7 +20,7 @@ ALLOWED_UNUSED = {
         "bench/tracer.py wraps it by name until the in-engine tracer lands (ROADMAP item 5)"
     ),
     "scalars.Scalar.at_q_one": (
-        "the per-sector similarity clause will be its first caller (ROADMAP item 3)"
+        "the per-sector similarity clause will be its first caller (ROADMAP item 4)"
     ),
     "scalars.Scalar.eval_numeric": (
         "bench/tracer.py counts it by name (scalars.eval_numeric_calls) until ROADMAP item 5, "
