@@ -1,10 +1,12 @@
 """Built-in catalog: the flat embedding space, the 3-sphere, and the 2-torus.
 
 build_r4 assembles the deformed flat space from its defining data; build_s3
-and build_t2 run the hypersurface induction and then compare every induced
-structure against its hard-coded closed form, aborting on any mismatch.  The
-closed forms are pinned once, independently of the machinery that must
-reproduce them, and act as the acceptance oracle for the induction.
+and build_t2 run the hypersurface induction.  Every build checks the induced
+projector (Pi o Pi = Pi, Pi(nu) = 0) and compares the composite Dirac
+operator with its explicit induced formula on the basis spinors; a checked
+build also runs verify_space.  None of these checks uses a closed form: the
+hard-coded closed forms of the sphere and torus structures are an acceptance
+oracle of the test suite (tests/closed_forms.py), not of the build.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .geometry import Calculus, Connection, Metric, contracted_connection, verif
 from .hypersurface import (
     HypersurfaceSpec,
     build_hypersurface,
+    check_projector,
     induced_dirac,
     induced_structures,
 )
@@ -30,8 +33,6 @@ from .spin import (
     StructureSet,
     dirac,
     gamma_from_matrices,
-    mat_mul,
-    matrix_act,
     verify_spinorial,
 )
 from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, tensor
@@ -105,7 +106,12 @@ def r4_presentation(classical: bool = False) -> Presentation:
 
 
 class GoldenMismatch(RuntimeError):
-    """An induced structure differs from its pinned closed form."""
+    """A build-time check of an induced space failed, or a closed form differs.
+
+    The builds raise it for a failing verify_space report, projector family
+    or D_paths comparison; the test suite's closed-form comparisons raise it
+    too.
+    """
 
     def __init__(self, label: str, residual):
         super().__init__(f"golden comparison failed: {label}")
@@ -240,7 +246,7 @@ def torus_level_function(p: Presentation) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# golden closed forms
+# build-time checks
 # ---------------------------------------------------------------------------
 
 
@@ -250,167 +256,36 @@ def _expect(label: str, got, want):
         raise GoldenMismatch(label, residual.to_json())
 
 
-def _golden_families(h: HypersurfaceSpec, structures: StructureSet, matrices, tag: str,
-                     g_inv_factor, nabla_coeff, nabla_sp_coeff):
-    """Compare the five families whose closed forms share one shape in s3 and t2.
-
-    A space enters by its tag (B or C) and its rational coefficient functions.
-    Returns the free dz basis, the generators and the gamma_a gamma_b table.
-    """
-    p = h.quotient_presentation
-    qc = h.quotient_calculus
-    gam_ab = [[mat_mul(a, b) for b in matrices] for a in matrices]  # gamma_a gamma_b
-    free = [TensorElement.basis(p, (i,)) for i in range(N_GEN)]
-    zs = [AlgebraElement.generator(p, i) for i in range(N_GEN)]
-
-    # sigma(dz_i (x) dz_j) = R^{ji} dz_j (x) dz_i
-    for i in range(N_GEN):
-        for j in range(N_GEN):
-            want = qc.canon(tensor(free[j], free[i]).scale(p.R[j][i]))
-            got = structures.connection.sigma.apply(tensor(free[i], free[j]))
-            _expect(f"sigma_{tag}[dz{i + 1},dz{j + 1}]", qc.canon(got), want)
-
-    # g = sum g_ij dz_i (x) dz_j
-    _expect(f"g_{tag}", qc.canon(structures.metric.g_element), qc.canon(_form_sum(p, metric_lower)))
-
-    # g^-1(dz_i (x) dz_j) = g^{ij} - g_inv_factor(i, j) z_i z_j
-    for i in range(N_GEN):
-        for j in range(N_GEN):
-            want = AlgebraElement.from_scalar(p, Scalar.rational(metric_upper(i, j)))
-            factor = g_inv_factor(i, j)
-            if factor:
-                want = want - (zs[i] * zs[j]).scale(Scalar.rational(factor))
-            got = structures.metric.pair(tensor(free[i], free[j]))
-            _expect(f"g_{tag}_inv[dz{i + 1},dz{j + 1}]", got, want)
-
-    # nabla(dz_i) = -z_i sum nabla_coeff(i, k, l) dz_k (x) dz_l
-    for i in range(N_GEN):
-        want = qc.canon(_form_sum(p, lambda k, l: -nabla_coeff(i, k, l)).left_mul(zs[i]))
-        _expect(f"nabla_{tag}[dz{i + 1}]", structures.connection.values[BasisWord((i,), None)], want)
-
-    # nabla^sp(e_a) = 1/2 sum nabla_sp_coeff(i, j, k, l) z_k dz_i (x) gamma_j gamma_l e_a
-    for alpha in range(SPINOR_RANK):
-        want = TensorElement.zero(p, 1, True)
-        for i, j, k, l in product(range(N_GEN), repeat=4):
-            v = nabla_sp_coeff(i, j, k, l)
-            if v:
-                coeff = zs[k].scale(Scalar.rational(v * Fraction(1, 2)))
-                term = TensorElement.basis(p, (i,), alpha, coeff)
-                want = want + matrix_act(gam_ab[j][l], term)
-        got = structures.spin.spin_connection.values[BasisWord((), alpha)]
-        _expect(f"nabla_sp_{tag}[e{alpha + 1}]", got, qc.canon(want))
-    return free, zs, gam_ab
+def _refuse_failures(label: str, report: Report):
+    if not report.all_passed:
+        failing = ", ".join(c.name for c in report.failures())
+        raise GoldenMismatch(f"{label}: {failing}", report.to_json())
 
 
-def _golden_s3(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
-    p = h.quotient_presentation
-    _, zs, gam_ab = _golden_families(
-        h, structures, matrices, "B",
-        # g_B^-1(dz_i (x) dz_j) = g^{ij} - z_i z_j
-        g_inv_factor=lambda i, j: 1,
-        # nabla_B(dz_i) = -z_i sum g_kl dz_k (x) dz_l
-        nabla_coeff=lambda i, k, l: metric_lower(k, l),
-        # nabla^sp_B(e_a) = 1/2 sum g_ij g_kl z_k dz_i (x) gamma_j gamma_l e_a
-        nabla_sp_coeff=lambda i, j, k, l: metric_lower(i, j) * metric_lower(k, l),
-    )
-
-    # gamma_B(dz_i (x) e_a) = -(sum g_kl z_k gamma_l gamma_i + z_i) e_a
-    for i in range(N_GEN):
-        for alpha in range(SPINOR_RANK):
-            want = TensorElement.basis(p, (), alpha, zs[i]).scale(Scalar.rational(-1))
-            for k, l in product(range(N_GEN), repeat=2):
-                v = metric_lower(k, l)
-                if v:
-                    coeff = zs[k].scale(Scalar.rational(-v))
-                    term = TensorElement.basis(p, (), alpha, coeff)
-                    want = want + matrix_act(gam_ab[l][i], term)
-            got = structures.spin.gamma.images[BasisWord((i,), alpha)]
-            _expect(f"gamma_B[dz{i + 1},e{alpha + 1}]", got, want)
-
-    # D_B(e_a) = -(3/2) e_a
-    for alpha in range(SPINOR_RANK):
-        e_a = TensorElement.basis(p, (), alpha)
-        want = e_a.scale(Scalar.rational(Fraction(-3, 2)))
-        _expect(f"D_B[e{alpha + 1}]", dirac(structures.spin, e_a), want)
-
-
-def _golden_t2(h: HypersurfaceSpec, structures: StructureSet, matrices) -> None:
-    p = h.quotient_presentation
-
-    def sign(i: int) -> int:
-        # (-1)^i for 1-based generator numbering
-        return -1 if (i + 1) % 2 else 1
-
-    free, zs, gam_ab = _golden_families(
-        h, structures, matrices, "C",
-        # g_C^-1(dz_i (x) dz_j) = g^{ij} - (1 + (-1)^i (-1)^j) z_i z_j
-        g_inv_factor=lambda i, j: 1 + sign(i) * sign(j),
-        # nabla_C(dz_i) = -z_i sum (g_kl - (-1)^i h_kl) dz_k (x) dz_l
-        nabla_coeff=lambda i, k, l: metric_lower(k, l) - sign(i) * h_lower(k, l),
-        # nabla^sp_C(e_a) = 1/2 sum (g_kl z_k g_ij + h_kl z_k h_ij) dz_i (x) g_j g_l e_a
-        nabla_sp_coeff=lambda i, j, k, l: (
-            metric_lower(i, j) * metric_lower(k, l) + h_lower(i, j) * h_lower(k, l)
-        ),
-    )
-
-    # projector: Pi~(dz_i) = dz_i + (-1)^i z_i nu~
-    for i in range(N_GEN):
-        want = h.qcalc.canon(free[i]) + h.nu_q.left_mul(zs[i].scale(Scalar.rational(sign(i))))
-        got = h.pi.images[BasisWord((i,), None)]
-        _expect(f"pi_T2[dz{i + 1}]", got, want)
-
-    # gamma_C(dz_i (x) e_a) = (z_i sum g_mn z_m h_kl z_k g_l g_n
-    #                          - sum h_kl z_k g_l g_i + (-1)^i z_i) e_a
-    for i in range(N_GEN):
-        for alpha in range(SPINOR_RANK):
-            want = TensorElement.basis(p, (), alpha, zs[i].scale(Scalar.rational(sign(i))))
-            for k, l in product(range(N_GEN), repeat=2):
-                hkl = h_lower(k, l)
-                if not hkl:
-                    continue
-                coeff = zs[k].scale(Scalar.rational(-hkl))
-                term = TensorElement.basis(p, (), alpha, coeff)
-                want = want + matrix_act(gam_ab[l][i], term)
-                for m, n in product(range(N_GEN), repeat=2):
-                    gmn = metric_lower(m, n)
-                    if not gmn:
-                        continue
-                    coeff = (zs[i] * zs[m] * zs[k]).scale(Scalar.rational(gmn * hkl))
-                    term = TensorElement.basis(p, (), alpha, coeff)
-                    want = want + matrix_act(gam_ab[l][n], term)
-            got = structures.spin.gamma.images[BasisWord((i,), alpha)]
-            _expect(f"gamma_C[dz{i + 1},e{alpha + 1}]", got, want)
-
-    # composite gamma o nabla^sp and explicit Dirac formula agree on basis spinors
-    for alpha in range(SPINOR_RANK):
-        e_a = TensorElement.basis(p, (), alpha)
-        _expect(
-            f"D_C_paths[e{alpha + 1}]",
-            dirac(structures.spin, e_a),
-            induced_dirac(h, e_a),
-        )
-
-
-def _induce(ambient: SpaceBundle, f: AlgebraElement, name: str, golden, check) -> SpaceBundle:
-    """One induction step: hypersurface, certificate, verify_space (if check), golden forms.
+def _induce(ambient: SpaceBundle, f: AlgebraElement, name: str, check: bool) -> SpaceBundle:
+    """One induction step: hypersurface, certificate, verify_space (if check), run-time families.
 
     induced_structures refuses a failing certificate with HypersurfaceError.
+    Every build then runs two families that use no closed form: projector
+    (check_projector) and D_paths, the composite gamma o nabla^sp against
+    the explicit induced Dirac formula on the basis spinors.
     """
     h = build_hypersurface(ambient.structures, f, name=name)
     bundle = SpaceBundle(name, induced_structures(h), h, ambient.base_matrices)
     if check:
-        report = verify_space(bundle)
-        if not report.all_passed:
-            failing = ", ".join(c.name for c in report.failures())
-            raise GoldenMismatch(f"{name} verification: {failing}", report.to_json())
-    golden(h, bundle.structures, ambient.base_matrices)
+        _refuse_failures(f"{name} verification", verify_space(bundle))
+    _refuse_failures(f"{name} projector", check_projector(h))
+    p = h.quotient_presentation
+    for alpha in range(SPINOR_RANK):
+        e_a = TensorElement.basis(p, (), alpha)
+        _expect(f"D_paths[e{alpha + 1}]", dirac(bundle.structures.spin, e_a), induced_dirac(h, e_a))
     return bundle
 
 
 def build_s3(check: bool = True) -> SpaceBundle:
-    """Induce the sphere structures and compare them with their closed forms."""
+    """Induce the sphere structures from the flat space."""
     r4 = build_r4()
-    return _induce(r4, sphere_level_function(r4.presentation), "s3", _golden_s3, check)
+    return _induce(r4, sphere_level_function(r4.presentation), "s3", check)
 
 
 def build_t2(check: bool = True, s3: SpaceBundle | None = None) -> SpaceBundle:
@@ -421,7 +296,7 @@ def build_t2(check: bool = True, s3: SpaceBundle | None = None) -> SpaceBundle:
     """
     if s3 is None:
         s3 = build_s3(check=check)
-    return _induce(s3, torus_level_function(s3.presentation), "t2", _golden_t2, check)
+    return _induce(s3, torus_level_function(s3.presentation), "t2", check)
 
 
 def build_space(name: str, check: bool = True) -> SpaceBundle:

@@ -196,7 +196,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--presentation", default=None, help="user presentation JSON file")
     sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("induce", help="run the hypersurface induction and golden checks")
+    sp = sub.add_parser("induce", help="run the hypersurface induction and its build-time checks")
     add_common(sp, ("s3", "t2"))
     sp.add_argument("--emit-structures", action="store_true")
     sp.set_defaults(func=_cmd_induce)

@@ -228,6 +228,29 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     return cert
 
 
+def check_projector(h: HypersurfaceSpec) -> Report:
+    """The projector family: Pi o Pi = Pi on ambient representatives, and Pi(nu) = 0.
+
+    Five residuals decide both identities on every form.  Pi is left-linear,
+    and so is the ambient canon, so every ambient representative is
+    w = canon(w) = sum_i a_i b_i with b_i = canon(dz_i), and
+    Pi(Pi(w)) - Pi(w) = sum_i a_i (Pi(Pi(b_i)) - Pi(b_i)); the four residuals
+    on the b_i vanish exactly when Pi is idempotent.  nu is central, so
+    Pi(a nu) = Pi(nu a) = a Pi(nu), and the fifth residual Pi(nu) decides that
+    Pi kills the normal bundle.  No closed form enters.
+    """
+    report = Report(subject=h.quotient_presentation.name or "projector")
+
+    def checks():
+        for i in range(h.quotient_presentation.n):
+            once = h.pi.apply(h.qcalc.canon(TensorElement.basis(h.quotient_presentation, (i,))))
+            yield f"dz{i + 1}", h.pi.apply(once) - once
+        yield "nu", h.pi.apply(h.nu_q)
+
+    report.family("projector", checks())
+    return report
+
+
 # ---------------------------------------------------------------------------
 # induced structures
 # ---------------------------------------------------------------------------
@@ -308,7 +331,7 @@ def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement) -> TensorElement:
     + 1/2 gamma_[2]((Pi (x) id) nabla(nu) (x) s)
     on ambient-level data at quotient coefficients.  It equals the composite
     spin.dirac(_induced_spin(h), s) = gamma o nabla^sp of the induced
-    structures; the torus golden check compares the two on basis spinors.
+    structures; every catalog build compares the two on basis spinors.
     """
     h.require_certificate()
     if spinor.degree != 0 or not spinor.has_spin:

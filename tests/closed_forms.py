@@ -1,6 +1,8 @@
-"""Closed-form Dirac operators of the catalog spaces, built independently.
+"""Closed forms of the catalog spaces, built independently of the induction.
 
-These evaluate the pinned coordinate formulas termwise (theta-commutators of
+golden_s3 and golden_t2 compare every induced structure of the sphere and the
+torus with its hard-coded closed form, symbol for symbol; the session
+fixtures run them once on the bundles they build.  The Dirac helpers evaluate the pinned coordinate formulas termwise (theta-commutators of
 the flat gamma matrices against the representative partials, or the phi-basis
 form of the rotated torus operator) so that tests can compare them against the
 composite operators computed by the engine.  The partials, the torus
@@ -9,12 +11,22 @@ them.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from ncgdirac.algebra import AlgebraElement
-from ncgdirac.catalog import SPINOR_RANK, gamma_theta_matrices, h_lower, metric_lower
+from ncgdirac.catalog import (
+    N_GEN,
+    SPINOR_RANK,
+    _expect,
+    _form_sum,
+    gamma_theta_matrices,
+    h_lower,
+    metric_lower,
+    metric_upper,
+)
 from ncgdirac.scalars import GaussianRational, Scalar
-from ncgdirac.spin import SpinStructure, gamma_from_matrices, mat_mul, matrix_act
-from ncgdirac.tensors import BasisWord, TensorElement, differential, right_mul
+from ncgdirac.spin import SpinStructure, dirac, gamma_from_matrices, mat_mul, matrix_act
+from ncgdirac.tensors import BasisWord, TensorElement, differential, right_mul, tensor
 
 
 def partial_coeffs(a):
@@ -172,3 +184,150 @@ def rotated_torus_dirac_closed_form(bundle, s):
         rotated = rotated - matrix_act(gam[hi], right_mul(inner, z))
         out = out + rotated.scale(minus_i)
     return out
+
+
+# ---------------------------------------------------------------------------
+# golden closed forms of the induced structures
+# ---------------------------------------------------------------------------
+#
+# expect(label, got, want) raises catalog.GoldenMismatch on a nonzero
+# residual by default; a caller that wants every mismatch passes its own.
+
+
+def check_goldens(bundle, expect=_expect):
+    """Run the closed-form comparisons of a catalog bundle (s3 or t2)."""
+    golden = {"s3": golden_s3, "t2": golden_t2}[bundle.name]
+    golden(bundle.hypersurface, bundle.structures, bundle.base_matrices, expect)
+
+
+def _golden_families(h, structures, matrices, tag, expect, g_inv_factor, nabla_coeff, nabla_sp_coeff):
+    """Compare the five families whose closed forms share one shape in s3 and t2.
+
+    A space enters by its tag (B or C) and its rational coefficient functions.
+    Returns the free dz basis, the generators and the gamma_a gamma_b table.
+    """
+    p = h.quotient_presentation
+    qc = h.quotient_calculus
+    gam_ab = [[mat_mul(a, b) for b in matrices] for a in matrices]  # gamma_a gamma_b
+    free = [TensorElement.basis(p, (i,)) for i in range(N_GEN)]
+    zs = [AlgebraElement.generator(p, i) for i in range(N_GEN)]
+
+    # sigma(dz_i (x) dz_j) = R^{ji} dz_j (x) dz_i
+    for i in range(N_GEN):
+        for j in range(N_GEN):
+            want = qc.canon(tensor(free[j], free[i]).scale(p.R[j][i]))
+            got = structures.connection.sigma.apply(tensor(free[i], free[j]))
+            expect(f"sigma_{tag}[dz{i + 1},dz{j + 1}]", qc.canon(got), want)
+
+    # g = sum g_ij dz_i (x) dz_j
+    expect(f"g_{tag}", qc.canon(structures.metric.g_element), qc.canon(_form_sum(p, metric_lower)))
+
+    # g^-1(dz_i (x) dz_j) = g^{ij} - g_inv_factor(i, j) z_i z_j
+    for i in range(N_GEN):
+        for j in range(N_GEN):
+            want = AlgebraElement.from_scalar(p, Scalar.rational(metric_upper(i, j)))
+            factor = g_inv_factor(i, j)
+            if factor:
+                want = want - (zs[i] * zs[j]).scale(Scalar.rational(factor))
+            got = structures.metric.pair(tensor(free[i], free[j]))
+            expect(f"g_{tag}_inv[dz{i + 1},dz{j + 1}]", got, want)
+
+    # nabla(dz_i) = -z_i sum nabla_coeff(i, k, l) dz_k (x) dz_l
+    for i in range(N_GEN):
+        want = qc.canon(_form_sum(p, lambda k, l: -nabla_coeff(i, k, l)).left_mul(zs[i]))
+        expect(f"nabla_{tag}[dz{i + 1}]", structures.connection.values[BasisWord((i,), None)], want)
+
+    # nabla^sp(e_a) = 1/2 sum nabla_sp_coeff(i, j, k, l) z_k dz_i (x) gamma_j gamma_l e_a
+    for alpha in range(SPINOR_RANK):
+        want = TensorElement.zero(p, 1, True)
+        for i, j, k, l in product(range(N_GEN), repeat=4):
+            v = nabla_sp_coeff(i, j, k, l)
+            if v:
+                coeff = zs[k].scale(Scalar.rational(v * Fraction(1, 2)))
+                term = TensorElement.basis(p, (i,), alpha, coeff)
+                want = want + matrix_act(gam_ab[j][l], term)
+        got = structures.spin.spin_connection.values[BasisWord((), alpha)]
+        expect(f"nabla_sp_{tag}[e{alpha + 1}]", got, qc.canon(want))
+    return free, zs, gam_ab
+
+
+def golden_s3(h, structures, matrices, expect=_expect):
+    """Compare the induced sphere structures with their closed forms (tag B)."""
+    p = h.quotient_presentation
+    _, zs, gam_ab = _golden_families(
+        h, structures, matrices, "B", expect,
+        # g_B^-1(dz_i (x) dz_j) = g^{ij} - z_i z_j
+        g_inv_factor=lambda i, j: 1,
+        # nabla_B(dz_i) = -z_i sum g_kl dz_k (x) dz_l
+        nabla_coeff=lambda i, k, l: metric_lower(k, l),
+        # nabla^sp_B(e_a) = 1/2 sum g_ij g_kl z_k dz_i (x) gamma_j gamma_l e_a
+        nabla_sp_coeff=lambda i, j, k, l: metric_lower(i, j) * metric_lower(k, l),
+    )
+
+    # gamma_B(dz_i (x) e_a) = -(sum g_kl z_k gamma_l gamma_i + z_i) e_a
+    for i in range(N_GEN):
+        for alpha in range(SPINOR_RANK):
+            want = TensorElement.basis(p, (), alpha, zs[i]).scale(Scalar.rational(-1))
+            for k, l in product(range(N_GEN), repeat=2):
+                v = metric_lower(k, l)
+                if v:
+                    coeff = zs[k].scale(Scalar.rational(-v))
+                    term = TensorElement.basis(p, (), alpha, coeff)
+                    want = want + matrix_act(gam_ab[l][i], term)
+            got = structures.spin.gamma.images[BasisWord((i,), alpha)]
+            expect(f"gamma_B[dz{i + 1},e{alpha + 1}]", got, want)
+
+    # D_B(e_a) = -(3/2) e_a
+    for alpha in range(SPINOR_RANK):
+        e_a = TensorElement.basis(p, (), alpha)
+        want = e_a.scale(Scalar.rational(Fraction(-3, 2)))
+        expect(f"D_B[e{alpha + 1}]", dirac(structures.spin, e_a), want)
+
+
+def golden_t2(h, structures, matrices, expect=_expect):
+    """Compare the induced torus structures with their closed forms (tag C)."""
+    p = h.quotient_presentation
+
+    def sign(i: int) -> int:
+        # (-1)^i for 1-based generator numbering
+        return -1 if (i + 1) % 2 else 1
+
+    free, zs, gam_ab = _golden_families(
+        h, structures, matrices, "C", expect,
+        # g_C^-1(dz_i (x) dz_j) = g^{ij} - (1 + (-1)^i (-1)^j) z_i z_j
+        g_inv_factor=lambda i, j: 1 + sign(i) * sign(j),
+        # nabla_C(dz_i) = -z_i sum (g_kl - (-1)^i h_kl) dz_k (x) dz_l
+        nabla_coeff=lambda i, k, l: metric_lower(k, l) - sign(i) * h_lower(k, l),
+        # nabla^sp_C(e_a) = 1/2 sum (g_kl z_k g_ij + h_kl z_k h_ij) dz_i (x) g_j g_l e_a
+        nabla_sp_coeff=lambda i, j, k, l: (
+            metric_lower(i, j) * metric_lower(k, l) + h_lower(i, j) * h_lower(k, l)
+        ),
+    )
+
+    # projector: Pi~(dz_i) = dz_i + (-1)^i z_i nu~
+    for i in range(N_GEN):
+        want = h.qcalc.canon(free[i]) + h.nu_q.left_mul(zs[i].scale(Scalar.rational(sign(i))))
+        got = h.pi.images[BasisWord((i,), None)]
+        expect(f"pi_T2[dz{i + 1}]", got, want)
+
+    # gamma_C(dz_i (x) e_a) = (z_i sum g_mn z_m h_kl z_k g_l g_n
+    #                          - sum h_kl z_k g_l g_i + (-1)^i z_i) e_a
+    for i in range(N_GEN):
+        for alpha in range(SPINOR_RANK):
+            want = TensorElement.basis(p, (), alpha, zs[i].scale(Scalar.rational(sign(i))))
+            for k, l in product(range(N_GEN), repeat=2):
+                hkl = h_lower(k, l)
+                if not hkl:
+                    continue
+                coeff = zs[k].scale(Scalar.rational(-hkl))
+                term = TensorElement.basis(p, (), alpha, coeff)
+                want = want + matrix_act(gam_ab[l][i], term)
+                for m, n in product(range(N_GEN), repeat=2):
+                    gmn = metric_lower(m, n)
+                    if not gmn:
+                        continue
+                    coeff = (zs[i] * zs[m] * zs[k]).scale(Scalar.rational(gmn * hkl))
+                    term = TensorElement.basis(p, (), alpha, coeff)
+                    want = want + matrix_act(gam_ab[l][n], term)
+            got = structures.spin.gamma.images[BasisWord((i,), alpha)]
+            expect(f"gamma_C[dz{i + 1},e{alpha + 1}]", got, want)

@@ -3,6 +3,8 @@ from hypothesis import settings
 
 from ncgdirac.catalog import build_r4, build_s3, build_t2
 
+from closed_forms import check_goldens
+
 
 @pytest.fixture(scope="session")
 def r4():
@@ -14,14 +16,20 @@ def r4_classical():
     return build_r4(classical=True)
 
 
+# the session bundles pass the closed-form comparisons once, as the builds
+# did when they ran them inside
 @pytest.fixture(scope="session")
 def s3():
-    return build_s3()
+    bundle = build_s3()
+    check_goldens(bundle)
+    return bundle
 
 
 @pytest.fixture(scope="session")
 def t2():
-    return build_t2()
+    bundle = build_t2()
+    check_goldens(bundle)
+    return bundle
 
 
 # `pytest --hypothesis-profile=ci` runs the property tests harder; a plain run

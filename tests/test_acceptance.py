@@ -31,7 +31,7 @@ from ncgdirac.scalars import Scalar
 from ncgdirac.spin import dirac, gamma_apply, verify_spinorial
 from ncgdirac.tensors import TensorElement, tensor
 
-from closed_forms import phi_basis, undeformed_spin_structure
+from closed_forms import check_goldens, phi_basis, undeformed_spin_structure
 
 
 def _report(number: int, passed: bool, detail: str):
@@ -96,7 +96,8 @@ def test_criterion_2_undeformed_negative_control():
 
 def test_criterion_3_s3_induction():
     start = time.monotonic()
-    s3 = build_s3()  # golden comparisons and verification run inside
+    s3 = build_s3()  # verification runs inside
+    check_goldens(s3)
     h = s3.hypersurface
     p = s3.presentation
     assert h.certificate.all_passed
@@ -128,7 +129,8 @@ def test_criterion_3_s3_induction():
 
 
 def test_criterion_4_t2_induction():
-    t2 = build_t2()  # iterated induction with golden comparisons inside
+    t2 = build_t2()  # iterated induction with verification inside
+    check_goldens(t2)
     h = t2.hypersurface
     p = t2.presentation
     assert h.certificate.all_passed

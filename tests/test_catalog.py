@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +11,6 @@ from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import (
     SPINOR_RANK,
     GoldenMismatch,
-    _golden_s3,
-    _golden_t2,
     build_space,
     dtilde_apply,
     gamma_nu_tilde,
@@ -22,12 +21,13 @@ from ncgdirac.catalog import (
     verify_space,
 )
 from ncgdirac.geometry import Calculus, Connection, Metric, tensor_connection_apply
-from ncgdirac.hypersurface import check_assumptions, induced_dirac
+from ncgdirac import catalog
+from ncgdirac.hypersurface import check_assumptions, check_projector, induced_dirac
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spin import SpinStructure, dirac, mat_mul
 from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, tensor
 
-from closed_forms import partial_coeffs, phi_basis
+from closed_forms import golden_s3, golden_t2, partial_coeffs, phi_basis
 
 
 def e(p, alpha, coeff=None):
@@ -204,7 +204,7 @@ def _corrupt(s, family: str):
     ids=["sigma", "g", "g^-1", "nabla", "gamma", "nabla^sp"],
 )
 def test_golden_rejects_corrupted_family(request, space, family, label):
-    golden, tag = {"s3": (_golden_s3, "B"), "t2": (_golden_t2, "C")}[space]
+    golden, tag = {"s3": (golden_s3, "B"), "t2": (golden_t2, "C")}[space]
     bundle = request.getfixturevalue(space)
     corrupted = _corrupt(bundle.structures, family)
     with pytest.raises(GoldenMismatch) as exc:
@@ -323,7 +323,8 @@ def test_certificate_rejects_doubled_braiding(request, space, where, failing):
 # report named after the space) when the projector image Pi(dz2) is scaled by
 # q^4 in every calculus of the structures.  Pi o Pi != Pi then, so these bytes
 # change if a verifier projects a residual at another place or more than once.
-# The t2 certificate still passes: no clause of it sees a scaled Pi image.
+# The t2 certificate still passes: no clause of it sees a scaled Pi image.  The
+# projector family, which every build runs, fails on both spaces.
 CORRUPTED_PROJECTOR_SHA256 = {
     ("s3", "verify_space"): "c71420903e43c02a4917d9e0765b5d285b7a74894e4f6dd7c3eaebbe5441c43e",
     ("s3", "certificate"): "fa715ef2231a62195f0abeb14a31aefb8246c83f115950ff7eaaadea2b9326d2",
@@ -335,12 +336,11 @@ _PROJECTOR_FAILS = {
 }
 
 
-def _corrupted_projector(h):
-    """The hypersurface and its quotient calculus with Pi(dz2) scaled by q^4."""
+def _corrupted_projector(h, key=BasisWord((1,), None), factor=Scalar.q_power(4)):
+    """The hypersurface and its quotient calculus with Pi(key), by default Pi(dz2), scaled."""
     pi = h.pi
     images = dict(pi.images)
-    key = BasisWord((1,), None)
-    images[key] = images[key].scale(Scalar.q_power(4))
+    images[key] = images[key].scale(factor)
     broken = LeftLinearMap(pi.presentation, pi.domain, pi.codomain, images)
     calc = Calculus(pi.presentation, broken)
     return replace(h, pi=broken, quotient_calculus=calc), calc
@@ -367,6 +367,86 @@ def test_verifiers_and_certificate_pin_a_corrupted_projector(request, space, cer
     cert = check_assumptions(h)
     assert {c.name.split("[")[0] for c in cert.failures()} == cert_fails
     assert _report_sha256(cert.to_report(space)) == CORRUPTED_PROJECTOR_SHA256[space, "certificate"]
+    assert check_projector(bundle.hypersurface).all_passed
+    labels = ["dz1", "dz2", "dz3", "dz4", "nu"]
+    assert [c.name for c in check_projector(h).failures()] == [f"projector[{x}]" for x in labels]
+
+
+# -- build-time checks on mutated builds ------------------------------------------
+# Three mutants, each corrupting one stored image while a catalog build runs:
+# no closed form is compared in a build, and each build still refuses its
+# mutant.  tools/mutation_sweep.py runs the full sweep.
+
+def _mutating(monkeypatch, target, space, mutate):
+    """Make catalog builds pass the result of catalog.target for `space` through mutate."""
+    real = getattr(catalog, target)
+
+    def mutated(*args, **kwargs):
+        out = real(*args, **kwargs)
+        name = out.quotient_presentation.name if target == "build_hypersurface" else out.presentation.name
+        return mutate(out) if name == space else out
+
+    monkeypatch.setattr(catalog, target, mutated)
+
+
+def test_build_refuses_scaled_s3_braiding(monkeypatch):
+    # sigma(dz1 (x) dz2) scaled by q^4
+    def mutate(s):
+        conn = s.connection
+        key = BasisWord((0, 1), None)
+        sigma = LeftLinearMap(conn.sigma.presentation, conn.sigma.domain, conn.sigma.codomain,
+                              {**conn.sigma.images, key: conn.sigma.images[key].scale(Scalar.q_power(4))})
+        return replace(s, connection=Connection(conn.calculus, conn.values, sigma, conn.sigma_inv))
+
+    _mutating(monkeypatch, "induced_structures", "s3", mutate)
+    with pytest.raises(GoldenMismatch) as exc:
+        catalog.build_s3(check=True)
+    assert exc.value.label.startswith("s3 verification: symmetry[")
+
+
+def test_build_refuses_shifted_t2_spin_connection(monkeypatch):
+    # nabla^sp(e1) + dz2 (x) e3
+    def mutate(s):
+        spin = s.spin
+        values = dict(spin.spin_connection.values)
+        key = BasisWord((), 0)
+        values[key] = values[key] + TensorElement.basis(s.presentation, (1,), 2)
+        spin = SpinStructure(spin.calculus, spin.gamma, Connection(spin.calculus, values))
+        return replace(s, spin=spin)
+
+    _mutating(monkeypatch, "induced_structures", "t2", mutate)
+    with pytest.raises(GoldenMismatch) as exc:
+        catalog.build_t2(check=True)
+    assert exc.value.label.startswith("t2 verification: clifford_compatibility[")
+
+
+@pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
+def test_build_refuses_scaled_t2_projector(monkeypatch, check):
+    # Pi(dz1) scaled by 2: the t2 certificate passes, and without verify_space
+    # the projector family alone refuses the build
+    def mutate(h):
+        broken, _ = _corrupted_projector(h, BasisWord((0,), None), Scalar.rational(2))
+        broken.certificate = check_assumptions(broken)
+        assert broken.certificate.all_passed
+        return broken
+
+    _mutating(monkeypatch, "build_hypersurface", "t2", mutate)
+    with pytest.raises(GoldenMismatch) as exc:
+        catalog.build_t2(check=check)
+    want = "t2 verification: " if check else "t2 projector: projector[dz1]"
+    assert exc.value.label.startswith(want)
+
+
+def test_committed_mutation_matrix_has_no_golden_only_row():
+    # tools/mutation_sweep.py --check recomputes this matrix; here only its
+    # committed verdict is read: every mutant a closed form catches, a
+    # build-time or verifier family catches too
+    matrix = json.loads((Path(__file__).resolve().parents[1] / "tools" / "mutation_matrix.json").read_text())
+    golden = set(matrix["columns"]["golden"])
+    rows = matrix["rows"]
+    assert len(rows) == matrix["summary"]["mutants"]
+    assert matrix["golden_only"] == [] and matrix["summary"]["golden_only"] == 0
+    assert all(set(caught) - golden for caught in rows.values() if caught)
 
 
 # -- torus ---------------------------------------------------------------------

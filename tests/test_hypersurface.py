@@ -200,7 +200,7 @@ def test_catalog_induction_refuses_failing_certificate():
     ambient = catalog.SpaceBundle("flip_r4", _flip_ambient(r4), None, r4.base_matrices)
     f = sphere_level_function(r4.presentation)
     with pytest.raises(HypersurfaceError) as exc:
-        catalog._induce(ambient, f, "flip", catalog._golden_s3, check=False)
+        catalog._induce(ambient, f, "flip", check=False)
     assert exc.value.kind == "certificate_failed"
     cert = build_hypersurface(ambient.structures, f, name="flip").certificate
     assert cert.failures() and str(exc.value) == _refusal(cert)
