@@ -114,7 +114,7 @@ class GoldenMismatch(RuntimeError):
     """
 
     def __init__(self, label: str, residual):
-        super().__init__(f"golden comparison failed: {label}")
+        super().__init__(f"check failed: {label}")
         self.label = label
         self.residual = residual
 

@@ -231,9 +231,9 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
 def check_projector(h: HypersurfaceSpec) -> Report:
     """The projector family: Pi o Pi = Pi on ambient representatives, and Pi(nu) = 0.
 
-    Five residuals decide both identities on every form.  Pi is left-linear,
-    and so is the ambient canon, so every ambient representative is
-    w = canon(w) = sum_i a_i b_i with b_i = canon(dz_i), and
+    Five residuals decide both identities on every form.  Pi and the ambient
+    canon are left-linear, so an ambient representative w = sum_i a_i dz_i
+    is w = canon(w) = sum_i a_i b_i with b_i = canon(dz_i), and
     Pi(Pi(w)) - Pi(w) = sum_i a_i (Pi(Pi(b_i)) - Pi(b_i)); the four residuals
     on the b_i vanish exactly when Pi is idempotent.  nu is central, so
     Pi(a nu) = Pi(nu a) = a Pi(nu), and the fifth residual Pi(nu) decides that

@@ -16,8 +16,7 @@ def r4_classical():
     return build_r4(classical=True)
 
 
-# the session bundles pass the closed-form comparisons once, as the builds
-# did when they ran them inside
+# no build compares a closed form: the session bundles pass them once here
 @pytest.fixture(scope="session")
 def s3():
     bundle = build_s3()
