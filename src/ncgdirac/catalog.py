@@ -1,12 +1,13 @@
 """Built-in catalog: the flat embedding space, the 3-sphere, and the 2-torus.
 
 build_r4 assembles the deformed flat space from its defining data; build_s3
-and build_t2 run the hypersurface induction.  Every build checks the induced
-projector (Pi o Pi = Pi, Pi(nu) = 0) and compares the composite Dirac
-operator with its explicit induced formula on the basis spinors; a checked
-build also runs verify_space.  None of these checks uses a closed form: the
-hard-coded closed forms of the sphere and torus structures are an acceptance
-oracle of the test suite (tests/closed_forms.py), not of the build.
+and build_t2 run the hypersurface induction.  Every build runs
+hypersurface.check_induction (the induced projector, Pi o Pi = Pi and
+Pi(nu) = 0, and the composite Dirac operator against its explicit induced
+formula on the basis spinors); a checked build also runs verify_space.
+None of these checks uses a closed form: the hard-coded closed forms of the
+sphere and torus structures are an acceptance oracle of the test suite
+(tests/closed_forms.py), not of the build.
 """
 
 from __future__ import annotations
@@ -18,23 +19,10 @@ from itertools import product
 
 from .algebra import AlgebraElement, Presentation, normal_form
 from .geometry import Calculus, Connection, Metric, contracted_connection, verify_metric
-from .hypersurface import (
-    HypersurfaceSpec,
-    build_hypersurface,
-    check_projector,
-    induced_dirac,
-    induced_structures,
-)
+from .hypersurface import HypersurfaceSpec, build_hypersurface, check_induction, induced_structures
 from .reports import Report
 from .scalars import Scalar
-from .spin import (
-    ScalarMatrix,
-    SpinStructure,
-    StructureSet,
-    dirac,
-    gamma_from_matrices,
-    verify_spinorial,
-)
+from .spin import ScalarMatrix, SpinStructure, StructureSet, gamma_from_matrices, verify_spinorial
 from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, tensor
 
 N_GEN = 4
@@ -108,9 +96,8 @@ def r4_presentation(classical: bool = False) -> Presentation:
 class GoldenMismatch(RuntimeError):
     """A build-time check of an induced space failed, or a closed form differs.
 
-    The builds raise it for a failing verify_space report, projector family
-    or D_paths comparison; the test suite's closed-form comparisons raise it
-    too.
+    The builds raise it for a failing verify_space or check_induction
+    report; the test suite's closed-form comparisons raise it too.
     """
 
     def __init__(self, label: str, residual):
@@ -250,12 +237,6 @@ def torus_level_function(p: Presentation) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 
 
-def _expect(label: str, got, want):
-    residual = got - want
-    if not residual.is_zero():
-        raise GoldenMismatch(label, residual.to_json())
-
-
 def _refuse_failures(label: str, report: Report):
     if not report.all_passed:
         failing = ", ".join(c.name for c in report.failures())
@@ -263,22 +244,18 @@ def _refuse_failures(label: str, report: Report):
 
 
 def _induce(ambient: SpaceBundle, f: AlgebraElement, name: str, check: bool) -> SpaceBundle:
-    """One induction step: hypersurface, certificate, verify_space (if check), run-time families.
+    """One induction step: hypersurface, certificate, verify_space (if check), build checks.
 
     induced_structures refuses a failing certificate with HypersurfaceError.
-    Every build then runs two families that use no closed form: projector
-    (check_projector) and D_paths, the composite gamma o nabla^sp against
-    the explicit induced Dirac formula on the basis spinors.
+    Every build then runs check_induction, whose families use no closed
+    form: projector and D_paths.  A failing report is refused with
+    GoldenMismatch, naming every failing clause.
     """
     h = build_hypersurface(ambient.structures, f, name=name)
     bundle = SpaceBundle(name, induced_structures(h), h, ambient.base_matrices)
     if check:
         _refuse_failures(f"{name} verification", verify_space(bundle))
-    _refuse_failures(f"{name} projector", check_projector(h))
-    p = h.quotient_presentation
-    for alpha in range(SPINOR_RANK):
-        e_a = TensorElement.basis(p, (), alpha)
-        _expect(f"D_paths[e{alpha + 1}]", dirac(bundle.structures.spin, e_a), induced_dirac(h, e_a))
+    _refuse_failures(f"{name} induction", check_induction(h, bundle.structures))
     return bundle
 
 

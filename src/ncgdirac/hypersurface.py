@@ -20,8 +20,16 @@ from .algebra import AlgebraElement, Presentation, extend_presentation, is_centr
 from .geometry import Calculus, Connection, Metric
 from .reports import Report
 from .scalars import HALF, Scalar
-from .spin import SpinStructure, StructureSet
-from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, all_basis_words, right_mul, tensor
+from .spin import SpinStructure, StructureSet, dirac
+from .tensors import (
+    SPINOR_RANK,
+    BasisWord,
+    LeftLinearMap,
+    TensorElement,
+    all_basis_words,
+    commutator_residuals,
+    tensor,
+)
 
 
 class HypersurfaceError(ValueError):
@@ -49,12 +57,12 @@ class HypersurfaceSpec:
 
     The *_q fields are the ambient structures with coefficients converted to
     the quotient presentation; conn_q carries the ambient braiding and its inverse.
+    pi is stored once: induced_structures builds the quotient calculus from it.
     """
 
     ambient: StructureSet
     quotient_presentation: Presentation
     qcalc: Calculus
-    quotient_calculus: Calculus
     nu: TensorElement
     nu_q: TensorElement
     nabla_nu_q: TensorElement
@@ -91,11 +99,9 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
     quotient = extend_presentation(p_amb, f, name=name)
 
     nu = ambient.calculus.d(f)
-    for j in range(p_amb.n):
-        zj = AlgebraElement.generator(p_amb, j)
-        residual = right_mul(nu, zj) - nu.left_mul(zj)
+    for label, residual in commutator_residuals(nu):
         if not residual.is_zero():
-            raise HypersurfaceError("nu_not_central", f"nu*z{j + 1} != z{j + 1}*nu")
+            raise HypersurfaceError("nu_not_central", f"nu*{label} != {label}*nu")
 
     norm = ambient.metric.pair(tensor(nu, nu)).convert(quotient)
     if not norm.is_one():
@@ -133,7 +139,6 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
         ambient=ambient,
         quotient_presentation=quotient,
         qcalc=qcalc,
-        quotient_calculus=Calculus(quotient, pi),
         nu=nu,
         nu_q=nu_q,
         nabla_nu_q=ambient.connection.apply(nu).convert(quotient),
@@ -168,7 +173,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     cert = AssumptionCertificate(subject=quotient.name or "assumptions")
     sigma_q = h.conn_q.sigma
     nabla_nu = h.nabla_nu_q
-    pbasis = [h.quotient_calculus.canon_basis_form(i) for i in range(n)]
+    pbasis = [h.pi.images[BasisWord((i,), None)] for i in range(n)]
 
     def nu_checks():
         # assumption 1: sigma(w (x) nu) = nu (x) w and sigma(nu (x) w) = w (x) nu
@@ -217,9 +222,8 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
         # 1-form class, so the residual is projected before testing
         c3 = h.metric_q.g_inv.apply_at(tensor(nabla_nu, h.nu_q), 1)
         yield "nabla_nu,nu", h.pi.apply_at(h.qcalc.canon(c3), 0)
-        for j in range(n):
-            zj = AlgebraElement.generator(quotient, j)
-            yield f"nabla_nu,z{j + 1}", right_mul(nabla_nu, zj) - nabla_nu.left_mul(zj)
+        for label, residual in commutator_residuals(nabla_nu):
+            yield f"nabla_nu,{label}", residual
 
     cert.family("nu_transparency", nu_checks())
     cert.family("pi_transparency", pi_checks())
@@ -228,26 +232,38 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     return cert
 
 
-def check_projector(h: HypersurfaceSpec) -> Report:
-    """The projector family: Pi o Pi = Pi on ambient representatives, and Pi(nu) = 0.
+def check_induction(h: HypersurfaceSpec, structures: StructureSet) -> Report:
+    """The build-time families of one induction: projector, then D_paths.
 
+    projector: Pi o Pi = Pi on ambient representatives, and Pi(nu) = 0.
     Five residuals decide both identities on every form.  Pi and the ambient
     canon are left-linear, so an ambient representative w = sum_i a_i dz_i
     is w = canon(w) = sum_i a_i b_i with b_i = canon(dz_i), and
     Pi(Pi(w)) - Pi(w) = sum_i a_i (Pi(Pi(b_i)) - Pi(b_i)); the four residuals
     on the b_i vanish exactly when Pi is idempotent.  nu is central, so
     Pi(a nu) = Pi(nu a) = a Pi(nu), and the fifth residual Pi(nu) decides that
-    Pi kills the normal bundle.  No closed form enters.
-    """
-    report = Report(subject=h.quotient_presentation.name or "projector")
+    Pi kills the normal bundle.
 
-    def checks():
-        for i in range(h.quotient_presentation.n):
-            once = h.pi.apply(h.qcalc.canon(TensorElement.basis(h.quotient_presentation, (i,))))
+    D_paths: the composite gamma o nabla^sp of the induced structures against
+    the explicit induced_dirac formula, on the basis spinors e1..e4.  No
+    closed form enters either family.
+    """
+    p = h.quotient_presentation
+    report = Report(subject=p.name or "induction")
+
+    def projector_checks():
+        for i in range(p.n):
+            once = h.pi.apply(h.qcalc.canon(TensorElement.basis(p, (i,))))
             yield f"dz{i + 1}", h.pi.apply(once) - once
         yield "nu", h.pi.apply(h.nu_q)
 
-    report.family("projector", checks())
+    def dirac_checks():
+        for alpha in range(SPINOR_RANK):
+            e_a = TensorElement.basis(p, (), alpha)
+            yield f"e{alpha + 1}", dirac(structures.spin, e_a) - induced_dirac(h, e_a)
+
+    report.family("projector", projector_checks())
+    report.family("D_paths", dirac_checks())
     return report
 
 
@@ -256,11 +272,10 @@ def check_projector(h: HypersurfaceSpec) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _induced_metric(h: HypersurfaceSpec) -> Metric:
+def _induced_metric(h: HypersurfaceSpec, qc: Calculus) -> Metric:
     quotient = h.quotient_presentation
-    qc = h.quotient_calculus
     g_element = qc.canon(h.metric_q.g_element)
-    pbasis = [qc.canon_basis_form(i) for i in range(quotient.n)]
+    pbasis = [h.pi.images[BasisWord((i,), None)] for i in range(quotient.n)]
     images = {}
     for i in range(quotient.n):
         for j in range(quotient.n):
@@ -272,10 +287,9 @@ def _induced_metric(h: HypersurfaceSpec) -> Metric:
     return Metric(g_element, g_inv)
 
 
-def _induced_connection(h: HypersurfaceSpec) -> Connection:
+def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
     """Gauss formula: nabla_B(w) = [nabla(w) - g^-1(w (x) nu) nabla(nu)]."""
     quotient = h.quotient_presentation
-    qc = h.quotient_calculus
     values = {}
     for i in range(quotient.n):
         free = TensorElement.basis(quotient, (i,))
@@ -288,11 +302,10 @@ def _induced_connection(h: HypersurfaceSpec) -> Connection:
     return Connection(qc, values, h.conn_q.sigma, h.conn_q.sigma_inv)
 
 
-def _induced_spin(h: HypersurfaceSpec) -> SpinStructure:
+def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
     """Clifford action gamma_[2](Pi(w) (x) nu (x) s) and the spinorial Gauss formula."""
     quotient = h.quotient_presentation
-    qc = h.quotient_calculus
-    pbasis = [qc.canon_basis_form(i) for i in range(quotient.n)]
+    pbasis = [h.pi.images[BasisWord((i,), None)] for i in range(quotient.n)]
     gamma_images = {}
     for i in range(quotient.n):
         for alpha in range(SPINOR_RANK):
@@ -315,11 +328,12 @@ def _induced_spin(h: HypersurfaceSpec) -> SpinStructure:
 def induced_structures(h: HypersurfaceSpec) -> StructureSet:
     """The induced metric, connection and spin structure, if the certificate passes."""
     h.require_certificate()
+    qc = Calculus(h.quotient_presentation, h.pi)
     return StructureSet(
-        calculus=h.quotient_calculus,
-        metric=_induced_metric(h),
-        connection=_induced_connection(h),
-        spin=_induced_spin(h),
+        calculus=qc,
+        metric=_induced_metric(h, qc),
+        connection=_induced_connection(h, qc),
+        spin=_induced_spin(h, qc),
     )
 
 
@@ -330,8 +344,8 @@ def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement) -> TensorElement:
     -1/2 (gamma_[2] - gamma_[2] (sigma (x) id))(nu (x) nabla^sp(s))
     + 1/2 gamma_[2]((Pi (x) id) nabla(nu) (x) s)
     on ambient-level data at quotient coefficients.  It equals the composite
-    spin.dirac(_induced_spin(h), s) = gamma o nabla^sp of the induced
-    structures; every catalog build compares the two on basis spinors.
+    spin.dirac(_induced_spin(h, qc), s) = gamma o nabla^sp of the induced
+    structures; check_induction compares the two on basis spinors.
     """
     h.require_certificate()
     if spinor.degree != 0 or not spinor.has_spin:

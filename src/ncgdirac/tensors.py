@@ -383,6 +383,14 @@ def right_linearity_residuals(m: LeftLinearMap):
             yield f"{w!r},z{j + 1}", lhs - rhs
 
 
+def commutator_residuals(e: TensorElement):
+    """(label, e * z_j - z_j * e) for every generator z_j: e is central when all vanish."""
+    p = e.presentation
+    for j in range(p.n):
+        zj = AlgebraElement.generator(p, j)
+        yield f"z{j + 1}", right_mul(e, zj) - e.left_mul(zj)
+
+
 # ---------------------------------------------------------------------------
 # differential
 # ---------------------------------------------------------------------------

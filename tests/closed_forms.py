@@ -17,7 +17,7 @@ from ncgdirac.algebra import AlgebraElement
 from ncgdirac.catalog import (
     N_GEN,
     SPINOR_RANK,
-    _expect,
+    GoldenMismatch,
     _form_sum,
     gamma_theta_matrices,
     h_lower,
@@ -194,6 +194,12 @@ def rotated_torus_dirac_closed_form(bundle, s):
 # residual by default; a caller that wants every mismatch passes its own.
 
 
+def _expect(label: str, got, want):
+    residual = got - want
+    if not residual.is_zero():
+        raise GoldenMismatch(label, residual.to_json())
+
+
 def check_goldens(bundle, expect=_expect):
     """Run the closed-form comparisons of a catalog bundle (s3 or t2)."""
     golden = {"s3": golden_s3, "t2": golden_t2}[bundle.name]
@@ -207,7 +213,7 @@ def _golden_families(h, structures, matrices, tag, expect, g_inv_factor, nabla_c
     Returns the free dz basis, the generators and the gamma_a gamma_b table.
     """
     p = h.quotient_presentation
-    qc = h.quotient_calculus
+    qc = structures.calculus
     gam_ab = [[mat_mul(a, b) for b in matrices] for a in matrices]  # gamma_a gamma_b
     free = [TensorElement.basis(p, (i,)) for i in range(N_GEN)]
     zs = [AlgebraElement.generator(p, i) for i in range(N_GEN)]

@@ -22,12 +22,12 @@ from ncgdirac.catalog import (
 )
 from ncgdirac.geometry import Calculus, Connection, Metric, tensor_connection_apply
 from ncgdirac import catalog
-from ncgdirac.hypersurface import check_assumptions, check_projector, induced_dirac
+from ncgdirac.hypersurface import check_assumptions, check_induction, induced_dirac
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spin import SpinStructure, dirac, mat_mul
 from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, tensor
 
-from closed_forms import golden_s3, golden_t2, partial_coeffs, phi_basis
+from closed_forms import _expect, golden_s3, golden_t2, partial_coeffs, phi_basis
 
 
 def e(p, alpha, coeff=None):
@@ -151,8 +151,6 @@ def test_s3_theta_zero_reproduces_round_sphere(r4_classical):
 
 
 def test_golden_mismatch_reports_residual(s3):
-    from ncgdirac.catalog import _expect
-
     p = s3.presentation
     with pytest.raises(GoldenMismatch) as exc:
         _expect("demo", e(p, 0), e(p, 0).scale(Scalar.rational(2)))
@@ -337,13 +335,15 @@ _PROJECTOR_FAILS = {
 
 
 def _corrupted_projector(h, key=BasisWord((1,), None), factor=Scalar.q_power(4)):
-    """The hypersurface and its quotient calculus with Pi(key), by default Pi(dz2), scaled."""
+    """The hypersurface with Pi(key), by default Pi(dz2), scaled, and its quotient calculus.
+
+    dataclasses.replace leaves the certificate unset: the caller sets it.
+    """
     pi = h.pi
     images = dict(pi.images)
     images[key] = images[key].scale(factor)
     broken = LeftLinearMap(pi.presentation, pi.domain, pi.codomain, images)
-    calc = Calculus(pi.presentation, broken)
-    return replace(h, pi=broken, quotient_calculus=calc), calc
+    return replace(h, pi=broken), Calculus(pi.presentation, broken)
 
 
 def _with_calculus(s, calc):
@@ -367,9 +367,11 @@ def test_verifiers_and_certificate_pin_a_corrupted_projector(request, space, cer
     cert = check_assumptions(h)
     assert {c.name.split("[")[0] for c in cert.failures()} == cert_fails
     assert _report_sha256(cert.to_report(space)) == CORRUPTED_PROJECTOR_SHA256[space, "certificate"]
-    assert check_projector(bundle.hypersurface).all_passed
+    assert check_induction(bundle.hypersurface, bundle.structures).all_passed
+    h.certificate = bundle.hypersurface.certificate  # past induced_dirac's gate
+    failing = [c.name for c in check_induction(h, bundle.structures).failures()]
     labels = ["dz1", "dz2", "dz3", "dz4", "nu"]
-    assert [c.name for c in check_projector(h).failures()] == [f"projector[{x}]" for x in labels]
+    assert [x for x in failing if x.startswith("projector")] == [f"projector[{x}]" for x in labels]
 
 
 # -- build-time checks on mutated builds ------------------------------------------
@@ -433,8 +435,23 @@ def test_build_refuses_scaled_t2_projector(monkeypatch, check):
     _mutating(monkeypatch, "build_hypersurface", "t2", mutate)
     with pytest.raises(GoldenMismatch) as exc:
         catalog.build_t2(check=check)
-    want = "t2 verification: " if check else "t2 projector: projector[dz1]"
+    want = "t2 verification: " if check else "t2 induction: projector[dz1]"
     assert exc.value.label.startswith(want)
+
+
+def test_unchecked_build_refuses_scaled_s3_clifford_action_by_d_paths(monkeypatch):
+    # gamma(dz1 (x) e1) scaled by 2: the certificate and the projector family
+    # read the hypersurface only, so D_paths alone refuses the unchecked build
+    def mutate(s):
+        spin, key = s.spin, BasisWord((0,), 0)
+        gamma = LeftLinearMap(spin.gamma.presentation, spin.gamma.domain, spin.gamma.codomain,
+                              {**spin.gamma.images, key: spin.gamma.images[key].scale(Scalar.rational(2))})
+        return replace(s, spin=SpinStructure(spin.calculus, gamma, spin.spin_connection))
+
+    _mutating(monkeypatch, "induced_structures", "s3", mutate)
+    with pytest.raises(GoldenMismatch) as exc:
+        catalog.build_s3(check=False)
+    assert exc.value.label.startswith("s3 induction: D_paths[")
 
 
 def test_committed_mutation_matrix_has_no_golden_only_row():
@@ -447,6 +464,16 @@ def test_committed_mutation_matrix_has_no_golden_only_row():
     assert len(rows) == matrix["summary"]["mutants"]
     assert matrix["golden_only"] == [] and matrix["summary"]["golden_only"] == 0
     assert all(set(caught) - golden for caught in rows.values() if caught)
+
+
+def test_committed_mutation_matrix_columns_are_the_build_families(s3):
+    # the sweep reads these columns from the same reports; a family added to
+    # either check changes them, and the committed matrix must be regenerated
+    columns = json.loads((Path(__file__).resolve().parents[1] / "tools" / "mutation_matrix.json")
+                         .read_text())["columns"]
+    assert columns["certificate"] == [c.name for c in s3.hypersurface.certificate.clauses]
+    build = check_induction(s3.hypersurface, s3.structures)
+    assert columns["build"] == [c.name for c in build.clauses]
 
 
 # -- torus ---------------------------------------------------------------------

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from ncgdirac import algebra, catalog, cli
+from ncgdirac.algebra import AlgebraElement
 from ncgdirac.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 from ncgdirac.catalog import r4_presentation
+from ncgdirac.scalars import Scalar
 
 from kernel_reference import presentation
 
@@ -250,6 +252,23 @@ def test_catalog_quotient_presentation_verifies(space, tmp_path, capsys):
         ("brute_force_oracle_agreement", True),
     ]
     assert sha256(out.encode()) == PRESENTATION_SHA256[space]
+
+
+def test_reducible_normal_form_fails_idempotence(tmp_path, capsys, monkeypatch):
+    # an output monomial that a rule's left-hand side divides is not normal
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(presentation("s3").to_json()))
+    real = cli.normal_form
+
+    def reducible(word, coeff, p):
+        out = real(word, coeff, p)
+        return AlgebraElement(p, {**out.terms, p.rules[0].lhs: Scalar.one()})
+
+    monkeypatch.setattr(cli, "normal_form", reducible)
+    code, out, _ = run(capsys, "verify", "--presentation", str(path))
+    assert code == EXIT_FAILED
+    clauses = {c["clause"]: c["pass"] for c in json.loads(out)["clauses"]}
+    assert clauses["normal_form_idempotent"] is False
 
 
 def _doc(**changes):

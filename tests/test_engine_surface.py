@@ -4,9 +4,10 @@ A helper that only tests use belongs in tests/ (closed_forms.py holds the
 oracles and test-only constructors).  The check is by name: a definition
 counts as used when its name is read (as a name or an attribute) anywhere in
 src/ncgdirac outside its own body and outside __init__.py, whose re-exports
-are no use.  A name shared by two definitions (two classes with a method of
-the same name, say) is used for both once either is called, so this check
-can miss an unused method.
+are no use.  A static method counts as used only through a reference
+Class.name.  A name shared by two other definitions (two classes with a
+method of the same name, say) is used for both once either is called, so
+this check can miss an unused instance method.
 """
 
 import ast
@@ -26,33 +27,49 @@ ALLOWED_UNUSED = {
         "bench/tracer.py counts it by name (scalars.eval_numeric_calls) until ROADMAP item 5, "
         "and the tests evaluate sectors with it for the numpy cross-check"
     ),
+    "tensors.TensorElement.from_json": (
+        "the public reader of to_json output; no src/ path reads a tensor back"
+    ),
 }
 
 
+def _is_static(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+
+
 def _definitions(tree: ast.Module, module: str):
-    """(qualified name, node) of each module-level function and non-dunder method."""
+    """(qualified name, node, owner) of each module-level function and non-dunder method.
+
+    owner is the class name of a static method, which is reached only as
+    Class.name, and None otherwise.
+    """
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, None
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
                 if not (item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    owner = node.name if _is_static(item) else None
+                    yield f"{module}.{node.name}.{item.name}", item, owner
 
 
 def _references(tree: ast.Module):
-    """(name, ids of the enclosing function bodies) for every name or attribute read."""
+    """(name, owner, ids of the enclosing function bodies) for every name or attribute read.
+
+    owner is X for an attribute read X.name with X a plain name, else None.
+    """
     out = []
 
     def walk(node, enclosing):
         if isinstance(node, ast.FunctionDef):
             enclosing = enclosing | {id(node)}
         if isinstance(node, ast.Name):
-            out.append((node.id, enclosing))
+            out.append((node.id, None, enclosing))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, enclosing))
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            out.append((node.attr, owner, enclosing))
         for child in ast.iter_child_nodes(node):
             walk(child, enclosing)
 
@@ -67,8 +84,11 @@ def unused_definitions(src: Path = SRC) -> set[str]:
     ]
     unused = set()
     for module, tree in trees.items():
-        for qualname, node in _definitions(tree, module):
-            if not any(name == node.name and id(node) not in inside for name, inside in references):
+        for qualname, node, owner in _definitions(tree, module):
+            if not any(
+                name == node.name and id(node) not in inside and (owner is None or ref_owner == owner)
+                for name, ref_owner, inside in references
+            ):
                 unused.add(qualname)
     return unused
 
@@ -81,3 +101,13 @@ def test_every_engine_definition_has_an_engine_caller():
 def test_allowlist_names_only_unused_definitions():
     # an allowed definition that gains a caller leaves the list
     assert set(ALLOWED_UNUSED) <= unused_definitions()
+
+
+def test_static_method_counts_only_through_its_class(tmp_path):
+    # B.make shares A.make's name, but only A.make is reached as Class.name
+    (tmp_path / "m.py").write_text(
+        "class A:\n    @staticmethod\n    def make():\n        return 1\n\n\n"
+        "class B:\n    @staticmethod\n    def make():\n        return 2\n\n\n"
+        "def run():\n    return A.make()\n"
+    )
+    assert unused_definitions(tmp_path) == {"m.B.make", "m.run"}

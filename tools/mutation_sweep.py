@@ -11,16 +11,18 @@ Every check runs on every mutant as if it were the only check:
 
 - verify_space: the families of verify_metric and verify_spinorial;
 - certificate: the families of the assumption certificate (check_assumptions);
-- build: the two families every catalog build runs, projector and D_paths;
+- build: the families of check_induction, which every catalog build runs
+  (projector and D_paths);
 - golden: the closed-form comparisons of tests/closed_forms.py, by label
   family (sigma_B, gamma_C, pi_T2, ...).
 
-A Pi mutant replaces the hypersurface's pi and quotient_calculus and is
-induced again, past the certificate gate; its certificate is then computed
-on the mutated hypersurface.  The certificate and the projector family read
-the hypersurface only, so every other mutant keeps the built ones.  A
-mutant that leaves its image unchanged (a scaled zero image) is marked
-unchanged; no check can catch it.
+The verify_space, certificate and build column names are read from the
+reports of the built s3, so a family added to a check gets its column.  A
+Pi mutant replaces the hypersurface's pi only and is induced again, past the
+certificate gate; its certificate is then computed on the mutated
+hypersurface.  The certificate reads the hypersurface only, so every other
+mutant keeps the built one.  A mutant that leaves its image unchanged (a
+scaled zero image) is marked unchanged; no check can catch it.
 
 A row is golden-only when a golden family catches it and no other check
 does.  Write the matrix, or recompute it and compare with a committed one
@@ -43,14 +45,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from closed_forms import check_goldens  # noqa: E402
 from ncgdirac.catalog import SpaceBundle, build_s3, build_t2, verify_space  # noqa: E402
-from ncgdirac.geometry import Calculus, Connection, Metric  # noqa: E402
-from ncgdirac.hypersurface import check_assumptions, check_projector, induced_dirac, induced_structures  # noqa: E402
+from ncgdirac.geometry import Connection, Metric  # noqa: E402
+from ncgdirac.hypersurface import check_assumptions, check_induction, induced_structures  # noqa: E402
 from ncgdirac.scalars import Scalar  # noqa: E402
-from ncgdirac.spin import SpinStructure, dirac  # noqa: E402
+from ncgdirac.spin import SpinStructure  # noqa: E402
 from ncgdirac.tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, word_key  # noqa: E402
 
-CERTIFICATE = ("nu_transparency", "pi_transparency", "nabla_nu_transparency", "corollaries")
-BUILD = ("projector", "D_paths")
 SCALINGS = (("*2", Scalar.rational(2)), ("*-1", Scalar.rational(-1)), ("*q^4", Scalar.q_power(4)))
 
 
@@ -80,8 +80,7 @@ def _targets(bundle):
         return LeftLinearMap(m.presentation, m.domain, m.codomain, {**m.images, key: image})
 
     def rebuild_pi(key, image):
-        broken = with_image(h.pi, key, image)
-        mutated = replace(h, pi=broken, quotient_calculus=Calculus(broken.presentation, broken))
+        mutated = replace(h, pi=with_image(h.pi, key, image))
         mutated.certificate = h.certificate  # past the gate, as if no other check ran
         structures = induced_structures(mutated)
         mutated.certificate = check_assumptions(mutated)
@@ -135,14 +134,10 @@ def _caught(bundle, h, structures) -> set[str]:
     """The columns whose check fails on the mutated hypersurface and structures."""
     mutant = SpaceBundle(bundle.name, structures, h, bundle.base_matrices)
     caught = {_family(c.name) for c in verify_space(mutant).failures()}
-    caught |= {_family(c.name) for c in check_projector(h).failures()}
-    p = h.quotient_presentation
+    # past induced_dirac's certificate gate, as a build that reached its checks is
     gate, h.certificate = h.certificate, bundle.hypersurface.certificate
     try:
-        for alpha in range(SPINOR_RANK):
-            e_a = TensorElement.basis(p, (), alpha)
-            if not (dirac(structures.spin, e_a) - induced_dirac(h, e_a)).is_zero():
-                caught.add("D_paths")
+        caught |= {_family(c.name) for c in check_induction(h, structures).failures()}
     finally:
         h.certificate = gate
 
@@ -159,13 +154,12 @@ def sweep() -> dict:
     golden_columns = set()
     for bundle in bundles:
         check_goldens(bundle, lambda label, got, want: golden_columns.add("golden:" + _family(label)))
-    verify_columns = [
-        c.name for c in verify_space(bundles[0]).clauses if c.name not in CERTIFICATE
-    ]
+    s3 = bundles[0]
+    certificate = [c.name for c in s3.hypersurface.certificate.clauses]
     columns = {
-        "verify_space": verify_columns,
-        "certificate": list(CERTIFICATE),
-        "build": list(BUILD),
+        "verify_space": [c.name for c in verify_space(s3).clauses if c.name not in certificate],
+        "certificate": certificate,
+        "build": [c.name for c in check_induction(s3.hypersurface, s3.structures).clauses],
         "golden": sorted(golden_columns),
     }
     order = [c for group in columns.values() for c in group]
