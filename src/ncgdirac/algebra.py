@@ -11,12 +11,13 @@ _mono_reduction, whose reductions of ordered monomials are memoized per
 presentation (the normal form is unique for a confluent presentation:
 Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).
 
-Products of elements (and, through ``tensors.TensorSum``, of tensor
-coefficients) go through one accumulation kernel, ``_accumulate``: it adds
-c1 * c2 * (cached monomial product) straight into a raw map
-{monomial: {q-exponent: GaussianRational}} and builds a Scalar and an
-AlgebraElement only once per output coefficient.  The raw map is known only
-here and in ``tensors``.
+Two writers fill the raw map {monomial: {q-exponent: GaussianRational}},
+which builds a Scalar and an AlgebraElement once per output coefficient.
+``_accumulate`` adds products c1 * c2 * (cached monomial product) of
+elements and, through ``tensors.TensorSum``, of tensor coefficients;
+``_accumulate_triples`` adds scaled (monomial, q-exponent, coefficient)
+triples: reductions, and the derivative terms of ``tensors.add_leibniz``.
+The raw map is known only here and in ``tensors``.
 """
 
 from __future__ import annotations
@@ -354,8 +355,11 @@ def _mono_product(p: Presentation, m1: Monomial, m2: Monomial) -> tuple:
     return cached
 
 
-def _accumulate_reduction(acc: dict, terms: tuple, s: Scalar, shift: int = 0) -> None:
-    """acc += s * q**shift * (the triples of a reduction), in a raw map of _accumulate."""
+def _accumulate_triples(acc: dict, terms: tuple, s: Scalar, shift: int = 0) -> None:
+    """acc += s * q**shift * sum(c q**k z^m) over the (m, k, c) triples, in a raw map of _accumulate.
+
+    The triples are a reduction (normal_form, _reduce) or a derivative term (tensors.add_leibniz).
+    """
     for m, kp, gp in terms:
         coeffs = acc.get(m)
         if coeffs is None:
@@ -385,7 +389,7 @@ def _reduce(terms: dict[Monomial, Scalar], p: Presentation) -> "AlgebraElement":
         steps += mono_steps
         if steps > STEP_BUDGET:
             raise _budget_exceeded()
-        _accumulate_reduction(acc, reduction, c)
+        _accumulate_triples(acc, reduction, c)
     return _element(p, acc)
 
 
@@ -427,30 +431,6 @@ def _accumulate(acc: dict, p: Presentation, left: dict, right: dict, twist=None)
                             coeffs[kk] = v
                         else:
                             del coeffs[kk]
-
-
-def _accumulate_scaled(acc: dict, terms: dict, s: Scalar | None = None) -> None:
-    """acc += (sum of terms) * s for a constant s, or + (sum of terms) if s is None.
-
-    acc is a raw map of _accumulate; no monomial product is taken.
-    """
-    for m, c in terms.items():
-        if s is not None:
-            c = c * s
-        coeffs = acc.get(m)
-        if coeffs is None:
-            acc[m] = dict(c.terms)
-            continue
-        for k, v in c.terms.items():
-            old = coeffs.get(k)
-            if old is None:
-                coeffs[k] = v
-                continue
-            v = old + v
-            if v.a or v.b:
-                coeffs[k] = v
-            else:
-                del coeffs[k]
 
 
 def _element(p: Presentation, acc: dict) -> "AlgebraElement":
@@ -593,7 +573,7 @@ def normal_form(word, coeff: Scalar, p: Presentation) -> AlgebraElement:
     if sum(mono) + steps > STEP_BUDGET:
         raise _budget_exceeded()
     acc: dict = {}
-    _accumulate_reduction(acc, reduction, coeff, e)
+    _accumulate_triples(acc, reduction, coeff, e)
     return _element(p, acc)
 
 

@@ -16,6 +16,7 @@ from .tensors import (
     LeftLinearMap,
     TensorElement,
     TensorSum,
+    add_leibniz,
     all_basis_words,
     commutator_residuals,
     differential,
@@ -31,9 +32,11 @@ class Calculus:
     projector=None means the free module itself (ambient space); otherwise the
     projector's extensional images define the canonical embedding of quotient
     1-forms into the free module, applied to every form slot by canon().
+    basis[i] is the canonical representative of the class of dz_i: the
+    projector's stored image of dz_i, or dz_i itself.
     """
 
-    __slots__ = ("presentation", "projector")
+    __slots__ = ("presentation", "projector", "basis")
 
     def __init__(self, presentation: Presentation, projector: LeftLinearMap | None = None):
         self.presentation = presentation
@@ -41,6 +44,11 @@ class Calculus:
             if projector.domain != (1, False) or projector.codomain != (1, False):
                 raise ValueError("projector must map 1-forms to 1-forms")
         self.projector = projector
+        words = [BasisWord((i,), None) for i in range(presentation.n)]
+        if projector is None:
+            self.basis = tuple(TensorElement.basis(presentation, w.forms) for w in words)
+        else:
+            self.basis = tuple(projector.images[w] for w in words)
 
     def canon(self, e: TensorElement) -> TensorElement:
         """Canonical representative: project every form slot (spinor untouched)."""
@@ -53,10 +61,6 @@ class Calculus:
 
     def d(self, a: AlgebraElement) -> TensorElement:
         return self.canon(differential(a))
-
-    def canon_basis_form(self, i: int) -> TensorElement:
-        """Canonical representative of the class of dz_i."""
-        return self.canon(TensorElement.basis(self.presentation, (i,)))
 
 
 class Connection:
@@ -103,16 +107,8 @@ class Connection:
                 raise KeyError(f"connection has no value for basis word {w}")
             for w2, c2 in value.terms.items():
                 out.add_product(w2, c, c2)
-        add_leibniz_term(out, e)
+        add_leibniz(out, e.terms)
         return out.element(sample.degree, sample.has_spin)
-
-
-def add_leibniz_term(out: TensorSum, e: TensorElement):
-    """Add the Leibniz term sum_w d(c_w) (x) w of a connection applied to e."""
-    for w, c in e.terms.items():
-        # the coefficient 1 of w moves left through dz_i with no phase
-        for w1, c1 in differential(c).terms.items():
-            out.add(BasisWord(w1.forms + w.forms, w.spin), c1)
 
 
 def contracted_connection(conn: Connection, phi: LeftLinearMap):
@@ -141,7 +137,7 @@ def contracted_connection(conn: Connection, phi: LeftLinearMap):
 
     def apply(x: TensorElement) -> TensorElement:
         leibniz = TensorSum(p)
-        add_leibniz_term(leibniz, x)
+        add_leibniz(leibniz, x.terms)
         return k.apply(x) + phi_canon.apply(leibniz.element(degree, has_spin))
 
     return apply
@@ -216,7 +212,7 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     p = calc.presentation
     report = Report(subject=p.name or "metric")
     g1 = calc.canon(metric.g_element)
-    basis = [calc.canon_basis_form(i) for i in range(p.n)]
+    basis = calc.basis
     gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
 
     report.family("g_central", commutator_residuals(g1))

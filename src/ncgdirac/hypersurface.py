@@ -58,6 +58,7 @@ class HypersurfaceSpec:
     The *_q fields are the ambient structures with coefficients converted to
     the quotient presentation; conn_q carries the ambient braiding and its inverse.
     pi is stored once: induced_structures builds the quotient calculus from it.
+    The certificate is computed on construction, so a dataclasses.replace copy certifies its own data.
     """
 
     ambient: StructureSet
@@ -72,6 +73,9 @@ class HypersurfaceSpec:
     conn_q: Connection
     spin_conn_q: Connection
     certificate: AssumptionCertificate = field(init=False)
+
+    def __post_init__(self):
+        self.certificate = check_assumptions(self)
 
     def require_certificate(self):
         """The induction gate: refuse a certificate with failing clauses, naming them."""
@@ -132,10 +136,10 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
     for i in range(p_amb.n):
         free = TensorElement.basis(quotient, (i,))
         b = metric_q.pair(tensor(free, nu_q))
-        pi_images[BasisWord((i,), None)] = qcalc.canon(free) - nu_q.left_mul(b)
+        pi_images[BasisWord((i,), None)] = qcalc.basis[i] - nu_q.left_mul(b)
     pi = LeftLinearMap(quotient, (1, False), (1, False), pi_images)
 
-    h = HypersurfaceSpec(
+    return HypersurfaceSpec(
         ambient=ambient,
         quotient_presentation=quotient,
         qcalc=qcalc,
@@ -148,8 +152,6 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
         conn_q=conn_q,
         spin_conn_q=spin_conn_q,
     )
-    h.certificate = check_assumptions(h)
-    return h
 
 
 def _gamma2(h: HypersurfaceSpec, e: TensorElement) -> TensorElement:
@@ -173,14 +175,14 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     cert = AssumptionCertificate(subject=quotient.name or "assumptions")
     sigma_q = h.conn_q.sigma
     nabla_nu = h.nabla_nu_q
-    pbasis = [h.pi.images[BasisWord((i,), None)] for i in range(n)]
+    pbasis = Calculus(quotient, h.pi).basis
 
     def nu_checks():
         # assumption 1: sigma(w (x) nu) = nu (x) w and sigma(nu (x) w) = w (x) nu
         sigma_amb = amb.connection.sigma
         acanon = amb.calculus.canon
         for i in range(n):
-            base = amb.calculus.canon_basis_form(i)
+            base = amb.calculus.basis[i]
             w_nu, nu_w = tensor(base, h.nu), tensor(h.nu, base)
             yield f"dz{i + 1},nu", acanon(sigma_amb.apply(w_nu) - nu_w)
             yield f"nu,dz{i + 1}", acanon(sigma_amb.apply(nu_w) - w_nu)
@@ -197,10 +199,9 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
                 braided = sigma_q.apply(b)
                 images[w] = sigma_q.apply(h.pi.apply_at(b, slot)) - h.pi.apply_at(braided, 1 - slot)
             sides.append((side, LeftLinearMap(quotient, (2, False), (2, False), images)))
-        qbasis = [h.qcalc.canon(TensorElement.basis(quotient, (i,))) for i in range(n)]
         for i in range(n):
             for j in range(n):
-                x = tensor(qbasis[i], qbasis[j])
+                x = tensor(h.qcalc.basis[i], h.qcalc.basis[j])
                 for side, difference in sides:
                     yield f"dz{i + 1},dz{j + 1},{side}", difference.apply(x)
 
@@ -253,7 +254,7 @@ def check_induction(h: HypersurfaceSpec, structures: StructureSet) -> Report:
 
     def projector_checks():
         for i in range(p.n):
-            once = h.pi.apply(h.qcalc.canon(TensorElement.basis(p, (i,))))
+            once = h.pi.apply(h.qcalc.basis[i])
             yield f"dz{i + 1}", h.pi.apply(once) - once
         yield "nu", h.pi.apply(h.nu_q)
 
@@ -275,11 +276,10 @@ def check_induction(h: HypersurfaceSpec, structures: StructureSet) -> Report:
 def _induced_metric(h: HypersurfaceSpec, qc: Calculus) -> Metric:
     quotient = h.quotient_presentation
     g_element = qc.canon(h.metric_q.g_element)
-    pbasis = [h.pi.images[BasisWord((i,), None)] for i in range(quotient.n)]
     images = {}
     for i in range(quotient.n):
         for j in range(quotient.n):
-            value = h.metric_q.pair(tensor(pbasis[i], pbasis[j]))
+            value = h.metric_q.pair(tensor(qc.basis[i], qc.basis[j]))
             images[BasisWord((i, j), None)] = TensorElement.basis(
                 quotient, (), None, value
             )
@@ -305,12 +305,11 @@ def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
 def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
     """Clifford action gamma_[2](Pi(w) (x) nu (x) s) and the spinorial Gauss formula."""
     quotient = h.quotient_presentation
-    pbasis = [h.pi.images[BasisWord((i,), None)] for i in range(quotient.n)]
     gamma_images = {}
     for i in range(quotient.n):
         for alpha in range(SPINOR_RANK):
             e_a = TensorElement.basis(quotient, (), alpha)
-            t = tensor(tensor(pbasis[i], h.nu_q), e_a)
+            t = tensor(tensor(qc.basis[i], h.nu_q), e_a)
             gamma_images[BasisWord((i,), alpha)] = _gamma2(h, t)
     gamma = LeftLinearMap(quotient, (1, True), (0, True), gamma_images)
 

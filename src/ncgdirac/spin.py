@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Presentation
+from .algebra import AlgebraElement, Presentation
 from .geometry import Calculus, Connection, Metric, contracted_connection, tensor_connection
 from .reports import Report
 from .scalars import Scalar
@@ -56,7 +56,7 @@ def matrix_act(matrix: ScalarMatrix, s: TensorElement) -> TensorElement:
         for beta, row in enumerate(matrix):
             entry = row[w.spin]
             if not entry.is_zero():
-                out.add(BasisWord(w.forms, beta), c, entry)
+                out.add_product(BasisWord(w.forms, beta), c, AlgebraElement.from_scalar(s.presentation, entry))
     return out.element(s.degree, True)
 
 
@@ -107,7 +107,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     calc = spin.calculus
     p = calc.presentation
     report = Report(subject=(p.name or "spinorial"))
-    basis = [calc.canon_basis_form(i) for i in range(p.n)]
+    basis = calc.basis
     spinors = spin.spinor_basis()
 
     def clifford_checks():

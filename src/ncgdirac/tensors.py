@@ -5,9 +5,10 @@ from basis words dz_{i1} (x) ... (x) dz_{ik} [(x) e_alpha] to normal-form
 algebra coefficients, all coefficients on the left.  The right action twists
 coefficients through basis letters via dz_i z_j = R[j][i] z_j dz_i; the spinor
 slot is transparent to the twist.  Every product of coefficients (the right
-action, tensor products, applying a map, and the Leibniz and spinor-matrix
-sums of ``geometry`` and ``spin``) accumulates in a TensorSum through
-algebra._accumulate, with the twist as a per-monomial exponent shift.
+action, tensor products, applying a map, and the spinor-matrix sums of
+``spin``) accumulates in a TensorSum through algebra._accumulate, with the
+twist as a per-monomial exponent shift.  The differential and the Leibniz
+term of a connection are one loop, add_leibniz, through _accumulate_triples.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import (
-    AlgebraElement, Presentation, _accumulate, _accumulate_scaled, _element, _new, _phase, add_term,
+    AlgebraElement, Presentation, _accumulate, _accumulate_triples, _element, _new, _phase, add_term,
 )
-from .scalars import Scalar
+from .scalars import _GR_ONE, GaussianRational, Scalar
 
 SPINOR_RANK = 4  # every spinor slot e_alpha has alpha in 0..3
 
@@ -68,10 +69,6 @@ class TensorSum:
     def __init__(self, presentation: Presentation):
         self.presentation = presentation
         self.words: dict[BasisWord, dict] = {}
-
-    def add(self, w: BasisWord, c: AlgebraElement, s: Scalar | None = None):
-        """Add c * s under w for a constant s, or c itself if s is None."""
-        _accumulate_scaled(_word_map(self.words, w), c.terms, s)
 
     def add_product(self, w: BasisWord, a: AlgebraElement, b: AlgebraElement, twist=None):
         """Add a * b under w; twist (see _twist) first moves b left through basis letters."""
@@ -396,22 +393,27 @@ def commutator_residuals(e: TensorElement):
 # ---------------------------------------------------------------------------
 
 
-def differential(a: AlgebraElement) -> TensorElement:
-    """Leibniz differential of a representative, in left-normal form.
+def add_leibniz(out: TensorSum, terms: dict[BasisWord, AlgebraElement]) -> None:
+    """Add the Leibniz term sum_w d(c_w) (x) w of the left coefficients c_w to out.
 
-    For an ordered monomial, d acts on each letter and commutes the created
-    dz_g left past the trailing letters; the e_g equal occurrences of one
-    generator contribute identical twists, hence the integer factor.
+    d acts on each letter of an ordered monomial and commutes the created dz_g
+    left past the trailing letters; the k equal letters z_g give equal twists,
+    so d(z^m) = sum_g k q**-phase(m - e_g, e_g) z^(m - e_g) dz_g, where m - e_g
+    is in normal form.  The coefficient 1 of w moves left through dz_g freely.
     """
-    p = a.presentation
-    out: dict[BasisWord, AlgebraElement] = {}
-    for mono, c in a.terms.items():
-        for g, e in enumerate(mono):
-            if not e:
-                continue
-            reduced = list(mono)
-            reduced[g] -= 1
-            exp = -_phase(p, reduced, (0,) * g + (1,) + (0,) * (p.n - 1 - g))
-            coeff = AlgebraElement(p, {tuple(reduced): c.q_shift(exp) * Scalar.rational(e)})
-            add_term(out, BasisWord((g,), None), coeff)
-    return TensorElement(p, 1, False, out)
+    p = out.presentation
+    unit = [(0,) * g + (1,) + (0,) * (p.n - 1 - g) for g in range(p.n)]
+    for w, c in terms.items():
+        for mono, s in c.terms.items():
+            for g, k in enumerate(mono):
+                if k:
+                    rem = mono[:g] + (k - 1,) + mono[g + 1:]
+                    triple = (rem, -_phase(p, rem, unit[g]), _GR_ONE if k == 1 else GaussianRational(k))
+                    _accumulate_triples(_word_map(out.words, BasisWord((g,) + w.forms, w.spin)), (triple,), s)
+
+
+def differential(a: AlgebraElement) -> TensorElement:
+    """Leibniz differential of a representative, in left-normal form: add_leibniz under the empty word."""
+    out = TensorSum(a.presentation)
+    add_leibniz(out, {BasisWord((), None): a})
+    return out.element(1, False)

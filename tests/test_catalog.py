@@ -337,7 +337,7 @@ _PROJECTOR_FAILS = {
 def _corrupted_projector(h, key=BasisWord((1,), None), factor=Scalar.q_power(4)):
     """The hypersurface with Pi(key), by default Pi(dz2), scaled, and its quotient calculus.
 
-    dataclasses.replace leaves the certificate unset: the caller sets it.
+    dataclasses.replace certifies the copy: its certificate checks the scaled Pi.
     """
     pi = h.pi
     images = dict(pi.images)
@@ -428,7 +428,6 @@ def test_build_refuses_scaled_t2_projector(monkeypatch, check):
     # the projector family alone refuses the build
     def mutate(h):
         broken, _ = _corrupted_projector(h, BasisWord((0,), None), Scalar.rational(2))
-        broken.certificate = check_assumptions(broken)
         assert broken.certificate.all_passed
         return broken
 

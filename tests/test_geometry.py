@@ -251,7 +251,7 @@ def test_contracted_connection_is_exact(request, space, phi):
     bundle = request.getfixturevalue(space)
     s = bundle.structures
     p = s.presentation
-    basis = [s.calculus.canon_basis_form(i) for i in range(p.n)]
+    basis = s.calculus.basis
     spinors = s.spin.spinor_basis()
     if phi == "g^-1":
         nabla, m = tensor_connection(s.connection, s.connection), s.metric.g_inv

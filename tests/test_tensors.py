@@ -13,6 +13,8 @@ from ncgdirac.tensors import (
     LeftLinearMap,
     ShapeError,
     TensorElement,
+    TensorSum,
+    add_leibniz,
     all_basis_words,
     differential,
     right_linearity_residuals,
@@ -485,6 +487,46 @@ def test_kernel_apply_at_matches_twist_rule(space, seed, shape):
     e = kernel_tensor(rng, p, degree, domain[1] or (not codomain[1] and rng.random() < 0.5))
     at = degree - domain[0] if domain[1] else rng.randint(0, degree - domain[0])
     assert m.apply_at(e, at) == naive_apply_at(m, e, at)
+
+
+def naive_differential(a):
+    """d(a) letter by letter: d(x1...xn) = sum_j x1..x(j-1) dz_(xj) x(j+1)..xn, dz moved left by the twist rule."""
+    p = a.presentation
+    out = {}
+    for m, c in a.terms.items():
+        word = letters(m)
+        for j, g in enumerate(word):
+            before = normal_form(word[:j], c, p)
+            after = normal_form(word[j + 1:], Scalar.one(), p)
+            naive_add(out, BasisWord((g,), None), naive_mul(before, naive_moved((g,), after)))
+    return TensorElement(p, 1, False, out)
+
+
+def leibniz_tensor(rng, p, degree, spin):
+    """kernel_tensor plus a term z_g^k * (up to two letters), k >= 2, under one random word."""
+    w = BasisWord(tuple(rng.randrange(p.n) for _ in range(degree)), rng.randrange(SPINOR_RANK) if spin else None)
+    word = [rng.randrange(p.n)] * rng.randint(2, 3) + [rng.randrange(p.n) for _ in range(rng.randint(0, 2))]
+    coeff = Scalar.q_power(rng.randint(-6, 6), rng.choice(COEFFS))
+    return kernel_tensor(rng, p, degree, spin) + TensorElement.basis(p, w.forms, w.spin, normal_form(word, coeff, p))
+
+
+@given(spaces, seeds)
+def test_kernel_leibniz_matches_letter_by_letter_differential(space, seed):
+    # add_leibniz(out, e.terms) adds sum_w d(c_w) (x) w; two calls whose terms
+    # cancel in the raw map must give the Leibniz term of the summed element
+    rng = random.Random(seed)
+    p = presentation(space)
+    degree, spin = rng.randint(0, 2), rng.random() < 0.5
+    e1 = leibniz_tensor(rng, p, degree, spin)
+    e2 = leibniz_tensor(rng, p, degree, spin) - e1
+    out = TensorSum(p)
+    add_leibniz(out, e1.terms)
+    add_leibniz(out, e2.terms)
+    want = TensorElement.zero(p, degree + 1, spin)
+    for w, c in (e1 + e2).terms.items():
+        assert differential(c) == naive_differential(c)
+        want = want + tensor(differential(c), TensorElement.basis(p, w.forms, w.spin))
+    assert out.element(degree + 1, spin) == want
 
 
 @pytest.mark.parametrize("space", ["r4", "s3", "t2"])
