@@ -33,10 +33,13 @@ class Calculus:
     projector's extensional images define the canonical embedding of quotient
     1-forms into the free module, applied to every form slot by canon().
     basis[i] is the canonical representative of the class of dz_i: the
-    projector's stored image of dz_i, or dz_i itself.
+    projector's stored image of dz_i, or dz_i itself.  pairs[i][j] is
+    basis[i] (x) basis[j], the input of every pair residual; the n^2 pairs
+    are made on first use and kept with the calculus, so the induced metric
+    and both verifiers of one calculus share them.
     """
 
-    __slots__ = ("presentation", "projector", "basis")
+    __slots__ = ("presentation", "projector", "basis", "_pairs")
 
     def __init__(self, presentation: Presentation, projector: LeftLinearMap | None = None):
         self.presentation = presentation
@@ -49,6 +52,13 @@ class Calculus:
             self.basis = tuple(TensorElement.basis(presentation, w.forms) for w in words)
         else:
             self.basis = tuple(projector.images[w] for w in words)
+        self._pairs = None
+
+    @property
+    def pairs(self) -> tuple[tuple[TensorElement, ...], ...]:
+        if self._pairs is None:
+            self._pairs = tuple(tuple(tensor(bi, bj) for bj in self.basis) for bi in self.basis)
+        return self._pairs
 
     def canon(self, e: TensorElement) -> TensorElement:
         """Canonical representative: project every form slot (spinor untouched)."""
@@ -157,13 +167,17 @@ class Metric:
         self.g_inv = g_inv
 
     def pair(self, e: TensorElement) -> AlgebraElement:
-        """Evaluate g^{-1} on a degree-2 element, returning the algebra value.
+        """Evaluate g^{-1} on a degree-2 element, returning the algebra value."""
+        return algebra_value(self.g_inv.apply(e))
 
-        The value has degree 0 and no spinor slot, so its only basis word is
-        the empty one, under which apply has accumulated every summand.
-        """
-        out = self.g_inv.apply(e)
-        return out.terms.get(BasisWord((), None), AlgebraElement.zero(e.presentation))
+
+def algebra_value(e: TensorElement) -> AlgebraElement:
+    """The algebra value of a degree-0 spinor-free element.
+
+    Its only basis word is the empty one, under which a map's apply has
+    accumulated every summand.
+    """
+    return e.terms.get(BasisWord((), None), AlgebraElement.zero(e.presentation))
 
 
 def tensor_connection(conn_v: Connection, conn_e: Connection) -> Connection:
@@ -207,21 +221,32 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     these finite checks witness the full clauses.  metric_compatibility and
     right_leibniz compare unprojected sides and project their difference
     once (canon is additive); no value is projected a second time.
+
+    Two families are left-linear in their input, so each is stored once per
+    call on the free words and every residual is one apply: inverse_left is
+    x -> canon(g^-1 at slot 0 of x (x) g(1)) on the dz_k, and symmetry is
+    g^-1 o (sigma - id) on the free pairs, each image made by Metric.pair.
+    inverse_right (g(1) (x) x puts x's coefficients to the right of g(1)'s),
+    metric_compatibility (the Leibniz term of the connection and d) and
+    right_leibniz are not left-linear in their input and are evaluated per
+    residual.
     """
     calc = conn.calculus
     p = calc.presentation
     report = Report(subject=p.name or "metric")
     g1 = calc.canon(metric.g_element)
-    basis = calc.basis
+    basis, pairs = calc.basis, calc.pairs
     gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
 
     report.family("g_central", commutator_residuals(g1))
+    left_images = {}
+    for w in all_basis_words(p, 1):
+        dz = TensorElement.basis(p, w.forms)
+        left_images[w] = calc.canon(metric.g_inv.apply_at(tensor(dz, g1), 0))
+    inverse_left = LeftLinearMap(p, (1, False), (1, False), left_images)
     report.family(
         "inverse_left",
-        (
-            (f"dz{i + 1}", calc.canon(metric.g_inv.apply_at(tensor(basis[i], g1), 0)) - basis[i])
-            for i in range(p.n)
-        ),
+        ((f"dz{i + 1}", inverse_left.apply(basis[i]) - basis[i]) for i in range(p.n)),
     )
     report.family(
         "inverse_right",
@@ -231,21 +256,26 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
         ),
     )
 
-    def symmetry_checks():
-        for i in range(p.n):
-            for j in range(p.n):
-                pair = tensor(basis[i], basis[j])
-                # g^-1 is left-linear: apply it once to sigma(pair) - pair
-                yield f"dz{i + 1},dz{j + 1}", metric.pair(conn.sigma.apply(pair) - pair)
-
-    report.family("symmetry", symmetry_checks())
+    symmetry_images = {}
+    for w in all_basis_words(p, 2):
+        b = TensorElement.basis(p, w.forms)
+        symmetry_images[w] = TensorElement.basis(p, (), None, metric.pair(conn.sigma.apply(b) - b))
+    symmetry = LeftLinearMap(p, (2, False), (0, False), symmetry_images)
+    report.family(
+        "symmetry",
+        (
+            (f"dz{i + 1},dz{j + 1}", algebra_value(symmetry.apply(pairs[i][j])))
+            for i in range(p.n)
+            for j in range(p.n)
+        ),
+    )
 
     def compatibility_checks():
         # (id (x) g^-1) nabla(x)(pair), with g^-1 applied to each basis value once
         contracted = contracted_connection(tensor_connection(conn, conn), metric.g_inv)
         for i in range(p.n):
             for j in range(p.n):
-                pair = tensor(basis[i], basis[j])
+                pair = pairs[i][j]
                 yield (
                     f"dz{i + 1},dz{j + 1}",
                     calc.canon(contracted(pair) - differential(metric.pair(pair))),

@@ -29,6 +29,7 @@ from .tensors import (
     all_basis_words,
     commutator_residuals,
     tensor,
+    with_spinor,
 )
 
 
@@ -201,7 +202,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
             sides.append((side, LeftLinearMap(quotient, (2, False), (2, False), images)))
         for i in range(n):
             for j in range(n):
-                x = tensor(h.qcalc.basis[i], h.qcalc.basis[j])
+                x = h.qcalc.pairs[i][j]
                 for side, difference in sides:
                     yield f"dz{i + 1},dz{j + 1},{side}", difference.apply(x)
 
@@ -279,7 +280,7 @@ def _induced_metric(h: HypersurfaceSpec, qc: Calculus) -> Metric:
     images = {}
     for i in range(quotient.n):
         for j in range(quotient.n):
-            value = h.metric_q.pair(tensor(qc.basis[i], qc.basis[j]))
+            value = h.metric_q.pair(qc.pairs[i][j])
             images[BasisWord((i, j), None)] = TensorElement.basis(
                 quotient, (), None, value
             )
@@ -303,22 +304,33 @@ def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
 
 
 def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
-    """Clifford action gamma_[2](Pi(w) (x) nu (x) s) and the spinorial Gauss formula."""
+    """Clifford action gamma_[2](Pi(w) (x) nu (x) s) and the spinorial Gauss formula.
+
+    w (x) e_a -> gamma_[2](w (x) nu (x) e_a) is left-linear in w (nu and the
+    spinor sit to its right as fixed factors, and gamma_[2] is left-linear),
+    so it is stored once on the free dz_k (x) e_a, and each induced gamma
+    image is one apply of it to b_i (x) e_a: exact, since
+    gamma_[2](sum_k c_k dz_k (x) nu (x) e_a) = sum_k c_k gamma_[2](dz_k (x) nu (x) e_a).
+    """
     quotient = h.quotient_presentation
-    gamma_images = {}
-    for i in range(quotient.n):
+    free_images = {}
+    for k in range(quotient.n):
+        dz_nu = tensor(TensorElement.basis(quotient, (k,)), h.nu_q)
         for alpha in range(SPINOR_RANK):
-            e_a = TensorElement.basis(quotient, (), alpha)
-            t = tensor(tensor(qc.basis[i], h.nu_q), e_a)
-            gamma_images[BasisWord((i,), alpha)] = _gamma2(h, t)
+            free_images[BasisWord((k,), alpha)] = _gamma2(h, with_spinor(dz_nu, alpha))
+    clifford_nu = LeftLinearMap(quotient, (1, True), (0, True), free_images)
+    gamma_images = {
+        BasisWord((i,), alpha): clifford_nu.apply(with_spinor(qc.basis[i], alpha))
+        for i in range(quotient.n)
+        for alpha in range(SPINOR_RANK)
+    }
     gamma = LeftLinearMap(quotient, (1, True), (0, True), gamma_images)
 
     spin_values = {}
+    nabla_nu_nu = tensor(h.nabla_nu_q, h.nu_q)
     for alpha in range(SPINOR_RANK):
-        e_a = TensorElement.basis(quotient, (), alpha)
         base = h.spin_conn_q.values[BasisWord((), alpha)]
-        t = tensor(tensor(h.nabla_nu_q, h.nu_q), e_a)
-        correction = _gamma2(h, t).scale(HALF)
+        correction = _gamma2(h, with_spinor(nabla_nu_nu, alpha)).scale(HALF)
         spin_values[BasisWord((), alpha)] = qc.canon(base + correction)
     spin_connection = Connection(qc, spin_values)
     return SpinStructure(qc, gamma, spin_connection)

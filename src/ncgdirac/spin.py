@@ -8,7 +8,9 @@ from .algebra import AlgebraElement, Presentation
 from .geometry import Calculus, Connection, Metric, contracted_connection, tensor_connection
 from .reports import Report
 from .scalars import Scalar
-from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, all_basis_words, tensor
+from .tensors import (
+    SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, all_basis_words, tensor, with_spinor,
+)
 
 ScalarMatrix = tuple[tuple[Scalar, ...], ...]
 
@@ -98,38 +100,42 @@ def dirac(spin: SpinStructure, spinor: TensorElement) -> TensorElement:
 def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> Report:
     """Check the Clifford relations and Clifford compatibility exactly.
 
-    clifford_relations applies gamma_[2] o (id + sigma), stored once per call
-    on the basis words dz_i (x) dz_j (x) e_a, to each residual's pair;
-    clifford_compatibility projects the difference of its unprojected sides
-    once.  Both are exact: the maps are left-linear, canon is additive and
-    the normal-form product is associative.
+    clifford_relations is left-linear in its input pair, so it is stored
+    once per call as R(w (x) e_a) = gamma_[2]((w + sigma(w)) (x) e_a)
+    + 2 g^-1(w) e_a on the free words dz_i (x) dz_j (x) e_a, and each
+    residual is one apply of R to the pair with e_a appended to every word.
+    This is exact: R(sum_w c_w w) = sum_w c_w R(w), because the normal-form
+    product is associative and distributive.  clifford_compatibility holds
+    the Leibniz term of the connections, so it is not left-linear in its
+    input; it projects the difference of its unprojected sides once.
     """
     calc = spin.calculus
     p = calc.presentation
     report = Report(subject=(p.name or "spinorial"))
-    basis = calc.basis
+    basis, pairs = calc.basis, calc.pairs
     spinors = spin.spinor_basis()
 
-    def clifford_checks():
-        # built from b + sigma(b) on the free pairs b, so sigma braids pairs only
-        symmetrised = {}
-        for w in all_basis_words(p, 2):
-            b = TensorElement.basis(p, w.forms)
-            sym = b + conn.sigma.apply(b)
-            for alpha, e_a in enumerate(spinors):
-                symmetrised[BasisWord(w.forms, alpha)] = gamma_iterated(spin, tensor(sym, e_a))
-        clifford = LeftLinearMap(p, (2, True), (0, True), symmetrised)
-        for i in range(p.n):
-            for j in range(p.n):
-                pair = tensor(basis[i], basis[j])
-                g_val = metric.pair(pair)
-                for alpha in range(SPINOR_RANK):
-                    e_a = spinors[alpha]
-                    lhs = clifford.apply(tensor(pair, e_a))
-                    rhs = e_a.left_mul(g_val).scale(Scalar.rational(-2))
-                    yield (f"dz{i + 1},dz{j + 1},e{alpha + 1}", lhs - rhs)
-
-    report.family("clifford_relations", clifford_checks())
+    # built from w + sigma(w) on the free pairs w, so sigma braids pairs only
+    two = Scalar.rational(2)
+    images = {}
+    for w in all_basis_words(p, 2):
+        b = TensorElement.basis(p, w.forms)
+        sym = b + conn.sigma.apply(b)
+        two_g = metric.g_inv.apply(b).scale(two)
+        for alpha in range(SPINOR_RANK):
+            images[BasisWord(w.forms, alpha)] = (
+                gamma_iterated(spin, with_spinor(sym, alpha)) + with_spinor(two_g, alpha)
+            )
+    clifford = LeftLinearMap(p, (2, True), (0, True), images)
+    report.family(
+        "clifford_relations",
+        (
+            (f"dz{i + 1},dz{j + 1},e{alpha + 1}", clifford.apply(with_spinor(pairs[i][j], alpha)))
+            for i in range(p.n)
+            for j in range(p.n)
+            for alpha in range(SPINOR_RANK)
+        ),
+    )
 
     def compatibility_checks():
         # (id (x) gamma) nabla(x)(base), with gamma applied to each basis value once

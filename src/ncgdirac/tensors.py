@@ -285,8 +285,28 @@ def tensor(e1: TensorElement, e2: TensorElement) -> TensorElement:
     return out.element(e1.degree + e2.degree, e2.has_spin)
 
 
+def with_spinor(e: TensorElement, alpha: int) -> TensorElement:
+    """e (x) e_alpha for a spinor-free e, by giving each word of e the spinor slot alpha.
+
+    e_alpha has the coefficient 1, which moves left through any word
+    unchanged, so this equals tensor(e, e_alpha) without a product.
+    """
+    if e.has_spin:
+        raise ShapeError("the element already carries a spinor slot")
+    terms = {BasisWord(w.forms, alpha): c for w, c in e.terms.items()}
+    return _tensor(e.presentation, e.degree, True, terms)
+
+
 class LeftLinearMap:
-    """Left-linear map stored extensionally on the free basis of its domain."""
+    """Left-linear map stored extensionally on the free basis of its domain.
+
+    apply(sum_w c_w w) = sum_w c_w * image(w).  A composite that is
+    left-linear in its input (no Leibniz term, and no fixed factor left of
+    the input to multiply its coefficients from the left) is stored as one
+    such map on the free words: for x = sum_w c_w w,
+    R(x) = sum_w c_w R(w) holds exactly, because the normal-form product of a
+    confluent presentation is associative and distributive.
+    """
 
     __slots__ = ("presentation", "domain", "codomain", "images")
 

@@ -148,9 +148,9 @@ def test_nu_transparency_projects_each_residual_once(request, monkeypatch, space
 
 @pytest.mark.parametrize("space", ["r4", "s3", "t2"])
 def test_metric_symmetry_pairs_each_residual_once(request, monkeypatch, space):
-    # the symmetry family evaluates g^-1 once on sigma(pair) - pair, not on
-    # sigma(pair) and pair apart: with metric_compatibility's one g^-1(pair)
-    # per pair (inside d), verify_metric pairs 2 n^2 elements
+    # the symmetry family stores g^-1(sigma(w) - w) on the n^2 free pairs w,
+    # one Metric.pair each; with metric_compatibility's one g^-1(pair) per
+    # pair (inside d), verify_metric pairs 2 n^2 elements
     s = request.getfixturevalue(space).structures
     pair = Metric.pair
     calls = []

@@ -165,9 +165,9 @@ def test_r4_spinorial_suite_passes(r4):
 
 @pytest.mark.parametrize("space", ["r4", "s3", "t2"])
 def test_verify_spinorial_applies_gamma_once_per_residual_slot(request, monkeypatch, space):
-    # clifford_relations applies gamma_[2] to pair + sigma(pair), not to each
-    # summand: 2 gamma applications per (i, j, alpha), plus one per
-    # clifford_compatibility residual (4 per (i, j, alpha) and n*4 before)
+    # clifford_relations stores gamma_[2] of (w + sigma(w)) (x) e_a on the
+    # free words, not of each summand: 2 gamma applications per (w, alpha),
+    # plus one per clifford_compatibility residual
     s = request.getfixturevalue(space).structures
     calls = []
 
