@@ -143,8 +143,9 @@ class SpaceBundle:
         nu~ is central, so Phi is left-linear and is stored on its 16 images.
         """
         gamma = self.structures.spin.gamma
-        images = {w: gamma_nu_tilde(self, img) for w, img in gamma.images.items()}
-        return LeftLinearMap(self.presentation, gamma.domain, gamma.codomain, images)
+        return LeftLinearMap.on_free_words(
+            self.presentation, gamma.domain, lambda w: gamma_nu_tilde(self, gamma.images[w])
+        )
 
     @cached_property
     def rotated_dirac(self):
@@ -167,23 +168,14 @@ def build_r4(classical: bool = False) -> SpaceBundle:
     calc = Calculus(p, None)
 
     g_element = _form_sum(p, metric_lower)
-    g_inv_images = {
-        BasisWord((i, j), None): TensorElement.basis(
-            p, (), None, AlgebraElement.from_scalar(p, Scalar.rational(metric_upper(i, j)))
-        )
-        for i in range(N_GEN)
-        for j in range(N_GEN)
-    }
-    metric = Metric(g_element, LeftLinearMap(p, (2, False), (0, False), g_inv_images))
-
-    sigma_images = {
-        BasisWord((i, j), None): TensorElement.basis(
-            p, (j, i), None, AlgebraElement.from_scalar(p, p.R[j][i])
-        )
-        for i in range(N_GEN)
-        for j in range(N_GEN)
-    }
-    sigma = LeftLinearMap(p, (2, False), (2, False), sigma_images)
+    g_inv = LeftLinearMap.on_free_words(
+        p, (2, False), lambda w: TensorElement.basis(p).scale(Scalar.rational(metric_upper(*w.forms)))
+    )
+    metric = Metric(g_element, g_inv)
+    # sigma(dz_i (x) dz_j) = R[j][i] dz_j (x) dz_i
+    sigma = LeftLinearMap.on_free_words(
+        p, (2, False), lambda w: TensorElement.basis(p, w.forms[::-1]).scale(p.R[w.forms[1]][w.forms[0]])
+    )
     conn_values = {
         BasisWord((i,), None): TensorElement.zero(p, 2, False) for i in range(N_GEN)
     }

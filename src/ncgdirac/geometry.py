@@ -14,6 +14,7 @@ from .reports import Report
 from .tensors import (
     BasisWord,
     LeftLinearMap,
+    ShapeError,
     TensorElement,
     TensorSum,
     add_leibniz,
@@ -77,7 +78,8 @@ class Connection:
     """Connection on a free-basis module, with optional braiding (bimodule case).
 
     Stored extensionally on basis words (dz_i for form connections, e_alpha for
-    spin connections) and extended by the left Leibniz rule.
+    spin connections) and extended by the left Leibniz rule.  The keys share
+    one shape and the values another; empty values are refused.
     """
 
     __slots__ = ("calculus", "values", "sigma", "sigma_inv")
@@ -91,6 +93,11 @@ class Connection:
     ):
         if (sigma is None) != (sigma_inv is None):
             raise ValueError("a braided connection needs both sigma and sigma_inv")
+        shapes = {((len(w.forms), w.spin is not None), v.shape()) for w, v in values.items()}
+        if not shapes:
+            raise ValueError("a connection needs a value on at least one basis word")
+        if len(shapes) > 1:
+            raise ShapeError(f"basis words and values must each share one shape: {sorted(shapes)}")
         self.calculus = calculus
         self.values = dict(values)
         self.sigma = sigma
@@ -134,16 +141,12 @@ def contracted_connection(conn: Connection, phi: LeftLinearMap):
     w0, v0 = next(iter(conn.values.items()))
     degree, has_spin = v0.shape()
     at = degree - phi.domain[0]
-    canon_images = {}
-    for pre in all_basis_words(p, at):
-        for u in phi.images:
-            forms = pre.forms + u.forms
-            basis = TensorElement.basis(p, forms, u.spin)
-            canon_images[BasisWord(forms, u.spin)] = phi.apply_at(calc.canon(basis), at)
-    shape = next(iter(canon_images.values())).shape()
-    phi_canon = LeftLinearMap(p, (degree, has_spin), shape, canon_images)
-    images = {w: phi_canon.apply(v) for w, v in conn.values.items()}
-    k = LeftLinearMap(p, (len(w0.forms), w0.spin is not None), phi_canon.codomain, images)
+    phi_canon = LeftLinearMap.on_free_words(
+        p, v0.shape(), lambda w: phi.apply_at(calc.canon(TensorElement.basis(p, w.forms, w.spin)), at)
+    )
+    k = LeftLinearMap.on_free_words(
+        p, (len(w0.forms), w0.spin is not None), lambda w: phi_canon.apply(conn.values[w])
+    )
 
     def apply(x: TensorElement) -> TensorElement:
         leibniz = TensorSum(p)
@@ -239,11 +242,11 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
 
     report.family("g_central", commutator_residuals(g1))
-    left_images = {}
-    for w in all_basis_words(p, 1):
-        dz = TensorElement.basis(p, w.forms)
-        left_images[w] = calc.canon(metric.g_inv.apply_at(tensor(dz, g1), 0))
-    inverse_left = LeftLinearMap(p, (1, False), (1, False), left_images)
+    inverse_left = LeftLinearMap.on_free_words(
+        p,
+        (1, False),
+        lambda w: calc.canon(metric.g_inv.apply_at(tensor(TensorElement.basis(p, w.forms), g1), 0)),
+    )
     report.family(
         "inverse_left",
         ((f"dz{i + 1}", inverse_left.apply(basis[i]) - basis[i]) for i in range(p.n)),
@@ -256,11 +259,11 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
         ),
     )
 
-    symmetry_images = {}
-    for w in all_basis_words(p, 2):
+    def symmetry_image(w: BasisWord) -> TensorElement:
         b = TensorElement.basis(p, w.forms)
-        symmetry_images[w] = TensorElement.basis(p, (), None, metric.pair(conn.sigma.apply(b) - b))
-    symmetry = LeftLinearMap(p, (2, False), (0, False), symmetry_images)
+        return TensorElement.basis(p, (), None, metric.pair(conn.sigma.apply(b) - b))
+
+    symmetry = LeftLinearMap.on_free_words(p, (2, False), symmetry_image)
     report.family(
         "symmetry",
         (

@@ -22,14 +22,7 @@ from .reports import Report
 from .scalars import HALF, Scalar
 from .spin import SpinStructure, StructureSet, dirac
 from .tensors import (
-    SPINOR_RANK,
-    BasisWord,
-    LeftLinearMap,
-    TensorElement,
-    all_basis_words,
-    commutator_residuals,
-    tensor,
-    with_spinor,
+    SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, commutator_residuals, tensor, with_spinor,
 )
 
 
@@ -133,12 +126,11 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
     )
 
     # tangential projector Pi(w) = w - g^-1(w (x) nu) nu on class representatives
-    pi_images = {}
-    for i in range(p_amb.n):
-        free = TensorElement.basis(quotient, (i,))
-        b = metric_q.pair(tensor(free, nu_q))
-        pi_images[BasisWord((i,), None)] = qcalc.basis[i] - nu_q.left_mul(b)
-    pi = LeftLinearMap(quotient, (1, False), (1, False), pi_images)
+    def tangential(w: BasisWord) -> TensorElement:
+        b = metric_q.pair(tensor(TensorElement.basis(quotient, w.forms), nu_q))
+        return qcalc.basis[w.forms[0]] - nu_q.left_mul(b)
+
+    pi = LeftLinearMap.on_free_words(quotient, (1, False), tangential)
 
     return HypersurfaceSpec(
         ambient=ambient,
@@ -194,12 +186,11 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
         # is stored on the free pairs
         sides = []
         for slot, side in ((0, "left"), (1, "right")):
-            images = {}
-            for w in all_basis_words(quotient, 2):
+            def difference(w: BasisWord) -> TensorElement:
                 b = TensorElement.basis(quotient, w.forms)
-                braided = sigma_q.apply(b)
-                images[w] = sigma_q.apply(h.pi.apply_at(b, slot)) - h.pi.apply_at(braided, 1 - slot)
-            sides.append((side, LeftLinearMap(quotient, (2, False), (2, False), images)))
+                return sigma_q.apply(h.pi.apply_at(b, slot)) - h.pi.apply_at(sigma_q.apply(b), 1 - slot)
+
+            sides.append((side, LeftLinearMap.on_free_words(quotient, (2, False), difference)))
         for i in range(n):
             for j in range(n):
                 x = h.qcalc.pairs[i][j]
@@ -275,17 +266,10 @@ def check_induction(h: HypersurfaceSpec, structures: StructureSet) -> Report:
 
 
 def _induced_metric(h: HypersurfaceSpec, qc: Calculus) -> Metric:
-    quotient = h.quotient_presentation
-    g_element = qc.canon(h.metric_q.g_element)
-    images = {}
-    for i in range(quotient.n):
-        for j in range(quotient.n):
-            value = h.metric_q.pair(qc.pairs[i][j])
-            images[BasisWord((i, j), None)] = TensorElement.basis(
-                quotient, (), None, value
-            )
-    g_inv = LeftLinearMap(quotient, (2, False), (0, False), images)
-    return Metric(g_element, g_inv)
+    g_inv = LeftLinearMap.on_free_words(
+        h.quotient_presentation, (2, False), lambda w: h.metric_q.g_inv.apply(qc.pairs[w.forms[0]][w.forms[1]])
+    )
+    return Metric(qc.canon(h.metric_q.g_element), g_inv)
 
 
 def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
@@ -313,18 +297,14 @@ def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
     gamma_[2](sum_k c_k dz_k (x) nu (x) e_a) = sum_k c_k gamma_[2](dz_k (x) nu (x) e_a).
     """
     quotient = h.quotient_presentation
-    free_images = {}
-    for k in range(quotient.n):
-        dz_nu = tensor(TensorElement.basis(quotient, (k,)), h.nu_q)
-        for alpha in range(SPINOR_RANK):
-            free_images[BasisWord((k,), alpha)] = _gamma2(h, with_spinor(dz_nu, alpha))
-    clifford_nu = LeftLinearMap(quotient, (1, True), (0, True), free_images)
-    gamma_images = {
-        BasisWord((i,), alpha): clifford_nu.apply(with_spinor(qc.basis[i], alpha))
-        for i in range(quotient.n)
-        for alpha in range(SPINOR_RANK)
-    }
-    gamma = LeftLinearMap(quotient, (1, True), (0, True), gamma_images)
+    clifford_nu = LeftLinearMap.on_free_words(
+        quotient,
+        (1, True),
+        lambda w: _gamma2(h, tensor(TensorElement.basis(quotient, w.forms), with_spinor(h.nu_q, w.spin))),
+    )
+    gamma = LeftLinearMap.on_free_words(
+        quotient, (1, True), lambda w: clifford_nu.apply(with_spinor(qc.basis[w.forms[0]], w.spin))
+    )
 
     spin_values = {}
     nabla_nu_nu = tensor(h.nabla_nu_q, h.nu_q)

@@ -226,7 +226,7 @@ def _truncated_scan(mmax: int, theta: float, escape: Clause, subject: str) -> Sp
     It carries the failing escape clause in a certificate named subject, no
     eigenvalues and fallback_used.  bench/tracer.py counts its calls by this
     name (spectrum.fallback_scans) until the in-engine tracer replaces that
-    wrapper (ROADMAP item 5).
+    wrapper (ROADMAP, "An in-engine stage tracer").
     """
     certificate = Report(subject, [escape])
     return SpectrumReport(theta=theta, mmax=mmax, certificate=certificate, fallback_used=True)

@@ -8,9 +8,7 @@ from .algebra import AlgebraElement, Presentation
 from .geometry import Calculus, Connection, Metric, contracted_connection, tensor_connection
 from .reports import Report
 from .scalars import Scalar
-from .tensors import (
-    SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, all_basis_words, tensor, with_spinor,
-)
+from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, with_spinor
 
 ScalarMatrix = tuple[tuple[Scalar, ...], ...]
 
@@ -46,10 +44,6 @@ class SpinStructure:
         self.gamma = gamma
         self.spin_connection = spin_connection
 
-    def spinor_basis(self) -> list[TensorElement]:
-        p = self.calculus.presentation
-        return [TensorElement.basis(p, (), alpha) for alpha in range(SPINOR_RANK)]
-
 
 def matrix_act(matrix: ScalarMatrix, s: TensorElement) -> TensorElement:
     """Act with a constant matrix on the spinor slot of s; form slots are untouched."""
@@ -67,12 +61,9 @@ def gamma_from_matrices(
 ) -> LeftLinearMap:
     """Clifford map with gamma(dz_i (x) e_alpha) = column alpha of matrix i."""
     p = calculus.presentation
-    images = {
-        BasisWord((i,), alpha): matrix_act(matrices[i], TensorElement.basis(p, (), alpha))
-        for i in range(p.n)
-        for alpha in range(len(matrices[0]))
-    }
-    return LeftLinearMap(p, (1, True), (0, True), images)
+    return LeftLinearMap.on_free_words(
+        p, (1, True), lambda w: matrix_act(matrices[w.forms[0]], TensorElement.basis(p, (), w.spin))
+    )
 
 
 def gamma_apply(spin: SpinStructure, e: TensorElement) -> TensorElement:
@@ -113,20 +104,16 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     p = calc.presentation
     report = Report(subject=(p.name or "spinorial"))
     basis, pairs = calc.basis, calc.pairs
-    spinors = spin.spinor_basis()
 
-    # built from w + sigma(w) on the free pairs w, so sigma braids pairs only
     two = Scalar.rational(2)
-    images = {}
-    for w in all_basis_words(p, 2):
+
+    def clifford_image(w: BasisWord) -> TensorElement:
+        # built from w + sigma(w) on the free pair w, so sigma braids pairs only
         b = TensorElement.basis(p, w.forms)
-        sym = b + conn.sigma.apply(b)
-        two_g = metric.g_inv.apply(b).scale(two)
-        for alpha in range(SPINOR_RANK):
-            images[BasisWord(w.forms, alpha)] = (
-                gamma_iterated(spin, with_spinor(sym, alpha)) + with_spinor(two_g, alpha)
-            )
-    clifford = LeftLinearMap(p, (2, True), (0, True), images)
+        sym, two_g = b + conn.sigma.apply(b), metric.g_inv.apply(b).scale(two)
+        return gamma_iterated(spin, with_spinor(sym, w.spin)) + with_spinor(two_g, w.spin)
+
+    clifford = LeftLinearMap.on_free_words(p, (2, True), clifford_image)
     report.family(
         "clifford_relations",
         (
@@ -142,7 +129,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
         contracted = contracted_connection(tensor_connection(conn, spin.spin_connection), spin.gamma)
         for i in range(p.n):
             for alpha in range(SPINOR_RANK):
-                base = tensor(basis[i], spinors[alpha])
+                base = with_spinor(basis[i], alpha)
                 lhs = spin.spin_connection.raw_apply(gamma_apply(spin, base))
                 yield (f"dz{i + 1},e{alpha + 1}", calc.canon(lhs - contracted(base)))
 

@@ -13,6 +13,7 @@ term of a connection are one loop, add_leibniz, through _accumulate_triples.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .algebra import (
@@ -305,7 +306,8 @@ class LeftLinearMap:
     the input to multiply its coefficients from the left) is stored as one
     such map on the free words: for x = sum_w c_w w,
     R(x) = sum_w c_w R(w) holds exactly, because the normal-form product of a
-    confluent presentation is associative and distributive.
+    confluent presentation is associative and distributive.  on_free_words
+    is the one way the engine builds a stored map.
     """
 
     __slots__ = ("presentation", "domain", "codomain", "images")
@@ -326,6 +328,14 @@ class LeftLinearMap:
                 raise ShapeError(f"image key {w} does not fit domain {domain}")
             if img.shape() != codomain:
                 raise ShapeError(f"image of {w} does not fit codomain {codomain}")
+
+    @staticmethod
+    def on_free_words(
+        p: Presentation, domain: tuple[int, bool], image: Callable[[BasisWord], TensorElement]
+    ) -> "LeftLinearMap":
+        """The map with image(w) on every free word w of domain; the images' shape is the codomain."""
+        images = {w: image(w) for w in all_basis_words(p, *domain)}
+        return LeftLinearMap(p, domain, next(iter(images.values())).shape(), images)
 
     def apply(self, e: TensorElement) -> TensorElement:
         if e.shape() != self.domain:
@@ -377,15 +387,13 @@ class LeftLinearMap:
         )
 
 
-def _all_words(n: int, degree: int) -> list[tuple[int, ...]]:
+def all_basis_words(p: Presentation, degree: int, has_spin: bool = False) -> list[BasisWord]:
+    """The free words of shape (degree, has_spin): dz_i1 (x) ... (x) dz_ik [(x) e_alpha], alpha innermost."""
     words: list[tuple[int, ...]] = [()]
     for _ in range(degree):
-        words = [w + (i,) for w in words for i in range(n)]
-    return words
-
-
-def all_basis_words(p: Presentation, degree: int) -> list[BasisWord]:
-    return [BasisWord(w, None) for w in _all_words(p.n, degree)]
+        words = [w + (i,) for w in words for i in range(p.n)]
+    spins = range(SPINOR_RANK) if has_spin else (None,)
+    return [BasisWord(w, alpha) for w in words for alpha in spins]
 
 
 def right_linearity_residuals(m: LeftLinearMap):

@@ -22,6 +22,13 @@ from kernel_reference import presentation
 VERIFY_S3_SHA256 = "13d90232674ecf9e793d6dd106c29cd6f8280cb3a75345de98cb62ee69bb673c"
 DIRAC_T2_SHA256 = "4ebf2f4685bcbf4770bf75d36fafb6caf2a79e33fe320d00893224b23a275755"
 REPORT_ALL_SPACES_SHA256 = "98446bf25b26fdb24544e6557b0ef08387aa1a50f1421c05ef284985399d6dd2"
+INDUCE_SHA256 = {
+    "s3": "4f9e643743063ea29e8633ca76a68d791464b3260ffee305e8e7d36ecf4f713d",
+    "t2": "b7bcc59815cdccc2d05339b8fff4934a69216ed1703e3cd27f2e00bf403117bb",
+}
+# the stored maps that induce --emit-structures leaves out: each
+# hypersurface's Pi, and the flat space's g^-1, sigma and gamma
+UNEMITTED_MAPS_SHA256 = "95ec2ac41071c01234e8d2845f07095a4ef62aa9200e186c87deebe898e42ed5"
 
 
 def sha256(data: bytes) -> str:
@@ -88,6 +95,7 @@ def test_induce_s3_emit_structures(capsys, s3):
 
     code, out, _ = run(capsys, "induce", "s3", "--emit-structures")
     assert code == EXIT_OK
+    assert sha256(out.encode()) == INDUCE_SHA256["s3"]
     payload = json.loads(out)
     assert payload["space"] == "s3"
     # nabla_B(dz1) = -z1 sum g_kl dz_k (x) dz_l, emitted as its projected
@@ -167,9 +175,29 @@ def test_dirac_command_flat_space(capsys):
 def test_induce_t2(capsys):
     code, out, _ = run(capsys, "induce", "t2", "--emit-structures")
     assert code == EXIT_OK
+    assert sha256(out.encode()) == INDUCE_SHA256["t2"]
     payload = json.loads(out)
     assert payload["certificate"]["pass"] is True
     assert payload["nu"]["degree"] == 1
+
+
+def test_unemitted_stored_maps_are_pinned(r4, s3, t2):
+    maps = {
+        "r4 g_inverse": r4.structures.metric.g_inv,
+        "r4 sigma": r4.structures.connection.sigma,
+        "r4 gamma": r4.structures.spin.gamma,
+        "s3 pi": s3.hypersurface.pi,
+        "t2 pi": t2.hypersurface.pi,
+    }
+    payload = {
+        name: {
+            "domain": list(m.domain),
+            "codomain": list(m.codomain),
+            "images": cli._basis_values_json(m.images),
+        }
+        for name, m in maps.items()
+    }
+    assert sha256(json.dumps(payload, sort_keys=True).encode()) == UNEMITTED_MAPS_SHA256
 
 
 def test_spectrum_command(capsys):

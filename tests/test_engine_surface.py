@@ -18,13 +18,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ncgdirac"
 # definitions kept without a caller in src/, each with its reason
 ALLOWED_UNUSED = {
     "geometry.tensor_connection_apply": (
-        "bench/tracer.py wraps it by name until the in-engine tracer lands (ROADMAP item 5)"
+        "bench/tracer.py wraps it by name until the in-engine tracer lands "
+        '(ROADMAP, "An in-engine stage tracer")'
     ),
     "scalars.Scalar.at_q_one": (
-        "the per-sector similarity clause will be its first caller (ROADMAP item 4)"
+        "the per-sector similarity clause will be its first caller "
+        '(ROADMAP, "Isospectrality as an exact similarity")'
     ),
     "scalars.Scalar.eval_numeric": (
-        "bench/tracer.py counts it by name (scalars.eval_numeric_calls) until ROADMAP item 5, "
+        "bench/tracer.py counts it by name (scalars.eval_numeric_calls) until the in-engine "
+        'tracer lands (ROADMAP, "An in-engine stage tracer"), '
         "and the tests evaluate sectors with it for the numpy cross-check"
     ),
     "tensors.TensorElement.from_json": (

@@ -14,7 +14,7 @@ from ncgdirac.geometry import (
 )
 from ncgdirac.scalars import Scalar
 from ncgdirac.spin import verify_spinorial
-from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, differential, tensor
+from ncgdirac.tensors import BasisWord, LeftLinearMap, ShapeError, TensorElement, differential, tensor
 
 
 def dz(p, *indices):
@@ -62,6 +62,28 @@ def test_non_right_linear_braiding_reports_residual(r4):
     failing = [c for c in report.failures() if c.name.startswith("sigma_right_linear[")]
     assert failing
     assert all(c.residual is not None for c in failing)
+
+
+def test_connection_refuses_a_value_of_another_shape(r4):
+    # nabla(dz2) replaced by the 1-form dz2: raw_apply would return a 2-form
+    # holding the one-letter word dz2
+    conn = r4.structures.connection
+    values = {**conn.values, BasisWord((1,), None): dz(r4.presentation, 1)}
+    with pytest.raises(ShapeError, match="share one shape"):
+        Connection(conn.calculus, values, conn.sigma, conn.sigma_inv)
+
+
+def test_connection_refuses_a_basis_word_of_another_shape(r4):
+    conn = r4.structures.connection
+    values = {**conn.values, BasisWord((), 0): TensorElement.zero(r4.presentation, 2)}
+    with pytest.raises(ShapeError, match="share one shape"):
+        Connection(conn.calculus, values, conn.sigma, conn.sigma_inv)
+
+
+def test_connection_refuses_empty_values(r4):
+    with pytest.raises(ValueError, match="at least one basis word") as refused:
+        Connection(r4.structures.calculus, {})
+    assert type(refused.value) is ValueError
 
 
 def test_braided_connection_needs_its_inverse(r4):
@@ -252,7 +274,7 @@ def test_contracted_connection_is_exact(request, space, phi):
     s = bundle.structures
     p = s.presentation
     basis = s.calculus.basis
-    spinors = s.spin.spinor_basis()
+    spinors = [TensorElement.basis(p, (), alpha) for alpha in range(4)]
     if phi == "g^-1":
         nabla, m = tensor_connection(s.connection, s.connection), s.metric.g_inv
         checked = [tensor(basis[i], basis[j]) for i in range(p.n) for j in range(p.n)]

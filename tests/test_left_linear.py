@@ -1,5 +1,8 @@
 """The left-linear clause families, stored once on the free basis words.
 
+LeftLinearMap.on_free_words builds every stored map: it calls the image
+function on each free word of the domain and reads the codomain from the
+images.
 verify_metric stores inverse_left and symmetry, verify_spinorial stores
 clifford_relations, and _induced_spin stores w (x) e_a -> gamma_[2](w (x) nu
 (x) e_a); each residual or induced image is then one apply.  These tests
@@ -13,13 +16,13 @@ from collections import Counter
 
 import pytest
 
-from ncgdirac import geometry, spin as spin_module, tensors
+from ncgdirac import geometry, tensors
 from ncgdirac.geometry import Calculus, Connection, Metric, verify_metric
 from ncgdirac.hypersurface import _induced_spin
 from ncgdirac.reports import Report
 from ncgdirac.scalars import Scalar
 from ncgdirac.spin import SpinStructure, verify_spinorial
-from ncgdirac.tensors import SPINOR_RANK, BasisWord, LeftLinearMap
+from ncgdirac.tensors import SPINOR_RANK, BasisWord, LeftLinearMap, ShapeError, TensorElement
 
 from kernel_reference import reference_families, reference_induced_gamma
 
@@ -93,7 +96,7 @@ def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
         return apply(self, e)
 
     monkeypatch.setattr(LeftLinearMap, "apply", counting_apply)
-    for module in (geometry, spin_module, tensors):
+    for module in (geometry, tensors):
         def counting_tensor(e1, e2, original=module.tensor):
             counts["tensor"] += 1
             return original(e1, e2)
@@ -122,3 +125,52 @@ def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
     assert per_residual["inverse_left"] == [(1, 0)] * n
     assert per_residual["symmetry"] == [(1, 0)] * (n * n)
     assert per_residual["clifford_relations"] == [(1, 0)] * (n * n * SPINOR_RANK)
+
+
+@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
+@pytest.mark.parametrize("domain", [(0, False), (0, True), (1, False), (1, True), (2, False), (2, True)])
+def test_kernel_on_free_words_calls_the_image_on_every_free_word(request, space, domain):
+    p = request.getfixturevalue(space).presentation
+    degree, has_spin = domain
+    seen = []
+
+    def image(w):
+        seen.append(w)
+        return TensorElement.basis(p, w.forms[::-1], w.spin)
+
+    m = LeftLinearMap.on_free_words(p, domain, image)
+    assert len(seen) == len(set(seen)) == (SPINOR_RANK if has_spin else 1) * p.n ** degree
+    assert all(len(w.forms) == degree and (w.spin is not None) == has_spin for w in seen)
+    assert list(m.images) == seen
+    assert (m.domain, m.codomain) == (domain, domain)
+
+
+@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
+def test_kernel_on_free_words_reads_the_codomain_from_the_images(request, space):
+    # each stored map of a space, rebuilt from its own images: g^-1 (to the
+    # algebra), sigma (to pairs), gamma (to spinors) and Pi (to 1-forms)
+    bundle = request.getfixturevalue(space)
+    s = bundle.structures
+    maps = [s.metric.g_inv, s.connection.sigma, s.spin.gamma]
+    if bundle.hypersurface is not None:
+        maps.append(bundle.hypersurface.pi)
+    for m in maps:
+        rebuilt = LeftLinearMap.on_free_words(m.presentation, m.domain, m.images.__getitem__)
+        assert rebuilt.codomain == m.codomain
+        assert rebuilt.images == m.images
+    p = s.presentation
+    zero = LeftLinearMap.on_free_words(p, (1, False), lambda w: TensorElement.zero(p, 3, True))
+    assert zero.codomain == (3, True)
+
+
+@pytest.mark.parametrize("odd_shape", [(2, False), (1, True), (0, False)])
+def test_kernel_on_free_words_refuses_an_image_of_another_shape(s3, odd_shape):
+    p = s3.presentation
+
+    def image(w):
+        if w.forms == (2,):
+            return TensorElement.zero(p, *odd_shape)
+        return TensorElement.basis(p, w.forms)
+
+    with pytest.raises(ShapeError, match="does not fit codomain"):
+        LeftLinearMap.on_free_words(p, (1, False), image)

@@ -398,8 +398,7 @@ def kernel_tensor(rng, p, degree, spin):
 
 
 def kernel_map(rng, p, domain, codomain):
-    words = [BasisWord(w.forms, alpha) for w in all_basis_words(p, domain[0])
-             for alpha in (range(SPINOR_RANK) if domain[1] else [None])]
+    words = all_basis_words(p, *domain)
     return LeftLinearMap(p, domain, codomain, {w: kernel_tensor(rng, p, *codomain) for w in words})
 
 

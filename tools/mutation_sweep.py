@@ -49,23 +49,13 @@ from ncgdirac.geometry import Connection, Metric  # noqa: E402
 from ncgdirac.hypersurface import check_induction, induced_structures  # noqa: E402
 from ncgdirac.scalars import Scalar  # noqa: E402
 from ncgdirac.spin import SpinStructure  # noqa: E402
-from ncgdirac.tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, word_key  # noqa: E402
+from ncgdirac.tensors import LeftLinearMap, TensorElement, all_basis_words, word_key  # noqa: E402
 
 SCALINGS = (("*2", Scalar.rational(2)), ("*-1", Scalar.rational(-1)), ("*q^4", Scalar.q_power(4)))
 
 
 def _family(name: str) -> str:
     return name.split("[")[0]
-
-
-def _codomain_words(p, shape):
-    """The free basis words of a codomain (degree, has_spin)."""
-    degree, has_spin = shape
-    words = [()]
-    for _ in range(degree):
-        words = [w + (i,) for w in words for i in range(p.n)]
-    spins = range(SPINOR_RANK) if has_spin else (None,)
-    return [BasisWord(w, a) for w in words for a in spins]
 
 
 def _targets(bundle):
@@ -125,7 +115,7 @@ def _mutants(bundle):
     for target, key, image, rebuild in _targets(bundle):
         for op, factor in SCALINGS:
             yield f"{bundle.name} {target}[{key}] {op}", image, image.scale(factor), rebuild
-        for w in _codomain_words(p, image.shape()):
+        for w in all_basis_words(p, *image.shape()):
             added = image + TensorElement.basis(p, w.forms, w.spin)
             yield f"{bundle.name} {target}[{key}] +{w!r}", image, added, rebuild
 
