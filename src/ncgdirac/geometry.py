@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraElement, Presentation
 from .reports import Report
+from .scalars import Scalar
 from .tensors import (
     BasisWord,
     LeftLinearMap,
@@ -21,6 +22,7 @@ from .tensors import (
     all_basis_words,
     commutator_residuals,
     differential,
+    idempotence_residuals,
     right_linearity_residuals,
     right_mul,
     tensor,
@@ -37,10 +39,11 @@ class Calculus:
     projector's stored image of dz_i, or dz_i itself.  pairs[i][j] is
     basis[i] (x) basis[j], the input of every pair residual; the n^2 pairs
     are made on first use and kept with the calculus, so the induced metric
-    and both verifiers of one calculus share them.
+    and both verifiers of one calculus share them, as they share
+    premise_failures.
     """
 
-    __slots__ = ("presentation", "projector", "basis", "_pairs")
+    __slots__ = ("presentation", "projector", "basis", "_pairs", "_premise")
 
     def __init__(self, presentation: Presentation, projector: LeftLinearMap | None = None):
         self.presentation = presentation
@@ -54,12 +57,51 @@ class Calculus:
         else:
             self.basis = tuple(projector.images[w] for w in words)
         self._pairs = None
+        self._premise = None
 
     @property
     def pairs(self) -> tuple[tuple[TensorElement, ...], ...]:
         if self._pairs is None:
             self._pairs = tuple(tuple(tensor(bi, bj) for bj in self.basis) for bi in self.basis)
         return self._pairs
+
+    @property
+    def premise_failures(self) -> tuple[tuple[str, TensorElement], ...]:
+        """The failing (label, residual) pairs of the calculus premise; () when it holds.
+
+        The premise under which the stored families of verify_metric and
+        verify_spinorial equal their residuals (see verify_metric):
+
+        - dz{i}: Pi(b_i) - b_i, so Pi o Pi = Pi.  Pi is left-linear, so for a
+          1-form x = sum_k a_k dz_k, Pi(Pi(x)) - Pi(x) = sum_k a_k (Pi(b_k) - b_k).
+        - dz{k},z{j}: Pi(dz_k z_j) - Pi(dz_k) z_j, so Pi is right-linear: by
+          left-linearity on every 1-form, and on every product of generators
+          one generator at a time.
+        - d(z^l): canon(d(z^l - r)) for each rewriting rule z^l -> r, with
+          z^l - r differentiated unreduced.  Rewriting a product ab replaces
+          some c z^l by c r, so d(ab) - d(a) b - a d(b) is a sum of left
+          multiples c d(z^l - r) and of terms with the factor z^l - r, which
+          reduce to zero; canon o d is then a derivation of the quotient.
+
+        canon projects every form slot, so it is idempotent and right-linear
+        on every degree with Pi.  The last set is not implied by the others:
+        id - Pi of the sphere or the torus is idempotent and right-linear,
+        and does not kill d(z^l - r).
+        Empty for the free module; checked on first use and kept.
+        """
+        if self._premise is None:
+            self._premise = () if self.projector is None else tuple(
+                (label, r) for label, r in self._premise_residuals() if not r.is_zero()
+            )
+        return self._premise
+
+    def _premise_residuals(self):
+        p = self.presentation
+        yield from idempotence_residuals(self.projector, (TensorElement.basis(p, (i,)) for i in range(p.n)))
+        yield from right_linearity_residuals(self.projector)
+        for rule in p.rules:
+            relation = AlgebraElement(p, {rule.lhs: Scalar.one(), **{m: -c for m, c in rule.rhs.items()}})
+            yield f"d({AlgebraElement(p, {rule.lhs: Scalar.one()})!r})", self.canon(differential(relation))
 
     def canon(self, e: TensorElement) -> TensorElement:
         """Canonical representative: project every form slot (spinor untouched)."""
@@ -221,27 +263,45 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     """Check every Riemannian-structure clause exactly, on generating elements.
 
     All maps involved are left-linear or Leibniz over generating sets, so
-    these finite checks witness the full clauses.  metric_compatibility and
-    right_leibniz compare unprojected sides and project their difference
-    once (canon is additive); no value is projected a second time.
+    these finite checks witness the full clauses.  On a projected calculus
+    the calculus family (Calculus.premise_failures) runs first.
 
-    Two families are left-linear in their input, so each is stored once per
-    call on the free words and every residual is one apply: inverse_left is
-    x -> canon(g^-1 at slot 0 of x (x) g(1)) on the dz_k, and symmetry is
-    g^-1 o (sigma - id) on the free pairs, each image made by Metric.pair.
-    inverse_right (g(1) (x) x puts x's coefficients to the right of g(1)'s),
-    metric_compatibility (the Leibniz term of the connection and d) and
-    right_leibniz are not left-linear in their input and are evaluated per
-    residual.
+    Every family but g_central, sigma_right_linear and sigma_invertible is a
+    map R stored once per call on the free words, and each residual is one
+    apply of R to its canonical input x = sum_w c_w w (b_i or pairs[i][j]).
+    That is x's residual when the residual is left-linear in x:
+
+    - inverse_left, canon(g^-1 at slot 0 of w (x) g(1)) - w, and symmetry,
+      g^-1((sigma - id)(w)) by Metric.pair, are left-linear as they stand.
+    - inverse_right, canon(g^-1 at slot 1 of g(1) (x) w) - w, is left-linear
+      when g(1) c = c g(1) for every coefficient c: it needs g_central.
+    - metric_compatibility, canon(K(x) - d(g^-1(x))) with K the tensor-product
+      connection contracted by g^-1 (contracted_connection): K(x) and
+      d(sum_w c_w g^-1(w)) carry the same Leibniz term sum_w d(c_w) g^-1(w).
+    - right_leibniz, canon(nabla(x z_j) - nabla(x) z_j - sigma(x (x) d z_j))
+      per z_j: nabla(x z_j) and nabla(x) z_j carry the same Leibniz term
+      sum_w d(c_w) (x) w z_j once canon(canon(y) z_j) = canon(y z_j), so
+      each image multiplies the unprojected nabla(w) by z_j.
+
+    Both cancellations need canon o d to be a derivation of the quotient,
+    and the last one canon idempotent and right-linear: the calculus
+    premise.  A family whose premise failed is the one failing clause
+    name[needs premise], with no residual (Report.unmet).  Each residual is
+    projected once, in the images.
     """
     calc = conn.calculus
     p = calc.presentation
     report = Report(subject=p.name or "metric")
+    if calc.projector is not None:
+        report.family("calculus", calc.premise_failures)
     g1 = calc.canon(metric.g_element)
     basis, pairs = calc.basis, calc.pairs
     gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
 
-    report.family("g_central", commutator_residuals(g1))
+    def pair_labels():
+        return ((f"dz{i + 1},dz{j + 1}", pairs[i][j]) for i in range(p.n) for j in range(p.n))
+
+    g_central = report.family("g_central", commutator_residuals(g1))
     inverse_left = LeftLinearMap.on_free_words(
         p,
         (1, False),
@@ -251,13 +311,18 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
         "inverse_left",
         ((f"dz{i + 1}", inverse_left.apply(basis[i]) - basis[i]) for i in range(p.n)),
     )
-    report.family(
-        "inverse_right",
-        (
-            (f"dz{i + 1}", calc.canon(metric.g_inv.apply_at(tensor(g1, basis[i]), 1)) - basis[i])
-            for i in range(p.n)
-        ),
-    )
+    if g_central:
+        inverse_right = LeftLinearMap.on_free_words(
+            p,
+            (1, False),
+            lambda w: calc.canon(metric.g_inv.apply_at(tensor(g1, TensorElement.basis(p, w.forms)), 1)),
+        )
+        report.family(
+            "inverse_right",
+            ((f"dz{i + 1}", inverse_right.apply(basis[i]) - basis[i]) for i in range(p.n)),
+        )
+    else:
+        report.unmet("inverse_right", "g_central")
 
     def symmetry_image(w: BasisWord) -> TensorElement:
         b = TensorElement.basis(p, w.forms)
@@ -266,25 +331,25 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     symmetry = LeftLinearMap.on_free_words(p, (2, False), symmetry_image)
     report.family(
         "symmetry",
-        (
-            (f"dz{i + 1},dz{j + 1}", algebra_value(symmetry.apply(pairs[i][j])))
-            for i in range(p.n)
-            for j in range(p.n)
-        ),
+        ((label, algebra_value(symmetry.apply(x))) for label, x in pair_labels()),
     )
 
-    def compatibility_checks():
-        # (id (x) g^-1) nabla(x)(pair), with g^-1 applied to each basis value once
+    calculus_holds = not calc.premise_failures
+    if calculus_holds:
+        # (id (x) g^-1) nabla(x)(w) - d(g^-1(w)) on the free pair w, whose Leibniz term is empty
         contracted = contracted_connection(tensor_connection(conn, conn), metric.g_inv)
-        for i in range(p.n):
-            for j in range(p.n):
-                pair = pairs[i][j]
-                yield (
-                    f"dz{i + 1},dz{j + 1}",
-                    calc.canon(contracted(pair) - differential(metric.pair(pair))),
-                )
 
-    report.family("metric_compatibility", compatibility_checks())
+        def compatibility_image(w: BasisWord) -> TensorElement:
+            b = TensorElement.basis(p, w.forms)
+            return calc.canon(contracted(b) - differential(metric.pair(b)))
+
+        compatibility = LeftLinearMap.on_free_words(p, (2, False), compatibility_image)
+        report.family(
+            "metric_compatibility",
+            ((label, compatibility.apply(x)) for label, x in pair_labels()),
+        )
+    else:
+        report.unmet("metric_compatibility", "calculus")
 
     report.family("sigma_right_linear", right_linearity_residuals(conn.sigma))
 
@@ -296,14 +361,27 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
 
     report.family("sigma_invertible", inverse_checks())
 
-    def leibniz_checks():
-        d_gens = [calc.d(zj) for zj in gens]
-        for i in range(p.n):
-            nabla_i = conn.apply(basis[i])
-            for j, zj in enumerate(gens):
-                lhs = conn.raw_apply(right_mul(basis[i], zj))
-                rhs = right_mul(nabla_i, zj) + conn.sigma.apply(tensor(basis[i], d_gens[j]))
-                yield (f"dz{i + 1},z{j + 1}", calc.canon(lhs - rhs))
+    if calculus_holds:
+        def leibniz(zj: AlgebraElement) -> LeftLinearMap:
+            d_zj = calc.d(zj)
 
-    report.family("right_leibniz", leibniz_checks())
+            def image(w: BasisWord) -> TensorElement:
+                b = TensorElement.basis(p, w.forms)
+                lhs = conn.raw_apply(right_mul(b, zj))
+                rhs = right_mul(conn.raw_apply(b), zj) + conn.sigma.apply(tensor(b, d_zj))
+                return calc.canon(lhs - rhs)
+
+            return LeftLinearMap.on_free_words(p, (1, False), image)
+
+        leibniz_maps = [leibniz(zj) for zj in gens]
+        report.family(
+            "right_leibniz",
+            (
+                (f"dz{i + 1},z{j + 1}", leibniz_maps[j].apply(basis[i]))
+                for i in range(p.n)
+                for j in range(p.n)
+            ),
+        )
+    else:
+        report.unmet("right_leibniz", "calculus")
     return report

@@ -22,7 +22,8 @@ from .reports import Report
 from .scalars import HALF, Scalar
 from .spin import SpinStructure, StructureSet, dirac
 from .tensors import (
-    SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, commutator_residuals, tensor, with_spinor,
+    SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, commutator_residuals, idempotence_residuals, tensor,
+    with_spinor,
 )
 
 
@@ -245,9 +246,7 @@ def check_induction(h: HypersurfaceSpec, structures: StructureSet) -> Report:
     report = Report(subject=p.name or "induction")
 
     def projector_checks():
-        for i in range(p.n):
-            once = h.pi.apply(h.qcalc.basis[i])
-            yield f"dz{i + 1}", h.pi.apply(once) - once
+        yield from idempotence_residuals(h.pi, h.qcalc.basis)
         yield "nu", h.pi.apply(h.nu_q)
 
     def dirac_checks():

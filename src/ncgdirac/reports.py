@@ -26,8 +26,8 @@ class Report:
     def add(self, name: str, passed: bool):
         self.clauses.append(Clause(name, passed))
 
-    def family(self, name: str, checks):
-        """Record one passing clause for the family, or each failing instance.
+    def family(self, name: str, checks) -> bool:
+        """Record one passing clause for the family, or each failing instance; True if it passed.
 
         checks yields (label, residual) pairs; an instance passes when its
         exact residual is zero, and a failure is recorded as name[label].
@@ -37,6 +37,15 @@ class Report:
             self.add(name, True)
         for label, residual in failures:
             self.clauses.append(Clause(f"{name}[{label}]", False, residual.to_json()))
+        return not failures
+
+    def unmet(self, name: str, premise: str):
+        """Record the family as one failing clause name[needs premise], with no residual.
+
+        The family's residuals are exact only under the premise family, which
+        failed, so none of them is evaluated.
+        """
+        self.clauses.append(Clause(f"{name}[needs {premise}]", False))
 
     @property
     def all_passed(self) -> bool:
@@ -54,20 +63,27 @@ class Report:
 
 
 def write_report_atomic(payload: dict, path: str):
-    """Serialize deterministically and replace the target file atomically."""
+    """Serialize deterministically and replace the target file atomically.
+
+    An OSError names the target path, never the temporary file, and leaves
+    no temporary file behind.
+    """
     data = json.dumps(payload, indent=2, sort_keys=True)
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            # mkstemp makes the file private; give the report open()'s mode
-            mask = os.umask(0)
-            os.umask(mask)
-            os.fchmod(handle.fileno(), 0o666 & ~mask)
-            handle.write(data)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                # mkstemp makes the file private; give the report open()'s mode
+                mask = os.umask(0)
+                os.umask(mask)
+                os.fchmod(handle.fileno(), 0o666 & ~mask)
+                handle.write(data)
+                handle.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path!r}: {exc.strerror or exc}") from exc

@@ -302,12 +302,14 @@ class LeftLinearMap:
     """Left-linear map stored extensionally on the free basis of its domain.
 
     apply(sum_w c_w w) = sum_w c_w * image(w).  A composite that is
-    left-linear in its input (no Leibniz term, and no fixed factor left of
-    the input to multiply its coefficients from the left) is stored as one
-    such map on the free words: for x = sum_w c_w w,
-    R(x) = sum_w c_w R(w) holds exactly, because the normal-form product of a
-    confluent presentation is associative and distributive.  on_free_words
-    is the one way the engine builds a stored map.
+    left-linear in its input is stored as one such map on the free words:
+    for x = sum_w c_w w, R(x) = sum_w c_w R(w) holds exactly, because the
+    normal-form product of a confluent presentation is associative and
+    distributive.  A composite is left-linear with no Leibniz term and no
+    fixed factor left of its input, but also where its Leibniz terms cancel
+    or its left factor is central, under premises that verify_metric and
+    verify_spinorial name and check.  on_free_words is the one way the
+    engine builds a stored map.
     """
 
     __slots__ = ("presentation", "domain", "codomain", "images")
@@ -406,6 +408,13 @@ def right_linearity_residuals(m: LeftLinearMap):
             lhs = m.apply(right_mul(base, zj))
             rhs = right_mul(m.apply(base), zj)
             yield f"{w!r},z{j + 1}", lhs - rhs
+
+
+def idempotence_residuals(m: LeftLinearMap, forms):
+    """(dz{i + 1}, m(m(x_i)) - m(x_i)) for the i-th of forms: m is idempotent on their left span when all vanish."""
+    for i, x in enumerate(forms):
+        once = m.apply(x)
+        yield f"dz{i + 1}", m.apply(once) - once
 
 
 def commutator_residuals(e: TensorElement):

@@ -4,19 +4,22 @@ The catalog presentations r4, s3 and t2 built once each, and a term-by-term
 reference product: every pair of terms is reduced as the normal form of the
 concatenated words and added as a whole AlgebraElement.
 
-The reference loops of the left-linear clause families: each residual (and
-each induced Clifford image) is expanded from its input pair or basis form,
-with no map stored on the free words.
+The reference loops of the stored clause families: each residual (and each
+induced Clifford image) is expanded from its input pair or basis form, with
+no map stored on the free words.  The loops of inverse_right,
+metric_compatibility, right_leibniz and clifford_compatibility are the
+verifiers' own loops from before those families were stored.
 """
 
 import functools
 
 from ncgdirac.algebra import AlgebraElement, extend_presentation, normal_form
 from ncgdirac.catalog import r4_presentation, sphere_level_function, torus_level_function
+from ncgdirac.geometry import contracted_connection, tensor_connection
 from ncgdirac.reports import Report
 from ncgdirac.scalars import Scalar
-from ncgdirac.spin import gamma_iterated
-from ncgdirac.tensors import SPINOR_RANK, BasisWord, TensorElement, tensor
+from ncgdirac.spin import gamma_apply, gamma_iterated
+from ncgdirac.tensors import SPINOR_RANK, BasisWord, TensorElement, differential, right_mul, tensor, with_spinor
 
 
 @functools.cache
@@ -45,11 +48,12 @@ def naive_mul(a, b):
 
 
 def reference_families(spin, metric, conn):
-    """inverse_left, symmetry and clifford_relations, each residual expanded from its input."""
+    """The seven stored families of verify_metric and verify_spinorial, each residual expanded from its input."""
     calc = conn.calculus
     p = calc.presentation
-    basis = calc.basis
+    basis, pairs = calc.basis, calc.pairs
     g1 = calc.canon(metric.g_element)
+    gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
     report = Report(subject=p.name)
     report.family(
         "inverse_left",
@@ -80,6 +84,48 @@ def reference_families(spin, metric, conn):
                     yield f"dz{i + 1},dz{j + 1},e{alpha + 1}", lhs - rhs
 
     report.family("clifford_relations", clifford_checks())
+    report.family(
+        "inverse_right",
+        (
+            (f"dz{i + 1}", calc.canon(metric.g_inv.apply_at(tensor(g1, basis[i]), 1)) - basis[i])
+            for i in range(p.n)
+        ),
+    )
+
+    def compatibility_checks():
+        # (id (x) g^-1) nabla(x)(pair), with g^-1 applied to each basis value once
+        contracted = contracted_connection(tensor_connection(conn, conn), metric.g_inv)
+        for i in range(p.n):
+            for j in range(p.n):
+                pair = pairs[i][j]
+                yield (
+                    f"dz{i + 1},dz{j + 1}",
+                    calc.canon(contracted(pair) - differential(metric.pair(pair))),
+                )
+
+    report.family("metric_compatibility", compatibility_checks())
+
+    def leibniz_checks():
+        d_gens = [calc.d(zj) for zj in gens]
+        for i in range(p.n):
+            nabla_i = conn.apply(basis[i])
+            for j, zj in enumerate(gens):
+                lhs = conn.raw_apply(right_mul(basis[i], zj))
+                rhs = right_mul(nabla_i, zj) + conn.sigma.apply(tensor(basis[i], d_gens[j]))
+                yield (f"dz{i + 1},z{j + 1}", calc.canon(lhs - rhs))
+
+    report.family("right_leibniz", leibniz_checks())
+
+    def spin_compatibility_checks():
+        # (id (x) gamma) nabla(x)(base), with gamma applied to each basis value once
+        contracted = contracted_connection(tensor_connection(conn, spin.spin_connection), spin.gamma)
+        for i in range(p.n):
+            for alpha in range(SPINOR_RANK):
+                base = with_spinor(basis[i], alpha)
+                lhs = spin.spin_connection.raw_apply(gamma_apply(spin, base))
+                yield (f"dz{i + 1},e{alpha + 1}", calc.canon(lhs - contracted(base)))
+
+    report.family("clifford_compatibility", spin_compatibility_checks())
     return report
 
 

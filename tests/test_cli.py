@@ -19,9 +19,9 @@ from kernel_reference import presentation
 # sha256 of exact report bytes; every change to these outputs must be named.
 # The spectrum section is left out: its values and deviations are floats
 # (math.sqrt and math.hypot of the closed form), while these reports are exact.
-VERIFY_S3_SHA256 = "13d90232674ecf9e793d6dd106c29cd6f8280cb3a75345de98cb62ee69bb673c"
+VERIFY_S3_SHA256 = "5bdabd242d15efba8dedfd3aac07cc5b6dde4fb0ac58f41635d2096470625982"
 DIRAC_T2_SHA256 = "4ebf2f4685bcbf4770bf75d36fafb6caf2a79e33fe320d00893224b23a275755"
-REPORT_ALL_SPACES_SHA256 = "98446bf25b26fdb24544e6557b0ef08387aa1a50f1421c05ef284985399d6dd2"
+REPORT_ALL_SPACES_SHA256 = "42d8d34e462e2f05e1a566df636088fd75d32d8649d145ee9efc730da386fce5"
 INDUCE_SHA256 = {
     "s3": "4f9e643743063ea29e8633ca76a68d791464b3260ffee305e8e7d36ecf4f713d",
     "t2": "b7bcc59815cdccc2d05339b8fff4934a69216ed1703e3cd27f2e00bf403117bb",
@@ -76,6 +76,23 @@ def test_report_file_mode_follows_the_umask(tmp_path, capsys, umask, mode):
         os.umask(previous)
     assert code == EXIT_OK
     assert target.stat().st_mode & 0o777 == mode
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/report.json", "No such file or directory"), ("directory", "Is a directory")],
+    ids=["missing-parent", "directory"],
+)
+def test_out_errors_name_the_given_path(tmp_path, capsys, target, reason):
+    # the message names the path given, not the temporary file, and none is left behind
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    code, out, err = run(capsys, "verify", "r4", "--out", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == f"error: cannot write report to {str(path)!r}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["directory"]
+    assert list((tmp_path / "directory").iterdir()) == []
 
 
 def test_verify_deterministic_output(tmp_path, capsys):

@@ -1,22 +1,27 @@
-"""The left-linear clause families, stored once on the free basis words.
+"""The clause families, stored once on the free basis words.
 
 LeftLinearMap.on_free_words builds every stored map: it calls the image
 function on each free word of the domain and reads the codomain from the
 images.
-verify_metric stores inverse_left and symmetry, verify_spinorial stores
-clifford_relations, and _induced_spin stores w (x) e_a -> gamma_[2](w (x) nu
-(x) e_a); each residual or induced image is then one apply.  These tests
-compare them with the reference loops of kernel_reference, which expand every
-residual from its input, on the built spaces and on spaces with one stored
-image changed so that the families fail: the clause names, verdicts and
-residual JSON must agree.
+verify_metric stores inverse_left, inverse_right, symmetry,
+metric_compatibility and right_leibniz, verify_spinorial stores
+clifford_relations and clifford_compatibility, and _induced_spin stores
+w (x) e_a -> gamma_[2](w (x) nu (x) e_a); each residual or induced image is
+then one apply.  These tests compare them with the reference loops of
+kernel_reference, which expand every residual from its input, on the built
+spaces and on spaces with one stored image changed so that the families
+fail: the clause names, verdicts and residual JSON must agree.  Where a
+family's premise fails (the calculus family, or g_central for inverse_right),
+the family is one failing clause that names the premise, with no residual.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from ncgdirac import geometry, tensors
+from ncgdirac import catalog, geometry, tensors
+from ncgdirac.catalog import GoldenMismatch, build_r4, verify_space
 from ncgdirac.geometry import Calculus, Connection, Metric, verify_metric
 from ncgdirac.hypersurface import _induced_spin
 from ncgdirac.reports import Report
@@ -26,7 +31,24 @@ from ncgdirac.tensors import SPINOR_RANK, BasisWord, LeftLinearMap, ShapeError, 
 
 from kernel_reference import reference_families, reference_induced_gamma
 
-STORED = ("inverse_left", "symmetry", "clifford_relations")
+STORED = (
+    "inverse_left", "inverse_right", "symmetry", "metric_compatibility", "right_leibniz",
+    "clifford_relations", "clifford_compatibility",
+)
+NEEDS_CALCULUS = ("metric_compatibility", "right_leibniz", "clifford_compatibility")
+
+# the families each change must fail, so that their failing residuals are compared too
+MUST_FAIL = {
+    None: set(),
+    "gamma(dz1(x)e1)*2": {"clifford_relations", "clifford_compatibility"},
+    "gamma(dz2(x)e3)*q^4": {"clifford_relations", "clifford_compatibility"},
+    "sigma(dz1(x)dz2)*q^4": {"clifford_relations", "right_leibniz", "clifford_compatibility"},
+    "g_inv(dz1(x)dz3)*2": {"inverse_left", "inverse_right", "clifford_relations"},
+    "g_inv(dz1(x)dz3)*q^4": {"inverse_left", "inverse_right", "clifford_relations"},
+    "nabla(dz1)*q^4": {"metric_compatibility", "clifford_compatibility"},
+    "nabla(dz1)+dz2(x)dz3": {"metric_compatibility", "right_leibniz", "clifford_compatibility"},
+    "nabla_sp(e1)+dz2(x)e3": {"clifford_compatibility"},
+}
 
 
 def _changed(m: LeftLinearMap, key: BasisWord, s: Scalar) -> LeftLinearMap:
@@ -36,30 +58,56 @@ def _changed(m: LeftLinearMap, key: BasisWord, s: Scalar) -> LeftLinearMap:
 def _structures(s, change):
     """(spin, metric, connection) as built, or with one stored image changed."""
     spin, metric, conn = s.spin, s.metric, s.connection
-    if change == "gamma(dz1(x)e1)*2":
-        spin = SpinStructure(
-            s.calculus, _changed(spin.gamma, BasisWord((0,), 0), Scalar.rational(2)), spin.spin_connection
-        )
+    p, q4, two = s.presentation, Scalar.q_power(4), Scalar.rational(2)
+    if change is not None and change.startswith("gamma"):
+        key, factor = (BasisWord((0,), 0), two) if change.endswith("*2") else (BasisWord((1,), 2), q4)
+        spin = SpinStructure(s.calculus, _changed(spin.gamma, key, factor), spin.spin_connection)
     elif change == "sigma(dz1(x)dz2)*q^4":
-        sigma = _changed(conn.sigma, BasisWord((0, 1), None), Scalar.q_power(4))
+        sigma = _changed(conn.sigma, BasisWord((0, 1), None), q4)
         conn = Connection(s.calculus, conn.values, sigma, conn.sigma_inv)
-    elif change == "g_inv(dz1(x)dz3)*2":
-        metric = Metric(metric.g_element, _changed(metric.g_inv, BasisWord((0, 2), None), Scalar.rational(2)))
+    elif change is not None and change.startswith("g_inv"):
+        factor = two if change.endswith("*2") else q4
+        metric = Metric(metric.g_element, _changed(metric.g_inv, BasisWord((0, 2), None), factor))
+    elif change is not None and change.startswith("nabla("):
+        key = BasisWord((0,), None)
+        value = conn.values[key].scale(q4) if change.endswith("*q^4") else (
+            conn.values[key] + TensorElement.basis(p, (1, 2))
+        )
+        conn = Connection(s.calculus, {**conn.values, key: value}, conn.sigma, conn.sigma_inv)
+    elif change == "nabla_sp(e1)+dz2(x)e3":
+        values, key = spin.spin_connection.values, BasisWord((), 0)
+        values = {**values, key: values[key] + TensorElement.basis(p, (1,), 2)}
+        spin = SpinStructure(s.calculus, spin.gamma, Connection(s.calculus, values))
     return spin, metric, conn
+
+
+def _on_calculus(spin, metric, conn, calc):
+    """The structures with every connection and the spin structure on calc."""
+    conn = Connection(calc, conn.values, conn.sigma, conn.sigma_inv)
+    spin = SpinStructure(calc, spin.gamma, Connection(calc, spin.spin_connection.values))
+    return spin, metric, conn
+
+
+def _verify(spin, metric, conn):
+    report = verify_metric(metric, conn)
+    report.clauses += verify_spinorial(spin, metric, conn).clauses
+    return report
 
 
 def _clauses(report, family):
     return [c.to_json() for c in report.clauses if c.name.split("[")[0] == family]
 
 
+def _unmet(family, premise):
+    return [{"clause": f"{family}[needs {premise}]", "pass": False, "residual": None}]
+
+
 @pytest.mark.parametrize("space", ["s3", "t2"])
-@pytest.mark.parametrize(
-    "change", [None, "gamma(dz1(x)e1)*2", "sigma(dz1(x)dz2)*q^4", "g_inv(dz1(x)dz3)*2"]
-)
+@pytest.mark.parametrize("change", list(MUST_FAIL))
 def test_kernel_stored_families_match_the_reference_loops(request, space, change):
     spin, metric, conn = _structures(request.getfixturevalue(space).structures, change)
-    report = verify_metric(metric, conn)
-    report.clauses += verify_spinorial(spin, metric, conn).clauses
+    assert conn.calculus.premise_failures == ()
+    report = _verify(spin, metric, conn)
     reference = reference_families(spin, metric, conn)
     failing = set()
     for family in STORED:
@@ -67,11 +115,9 @@ def test_kernel_stored_families_match_the_reference_loops(request, space, change
         assert got == _clauses(reference, family), family
         if not got[0]["pass"]:
             failing.add(family)
-    # as built every family passes; each change fails clifford_relations, so
-    # failing residuals are compared too
-    assert ("clifford_relations" in failing) == (change is not None)
-    if change == "g_inv(dz1(x)dz3)*2":
-        assert "inverse_left" in failing
+    # as built every family passes
+    assert failing >= MUST_FAIL[change]
+    assert bool(failing) == (change is not None)
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
@@ -86,25 +132,33 @@ def test_kernel_induced_gamma_is_gamma2_of_b_nu_e(request, space, change):
 @pytest.mark.parametrize("space", ["r4", "s3", "t2"])
 def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
     # each residual of a stored family is one LeftLinearMap.apply on the
-    # calculus's stored pairs or basis forms, with no tensor() call
+    # calculus's stored pairs or basis forms, with no tensor(), no
+    # Connection.raw_apply and no Leibniz term
     s = request.getfixturevalue(space).structures
     counts = Counter()
-    apply = LeftLinearMap.apply
+    apply, raw_apply = LeftLinearMap.apply, Connection.raw_apply
 
     def counting_apply(self, e):
         counts["apply"] += 1
         return apply(self, e)
 
-    monkeypatch.setattr(LeftLinearMap, "apply", counting_apply)
-    for module in (geometry, tensors):
-        def counting_tensor(e1, e2, original=module.tensor):
-            counts["tensor"] += 1
-            return original(e1, e2)
+    def counting_raw_apply(self, e):
+        counts["raw_apply"] += 1
+        return raw_apply(self, e)
 
-        monkeypatch.setattr(module, "tensor", counting_tensor)
+    monkeypatch.setattr(LeftLinearMap, "apply", counting_apply)
+    monkeypatch.setattr(Connection, "raw_apply", counting_raw_apply)
+    for module in (geometry, tensors):
+        for name in ("tensor", "add_leibniz"):
+            def counting(*args, original=getattr(module, name), name=name):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counting)
 
     per_residual = {}
     family = Report.family
+    kinds = ("apply", "tensor", "raw_apply", "add_leibniz")
 
     def watching(self, name, checks):
         costs = per_residual.setdefault(name, [])
@@ -112,7 +166,7 @@ def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
         def each():
             before = counts.copy()
             for item in checks:
-                costs.append((counts["apply"] - before["apply"], counts["tensor"] - before["tensor"]))
+                costs.append(tuple(counts[k] - before[k] for k in kinds))
                 yield item
                 before = counts.copy()
 
@@ -122,9 +176,83 @@ def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
     assert verify_metric(s.metric, s.connection).all_passed
     assert verify_spinorial(s.spin, s.metric, s.connection).all_passed
     n = s.presentation.n
-    assert per_residual["inverse_left"] == [(1, 0)] * n
-    assert per_residual["symmetry"] == [(1, 0)] * (n * n)
-    assert per_residual["clifford_relations"] == [(1, 0)] * (n * n * SPINOR_RANK)
+    once = (1, 0, 0, 0)
+    assert per_residual["inverse_left"] == per_residual["inverse_right"] == [once] * n
+    assert per_residual["symmetry"] == per_residual["metric_compatibility"] == [once] * (n * n)
+    assert per_residual["right_leibniz"] == [once] * (n * n)
+    assert per_residual["clifford_relations"] == [once] * (n * n * SPINOR_RANK)
+    assert per_residual["clifford_compatibility"] == [once] * (n * SPINOR_RANK)
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("factor", ["q^4", "2"])
+def test_a_scaled_projector_fails_the_calculus_premise(request, monkeypatch, space, k, factor):
+    # Pi(dz_k) scaled through the calculus projector: Pi o Pi != Pi
+    bundle = request.getfixturevalue(space)
+    h, s = bundle.hypersurface, bundle.structures
+    scale = Scalar.q_power(4) if factor == "q^4" else Scalar.rational(2)
+    pi = _changed(h.pi, BasisWord((k,), None), scale)
+    calc = Calculus(pi.presentation, pi)
+    report = _verify(*_on_calculus(s.spin, s.metric, s.connection, calc))
+    assert report.clauses[0].name.startswith("calculus[") and not report.clauses[0].passed
+    assert f"calculus[dz{k + 1}]" in [c.name for c in report.failures()]
+    for family in NEEDS_CALCULUS:
+        assert _clauses(report, family) == _unmet(family, "calculus")
+
+    # the catalog induction refuses the build; its certificate is the built one, as if Pi were not scaled
+    real = catalog.build_hypersurface
+
+    def scaled(*args, **kwargs):
+        built = real(*args, **kwargs)
+        if built.quotient_presentation.name != space:
+            return built
+        broken = replace(built, pi=_changed(built.pi, BasisWord((k,), None), scale))
+        broken.certificate = built.certificate
+        return broken
+
+    monkeypatch.setattr(catalog, "build_hypersurface", scaled)
+    with pytest.raises(GoldenMismatch) as exc:
+        if space == "s3":
+            catalog.build_s3(check=True)
+        else:
+            catalog.build_t2(check=True, s3=request.getfixturevalue("s3"))
+    label = exc.value.label
+    assert label.startswith(f"{space} verification: calculus[")
+    assert all(f"{family}[needs calculus]" in label for family in NEEDS_CALCULUS)
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_the_complementary_projector_fails_only_the_derivation_premise(request, space):
+    # id - Pi is idempotent and right-linear, but canon o d is no derivation of
+    # the quotient under it; the stored families would differ from their loops
+    bundle = request.getfixturevalue(space)
+    p, pi, s = bundle.presentation, bundle.hypersurface.pi, bundle.structures
+    complement = LeftLinearMap.on_free_words(
+        p, (1, False), lambda w: TensorElement.basis(p, w.forms) - pi.images[w]
+    )
+    calc = Calculus(p, complement)
+    labels = [label for label, _ in calc.premise_failures]
+    assert labels == ["d(z2*z4)", "d(z1*z3)"][: len(p.rules)]
+    report = _verify(*_on_calculus(s.spin, s.metric, s.connection, calc))
+    for family in NEEDS_CALCULUS:
+        assert _clauses(report, family) == _unmet(family, "calculus")
+
+
+@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
+def test_a_non_central_g_gives_inverse_right_its_premise_clause_only(request, space):
+    s = request.getfixturevalue(space).structures
+    g = s.metric.g_element + TensorElement.basis(s.presentation, (0, 1))
+    report = verify_metric(Metric(g, s.metric.g_inv), s.connection)
+    assert not _clauses(report, "g_central")[0]["pass"]
+    assert _clauses(report, "inverse_right") == _unmet("inverse_right", "g_central")
+    assert _clauses(report, "inverse_left")[0]["residual"] is not None
+
+
+def test_the_free_calculus_has_no_calculus_family(r4):
+    assert r4.structures.calculus.premise_failures == ()
+    assert all(c.name != "calculus" for c in verify_space(r4).clauses)
+    assert all(c.name != "calculus" for c in verify_space(build_r4(classical=True)).clauses)
 
 
 @pytest.mark.parametrize("space", ["r4", "s3", "t2"])
