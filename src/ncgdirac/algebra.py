@@ -31,9 +31,9 @@ Monomial = tuple[int, ...]
 
 STEP_BUDGET = 10**6  # rewrite steps per normal-form computation
 # monomial products kept per presentation, and as many reductions of ordered
-# monomials: t2 holds 581 products after a checked build and 6,164 after
-# spectrum scans up to mmax=16; past the bound, products and reductions are
-# computed without being stored
+# monomials and twists of basis words (tensors._twist): t2 holds 581 products
+# after a checked build and 6,164 after spectrum scans up to mmax=16; past the
+# bound, products, reductions and twists are computed without being stored
 PRODUCT_CACHE_BOUND = 50_000
 
 _new = object.__new__
@@ -91,13 +91,16 @@ class Presentation:
     integer addition instead of scalar multiplication.
     """
 
-    __slots__ = ("name", "n", "R", "q_exp", "rules", "_key", "_product_cache", "_reduction_cache")
+    __slots__ = (
+        "name", "n", "R", "q_exp", "rules", "_key", "_product_cache", "_reduction_cache", "_twist_cache",
+    )
 
     def __init__(self, n: int, R, rules=(), name: str = ""):
         self.name = name
         self.n = n
         self._product_cache = {}
         self._reduction_cache = {}
+        self._twist_cache = {}  # filled by tensors._twist
         self.R = tuple(tuple(row) for row in R)
         if len(self.R) != n or any(len(row) != n for row in self.R):
             raise PresentationError("R must be an n x n scalar matrix")
@@ -183,6 +186,10 @@ class Presentation:
             if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
                 raise PresentationError("R must be a list of rows")
             R = [[_scalar_from_json(s) for s in row] for row in rows]
+            # before any rule allocates its n exponents: the file, not a
+            # declared count, bounds the work
+            if len(R) != n or any(len(row) != n for row in R):
+                raise PresentationError("R must be an n x n scalar matrix")
             rules = []
             for entry in data.get("ideal", []):
                 lhs = [0] * n
@@ -272,6 +279,16 @@ def add_term(out: dict, key, coeff):
     """out[key] += coeff in a sparse map (monomials or basis words), dropping zeros."""
     s = out.get(key)
     s = coeff if s is None else s + coeff
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
+def sub_term(out: dict, key, coeff):
+    """out[key] -= coeff in a sparse map, dropping zeros: add_term of -coeff, with no negation first."""
+    s = out.get(key)
+    s = -coeff if s is None else s - coeff
     if s.is_zero():
         out.pop(key, None)
     else:
@@ -441,6 +458,14 @@ def _element(p: Presentation, acc: dict) -> "AlgebraElement":
     return a
 
 
+def _algebra(p: Presentation, terms: dict) -> "AlgebraElement":
+    """An AlgebraElement that takes over terms: normal-form monomials, no zero coefficient."""
+    a = _new(AlgebraElement)
+    a.presentation = p
+    a.terms = terms
+    return a
+
+
 class AlgebraElement:
     """Normal-form element of a presented algebra: monomial -> Scalar."""
 
@@ -481,13 +506,17 @@ class AlgebraElement:
         out = dict(self.terms)
         for m, c in other.terms.items():
             add_term(out, m, c)
-        return AlgebraElement(self.presentation, out)
+        return _algebra(self.presentation, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
+        self._require_same(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            sub_term(out, m, c)
+        return _algebra(self.presentation, out)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.presentation, {m: -c for m, c in self.terms.items()})
+        return _algebra(self.presentation, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same(other)

@@ -221,7 +221,18 @@ class Scalar:
         return _scalar(out)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k)
+            if s is None:
+                out[k] = -c
+                continue
+            s = s - c
+            if s.is_zero():
+                del out[k]
+            else:
+                out[k] = s
+        return _scalar(out)
 
     def __neg__(self) -> "Scalar":
         return _scalar({k: -c for k, c in self.terms.items()})

@@ -7,8 +7,12 @@ coefficients through basis letters via dz_i z_j = R[j][i] z_j dz_i; the spinor
 slot is transparent to the twist.  Every product of coefficients (the right
 action, tensor products, applying a map, and the spinor-matrix sums of
 ``spin``) accumulates in a TensorSum through algebra._accumulate, with the
-twist as a per-monomial exponent shift.  The differential and the Leibniz
-term of a connection are one loop, add_leibniz, through _accumulate_triples.
+twist as a per-monomial exponent shift, memoized per presentation.  The one
+exception is a product with the coefficient 1 of a single basis word: a map
+applied to a whole such word gives a copy of its image, and a tensor product
+with such a right factor a relabelled copy of the left one.  The differential
+and the Leibniz term of a connection are one loop, add_leibniz, through
+_accumulate_triples.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
+from . import algebra
 from .algebra import (
-    AlgebraElement, Presentation, _accumulate, _accumulate_triples, _element, _new, _phase, add_term,
+    AlgebraElement, Presentation, _accumulate, _accumulate_triples, _algebra, _element, _new, _phase,
+    add_term, sub_term,
 )
-from .scalars import _GR_ONE, GaussianRational, Scalar
+from .scalars import _GR_ONE, GaussianRational, Scalar, _scalar
 
 SPINOR_RANK = 4  # every spinor slot e_alpha has alpha in 0..3
 
@@ -39,23 +45,48 @@ class BasisWord(NamedTuple):
         return "(x)".join(parts) if parts else "1"
 
 
+# BasisWord(forms, spin) without the Python-level namedtuple __new__
+_tuple_new = tuple.__new__
+
+
 def word_key(w: BasisWord) -> tuple:
     return (w.forms, -1 if w.spin is None else w.spin)
 
 
-def _twist(p: Presentation, forms: tuple[int, ...]) -> list[int] | None:
+def _twist(p: Presentation, forms: tuple[int, ...]) -> tuple[int, ...] | None:
     """Per-generator q-exponents of moving a coefficient left through forms.
 
     w * z^m = q**(twist . m) z^m * w, by dz_i z_j = R[j][i] z_j dz_i; None for
-    the empty word, which moves nothing.
+    the empty word, which moves nothing.  Memoized per presentation as a
+    tuple, so no caller can change a stored twist; the memo holds at most
+    PRODUCT_CACHE_BOUND entries.
     """
     if not forms:
         return None
-    twist = [0] * p.n
-    for i in forms:
-        for j, e in enumerate(p.q_exp[i]):  # R[j][i] = R[i][j]**-1
-            twist[j] -= e
+    cache = p._twist_cache
+    twist = cache.get(forms)
+    if twist is None:
+        exps = [0] * p.n
+        for i in forms:
+            for j, e in enumerate(p.q_exp[i]):  # R[j][i] = R[i][j]**-1
+                exps[j] -= e
+        twist = tuple(exps)
+        if len(cache) < algebra.PRODUCT_CACHE_BOUND:
+            cache[forms] = twist
     return twist
+
+
+def _unit(c: AlgebraElement) -> bool:
+    """Whether c is the coefficient 1: the constant monomial with the scalar 1."""
+    if len(c.terms) != 1:
+        return False
+    (m, s), = c.terms.items()
+    return not any(m) and len(s.terms) == 1 and s.terms.get(0) == _GR_ONE
+
+
+def _copy(p: Presentation, c: AlgebraElement) -> AlgebraElement:
+    """c in p with fresh term and Scalar dicts: 1 * c, with no product."""
+    return _algebra(p, {m: _scalar(dict(s.terms)) for m, s in c.terms.items()})
 
 
 class TensorSum:
@@ -140,7 +171,7 @@ class TensorElement:
         coeff: AlgebraElement | None = None,
     ) -> "TensorElement":
         c = coeff if coeff is not None else AlgebraElement.one(p)
-        w = BasisWord(tuple(forms), spin)
+        w = _tuple_new(BasisWord, (tuple(forms), spin))
         return TensorElement(p, len(w.forms), spin is not None, {w: c})
 
     def shape(self) -> tuple[int, bool]:
@@ -162,7 +193,11 @@ class TensorElement:
         return _tensor(self.presentation, self.degree, self.has_spin, out)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
+        self._require_same_shape(other)
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            sub_term(out, w, c)
+        return _tensor(self.presentation, self.degree, self.has_spin, out)
 
     def __neg__(self) -> "TensorElement":
         return _tensor(
@@ -278,12 +313,26 @@ def tensor(e1: TensorElement, e2: TensorElement) -> TensorElement:
     if e1.has_spin:
         raise ShapeError("left tensor factor cannot carry the spinor slot")
     p = e1.presentation
+    degree = e1.degree + e2.degree
+    if len(e2.terms) == 1:
+        (w2, c2), = e2.terms.items()
+        if _unit(c2):  # 1 moves left through any word: relabel e1's words, as with_spinor does
+            forms, spin = w2.forms, w2.spin
+            terms = {
+                _tuple_new(BasisWord, (w1.forms + forms, spin)): _copy(p, c1) for w1, c1 in e1.terms.items()
+            }
+            return _tensor(p, degree, e2.has_spin, terms)
     out = TensorSum(p)
+    words = out.words  # accumulated into directly, as apply_at does
     for w1, c1 in e1.terms.items():
         twist = _twist(p, w1.forms)
         for w2, c2 in e2.terms.items():
-            out.add_product(BasisWord(w1.forms + w2.forms, w2.spin), c1, c2, twist)
-    return out.element(e1.degree + e2.degree, e2.has_spin)
+            word = _tuple_new(BasisWord, (w1.forms + w2.forms, w2.spin))
+            acc = words.get(word)
+            if acc is None:
+                acc = words[word] = {}
+            _accumulate(acc, p, c1.terms, c2.terms, twist)
+    return out.element(degree, e2.has_spin)
 
 
 def with_spinor(e: TensorElement, alpha: int) -> TensorElement:
@@ -294,7 +343,7 @@ def with_spinor(e: TensorElement, alpha: int) -> TensorElement:
     """
     if e.has_spin:
         raise ShapeError("the element already carries a spinor slot")
-    terms = {BasisWord(w.forms, alpha): c for w, c in e.terms.items()}
+    terms = {_tuple_new(BasisWord, (w.forms, alpha)): c for w, c in e.terms.items()}
     return _tensor(e.presentation, e.degree, True, terms)
 
 
@@ -349,6 +398,10 @@ class LeftLinearMap:
 
         A spinor-consuming map must sit at the right end of the word.  Image
         coefficients are twisted left through the untouched prefix slots.
+        Over a whole word, whose spinor slot (if any) the map consumes, a
+        word of e is its own image key and an image word its own output
+        word; a single word with the coefficient 1 gets a copy of its image,
+        with no product.
         """
         if e.presentation != self.presentation:
             raise ValueError("presentation mismatch")
@@ -360,24 +413,35 @@ class LeftLinearMap:
         if not dspin and self.codomain[1]:
             raise ShapeError("cannot splice a spinor-producing map mid-word")
         p = e.presentation
-        out_spin = self.codomain[1] or (e.has_spin and not dspin)
+        cspin = self.codomain[1]
+        out_spin = cspin or (e.has_spin and not dspin)
         out_degree = e.degree - k + self.codomain[0]
+        images = self.images
         out = TensorSum(p)
         words = out.words  # accumulated into directly, with no call per product
+        whole = at == 0 and k == e.degree and not (e.has_spin and not dspin)
+        one_word = whole and len(e.terms) == 1
         for w, c in e.terms.items():
-            prefix = w.forms[:at]
-            mid = BasisWord(w.forms[at:at + k], w.spin if dspin else None)
-            suffix = w.forms[at + k:]
-            img = self.images.get(mid)
+            if whole:  # w is its image key, each image word its output word, and no twist applies
+                mid, prefix, twist = w, None, None
+            else:
+                forms = w.forms
+                mid = _tuple_new(BasisWord, (forms[at:at + k], w.spin if dspin else None))
+                prefix, suffix = forms[:at], forms[at + k:]
+                twist = _twist(p, prefix)
+                spin = None if dspin else w.spin
+            img = images.get(mid)
             if img is None:
                 raise KeyError(f"map has no image for basis word {mid}")
-            twist = _twist(p, prefix)
+            if one_word and _unit(c):  # 1 * image, with no product
+                return _tensor(p, out_degree, out_spin, {w2: _copy(p, c2) for w2, c2 in img.terms.items()})
             for w2, c2 in img.terms.items():
-                out_word = BasisWord(
-                    prefix + w2.forms + suffix,
-                    w2.spin if self.codomain[1] else (w.spin if not dspin else None),
-                )
-                _accumulate(_word_map(words, out_word), p, c.terms, c2.terms, twist)
+                if prefix is not None:
+                    w2 = _tuple_new(BasisWord, (prefix + w2.forms + suffix, w2.spin if cspin else spin))
+                acc = words.get(w2)
+                if acc is None:
+                    acc = words[w2] = {}
+                _accumulate(acc, p, c.terms, c2.terms, twist)
         return out.element(out_degree, out_spin)
 
     def convert(self, target: Presentation) -> "LeftLinearMap":
@@ -395,7 +459,7 @@ def all_basis_words(p: Presentation, degree: int, has_spin: bool = False) -> lis
     for _ in range(degree):
         words = [w + (i,) for w in words for i in range(p.n)]
     spins = range(SPINOR_RANK) if has_spin else (None,)
-    return [BasisWord(w, alpha) for w in words for alpha in spins]
+    return [_tuple_new(BasisWord, (w, alpha)) for w in words for alpha in spins]
 
 
 def right_linearity_residuals(m: LeftLinearMap):
@@ -404,10 +468,9 @@ def right_linearity_residuals(m: LeftLinearMap):
     gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
     for w in all_basis_words(p, m.domain[0]):
         base = TensorElement.basis(p, w.forms)
+        image = m.apply(base)
         for j, zj in enumerate(gens):
-            lhs = m.apply(right_mul(base, zj))
-            rhs = right_mul(m.apply(base), zj)
-            yield f"{w!r},z{j + 1}", lhs - rhs
+            yield f"{w!r},z{j + 1}", m.apply(right_mul(base, zj)) - right_mul(image, zj)
 
 
 def idempotence_residuals(m: LeftLinearMap, forms):
@@ -446,7 +509,8 @@ def add_leibniz(out: TensorSum, terms: dict[BasisWord, AlgebraElement]) -> None:
                 if k:
                     rem = mono[:g] + (k - 1,) + mono[g + 1:]
                     triple = (rem, -_phase(p, rem, unit[g]), _GR_ONE if k == 1 else GaussianRational(k))
-                    _accumulate_triples(_word_map(out.words, BasisWord((g,) + w.forms, w.spin)), (triple,), s)
+                    word = _tuple_new(BasisWord, ((g,) + w.forms, w.spin))
+                    _accumulate_triples(_word_map(out.words, word), (triple,), s)
 
 
 def differential(a: AlgebraElement) -> TensorElement:

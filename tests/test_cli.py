@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -375,6 +376,19 @@ def test_malformed_presentation_rejected(tmp_path, capsys, payload, reason):
     code, _, err = run(capsys, "verify", "--presentation", str(path))
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and reason in err
+
+
+def test_oversized_generator_count_is_refused_before_any_rule(tmp_path, capsys):
+    # each rule allocates one exponent per declared generator, so R's shape is
+    # checked first: a few bytes may not ask for a 10**12-entry list
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"generators": 10**12, "R": [], "ideal": [{"lhs": [0], "rhs": []}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--presentation", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == "error: R must be an n x n scalar matrix\n"
 
 
 @pytest.mark.parametrize("command", ["verify-presentation", "dirac-t2"])

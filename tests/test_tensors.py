@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncgdirac import algebra
 from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import r4_presentation
 from ncgdirac.scalars import GaussianRational, Scalar
@@ -182,6 +183,30 @@ def test_right_linearity_checks():
         for i in range(4)
     }
     assert not _right_linear(LeftLinearMap(P, (1, False), (1, False), broken))
+
+
+def test_right_linearity_residuals_apply_the_map_once_per_word(monkeypatch):
+    # m(w) is applied once and reused for every generator z_j, so a word costs
+    # 1 + n applies; labels and residuals are those of the pair-by-pair loop
+    m = kernel_map(random.Random(3), P, (2, False), (1, False))
+    calls = []
+    apply = LeftLinearMap.apply
+
+    def counting(self, e):
+        calls.append(e)
+        return apply(self, e)
+
+    monkeypatch.setattr(LeftLinearMap, "apply", counting)
+    got = [(label, residual) for label, residual in right_linearity_residuals(m)]
+    assert len(calls) == 16 * (1 + 4)
+    monkeypatch.undo()
+    want = []
+    for w in all_basis_words(P, 2):
+        base = TensorElement.basis(P, w.forms)
+        for j in range(4):
+            want.append((f"{w!r},z{j + 1}", m.apply(right_mul(base, z(j))) - right_mul(m.apply(base), z(j))))
+    assert got == want
+    assert any(not residual.is_zero() for _, residual in got)
 
 
 def test_apply_shape_mismatch():
@@ -477,12 +502,15 @@ MAP_SHAPES = [
 ]
 
 
-@given(spaces, seeds, st.sampled_from(MAP_SHAPES))
-def test_kernel_apply_at_matches_twist_rule(space, seed, shape):
+@given(spaces, seeds, st.sampled_from(MAP_SHAPES), st.booleans())
+def test_kernel_apply_at_matches_twist_rule(space, seed, shape, whole):
+    # whole: the window is the whole word of e, with no prefix or suffix
     domain, codomain, degree = shape
     rng = random.Random(seed)
     p = presentation(space)
     m = kernel_map(rng, p, domain, codomain)
+    if whole:
+        degree = domain[0]
     e = kernel_tensor(rng, p, degree, domain[1] or (not codomain[1] and rng.random() < 0.5))
     at = degree - domain[0] if domain[1] else rng.randint(0, degree - domain[0])
     assert m.apply_at(e, at) == naive_apply_at(m, e, at)
@@ -530,17 +558,121 @@ def test_kernel_leibniz_matches_letter_by_letter_differential(space, seed):
 
 @pytest.mark.parametrize("space", ["r4", "s3", "t2"])
 def test_kernel_tensor_results_share_nothing_with_their_caller(space):
+    # clearing a result's dicts leaves its operands, the stored images and
+    # the next result unchanged, also where a unit word's result is a copy
     rng = random.Random(5)
     p = presentation(space)
     e1, e2 = kernel_tensor(rng, p, 1, False), kernel_tensor(rng, p, 1, True)
     assert not e1.is_zero() and not e2.is_zero()
     m = kernel_map(rng, p, (1, True), (0, True))
+    form_map = kernel_map(rng, p, (1, False), (2, False))
+    unit_form, unit_spinor = TensorElement.basis(p, (2,)), TensorElement.basis(p, (1,), 3)
+    operands = (e1, e2, unit_form, unit_spinor)
+    stored = [img for img in (*m.images.values(), *form_map.images.values()) if not img.is_zero()]
+    assert stored
+    before = [x.to_json() for x in operands + tuple(stored)]
     for product in (lambda: tensor(e1, e2), lambda: m.apply_at(tensor(e1, e2), 1),
-                    lambda: right_mul(e1, e2.terms[next(iter(e2.terms))])):
+                    lambda: right_mul(e1, e2.terms[next(iter(e2.terms))]),
+                    lambda: tensor(e1, unit_spinor), lambda: tensor(unit_form, e2),
+                    lambda: m.apply(unit_spinor), lambda: form_map.apply(unit_form),
+                    lambda: m.apply_at(tensor(unit_form, unit_spinor), 1)):
         want = product().to_json()
         first = product()
         for c in first.terms.values():
             for s in c.terms.values():
                 s.terms.clear()
             c.terms.clear()
+        first.terms.clear()
         assert product().to_json() == want
+    assert [x.to_json() for x in operands + tuple(stored)] == before
+
+
+def unit_word(rng, p, degree, spin):
+    """One basis word with the coefficient 1, as the shared _GR_ONE or as an equal GaussianRational."""
+    w = BasisWord(tuple(rng.randrange(p.n) for _ in range(degree)), rng.randrange(SPINOR_RANK) if spin else None)
+    one = AlgebraElement.one(p)
+    if rng.random() < 0.5:
+        one = AlgebraElement(p, {(0,) * p.n: Scalar({0: GaussianRational(1)})})
+    return TensorElement(p, degree, spin, {w: one})
+
+
+@given(spaces, seeds, st.sampled_from(MAP_SHAPES), st.booleans())
+def test_kernel_apply_at_on_a_unit_word_matches_naive(space, seed, shape, whole):
+    # a unit word over the whole window gets a copy of its image; over a slot
+    # window, or with a spinor slot the map passes through, it is a product
+    domain, codomain, degree = shape
+    rng = random.Random(seed)
+    p = presentation(space)
+    m = kernel_map(rng, p, domain, codomain)
+    if whole:
+        degree = domain[0]
+    e = unit_word(rng, p, degree, domain[1] or (not codomain[1] and rng.random() < 0.5))
+    at = degree - domain[0] if domain[1] else rng.randint(0, degree - domain[0])
+    got = m.apply_at(e, at)
+    assert got == naive_apply_at(m, e, at)
+    assert got.shape() == (degree - domain[0] + codomain[0], codomain[1] or (e.has_spin and not domain[1]))
+
+
+@given(spaces, seeds, st.booleans())
+def test_kernel_tensor_with_a_unit_factor_matches_naive(space, seed, unit_right):
+    rng = random.Random(seed)
+    p = presentation(space)
+    if unit_right:
+        e1 = kernel_tensor(rng, p, rng.randint(0, 2), False)
+        e2 = unit_word(rng, p, rng.randint(0, 2), rng.random() < 0.5)
+    else:
+        e1 = unit_word(rng, p, rng.randint(0, 2), False)
+        e2 = kernel_tensor(rng, p, rng.randint(0, 2), rng.random() < 0.5)
+    assert tensor(e1, e2) == naive_tensor(e1, e2)
+
+
+def _in_order(x):
+    """The terms of x, nested, in insertion order: equal values written in the same order."""
+    if isinstance(x, TensorElement):
+        return [(w, _in_order(c)) for w, c in x.terms.items()]
+    if isinstance(x, AlgebraElement):
+        return [(m, _in_order(c)) for m, c in x.terms.items()]
+    return list(x.terms.items())
+
+
+@given(spaces, seeds)
+def test_kernel_subtraction_is_adding_the_negation(space, seed):
+    # one pass gives a + (-b) term for term and in the same order, also where
+    # terms of b cancel terms of a
+    rng = random.Random(seed)
+    p = presentation(space)
+    degree, spin = rng.randint(0, 2), rng.random() < 0.5
+    a = kernel_tensor(rng, p, degree, spin)
+    b = kernel_tensor(rng, p, degree, spin) + a if rng.random() < 0.5 else kernel_tensor(rng, p, degree, spin)
+    x, y = kernel_element(rng, p), kernel_element(rng, p)
+    pairs = [(a, b), (b, a), (a, a), (x, y), (x, y + x), (x, x)]
+    pairs += [(s, t) for s in x.terms.values() for t in (y + x).terms.values()]
+    for u, v in pairs:
+        diff = u - v
+        assert _in_order(diff) == _in_order(u + (-v))
+    assert (a - a).is_zero() and (x - x).is_zero()
+
+
+def test_kernel_twist_memo_holds_tuples():
+    p = r4_presentation()
+    words = [(0, 2), (3,), (1, 1, 2)]
+    for forms in words:
+        right_mul(TensorElement.basis(p, forms), AlgebraElement.generator(p, 1))
+    assert set(p._twist_cache) == set(words)
+    for forms, twist in p._twist_cache.items():
+        assert type(twist) is tuple and all(type(t) is int for t in twist)
+        want = tuple(-sum(p.q_exp[i][j] for i in forms) for j in range(p.n))
+        assert twist == want
+
+
+def test_kernel_twist_memo_stops_growing_at_its_bound(monkeypatch):
+    # past the bound twists are computed without being stored; the results
+    # match the reference for every word, stored or not
+    monkeypatch.setattr(algebra, "PRODUCT_CACHE_BOUND", 3)
+    p = r4_presentation()
+    a = normal_form([1, 2, 3], Scalar.q_power(1), p)
+    for _ in range(2):
+        for w in all_basis_words(p, 2):
+            e = TensorElement.basis(p, w.forms)
+            assert right_mul(e, a) == naive_right_mul(e, a)
+    assert len(p._twist_cache) == 3
