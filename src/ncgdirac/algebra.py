@@ -498,7 +498,7 @@ class AlgebraElement:
     # -- ring structure ----------------------------------------------------
 
     def _require_same(self, other: "AlgebraElement"):
-        if self.presentation != other.presentation:
+        if self.presentation is not other.presentation and self.presentation != other.presentation:
             raise ValueError("presentation mismatch")
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":

@@ -176,7 +176,10 @@ def contracted_connection(conn: Connection, phi: LeftLinearMap):
     conn.apply(x) is canon(sum_w c_w * value(w) + Leibniz term), and canon
     and phi are left-linear, so phi o canon is stored once on the basis words
     of the values' shape and runs once on each basis value (here) and once on
-    the Leibniz term of each x, instead of on the expanded sum.
+    the Leibniz term of each x, instead of on the expanded sum.  Both applies
+    add into one TensorSum, so each x builds one element; an x with constant
+    coefficients has no Leibniz term, and a unit basis word gets a copy of
+    its stored image.
     """
     calc = conn.calculus
     p = calc.presentation
@@ -193,7 +196,12 @@ def contracted_connection(conn: Connection, phi: LeftLinearMap):
     def apply(x: TensorElement) -> TensorElement:
         leibniz = TensorSum(p)
         add_leibniz(leibniz, x.terms)
-        return k.apply(x) + phi_canon.apply(leibniz.element(degree, has_spin))
+        if not leibniz.words:
+            return k.apply(x)
+        out = TensorSum(p)
+        k.add_apply(out, x)
+        phi_canon.add_apply(out, leibniz.element(degree, has_spin))
+        return out.element(*k.codomain)
 
     return apply
 

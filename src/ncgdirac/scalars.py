@@ -63,7 +63,15 @@ class GaussianRational:
         return _reduced(a, b, d)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return self + -other
+        d, f = self.d, other.d
+        if d == f:
+            a, b = self.a - other.a, self.b - other.b
+            if d == 1:
+                return _canonical(a, b, 1)
+        else:
+            a, b = self.a * f - other.a * d, self.b * f - other.b * d
+            d *= f
+        return _reduced(a, b, d)
 
     def __neg__(self) -> "GaussianRational":
         return _canonical(-self.a, -self.b, self.d)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .algebra import AlgebraElement, Monomial
 from .catalog import SPINOR_RANK, SpaceBundle, dtilde_apply
@@ -83,7 +84,8 @@ class SectorMatrix:
 
     def eigenvalues(self) -> list[float]:
         """-sqrt(lambda^2) and +sqrt(lambda^2), each twice: what a certificate proves."""
-        root = math.sqrt(self.lambda_sq)
+        lam2 = self.lambda_sq
+        root = math.sqrt(lam2.numerator / lam2.denominator)  # float(lam2), with no Python-level call
         return [-root, -root, root, root]
 
 
@@ -198,6 +200,9 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
     report = SpectrumReport(theta=theta, mmax=mmax, certificate=Report(t2.name))
     square: list[tuple[str, Scalar]] = []
     trace: list[tuple[str, Scalar]] = []
+    # (value, m, n, deviation), sorted with no key: equal (value, m, n) come
+    # from one sector with one deviation, so this is the order by (value, m, n)
+    entries: list[tuple[float, int, int, float]] = []
     for m in range(-mmax, mmax + 1):
         for n in range(-mmax, mmax + 1):
             try:
@@ -205,16 +210,19 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
             except SectorEscape as exc:
                 escape = Clause(f"sector_exact[{m},{n}]", False, str(exc))
                 return _truncated_scan(mmax, theta, escape, t2.name)
-            square.extend(sector.square)
-            trace.extend(sector.trace)
             if not sector.certified:
+                square.extend(sector.square)
+                trace.extend(sector.trace)
                 continue
             t = closed_form_value(m, n)
-            for got, want in zip(sector.eigenvalues(), (-t, -t, t, t)):
-                deviation = abs(got - want)
-                report.eigenvalues.append({"value": got, "m": m, "n": n, "deviation": deviation})
-                report.max_deviation = max(report.max_deviation, deviation)
-    report.eigenvalues.sort(key=lambda e: (e["value"], e["m"], e["n"]))
+            # matched to -t, -t, t, t; v + t is exactly v - (-t)
+            v1, v2, v3, v4 = sector.eigenvalues()
+            entries += (
+                (v1, m, n, abs(v1 + t)), (v2, m, n, abs(v2 + t)), (v3, m, n, abs(v3 - t)), (v4, m, n, abs(v4 - t))
+            )
+    entries.sort()
+    report.eigenvalues = [{"value": v, "m": m, "n": n, "deviation": d} for v, m, n, d in entries]
+    report.max_deviation = max(map(itemgetter(3), entries), default=0.0)
     report.certificate.family("sector_square", square)
     report.certificate.family("sector_trace", trace)
     return report

@@ -180,7 +180,7 @@ class TensorElement:
     # -- module structure ----------------------------------------------------
 
     def _require_same_shape(self, other: "TensorElement"):
-        if self.presentation != other.presentation:
+        if self.presentation is not other.presentation and self.presentation != other.presentation:
             raise ValueError("presentation mismatch")
         if self.shape() != other.shape():
             raise ShapeError(f"shape mismatch: {self.shape()} vs {other.shape()}")
@@ -208,7 +208,7 @@ class TensorElement:
         )
 
     def left_mul(self, a: AlgebraElement) -> "TensorElement":
-        if a.presentation != self.presentation:
+        if a.presentation is not self.presentation and a.presentation != self.presentation:
             raise ValueError("presentation mismatch")
         out = TensorSum(self.presentation)
         for w, c in self.terms.items():
@@ -297,7 +297,7 @@ class TensorElement:
 
 def right_mul(e: TensorElement, a: AlgebraElement) -> TensorElement:
     """Right action e * a, pushing a left through every basis word."""
-    if a.presentation != e.presentation:
+    if a.presentation is not e.presentation and a.presentation != e.presentation:
         raise ValueError("presentation mismatch")
     p = e.presentation
     out = TensorSum(p)
@@ -308,7 +308,7 @@ def right_mul(e: TensorElement, a: AlgebraElement) -> TensorElement:
 
 def tensor(e1: TensorElement, e2: TensorElement) -> TensorElement:
     """Relative tensor product over the algebra; e1 must have no spinor slot."""
-    if e1.presentation != e2.presentation:
+    if e1.presentation is not e2.presentation and e1.presentation != e2.presentation:
         raise ValueError("presentation mismatch")
     if e1.has_spin:
         raise ShapeError("left tensor factor cannot carry the spinor slot")
@@ -389,9 +389,17 @@ class LeftLinearMap:
         return LeftLinearMap(p, domain, next(iter(images.values())).shape(), images)
 
     def apply(self, e: TensorElement) -> TensorElement:
+        self._check_domain(e)
+        return self.apply_at(e, 0)
+
+    def add_apply(self, out: TensorSum, e: TensorElement) -> None:
+        """Add apply(e) to out, with apply's checks: a sum of applies builds one element."""
+        self._check_domain(e)
+        self._accumulate_at(out.words, e, 0, self._window(e, 0)[2])
+
+    def _check_domain(self, e: TensorElement) -> None:
         if e.shape() != self.domain:
             raise ShapeError(f"element shape {e.shape()} does not match domain {self.domain}")
-        return self.apply_at(e, 0)
 
     def apply_at(self, e: TensorElement, at: int) -> TensorElement:
         """Apply to the slot window [at, at + domain_degree) of e.
@@ -403,7 +411,24 @@ class LeftLinearMap:
         word; a single word with the coefficient 1 gets a copy of its image,
         with no product.
         """
-        if e.presentation != self.presentation:
+        out_degree, out_spin, whole = self._window(e, at)
+        p = e.presentation
+        if whole and len(e.terms) == 1:
+            (w, c), = e.terms.items()
+            img = self.images.get(w)  # a missing image raises in _accumulate_at
+            if img is not None and _unit(c):  # 1 * image, with no product
+                return _tensor(p, out_degree, out_spin, {w2: _copy(p, c2) for w2, c2 in img.terms.items()})
+        out = TensorSum(p)
+        self._accumulate_at(out.words, e, at, whole)
+        return out.element(out_degree, out_spin)
+
+    def _window(self, e: TensorElement, at: int) -> tuple[int, bool, bool]:
+        """Check that the map fits e at slot at; the output shape, and whether the window is whole.
+
+        A whole window covers the whole word of e and consumes its spinor
+        slot, if any.
+        """
+        if e.presentation is not self.presentation and e.presentation != self.presentation:
             raise ValueError("presentation mismatch")
         k, dspin = self.domain
         if at < 0 or at + k > e.degree:
@@ -412,15 +437,16 @@ class LeftLinearMap:
             raise ShapeError("spinor-consuming map must cover the rightmost slots")
         if not dspin and self.codomain[1]:
             raise ShapeError("cannot splice a spinor-producing map mid-word")
-        p = e.presentation
-        cspin = self.codomain[1]
-        out_spin = cspin or (e.has_spin and not dspin)
-        out_degree = e.degree - k + self.codomain[0]
-        images = self.images
-        out = TensorSum(p)
-        words = out.words  # accumulated into directly, with no call per product
+        out_spin = self.codomain[1] or (e.has_spin and not dspin)
         whole = at == 0 and k == e.degree and not (e.has_spin and not dspin)
-        one_word = whole and len(e.terms) == 1
+        return e.degree - k + self.codomain[0], out_spin, whole
+
+    def _accumulate_at(self, words: dict, e: TensorElement, at: int, whole: bool) -> None:
+        """Add the map applied at the window of e at at to words, the raw maps of a TensorSum."""
+        p = e.presentation
+        k, dspin = self.domain
+        cspin = self.codomain[1]
+        images = self.images
         for w, c in e.terms.items():
             if whole:  # w is its image key, each image word its output word, and no twist applies
                 mid, prefix, twist = w, None, None
@@ -433,8 +459,6 @@ class LeftLinearMap:
             img = images.get(mid)
             if img is None:
                 raise KeyError(f"map has no image for basis word {mid}")
-            if one_word and _unit(c):  # 1 * image, with no product
-                return _tensor(p, out_degree, out_spin, {w2: _copy(p, c2) for w2, c2 in img.terms.items()})
             for w2, c2 in img.terms.items():
                 if prefix is not None:
                     w2 = _tuple_new(BasisWord, (prefix + w2.forms + suffix, w2.spin if cspin else spin))
@@ -442,7 +466,6 @@ class LeftLinearMap:
                 if acc is None:
                     acc = words[w2] = {}
                 _accumulate(acc, p, c.terms, c2.terms, twist)
-        return out.element(out_degree, out_spin)
 
     def convert(self, target: Presentation) -> "LeftLinearMap":
         return LeftLinearMap(

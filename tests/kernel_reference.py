@@ -9,17 +9,26 @@ induced Clifford image) is expanded from its input pair or basis form, with
 no map stored on the free words.  The loops of inverse_right,
 metric_compatibility, right_leibniz and clifford_compatibility are the
 verifiers' own loops from before those families were stored.
+
+The sector path as it was before it skipped work: the dense triple loop of
+mat_mul, the contracted connection that builds two elements per input and
+merges them, and the scan that builds, maxes and sorts its entry dicts one
+sector at a time with a key function.
 """
 
 import functools
 
+from ncgdirac import spectrum
 from ncgdirac.algebra import AlgebraElement, extend_presentation, normal_form
 from ncgdirac.catalog import r4_presentation, sphere_level_function, torus_level_function
 from ncgdirac.geometry import contracted_connection, tensor_connection
-from ncgdirac.reports import Report
+from ncgdirac.reports import Clause, Report
 from ncgdirac.scalars import Scalar
 from ncgdirac.spin import gamma_apply, gamma_iterated
-from ncgdirac.tensors import SPINOR_RANK, BasisWord, TensorElement, differential, right_mul, tensor, with_spinor
+from ncgdirac.tensors import (
+    SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, add_leibniz, differential, right_mul, tensor,
+    with_spinor,
+)
 
 
 @functools.cache
@@ -140,3 +149,67 @@ def reference_induced_gamma(h, qc):
                 t = h.gamma_q.apply_at(t, t.degree - 1)
             images[BasisWord((i,), alpha)] = t
     return images
+
+
+def reference_mat_mul(a, b):
+    """The dense triple loop: every product and sum, zero or not."""
+    n = len(a)
+    out = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            s = Scalar.zero()
+            for k in range(n):
+                s = s + a[r][k] * b[k][c]
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_contracted_connection(conn, phi):
+    """contracted_connection with k.apply(x) + phi_canon.apply(Leibniz term): two elements, then their sum."""
+    calc = conn.calculus
+    p = calc.presentation
+    w0, v0 = next(iter(conn.values.items()))
+    degree, has_spin = v0.shape()
+    at = degree - phi.domain[0]
+    phi_canon = LeftLinearMap.on_free_words(
+        p, v0.shape(), lambda w: phi.apply_at(calc.canon(TensorElement.basis(p, w.forms, w.spin)), at)
+    )
+    k = LeftLinearMap.on_free_words(
+        p, (len(w0.forms), w0.spin is not None), lambda w: phi_canon.apply(conn.values[w])
+    )
+
+    def apply(x):
+        leibniz = TensorSum(p)
+        add_leibniz(leibniz, x.terms)
+        return k.apply(x) + phi_canon.apply(leibniz.element(degree, has_spin))
+
+    return apply
+
+
+def reference_scan(t2, mmax, theta):
+    """spectrum_scan's loop with one dict per entry, a running max and a sort by a key function."""
+    spectrum.check_scan_arguments(mmax, theta)
+    report = spectrum.SpectrumReport(theta=theta, mmax=mmax, certificate=Report(t2.name))
+    square, trace = [], []
+    for m in range(-mmax, mmax + 1):
+        for n in range(-mmax, mmax + 1):
+            try:
+                sector = spectrum.sector_matrix(t2, m, n)
+            except spectrum.SectorEscape as exc:
+                escape = Clause(f"sector_exact[{m},{n}]", False, str(exc))
+                return spectrum._truncated_scan(mmax, theta, escape, t2.name)
+            square.extend(sector.square)
+            trace.extend(sector.trace)
+            if not sector.certified:
+                continue
+            t = spectrum.closed_form_value(m, n)
+            for got, want in zip(sector.eigenvalues(), (-t, -t, t, t)):
+                deviation = abs(got - want)
+                report.eigenvalues.append({"value": got, "m": m, "n": n, "deviation": deviation})
+                report.max_deviation = max(report.max_deviation, deviation)
+    report.eigenvalues.sort(key=lambda e: (e["value"], e["m"], e["n"]))
+    report.certificate.family("sector_square", square)
+    report.certificate.family("sector_trace", trace)
+    return report

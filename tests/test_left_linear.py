@@ -21,15 +21,17 @@ from dataclasses import replace
 import pytest
 
 from ncgdirac import catalog, geometry, tensors
+from ncgdirac.algebra import AlgebraElement
 from ncgdirac.catalog import GoldenMismatch, build_r4, verify_space
-from ncgdirac.geometry import Calculus, Connection, Metric, verify_metric
+from ncgdirac.geometry import Calculus, Connection, Metric, contracted_connection, tensor_connection, verify_metric
 from ncgdirac.hypersurface import _induced_spin
 from ncgdirac.reports import Report
-from ncgdirac.scalars import Scalar
+from ncgdirac.scalars import GaussianRational, Scalar
+from ncgdirac.spectrum import sector_basis
 from ncgdirac.spin import SpinStructure, verify_spinorial
-from ncgdirac.tensors import SPINOR_RANK, BasisWord, LeftLinearMap, ShapeError, TensorElement
+from ncgdirac.tensors import SPINOR_RANK, BasisWord, LeftLinearMap, ShapeError, TensorElement, with_spinor
 
-from kernel_reference import reference_families, reference_induced_gamma
+from kernel_reference import reference_contracted_connection, reference_families, reference_induced_gamma
 
 STORED = (
     "inverse_left", "inverse_right", "symmetry", "metric_compatibility", "right_leibniz",
@@ -302,3 +304,58 @@ def test_kernel_on_free_words_refuses_an_image_of_another_shape(s3, odd_shape):
 
     with pytest.raises(ShapeError, match="does not fit codomain"):
         LeftLinearMap.on_free_words(p, (1, False), image)
+
+
+def test_kernel_rotated_dirac_matches_the_sum_of_two_elements(t2):
+    # D~ adds both of its applies into one TensorSum; the reference builds
+    # k.apply(x) and phi_canon.apply(Leibniz term) and adds the two elements
+    p = t2.presentation
+    reference = reference_contracted_connection(t2.structures.spin.spin_connection, t2.rotated_gamma)
+    columns = [
+        TensorElement.basis(p, (), alpha, AlgebraElement(p, {mono: Scalar.one()}))
+        for m in range(-8, 9)
+        for n in range(-8, 9)
+        for mono, alpha in sector_basis(m, n)
+    ]
+    assert len(columns) == 1156
+    for x in columns:
+        assert t2.rotated_dirac(x) == reference(x)
+    constant = AlgebraElement(p, {(0,) * p.n: Scalar.q_power(3, GaussianRational(0, 1))})
+    mixed = (
+        columns[0].scale(Scalar.q_power(1)) + columns[5] + columns[500].scale(Scalar.rational(-3))
+        + columns[501] + TensorElement.basis(p, (), 2) + TensorElement.basis(p, (), 1, constant)
+    )
+    assert len(mixed.terms) == 3 and any(len(c.terms) > 1 for c in mixed.terms.values())
+    assert t2.rotated_dirac(mixed) == reference(mixed)
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_kernel_contracted_connections_match_the_sum_of_two_elements(request, space):
+    # the verifiers' contractions, on their canonical inputs, whose
+    # coefficients are not constant
+    s = request.getfixturevalue(space).structures
+    calc, conn, spin = s.calculus, s.connection, s.spin
+    for phi, other, inputs in (
+        (s.metric.g_inv, conn, [x for row in calc.pairs for x in row]),
+        (spin.gamma, spin.spin_connection, [with_spinor(b, a) for b in calc.basis for a in range(SPINOR_RANK)]),
+    ):
+        tc = tensor_connection(conn, other)
+        got, want = contracted_connection(tc, phi), reference_contracted_connection(tc, phi)
+        assert any(any(mono) for x in inputs for c in x.terms.values() for mono in c.terms)
+        for x in inputs:
+            assert got(x) == want(x)
+
+
+def test_kernel_rotated_dirac_keeps_its_input_checks(s3, t2):
+    # one sum per column still refuses a foreign spinor and a wrong shape,
+    # with or without a Leibniz term
+    p = t2.presentation
+    z1 = AlgebraElement.generator(p, 0)
+    wrong = (TensorElement.basis(p, (0,), 1, z1), TensorElement.basis(p, (0,), 1), TensorElement.basis(p, (), None, z1))
+    for x in wrong:
+        with pytest.raises(ShapeError):
+            t2.rotated_dirac(x)
+    foreign = s3.presentation
+    for coeff in (AlgebraElement.generator(foreign, 0), AlgebraElement.one(foreign)):
+        with pytest.raises(ValueError, match="presentation mismatch"):
+            t2.rotated_dirac(TensorElement.basis(foreign, (), 1, coeff))

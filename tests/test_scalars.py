@@ -169,3 +169,18 @@ def test_results_own_their_terms_and_store_no_zero(a, b):
         assert result.terms is not a.terms and result.terms is not b.terms
         result.terms[99] = GaussianRational(7)
     assert (a.terms, b.terms) == before
+
+
+@given(pairs, pairs, st.integers(-5, 5), st.integers(-5, 5))
+def test_gaussian_subtraction_is_adding_the_negation(x, y, k, j):
+    # one pass gives the fields of a + (-b): over equal denominators (one
+    # shifted by an integer, which keeps its denominator), over unequal ones,
+    # and where the difference cancels exactly
+    g, h = GaussianRational(*x), GaussianRational(*y)
+    shifted = g + GaussianRational(k, j)
+    assert shifted.d == g.d
+    for a, b in ((g, h), (h, g), (g, shifted), (shifted, g), (g, g)):
+        diff, want = a - b, a + -b
+        assert (diff.a, diff.b, diff.d) == (want.a, want.b, want.d)
+    zero = g - GaussianRational(*x)
+    assert (zero.a, zero.b, zero.d) == (0, 0, 1)

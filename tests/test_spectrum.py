@@ -23,6 +23,8 @@ from ncgdirac.spectrum import (
 )
 from ncgdirac.spin import mat_mul
 
+from kernel_reference import reference_scan
+
 THETAS = (0.0, 0.7, math.pi / 3)
 
 # sha256 of the exact sectors M(m, n), |m|,|n| <= 4, as [m, n, Scalar.to_json
@@ -377,3 +379,44 @@ def test_sector_store_hands_out_a_frozen_sector(t2):
         assert type(stored.matrix) is tuple and all(type(row) is tuple for row in stored.matrix)
         assert all(type(c) is Scalar for row in stored.matrix for c in row)
         assert type(stored.square) is tuple and type(stored.trace) is tuple
+
+
+def test_scan_assembly_matches_the_reference_loop(t2, monkeypatch):
+    # the scan sorts (value, m, n, deviation) tuples with no key and builds
+    # the entry dicts at the end; the reference builds them sector by sector
+    # and sorts them by a key function: the reports are equal, also for a
+    # failing sector and for an escaping one
+    for mmax in range(5):
+        for theta in THETAS:
+            assert spectrum_scan(t2, mmax, theta).to_json() == reference_scan(t2, mmax, theta).to_json()
+    exact = spectrum.exact_sector
+
+    def corrupted(bundle, m, n):
+        matrix = exact(bundle, m, n)
+        return _phase_corrupted(matrix) if (m, n) == (0, 0) else matrix
+
+    def escaping(bundle, m, n):
+        if (m, n) == (1, -1):
+            raise spectrum.SectorEscape(f"sector ({m},{n}) forced out")
+        return exact(bundle, m, n)
+
+    for patched, failing in ((corrupted, "sector_square[0,0,"), (escaping, "sector_exact[1,-1]")):
+        monkeypatch.setattr(spectrum, "exact_sector", patched)
+        fresh = dataclasses.replace(t2)
+        got, want = spectrum_scan(fresh, 2, 0.7).to_json(), reference_scan(fresh, 2, 0.7).to_json()
+        assert got == want
+        assert any(c["clause"].startswith(failing) and not c["pass"] for c in got["certificate"]["clauses"])
+
+
+def test_scan_entries_are_dicts_of_their_own(t2):
+    # mutating one entry leaves its twin (the equal eigenvalue of its sector)
+    # and the next scan unchanged
+    report = spectrum_scan(t2, 2, 0.7)
+    want = spectrum_scan(t2, 2, 0.7).to_json()
+    entries = report.eigenvalues
+    assert len({id(e) for e in entries}) == len(entries) == 25 * 4
+    first, twin = entries[0], entries[1]
+    assert first == twin and first is not twin
+    first["value"] = 99.0
+    assert twin == want["eigenvalues"][1]
+    assert spectrum_scan(t2, 2, 0.7).to_json() == want

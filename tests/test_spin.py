@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ncgdirac import spin as spin_module
 from ncgdirac.algebra import AlgebraElement, normal_form
@@ -9,11 +11,12 @@ from ncgdirac.catalog import (
     gamma_theta_matrices,
     metric_upper,
 )
-from ncgdirac.scalars import Scalar
-from ncgdirac.spin import dirac, gamma_apply, gamma_iterated, verify_spinorial
+from ncgdirac.scalars import GaussianRational, Scalar
+from ncgdirac.spin import dirac, gamma_apply, gamma_iterated, mat_mul, verify_spinorial
 from ncgdirac.tensors import TensorElement, differential, tensor
 
 from closed_forms import mat_scale, partial_coeffs, theta_brackets, undeformed_spin_structure
+from kernel_reference import reference_mat_mul
 
 
 def mat_is_zero(a):
@@ -203,3 +206,36 @@ def test_deformed_matrices_specialize_to_classical():
         for r in range(4):
             for c in range(4):
                 assert deformed[i][r][c].at_q_one() == classical[i][r][c]
+
+
+COEFFS = [GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+          GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(-3, 2), Fraction(1, 3))]
+
+
+@st.composite
+def scalar_matrices(draw, n):
+    """An n x n Scalar matrix, dense or sparse, with some rows and columns zeroed; entries have up to 3 terms."""
+    min_terms = draw(st.sampled_from([0, 1]))  # 1: no zero entry outside the zeroed rows and columns
+    entry = st.dictionaries(st.integers(-6, 6), st.sampled_from(COEFFS), min_size=min_terms, max_size=3)
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return tuple(
+        tuple(Scalar() if r in zero_rows or c in zero_cols else Scalar(draw(entry)) for c in range(n))
+        for r in range(n)
+    )
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(scalar_matrices(n), scalar_matrices(n))))
+def test_kernel_mat_mul_matches_the_dense_loop(pair):
+    # skipping zero factors changes no entry; each entry is a fresh Scalar,
+    # so clearing the product leaves its factors unchanged
+    a, b = pair
+    before = [[dict(x.terms) for x in row] for m in pair for row in m]
+    got = mat_mul(a, b)
+    assert got == reference_mat_mul(a, b)
+    assert type(got) is tuple and all(type(row) is tuple and len(row) == len(a) for row in got)
+    for row in got:
+        for x in row:
+            assert type(x) is Scalar and not any(c.is_zero() for c in x.terms.values())
+            x.terms.clear()
+    assert [[dict(x.terms) for x in row] for m in pair for row in m] == before

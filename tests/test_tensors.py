@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgdirac import algebra
-from ncgdirac.algebra import AlgebraElement, normal_form
+from ncgdirac.algebra import AlgebraElement, Presentation, normal_form
 from ncgdirac.catalog import r4_presentation
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.tensors import (
@@ -210,9 +210,14 @@ def test_right_linearity_residuals_apply_the_map_once_per_word(monkeypatch):
 
 
 def test_apply_shape_mismatch():
+    # apply and add_apply take exactly the domain's shape, also where the
+    # window at slot 0 would fit a longer word
     s = sigma_map()
-    with pytest.raises(ShapeError):
-        s.apply(dz(0))
+    for e in (dz(0), dz(0, 1, 2)):
+        with pytest.raises(ShapeError):
+            s.apply(e)
+        with pytest.raises(ShapeError):
+            s.add_apply(TensorSum(P), e)
 
 
 def test_missing_basis_image():
@@ -220,6 +225,8 @@ def test_missing_basis_image():
     m = LeftLinearMap(P, (1, False), (1, False), partial_images)
     with pytest.raises(KeyError):
         m.apply(dz(1))
+    with pytest.raises(KeyError):
+        m.add_apply(TensorSum(P), dz(1))
 
 
 def test_add_shape_mismatch():
@@ -676,3 +683,30 @@ def test_kernel_twist_memo_stops_growing_at_its_bound(monkeypatch):
             e = TensorElement.basis(p, w.forms)
             assert right_mul(e, a) == naive_right_mul(e, a)
     assert len(p._twist_cache) == 3
+
+
+def test_kernel_presentation_checks_accept_an_equal_copy_and_refuse_another():
+    # the checks compare by identity first and then by key: a distinct
+    # presentation with an equal key is the same algebra at every kernel call
+    # site, and another presentation is refused
+    rng = random.Random(11)
+    p = presentation("s3")
+    twin = Presentation.from_json(p.to_json())
+    assert twin is not p and twin == p
+    m = kernel_map(rng, p, (1, True), (0, True))
+    e, f, a = kernel_tensor(rng, p, 1, True), kernel_tensor(rng, p, 1, False), kernel_element(rng, p)
+
+    def add_apply(x):
+        out = TensorSum(p)
+        m.add_apply(out, x)
+        return out.element(0, True)
+
+    calls = [
+        (e, lambda x: m.apply_at(x, 0)), (e, add_apply), (e, lambda x: tensor(f, x)),
+        (a, lambda x: right_mul(f, x)), (a, lambda x: f.left_mul(x)),
+        (f, lambda x: f + x), (f, lambda x: f - x), (a, lambda x: a + x), (a, lambda x: a * x),
+    ]
+    for operand, call in calls:
+        assert call(operand.convert(twin)) == call(operand)
+        with pytest.raises(ValueError, match="presentation mismatch"):
+            call(operand.convert(presentation("t2")))
