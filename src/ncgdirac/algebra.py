@@ -31,9 +31,10 @@ Monomial = tuple[int, ...]
 
 STEP_BUDGET = 10**6  # rewrite steps per normal-form computation
 # monomial products kept per presentation, and as many reductions of ordered
-# monomials and twists of basis words (tensors._twist): t2 holds 581 products
-# after a checked build and 6,164 after spectrum scans up to mmax=16; past the
-# bound, products, reductions and twists are computed without being stored
+# monomials, twists of basis words (tensors._twist) and derivatives of
+# monomials (tensors._derivative): t2 holds 581 products after a checked build
+# and 6,164 after spectrum scans up to mmax=16; past the bound, products,
+# reductions, twists and derivatives are computed without being stored
 PRODUCT_CACHE_BOUND = 50_000
 
 _new = object.__new__
@@ -93,6 +94,7 @@ class Presentation:
 
     __slots__ = (
         "name", "n", "R", "q_exp", "rules", "_key", "_product_cache", "_reduction_cache", "_twist_cache",
+        "_derivative_cache",
     )
 
     def __init__(self, n: int, R, rules=(), name: str = ""):
@@ -101,6 +103,7 @@ class Presentation:
         self._product_cache = {}
         self._reduction_cache = {}
         self._twist_cache = {}  # filled by tensors._twist
+        self._derivative_cache = {}  # filled by tensors._derivative
         self.R = tuple(tuple(row) for row in R)
         if len(self.R) != n or any(len(row) != n for row in self.R):
             raise PresentationError("R must be an n x n scalar matrix")

@@ -109,12 +109,14 @@ def _basis_values_json(values: dict) -> dict:
 
 def _structures_payload(bundle: SpaceBundle) -> dict:
     structures = bundle.structures
+    canon = structures.calculus.canon
     payload: dict = {"space": bundle.name}
     payload["metric"] = {
-        "g_element": structures.calculus.canon(structures.metric.g_element).to_json(),
+        "g_element": canon(structures.metric.g_element).to_json(),
         "g_inverse": _basis_values_json(structures.metric.g_inv.images),
     }
-    payload["connection"] = _basis_values_json(structures.connection.values)
+    # the induced connection stores unprojected representatives; print each class canonically
+    payload["connection"] = _basis_values_json({w: canon(v) for w, v in structures.connection.values.items()})
     payload["sigma"] = _basis_values_json(structures.connection.sigma.images)
     payload["gamma"] = _basis_values_json(structures.spin.gamma.images)
     payload["spin_connection"] = _basis_values_json(structures.spin.spin_connection.values)

@@ -121,7 +121,11 @@ class Connection:
 
     Stored extensionally on basis words (dz_i for form connections, e_alpha for
     spin connections) and extended by the left Leibniz rule.  The keys share
-    one shape and the values another; empty values are refused.
+    one shape and the values another; empty values are refused.  On a
+    projected calculus a value may be any representative of its class (the
+    induced connection keeps the Gauss formula's): every reader projects
+    before it compares, as apply does, and canon kills the difference of
+    two representatives (see hypersurface._induced_connection).
     """
 
     __slots__ = ("calculus", "values", "sigma", "sigma_inv")

@@ -5,11 +5,14 @@ builds the quotient presentation, the normal form nu = df, the tangential
 projector, the three assumption certificates, and the induced metric,
 connection, braiding, Clifford action, spin connection and Dirac operator.
 
-Quotient classes are represented by projected representatives: a 1-form class
-is stored as its image under the composed slot projector with coefficients in
-the quotient presentation, which turns class equality into syntactic equality.
-Iterated hypersurfaces reuse the machinery unchanged, with the previous
-quotient as the ambient space.
+Quotient classes are represented inside the free module of the ambient
+coordinates, with coefficients in the quotient presentation.  The metric, the
+Clifford action and the spin connection are stored as projected
+representatives, their images under the composed slot projector; the induced
+connection keeps the Gauss formula's own, unprojected representative (see
+_induced_connection).  Class equality is syntactic equality of the canon
+images, and every reader projects before it compares.  Iterated hypersurfaces
+reuse the machinery unchanged, with the previous quotient as the ambient space.
 """
 
 from __future__ import annotations
@@ -272,14 +275,33 @@ def _induced_metric(h: HypersurfaceSpec, qc: Calculus) -> Metric:
 
 
 def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
-    """Gauss formula: nabla_B(w) = [nabla(w) - g^-1(w (x) nu) nabla(nu)]."""
+    """Gauss formula: nabla_B(w) = [nabla(w) - g^-1(w (x) nu) nabla(nu)].
+
+    Each value is the formula's own representative, unprojected: on s3 it
+    has 4 terms where canon of it has 20-25, and every later product (both
+    tensor-product connections, right_leibniz, the next induction) pays for
+    the size.  No result can change.  Two representatives of one class
+    differ by an element of the normal submodule N spanned by nu (x) x and
+    x (x) nu (on t2 also by the converted sphere normal), and:
+
+    - nu is central (build_hypersurface refuses it otherwise), so N is
+      closed under left and right multiplication;
+    - sigma maps N into N (the nu_transparency family);
+    - canon kills N: Pi(nu) = 0 (the projector family, run on every build)
+      and Pi is left-linear;
+    - every reader of Connection.values projects before it compares:
+      Connection.apply is canon o raw_apply, the right_leibniz and
+      metric_compatibility images end in canon, contracted_connection
+      applies phi o canon, the next induction's Gauss formula stores a
+      value read under the same rules, and the CLI and the goldens print
+      and compare canon of each value.
+    """
     quotient = h.quotient_presentation
     values = {}
     for i in range(quotient.n):
         free = TensorElement.basis(quotient, (i,))
         b = h.metric_q.pair(tensor(free, h.nu_q))
-        raw = h.conn_q.values[BasisWord((i,), None)] - h.nabla_nu_q.left_mul(b)
-        values[BasisWord((i,), None)] = qc.canon(raw)
+        values[BasisWord((i,), None)] = h.conn_q.values[BasisWord((i,), None)] - h.nabla_nu_q.left_mul(b)
     # the braiding descends untouched; keeping the ambient single-word images
     # as the working representatives is exact (extensional maps are
     # class-correct at any representative) and much cheaper to apply

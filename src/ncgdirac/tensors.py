@@ -12,7 +12,8 @@ exception is a product with the coefficient 1 of a single basis word: a map
 applied to a whole such word gives a copy of its image, and a tensor product
 with such a right factor a relabelled copy of the left one.  The differential
 and the Leibniz term of a connection are one loop, add_leibniz, through
-_accumulate_triples.
+_accumulate_triples, with each monomial's derivative terms memoized per
+presentation.
 """
 
 from __future__ import annotations
@@ -516,24 +517,43 @@ def commutator_residuals(e: TensorElement):
 # ---------------------------------------------------------------------------
 
 
-def add_leibniz(out: TensorSum, terms: dict[BasisWord, AlgebraElement]) -> None:
-    """Add the Leibniz term sum_w d(c_w) (x) w of the left coefficients c_w to out.
+def _derivative(p: Presentation, mono: tuple[int, ...]) -> tuple:
+    """The (g, ((m - e_g, -phase(m - e_g, e_g), k),)) of d(z^m), one per letter g with k = m[g] > 0.
 
     d acts on each letter of an ordered monomial and commutes the created dz_g
     left past the trailing letters; the k equal letters z_g give equal twists,
     so d(z^m) = sum_g k q**-phase(m - e_g, e_g) z^(m - e_g) dz_g, where m - e_g
-    is in normal form.  The coefficient 1 of w moves left through dz_g freely.
+    is in normal form.  Memoized per presentation as tuples, so no caller can
+    change a stored derivative; the memo holds at most PRODUCT_CACHE_BOUND
+    entries.
+    """
+    cache = p._derivative_cache
+    terms = cache.get(mono)
+    if terms is None:
+        out = []
+        for g, k in enumerate(mono):
+            if k:
+                rem = mono[:g] + (k - 1,) + mono[g + 1:]
+                unit = (0,) * g + (1,) + (0,) * (p.n - 1 - g)
+                out.append((g, ((rem, -_phase(p, rem, unit), _GR_ONE if k == 1 else GaussianRational(k)),)))
+        terms = tuple(out)
+        if len(cache) < algebra.PRODUCT_CACHE_BOUND:
+            cache[mono] = terms
+    return terms
+
+
+def add_leibniz(out: TensorSum, terms: dict[BasisWord, AlgebraElement]) -> None:
+    """Add the Leibniz term sum_w d(c_w) (x) w of the left coefficients c_w to out.
+
+    Each monomial's derivative terms come from _derivative.  The coefficient 1
+    of w moves left through dz_g freely.
     """
     p = out.presentation
-    unit = [(0,) * g + (1,) + (0,) * (p.n - 1 - g) for g in range(p.n)]
     for w, c in terms.items():
         for mono, s in c.terms.items():
-            for g, k in enumerate(mono):
-                if k:
-                    rem = mono[:g] + (k - 1,) + mono[g + 1:]
-                    triple = (rem, -_phase(p, rem, unit[g]), _GR_ONE if k == 1 else GaussianRational(k))
-                    word = _tuple_new(BasisWord, ((g,) + w.forms, w.spin))
-                    _accumulate_triples(_word_map(out.words, word), (triple,), s)
+            for g, triples in _derivative(p, mono):
+                word = _tuple_new(BasisWord, ((g,) + w.forms, w.spin))
+                _accumulate_triples(_word_map(out.words, word), triples, s)
 
 
 def differential(a: AlgebraElement) -> TensorElement:

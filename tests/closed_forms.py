@@ -241,7 +241,8 @@ def _golden_families(h, structures, matrices, tag, expect, g_inv_factor, nabla_c
     # nabla(dz_i) = -z_i sum nabla_coeff(i, k, l) dz_k (x) dz_l
     for i in range(N_GEN):
         want = qc.canon(_form_sum(p, lambda k, l: -nabla_coeff(i, k, l)).left_mul(zs[i]))
-        expect(f"nabla_{tag}[dz{i + 1}]", structures.connection.values[BasisWord((i,), None)], want)
+        got = structures.connection.values[BasisWord((i,), None)]
+        expect(f"nabla_{tag}[dz{i + 1}]", qc.canon(got), want)
 
     # nabla^sp(e_a) = 1/2 sum nabla_sp_coeff(i, j, k, l) z_k dz_i (x) gamma_j gamma_l e_a
     for alpha in range(SPINOR_RANK):

@@ -10,6 +10,9 @@ no map stored on the free words.  The loops of inverse_right,
 metric_compatibility, right_leibniz and clifford_compatibility are the
 verifiers' own loops from before those families were stored.
 
+The Leibniz loop as it was before each monomial's derivative terms were
+memoized: add_leibniz computing every phase afresh.
+
 The sector path as it was before it skipped work: the dense triple loop of
 mat_mul, the contracted connection that builds two elements per input and
 merges them, and the scan that builds, maxes and sorts its entry dicts one
@@ -19,11 +22,11 @@ sector at a time with a key function.
 import functools
 
 from ncgdirac import spectrum
-from ncgdirac.algebra import AlgebraElement, extend_presentation, normal_form
+from ncgdirac.algebra import AlgebraElement, _accumulate_triples, _phase, extend_presentation, normal_form
 from ncgdirac.catalog import r4_presentation, sphere_level_function, torus_level_function
 from ncgdirac.geometry import contracted_connection, tensor_connection
 from ncgdirac.reports import Clause, Report
-from ncgdirac.scalars import Scalar
+from ncgdirac.scalars import _GR_ONE, GaussianRational, Scalar
 from ncgdirac.spin import gamma_apply, gamma_iterated
 from ncgdirac.tensors import (
     SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, add_leibniz, differential, right_mul, tensor,
@@ -149,6 +152,20 @@ def reference_induced_gamma(h, qc):
                 t = h.gamma_q.apply_at(t, t.degree - 1)
             images[BasisWord((i,), alpha)] = t
     return images
+
+
+def reference_add_leibniz(out, terms):
+    """add_leibniz with the phase of every letter of every monomial computed afresh."""
+    p = out.presentation
+    unit = [(0,) * g + (1,) + (0,) * (p.n - 1 - g) for g in range(p.n)]
+    for w, c in terms.items():
+        for mono, s in c.terms.items():
+            for g, k in enumerate(mono):
+                if k:
+                    rem = mono[:g] + (k - 1,) + mono[g + 1:]
+                    triple = (rem, -_phase(p, rem, unit[g]), _GR_ONE if k == 1 else GaussianRational(k))
+                    acc = out.words.setdefault(BasisWord((g,) + w.forms, w.spin), {})
+                    _accumulate_triples(acc, (triple,), s)
 
 
 def reference_mat_mul(a, b):

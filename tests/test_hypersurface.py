@@ -1,9 +1,11 @@
+import json
 import random
 from dataclasses import replace
 
 import pytest
 
-from ncgdirac import catalog
+from closed_forms import check_goldens
+from ncgdirac import catalog, cli
 from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import (
     build_r4,
@@ -16,6 +18,7 @@ from ncgdirac.hypersurface import (
     HypersurfaceSpec,
     build_hypersurface,
     check_assumptions,
+    check_induction,
     induced_dirac,
     induced_structures,
 )
@@ -330,3 +333,75 @@ def test_iterated_ambient_is_previous_quotient(t2):
     assert h.ambient.presentation.name == "s3"
     assert h.quotient_presentation.name == "t2"
     assert len(h.quotient_presentation.rules) == 2
+
+
+# -- representative independence of the stored connection -----------------------
+
+def _with_connection_terms(bundle, extra):
+    """The bundle with extra(i) added to its stored connection value on dz_i."""
+    s = bundle.structures
+    conn = s.connection
+    values = {w: v + extra(w.forms[0]) for w, v in conn.values.items()}
+    connection = Connection(conn.calculus, values, conn.sigma, conn.sigma_inv)
+    return replace(bundle, structures=replace(s, connection=connection))
+
+
+def _normal_terms(bundle, s3):
+    """extra(i) = z2 (nu (x) dz_i) + dz3 (x) nu for the normal nu, and on t2 also for the sphere's normal."""
+    p = bundle.presentation
+    normals = [bundle.hypersurface.nu_q]
+    if bundle.name == "t2":
+        normals.append(s3.hypersurface.nu_q.convert(p))
+
+    def extra(i):
+        out = TensorElement.zero(p, 2)
+        for nu in normals:
+            out = out + tensor(nu, dz(p, i)).left_mul(z(p, 1)) + tensor(dz(p, 2), nu)
+        return out
+
+    return extra
+
+
+def _observed(bundle):
+    """What the stored connection reaches: verify_space, check_induction, apply on the b_i, the induce payload."""
+    s = bundle.structures
+    return (
+        json.dumps(catalog.verify_space(bundle).to_json(), sort_keys=True),
+        json.dumps(check_induction(bundle.hypersurface, s).to_json(), sort_keys=True),
+        [json.dumps(s.connection.apply(b).to_json(), sort_keys=True) for b in s.calculus.basis],
+        json.dumps(cli._structures_payload(bundle), sort_keys=True),
+    )
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_kernel_connection_representative_changes_no_result(space, s3, t2):
+    # the induced connection keeps the Gauss formula's unprojected
+    # representative; any other representative of the same classes (here
+    # with normal components in both slots) must give the same bytes
+    bundle = {"s3": s3, "t2": t2}[space]
+    moved = _with_connection_terms(bundle, _normal_terms(bundle, s3))
+    assert all(moved.structures.connection.values[w] != v for w, v in bundle.structures.connection.values.items())
+    want = _observed(bundle)
+    assert json.loads(want[0])["pass"]
+    assert _observed(moved) == want
+
+
+def test_kernel_next_induction_ignores_the_sphere_representative(s3, t2):
+    # the torus Gauss formula reads the sphere's stored values; another
+    # representative of them gives a torus with the same classes and reports
+    moved = catalog.build_t2(check=True, s3=_with_connection_terms(s3, _normal_terms(s3, s3)))
+    check_goldens(moved)
+    assert moved.structures.connection.values != t2.structures.connection.values
+    assert _observed(moved) == _observed(t2)
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_kernel_tangential_connection_terms_change_the_report(space, s3, t2):
+    # the negative control: b1 (x) b2 is tangential, so adding it changes
+    # the classes, the report and the payload
+    bundle = {"s3": s3, "t2": t2}[space]
+    pair = bundle.structures.calculus.pairs[0][1]
+    moved = _with_connection_terms(bundle, lambda i: pair)
+    got, want = _observed(moved), _observed(bundle)
+    assert not json.loads(got[0])["pass"]
+    assert got[0] != want[0] and got[2] != want[2] and got[3] != want[3]

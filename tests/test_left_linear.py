@@ -29,9 +29,13 @@ from ncgdirac.reports import Report
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spectrum import sector_basis
 from ncgdirac.spin import SpinStructure, verify_spinorial
-from ncgdirac.tensors import SPINOR_RANK, BasisWord, LeftLinearMap, ShapeError, TensorElement, with_spinor
+from ncgdirac.tensors import (
+    SPINOR_RANK, BasisWord, LeftLinearMap, ShapeError, TensorElement, TensorSum, add_leibniz, with_spinor,
+)
 
-from kernel_reference import reference_contracted_connection, reference_families, reference_induced_gamma
+from kernel_reference import (
+    reference_add_leibniz, reference_contracted_connection, reference_families, reference_induced_gamma,
+)
 
 STORED = (
     "inverse_left", "inverse_right", "symmetry", "metric_compatibility", "right_leibniz",
@@ -306,11 +310,8 @@ def test_kernel_on_free_words_refuses_an_image_of_another_shape(s3, odd_shape):
         LeftLinearMap.on_free_words(p, (1, False), image)
 
 
-def test_kernel_rotated_dirac_matches_the_sum_of_two_elements(t2):
-    # D~ adds both of its applies into one TensorSum; the reference builds
-    # k.apply(x) and phi_canon.apply(Leibniz term) and adds the two elements
-    p = t2.presentation
-    reference = reference_contracted_connection(t2.structures.spin.spin_connection, t2.rotated_gamma)
+def _sector_columns(p):
+    """The basis spinors of every momentum sector with |m|, |n| <= 8: the columns of a mmax=8 scan."""
     columns = [
         TensorElement.basis(p, (), alpha, AlgebraElement(p, {mono: Scalar.one()}))
         for m in range(-8, 9)
@@ -318,6 +319,26 @@ def test_kernel_rotated_dirac_matches_the_sum_of_two_elements(t2):
         for mono, alpha in sector_basis(m, n)
     ]
     assert len(columns) == 1156
+    return columns
+
+
+def test_kernel_leibniz_terms_of_the_sector_columns_match_the_letter_loop(t2):
+    # add_leibniz reads each monomial's derivative terms from the per-presentation
+    # memo; the reference computes every letter's phase afresh
+    p = t2.presentation
+    for x in _sector_columns(p):
+        got, want = TensorSum(p), TensorSum(p)
+        add_leibniz(got, x.terms)
+        reference_add_leibniz(want, x.terms)
+        assert got.element(1, True) == want.element(1, True)
+
+
+def test_kernel_rotated_dirac_matches_the_sum_of_two_elements(t2):
+    # D~ adds both of its applies into one TensorSum; the reference builds
+    # k.apply(x) and phi_canon.apply(Leibniz term) and adds the two elements
+    p = t2.presentation
+    reference = reference_contracted_connection(t2.structures.spin.spin_connection, t2.rotated_gamma)
+    columns = _sector_columns(p)
     for x in columns:
         assert t2.rotated_dirac(x) == reference(x)
     constant = AlgebraElement(p, {(0,) * p.n: Scalar.q_power(3, GaussianRational(0, 1))})

@@ -24,7 +24,7 @@ from ncgdirac.tensors import (
 )
 
 from closed_forms import partial_coeffs, phi_basis
-from kernel_reference import letters, naive_mul, presentation
+from kernel_reference import letters, naive_mul, presentation, reference_add_leibniz
 
 P = r4_presentation()
 
@@ -683,6 +683,51 @@ def test_kernel_twist_memo_stops_growing_at_its_bound(monkeypatch):
             e = TensorElement.basis(p, w.forms)
             assert right_mul(e, a) == naive_right_mul(e, a)
     assert len(p._twist_cache) == 3
+
+
+@given(spaces, seeds)
+def test_kernel_derivative_memo_matches_the_letter_loop(space, seed):
+    # add_leibniz reads each monomial's derivative terms from the memo; the
+    # reference computes every letter's phase afresh.  The first call may
+    # store new monomials, the second reads only stored ones
+    rng = random.Random(seed)
+    p = presentation(space)
+    degree, spin = rng.randint(0, 2), rng.random() < 0.5
+    e = leibniz_tensor(rng, p, degree, spin)
+    want = TensorSum(p)
+    reference_add_leibniz(want, e.terms)
+    for _ in range(2):
+        got = TensorSum(p)
+        add_leibniz(got, e.terms)
+        assert got.element(degree + 1, spin) == want.element(degree + 1, spin)
+    assert all(mono in p._derivative_cache for c in e.terms.values() for mono in c.terms)
+
+
+def test_kernel_derivative_memo_holds_tuples():
+    p = r4_presentation()
+    a = normal_form([0, 1, 1, 3], Scalar.one(), p) + normal_form([2, 2, 2], Scalar.q_power(1), p)
+    differential(a)
+    assert set(p._derivative_cache) == set(a.terms)
+    for mono, terms in p._derivative_cache.items():
+        assert type(terms) is tuple
+        assert [g for g, _ in terms] == [g for g, k in enumerate(mono) if k]
+        for g, triples in terms:
+            assert type(triples) is tuple and len(triples) == 1
+            (rem, phase, k), = triples
+            assert type(rem) is tuple and type(phase) is int and type(k) is GaussianRational
+            assert rem[g] == mono[g] - 1 and k == GaussianRational(mono[g])
+
+
+def test_kernel_derivative_memo_stops_growing_at_its_bound(monkeypatch):
+    # past the bound derivatives are computed without being stored; the
+    # results match the reference for every monomial, stored or not
+    monkeypatch.setattr(algebra, "PRODUCT_CACHE_BOUND", 3)
+    p = r4_presentation()
+    elements = [normal_form(word, Scalar.q_power(1), p) for word in ([0], [1, 2], [3, 3], [0, 2, 3], [1, 1, 1])]
+    for _ in range(2):
+        for a in elements:
+            assert differential(a) == naive_differential(a)
+    assert len(p._derivative_cache) == 3
 
 
 def test_kernel_presentation_checks_accept_an_equal_copy_and_refuse_another():
