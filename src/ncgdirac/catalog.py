@@ -1,10 +1,10 @@
 """Built-in catalog: the flat embedding space, the 3-sphere, and the 2-torus.
 
 build_r4 assembles the deformed flat space from its defining data; build_s3
-and build_t2 run the hypersurface induction.  Every build runs
-hypersurface.check_induction (the induced projector, Pi o Pi = Pi and
-Pi(nu) = 0, and the composite Dirac operator against its explicit induced
-formula on the basis spinors); a checked build also runs verify_space.
+and build_t2 run the hypersurface induction.  Every build passes the
+certificate gate (its calculus family holds the projector premise) and runs
+hypersurface.check_induction (the composite Dirac operator against its
+explicit induced formula on the basis spinors); a checked build also runs verify_space.
 None of these checks uses a closed form: the hard-coded closed forms of the
 sphere and torus structures are an acceptance oracle of the test suite
 (tests/closed_forms.py), not of the build.
@@ -238,9 +238,9 @@ def _refuse_failures(label: str, report: Report):
 def _induce(ambient: SpaceBundle, f: AlgebraElement, name: str, check: bool) -> SpaceBundle:
     """One induction step: hypersurface, certificate, verify_space (if check), build checks.
 
-    induced_structures refuses a failing certificate with HypersurfaceError.
-    Every build then runs check_induction, whose families use no closed
-    form: projector and D_paths.  A failing report is refused with
+    induced_structures refuses a failing certificate, projector premise
+    included, with HypersurfaceError.  Every build then runs check_induction,
+    whose one family, D_paths, uses no closed form.  A failing report is refused with
     GoldenMismatch, naming every failing clause.
     """
     h = build_hypersurface(ambient.structures, f, name=name)

@@ -22,7 +22,6 @@ from .tensors import (
     all_basis_words,
     commutator_residuals,
     differential,
-    idempotence_residuals,
     right_linearity_residuals,
     right_mul,
     tensor,
@@ -40,7 +39,7 @@ class Calculus:
     basis[i] (x) basis[j], the input of every pair residual; the n^2 pairs
     are made on first use and kept with the calculus, so the induced metric
     and both verifiers of one calculus share them, as they share
-    premise_failures.
+    premise_failures, which only a hypersurface's certificate reports.
     """
 
     __slots__ = ("presentation", "projector", "basis", "_pairs", "_premise")
@@ -70,7 +69,7 @@ class Calculus:
         """The failing (label, residual) pairs of the calculus premise; () when it holds.
 
         The premise under which the stored families of verify_metric and
-        verify_spinorial equal their residuals (see verify_metric):
+        verify_spinorial equal their residuals (see check_assumptions):
 
         - dz{i}: Pi(b_i) - b_i, so Pi o Pi = Pi.  Pi is left-linear, so for a
           1-form x = sum_k a_k dz_k, Pi(Pi(x)) - Pi(x) = sum_k a_k (Pi(b_k) - b_k).
@@ -97,7 +96,8 @@ class Calculus:
 
     def _premise_residuals(self):
         p = self.presentation
-        yield from idempotence_residuals(self.projector, (TensorElement.basis(p, (i,)) for i in range(p.n)))
+        for i, b in enumerate(self.basis):
+            yield f"dz{i + 1}", self.projector.apply(b) - b
         yield from right_linearity_residuals(self.projector)
         for rule in p.rules:
             relation = AlgebraElement(p, {rule.lhs: Scalar.one(), **{m: -c for m, c in rule.rhs.items()}})
@@ -275,8 +275,8 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     """Check every Riemannian-structure clause exactly, on generating elements.
 
     All maps involved are left-linear or Leibniz over generating sets, so
-    these finite checks witness the full clauses.  On a projected calculus
-    the calculus family (Calculus.premise_failures) runs first.
+    these finite checks witness the full clauses.  The calculus premise is
+    reported only by the hypersurface's certificate; this report reads it.
 
     Every family but g_central, sigma_right_linear and sigma_invertible is a
     map R stored once per call on the free words, and each residual is one
@@ -304,8 +304,6 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     calc = conn.calculus
     p = calc.presentation
     report = Report(subject=p.name or "metric")
-    if calc.projector is not None:
-        report.family("calculus", calc.premise_failures)
     g1 = calc.canon(metric.g_element)
     basis, pairs = calc.basis, calc.pairs
     gens = [AlgebraElement.generator(p, j) for j in range(p.n)]

@@ -2,8 +2,9 @@
 
 Given an ambient structure set and a central level function f, this module
 builds the quotient presentation, the normal form nu = df, the tangential
-projector, the three assumption certificates, and the induced metric,
-connection, braiding, Clifford action, spin connection and Dirac operator.
+projector and its calculus, the assumption certificate (the one check of the
+calculus premise), and the induced metric, connection, braiding, Clifford
+action, spin connection and Dirac operator.
 
 Quotient classes are represented inside the free module of the ambient
 coordinates, with coefficients in the quotient presentation.  The metric, the
@@ -25,8 +26,7 @@ from .reports import Report
 from .scalars import HALF, Scalar
 from .spin import SpinStructure, StructureSet, dirac
 from .tensors import (
-    SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, commutator_residuals, idempotence_residuals, tensor,
-    with_spinor,
+    SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, commutator_residuals, tensor, with_spinor,
 )
 
 
@@ -41,8 +41,8 @@ class HypersurfaceError(ValueError):
 class AssumptionCertificate(Report):
     """Verified-assumption record gating the induction operations.
 
-    One clause family per assumption, plus the lemma corollaries:
-    nu_transparency, pi_transparency, nabla_nu_transparency, corollaries.
+    The calculus premise, one clause family per assumption and the lemma corollaries:
+    calculus, nu_transparency, pi_transparency, nabla_nu_transparency, corollaries.
     """
 
     def to_report(self, subject: str) -> Report:
@@ -55,8 +55,8 @@ class HypersurfaceSpec:
 
     The *_q fields are the ambient structures with coefficients converted to
     the quotient presentation; conn_q carries the ambient braiding and its inverse.
-    pi is stored once: induced_structures builds the quotient calculus from it.
-    The certificate is computed on construction, so a dataclasses.replace copy certifies its own data.
+    The calculus of pi, then the certificate, are computed on construction,
+    so a dataclasses.replace copy gets the calculus and certificate of its own data.
     """
 
     ambient: StructureSet
@@ -70,9 +70,11 @@ class HypersurfaceSpec:
     gamma_q: LeftLinearMap
     conn_q: Connection
     spin_conn_q: Connection
+    calculus: Calculus = field(init=False)
     certificate: AssumptionCertificate = field(init=False)
 
     def __post_init__(self):
+        self.calculus = Calculus(self.quotient_presentation, self.pi)
         self.certificate = check_assumptions(self)
 
     def require_certificate(self):
@@ -158,7 +160,11 @@ def _gamma2(h: HypersurfaceSpec, e: TensorElement) -> TensorElement:
 
 
 def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
-    """Verify the three induction assumptions and the lemma corollaries.
+    """Verify the calculus premise, the three induction assumptions and the lemma corollaries.
+
+    calculus is the one report of the premise that every induced structure
+    and both verifiers rest on: h.calculus.premise_failures, kept with the
+    calculus, and nu, Pi(nu); nu is central, so Pi(a nu) = a Pi(nu) = 0.
 
     Assumption 1 lives at the ambient level; assumptions 2 and 3 are checked
     on quotient-coefficient representatives, with the class projections the
@@ -172,7 +178,11 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     cert = AssumptionCertificate(subject=quotient.name or "assumptions")
     sigma_q = h.conn_q.sigma
     nabla_nu = h.nabla_nu_q
-    pbasis = Calculus(quotient, h.pi).basis
+    pbasis = h.calculus.basis
+
+    def calculus_checks():
+        yield from h.calculus.premise_failures
+        yield "nu", h.pi.apply(h.nu_q)
 
     def nu_checks():
         # assumption 1: sigma(w (x) nu) = nu (x) w and sigma(nu (x) w) = w (x) nu
@@ -222,6 +232,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
         for label, residual in commutator_residuals(nabla_nu):
             yield f"nabla_nu,{label}", residual
 
+    cert.family("calculus", calculus_checks())
     cert.family("nu_transparency", nu_checks())
     cert.family("pi_transparency", pi_checks())
     cert.family("nabla_nu_transparency", nabla_nu_checks())
@@ -230,34 +241,20 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
 
 
 def check_induction(h: HypersurfaceSpec, structures: StructureSet) -> Report:
-    """The build-time families of one induction: projector, then D_paths.
+    """The build-time family of one induction: D_paths.
 
-    projector: Pi o Pi = Pi on ambient representatives, and Pi(nu) = 0.
-    Five residuals decide both identities on every form.  Pi and the ambient
-    canon are left-linear, so an ambient representative w = sum_i a_i dz_i
-    is w = canon(w) = sum_i a_i b_i with b_i = canon(dz_i), and
-    Pi(Pi(w)) - Pi(w) = sum_i a_i (Pi(Pi(b_i)) - Pi(b_i)); the four residuals
-    on the b_i vanish exactly when Pi is idempotent.  nu is central, so
-    Pi(a nu) = Pi(nu a) = a Pi(nu), and the fifth residual Pi(nu) decides that
-    Pi kills the normal bundle.
-
-    D_paths: the composite gamma o nabla^sp of the induced structures against
-    the explicit induced_dirac formula, on the basis spinors e1..e4.  No
-    closed form enters either family.
+    The composite gamma o nabla^sp of the induced structures against the
+    explicit induced_dirac formula, on the basis spinors e1..e4.  No closed
+    form enters it; the certificate holds the projector premise.
     """
     p = h.quotient_presentation
     report = Report(subject=p.name or "induction")
-
-    def projector_checks():
-        yield from idempotence_residuals(h.pi, h.qcalc.basis)
-        yield "nu", h.pi.apply(h.nu_q)
 
     def dirac_checks():
         for alpha in range(SPINOR_RANK):
             e_a = TensorElement.basis(p, (), alpha)
             yield f"e{alpha + 1}", dirac(structures.spin, e_a) - induced_dirac(h, e_a)
 
-    report.family("projector", projector_checks())
     report.family("D_paths", dirac_checks())
     return report
 
@@ -287,8 +284,8 @@ def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
     - nu is central (build_hypersurface refuses it otherwise), so N is
       closed under left and right multiplication;
     - sigma maps N into N (the nu_transparency family);
-    - canon kills N: Pi(nu) = 0 (the projector family, run on every build)
-      and Pi is left-linear;
+    - canon kills N: Pi(nu) = 0 (the certificate's calculus family, which
+      the gate requires on every build) and Pi is left-linear;
     - every reader of Connection.values projects before it compares:
       Connection.apply is canon o raw_apply, the right_leibniz and
       metric_compatibility images end in canon, contracted_connection
@@ -338,9 +335,9 @@ def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
 
 
 def induced_structures(h: HypersurfaceSpec) -> StructureSet:
-    """The induced metric, connection and spin structure, if the certificate passes."""
+    """The induced metric, connection and spin structure on h.calculus, if the certificate passes."""
     h.require_certificate()
-    qc = Calculus(h.quotient_presentation, h.pi)
+    qc = h.calculus
     return StructureSet(
         calculus=qc,
         metric=_induced_metric(h, qc),

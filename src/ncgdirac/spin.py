@@ -114,7 +114,8 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
       x = sum_w c_w w, nabla^sp(sum_w c_w gamma(w)) carries the Leibniz term
       sum_w d(c_w) (x) gamma(w), and so does K(x); they cancel once canon
       makes d a derivation of the quotient, so the family needs the calculus
-      premise (Calculus.premise_failures; verify_metric records its clause).
+      premise (Calculus.premise_failures; the hypersurface's assumption
+      certificate is the one place it is reported).
       When it fails, the family is the one clause
       clifford_compatibility[needs calculus], with no residual.
     """

@@ -497,13 +497,6 @@ def right_linearity_residuals(m: LeftLinearMap):
             yield f"{w!r},z{j + 1}", m.apply(right_mul(base, zj)) - right_mul(image, zj)
 
 
-def idempotence_residuals(m: LeftLinearMap, forms):
-    """(dz{i + 1}, m(m(x_i)) - m(x_i)) for the i-th of forms: m is idempotent on their left span when all vanish."""
-    for i, x in enumerate(forms):
-        once = m.apply(x)
-        yield f"dz{i + 1}", m.apply(once) - once
-
-
 def commutator_residuals(e: TensorElement):
     """(label, e * z_j - z_j * e) for every generator z_j: e is central when all vanish."""
     p = e.presentation

@@ -23,12 +23,12 @@ TRACER_PATH = BENCH_DIR / "tracer.py"
 # induced connection keeps the Gauss formula's unprojected representative;
 # that is the digest bench/workloads.py sees.
 FINGERPRINTS = {
-    "s3": "9b8ec76f87541ac114aeded8aa42ae9918b844d7d334fe5d46babea510dfabdd",
-    "t2": "63660b1a7b6dd952869858dd363571095bcd1690f10acee1c6f9d48c72411e26",
+    "s3": "8c0f1b61df1c8dd4012c812c6f8cbd4c3c671fc973ae64ef9a0ee68ef80d3abc",
+    "t2": "cf58c48542b45c8be83b9234f41d2a40295ff000de5754011b9e3c4750a9c1d0",
 }
 STORED_FINGERPRINTS = {
-    "s3": "c396fd4f7159aeac66bb316d1177fe3e4384ebf9e9e89719438839041264a069",
-    "t2": "9d6324e5fc88aaae4de24eae1a63916041d93625e2c5d2db05fa70a9fff9c3e9",
+    "s3": "473756714c415d2899d671613faac3c790435d0b555c1f6bbbcb18e026a60136",
+    "t2": "5e3d3d3bc4dabaf095f6381f9117d5aff5156956b3596c2c2827f06074fc776a",
 }
 
 

@@ -20,9 +20,11 @@ from ncgdirac.catalog import (
     metric_upper,
     verify_space,
 )
-from ncgdirac.geometry import Calculus, Connection, Metric, tensor_connection_apply
+from ncgdirac.geometry import Connection, Metric, tensor_connection_apply
 from ncgdirac import catalog
-from ncgdirac.hypersurface import check_assumptions, check_induction, induced_dirac
+from ncgdirac.hypersurface import (
+    HypersurfaceError, check_assumptions, check_induction, induced_dirac, induced_structures,
+)
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spin import SpinStructure, dirac, mat_mul
 from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, tensor
@@ -213,20 +215,21 @@ def test_golden_rejects_corrupted_family(request, space, family, label):
 # sha256 of the verify_space report of each corrupted bundle (json.dumps with
 # indent=2, sort_keys=True): the verifiers alone, without the golden forms,
 # catch a corrupted connection with the same residuals, byte for byte.  The
-# calculus family, whose premise these corruptions leave intact, passes first.
+# certificate's calculus family, whose premise these corruptions leave intact,
+# passes.
 CORRUPTED_REPORT_SHA256 = {
-    ("s3", "nabla"): "bc2a766d92454516977165a7ee92a291ba05ca3186cacfd080dbb479f1929ee2",
-    ("s3", "nabla^sp"): "05b58a2fcc70d9c3a6801e71264f8ff9d31293a26a151c36d195ffe6457f0b95",
-    ("t2", "nabla"): "52c7d20219c88f742e046900708ac5763aef9b32453b7a01a67192da492c4b02",
-    ("t2", "nabla^sp"): "abb8ca34789057f66f9c961064b407873613dbff632b6f59ad6b6794165f584c",
-    ("s3", "sigma"): "e0ed70304bfa46ee4cda127b64505c8814945a31fa6276438905a922ff227a09",
-    ("s3", "g"): "1227507e839a1c37ac3a94506bf6c0543d9615931a0bb3ac7ac4596b5ef7e339",
-    ("s3", "g^-1"): "631c3f0e0fbb3d2121f5089394ed3bbfc5fa7505ff28bdfb3bff4db822dcec68",
-    ("s3", "gamma"): "2487e383752058b32b8df73d8ce415c83f3e70fa1b09e2c8245d6838de8d5a5e",
-    ("t2", "sigma"): "bc085109acff89084f49e0a0dd4821b8871004437b0d87bdb88d5e6c03e21283",
-    ("t2", "g"): "78e0c72c6906788ce67b5e83733cef178b11be7545436ea6333bdc917ab520a2",
-    ("t2", "g^-1"): "a00c1cb9aed75bb4a864ea115777a5af010a55d89430fce9317a588bc3694868",
-    ("t2", "gamma"): "0c4453f4cab40f7e57bfdb6bce25cbfb045724eeb442171183832cc7cc6b8d76",
+    ("s3", "nabla"): "5e47a19a2a11bddcf5165b74f123216583b2bccb344e932f2fa0d94e2cf624d2",
+    ("s3", "nabla^sp"): "2ef31809be2b99cdea780b1226ff4246f2e76174e780bd8e4e7d193c9a814c2b",
+    ("t2", "nabla"): "47a2172115eec58daf1084ce41d4eace3a0547676befe65ff6e9d62a928ad195",
+    ("t2", "nabla^sp"): "c64cb07a4d6d9c2e898aae37e8bf1dcc62f1db94b6f1b260dbc82bfdd938721c",
+    ("s3", "sigma"): "7c26cdfb87b52a7d13dea548bc81224e97a19e1fcf4dbcee0f6a78a43ef9ba6c",
+    ("s3", "g"): "35de71ff1fb3094f4be062acc10e79a1ed4807b1b5d7a43937dced6757b798fc",
+    ("s3", "g^-1"): "64697522634a31357b18fded56069b808c2fd6b3f19fc125277d364d47e9f967",
+    ("s3", "gamma"): "45f3941787a3e41a91cb7825d6db192163e041e64eb14b947a65fbe96cfbbbe8",
+    ("t2", "sigma"): "d6bbf1496bfe443f111f1a5b5936961865dfd5ecc4b06d36dcacd46d008b45f1",
+    ("t2", "g"): "9de1e027a57c214e26b0f940daec43525e87bd7a846298ff1cc2fd50ccb85047",
+    ("t2", "g^-1"): "38d037f702908b8c2d5833d071e828590ba52b7e41f32daa4ddf0cf11e225d47",
+    ("t2", "gamma"): "c69d2c2ac934bff0686b02acd168fda36fa52bd277a068ec9c61402804651224",
 }
 
 
@@ -285,10 +288,10 @@ def test_verifiers_reject_corrupted_structure(request, space, family, failing):
 # breaks nu_transparency; in the quotient-coefficient copy conn_q, pi_ and
 # nabla_nu_transparency
 CORRUPTED_CERTIFICATE_SHA256 = {
-    ("s3", "ambient"): "c5926844532f0a736251905d662a8b05aa302127e2bd1d2e852f60fe3d794f8b",
-    ("s3", "conn_q"): "ac9733119c6ae8452f2ee28a87c5507976c6bbafff5d7111477580ff44d7ffef",
-    ("t2", "ambient"): "2568409f18d7f6f8bbba6305a1deec3fab138c762632ef632b3568838c078f76",
-    ("t2", "conn_q"): "bdadc75b3832a238be49a2cbada79ba85f844bcaac180ebe1dfd8e4f67fc2e54",
+    ("s3", "ambient"): "f41a533696bab310da22d572df5f61215181f70fc772a1e14046f74cb54aca54",
+    ("s3", "conn_q"): "6364fc5e0057369cbbb83efe24fab3254cd39df0dabf86de27522d47071f9191",
+    ("t2", "ambient"): "78136d8442012914fb834b699cf4be1a7f594476b0601a499082a5154264e608",
+    ("t2", "conn_q"): "155aa002ce32a98385ac163270a1a28050d164d89ea7e6011760573309e1b3b6",
 }
 
 
@@ -320,33 +323,38 @@ def test_certificate_rejects_doubled_braiding(request, space, where, failing):
 
 # sha256 of the verify_space report and of the assumption certificate (as a
 # report named after the space) when the projector image Pi(dz2) is scaled by
-# q^4 in every calculus of the structures.  Pi o Pi != Pi then: the calculus
-# family fails, each family that needs it is the one clause name[needs
-# calculus] with no residual, and inverse_left and inverse_right, which need
-# no calculus premise, fail with their residuals.
-# The t2 certificate still passes: no clause of it sees a scaled Pi image.  The
-# projector family, which every build runs, fails on both spaces.
+# q^4 in the hypersurface and in every calculus of the structures.  Pi o Pi !=
+# Pi then: the certificate's calculus family fails on both spaces (on s3 the
+# corollaries too), each verifier family that needs the premise is the one
+# clause name[needs calculus] with no residual, and inverse_left and
+# inverse_right, which need no calculus premise, fail with their residuals.
 CORRUPTED_PROJECTOR_SHA256 = {
-    ("s3", "verify_space"): "30822ed8c4a7c26a07e23c995b54fb8e226bf34bd3f04fcfb75edb2de90a04a0",
-    ("s3", "certificate"): "fa715ef2231a62195f0abeb14a31aefb8246c83f115950ff7eaaadea2b9326d2",
-    ("t2", "verify_space"): "1b2ce9bb9899fad34f7d6065b35e46013120dc20f77b636ff6c63685982fa02e",
-    ("t2", "certificate"): "fecd9689bc608ce9f9116b27376ad1c3c7bb172a3a66146684518ba9d573d0fd",
+    ("s3", "verify_space"): "cb12f6dd55b049854824452534d92f970aa16804d3578f85f4209be63d8e2cf1",
+    ("s3", "certificate"): "69246fd55f779577b6f70420c05367484309c3820ab8f5aed97dc1f2c1fe648f",
+    ("t2", "verify_space"): "7e7300a538b6892a073541df2e01bcd2aea2b3766c3cf26dcdac26f21e06b819",
+    ("t2", "certificate"): "74904aa89e6c354bfc8d5fd5b7b954880baa7716426eaed24dc680f71813c135",
 }
 _PROJECTOR_FAILS = {
-    "calculus", "inverse_left", "inverse_right", "metric_compatibility", "right_leibniz", "clifford_compatibility",
+    "inverse_left", "inverse_right", "metric_compatibility", "right_leibniz", "clifford_compatibility",
+}
+# the failing calculus clauses: Pi(b_i) != b_i, canon o d no derivation, Pi(nu) != 0
+_PROJECTOR_PREMISE_FAILS = {
+    "s3": ["dz1", "dz2", "dz3", "dz4", "d(z2*z4)", "nu"],
+    "t2": ["dz2", "dz4", "d(z2*z4)", "nu"],
 }
 
 
 def _corrupted_projector(h, key=BasisWord((1,), None), factor=Scalar.q_power(4)):
     """The hypersurface with Pi(key), by default Pi(dz2), scaled, and its quotient calculus.
 
-    dataclasses.replace certifies the copy: its certificate checks the scaled Pi.
+    dataclasses.replace derives the copy's calculus from the scaled Pi and
+    certifies the copy.
     """
     pi = h.pi
     images = dict(pi.images)
     images[key] = images[key].scale(factor)
-    broken = LeftLinearMap(pi.presentation, pi.domain, pi.codomain, images)
-    return replace(h, pi=broken), Calculus(pi.presentation, broken)
+    broken = replace(h, pi=LeftLinearMap(pi.presentation, pi.domain, pi.codomain, images))
+    return broken, broken.calculus
 
 
 def _with_calculus(s, calc):
@@ -359,22 +367,20 @@ def _with_calculus(s, calc):
 
 
 @pytest.mark.parametrize(
-    "space, cert_fails", [("s3", {"corollaries"}), ("t2", set())], ids=["s3", "t2"]
+    "space, cert_fails", [("s3", {"calculus", "corollaries"}), ("t2", {"calculus"})], ids=["s3", "t2"]
 )
 def test_verifiers_and_certificate_pin_a_corrupted_projector(request, space, cert_fails):
     bundle = request.getfixturevalue(space)
     h, calc = _corrupted_projector(bundle.hypersurface)
-    report = verify_space(replace(bundle, structures=_with_calculus(bundle.structures, calc)))
-    assert {c.name.split("[")[0] for c in report.failures()} == _PROJECTOR_FAILS
+    report = verify_space(replace(bundle, structures=_with_calculus(bundle.structures, calc), hypersurface=h))
+    assert {c.name.split("[")[0] for c in report.failures()} == _PROJECTOR_FAILS | cert_fails
     assert _report_sha256(report) == CORRUPTED_PROJECTOR_SHA256[space, "verify_space"]
     cert = check_assumptions(h)
     assert {c.name.split("[")[0] for c in cert.failures()} == cert_fails
     assert _report_sha256(cert.to_report(space)) == CORRUPTED_PROJECTOR_SHA256[space, "certificate"]
+    failing = [c.name for c in cert.failures() if c.name.startswith("calculus")]
+    assert failing == [f"calculus[{x}]" for x in _PROJECTOR_PREMISE_FAILS[space]]
     assert check_induction(bundle.hypersurface, bundle.structures).all_passed
-    h.certificate = bundle.hypersurface.certificate  # past induced_dirac's gate
-    failing = [c.name for c in check_induction(h, bundle.structures).failures()]
-    labels = ["dz1", "dz2", "dz3", "dz4", "nu"]
-    assert [x for x in failing if x.startswith("projector")] == [f"projector[{x}]" for x in labels]
 
 
 # -- build-time checks on mutated builds ------------------------------------------
@@ -427,23 +433,41 @@ def test_build_refuses_shifted_t2_spin_connection(monkeypatch):
 
 @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
 def test_build_refuses_scaled_t2_projector(monkeypatch, check):
-    # Pi(dz1) scaled by 2: the t2 certificate passes, and without verify_space
-    # the projector family alone refuses the build
+    # Pi(dz1) scaled by 2: the certificate's calculus family fails, and the
+    # gate refuses the build the same way, checked or not
+    specs = []
+
     def mutate(h):
         broken, _ = _corrupted_projector(h, BasisWord((0,), None), Scalar.rational(2))
-        assert broken.certificate.all_passed
+        specs.append(broken)
         return broken
 
     _mutating(monkeypatch, "build_hypersurface", "t2", mutate)
-    with pytest.raises(GoldenMismatch) as exc:
+    with pytest.raises(HypersurfaceError) as exc:
         catalog.build_t2(check=check)
-    want = "t2 verification: " if check else "t2 induction: projector[dz1]"
-    assert exc.value.label.startswith(want)
+    assert exc.value.kind == "certificate_failed"
+    failing = [c.name for c in specs[0].certificate.failures()]
+    assert failing[0] == "calculus[dz1]"
+    assert str(exc.value) == f"assumption certificate fails {', '.join(failing)}; induction refused"
+
+
+@pytest.mark.parametrize("op", ["*2", "*-1", "*q^4"])
+@pytest.mark.parametrize("k", range(4))
+def test_gate_refuses_each_scaled_t2_projector_image(t2, k, op):
+    # no clause of the certificate outside the calculus family sees a scaled
+    # Pi(dz_k) image of the torus; that family refuses each one at the gate
+    factor = {"*2": Scalar.rational(2), "*-1": Scalar.rational(-1), "*q^4": Scalar.q_power(4)}[op]
+    broken, _ = _corrupted_projector(t2.hypersurface, BasisWord((k,), None), factor)
+    assert {c.name.split("[")[0] for c in broken.certificate.failures()} == {"calculus"}
+    with pytest.raises(HypersurfaceError) as exc:
+        induced_structures(broken)
+    assert exc.value.kind == "certificate_failed"
+    assert f"calculus[dz{k + 1}]" in str(exc.value)
 
 
 def test_unchecked_build_refuses_scaled_s3_clifford_action_by_d_paths(monkeypatch):
-    # gamma(dz1 (x) e1) scaled by 2: the certificate and the projector family
-    # read the hypersurface only, so D_paths alone refuses the unchecked build
+    # gamma(dz1 (x) e1) scaled by 2: the certificate reads the hypersurface
+    # only, so D_paths alone refuses the unchecked build
     def mutate(s):
         spin, key = s.spin, BasisWord((0,), 0)
         gamma = LeftLinearMap(spin.gamma.presentation, spin.gamma.domain, spin.gamma.codomain,

@@ -20,12 +20,12 @@ from kernel_reference import presentation
 # sha256 of exact report bytes; every change to these outputs must be named.
 # The spectrum section is left out: its values and deviations are floats
 # (math.sqrt and math.hypot of the closed form), while these reports are exact.
-VERIFY_S3_SHA256 = "5bdabd242d15efba8dedfd3aac07cc5b6dde4fb0ac58f41635d2096470625982"
+VERIFY_S3_SHA256 = "c649c33a0a91d382002505554861862b4300402ebf9ed51565d95412fd1037cd"
 DIRAC_T2_SHA256 = "4ebf2f4685bcbf4770bf75d36fafb6caf2a79e33fe320d00893224b23a275755"
-REPORT_ALL_SPACES_SHA256 = "42d8d34e462e2f05e1a566df636088fd75d32d8649d145ee9efc730da386fce5"
+REPORT_ALL_SPACES_SHA256 = "5c543fb411ab6f342e08304a5eba4e0bd9ec1e84abf036f0deacca2ada677fe4"
 INDUCE_SHA256 = {
-    "s3": "4f9e643743063ea29e8633ca76a68d791464b3260ffee305e8e7d36ecf4f713d",
-    "t2": "b7bcc59815cdccc2d05339b8fff4934a69216ed1703e3cd27f2e00bf403117bb",
+    "s3": "71a3d01b6fed6f86cd9eb987073bf1f8854755d68eb8e644c3c7e8d1d4a7c1d7",
+    "t2": "9ccd7a91598f193b6e0285dc1106a233aa21fdaa95990c03c40e49b9d3c91f52",
 }
 # the stored maps that induce --emit-structures leaves out: each
 # hypersurface's Pi, and the flat space's g^-1, sigma and gamma

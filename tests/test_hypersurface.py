@@ -100,7 +100,7 @@ def test_projector_idempotent_and_kills_nu(space, s3, t2):
 
 # -- assumption certificates ----------------------------------------------------
 
-CERTIFICATE_FAMILIES = ("nu_transparency", "pi_transparency", "nabla_nu_transparency", "corollaries")
+CERTIFICATE_FAMILIES = ("calculus", "nu_transparency", "pi_transparency", "nabla_nu_transparency", "corollaries")
 
 
 def test_sphere_certificate_passes(s3):
@@ -113,20 +113,50 @@ def test_torus_certificate_passes(t2):
     assert t2.hypersurface.certificate.all_passed
 
 
-@pytest.mark.parametrize("space, scaled_passes", [("s3", False), ("t2", True)])
-def test_replaced_spec_carries_the_certificate_of_its_own_data(request, space, scaled_passes):
-    # dataclasses.replace builds the copy through __init__, which certifies it
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_replaced_spec_carries_the_certificate_of_its_own_data(request, space):
+    # dataclasses.replace builds the copy through __init__, which derives the
+    # calculus from the copy's pi and certifies the copy
     bundle = request.getfixturevalue(space)
     h = bundle.hypersurface
     same = replace(h, pi=h.pi)
+    assert same.calculus.projector is h.pi
     assert same.certificate == h.certificate
     induced = induced_structures(same)
+    assert induced.calculus is same.calculus
     assert induced.metric.g_inv.images == bundle.structures.metric.g_inv.images
     key = BasisWord((1,), None)
     images = {**h.pi.images, key: h.pi.images[key].scale(Scalar.q_power(4))}
-    scaled = replace(h, pi=LeftLinearMap(h.pi.presentation, h.pi.domain, h.pi.codomain, images))
+    pi = LeftLinearMap(h.pi.presentation, h.pi.domain, h.pi.codomain, images)
+    scaled = replace(h, pi=pi)
+    assert scaled.calculus.projector is pi
     assert scaled.certificate == check_assumptions(scaled)
-    assert scaled.certificate.all_passed == scaled_passes
+    assert "calculus[dz2]" in [c.name for c in scaled.certificate.failures()]
+
+
+def test_build_makes_each_projected_calculus_once_and_its_premise_once(monkeypatch):
+    # a checked build_t2 makes three projected calculi: the s3 and t2 specs'
+    # own (each shared by check_assumptions, induced_structures and the
+    # verifiers) and t2's quotient calculus of the converted s3 projector;
+    # the premise runs once per hypersurface, in its certificate
+    made, premises = [], []
+    init, residuals = Calculus.__init__, Calculus._premise_residuals
+
+    def counting_init(self, presentation, projector=None):
+        if projector is not None:
+            made.append(presentation.name)
+        init(self, presentation, projector)
+
+    def counting_residuals(self):
+        premises.append(self.presentation.name)
+        return residuals(self)
+
+    monkeypatch.setattr(Calculus, "__init__", counting_init)
+    monkeypatch.setattr(Calculus, "_premise_residuals", counting_residuals)
+    t2 = catalog.build_t2(check=True)
+    assert made == ["s3", "t2", "t2"]
+    assert premises == ["s3", "t2"]
+    assert t2.structures.calculus is t2.hypersurface.calculus
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])

@@ -11,8 +11,9 @@ then one apply.  These tests compare them with the reference loops of
 kernel_reference, which expand every residual from its input, on the built
 spaces and on spaces with one stored image changed so that the families
 fail: the clause names, verdicts and residual JSON must agree.  Where a
-family's premise fails (the calculus family, or g_central for inverse_right),
-the family is one failing clause that names the premise, with no residual.
+family's premise fails (the calculus premise, reported by the assumption
+certificate, or g_central for inverse_right), the family is one failing
+clause that names the premise, with no residual.
 """
 
 from collections import Counter
@@ -22,9 +23,9 @@ import pytest
 
 from ncgdirac import catalog, geometry, tensors
 from ncgdirac.algebra import AlgebraElement
-from ncgdirac.catalog import GoldenMismatch, build_r4, verify_space
+from ncgdirac.catalog import build_r4, verify_space
 from ncgdirac.geometry import Calculus, Connection, Metric, contracted_connection, tensor_connection, verify_metric
-from ncgdirac.hypersurface import _induced_spin
+from ncgdirac.hypersurface import HypersurfaceError, _induced_spin
 from ncgdirac.reports import Report
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spectrum import sector_basis
@@ -194,38 +195,38 @@ def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
 @pytest.mark.parametrize("k", range(4))
 @pytest.mark.parametrize("factor", ["q^4", "2"])
 def test_a_scaled_projector_fails_the_calculus_premise(request, monkeypatch, space, k, factor):
-    # Pi(dz_k) scaled through the calculus projector: Pi o Pi != Pi
+    # Pi(dz_k) scaled through the calculus projector: Pi o Pi != Pi.  The
+    # certificate of the replaced spec is the one report of the premise; the
+    # verifiers on its calculus read the same failures for their unmet clauses
     bundle = request.getfixturevalue(space)
     h, s = bundle.hypersurface, bundle.structures
     scale = Scalar.q_power(4) if factor == "q^4" else Scalar.rational(2)
-    pi = _changed(h.pi, BasisWord((k,), None), scale)
-    calc = Calculus(pi.presentation, pi)
-    report = _verify(*_on_calculus(s.spin, s.metric, s.connection, calc))
-    assert report.clauses[0].name.startswith("calculus[") and not report.clauses[0].passed
-    assert f"calculus[dz{k + 1}]" in [c.name for c in report.failures()]
+    broken = replace(h, pi=_changed(h.pi, BasisWord((k,), None), scale))
+    cert = broken.certificate
+    assert cert.clauses[0].name.startswith("calculus[") and not cert.clauses[0].passed
+    assert f"calculus[dz{k + 1}]" in [c.name for c in cert.failures()]
+    report = _verify(*_on_calculus(s.spin, s.metric, s.connection, broken.calculus))
+    assert all(not c.name.startswith("calculus") for c in report.clauses)
     for family in NEEDS_CALCULUS:
         assert _clauses(report, family) == _unmet(family, "calculus")
 
-    # the catalog induction refuses the build; its certificate is the built one, as if Pi were not scaled
+    # the catalog induction refuses the build at the certificate gate
     real = catalog.build_hypersurface
 
     def scaled(*args, **kwargs):
         built = real(*args, **kwargs)
         if built.quotient_presentation.name != space:
             return built
-        broken = replace(built, pi=_changed(built.pi, BasisWord((k,), None), scale))
-        broken.certificate = built.certificate
-        return broken
+        return replace(built, pi=_changed(built.pi, BasisWord((k,), None), scale))
 
     monkeypatch.setattr(catalog, "build_hypersurface", scaled)
-    with pytest.raises(GoldenMismatch) as exc:
+    with pytest.raises(HypersurfaceError) as exc:
         if space == "s3":
             catalog.build_s3(check=True)
         else:
             catalog.build_t2(check=True, s3=request.getfixturevalue("s3"))
-    label = exc.value.label
-    assert label.startswith(f"{space} verification: calculus[")
-    assert all(f"{family}[needs calculus]" in label for family in NEEDS_CALCULUS)
+    assert exc.value.kind == "certificate_failed"
+    assert f"calculus[dz{k + 1}]" in str(exc.value)
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])

@@ -10,17 +10,18 @@ gamma image, dz_k for Pi, 1 for g^-1).
 Every check runs on every mutant as if it were the only check:
 
 - verify_space: the families of verify_metric and verify_spinorial;
-- certificate: the families of the assumption certificate (check_assumptions);
-- build: the families of check_induction, which every catalog build runs
-  (projector and D_paths);
+- certificate: the families of the assumption certificate (check_assumptions),
+  whose calculus family is the one check of the projector premise;
+- build: the one family of check_induction, D_paths, which every catalog
+  build runs;
 - golden: the closed-form comparisons of tests/closed_forms.py, by label
   family (sigma_B, gamma_C, pi_T2, ...).
 
 The verify_space, certificate and build column names are read from the
 reports of the built s3, so a family added to a check gets its column.  A
-Pi mutant replaces the hypersurface's pi only, which computes its certificate
-on the mutated hypersurface, and is induced again, past the certificate
-gate.  The certificate reads the hypersurface only, so every other
+Pi mutant replaces the hypersurface's pi only, which derives its calculus
+and computes its certificate on the mutated hypersurface, and is induced
+again on that calculus, past the certificate gate.  The certificate reads the hypersurface only, so every other
 mutant keeps the built one.  A mutant that leaves its image unchanged (a
 scaled zero image) is marked unchanged; no check can catch it.
 
