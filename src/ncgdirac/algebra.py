@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import json
 import re
+from operator import add, le, mul, sub
 
-from .scalars import _GR_ONE, GaussianRational, Scalar, _scalar
+from .scalars import _GR_ONE, GaussianRational, Scalar, _scalar, _terms_product
 
 Monomial = tuple[int, ...]
 
@@ -76,7 +77,7 @@ def _mono_letters(mono: Monomial) -> list[int]:
 
 
 def _divides(lhs: Monomial, mono: Monomial) -> bool:
-    return all(a <= b for a, b in zip(lhs, mono))
+    return all(map(le, lhs, mono))  # stops at the first letter that fails
 
 
 def monomial_key(mono: Monomial) -> tuple:
@@ -89,12 +90,13 @@ class Presentation:
 
     Every R entry must be a pure power of q; the exponents are kept as an
     integer matrix (q_exp) so the rewriting kernel accumulates phases by
-    integer addition instead of scalar multiplication.
+    integer addition instead of scalar multiplication.  phase_rows[k] is
+    row k of q_exp with the entries j <= k zeroed, the row _phase reads.
     """
 
     __slots__ = (
-        "name", "n", "R", "q_exp", "rules", "_key", "_product_cache", "_reduction_cache", "_twist_cache",
-        "_derivative_cache",
+        "name", "n", "R", "q_exp", "phase_rows", "rules", "_key", "_product_cache", "_reduction_cache",
+        "_twist_cache", "_derivative_cache",
     )
 
     def __init__(self, n: int, R, rules=(), name: str = ""):
@@ -125,6 +127,7 @@ class Presentation:
                 row.append(k)
             q_exp.append(tuple(row))
         self.q_exp = tuple(q_exp)
+        self.phase_rows = tuple((0,) * (k + 1) + row[k + 1:] for k, row in enumerate(self.q_exp))
         self.rules = tuple(rules)
         for rule in self.rules:
             if len(rule.lhs) != n:
@@ -267,14 +270,13 @@ def _phase(p: Presentation, m1, m2) -> int:
     """The q-exponent e with z^m1 z^m2 = q**e z^(m1+m2), for ordered monomials.
 
     Each z_k of m2 moves left past the letters j > k of m1, by z_j z_k =
-    q**q_exp[k][j] z_k z_j, so e = sum_k m2[k] sum_{j>k} q_exp[k][j] m1[j].
+    q**q_exp[k][j] z_k z_j, so e = sum_k m2[k] sum_{j>k} q_exp[k][j] m1[j]:
+    the inner sum is phase_rows[k] . m1.
     """
-    q_exp = p.q_exp
     e = 0
-    for k, ek in enumerate(m2):
+    for ek, row in zip(m2, p.phase_rows):
         if ek:
-            row = q_exp[k]
-            e += ek * sum(row[j] * m1[j] for j in range(k + 1, p.n))
+            e += ek * sum(map(mul, row, m1))
     return e
 
 
@@ -306,40 +308,63 @@ def _mono_reduction(p: Presentation, mono: Monomial) -> tuple:
     """(normal form of the ordered monomial mono, its rewriting steps), memoized per presentation.
 
     The kernel's only rewriting loop runs on an explicit stack of (ordered
-    monomial, coeff, q-exponent) entries, so the step budget, not the
-    recursion limit, bounds a long chain.  A rule lhs -> sum c * r dividing m
-    rewrites z^m = q**-phase(rem, lhs) z^rem z^lhs, rem = m - lhs, as the sum
-    of c * q**phase(rem, r) z^(rem + r), at one step plus deg(r) per rhs
-    monomial r; the rhs is pushed in reverse, so terms are added depth first.
+    monomial, coefficient terms, q-exponent) entries, so the step budget, not
+    the recursion limit, bounds a long chain.  A rule lhs -> sum c * r
+    dividing m rewrites z^m = q**-phase(rem, lhs) z^rem z^lhs, rem = m - lhs,
+    as the sum of c * q**phase(rem, r) z^(rem + r), at one step plus deg(r)
+    per rhs monomial r; the rhs is pushed in reverse, so terms are added
+    depth first.  The coefficient terms are a raw {q-exponent:
+    GaussianRational} dict, multiplied by each rule coefficient as
+    Scalar.__mul__ would (scalars._terms_product), and an irreducible
+    monomial adds them, shifted by the q-exponent, into a raw map that drops
+    a monomial whose sum cancels, as add_term does; no Scalar is built.
     The normal form is a tuple of (monomial, q-exponent, GaussianRational)
     triples, as _mono_product hands out; the memo holds at most
     PRODUCT_CACHE_BOUND entries.
     """
     cached = p._reduction_cache.get(mono)
     if cached is None:
-        out: dict[Monomial, Scalar] = {}
-        stack = [(mono, Scalar.one(), 0)]
+        out: dict[Monomial, dict] = {}
+        stack = [(mono, {0: _GR_ONE}, 0)]
         steps = 0
+        rules = p.rules
         while stack:
             m, coeff, qexp = stack.pop()
-            for rule in p.rules:
-                if _divides(rule.lhs, m):
-                    rem = tuple(map(int.__sub__, m, rule.lhs))
-                    qexp -= _phase(p, rem, rule.lhs)
+            for rule in rules:
+                lhs = rule.lhs
+                if _divides(lhs, m):
+                    rem = tuple(map(sub, m, lhs))
+                    qexp -= _phase(p, rem, lhs)
                     steps += 1
                     for r, c in reversed(rule.rhs.items()):
                         steps += sum(r)
-                        rmono = tuple(map(int.__add__, rem, r))
-                        stack.append((rmono, coeff * c, qexp + _phase(p, rem, r)))
+                        rmono = tuple(map(add, rem, r))
+                        stack.append((rmono, _terms_product(coeff, c.terms), qexp + _phase(p, rem, r)))
                     break
             else:
-                add_term(out, m, coeff.q_shift(qexp))
+                acc = out.get(m)
+                if acc is None:
+                    out[m] = {k + qexp: g for k, g in coeff.items()}
+                else:
+                    for k, g in coeff.items():
+                        k += qexp
+                        old = acc.get(k)
+                        if old is None:
+                            acc[k] = g
+                            continue
+                        g = old + g
+                        if g.a or g.b:
+                            acc[k] = g
+                        else:
+                            del acc[k]
+                    if not acc:
+                        del out[m]
             if steps > STEP_BUDGET:
                 raise _budget_exceeded()
         terms = tuple(
             (m, k, _GR_ONE if g == _GR_ONE else g)
-            for m, s in out.items()
-            for k, g in s.terms.items()
+            for m, coeffs in out.items()
+            for k, g in coeffs.items()
         )
         cached = (terms, steps)
         if len(p._reduction_cache) < PRODUCT_CACHE_BOUND:
@@ -366,7 +391,7 @@ def _mono_product(p: Presentation, m1: Monomial, m2: Monomial) -> tuple:
     cached = p._product_cache.get(key)
     if cached is None:
         e = _phase(p, m1, m2)
-        terms, steps = _mono_reduction(p, tuple(map(int.__add__, m1, m2)))
+        terms, steps = _mono_reduction(p, tuple(map(add, m1, m2)))
         if sum(m2) + steps > STEP_BUDGET:
             raise _budget_exceeded()
         cached = tuple((m, k + e, g) for m, k, g in terms) if e else terms
@@ -430,7 +455,7 @@ def _accumulate(acc: dict, p: Presentation, left: dict, right: dict, twist=None)
             entry = cache.get((m1, m2))
             if entry is None:
                 entry = _mono_product(p, m1, m2)
-            shift = 0 if twist is None else sum(map(int.__mul__, twist, m2))
+            shift = 0 if twist is None else sum(map(mul, twist, m2))
             for k1, g1 in t1:
                 for k2, g2 in c2.terms.items():
                     k = k1 + k2 + shift

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product
 
 from .algebra import AlgebraElement, Presentation, normal_form
-from .geometry import Calculus, Connection, Metric, contracted_connection, verify_metric
+from .geometry import Calculus, Connection, ContractedConnection, Metric, verify_metric
 from .hypersurface import HypersurfaceSpec, build_hypersurface, check_induction, induced_structures
 from .reports import Report
 from .scalars import Scalar
@@ -141,16 +141,25 @@ class SpaceBundle:
         """Phi: dz_i (x) e_a -> flat_gamma(nu~ (x) gamma_C(dz_i (x) e_a)).
 
         nu~ is central, so Phi is left-linear and is stored on its 16 images.
+        A bundle without a hypersurface (r4) has no normal, and is refused
+        with ValueError.
         """
+        if self.hypersurface is None:
+            raise ValueError(f"{self.name} is not a hypersurface: the operator needs its normal")
         gamma = self.structures.spin.gamma
         return LeftLinearMap.on_free_words(
             self.presentation, gamma.domain, lambda w: gamma_nu_tilde(self, gamma.images[w])
         )
 
     @cached_property
-    def rotated_dirac(self):
-        """D~ = Phi o canon o nabla^sp, as one contraction of the spin connection."""
-        return contracted_connection(self.structures.spin.spin_connection, self.rotated_gamma)
+    def rotated_dirac(self) -> ContractedConnection:
+        """D~ = Phi o canon o nabla^sp, as one contraction of the spin connection.
+
+        dtilde_apply builds its image as an element; spectrum.exact_sector
+        adds each sector column into a TensorSum (ContractedConnection.add_term)
+        and reads the raw sums.
+        """
+        return ContractedConnection(self.structures.spin.spin_connection, self.rotated_gamma)
 
     @cached_property
     def sector_store(self) -> dict:
@@ -291,13 +300,12 @@ def dtilde_apply(t2: SpaceBundle, s: TensorElement) -> TensorElement:
     Any hypersurface bundle is accepted: on s3 the same definition gives
     gamma(nu (x) D_B(s)), the flat Clifford action of the sphere's normal in
     r4 after the sphere's Dirac operator.  A bundle without a hypersurface
-    (r4) has no normal, and is refused with ValueError.
+    (r4) has no normal, and is refused with ValueError (by rotated_gamma).
     """
-    if t2.hypersurface is None:
-        raise ValueError(f"{t2.name} is not a hypersurface: the operator needs its normal")
+    operator = t2.rotated_dirac
     if s.degree != 0 or not s.has_spin:
         raise ValueError("operator acts on torus spinors")
-    return t2.rotated_dirac(s)
+    return operator(s)
 
 
 def gamma_nu_tilde(t2: SpaceBundle, s: TensorElement) -> TensorElement:

@@ -9,15 +9,17 @@ classes is equality of canonical representatives.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, Presentation
+from .algebra import AlgebraElement, Presentation, _accumulate
 from .reports import Report
-from .scalars import Scalar
+from .scalars import _GR_ONE, Scalar, _scalar
 from .tensors import (
     BasisWord,
     LeftLinearMap,
     ShapeError,
     TensorElement,
     TensorSum,
+    _derivative,
+    _tuple_new,
     add_leibniz,
     all_basis_words,
     commutator_residuals,
@@ -174,40 +176,61 @@ class Connection:
         return out.element(sample.degree, sample.has_spin)
 
 
-def contracted_connection(conn: Connection, phi: LeftLinearMap):
-    """x -> phi applied at the rightmost slots of conn.apply(x).
+class ContractedConnection:
+    """K(x) = phi applied at the rightmost slots of conn.apply(x), stored on basis words.
 
     conn.apply(x) is canon(sum_w c_w * value(w) + Leibniz term), and canon
-    and phi are left-linear, so phi o canon is stored once on the basis words
-    of the values' shape and runs once on each basis value (here) and once on
-    the Leibniz term of each x, instead of on the expanded sum.  Both applies
-    add into one TensorSum, so each x builds one element; an x with constant
-    coefficients has no Leibniz term, and a unit basis word gets a copy of
-    its stored image.
+    and phi are left-linear, so phi o canon is stored once (phi_canon) on the
+    basis words of the values' shape, and k = phi_canon o value on the basis
+    words of conn.  Then K(c w) = c * k(w) + phi_canon(d(c) (x) w).  add_term
+    adds that sum into the raw maps of a TensorSum: each monomial's
+    derivative terms (tensors._derivative) multiply the images of phi_canon
+    directly, so no element is built for the Leibniz term.  Calling K on x
+    adds every term of x into one TensorSum and builds one element; an x
+    with constant coefficients has no Leibniz term and is k.apply(x), where a
+    unit basis word gets a copy of its stored image.
     """
-    calc = conn.calculus
-    p = calc.presentation
-    w0, v0 = next(iter(conn.values.items()))
-    degree, has_spin = v0.shape()
-    at = degree - phi.domain[0]
-    phi_canon = LeftLinearMap.on_free_words(
-        p, v0.shape(), lambda w: phi.apply_at(calc.canon(TensorElement.basis(p, w.forms, w.spin)), at)
-    )
-    k = LeftLinearMap.on_free_words(
-        p, (len(w0.forms), w0.spin is not None), lambda w: phi_canon.apply(conn.values[w])
-    )
 
-    def apply(x: TensorElement) -> TensorElement:
-        leibniz = TensorSum(p)
-        add_leibniz(leibniz, x.terms)
-        if not leibniz.words:
+    __slots__ = ("presentation", "k", "phi_canon")
+
+    def __init__(self, conn: Connection, phi: LeftLinearMap):
+        calc = conn.calculus
+        p = calc.presentation
+        w0, v0 = next(iter(conn.values.items()))
+        at = v0.degree - phi.domain[0]
+        phi_canon = LeftLinearMap.on_free_words(
+            p, v0.shape(), lambda w: phi.apply_at(calc.canon(TensorElement.basis(p, w.forms, w.spin)), at)
+        )
+        self.presentation = p
+        self.phi_canon = phi_canon
+        self.k = LeftLinearMap.on_free_words(
+            p, (len(w0.forms), w0.spin is not None), lambda w: phi_canon.apply(conn.values[w])
+        )
+
+    def __call__(self, x: TensorElement) -> TensorElement:
+        k = self.k
+        if not any(any(mono) for c in x.terms.values() for mono in c.terms):
             return k.apply(x)
-        out = TensorSum(p)
-        k.add_apply(out, x)
-        phi_canon.add_apply(out, leibniz.element(degree, has_spin))
+        k._check_domain(x)
+        k._window(x, 0)
+        out = TensorSum(self.presentation)
+        for w, c in x.terms.items():
+            self.add_term(out, w, c.terms)
         return out.element(*k.codomain)
 
-    return apply
+    def add_term(self, out: TensorSum, w: BasisWord, coeff: dict) -> None:
+        """Add K(c w) to out for the coefficient c with terms coeff, a basis word w of k's domain."""
+        p = self.presentation
+        words = out.words
+        for w2, c2 in self.k.images[w].terms.items():
+            _accumulate(words.setdefault(w2, {}), p, coeff, c2.terms)
+        images = self.phi_canon.images
+        for mono, s in coeff.items():
+            for g, ((rem, kp, gp),) in _derivative(p, mono):
+                # s times the one derivative term of z^mono under dz_g
+                left = {rem: _scalar({k + kp: c if gp is _GR_ONE else c * gp for k, c in s.terms.items()})}
+                for w2, c2 in images[_tuple_new(BasisWord, ((g,) + w.forms, w.spin))].terms.items():
+                    _accumulate(words.setdefault(w2, {}), p, left, c2.terms)
 
 
 class Metric:
@@ -288,7 +311,7 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     - inverse_right, canon(g^-1 at slot 1 of g(1) (x) w) - w, is left-linear
       when g(1) c = c g(1) for every coefficient c: it needs g_central.
     - metric_compatibility, canon(K(x) - d(g^-1(x))) with K the tensor-product
-      connection contracted by g^-1 (contracted_connection): K(x) and
+      connection contracted by g^-1 (ContractedConnection): K(x) and
       d(sum_w c_w g^-1(w)) carry the same Leibniz term sum_w d(c_w) g^-1(w).
     - right_leibniz, canon(nabla(x z_j) - nabla(x) z_j - sigma(x (x) d z_j))
       per z_j: nabla(x z_j) and nabla(x) z_j carry the same Leibniz term
@@ -347,7 +370,7 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     calculus_holds = not calc.premise_failures
     if calculus_holds:
         # (id (x) g^-1) nabla(x)(w) - d(g^-1(w)) on the free pair w, whose Leibniz term is empty
-        contracted = contracted_connection(tensor_connection(conn, conn), metric.g_inv)
+        contracted = ContractedConnection(tensor_connection(conn, conn), metric.g_inv)
 
         def compatibility_image(w: BasisWord) -> TensorElement:
             b = TensorElement.basis(p, w.forms)

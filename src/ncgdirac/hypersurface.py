@@ -55,8 +55,9 @@ class HypersurfaceSpec:
 
     The *_q fields are the ambient structures with coefficients converted to
     the quotient presentation; conn_q carries the ambient braiding and its inverse.
-    The calculus of pi, then the certificate, are computed on construction,
-    so a dataclasses.replace copy gets the calculus and certificate of its own data.
+    The calculus of pi, the certificate and pi_nabla_nu, (Pi (x) id) nabla(nu)
+    as induced_dirac reads it, are computed on construction, so a
+    dataclasses.replace copy gets those of its own data.
     """
 
     ambient: StructureSet
@@ -72,10 +73,12 @@ class HypersurfaceSpec:
     spin_conn_q: Connection
     calculus: Calculus = field(init=False)
     certificate: AssumptionCertificate = field(init=False)
+    pi_nabla_nu: TensorElement = field(init=False)
 
     def __post_init__(self):
         self.calculus = Calculus(self.quotient_presentation, self.pi)
         self.certificate = check_assumptions(self)
+        self.pi_nabla_nu = self.pi.apply_at(self.nabla_nu_q, 0)
 
     def require_certificate(self):
         """The induction gate: refuse a certificate with failing clauses, naming them."""
@@ -288,7 +291,7 @@ def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
       the gate requires on every build) and Pi is left-linear;
     - every reader of Connection.values projects before it compares:
       Connection.apply is canon o raw_apply, the right_leibniz and
-      metric_compatibility images end in canon, contracted_connection
+      metric_compatibility images end in canon, ContractedConnection
       applies phi o canon, the next induction's Gauss formula stores a
       value read under the same rules, and the CLI and the goldens print
       and compare canon of each value.
@@ -352,7 +355,8 @@ def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement) -> TensorElement:
     Evaluates
     -1/2 (gamma_[2] - gamma_[2] (sigma (x) id))(nu (x) nabla^sp(s))
     + 1/2 gamma_[2]((Pi (x) id) nabla(nu) (x) s)
-    on ambient-level data at quotient coefficients.  It equals the composite
+    on ambient-level data at quotient coefficients, with the spinor-free
+    (Pi (x) id) nabla(nu) kept on h (pi_nabla_nu).  It equals the composite
     spin.dirac(_induced_spin(h, qc), s) = gamma o nabla^sp of the induced
     structures; check_induction compares the two on basis spinors.
     """
@@ -362,6 +366,5 @@ def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement) -> TensorElement:
     minus_half = Scalar.rational(-1) * HALF
     t = tensor(h.nu_q, h.spin_conn_q.apply(spinor))
     term1 = (_gamma2(h, t) - _gamma2(h, h.conn_q.sigma.apply_at(t, 0))).scale(minus_half)
-    projected = h.pi.apply_at(h.nabla_nu_q, 0)
-    term2 = _gamma2(h, tensor(projected, spinor)).scale(HALF)
+    term2 = _gamma2(h, tensor(h.pi_nabla_nu, spinor)).scale(HALF)
     return term1 + term2

@@ -173,6 +173,30 @@ def _term_times(k: int, c: GaussianRational, terms: dict) -> dict:
     return {k + kk: c * v for kk, v in terms.items()}
 
 
+def _terms_product(a: dict, b: dict) -> dict:
+    """The terms of sum(a) * sum(b) for the nonzero terms a and b of two Scalars, in a fresh dict.
+
+    A single-term factor is _term_times; otherwise like exponents are summed
+    in the order the products meet them, and a sum that cancels is dropped.
+    """
+    if len(a) == 1:
+        ((k, c),) = a.items()
+        return _term_times(k, c, b)
+    if len(b) == 1:
+        ((k, c),) = b.items()
+        return _term_times(k, c, a)
+    out: dict[int, GaussianRational] = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            s = out.get(k, _GR_ZERO) + c1 * c2
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
 def _scalar(terms: dict) -> "Scalar":
     """A Scalar that takes ownership of terms, which hold no zero coefficient."""
     s = _new(Scalar)
@@ -246,23 +270,7 @@ class Scalar:
         return _scalar({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b = self.terms, other.terms
-        if len(a) == 1:
-            ((k, c),) = a.items()
-            return _scalar(_term_times(k, c, b))
-        if len(b) == 1:
-            ((k, c),) = b.items()
-            return _scalar(_term_times(k, c, a))
-        out: dict[int, GaussianRational] = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                s = out.get(k, _GR_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return _scalar(out)
+        return _scalar(_terms_product(self.terms, other.terms))
 
     def q_shift(self, k: int) -> "Scalar":
         """Multiplication by the pure power q**k, as an exponent shift."""

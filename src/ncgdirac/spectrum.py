@@ -3,17 +3,20 @@
 The operator commutes with the total momentum grading: the monomial bidegree
 of the coefficient plus the half-integer weight of the spinor basis vector.
 Each sector is 4-dimensional and the operator restricts to a 4x4 matrix M over
-Q(i)[q, q^-1] that does not depend on theta (exact_sector).  When a bundle
-first needs a sector, certify_sector checks exactly that M^2 - lambda^2 I = 0
-and tr M = 0, with lambda^2 = ((2m+1)^2 + (2n+1)^2)/2 a Fraction; the sector
-and this verdict are one frozen SectorMatrix, kept in the bundle's
-sector_store and handed out as it is.  A certified sector has the eigenvalues
--lambda, -lambda, +lambda, +lambda at every theta (the isospectrality of the
-Connes-Landi deformation), so a scan reports +-sqrt(lambda^2) and substitutes
-q = exp(i*theta/4) into no entry.  A sector whose certificate fails fails the
-scan's report and reports no eigenvalues: the certificate is the verdict.
-A sector that escapes its momentum fails the scan with the clause
-sector_exact[m,n], and the scan then reports no eigenvalues at all.
+Q(i)[q, q^-1] that does not depend on theta (exact_sector, which reads each
+column from the raw coefficient sums of the bundle's one operator,
+rotated_dirac).  When a bundle first needs a sector, certify_sector checks
+exactly that M^2 - lambda^2 I = 0 and tr M = 0, with lambda^2 =
+((2m+1)^2 + (2n+1)^2)/2 a Fraction; the sector and this verdict are one
+frozen SectorMatrix, kept in the bundle's sector_store and handed out as it
+is.  A certified sector has the eigenvalues -lambda, -lambda, +lambda,
++lambda at every theta (the isospectrality of the Connes-Landi deformation),
+so a scan reports +-sqrt(lambda^2), with the one deviation the sector keeps,
+and substitutes q = exp(i*theta/4) into no entry.  A sector whose
+certificate fails fails the scan's report and reports no eigenvalues: the
+certificate is the verdict.  A sector that escapes its momentum fails the
+scan with the clause sector_exact[m,n], and the scan then reports no
+eigenvalues at all.
 """
 
 from __future__ import annotations
@@ -21,14 +24,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
-from .algebra import AlgebraElement, Monomial
-from .catalog import SPINOR_RANK, SpaceBundle, dtilde_apply
+from .algebra import Monomial, _element
+from .catalog import SPINOR_RANK, SpaceBundle
 from .reports import Clause, Report
-from .scalars import Scalar
+from .scalars import Scalar, _scalar
 from .spin import ScalarMatrix, mat_mul
-from .tensors import TensorElement
+from .tensors import BasisWord, TensorSum
 
 # sectors kept per bundle: every sector up to mmax = 24 (49^2 = 2401), about
 # 4.3 KB each (3.7 KB of it the matrix, by a recursive sys.getsizeof of each
@@ -68,7 +72,8 @@ class SectorMatrix:
 
     square and trace hold the nonzero residuals of M^2 - lambda^2 I (labelled
     "m,n,row,col") and of tr M (labelled "m,n"); the sector is certified when
-    both are empty.
+    both are empty.  root, the float sqrt(lambda^2), and deviation, its
+    distance from closed_form_value(m, n), are computed once and kept.
     """
 
     m: int
@@ -82,10 +87,23 @@ class SectorMatrix:
     def certified(self) -> bool:
         return not self.square and not self.trace
 
+    @cached_property
+    def root(self) -> float:
+        lam2 = self.lambda_sq
+        return math.sqrt(lam2.numerator / lam2.denominator)  # float(lam2), with no Python-level call
+
+    @cached_property
+    def deviation(self) -> float:
+        """|root - closed form|: the deviation of each of the four eigenvalues.
+
+        -root + t = t - root and root - t = -(t - root) exactly in IEEE
+        arithmetic, so the four deviations are bit-equal.
+        """
+        return abs(self.root - closed_form_value(self.m, self.n))
+
     def eigenvalues(self) -> list[float]:
         """-sqrt(lambda^2) and +sqrt(lambda^2), each twice: what a certificate proves."""
-        lam2 = self.lambda_sq
-        root = math.sqrt(lam2.numerator / lam2.denominator)  # float(lam2), with no Python-level call
+        root = self.root
         return [-root, -root, root, root]
 
 
@@ -94,43 +112,57 @@ def certify_sector(m: int, n: int, matrix: ScalarMatrix) -> SectorMatrix:
     # 2((m + 1/2)^2 + (n + 1/2)^2), the square of the closed-form eigenvalue
     lam2 = Fraction((2 * m + 1) ** 2 + (2 * n + 1) ** 2, 2)
     diagonal = Scalar.rational(lam2)
+    # a residual is nonzero exactly where the entry differs from lambda^2 I
     square_residuals = tuple(
-        (f"{m},{n},{r + 1},{c + 1}", residual)
+        (f"{m},{n},{r + 1},{c + 1}", entry - diagonal if r == c else entry)
         for r, row in enumerate(mat_mul(matrix, matrix))
         for c, entry in enumerate(row)
-        if not (residual := (entry - diagonal if r == c else entry)).is_zero()
+        if (entry != diagonal if r == c else entry.terms)
     )
-    trace = sum((matrix[r][r] for r in range(SPINOR_RANK)), Scalar.zero())
+    trace = sum((matrix[r][r] for r in range(SPINOR_RANK) if matrix[r][r].terms), Scalar.zero())
     trace_residuals = () if trace.is_zero() else ((f"{m},{n}", trace),)
     return SectorMatrix(m, n, matrix, lam2, square_residuals, trace_residuals)
+
+
+# the spinor basis words e_alpha of a sector column
+_SPINOR_WORDS = tuple(BasisWord((), alpha) for alpha in range(SPINOR_RANK))
 
 
 def exact_sector(t2: SpaceBundle, m: int, n: int) -> ScalarMatrix:
     """Apply the operator symbolically to the sector basis and factor it out.
 
     Entry (beta, col) is the coefficient of basis vector beta in the image of
-    basis vector col; sector_matrix certifies the result and stores it.  The
-    factoring must be exact: every output coefficient is a single scalar
-    multiple of the receiving basis monomial, otherwise SectorEscape is
-    raised and spectrum_scan fails with no eigenvalues.
+    basis vector col; sector_matrix certifies the result and stores it.
+    Each column is added into a TensorSum by t2.rotated_dirac.add_term, the
+    operator dtilde_apply builds its elements with, and each entry is read
+    from the raw sums as one Scalar: no element is built for the column,
+    its Leibniz term or its image.  The factoring must be exact: every
+    output coefficient is a single scalar multiple of the receiving basis
+    monomial, otherwise SectorEscape is raised and spectrum_scan fails with
+    no eigenvalues.  A bundle without a hypersurface (r4) has no operator
+    and is refused with ValueError.
     """
+    operator = t2.rotated_dirac
     p = t2.presentation
     basis = sector_basis(m, n)
-    mono_for_alpha = {alpha: mono for mono, alpha in basis}
+    one = Scalar.one()
     entries = [[Scalar.zero()] * SPINOR_RANK for _ in range(SPINOR_RANK)]
     for col, (mono, alpha) in enumerate(basis):
-        coeff = AlgebraElement(p, {mono: Scalar.one()})
-        spinor = TensorElement.basis(p, (), alpha, coeff)
-        image = dtilde_apply(t2, spinor)
-        for w, c in image.terms.items():
+        out = TensorSum(p)
+        operator.add_term(out, _SPINOR_WORDS[alpha], {mono: one})
+        for w, acc in out.words.items():
             beta = w.spin
-            target = mono_for_alpha[beta]
-            if len(c.terms) != 1 or target not in c.terms:
+            target = basis[beta][0]
+            coeffs = acc.pop(target, None)
+            if any(acc.values()):  # a monomial other than the target has a nonzero sum
+                if coeffs is not None:
+                    acc[target] = coeffs
                 raise SectorEscape(
                     f"sector ({m},{n}): image of basis column {col} has "
-                    f"coefficient {c!r} outside monomial {target}"
+                    f"coefficient {_element(p, acc)!r} outside monomial {target}"
                 )
-            entries[beta][col] = c.terms[target]
+            if coeffs:  # a sum that cancelled is no term of the image
+                entries[beta][col] = _scalar(coeffs)
     return tuple(tuple(row) for row in entries)
 
 
@@ -214,12 +246,10 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
                 square.extend(sector.square)
                 trace.extend(sector.trace)
                 continue
-            t = closed_form_value(m, n)
-            # matched to -t, -t, t, t; v + t is exactly v - (-t)
+            # matched to -t, -t, t, t with one deviation (SectorMatrix.deviation)
             v1, v2, v3, v4 = sector.eigenvalues()
-            entries += (
-                (v1, m, n, abs(v1 + t)), (v2, m, n, abs(v2 + t)), (v3, m, n, abs(v3 - t)), (v4, m, n, abs(v4 - t))
-            )
+            d = sector.deviation
+            entries += ((v1, m, n, d), (v2, m, n, d), (v3, m, n, d), (v4, m, n, d))
     entries.sort()
     report.eigenvalues = [{"value": v, "m": m, "n": n, "deviation": d} for v, m, n, d in entries]
     report.max_deviation = max(map(itemgetter(3), entries), default=0.0)

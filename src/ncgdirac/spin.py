@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, Presentation
-from .geometry import Calculus, Connection, Metric, contracted_connection, tensor_connection
+from .geometry import Calculus, Connection, ContractedConnection, Metric, tensor_connection
 from .reports import Report
-from .scalars import Scalar
+from .scalars import Scalar, _scalar
 from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, with_spinor
 
 ScalarMatrix = tuple[tuple[Scalar, ...], ...]
@@ -17,21 +17,35 @@ def mat_mul(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
     """The product a b of square Scalar matrices, multiplying only nonzero entries.
 
     Entry (r, c) sums a[r][k] b[k][c] over the k where both factors are
-    nonzero, in ascending k; an entry with no such k is a fresh zero.  A
-    torus sector has 8 nonzero entries of 16, so its square takes 16
-    products where the dense triple loop takes 64.
+    nonzero, in ascending k, term by term into one raw {q-exponent:
+    GaussianRational} dict that drops a cancelled term; each entry is then
+    one fresh Scalar, a zero one where no k contributes.  A torus sector
+    has 8 nonzero entries of 16, so its square takes 16 products where the
+    dense triple loop takes 64, and builds 16 Scalars.
     """
     n = len(a)
-    b_rows = [[(c, y) for c, y in enumerate(row) if y.terms] for row in b]
+    b_rows = [[(c, y.terms.items()) for c, y in enumerate(row) if y.terms] for row in b]
     out = []
     for row in a:
-        sums: list[Scalar | None] = [None] * n
+        sums: list[dict] = [{} for _ in range(n)]
         for x, b_row in zip(row, b_rows):
-            if x.terms:
-                for c, y in b_row:
+            x_terms = x.terms.items()
+            if x_terms:
+                for c, y_terms in b_row:
                     s = sums[c]
-                    sums[c] = x * y if s is None else s + x * y
-        out.append(tuple(Scalar.zero() if s is None else s for s in sums))
+                    for k1, g1 in x_terms:
+                        for k2, g2 in y_terms:
+                            k = k1 + k2
+                            old = s.get(k)
+                            if old is None:
+                                s[k] = g1 * g2
+                                continue
+                            v = old + g1 * g2
+                            if v.a or v.b:
+                                s[k] = v
+                            else:
+                                del s[k]
+        out.append(tuple(map(_scalar, sums)))
     return tuple(out)
 
 
@@ -110,7 +124,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
       with e_a appended to every word, is left-linear as it stands.
     - clifford_compatibility, canon(nabla^sp(gamma(x)) - K(x)) on the
       dz_k (x) e_a, applied to b_i (x) e_a, with K the tensor-product
-      connection contracted by gamma (contracted_connection): for
+      connection contracted by gamma (ContractedConnection): for
       x = sum_w c_w w, nabla^sp(sum_w c_w gamma(w)) carries the Leibniz term
       sum_w d(c_w) (x) gamma(w), and so does K(x); they cancel once canon
       makes d a derivation of the quotient, so the family needs the calculus
@@ -147,7 +161,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
         report.unmet("clifford_compatibility", "calculus")
         return report
     # nabla^sp(gamma(w)) - (id (x) gamma) nabla(x)(w) on the free w, whose Leibniz term is empty
-    contracted = contracted_connection(tensor_connection(conn, spin.spin_connection), spin.gamma)
+    contracted = ContractedConnection(tensor_connection(conn, spin.spin_connection), spin.gamma)
 
     def compatibility_image(w: BasisWord) -> TensorElement:
         b = TensorElement.basis(p, w.forms, w.spin)

@@ -9,8 +9,9 @@ action, tensor products, applying a map, and the spinor-matrix sums of
 ``spin``) accumulates in a TensorSum through algebra._accumulate, with the
 twist as a per-monomial exponent shift, memoized per presentation.  The one
 exception is a product with the coefficient 1 of a single basis word: a map
-applied to a whole such word gives a copy of its image, and a tensor product
-with such a right factor a relabelled copy of the left one.  The differential
+applied to such a word gives a copy of its image (twisted through the prefix
+of a slot window), and a tensor product with such a right factor a
+relabelled copy of the left one.  The differential
 and the Leibniz term of a connection are one loop, add_leibniz, through
 _accumulate_triples, with each monomial's derivative terms memoized per
 presentation.
@@ -19,6 +20,7 @@ presentation.
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import mul
 from typing import NamedTuple
 
 from . import algebra
@@ -85,9 +87,19 @@ def _unit(c: AlgebraElement) -> bool:
     return not any(m) and len(s.terms) == 1 and s.terms.get(0) == _GR_ONE
 
 
-def _copy(p: Presentation, c: AlgebraElement) -> AlgebraElement:
-    """c in p with fresh term and Scalar dicts: 1 * c, with no product."""
-    return _algebra(p, {m: _scalar(dict(s.terms)) for m, s in c.terms.items()})
+def _copy(p: Presentation, c: AlgebraElement, twist: tuple[int, ...] | None = None) -> AlgebraElement:
+    """c in p with fresh term and Scalar dicts: 1 * c, with no product.
+
+    twist (see _twist) moves c left through basis letters: each monomial m's
+    q-exponents shift by twist . m, the phase _accumulate would add.
+    """
+    if twist is None:
+        return _algebra(p, {m: _scalar(dict(s.terms)) for m, s in c.terms.items()})
+    terms = {}
+    for m, s in c.terms.items():
+        shift = sum(map(mul, twist, m))
+        terms[m] = _scalar({k + shift: g for k, g in s.terms.items()})
+    return _algebra(p, terms)
 
 
 class TensorSum:
@@ -393,11 +405,6 @@ class LeftLinearMap:
         self._check_domain(e)
         return self.apply_at(e, 0)
 
-    def add_apply(self, out: TensorSum, e: TensorElement) -> None:
-        """Add apply(e) to out, with apply's checks: a sum of applies builds one element."""
-        self._check_domain(e)
-        self._accumulate_at(out.words, e, 0, self._window(e, 0)[2])
-
     def _check_domain(self, e: TensorElement) -> None:
         if e.shape() != self.domain:
             raise ShapeError(f"element shape {e.shape()} does not match domain {self.domain}")
@@ -409,16 +416,31 @@ class LeftLinearMap:
         coefficients are twisted left through the untouched prefix slots.
         Over a whole word, whose spinor slot (if any) the map consumes, a
         word of e is its own image key and an image word its own output
-        word; a single word with the coefficient 1 gets a copy of its image,
-        with no product.
+        word.  A single word with the coefficient 1 gets a copy of its image,
+        with no product: each image word placed between the prefix and the
+        suffix of the window, each coefficient twisted through the prefix.
         """
         out_degree, out_spin, whole = self._window(e, at)
         p = e.presentation
-        if whole and len(e.terms) == 1:
+        if len(e.terms) == 1:
             (w, c), = e.terms.items()
-            img = self.images.get(w)  # a missing image raises in _accumulate_at
-            if img is not None and _unit(c):  # 1 * image, with no product
-                return _tensor(p, out_degree, out_spin, {w2: _copy(p, c2) for w2, c2 in img.terms.items()})
+            if _unit(c):  # 1 * image, with no product
+                k, dspin = self.domain
+                forms = w.forms
+                key = w if whole else _tuple_new(BasisWord, (forms[at:at + k], w.spin if dspin else None))
+                img = self.images.get(key)
+                if img is not None:  # a missing image raises in _accumulate_at
+                    if whole:
+                        return _tensor(p, out_degree, out_spin, {w2: _copy(p, c2) for w2, c2 in img.terms.items()})
+                    prefix, suffix = forms[:at], forms[at + k:]
+                    twist = _twist(p, prefix)
+                    cspin, spin = self.codomain[1], None if dspin else w.spin
+                    terms = {
+                        _tuple_new(BasisWord, (prefix + w2.forms + suffix, w2.spin if cspin else spin)):
+                            _copy(p, c2, twist)
+                        for w2, c2 in img.terms.items()
+                    }
+                    return _tensor(p, out_degree, out_spin, terms)
         out = TensorSum(p)
         self._accumulate_at(out.words, e, at, whole)
         return out.element(out_degree, out_spin)

@@ -17,14 +17,22 @@ The sector path as it was before it skipped work: the dense triple loop of
 mat_mul, the contracted connection that builds two elements per input and
 merges them, and the scan that builds, maxes and sorts its entry dicts one
 sector at a time with a key function.
+
+The cold sector path as it was before it worked on raw coefficient sums:
+exact_sector reading each column from the element dtilde_apply builds, the
+certification whose matrix square builds one Scalar per product, and the
+rewriting loop whose stack entries carry Scalar coefficients, with the phase
+of every letter pair summed in a generator.
 """
 
 import functools
 
-from ncgdirac import spectrum
-from ncgdirac.algebra import AlgebraElement, _accumulate_triples, _phase, extend_presentation, normal_form
-from ncgdirac.catalog import r4_presentation, sphere_level_function, torus_level_function
-from ncgdirac.geometry import contracted_connection, tensor_connection
+from fractions import Fraction
+
+from ncgdirac import algebra, spectrum
+from ncgdirac.algebra import AlgebraElement, _accumulate_triples, _phase, add_term, extend_presentation, normal_form
+from ncgdirac.catalog import dtilde_apply, r4_presentation, sphere_level_function, torus_level_function
+from ncgdirac.geometry import ContractedConnection, tensor_connection
 from ncgdirac.reports import Clause, Report
 from ncgdirac.scalars import _GR_ONE, GaussianRational, Scalar
 from ncgdirac.spin import gamma_apply, gamma_iterated
@@ -106,7 +114,7 @@ def reference_families(spin, metric, conn):
 
     def compatibility_checks():
         # (id (x) g^-1) nabla(x)(pair), with g^-1 applied to each basis value once
-        contracted = contracted_connection(tensor_connection(conn, conn), metric.g_inv)
+        contracted = ContractedConnection(tensor_connection(conn, conn), metric.g_inv)
         for i in range(p.n):
             for j in range(p.n):
                 pair = pairs[i][j]
@@ -130,7 +138,7 @@ def reference_families(spin, metric, conn):
 
     def spin_compatibility_checks():
         # (id (x) gamma) nabla(x)(base), with gamma applied to each basis value once
-        contracted = contracted_connection(tensor_connection(conn, spin.spin_connection), spin.gamma)
+        contracted = ContractedConnection(tensor_connection(conn, spin.spin_connection), spin.gamma)
         for i in range(p.n):
             for alpha in range(SPINOR_RANK):
                 base = with_spinor(basis[i], alpha)
@@ -184,7 +192,7 @@ def reference_mat_mul(a, b):
 
 
 def reference_contracted_connection(conn, phi):
-    """contracted_connection with k.apply(x) + phi_canon.apply(Leibniz term): two elements, then their sum."""
+    """ContractedConnection with k.apply(x) + phi_canon.apply(Leibniz term): two elements, then their sum."""
     calc = conn.calculus
     p = calc.presentation
     w0, v0 = next(iter(conn.values.items()))
@@ -230,3 +238,92 @@ def reference_scan(t2, mmax, theta):
     report.certificate.family("sector_square", square)
     report.certificate.family("sector_trace", trace)
     return report
+
+
+def reference_exact_sector(t2, m, n):
+    """exact_sector reading each column from the TensorElement dtilde_apply builds."""
+    p = t2.presentation
+    basis = spectrum.sector_basis(m, n)
+    mono_for_alpha = {alpha: mono for mono, alpha in basis}
+    entries = [[Scalar.zero()] * SPINOR_RANK for _ in range(SPINOR_RANK)]
+    for col, (mono, alpha) in enumerate(basis):
+        spinor = TensorElement.basis(p, (), alpha, AlgebraElement(p, {mono: Scalar.one()}))
+        for w, c in dtilde_apply(t2, spinor).terms.items():
+            target = mono_for_alpha[w.spin]
+            if len(c.terms) != 1 or target not in c.terms:
+                raise spectrum.SectorEscape(
+                    f"sector ({m},{n}): image of basis column {col} has "
+                    f"coefficient {c!r} outside monomial {target}"
+                )
+            entries[w.spin][col] = c.terms[target]
+    return tuple(tuple(row) for row in entries)
+
+
+def _scalar_mat_mul(a, b):
+    """mat_mul with one Scalar per product, summed by Scalar additions, skipping zero factors in ascending k."""
+    n = len(a)
+    b_rows = [[(c, y) for c, y in enumerate(row) if y.terms] for row in b]
+    out = []
+    for row in a:
+        sums = [None] * n
+        for x, b_row in zip(row, b_rows):
+            if x.terms:
+                for c, y in b_row:
+                    s = sums[c]
+                    sums[c] = x * y if s is None else s + x * y
+        out.append(tuple(Scalar.zero() if s is None else s for s in sums))
+    return tuple(out)
+
+
+def reference_certify_sector(m, n, matrix):
+    """certify_sector squaring the matrix with one Scalar per product."""
+    lam2 = Fraction((2 * m + 1) ** 2 + (2 * n + 1) ** 2, 2)
+    diagonal = Scalar.rational(lam2)
+    square_residuals = tuple(
+        (f"{m},{n},{r + 1},{c + 1}", residual)
+        for r, row in enumerate(_scalar_mat_mul(matrix, matrix))
+        for c, entry in enumerate(row)
+        if not (residual := (entry - diagonal if r == c else entry)).is_zero()
+    )
+    trace = sum((matrix[r][r] for r in range(SPINOR_RANK)), Scalar.zero())
+    trace_residuals = () if trace.is_zero() else ((f"{m},{n}", trace),)
+    return spectrum.SectorMatrix(m, n, matrix, lam2, square_residuals, trace_residuals)
+
+
+def reference_phase(p, m1, m2):
+    e = 0
+    for k, ek in enumerate(m2):
+        if ek:
+            row = p.q_exp[k]
+            e += ek * sum(row[j] * m1[j] for j in range(k + 1, p.n))
+    return e
+
+
+def reference_mono_reduction(p, mono):
+    """(normal form, steps) of the ordered monomial by the Scalar stack loop, memoizing nothing.
+
+    Stack entries (monomial, Scalar coefficient, q-exponent); every irreducible
+    monomial is added to the result with add_term.  The budget is read from
+    algebra.STEP_BUDGET after each entry, as the kernel reads it.
+    """
+    out = {}
+    stack = [(mono, Scalar.one(), 0)]
+    steps = 0
+    while stack:
+        m, coeff, qexp = stack.pop()
+        for rule in p.rules:
+            if all(a <= b for a, b in zip(rule.lhs, m)):
+                rem = tuple(map(int.__sub__, m, rule.lhs))
+                qexp -= reference_phase(p, rem, rule.lhs)
+                steps += 1
+                for r, c in reversed(rule.rhs.items()):
+                    steps += sum(r)
+                    rmono = tuple(map(int.__add__, rem, r))
+                    stack.append((rmono, coeff * c, qexp + reference_phase(p, rem, r)))
+                break
+        else:
+            add_term(out, m, coeff.q_shift(qexp))
+        if steps > algebra.STEP_BUDGET:
+            raise algebra.RewriteBudgetExceeded(f"rewrite step budget of {algebra.STEP_BUDGET} steps exceeded")
+    terms = tuple((m, k, _GR_ONE if g == _GR_ONE else g) for m, s in out.items() for k, g in s.terms.items())
+    return terms, steps

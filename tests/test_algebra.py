@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -19,8 +20,9 @@ from ncgdirac.algebra import (
 )
 from ncgdirac.catalog import r4_presentation, sphere_level_function
 from ncgdirac.scalars import GaussianRational, Scalar
+from ncgdirac.spectrum import spectrum_scan
 
-from kernel_reference import letters, naive_mul, presentation
+from kernel_reference import letters, naive_mul, presentation, reference_mono_reduction, reference_phase
 
 
 @pytest.fixture(scope="module")
@@ -566,3 +568,99 @@ def test_kernel_word_products_match_the_oracle(data):
     c1, c2 = data.draw(coefficients), data.draw(coefficients)
     got = normal_form(w1, c1, p) * normal_form(w2, c2, p)
     assert got == brute_force_normal_form(w1 + w2, c1 * c2, p, _ORACLE_MEMOS[name])
+
+
+# -- the reduction loop on raw coefficients against the Scalar stack loop ------
+
+
+def _all_monomials(n, max_degree):
+    return [m for m in itertools.product(range(max_degree + 1), repeat=n) if sum(m) <= max_degree]
+
+
+def _reference_product(p, m1, m2):
+    e = reference_phase(p, m1, m2)
+    terms, _ = reference_mono_reduction(p, tuple(map(int.__add__, m1, m2)))
+    return tuple((m, k + e, g) for m, k, g in terms)
+
+
+def _multi_term_presentation(p_r4):
+    """A JSON presentation over the r4 R whose rule coefficients have several q-terms.
+
+    z4^2 -> (q + 2) z3 z4 + (1 - i q^3) z3^2 and z2 z4 -> (1/2 q^-1 - q^2) + (i + q) z1 z3;
+    nothing asks them to be confluent: both loops rewrite the same way.
+    """
+    def scalar(terms):
+        return {"terms": [[k, re, im] for k, re, im in terms]}
+
+    data = {
+        "name": "multi",
+        "generators": 4,
+        "R": [[s.to_json() for s in row] for row in p_r4.R],
+        "ideal": [
+            {"lhs": [3, 3], "rhs": [
+                {"exps": [0, 0, 1, 1], "coeff": scalar([[1, "1", "0"], [0, "2", "0"]])},
+                {"exps": [0, 0, 2, 0], "coeff": scalar([[0, "1", "0"], [3, "0", "-1"]])},
+            ]},
+            {"lhs": [1, 3], "rhs": [
+                {"exps": [0, 0, 0, 0], "coeff": scalar([[-1, "1/2", "0"], [2, "-1", "0"]])},
+                {"exps": [1, 0, 1, 0], "coeff": scalar([[0, "0", "1"], [1, "1", "0"]])},
+            ]},
+        ],
+    }
+    p = Presentation.from_json(json.loads(json.dumps(data)))
+    assert all(len(c.terms) == 2 for rule in p.rules for c in rule.rhs.values())
+    return p
+
+
+def test_kernel_reduction_matches_the_scalar_loop_on_the_products_of_a_cold_scan(t2, monkeypatch):
+    # every product a cold mmax=8 scan takes, recorded into empty memos, then
+    # each taken again from empty memos: (terms, steps) and the product
+    # tuples equal the Scalar loop's, term order included
+    p = t2.presentation
+    with monkeypatch.context() as patched:
+        patched.setattr(p, "_product_cache", {})
+        patched.setattr(p, "_reduction_cache", {})
+        spectrum_scan(dataclasses.replace(t2), 8, 0.7)
+        products = list(p._product_cache)
+    assert len(products) > 1000
+    fresh = _fresh(p)
+    for m1, m2 in products:
+        fresh._product_cache.clear()
+        fresh._reduction_cache.clear()
+        mono = tuple(map(int.__add__, m1, m2))
+        assert algebra._mono_reduction(fresh, mono) == reference_mono_reduction(p, mono), (m1, m2)
+        fresh._reduction_cache.clear()
+        assert algebra._mono_product(fresh, m1, m2) == _reference_product(p, m1, m2), (m1, m2)
+
+
+@pytest.mark.parametrize("name", ["s3", "t2", "multi"])
+def test_kernel_reduction_matches_the_scalar_loop_on_short_monomials(p_r4, name):
+    # every monomial of degree <= 6, reducible or not, from an empty memo
+    p = _multi_term_presentation(p_r4) if name == "multi" else presentation(name)
+    monos = _all_monomials(p.n, 6)
+    assert len(monos) == 210
+    fresh = _fresh(p)
+    steps = 0
+    for mono in monos:
+        got = algebra._mono_reduction(fresh, mono)
+        assert got == reference_mono_reduction(p, mono), mono
+        steps = max(steps, got[1])
+    assert steps >= 3  # chains of rewrites, not single steps
+    if name == "multi":  # the rules combine several q-terms in one coefficient
+        assert any(len({m for m, _, _ in terms}) < len(terms) for terms, _ in fresh._reduction_cache.values())
+
+
+@pytest.mark.parametrize("name", ["s3", "t2", "multi"])
+def test_kernel_reduction_exceeds_the_budget_at_the_scalar_loops_step(monkeypatch, p_r4, name):
+    # both loops charge the same steps in the same order: under a budget one
+    # below a monomial's step count both raise, and at its step count neither
+    p = _multi_term_presentation(p_r4) if name == "multi" else presentation(name)
+    full = algebra.STEP_BUDGET
+    for mono in _all_monomials(p.n, 5):
+        monkeypatch.setattr(algebra, "STEP_BUDGET", full)
+        _, steps = reference_mono_reduction(p, mono)
+        for budget in (steps - 1, steps):
+            monkeypatch.setattr(algebra, "STEP_BUDGET", budget)
+            over = steps > budget
+            assert _raises_over_budget(lambda: algebra._mono_reduction(_fresh(p), mono)) == over, (mono, budget)
+            assert _raises_over_budget(lambda: reference_mono_reduction(p, mono)) == over, (mono, budget)

@@ -17,6 +17,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ncgdirac"
 
 # definitions kept without a caller in src/, each with its reason
 ALLOWED_UNUSED = {
+    "catalog.dtilde_apply": (
+        "the public operator D~ on torus spinors (ncgdirac.dtilde_apply), which bench/tracer.py "
+        "times by name; the spectrum reads the same operator's raw sums (ContractedConnection.add_term)"
+    ),
     "geometry.tensor_connection_apply": (
         "bench/tracer.py wraps it by name until the in-engine tracer lands "
         '(ROADMAP, "An in-engine stage tracer")'

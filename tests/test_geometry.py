@@ -6,8 +6,8 @@ from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import sphere_level_function
 from ncgdirac.geometry import (
     Connection,
+    ContractedConnection,
     Metric,
-    contracted_connection,
     tensor_connection,
     tensor_connection_apply,
     verify_metric,
@@ -292,7 +292,7 @@ def test_contracted_connection_is_exact(request, space, phi):
             m = bundle.flat_gamma
         checked = list(spinors)
     at = next(iter(nabla.values.values())).degree - m.domain[0]
-    contracted = contracted_connection(nabla, m)
+    contracted = ContractedConnection(nabla, m)
     checked += _with_coefficients(p, list(nabla.values), random.Random(43))
     for x in checked:
         assert contracted(x) == m.apply_at(nabla.apply(x), at)

@@ -160,6 +160,33 @@ def test_build_makes_each_projected_calculus_once_and_its_premise_once(monkeypat
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
+def test_induction_projects_nabla_nu_once(request, monkeypatch, space):
+    # (Pi (x) id) nabla(nu) does not depend on the spinor: the spec projects
+    # it once on construction, and check_induction's four induced_dirac
+    # calls read it; a replaced pi gets its own projection
+    h = request.getfixturevalue(space).hypersurface
+    projected = []
+    apply_at = LeftLinearMap.apply_at
+
+    def counting(m, e, at):
+        if e is h.nabla_nu_q:
+            projected.append(m)
+        return apply_at(m, e, at)
+
+    monkeypatch.setattr(LeftLinearMap, "apply_at", counting)
+    same = replace(h, pi=h.pi)
+    assert projected == [h.pi]
+    assert same.pi_nabla_nu == h.pi.apply_at(h.nabla_nu_q, 0)
+    projected.clear()
+    report = check_induction(same, request.getfixturevalue(space).structures)
+    assert report.all_passed and projected == []
+    key = BasisWord((0,), None)
+    pi = LeftLinearMap(h.pi.presentation, h.pi.domain, h.pi.codomain,
+                       {**h.pi.images, key: h.pi.images[key].scale(Scalar.rational(2))})
+    assert replace(h, pi=pi).pi_nabla_nu == pi.apply_at(h.nabla_nu_q, 0) != h.pi_nabla_nu
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
 def test_nu_transparency_projects_each_residual_once(request, monkeypatch, space):
     # nu_transparency projects sigma(a) - b, not sigma(a) and b apart: the
     # ambient calculus (used by no other family) projects each of the 2n

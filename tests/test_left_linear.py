@@ -24,7 +24,7 @@ import pytest
 from ncgdirac import catalog, geometry, tensors
 from ncgdirac.algebra import AlgebraElement
 from ncgdirac.catalog import build_r4, verify_space
-from ncgdirac.geometry import Calculus, Connection, Metric, contracted_connection, tensor_connection, verify_metric
+from ncgdirac.geometry import Calculus, Connection, ContractedConnection, Metric, tensor_connection, verify_metric
 from ncgdirac.hypersurface import HypersurfaceError, _induced_spin
 from ncgdirac.reports import Report
 from ncgdirac.scalars import GaussianRational, Scalar
@@ -362,7 +362,7 @@ def test_kernel_contracted_connections_match_the_sum_of_two_elements(request, sp
         (spin.gamma, spin.spin_connection, [with_spinor(b, a) for b in calc.basis for a in range(SPINOR_RANK)]),
     ):
         tc = tensor_connection(conn, other)
-        got, want = contracted_connection(tc, phi), reference_contracted_connection(tc, phi)
+        got, want = ContractedConnection(tc, phi), reference_contracted_connection(tc, phi)
         assert any(any(mono) for x in inputs for c in x.terms.values() for mono in c.terms)
         for x in inputs:
             assert got(x) == want(x)

@@ -10,7 +10,9 @@ import pytest
 
 from ncgdirac import catalog, spectrum
 from ncgdirac.algebra import AlgebraElement
+from ncgdirac.geometry import ContractedConnection
 from ncgdirac.scalars import Scalar
+from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement
 from ncgdirac.spectrum import (
     SectorMatrix,
     certify_sector,
@@ -23,7 +25,7 @@ from ncgdirac.spectrum import (
 )
 from ncgdirac.spin import mat_mul
 
-from kernel_reference import reference_scan
+from kernel_reference import reference_certify_sector, reference_exact_sector, reference_scan
 
 THETAS = (0.0, 0.7, math.pi / 3)
 
@@ -278,18 +280,17 @@ def test_rotated_dirac_built_once_per_bundle(t2, monkeypatch):
     # values) belongs to the bundle, not to each sector column: two scans of a
     # fresh bundle build it once
     contractions, rotations = [], []
-    contracted_connection = catalog.contracted_connection
     gamma_nu_tilde = catalog.gamma_nu_tilde
 
     def counted_contraction(*args):
         contractions.append(args)
-        return contracted_connection(*args)
+        return ContractedConnection(*args)
 
     def counted_rotation(*args):
         rotations.append(args)
         return gamma_nu_tilde(*args)
 
-    monkeypatch.setattr(catalog, "contracted_connection", counted_contraction)
+    monkeypatch.setattr(catalog, "ContractedConnection", counted_contraction)
     monkeypatch.setattr(catalog, "gamma_nu_tilde", counted_rotation)
     fresh = dataclasses.replace(t2)
     spectrum_scan(fresh, 1, 0.7)
@@ -343,15 +344,16 @@ def test_exact_sectors_pinned(t2):
 
 def test_second_scan_applies_no_operator(t2, monkeypatch):
     # a bundle keeps its exact sectors: a scan at another theta only
-    # evaluates them, while a copy of the bundle starts with none
+    # evaluates them, while a copy of the bundle starts with none; each
+    # sector column is one add_term of the bundle's operator
     calls = []
-    dtilde_apply = spectrum.dtilde_apply
+    add_term = ContractedConnection.add_term
 
     def counted(*args):
         calls.append(args)
-        return dtilde_apply(*args)
+        return add_term(*args)
 
-    monkeypatch.setattr(spectrum, "dtilde_apply", counted)
+    monkeypatch.setattr(ContractedConnection, "add_term", counted)
     fresh = dataclasses.replace(t2)
     spectrum_scan(fresh, 1, 0.7)
     cold = len(calls)
@@ -420,3 +422,102 @@ def test_scan_entries_are_dicts_of_their_own(t2):
     first["value"] = 99.0
     assert twin == want["eigenvalues"][1]
     assert spectrum_scan(t2, 2, 0.7).to_json() == want
+
+
+MMAX8 = [(m, n) for m in range(-8, 9) for n in range(-8, 9)]
+
+
+def test_kernel_sector_columns_match_the_element_loop(t2):
+    # each column is read from the raw sums of the bundle's operator; the
+    # reference reads it from the element dtilde_apply builds
+    fresh = dataclasses.replace(t2)
+    for m, n in MMAX8:
+        assert exact_sector(fresh, m, n) == reference_exact_sector(fresh, m, n), (m, n)
+
+
+def _escaping_bundle(t2, part, word, extra):
+    """A copy of t2 whose operator has extra added to the stored image of word in part (k or phi_canon)."""
+    fresh = dataclasses.replace(t2)
+    operator = ContractedConnection(t2.structures.spin.spin_connection, t2.rotated_gamma)
+    stored = getattr(operator, part)
+    images = {**stored.images, word: stored.images[word] + extra}
+    setattr(operator, part, LeftLinearMap(stored.presentation, stored.domain, stored.codomain, images))
+    fresh.__dict__["rotated_dirac"] = operator
+    return fresh
+
+
+@pytest.mark.parametrize("part", ["k", "phi_canon"])
+def test_kernel_escaping_column_keeps_its_message(t2, part):
+    # an image coefficient outside the receiving monomial escapes with the
+    # message of the element loop, byte for byte, from either stored map
+    p = t2.presentation
+    z1 = AlgebraElement.generator(p, 0)
+    word = BasisWord((), 0) if part == "k" else BasisWord((0,), 0)
+    fresh = _escaping_bundle(t2, part, word, TensorElement.basis(p, (), 2, z1))
+    messages = {}
+    for m, n in ((1, -1), (1, 0), (2, 3)):
+        got, want = [], []
+        for build, into in ((exact_sector, got), (reference_exact_sector, want)):
+            with pytest.raises(spectrum.SectorEscape) as caught:
+                build(fresh, m, n)
+            into.append(str(caught.value))
+        assert got == want and "outside monomial" in got[0]
+        messages[m, n] = got[0]
+    report = spectrum_scan(fresh, 1, 0.7)
+    assert report.fallback_used and not report.eigenvalues
+    (clause,) = report.certificate.clauses
+    assert not clause.passed
+    if part == "k":  # every sector's first column escapes
+        assert clause.name == "sector_exact[-1,-1]"
+    else:  # the first column with a z1 letter is in the sector (1, -1)
+        assert clause.name == "sector_exact[1,-1]" and clause.residual == messages[1, -1]
+
+
+def test_kernel_exact_sector_refuses_a_bundle_without_a_normal(r4):
+    with pytest.raises(ValueError, match="r4 is not a hypersurface"):
+        exact_sector(r4, 0, 0)
+
+
+def _scaled_entry(matrix):
+    rows = [list(row) for row in matrix]
+    r, c = next((r, c) for r in range(4) for c in range(4) if not rows[r][c].is_zero())
+    rows[r][c] = rows[r][c] * Scalar.rational(3)
+    return tuple(tuple(row) for row in rows)
+
+
+def _diagonal_block_entry(matrix):
+    # a torus sector is zero on its two diagonal 2x2 blocks
+    rows = [list(row) for row in matrix]
+    assert rows[0][1].is_zero()
+    rows[0][1] = Scalar.q_power(-2, 5) + Scalar.rational(Fraction(1, 3))
+    return tuple(tuple(row) for row in rows)
+
+
+def test_kernel_certify_sector_matches_the_scalar_loop(t2):
+    # the square is summed in raw coefficient dicts; the reference builds one
+    # Scalar per product: equal sectors, residuals in the same labels and order
+    for m, n in MMAX8:
+        matrix = exact_sector(t2, m, n)
+        assert certify_sector(m, n, matrix) == reference_certify_sector(m, n, matrix), (m, n)
+    for corrupt in (_phase_corrupted, _scaled_entry, _diagonal_block_entry):
+        for m, n in ((0, 0), (2, -3), (-8, 8)):
+            matrix = corrupt(exact_sector(t2, m, n))
+            got, want = certify_sector(m, n, matrix), reference_certify_sector(m, n, matrix)
+            assert got == want and not got.certified
+            assert [label for label, _ in got.square] == [label for label, _ in want.square]
+            assert [r.to_json() for _, r in got.square] == [r.to_json() for _, r in want.square]
+            assert [r.to_json() for _, r in got.trace] == [r.to_json() for _, r in want.trace]
+
+
+def test_sector_keeps_one_deviation_for_its_four_eigenvalues(t2):
+    # -root + t, t - root and root - t have one absolute value, bit for bit;
+    # eigenvalues stays a method of the class, as the sector clock wraps it
+    assert "eigenvalues" in SectorMatrix.__dict__
+    fresh = dataclasses.replace(t2)
+    spectrum_scan(fresh, 8, 0.7)
+    for (m, n), sector in fresh.sector_store.items():
+        t = closed_form_value(m, n)
+        v1, v2, v3, v4 = sector.eigenvalues()
+        deviations = {abs(v1 + t), abs(v2 + t), abs(v3 - t), abs(v4 - t)}
+        assert deviations == {sector.deviation} and "deviation" in sector.__dict__
+        assert sector.eigenvalues() is not sector.eigenvalues()

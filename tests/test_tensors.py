@@ -210,14 +210,12 @@ def test_right_linearity_residuals_apply_the_map_once_per_word(monkeypatch):
 
 
 def test_apply_shape_mismatch():
-    # apply and add_apply take exactly the domain's shape, also where the
-    # window at slot 0 would fit a longer word
+    # apply takes exactly the domain's shape, also where the window at slot 0
+    # would fit a longer word
     s = sigma_map()
     for e in (dz(0), dz(0, 1, 2)):
         with pytest.raises(ShapeError):
             s.apply(e)
-        with pytest.raises(ShapeError):
-            s.add_apply(TensorSum(P), e)
 
 
 def test_missing_basis_image():
@@ -225,8 +223,6 @@ def test_missing_basis_image():
     m = LeftLinearMap(P, (1, False), (1, False), partial_images)
     with pytest.raises(KeyError):
         m.apply(dz(1))
-    with pytest.raises(KeyError):
-        m.add_apply(TensorSum(P), dz(1))
 
 
 def test_add_shape_mismatch():
@@ -509,18 +505,33 @@ MAP_SHAPES = [
 ]
 
 
-@given(spaces, seeds, st.sampled_from(MAP_SHAPES), st.booleans())
-def test_kernel_apply_at_matches_twist_rule(space, seed, shape, whole):
-    # whole: the window is the whole word of e, with no prefix or suffix
+@given(spaces, seeds, st.sampled_from(MAP_SHAPES), st.booleans(), st.booleans())
+def test_kernel_apply_at_matches_twist_rule(space, seed, shape, whole, unit):
+    # whole: the window is the whole word of e, with no prefix or suffix;
+    # unit: e is one basis word with the coefficient 1, whose image is copied
+    # (twisted through the prefix of a window) with no product
     domain, codomain, degree = shape
     rng = random.Random(seed)
     p = presentation(space)
     m = kernel_map(rng, p, domain, codomain)
     if whole:
         degree = domain[0]
-    e = kernel_tensor(rng, p, degree, domain[1] or (not codomain[1] and rng.random() < 0.5))
+    spin = domain[1] or (not codomain[1] and rng.random() < 0.5)
+    if unit:
+        forms = tuple(rng.randrange(p.n) for _ in range(degree))
+        e = TensorElement.basis(p, forms, rng.randrange(SPINOR_RANK) if spin else None)
+    else:
+        e = kernel_tensor(rng, p, degree, spin)
     at = degree - domain[0] if domain[1] else rng.randint(0, degree - domain[0])
-    assert m.apply_at(e, at) == naive_apply_at(m, e, at)
+    got = m.apply_at(e, at)
+    assert got == naive_apply_at(m, e, at)
+    if unit:  # a copy: clearing it leaves the stored images unchanged
+        before = {w: img.to_json() for w, img in m.images.items()}
+        for c in got.terms.values():
+            for s in c.terms.values():
+                s.terms.clear()
+            c.terms.clear()
+        assert {w: img.to_json() for w, img in m.images.items()} == before
 
 
 def naive_differential(a):
@@ -741,13 +752,8 @@ def test_kernel_presentation_checks_accept_an_equal_copy_and_refuse_another():
     m = kernel_map(rng, p, (1, True), (0, True))
     e, f, a = kernel_tensor(rng, p, 1, True), kernel_tensor(rng, p, 1, False), kernel_element(rng, p)
 
-    def add_apply(x):
-        out = TensorSum(p)
-        m.add_apply(out, x)
-        return out.element(0, True)
-
     calls = [
-        (e, lambda x: m.apply_at(x, 0)), (e, add_apply), (e, lambda x: tensor(f, x)),
+        (e, lambda x: m.apply_at(x, 0)), (e, lambda x: tensor(f, x)),
         (a, lambda x: right_mul(f, x)), (a, lambda x: f.left_mul(x)),
         (f, lambda x: f + x), (f, lambda x: f - x), (a, lambda x: a + x), (a, lambda x: a * x),
     ]
