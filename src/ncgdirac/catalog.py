@@ -12,7 +12,6 @@ sphere and torus structures are an acceptance oracle of the test suite
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -106,7 +105,6 @@ class GoldenMismatch(RuntimeError):
         self.residual = residual
 
 
-@dataclass
 class SpaceBundle:
     """One catalog space: presentation, structures, and its hypersurface link.
 
@@ -116,10 +114,17 @@ class SpaceBundle:
     in sector_store.
     """
 
-    name: str
-    structures: StructureSet
-    hypersurface: HypersurfaceSpec | None = None
-    base_matrices: tuple[ScalarMatrix, ...] | None = None
+    def __init__(
+        self,
+        name: str,
+        structures: StructureSet,
+        hypersurface: HypersurfaceSpec | None = None,
+        base_matrices: tuple[ScalarMatrix, ...] | None = None,
+    ):
+        self.name = name
+        self.structures = structures
+        self.hypersurface = hypersurface
+        self.base_matrices = base_matrices
 
     @property
     def presentation(self) -> Presentation:
@@ -163,7 +168,7 @@ class SpaceBundle:
 
     @cached_property
     def sector_store(self) -> dict:
-        """Certified sectors (frozen spectrum.SectorMatrix) by momentum (m, n).
+        """Certified sectors (immutable spectrum.SectorMatrix) by momentum (m, n).
 
         spectrum.sector_matrix fills it and hands out the stored sector
         itself; it holds at most spectrum.SECTOR_STORE_BOUND sectors.

@@ -18,8 +18,6 @@ reuse the machinery unchanged, with the previous quotient as the ambient space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import AlgebraElement, Presentation, extend_presentation, is_central
 from .geometry import Calculus, Connection, Metric
 from .reports import Report
@@ -45,40 +43,57 @@ class AssumptionCertificate(Report):
     calculus, nu_transparency, pi_transparency, nabla_nu_transparency, corollaries.
     """
 
+    __slots__ = ()
+
     def to_report(self, subject: str) -> Report:
         return Report(subject, list(self.clauses))
 
 
-@dataclass(slots=True, eq=False)
 class HypersurfaceSpec:
     """A built level-set hypersurface with its assumption certificate, ready for induction.
 
     The *_q fields are the ambient structures with coefficients converted to
-    the quotient presentation; conn_q carries the ambient braiding and its inverse.
-    The calculus of pi, the certificate and pi_nabla_nu, (Pi (x) id) nabla(nu)
-    as induced_dirac reads it, are computed on construction, so a
-    dataclasses.replace copy gets those of its own data.
+    the quotient presentation; conn_q carries the ambient braiding and its
+    inverse.  The constructor takes the eleven fields and derives, in this
+    order, the calculus of pi, the certificate and pi_nabla_nu, (Pi (x) id)
+    nabla(nu) as induced_dirac reads it; a spec built from changed fields
+    gets those of its own data.  The slots refuse any attribute beyond the
+    fourteen, and specs compare by identity.
     """
 
-    ambient: StructureSet
-    quotient_presentation: Presentation
-    qcalc: Calculus
-    nu: TensorElement
-    nu_q: TensorElement
-    nabla_nu_q: TensorElement
-    pi: LeftLinearMap
-    metric_q: Metric
-    gamma_q: LeftLinearMap
-    conn_q: Connection
-    spin_conn_q: Connection
-    calculus: Calculus = field(init=False)
-    certificate: AssumptionCertificate = field(init=False)
-    pi_nabla_nu: TensorElement = field(init=False)
+    __slots__ = (
+        "ambient", "quotient_presentation", "qcalc", "nu", "nu_q", "nabla_nu_q", "pi", "metric_q",
+        "gamma_q", "conn_q", "spin_conn_q", "calculus", "certificate", "pi_nabla_nu",
+    )
 
-    def __post_init__(self):
-        self.calculus = Calculus(self.quotient_presentation, self.pi)
+    def __init__(
+        self,
+        ambient: StructureSet,
+        quotient_presentation: Presentation,
+        qcalc: Calculus,
+        nu: TensorElement,
+        nu_q: TensorElement,
+        nabla_nu_q: TensorElement,
+        pi: LeftLinearMap,
+        metric_q: Metric,
+        gamma_q: LeftLinearMap,
+        conn_q: Connection,
+        spin_conn_q: Connection,
+    ):
+        self.ambient = ambient
+        self.quotient_presentation = quotient_presentation
+        self.qcalc = qcalc
+        self.nu = nu
+        self.nu_q = nu_q
+        self.nabla_nu_q = nabla_nu_q
+        self.pi = pi
+        self.metric_q = metric_q
+        self.gamma_q = gamma_q
+        self.conn_q = conn_q
+        self.spin_conn_q = spin_conn_q
+        self.calculus = Calculus(quotient_presentation, pi)
         self.certificate = check_assumptions(self)
-        self.pi_nabla_nu = self.pi.apply_at(self.nabla_nu_q, 0)
+        self.pi_nabla_nu = pi.apply_at(nabla_nu_q, 0)
 
     def require_certificate(self):
         """The induction gate: refuse a certificate with failing clauses, naming them."""

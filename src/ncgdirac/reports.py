@@ -4,24 +4,56 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Clause:
-    name: str
-    passed: bool
-    residual: object | None = None  # json-serializable payload, None when clean
+    """One named check and its outcome; residual is a json-serializable payload, None when clean.
+
+    A clause is immutable: a report that shares a certificate's clauses
+    cannot change the certificate through them.
+    """
+
+    __slots__ = ("name", "passed", "residual")
+
+    def __init__(self, name: str, passed: bool, residual: object | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "residual", residual)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Clause is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Clause is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.passed, self.residual) == (other.name, other.passed, other.residual)
+
+    def __repr__(self) -> str:
+        return f"Clause({self.name!r}, {self.passed!r}, {self.residual!r})"
 
     def to_json(self) -> dict:
         return {"clause": self.name, "pass": self.passed, "residual": self.residual}
 
 
-@dataclass
 class Report:
-    subject: str
-    clauses: list[Clause] = field(default_factory=list)
+    """The clauses checked on one subject, in order; equal reports have equal subjects and clauses."""
+
+    __slots__ = ("subject", "clauses")
+
+    def __init__(self, subject: str, clauses: list[Clause] | None = None):
+        self.subject = subject
+        self.clauses = [] if clauses is None else clauses
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subject, self.clauses) == (other.subject, other.clauses)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.subject!r}, {self.clauses!r})"
 
     def add(self, name: str, passed: bool):
         self.clauses.append(Clause(name, passed))
@@ -68,6 +100,8 @@ def write_report_atomic(payload: dict, path: str):
     An OSError names the target path, never the temporary file, and leaves
     no temporary file behind.
     """
+    import tempfile  # only a write needs it; the CLI imports this module on every start
+
     data = json.dumps(payload, indent=2, sort_keys=True)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:

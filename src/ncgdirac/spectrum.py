@@ -8,7 +8,7 @@ column from the raw coefficient sums of the bundle's one operator,
 rotated_dirac).  When a bundle first needs a sector, certify_sector checks
 exactly that M^2 - lambda^2 I = 0 and tr M = 0, with lambda^2 =
 ((2m+1)^2 + (2n+1)^2)/2 a Fraction; the sector and this verdict are one
-frozen SectorMatrix, kept in the bundle's sector_store and handed out as it
+immutable SectorMatrix, kept in the bundle's sector_store and handed out as it
 is.  A certified sector has the eigenvalues -lambda, -lambda, +lambda,
 +lambda at every theta (the isospectrality of the Connes-Landi deformation),
 so a scan reports +-sqrt(lambda^2), with the one deviation the sector keeps,
@@ -22,7 +22,6 @@ eigenvalues at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
@@ -66,22 +65,51 @@ def sector_basis(m: int, n: int) -> list[tuple[Monomial, int]]:
     ]
 
 
-@dataclass(frozen=True)
 class SectorMatrix:
     """One exact sector M(m, n) and its certificate, as the bundle's sector_store keeps it.
 
     square and trace hold the nonzero residuals of M^2 - lambda^2 I (labelled
     "m,n,row,col") and of tr M (labelled "m,n"); the sector is certified when
     both are empty.  root, the float sqrt(lambda^2), and deviation, its
-    distance from closed_form_value(m, n), are computed once and kept.
+    distance from closed_form_value(m, n), are computed once and kept.  A
+    sector is immutable (assigning or deleting an attribute raises
+    AttributeError), and sectors with equal fields are equal.
     """
 
-    m: int
-    n: int
-    matrix: ScalarMatrix
-    lambda_sq: Fraction
-    square: tuple[tuple[str, Scalar], ...]
-    trace: tuple[tuple[str, Scalar], ...]
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        matrix: ScalarMatrix,
+        lambda_sq: Fraction,
+        square: tuple[tuple[str, Scalar], ...],
+        trace: tuple[tuple[str, Scalar], ...],
+    ):
+        # object.__setattr__ keeps every sector's dict on the class's shared
+        # key table; a bulk __dict__.update gives each its own, read slower
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "lambda_sq", lambda_sq)
+        object.__setattr__(self, "square", square)
+        object.__setattr__(self, "trace", trace)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SectorMatrix is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SectorMatrix is immutable: cannot delete {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.m, self.n, self.matrix, self.lambda_sq, self.square, self.trace)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "SectorMatrix({}, {}, {!r}, {!r}, {!r}, {!r})".format(*self._fields())
 
     @property
     def certified(self) -> bool:
@@ -177,14 +205,26 @@ def sector_matrix(t2: SpaceBundle, m: int, n: int) -> SectorMatrix:
     return sector
 
 
-@dataclass
 class SpectrumReport:
-    theta: float
-    mmax: int
-    certificate: Report
-    eigenvalues: list[dict] = field(default_factory=list)
-    max_deviation: float = 0.0
-    fallback_used: bool = False
+    """A scan's eigenvalue entries, their largest deviation and its sector certificate."""
+
+    __slots__ = ("theta", "mmax", "certificate", "eigenvalues", "max_deviation", "fallback_used")
+
+    def __init__(
+        self,
+        theta: float,
+        mmax: int,
+        certificate: Report,
+        eigenvalues: list[dict] | None = None,
+        max_deviation: float = 0.0,
+        fallback_used: bool = False,
+    ):
+        self.theta = theta
+        self.mmax = mmax
+        self.certificate = certificate
+        self.eigenvalues = [] if eigenvalues is None else eigenvalues
+        self.max_deviation = max_deviation
+        self.fallback_used = fallback_used
 
     @property
     def all_passed(self) -> bool:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import AlgebraElement, Presentation
 from .geometry import Calculus, Connection, ContractedConnection, Metric, tensor_connection
 from .reports import Report
@@ -179,14 +177,16 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     return report
 
 
-@dataclass
 class StructureSet:
     """The bundled geometric data of one space."""
 
-    calculus: Calculus
-    metric: Metric
-    connection: Connection
-    spin: SpinStructure
+    __slots__ = ("calculus", "metric", "connection", "spin")
+
+    def __init__(self, calculus: Calculus, metric: Metric, connection: Connection, spin: SpinStructure):
+        self.calculus = calculus
+        self.metric = metric
+        self.connection = connection
+        self.spin = spin
 
     @property
     def presentation(self) -> Presentation:

@@ -19,9 +19,9 @@ presentation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
 from operator import mul
-from typing import NamedTuple
 
 from . import algebra
 from .algebra import (
@@ -37,15 +37,18 @@ class ShapeError(ValueError):
     """Raised when tensor shapes (degree / spinor slot) do not match."""
 
 
-class BasisWord(NamedTuple):
-    forms: tuple[int, ...]
-    spin: int | None
+# forms: tuple[int, ...], the form slots; spin: int | None, the spinor slot
+BasisWord = namedtuple("BasisWord", ("forms", "spin"))
 
-    def __repr__(self) -> str:
-        parts = [f"dz{i + 1}" for i in self.forms]
-        if self.spin is not None:
-            parts.append(f"e{self.spin + 1}")
-        return "(x)".join(parts) if parts else "1"
+
+def _basis_word_repr(self: BasisWord) -> str:
+    parts = [f"dz{i + 1}" for i in self.forms]
+    if self.spin is not None:
+        parts.append(f"e{self.spin + 1}")
+    return "(x)".join(parts) if parts else "1"
+
+
+BasisWord.__repr__ = _basis_word_repr
 
 
 # BasisWord(forms, spin) without the Python-level namedtuple __new__

@@ -6,10 +6,11 @@ fixtures run them once on the bundles they build.  The Dirac helpers evaluate th
 the flat gamma matrices against the representative partials, or the phi-basis
 form of the rotated torus operator) so that tests can compare them against the
 composite operators computed by the engine.  The partials, the torus
-phi-basis and the undeformed negative control live here too: only tests use
-them.
+phi-basis, the undeformed negative control and replace, which rebuilds an
+engine object with some fields changed, live here too: only tests use them.
 """
 
+import inspect
 from fractions import Fraction
 from itertools import product
 
@@ -27,6 +28,22 @@ from ncgdirac.catalog import (
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spin import SpinStructure, dirac, gamma_from_matrices, mat_mul, matrix_act
 from ncgdirac.tensors import BasisWord, TensorElement, differential, right_mul, tensor
+
+
+def replace(obj, **changes):
+    """A new object of obj's class, built by its constructor from obj's fields with changes applied.
+
+    Every constructor argument of the engine's record classes is stored
+    under its own name, so the copy derives what its constructor derives
+    (a spec's certificate, say) from its own data, and a bundle starts with
+    no cached operator and an empty sector store.  An unknown field raises
+    TypeError.
+    """
+    fields = inspect.signature(type(obj)).parameters
+    unknown = changes.keys() - fields.keys()
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} has no field {', '.join(sorted(unknown))}")
+    return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in fields})
 
 
 def partial_coeffs(a):

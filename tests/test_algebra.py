@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -22,6 +21,7 @@ from ncgdirac.catalog import r4_presentation, sphere_level_function
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spectrum import spectrum_scan
 
+from closed_forms import replace
 from kernel_reference import letters, naive_mul, presentation, reference_mono_reduction, reference_phase
 
 
@@ -620,7 +620,7 @@ def test_kernel_reduction_matches_the_scalar_loop_on_the_products_of_a_cold_scan
     with monkeypatch.context() as patched:
         patched.setattr(p, "_product_cache", {})
         patched.setattr(p, "_reduction_cache", {})
-        spectrum_scan(dataclasses.replace(t2), 8, 0.7)
+        spectrum_scan(replace(t2), 8, 0.7)
         products = list(p._product_cache)
     assert len(products) > 1000
     fresh = _fresh(p)

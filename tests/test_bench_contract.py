@@ -6,11 +6,12 @@ The tracer file is loaded read-only and its own resolver is used.  The
 structure digest bench/workloads.py checks each build against must not move.
 """
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from closed_forms import replace
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 TRACER_PATH = BENCH_DIR / "tracer.py"
@@ -61,8 +62,8 @@ def _canonical_connection(bundle):
     s = bundle.structures
     conn = s.connection
     values = {w: s.calculus.canon(v) for w, v in conn.values.items()}
-    structures = dataclasses.replace(s, connection=Connection(conn.calculus, values, conn.sigma, conn.sigma_inv))
-    return dataclasses.replace(bundle, structures=structures)
+    structures = replace(s, connection=Connection(conn.calculus, values, conn.sigma, conn.sigma_inv))
+    return replace(bundle, structures=structures)
 
 
 @pytest.mark.parametrize("module, qualname", TARGETS)
@@ -144,8 +145,8 @@ def test_scan_bytes_do_not_depend_on_scan_history(t2, monkeypatch):
 
     workloads = _workloads(monkeypatch)
     thetas = (0.7, 2.3, 0.7)
-    cold = [workloads.scan_bytes(spectrum_scan(dataclasses.replace(t2), 2, th)) for th in thetas]
-    fresh = dataclasses.replace(t2)
+    cold = [workloads.scan_bytes(spectrum_scan(replace(t2), 2, th)) for th in thetas]
+    fresh = replace(t2)
     warm = [workloads.scan_bytes(spectrum_scan(fresh, 2, th)) for th in thetas]
     assert warm == cold
 
@@ -156,9 +157,9 @@ def test_bounded_sector_store_changes_no_output(t2, monkeypatch):
     from ncgdirac import spectrum
 
     workloads = _workloads(monkeypatch)
-    want = workloads.scan_bytes(spectrum.spectrum_scan(dataclasses.replace(t2), 2, 0.7))
+    want = workloads.scan_bytes(spectrum.spectrum_scan(replace(t2), 2, 0.7))
     monkeypatch.setattr(spectrum, "SECTOR_STORE_BOUND", 5)
-    small = dataclasses.replace(t2)
+    small = replace(t2)
     for _ in range(2):
         assert workloads.scan_bytes(spectrum.spectrum_scan(small, 2, 0.7)) == want
     assert len(small.sector_store) == 5

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spin import SpinStructure, dirac, mat_mul
 from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, tensor
 
-from closed_forms import _expect, golden_s3, golden_t2, partial_coeffs, phi_basis
+from closed_forms import _expect, golden_s3, golden_t2, partial_coeffs, phi_basis, replace
 
 
 def e(p, alpha, coeff=None):
@@ -347,8 +346,8 @@ _PROJECTOR_PREMISE_FAILS = {
 def _corrupted_projector(h, key=BasisWord((1,), None), factor=Scalar.q_power(4)):
     """The hypersurface with Pi(key), by default Pi(dz2), scaled, and its quotient calculus.
 
-    dataclasses.replace derives the copy's calculus from the scaled Pi and
-    certifies the copy.
+    replace rebuilds the spec through its constructor, which derives the
+    copy's calculus from the scaled Pi and certifies the copy.
     """
     pi = h.pi
     images = dict(pi.images)
@@ -463,6 +462,31 @@ def test_gate_refuses_each_scaled_t2_projector_image(t2, k, op):
         induced_structures(broken)
     assert exc.value.kind == "certificate_failed"
     assert f"calculus[dz{k + 1}]" in str(exc.value)
+
+
+def test_verify_space_report_cannot_change_the_cached_certificate(t2):
+    # verify_space reports the certificate's own clauses; a clause refuses
+    # assignment, so no reader of the report can close or open the gate
+    s3 = catalog.build_s3(check=False)
+    h = s3.hypersurface
+    want = h.certificate.to_json()
+    clause = next(c for c in verify_space(s3).clauses if c.name == "nu_transparency")
+    with pytest.raises(AttributeError):
+        clause.passed = False
+    with pytest.raises(AttributeError):
+        del clause.residual
+    assert h.certificate.to_json() == want and h.certificate.all_passed
+    induced_dirac(h, TensorElement.basis(h.quotient_presentation, (), 0))
+
+    broken, _ = _corrupted_projector(t2.hypersurface, BasisWord((0,), None), Scalar.rational(2))
+    want = broken.certificate.to_json()
+    failing = next(c for c in verify_space(replace(t2, hypersurface=broken)).clauses if c.name == "calculus[dz1]")
+    with pytest.raises(AttributeError):
+        failing.passed = True
+    assert broken.certificate.to_json() == want and not broken.certificate.all_passed
+    with pytest.raises(HypersurfaceError) as exc:
+        broken.require_certificate()
+    assert exc.value.kind == "certificate_failed"
 
 
 def test_unchecked_build_refuses_scaled_s3_clifford_action_by_d_paths(monkeypatch):

@@ -182,6 +182,35 @@ def test_cli_runs_without_numpy():
     assert scan["certificate"]["pass"] is True and len(scan["eigenvalues"]) == 4 * 25
 
 
+# the engine and the CLI import none of these modules, which only cost
+# start-up time (dataclasses alone pulls in inspect, ast and dis; numpy is
+# only the spectrum's cross-check); -S keeps site from preloading typing and
+# tempfile, and report-all --out imports tempfile when it writes
+START_UP_SCRIPT = """
+import sys
+import ncgdirac
+import ncgdirac.cli
+loaded = [m for m in ("dataclasses", "inspect", "typing", "tempfile", "numpy") if m in sys.modules]
+if loaded:
+    sys.exit(f"imported by ncgdirac.cli: {', '.join(loaded)}")
+sys.exit(ncgdirac.cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_imports_no_start_up_only_module(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP_SCRIPT, "report-all", "--out", str(out)],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr.decode()
+    report = json.loads(out.read_text())
+    spaces = json.dumps(report["spaces"], indent=2, sort_keys=True)
+    assert sha256(spaces.encode()) == REPORT_ALL_SPACES_SHA256
+    assert report["spectrum"]["certificate"]["pass"] is True
+
+
 def test_dirac_command_flat_space(capsys):
     code, out, _ = run(capsys, "dirac", "r4")
     assert code == EXIT_OK

@@ -1,10 +1,9 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
-from closed_forms import check_goldens
+from closed_forms import check_goldens, replace
 from ncgdirac import catalog, cli
 from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import (
@@ -115,7 +114,7 @@ def test_torus_certificate_passes(t2):
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
 def test_replaced_spec_carries_the_certificate_of_its_own_data(request, space):
-    # dataclasses.replace builds the copy through __init__, which derives the
+    # replace builds the copy through the constructor, which derives the
     # calculus from the copy's pi and certifies the copy
     bundle = request.getfixturevalue(space)
     h = bundle.hypersurface
@@ -288,6 +287,8 @@ def test_spec_rejects_unknown_and_missing_fields(s3):
         HypersurfaceSpec(bogus=1)
     with pytest.raises(TypeError):
         HypersurfaceSpec(ambient=s3.hypersurface.ambient)
+    with pytest.raises(TypeError):
+        replace(s3.hypersurface, bogus=1)
 
 
 # -- lemma consequences ----------------------------------------------------------

@@ -17,7 +17,6 @@ clause that names the premise, with no residual.
 """
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -34,6 +33,7 @@ from ncgdirac.tensors import (
     SPINOR_RANK, BasisWord, LeftLinearMap, ShapeError, TensorElement, TensorSum, add_leibniz, with_spinor,
 )
 
+from closed_forms import replace
 from kernel_reference import (
     reference_add_leibniz, reference_contracted_connection, reference_families, reference_induced_gamma,
 )

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -25,6 +24,7 @@ from ncgdirac.spectrum import (
 )
 from ncgdirac.spin import mat_mul
 
+from closed_forms import replace
 from kernel_reference import reference_certify_sector, reference_exact_sector, reference_scan
 
 THETAS = (0.0, 0.7, math.pi / 3)
@@ -119,14 +119,14 @@ def test_scan_refuses_a_bundle_that_is_not_the_torus(request, space):
     # s3 is a hypersurface but not of a hypersurface: it has no torus sectors,
     # so the scan refuses it before building one instead of failing a
     # certificate; r4 has no hypersurface at all
-    bundle = dataclasses.replace(request.getfixturevalue(space))
+    bundle = replace(request.getfixturevalue(space))
     with pytest.raises(ValueError, match=f"{space} is not a hypersurface of a hypersurface"):
         spectrum_scan(bundle, 0, 0.7)
     assert bundle.sector_store == {}
 
 
 def test_scan_certificate_is_named_after_the_bundle(t2):
-    renamed = dataclasses.replace(t2, name="torus")
+    renamed = replace(t2, name="torus")
     assert spectrum_scan(renamed, 0, 0.7).certificate.subject == "torus"
     assert spectrum_scan(t2, 0, 0.7).certificate.subject == "t2"
 
@@ -153,7 +153,7 @@ def test_zero_sector_entries_are_not_evaluated(t2, monkeypatch):
         return eval_numeric(self, theta)
 
     monkeypatch.setattr(Scalar, "eval_numeric", counted)
-    fresh = dataclasses.replace(t2)
+    fresh = replace(t2)
     spectrum_scan(fresh, 2, 0.7)
     sector = sector_matrix(fresh, 1, -2)
     sector.eigenvalues()
@@ -204,7 +204,7 @@ def _phase_corrupted(matrix):
 
 
 def test_corrupted_stored_sector_fails_the_certificate(t2):
-    fresh = dataclasses.replace(t2)
+    fresh = replace(t2)
     fresh.sector_store[(1, 0)] = certify_sector(1, 0, _phase_corrupted(exact_sector(t2, 1, 0)))
     for theta in (0.0, 0.7):
         report = spectrum_scan(fresh, 1, theta)
@@ -292,7 +292,7 @@ def test_rotated_dirac_built_once_per_bundle(t2, monkeypatch):
 
     monkeypatch.setattr(catalog, "ContractedConnection", counted_contraction)
     monkeypatch.setattr(catalog, "gamma_nu_tilde", counted_rotation)
-    fresh = dataclasses.replace(t2)
+    fresh = replace(t2)
     spectrum_scan(fresh, 1, 0.7)
     spectrum_scan(fresh, 1, 1.3)
     assert len(contractions) == 1
@@ -310,7 +310,7 @@ def test_generators_built_once_per_bundle(t2, monkeypatch):
         return generator(p, i)
 
     monkeypatch.setattr(AlgebraElement, "generator", staticmethod(counted))
-    fresh = dataclasses.replace(t2)
+    fresh = replace(t2)
     spectrum_scan(fresh, 1, 0.7)
     spectrum_scan(fresh, 1, 1.3)
     assert len(calls) <= 4
@@ -354,20 +354,21 @@ def test_second_scan_applies_no_operator(t2, monkeypatch):
         return add_term(*args)
 
     monkeypatch.setattr(ContractedConnection, "add_term", counted)
-    fresh = dataclasses.replace(t2)
+    fresh = replace(t2)
     spectrum_scan(fresh, 1, 0.7)
     cold = len(calls)
     assert cold == 9 * 4
     spectrum_scan(fresh, 1, 1.3)
     assert len(calls) == cold
-    spectrum_scan(dataclasses.replace(fresh), 1, 1.3)
+    spectrum_scan(replace(fresh), 1, 1.3)
     assert len(calls) == 2 * cold
 
 
 def test_sector_store_hands_out_a_frozen_sector(t2):
     # the store hands out its sector itself, but nothing in it that a caller
-    # can change: the sector is frozen and eigenvalues() is a fresh list
-    fresh = dataclasses.replace(t2)
+    # can change: the sector refuses assignment and deletion, and
+    # eigenvalues() is a fresh list
+    fresh = replace(t2)
     want = spectrum_scan(fresh, 1, 0.7).to_json()
     sector = sector_matrix(fresh, 0, 0)
     assert sector is fresh.sector_store[(0, 0)]
@@ -376,8 +377,14 @@ def test_sector_store_hands_out_a_frozen_sector(t2):
     assert len(fresh.sector_store) == 9
     for stored in fresh.sector_store.values():
         assert type(stored) is SectorMatrix and stored.certified
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        kept = (stored.square, stored.trace, stored.matrix)
+        with pytest.raises(AttributeError):
             stored.square = (("forged", Scalar.one()),)
+        with pytest.raises(AttributeError):
+            del stored.trace
+        with pytest.raises(AttributeError):
+            stored.matrix = ()
+        assert (stored.square, stored.trace, stored.matrix) == kept and stored.certified
         assert type(stored.matrix) is tuple and all(type(row) is tuple for row in stored.matrix)
         assert all(type(c) is Scalar for row in stored.matrix for c in row)
         assert type(stored.square) is tuple and type(stored.trace) is tuple
@@ -404,7 +411,7 @@ def test_scan_assembly_matches_the_reference_loop(t2, monkeypatch):
 
     for patched, failing in ((corrupted, "sector_square[0,0,"), (escaping, "sector_exact[1,-1]")):
         monkeypatch.setattr(spectrum, "exact_sector", patched)
-        fresh = dataclasses.replace(t2)
+        fresh = replace(t2)
         got, want = spectrum_scan(fresh, 2, 0.7).to_json(), reference_scan(fresh, 2, 0.7).to_json()
         assert got == want
         assert any(c["clause"].startswith(failing) and not c["pass"] for c in got["certificate"]["clauses"])
@@ -430,14 +437,14 @@ MMAX8 = [(m, n) for m in range(-8, 9) for n in range(-8, 9)]
 def test_kernel_sector_columns_match_the_element_loop(t2):
     # each column is read from the raw sums of the bundle's operator; the
     # reference reads it from the element dtilde_apply builds
-    fresh = dataclasses.replace(t2)
+    fresh = replace(t2)
     for m, n in MMAX8:
         assert exact_sector(fresh, m, n) == reference_exact_sector(fresh, m, n), (m, n)
 
 
 def _escaping_bundle(t2, part, word, extra):
     """A copy of t2 whose operator has extra added to the stored image of word in part (k or phi_canon)."""
-    fresh = dataclasses.replace(t2)
+    fresh = replace(t2)
     operator = ContractedConnection(t2.structures.spin.spin_connection, t2.rotated_gamma)
     stored = getattr(operator, part)
     images = {**stored.images, word: stored.images[word] + extra}
@@ -513,7 +520,7 @@ def test_sector_keeps_one_deviation_for_its_four_eigenvalues(t2):
     # -root + t, t - root and root - t have one absolute value, bit for bit;
     # eigenvalues stays a method of the class, as the sector clock wraps it
     assert "eigenvalues" in SectorMatrix.__dict__
-    fresh = dataclasses.replace(t2)
+    fresh = replace(t2)
     spectrum_scan(fresh, 8, 0.7)
     for (m, n), sector in fresh.sector_store.items():
         t = closed_form_value(m, n)

@@ -15,6 +15,7 @@ from ncgdirac.tensors import (
     ShapeError,
     TensorElement,
     TensorSum,
+    _tuple_new,
     add_leibniz,
     all_basis_words,
     differential,
@@ -57,6 +58,17 @@ def rand_tensor(rng, degree=1, spin=False):
 
 
 # -- right action ------------------------------------------------------------
+
+def test_basis_word_is_a_named_pair():
+    # a plain namedtuple with its own repr: fields, tuple equality and hash,
+    # and a word built by tuple.__new__ (_tuple_new) is an equal BasisWord
+    w = BasisWord((0, 2), 1)
+    assert BasisWord._fields == ("forms", "spin") and (w.forms, w.spin) == ((0, 2), 1)
+    assert repr(w) == "dz1(x)dz3(x)e2" and repr(BasisWord((), None)) == "1"
+    assert w == ((0, 2), 1) and hash(w) == hash(((0, 2), 1))
+    built = _tuple_new(BasisWord, ((0, 2), 1))
+    assert type(built) is BasisWord and built == w and repr(built) == repr(w)
+
 
 def test_right_mul_through_one_letter():
     # dz1 z2 = R^{21} z2 dz1 with R^{21} = e^{i theta}

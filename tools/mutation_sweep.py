@@ -38,13 +38,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from closed_forms import check_goldens  # noqa: E402
+from closed_forms import check_goldens, replace  # noqa: E402
 from ncgdirac.catalog import SpaceBundle, build_s3, build_t2, verify_space  # noqa: E402
 from ncgdirac.geometry import Connection, Metric  # noqa: E402
 from ncgdirac.hypersurface import check_induction, induced_structures  # noqa: E402
