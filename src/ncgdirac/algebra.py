@@ -17,7 +17,9 @@ which builds a Scalar and an AlgebraElement once per output coefficient.
 elements and, through ``tensors.TensorSum``, of tensor coefficients;
 ``_accumulate_triples`` adds scaled (monomial, q-exponent, coefficient)
 triples: reductions, and the derivative terms of ``tensors.add_leibniz``.
-The raw map is known only here and in ``tensors``.
+The raw map is known in four modules: here and in ``tensors``, in
+``geometry`` (``ContractedConnection.add_term`` writes it) and in
+``spectrum`` (``exact_sector`` reads it and builds ``_element`` from it).
 """
 
 from __future__ import annotations
@@ -233,6 +235,8 @@ def _element_terms_from_json(data: list, n: int) -> dict[Monomial, Scalar]:
             raise PresentationError("monomial arity mismatch in serialized element")
         if any(e < 0 for e in m):
             raise PresentationError(f"negative exponent in serialized monomial {list(m)}")
+        if m in out:  # a second entry would silently replace the first
+            raise PresentationError(f"monomial {list(m)} appears twice in a serialized element")
         out[m] = _scalar_from_json(entry["coeff"])
     return out
 
@@ -240,6 +244,7 @@ def _element_terms_from_json(data: list, n: int) -> dict[Monomial, Scalar]:
 def _scalar_from_json(data) -> Scalar:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise PresentationError("a serialized scalar must be an object with a 'terms' list")
+    exponents = set()
     for term in data["terms"]:
         # a float re would be read as its binary value, a float k truncated, and
         # Fraction("1e1000000000") would build a huge integer, so re and im take
@@ -253,6 +258,9 @@ def _scalar_from_json(data) -> Scalar:
             raise PresentationError(
                 f"a scalar term must be [k, re, im] with integer k and p/q strings re, im: {term!r}"
             )
+        if term[0] in exponents:  # a second term would silently replace the first
+            raise PresentationError(f"scalar {data['terms']!r} repeats the q-exponent {term[0]}")
+        exponents.add(term[0])
     try:
         return Scalar.from_json(data)
     except ZeroDivisionError as exc:

@@ -194,8 +194,8 @@ def build_r4(classical: bool = False) -> SpaceBundle:
         BasisWord((i,), None): TensorElement.zero(p, 2, False) for i in range(N_GEN)
     }
     # sigma^-1(dz_j (x) dz_i) = R[i][j] dz_i (x) dz_j, which is sigma(dz_j (x) dz_i):
-    # R[i][j] R[j][i] = 1 makes the braiding an involution
-    connection = Connection(calc, conn_values, sigma, sigma)
+    # R[i][j] R[j][i] = 1 makes the braiding an involution, so it is stored once
+    connection = Connection(calc, conn_values, sigma)
 
     matrices = gamma_theta_matrices(classical)
     gamma = gamma_from_matrices(calc, matrices)

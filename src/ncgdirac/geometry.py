@@ -127,20 +127,19 @@ class Connection:
     projected calculus a value may be any representative of its class (the
     induced connection keeps the Gauss formula's): every reader projects
     before it compares, as apply does, and canon kills the difference of
-    two representatives (see hypersurface._induced_connection).
+    two representatives (see hypersurface._induced_connection).  The
+    braiding sigma, a map of 2-forms, is stored once: every braiding of the
+    engine is its own inverse (see verify_metric's sigma_invertible).
     """
 
-    __slots__ = ("calculus", "values", "sigma", "sigma_inv")
+    __slots__ = ("calculus", "values", "sigma")
 
     def __init__(
-        self,
-        calculus: Calculus,
-        values: dict[BasisWord, TensorElement],
-        sigma: LeftLinearMap | None = None,
-        sigma_inv: LeftLinearMap | None = None,
+        self, calculus: Calculus, values: dict[BasisWord, TensorElement], sigma: LeftLinearMap | None = None
     ):
-        if (sigma is None) != (sigma_inv is None):
-            raise ValueError("a braided connection needs both sigma and sigma_inv")
+        if sigma is not None:
+            if sigma.domain != (2, False) or sigma.codomain != (2, False):
+                raise ValueError("sigma must map 2-forms to 2-forms")
         shapes = {((len(w.forms), w.spin is not None), v.shape()) for w, v in values.items()}
         if not shapes:
             raise ValueError("a connection needs a value on at least one basis word")
@@ -149,7 +148,12 @@ class Connection:
         self.calculus = calculus
         self.values = dict(values)
         self.sigma = sigma
-        self.sigma_inv = sigma_inv
+
+    def convert(self, calculus: Calculus) -> Connection:
+        """The same values and braiding with coefficients converted to calculus's presentation."""
+        p = calculus.presentation
+        values = {w: v.convert(p) for w, v in self.values.items()}
+        return Connection(calculus, values, None if self.sigma is None else self.sigma.convert(p))
 
     def apply(self, e: TensorElement) -> TensorElement:
         """The canonical representative canon(raw_apply(e))."""
@@ -323,6 +327,12 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     premise.  A family whose premise failed is the one failing clause
     name[needs premise], with no residual (Report.unmet).  Each residual is
     projected once, in the images.
+
+    sigma_invertible is canon(sigma(sigma(w)) - w) on the free pairs w:
+    sigma is invertible because it is its own inverse.  The flat braiding
+    is sigma(dz_i (x) dz_j) = R[j][i] dz_j (x) dz_i, Presentation enforces
+    R[i][j] R[j][i] = 1, and each induced braiding is that sigma descended
+    unchanged, so sigma o sigma = id is what the family checks.
     """
     calc = conn.calculus
     p = calc.presentation
@@ -389,8 +399,7 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     def inverse_checks():
         for w in all_basis_words(p, 2):
             base = TensorElement.basis(p, w.forms)
-            got = conn.sigma_inv.apply(conn.sigma.apply(base))
-            yield (repr(w), calc.canon(got - base))
+            yield (repr(w), calc.canon(conn.sigma.apply(conn.sigma.apply(base)) - base))
 
     report.family("sigma_invertible", inverse_checks())
 

@@ -1,10 +1,12 @@
 """Level-set noncommutative hypersurfaces and the induced geometric structures.
 
 Given an ambient structure set and a central level function f, this module
-builds the quotient presentation, the normal form nu = df, the tangential
-projector and its calculus, the assumption certificate (the one check of the
-calculus premise), and the induced metric, connection, braiding, Clifford
-action, spin connection and Dirac operator.
+builds the quotient presentation, the ambient structures converted to it
+once (ambient_q), the normal form nu = df, the tangential projector and its
+calculus, the assumption certificate (the one check of the calculus
+premise), and the induced metric, connection, braiding, Clifford action, spin
+connection and Dirac operator.  Every induced structure is read from those
+three inputs: ambient_q, nu and the projector.
 
 Quotient classes are represented inside the free module of the ambient
 coordinates, with coefficients in the quotient presentation.  The metric, the
@@ -52,48 +54,36 @@ class AssumptionCertificate(Report):
 class HypersurfaceSpec:
     """A built level-set hypersurface with its assumption certificate, ready for induction.
 
-    The *_q fields are the ambient structures with coefficients converted to
-    the quotient presentation; conn_q carries the ambient braiding and its
-    inverse.  The constructor takes the eleven fields and derives, in this
-    order, the calculus of pi, the certificate and pi_nabla_nu, (Pi (x) id)
-    nabla(nu) as induced_dirac reads it; a spec built from changed fields
-    gets those of its own data.  The slots refuse any attribute beyond the
-    fourteen, and specs compare by identity.
+    It is made from the paper's three inputs: the ambient structures
+    (ambient, and ambient_q, the same structures with coefficients converted
+    to the quotient presentation, on one calculus), the normal nu = df and
+    the tangential projector pi.  The constructor derives, in this order,
+    nu_q and nabla_nu_q (nu and nabla(nu) converted), the calculus of pi,
+    the certificate and pi_nabla_nu, (Pi (x) id) nabla(nu) as induced_dirac
+    reads it; a spec built from changed fields gets those of its own data.
+    The slots refuse any attribute beyond the nine, and specs compare by
+    identity.
     """
 
     __slots__ = (
-        "ambient", "quotient_presentation", "qcalc", "nu", "nu_q", "nabla_nu_q", "pi", "metric_q",
-        "gamma_q", "conn_q", "spin_conn_q", "calculus", "certificate", "pi_nabla_nu",
+        "ambient", "ambient_q", "nu", "pi", "nu_q", "nabla_nu_q", "calculus", "certificate", "pi_nabla_nu",
     )
 
-    def __init__(
-        self,
-        ambient: StructureSet,
-        quotient_presentation: Presentation,
-        qcalc: Calculus,
-        nu: TensorElement,
-        nu_q: TensorElement,
-        nabla_nu_q: TensorElement,
-        pi: LeftLinearMap,
-        metric_q: Metric,
-        gamma_q: LeftLinearMap,
-        conn_q: Connection,
-        spin_conn_q: Connection,
-    ):
+    def __init__(self, ambient: StructureSet, ambient_q: StructureSet, nu: TensorElement, pi: LeftLinearMap):
         self.ambient = ambient
-        self.quotient_presentation = quotient_presentation
-        self.qcalc = qcalc
+        self.ambient_q = ambient_q
         self.nu = nu
-        self.nu_q = nu_q
-        self.nabla_nu_q = nabla_nu_q
         self.pi = pi
-        self.metric_q = metric_q
-        self.gamma_q = gamma_q
-        self.conn_q = conn_q
-        self.spin_conn_q = spin_conn_q
-        self.calculus = Calculus(quotient_presentation, pi)
+        quotient = ambient_q.presentation
+        self.nu_q = nu.convert(quotient)
+        self.nabla_nu_q = ambient.connection.apply(nu).convert(quotient)
+        self.calculus = Calculus(quotient, pi)
         self.certificate = check_assumptions(self)
-        self.pi_nabla_nu = pi.apply_at(nabla_nu_q, 0)
+        self.pi_nabla_nu = pi.apply_at(self.nabla_nu_q, 0)
+
+    @property
+    def quotient_presentation(self) -> Presentation:
+        return self.ambient_q.presentation
 
     def require_certificate(self):
         """The induction gate: refuse a certificate with failing clauses, naming them."""
@@ -132,49 +122,23 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
             f"[g^-1(nu (x) nu)] = {norm!r} != 1 in the quotient",
         )
 
-    prev_proj = ambient.calculus.projector
-    qcalc = Calculus(quotient, prev_proj.convert(quotient) if prev_proj else None)
+    ambient_q = ambient.convert(quotient)
     nu_q = nu.convert(quotient)
-    metric_q = Metric(
-        ambient.metric.g_element.convert(quotient), ambient.metric.g_inv.convert(quotient)
-    )
-    conn_q = Connection(
-        qcalc,
-        {w: v.convert(quotient) for w, v in ambient.connection.values.items()},
-        ambient.connection.sigma.convert(quotient),
-        ambient.connection.sigma_inv.convert(quotient),
-    )
-    spin_conn_q = Connection(
-        qcalc,
-        {w: v.convert(quotient) for w, v in ambient.spin.spin_connection.values.items()},
-    )
 
     # tangential projector Pi(w) = w - g^-1(w (x) nu) nu on class representatives
     def tangential(w: BasisWord) -> TensorElement:
-        b = metric_q.pair(tensor(TensorElement.basis(quotient, w.forms), nu_q))
-        return qcalc.basis[w.forms[0]] - nu_q.left_mul(b)
+        b = ambient_q.metric.pair(tensor(TensorElement.basis(quotient, w.forms), nu_q))
+        return ambient_q.calculus.basis[w.forms[0]] - nu_q.left_mul(b)
 
     pi = LeftLinearMap.on_free_words(quotient, (1, False), tangential)
-
-    return HypersurfaceSpec(
-        ambient=ambient,
-        quotient_presentation=quotient,
-        qcalc=qcalc,
-        nu=nu,
-        nu_q=nu_q,
-        nabla_nu_q=ambient.connection.apply(nu).convert(quotient),
-        pi=pi,
-        metric_q=metric_q,
-        gamma_q=ambient.spin.gamma.convert(quotient),
-        conn_q=conn_q,
-        spin_conn_q=spin_conn_q,
-    )
+    return HypersurfaceSpec(ambient, ambient_q, nu, pi)
 
 
 def _gamma2(h: HypersurfaceSpec, e: TensorElement) -> TensorElement:
     """Two ambient Clifford contractions on a degree-2 spinor-valued element."""
-    out = h.gamma_q.apply_at(e, e.degree - 1)
-    return h.gamma_q.apply_at(out, out.degree - 1)
+    gamma = h.ambient_q.spin.gamma
+    out = gamma.apply_at(e, e.degree - 1)
+    return gamma.apply_at(out, out.degree - 1)
 
 
 def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
@@ -190,11 +154,11 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     stores each side's difference of composites on the 16 free pairs once,
     which is exact because every map in it is left-linear.
     """
-    amb = h.ambient
+    amb, amb_q = h.ambient, h.ambient_q
     n = amb.presentation.n
-    quotient = h.quotient_presentation
+    quotient = amb_q.presentation
     cert = AssumptionCertificate(subject=quotient.name or "assumptions")
-    sigma_q = h.conn_q.sigma
+    sigma_q = amb_q.connection.sigma
     nabla_nu = h.nabla_nu_q
     pbasis = h.calculus.basis
 
@@ -225,7 +189,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
             sides.append((side, LeftLinearMap.on_free_words(quotient, (2, False), difference)))
         for i in range(n):
             for j in range(n):
-                x = h.qcalc.pairs[i][j]
+                x = amb_q.calculus.pairs[i][j]
                 for side, difference in sides:
                     yield f"dz{i + 1},dz{j + 1},{side}", difference.apply(x)
 
@@ -236,17 +200,17 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
             x = tensor(pbasis[i], nabla_nu)
             lhs = sigma_q.apply_at(sigma_q.apply_at(x, 0), 1)
             residual = lhs - tensor(nabla_nu, pbasis[i])
-            yield f"dz{i + 1}", h.pi.apply_at(h.qcalc.canon(residual), 0)
+            yield f"dz{i + 1}", h.pi.apply_at(amb_q.calculus.canon(residual), 0)
 
     def corollary_checks():
         # lemma corollaries and centrality of nabla(nu)
         for i in range(n):
-            yield f"dz{i + 1},nu", h.metric_q.pair(tensor(pbasis[i], h.nu_q))
-            yield f"nu,dz{i + 1}", h.metric_q.pair(tensor(h.nu_q, pbasis[i]))
+            yield f"dz{i + 1},nu", amb_q.metric.pair(tensor(pbasis[i], h.nu_q))
+            yield f"nu,dz{i + 1}", amb_q.metric.pair(tensor(h.nu_q, pbasis[i]))
         # lemma item: [(id (x) g^-1)(nabla(nu) (x) nu)] vanishes as a quotient
         # 1-form class, so the residual is projected before testing
-        c3 = h.metric_q.g_inv.apply_at(tensor(nabla_nu, h.nu_q), 1)
-        yield "nabla_nu,nu", h.pi.apply_at(h.qcalc.canon(c3), 0)
+        c3 = amb_q.metric.g_inv.apply_at(tensor(nabla_nu, h.nu_q), 1)
+        yield "nabla_nu,nu", h.pi.apply_at(amb_q.calculus.canon(c3), 0)
         for label, residual in commutator_residuals(nabla_nu):
             yield f"nabla_nu,{label}", residual
 
@@ -283,10 +247,11 @@ def check_induction(h: HypersurfaceSpec, structures: StructureSet) -> Report:
 
 
 def _induced_metric(h: HypersurfaceSpec, qc: Calculus) -> Metric:
+    metric = h.ambient_q.metric
     g_inv = LeftLinearMap.on_free_words(
-        h.quotient_presentation, (2, False), lambda w: h.metric_q.g_inv.apply(qc.pairs[w.forms[0]][w.forms[1]])
+        qc.presentation, (2, False), lambda w: metric.g_inv.apply(qc.pairs[w.forms[0]][w.forms[1]])
     )
-    return Metric(qc.canon(h.metric_q.g_element), g_inv)
+    return Metric(qc.canon(metric.g_element), g_inv)
 
 
 def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
@@ -311,16 +276,17 @@ def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
       value read under the same rules, and the CLI and the goldens print
       and compare canon of each value.
     """
-    quotient = h.quotient_presentation
+    quotient = qc.presentation
+    amb_q = h.ambient_q
     values = {}
     for i in range(quotient.n):
         free = TensorElement.basis(quotient, (i,))
-        b = h.metric_q.pair(tensor(free, h.nu_q))
-        values[BasisWord((i,), None)] = h.conn_q.values[BasisWord((i,), None)] - h.nabla_nu_q.left_mul(b)
+        b = amb_q.metric.pair(tensor(free, h.nu_q))
+        values[BasisWord((i,), None)] = amb_q.connection.values[BasisWord((i,), None)] - h.nabla_nu_q.left_mul(b)
     # the braiding descends untouched; keeping the ambient single-word images
     # as the working representatives is exact (extensional maps are
     # class-correct at any representative) and much cheaper to apply
-    return Connection(qc, values, h.conn_q.sigma, h.conn_q.sigma_inv)
+    return Connection(qc, values, amb_q.connection.sigma)
 
 
 def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
@@ -332,7 +298,7 @@ def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
     image is one apply of it to b_i (x) e_a: exact, since
     gamma_[2](sum_k c_k dz_k (x) nu (x) e_a) = sum_k c_k gamma_[2](dz_k (x) nu (x) e_a).
     """
-    quotient = h.quotient_presentation
+    quotient = qc.presentation
     clifford_nu = LeftLinearMap.on_free_words(
         quotient,
         (1, True),
@@ -345,7 +311,7 @@ def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
     spin_values = {}
     nabla_nu_nu = tensor(h.nabla_nu_q, h.nu_q)
     for alpha in range(SPINOR_RANK):
-        base = h.spin_conn_q.values[BasisWord((), alpha)]
+        base = h.ambient_q.spin.spin_connection.values[BasisWord((), alpha)]
         correction = _gamma2(h, with_spinor(nabla_nu_nu, alpha)).scale(HALF)
         spin_values[BasisWord((), alpha)] = qc.canon(base + correction)
     spin_connection = Connection(qc, spin_values)
@@ -379,7 +345,8 @@ def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement) -> TensorElement:
     if spinor.degree != 0 or not spinor.has_spin:
         raise ValueError("Dirac operator acts on spinors")
     minus_half = Scalar.rational(-1) * HALF
-    t = tensor(h.nu_q, h.spin_conn_q.apply(spinor))
-    term1 = (_gamma2(h, t) - _gamma2(h, h.conn_q.sigma.apply_at(t, 0))).scale(minus_half)
+    amb_q = h.ambient_q
+    t = tensor(h.nu_q, amb_q.spin.spin_connection.apply(spinor))
+    term1 = (_gamma2(h, t) - _gamma2(h, amb_q.connection.sigma.apply_at(t, 0))).scale(minus_half)
     term2 = _gamma2(h, tensor(h.pi_nabla_nu, spinor)).scale(HALF)
     return term1 + term2

@@ -191,3 +191,15 @@ class StructureSet:
     @property
     def presentation(self) -> Presentation:
         return self.calculus.presentation
+
+    def convert(self, target: Presentation) -> StructureSet:
+        """Every structure with coefficients converted to target, on one calculus of target."""
+        projector = self.calculus.projector
+        calc = Calculus(target, projector.convert(target) if projector else None)
+        metric, spin = self.metric, self.spin
+        return StructureSet(
+            calc,
+            Metric(metric.g_element.convert(target), metric.g_inv.convert(target)),
+            self.connection.convert(calc),
+            SpinStructure(calc, spin.gamma.convert(target), spin.spin_connection.convert(calc)),
+        )

@@ -292,7 +292,10 @@ class TensorElement:
                 alpha = entry.get("alpha")
                 if alpha is not None and (type(alpha) is not int or not 0 <= alpha < SPINOR_RANK):
                     raise ValueError(f"spinor index must be a JSON integer in 0..{SPINOR_RANK - 1}: {alpha!r}")
-                terms[BasisWord(forms, alpha)] = AlgebraElement.from_json(entry["coeff"], p)
+                w = BasisWord(forms, alpha)
+                if w in terms:  # a second entry would silently replace the first
+                    raise ValueError(f"tensor word {w!r} appears twice")
+                terms[w] = AlgebraElement.from_json(entry["coeff"], p)
             return TensorElement(p, degree, has_spin, terms)
         except (TypeError, KeyError) as exc:  # a list for an object, a missing field
             raise ValueError(f"malformed tensor: {exc!r}") from exc

@@ -330,7 +330,7 @@ def golden_t2(h, structures, matrices, expect=_expect):
 
     # projector: Pi~(dz_i) = dz_i + (-1)^i z_i nu~
     for i in range(N_GEN):
-        want = h.qcalc.canon(free[i]) + h.nu_q.left_mul(zs[i].scale(Scalar.rational(sign(i))))
+        want = h.ambient_q.calculus.canon(free[i]) + h.nu_q.left_mul(zs[i].scale(Scalar.rational(sign(i))))
         got = h.pi.images[BasisWord((i,), None)]
         expect(f"pi_T2[dz{i + 1}]", got, want)
 

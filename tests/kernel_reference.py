@@ -157,7 +157,7 @@ def reference_induced_gamma(h, qc):
             e_a = TensorElement.basis(qc.presentation, (), alpha)
             t = tensor(tensor(qc.basis[i], h.nu_q), e_a)
             for _ in range(2):
-                t = h.gamma_q.apply_at(t, t.degree - 1)
+                t = h.ambient_q.spin.gamma.apply_at(t, t.degree - 1)
             images[BasisWord((i,), alpha)] = t
     return images
 

@@ -62,7 +62,7 @@ def _canonical_connection(bundle):
     s = bundle.structures
     conn = s.connection
     values = {w: s.calculus.canon(v) for w, v in conn.values.items()}
-    structures = replace(s, connection=Connection(conn.calculus, values, conn.sigma, conn.sigma_inv))
+    structures = replace(s, connection=Connection(conn.calculus, values, conn.sigma))
     return replace(bundle, structures=structures)
 
 

@@ -170,7 +170,7 @@ def _corrupt(s, family: str):
     conn, metric, spin = s.connection, s.metric, s.spin
     if family == "sigma":
         sigma = _doubled(conn.sigma, BasisWord((0, 2), None))
-        return replace(s, connection=Connection(conn.calculus, conn.values, sigma, conn.sigma_inv))
+        return replace(s, connection=Connection(conn.calculus, conn.values, sigma))
     if family == "g":
         return replace(s, metric=Metric(metric.g_element + metric.g_element, metric.g_inv))
     if family == "g^-1":
@@ -179,7 +179,7 @@ def _corrupt(s, family: str):
     if family == "nabla":
         values = dict(conn.values)
         values[BasisWord((1,), None)] = values[BasisWord((1,), None)].scale(Scalar.rational(2))
-        return replace(s, connection=Connection(conn.calculus, values, conn.sigma, conn.sigma_inv))
+        return replace(s, connection=Connection(conn.calculus, values, conn.sigma))
     if family == "gamma":
         gamma = _doubled(spin.gamma, BasisWord((1,), 2))
         return replace(s, spin=SpinStructure(spin.calculus, gamma, spin.spin_connection))
@@ -215,17 +215,19 @@ def test_golden_rejects_corrupted_family(request, space, family, label):
 # indent=2, sort_keys=True): the verifiers alone, without the golden forms,
 # catch a corrupted connection with the same residuals, byte for byte.  The
 # certificate's calculus family, whose premise these corruptions leave intact,
-# passes.
+# passes.  The braiding is stored once and sigma_invertible checks
+# sigma o sigma = id, so a doubled sigma(dz1 (x) dz3) fails it on both
+# dz1 (x) dz3 and dz3 (x) dz1.
 CORRUPTED_REPORT_SHA256 = {
     ("s3", "nabla"): "5e47a19a2a11bddcf5165b74f123216583b2bccb344e932f2fa0d94e2cf624d2",
     ("s3", "nabla^sp"): "2ef31809be2b99cdea780b1226ff4246f2e76174e780bd8e4e7d193c9a814c2b",
     ("t2", "nabla"): "47a2172115eec58daf1084ce41d4eace3a0547676befe65ff6e9d62a928ad195",
     ("t2", "nabla^sp"): "c64cb07a4d6d9c2e898aae37e8bf1dcc62f1db94b6f1b260dbc82bfdd938721c",
-    ("s3", "sigma"): "7c26cdfb87b52a7d13dea548bc81224e97a19e1fcf4dbcee0f6a78a43ef9ba6c",
+    ("s3", "sigma"): "6f03a4553045528c74d84ab8ee71499d5de84112cd345511f8ccc93f55d47909",
     ("s3", "g"): "35de71ff1fb3094f4be062acc10e79a1ed4807b1b5d7a43937dced6757b798fc",
     ("s3", "g^-1"): "64697522634a31357b18fded56069b808c2fd6b3f19fc125277d364d47e9f967",
     ("s3", "gamma"): "45f3941787a3e41a91cb7825d6db192163e041e64eb14b947a65fbe96cfbbbe8",
-    ("t2", "sigma"): "d6bbf1496bfe443f111f1a5b5936961865dfd5ecc4b06d36dcacd46d008b45f1",
+    ("t2", "sigma"): "2ac18f91262c732a216eefdee042a39e9c8956401c923fddbb976ae5d2892b2b",
     ("t2", "g"): "9de1e027a57c214e26b0f940daec43525e87bd7a846298ff1cc2fd50ccb85047",
     ("t2", "g^-1"): "38d037f702908b8c2d5833d071e828590ba52b7e41f32daa4ddf0cf11e225d47",
     ("t2", "gamma"): "c69d2c2ac934bff0686b02acd168fda36fa52bd277a068ec9c61402804651224",
@@ -279,12 +281,16 @@ def test_verifiers_reject_corrupted_structure(request, space, family, failing):
     bundle = request.getfixturevalue(space)
     report = verify_space(replace(bundle, structures=_corrupt(bundle.structures, family)))
     assert {c.name.split("[")[0] for c in report.failures()} == failing
+    if family == "sigma":
+        inverse = [c.name for c in report.failures() if c.name.startswith("sigma_invertible")]
+        assert inverse == ["sigma_invertible[dz1(x)dz3]", "sigma_invertible[dz3(x)dz1]"]
     assert _report_sha256(report) == CORRUPTED_REPORT_SHA256[space, family]
 
 
 # sha256 of the assumption certificate (as a report named after the space) when
 # one braiding image, at dz1 (x) dz3, is doubled: in the ambient connection it
-# breaks nu_transparency; in the quotient-coefficient copy conn_q, pi_ and
+# breaks nu_transparency; in the quotient-coefficient copy ambient_q (the
+# parameter id and pin key conn_q name its connection), pi_ and
 # nabla_nu_transparency
 CORRUPTED_CERTIFICATE_SHA256 = {
     ("s3", "ambient"): "f41a533696bab310da22d572df5f61215181f70fc772a1e14046f74cb54aca54",
@@ -296,7 +302,7 @@ CORRUPTED_CERTIFICATE_SHA256 = {
 
 def _doubled_braiding(conn: Connection) -> Connection:
     sigma = _doubled(conn.sigma, BasisWord((0, 2), None))
-    return Connection(conn.calculus, conn.values, sigma, conn.sigma_inv)
+    return Connection(conn.calculus, conn.values, sigma)
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
@@ -314,7 +320,8 @@ def test_certificate_rejects_doubled_braiding(request, space, where, failing):
         amb = h.ambient
         broken = replace(h, ambient=replace(amb, connection=_doubled_braiding(amb.connection)))
     else:
-        broken = replace(h, conn_q=_doubled_braiding(h.conn_q))
+        amb_q = h.ambient_q
+        broken = replace(h, ambient_q=replace(amb_q, connection=_doubled_braiding(amb_q.connection)))
     cert = check_assumptions(broken)
     assert {c.name.split("[")[0] for c in cert.failures()} == failing
     assert _report_sha256(cert.to_report(space)) == CORRUPTED_CERTIFICATE_SHA256[space, where]
@@ -359,7 +366,7 @@ def _corrupted_projector(h, key=BasisWord((1,), None), factor=Scalar.q_power(4))
 def _with_calculus(s, calc):
     """A copy of the structure set whose calculus, connections and spin structure use calc."""
     conn, spin = s.connection, s.spin
-    connection = Connection(calc, conn.values, conn.sigma, conn.sigma_inv)
+    connection = Connection(calc, conn.values, conn.sigma)
     spin_connection = Connection(calc, spin.spin_connection.values)
     spin = SpinStructure(calc, spin.gamma, spin_connection)
     return replace(s, calculus=calc, connection=connection, spin=spin)
@@ -406,7 +413,7 @@ def test_build_refuses_scaled_s3_braiding(monkeypatch):
         key = BasisWord((0, 1), None)
         sigma = LeftLinearMap(conn.sigma.presentation, conn.sigma.domain, conn.sigma.codomain,
                               {**conn.sigma.images, key: conn.sigma.images[key].scale(Scalar.q_power(4))})
-        return replace(s, connection=Connection(conn.calculus, conn.values, sigma, conn.sigma_inv))
+        return replace(s, connection=Connection(conn.calculus, conn.values, sigma))
 
     _mutating(monkeypatch, "induced_structures", "s3", mutate)
     with pytest.raises(GoldenMismatch) as exc:
@@ -542,7 +549,7 @@ def test_t2_metric_normalization_identity():
 
 def test_t2_nu_normalized(t2):
     h = t2.hypersurface
-    got = h.metric_q.pair(tensor(h.nu_q, h.nu_q))
+    got = h.ambient_q.metric.pair(tensor(h.nu_q, h.nu_q))
     assert got == AlgebraElement.one(h.quotient_presentation)
 
 

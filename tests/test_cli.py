@@ -395,6 +395,26 @@ MALFORMED_PRESENTATIONS = [
         "missing field 'coeff'",
         id="coeff-missing",
     ),
+    # a repeated key used to be read as its last entry: 1 + 1 as R[0][0] = 1,
+    # and a rule rhs 1*z2 + 2*z2 as 2*z2
+    pytest.param(
+        {"name": "x", "generators": 1, "R": [[{"terms": [[0, "1", "0"], [0, "1", "0"]]}]]},
+        "repeats the q-exponent 0",
+        id="scalar-q-exponent-repeated",
+    ),
+    pytest.param(
+        {
+            "name": "x",
+            "generators": 2,
+            "R": [[{"terms": [[0, "1", "0"]]}] * 2] * 2,
+            "ideal": [{"lhs": [0, 0], "rhs": [
+                {"exps": [0, 1], "coeff": {"terms": [[0, "1", "0"]]}},
+                {"exps": [0, 1], "coeff": {"terms": [[0, "2", "0"]]}},
+            ]}],
+        },
+        "monomial [0, 1] appears twice",
+        id="rhs-monomial-repeated",
+    ),
 ]
 
 

@@ -57,7 +57,7 @@ def test_non_right_linear_braiding_reports_residual(r4):
     key = BasisWord((0, 0), None)
     images[key] = images[key].left_mul(AlgebraElement.generator(p, 0))
     sigma = LeftLinearMap(p, (2, False), (2, False), images)
-    conn = Connection(s.calculus, s.connection.values, sigma, s.connection.sigma_inv)
+    conn = Connection(s.calculus, s.connection.values, sigma)
     report = verify_metric(s.metric, conn)
     failing = [c for c in report.failures() if c.name.startswith("sigma_right_linear[")]
     assert failing
@@ -70,14 +70,14 @@ def test_connection_refuses_a_value_of_another_shape(r4):
     conn = r4.structures.connection
     values = {**conn.values, BasisWord((1,), None): dz(r4.presentation, 1)}
     with pytest.raises(ShapeError, match="share one shape"):
-        Connection(conn.calculus, values, conn.sigma, conn.sigma_inv)
+        Connection(conn.calculus, values, conn.sigma)
 
 
 def test_connection_refuses_a_basis_word_of_another_shape(r4):
     conn = r4.structures.connection
     values = {**conn.values, BasisWord((), 0): TensorElement.zero(r4.presentation, 2)}
     with pytest.raises(ShapeError, match="share one shape"):
-        Connection(conn.calculus, values, conn.sigma, conn.sigma_inv)
+        Connection(conn.calculus, values, conn.sigma)
 
 
 def test_connection_refuses_empty_values(r4):
@@ -86,12 +86,16 @@ def test_connection_refuses_empty_values(r4):
     assert type(refused.value) is ValueError
 
 
-def test_braided_connection_needs_its_inverse(r4):
+def test_connection_refuses_a_braiding_of_another_shape(r4):
+    # a map of 2-forms to the algebra is not a braiding: verify_metric would
+    # fail deep inside with ShapeError
     conn = r4.structures.connection
-    with pytest.raises(ValueError, match="sigma_inv"):
-        Connection(conn.calculus, conn.values, conn.sigma)
-    with pytest.raises(ValueError, match="sigma_inv"):
-        Connection(conn.calculus, conn.values, sigma_inv=conn.sigma_inv)
+    p = r4.presentation
+    identity_1 = LeftLinearMap.on_free_words(p, (1, False), lambda w: TensorElement.basis(p, w.forms))
+    for sigma in (r4.structures.metric.g_inv, identity_1):
+        with pytest.raises(ValueError, match="sigma must map 2-forms to 2-forms") as refused:
+            Connection(conn.calculus, conn.values, sigma)
+        assert type(refused.value) is ValueError
 
 
 def test_flat_connection_values(r4):
@@ -115,12 +119,13 @@ def test_sigma_fixes_metric_element(r4):
 
 
 def test_sigma_inverse_composition(r4):
+    # the braiding is its own inverse: R[i][j] R[j][i] = 1
     s = r4.structures
     p = r4.presentation
     for i in range(4):
         for j in range(4):
             pair = tensor(dz(p, i), dz(p, j))
-            assert s.connection.sigma_inv.apply(s.connection.sigma.apply(pair)) == pair
+            assert s.connection.sigma.apply(s.connection.sigma.apply(pair)) == pair
 
 
 def test_tensor_connection_flat_basis(r4):
@@ -189,7 +194,7 @@ def test_tensor_connection_braids_each_basis_word_once(request, space):
     s = request.getfixturevalue(space).structures
     conn = s.connection
     sigma = _CountingBraiding(conn.sigma)
-    counted = Connection(conn.calculus, conn.values, sigma, conn.sigma_inv)
+    counted = Connection(conn.calculus, conn.values, sigma)
     n = s.presentation.n
     assert verify_metric(s.metric, counted).all_passed
     assert 0 < sigma.with_tail <= n * len(conn.values)

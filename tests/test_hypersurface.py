@@ -83,7 +83,7 @@ def test_torus_projector_closed_form(t2):
     for i in range(4):
         sign = Scalar.rational(-1 if (i + 1) % 2 else 1)
         got = h.pi.images[BasisWord((i,), None)]
-        want = h.qcalc.canon(dz(p, i)) + h.nu_q.left_mul(z(p, i).scale(sign))
+        want = h.ambient_q.calculus.canon(dz(p, i)) + h.nu_q.left_mul(z(p, i).scale(sign))
         assert got == want
 
 
@@ -162,13 +162,14 @@ def test_build_makes_each_projected_calculus_once_and_its_premise_once(monkeypat
 def test_induction_projects_nabla_nu_once(request, monkeypatch, space):
     # (Pi (x) id) nabla(nu) does not depend on the spinor: the spec projects
     # it once on construction, and check_induction's four induced_dirac
-    # calls read it; a replaced pi gets its own projection
+    # calls read it; a replaced pi gets its own projection.  A replaced spec
+    # derives its own nabla_nu_q, so the element is matched by value.
     h = request.getfixturevalue(space).hypersurface
     projected = []
     apply_at = LeftLinearMap.apply_at
 
     def counting(m, e, at):
-        if e is h.nabla_nu_q:
+        if e == h.nabla_nu_q:
             projected.append(m)
         return apply_at(m, e, at)
 
@@ -238,7 +239,7 @@ def _flip_ambient(r4):
             for j in range(4)
         },
     )
-    broken = Connection(s.calculus, s.connection.values, flip, flip)
+    broken = Connection(s.calculus, s.connection.values, flip)
     return StructureSet(s.calculus, s.metric, broken, s.spin)
 
 
@@ -283,12 +284,21 @@ def test_catalog_induction_refuses_failing_certificate():
 
 
 def test_spec_rejects_unknown_and_missing_fields(s3):
+    h = s3.hypersurface
     with pytest.raises(TypeError):
         HypersurfaceSpec(bogus=1)
     with pytest.raises(TypeError):
-        HypersurfaceSpec(ambient=s3.hypersurface.ambient)
+        HypersurfaceSpec(ambient=h.ambient)
     with pytest.raises(TypeError):
-        replace(s3.hypersurface, bogus=1)
+        replace(h, bogus=1)
+    # the slots refuse any other attribute, and the quotient presentation is ambient_q's
+    with pytest.raises(AttributeError):
+        h.bogus = 1
+    with pytest.raises(AttributeError):
+        h.quotient_presentation = h.ambient.presentation
+    assert h.quotient_presentation is h.ambient_q.presentation
+    same = replace(h, pi=h.pi)
+    assert same != h and same == same
 
 
 # -- lemma consequences ----------------------------------------------------------
@@ -299,10 +309,10 @@ def test_lemma_consequences(space, s3, t2):
     p = h.quotient_presentation
     for i in range(4):
         base = h.pi.apply(dz(p, i))
-        assert h.metric_q.pair(tensor(base, h.nu_q)).is_zero()
-        assert h.metric_q.pair(tensor(h.nu_q, base)).is_zero()
-    contracted = h.metric_q.g_inv.apply_at(tensor(h.nabla_nu_q, h.nu_q), 1)
-    assert h.pi.apply_at(h.qcalc.canon(contracted), 0).is_zero()
+        assert h.ambient_q.metric.pair(tensor(base, h.nu_q)).is_zero()
+        assert h.ambient_q.metric.pair(tensor(h.nu_q, base)).is_zero()
+    contracted = h.ambient_q.metric.g_inv.apply_at(tensor(h.nabla_nu_q, h.nu_q), 1)
+    assert h.pi.apply_at(h.ambient_q.calculus.canon(contracted), 0).is_zero()
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
@@ -400,7 +410,7 @@ def _with_connection_terms(bundle, extra):
     s = bundle.structures
     conn = s.connection
     values = {w: v + extra(w.forms[0]) for w, v in conn.values.items()}
-    connection = Connection(conn.calculus, values, conn.sigma, conn.sigma_inv)
+    connection = Connection(conn.calculus, values, conn.sigma)
     return replace(bundle, structures=replace(s, connection=connection))
 
 

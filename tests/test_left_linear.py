@@ -71,7 +71,7 @@ def _structures(s, change):
         spin = SpinStructure(s.calculus, _changed(spin.gamma, key, factor), spin.spin_connection)
     elif change == "sigma(dz1(x)dz2)*q^4":
         sigma = _changed(conn.sigma, BasisWord((0, 1), None), q4)
-        conn = Connection(s.calculus, conn.values, sigma, conn.sigma_inv)
+        conn = Connection(s.calculus, conn.values, sigma)
     elif change is not None and change.startswith("g_inv"):
         factor = two if change.endswith("*2") else q4
         metric = Metric(metric.g_element, _changed(metric.g_inv, BasisWord((0, 2), None), factor))
@@ -80,7 +80,7 @@ def _structures(s, change):
         value = conn.values[key].scale(q4) if change.endswith("*q^4") else (
             conn.values[key] + TensorElement.basis(p, (1, 2))
         )
-        conn = Connection(s.calculus, {**conn.values, key: value}, conn.sigma, conn.sigma_inv)
+        conn = Connection(s.calculus, {**conn.values, key: value}, conn.sigma)
     elif change == "nabla_sp(e1)+dz2(x)e3":
         values, key = spin.spin_connection.values, BasisWord((), 0)
         values = {**values, key: values[key] + TensorElement.basis(p, (1,), 2)}
@@ -90,7 +90,7 @@ def _structures(s, change):
 
 def _on_calculus(spin, metric, conn, calc):
     """The structures with every connection and the spin structure on calc."""
-    conn = Connection(calc, conn.values, conn.sigma, conn.sigma_inv)
+    conn = Connection(calc, conn.values, conn.sigma)
     spin = SpinStructure(calc, spin.gamma, Connection(calc, spin.spin_connection.values))
     return spin, metric, conn
 

@@ -394,6 +394,15 @@ MALFORMED_TENSORS = {
     "top-level-list": [],
     "terms-missing": {"degree": 0, "spinor": False},
     "terms-int": {"degree": 0, "spinor": False, "terms": 5},
+    # used to be read as its last entry, (5)*dz1
+    "word-repeated": {
+        "degree": 1,
+        "spinor": False,
+        "terms": [
+            {"word": [0], "coeff": AlgebraElement.one(P).to_json()},
+            {"word": [0], "coeff": AlgebraElement.from_scalar(P, Scalar.rational(5)).to_json()},
+        ],
+    },
 }
 
 
@@ -401,6 +410,11 @@ MALFORMED_TENSORS = {
 def test_tensor_from_json_rejects_malformed(name):
     with pytest.raises(ValueError):
         TensorElement.from_json(MALFORMED_TENSORS[name], P)
+
+
+def test_tensor_from_json_names_a_repeated_word():
+    with pytest.raises(ValueError, match=r"tensor word dz1 appears twice"):
+        TensorElement.from_json(MALFORMED_TENSORS["word-repeated"], P)
 
 
 def test_tensor_from_json_reads_well_formed():
