@@ -60,12 +60,26 @@ def _print_text(payload: dict) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _unique_members(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated name raises ValueError.
+
+    json.load alone keeps the last of two members with one name, so the
+    first would be read as if it were not in the file.
+    """
+    members = {}
+    for name, value in pairs:
+        if name in members:
+            raise ValueError(f"JSON object repeats the member {name!r}")
+        members[name] = value
+    return members
+
+
 def _verify_user_presentation(path: str) -> Report:
     """Algebra-level checks for a user presentation file."""
     import random
 
     with open(path) as handle:
-        p = Presentation.from_json(json.load(handle))
+        p = Presentation.from_json(json.load(handle, object_pairs_hook=_unique_members))
     report = Report(subject=f"presentation:{p.name or path}")
     rng = random.Random(20240811)
     ok_idem = True

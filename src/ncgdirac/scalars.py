@@ -327,12 +327,14 @@ class Scalar:
 
     @staticmethod
     def from_json(data: dict) -> "Scalar":
-        return Scalar(
-            {
-                int(k): GaussianRational(Fraction(re), Fraction(im))
-                for k, re, im in data["terms"]
-            }
-        )
+        """Read [k, re, im] terms; a repeated q-exponent k raises ValueError."""
+        terms = {}
+        for k, re, im in data["terms"]:
+            k = int(k)
+            if k in terms:  # a second term would silently replace the first
+                raise ValueError(f"scalar terms repeat the q-exponent {k}")
+            terms[k] = GaussianRational(Fraction(re), Fraction(im))
+        return Scalar(terms)
 
     def __repr__(self) -> str:
         if not self.terms:

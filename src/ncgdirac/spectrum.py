@@ -272,9 +272,12 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
     report = SpectrumReport(theta=theta, mmax=mmax, certificate=Report(t2.name))
     square: list[tuple[str, Scalar]] = []
     trace: list[tuple[str, Scalar]] = []
-    # (value, m, n, deviation), sorted with no key: equal (value, m, n) come
-    # from one sector with one deviation, so this is the order by (value, m, n)
-    entries: list[tuple[float, int, int, float]] = []
+    # one (value, m, n, deviation) row per sector for -root and one for
+    # +root, each sorted with no key: every low is below every high, and
+    # (m, n) is unique per sector, so lows then highs, each row twice, is
+    # the order of all four eigenvalues by (value, m, n)
+    lows: list[tuple[float, int, int, float]] = []
+    highs: list[tuple[float, int, int, float]] = []
     for m in range(-mmax, mmax + 1):
         for n in range(-mmax, mmax + 1):
             try:
@@ -287,12 +290,17 @@ def spectrum_scan(t2: SpaceBundle, mmax: int, theta: float) -> SpectrumReport:
                 trace.extend(sector.trace)
                 continue
             # matched to -t, -t, t, t with one deviation (SectorMatrix.deviation)
-            v1, v2, v3, v4 = sector.eigenvalues()
+            low, _, high, _ = sector.eigenvalues()
             d = sector.deviation
-            entries += ((v1, m, n, d), (v2, m, n, d), (v3, m, n, d), (v4, m, n, d))
-    entries.sort()
-    report.eigenvalues = [{"value": v, "m": m, "n": n, "deviation": d} for v, m, n, d in entries]
-    report.max_deviation = max(map(itemgetter(3), entries), default=0.0)
+            lows.append((low, m, n, d))
+            highs.append((high, m, n, d))
+    lows.sort()
+    highs.sort()
+    entries = report.eigenvalues
+    for v, m, n, d in lows + highs:
+        entry = {"value": v, "m": m, "n": n, "deviation": d}
+        entries += (entry, entry.copy())
+    report.max_deviation = max(map(itemgetter(3), lows), default=0.0)
     report.certificate.family("sector_square", square)
     report.certificate.family("sector_trace", trace)
     return report

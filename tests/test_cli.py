@@ -427,6 +427,34 @@ def test_malformed_presentation_rejected(tmp_path, capsys, payload, reason):
     assert err.startswith("error:") and reason in err
 
 
+@pytest.mark.parametrize(
+    "text, member",
+    [
+        # json.load alone read R[0][0] as the last R's 1, not the first's 2
+        pytest.param(
+            '{"name": "x", "generators": 1, "R": [[{"terms": [[0, "2", "0"]]}]], '
+            '"R": [[{"terms": [[0, "1", "0"]]}]]}',
+            "R",
+            id="top-level",
+        ),
+        pytest.param(
+            '{"name": "x", "generators": 1, "R": [[{"terms": [[0, "2", "0"]], '
+            '"terms": [[0, "1", "0"]]}]]}',
+            "terms",
+            id="nested",
+        ),
+    ],
+)
+def test_repeated_json_member_rejected(tmp_path, capsys, text, member):
+    # json.dumps cannot write a repeated member, so the file is raw text
+    path = tmp_path / "pres.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--presentation", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == f"error: JSON object repeats the member {member!r}\n"
+
+
 def test_oversized_generator_count_is_refused_before_any_rule(tmp_path, capsys):
     # each rule allocates one exponent per declared generator, so R's shape is
     # checked first: a few bytes may not ask for a 10**12-entry list

@@ -97,6 +97,14 @@ def test_json_round_trip(s):
     assert Scalar.from_json(s.to_json()) == s
 
 
+def test_from_json_names_a_repeated_q_exponent():
+    # a second term for q^0 used to replace the first: 1 + 1 was read as 1
+    with pytest.raises(ValueError, match="repeat the q-exponent 0"):
+        Scalar.from_json({"terms": [[0, "1", "0"], [0, "1", "0"]]})
+    with pytest.raises(ValueError, match="repeat the q-exponent -2"):
+        Scalar.from_json({"terms": [[-2, "1", "0"], [1, "1", "0"], [-2, "0", "3"]]})
+
+
 # -- integer kernel against a (Fraction, Fraction) oracle ----------------------
 
 

@@ -391,13 +391,16 @@ def test_sector_store_hands_out_a_frozen_sector(t2):
 
 
 def test_scan_assembly_matches_the_reference_loop(t2, monkeypatch):
-    # the scan sorts (value, m, n, deviation) tuples with no key and builds
-    # the entry dicts at the end; the reference builds them sector by sector
-    # and sorts them by a key function: the reports are equal, also for a
-    # failing sector and for an escaping one
+    # the scan sorts one -root row and one +root row per sector, lows and
+    # highs apart, and emits each row as two dicts; the reference builds four
+    # dicts per sector and sorts them all by a key function: the reports are
+    # equal, also at mmax = 8, where many sectors share one lambda^2, and for
+    # a failing sector and an escaping one
     for mmax in range(5):
         for theta in THETAS:
             assert spectrum_scan(t2, mmax, theta).to_json() == reference_scan(t2, mmax, theta).to_json()
+    for theta in (0.7, 2.9):
+        assert spectrum_scan(t2, 8, theta).to_json() == reference_scan(t2, 8, theta).to_json()
     exact = spectrum.exact_sector
 
     def corrupted(bundle, m, n):
@@ -415,6 +418,29 @@ def test_scan_assembly_matches_the_reference_loop(t2, monkeypatch):
         got, want = spectrum_scan(fresh, 2, 0.7).to_json(), reference_scan(fresh, 2, 0.7).to_json()
         assert got == want
         assert any(c["clause"].startswith(failing) and not c["pass"] for c in got["certificate"]["clauses"])
+
+
+def test_scan_reads_each_sector_once(t2, monkeypatch):
+    # a warm mmax = 8 scan takes each of its 17^2 sectors from the store once
+    # and asks it once for its eigenvalues
+    spectrum_scan(t2, 8, 0.7)
+    sectors, eigenvalues = [], []
+    stored, sector_eigenvalues = spectrum.sector_matrix, SectorMatrix.eigenvalues
+
+    def counted_sector(*args):
+        sectors.append(args[1:])
+        return stored(*args)
+
+    def counted_eigenvalues(sector):
+        eigenvalues.append((sector.m, sector.n))
+        return sector_eigenvalues(sector)
+
+    monkeypatch.setattr(spectrum, "sector_matrix", counted_sector)
+    monkeypatch.setattr(SectorMatrix, "eigenvalues", counted_eigenvalues)
+    report = spectrum_scan(t2, 8, 1.3)
+    assert len(sectors) == len(set(sectors)) == 289
+    assert eigenvalues == sectors
+    assert len(report.eigenvalues) == 4 * 289
 
 
 def test_scan_entries_are_dicts_of_their_own(t2):
