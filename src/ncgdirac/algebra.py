@@ -28,7 +28,7 @@ import json
 import re
 from operator import add, le, mul, sub
 
-from .scalars import _GR_ONE, GaussianRational, Scalar, _scalar, _terms_product
+from .scalars import _GR_ONE, GaussianRational, RepeatedExponent, Scalar, _scalar, _terms_product
 
 Monomial = tuple[int, ...]
 
@@ -244,7 +244,6 @@ def _element_terms_from_json(data: list, n: int) -> dict[Monomial, Scalar]:
 def _scalar_from_json(data) -> Scalar:
     if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
         raise PresentationError("a serialized scalar must be an object with a 'terms' list")
-    exponents = set()
     for term in data["terms"]:
         # a float re would be read as its binary value, a float k truncated, and
         # Fraction("1e1000000000") would build a huge integer, so re and im take
@@ -258,11 +257,10 @@ def _scalar_from_json(data) -> Scalar:
             raise PresentationError(
                 f"a scalar term must be [k, re, im] with integer k and p/q strings re, im: {term!r}"
             )
-        if term[0] in exponents:  # a second term would silently replace the first
-            raise PresentationError(f"scalar {data['terms']!r} repeats the q-exponent {term[0]}")
-        exponents.add(term[0])
     try:
         return Scalar.from_json(data)
+    except RepeatedExponent as exc:  # a ValueError, but no part out of range
+        raise PresentationError(str(exc)) from exc
     except ZeroDivisionError as exc:
         raise PresentationError(f"scalar {data['terms']!r} has a zero denominator") from exc
     except ValueError as exc:  # e.g. the interpreter's integer string digit limit

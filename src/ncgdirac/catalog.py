@@ -158,7 +158,7 @@ class SpaceBundle:
 
     @cached_property
     def rotated_dirac(self) -> ContractedConnection:
-        """D~ = Phi o canon o nabla^sp, as one contraction of the spin connection.
+        """D~ = Phi o canon o nabla^sp, the engine's one ContractedConnection.
 
         dtilde_apply builds its image as an element; spectrum.exact_sector
         adds each sector column into a TensorSum (ContractedConnection.add_term)

@@ -190,9 +190,8 @@ class ContractedConnection:
     adds that sum into the raw maps of a TensorSum: each monomial's
     derivative terms (tensors._derivative) multiply the images of phi_canon
     directly, so no element is built for the Leibniz term.  Calling K on x
-    adds every term of x into one TensorSum and builds one element; an x
-    with constant coefficients has no Leibniz term and is k.apply(x), where a
-    unit basis word gets a copy of its stored image.
+    adds every term of x into one TensorSum and builds one element.  The
+    torus operator D~ (SpaceBundle.rotated_dirac) is its one engine user.
     """
 
     __slots__ = ("presentation", "k", "phi_canon")
@@ -213,8 +212,6 @@ class ContractedConnection:
 
     def __call__(self, x: TensorElement) -> TensorElement:
         k = self.k
-        if not any(any(mono) for c in x.terms.values() for mono in c.terms):
-            return k.apply(x)
         k._check_domain(x)
         k._window(x, 0)
         out = TensorSum(self.presentation)
@@ -314,9 +311,9 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
       g^-1((sigma - id)(w)) by Metric.pair, are left-linear as they stand.
     - inverse_right, canon(g^-1 at slot 1 of g(1) (x) w) - w, is left-linear
       when g(1) c = c g(1) for every coefficient c: it needs g_central.
-    - metric_compatibility, canon(K(x) - d(g^-1(x))) with K the tensor-product
-      connection contracted by g^-1 (ContractedConnection): K(x) and
-      d(sum_w c_w g^-1(w)) carry the same Leibniz term sum_w d(c_w) g^-1(w).
+    - metric_compatibility, canon(g^-1 at slot 1 of nabla(x) on x, minus
+      d(g^-1(x))) for the tensor-product connection nabla(x): both carry the
+      Leibniz term sum_w d(c_w) g^-1(w); each image reads nabla(x)'s value on w.
     - right_leibniz, canon(nabla(x z_j) - nabla(x) z_j - sigma(x (x) d z_j))
       per z_j: nabla(x z_j) and nabla(x) z_j carry the same Leibniz term
       sum_w d(c_w) (x) w z_j once canon(canon(y) z_j) = canon(y z_j), so
@@ -379,12 +376,12 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
 
     calculus_holds = not calc.premise_failures
     if calculus_holds:
-        # (id (x) g^-1) nabla(x)(w) - d(g^-1(w)) on the free pair w, whose Leibniz term is empty
-        contracted = ContractedConnection(tensor_connection(conn, conn), metric.g_inv)
+        # g^-1 at slot 1 of nabla(x)(w), minus d(g^-1(w)), on the free pair w
+        nabla = tensor_connection(conn, conn).values
 
         def compatibility_image(w: BasisWord) -> TensorElement:
             b = TensorElement.basis(p, w.forms)
-            return calc.canon(contracted(b) - differential(metric.pair(b)))
+            return calc.canon(metric.g_inv.apply_at(nabla[w], 1) - differential(metric.pair(b)))
 
         compatibility = LeftLinearMap.on_free_words(p, (2, False), compatibility_image)
         report.family(

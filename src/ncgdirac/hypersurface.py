@@ -270,9 +270,9 @@ def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
     - canon kills N: Pi(nu) = 0 (the certificate's calculus family, which
       the gate requires on every build) and Pi is left-linear;
     - every reader of Connection.values projects before it compares:
-      Connection.apply is canon o raw_apply, the right_leibniz and
-      metric_compatibility images end in canon, ContractedConnection
-      applies phi o canon, the next induction's Gauss formula stores a
+      Connection.apply is canon o raw_apply, the right_leibniz and both
+      compatibility images end in canon, D~ (ContractedConnection) applies
+      phi o canon, the next induction's Gauss formula stores a
       value read under the same rules, and the CLI and the goldens print
       and compare canon of each value.
     """

@@ -204,6 +204,10 @@ def _scalar(terms: dict) -> "Scalar":
     return s
 
 
+class RepeatedExponent(ValueError):
+    """Raised by Scalar.from_json for two terms with one q-exponent."""
+
+
 class Scalar:
     """Sparse Laurent polynomial sum_k c_k q**k with GaussianRational c_k.
 
@@ -327,12 +331,12 @@ class Scalar:
 
     @staticmethod
     def from_json(data: dict) -> "Scalar":
-        """Read [k, re, im] terms; a repeated q-exponent k raises ValueError."""
+        """Read [k, re, im] terms; a repeated q-exponent k raises RepeatedExponent, a ValueError."""
         terms = {}
         for k, re, im in data["terms"]:
             k = int(k)
             if k in terms:  # a second term would silently replace the first
-                raise ValueError(f"scalar terms repeat the q-exponent {k}")
+                raise RepeatedExponent(f"scalar terms {data['terms']!r} repeat the q-exponent {k}")
             terms[k] = GaussianRational(Fraction(re), Fraction(im))
         return Scalar(terms)
 

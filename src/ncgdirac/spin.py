@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .algebra import AlgebraElement, Presentation
-from .geometry import Calculus, Connection, ContractedConnection, Metric, tensor_connection
+from .geometry import Calculus, Connection, Metric, tensor_connection
 from .reports import Report
 from .scalars import Scalar, _scalar
 from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, with_spinor
@@ -120,12 +120,12 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     - clifford_relations, R(w (x) e_a) = gamma_[2]((w + sigma(w)) (x) e_a)
       + 2 g^-1(w) e_a on the free dz_i (x) dz_j (x) e_a, applied to the pair
       with e_a appended to every word, is left-linear as it stands.
-    - clifford_compatibility, canon(nabla^sp(gamma(x)) - K(x)) on the
-      dz_k (x) e_a, applied to b_i (x) e_a, with K the tensor-product
-      connection contracted by gamma (ContractedConnection): for
-      x = sum_w c_w w, nabla^sp(sum_w c_w gamma(w)) carries the Leibniz term
-      sum_w d(c_w) (x) gamma(w), and so does K(x); they cancel once canon
-      makes d a derivation of the quotient, so the family needs the calculus
+    - clifford_compatibility, canon(nabla^sp(gamma(x)) - gamma at slot 1 of
+      nabla(x) on x) on the dz_k (x) e_a, applied to b_i (x) e_a, with
+      nabla(x) the tensor-product connection: for x = sum_w c_w w, both
+      terms carry the Leibniz term sum_w d(c_w) (x) gamma(w), so each image
+      contracts nabla(x)'s stored value on w.  They cancel once canon makes
+      d a derivation of the quotient, so the family needs the calculus
       premise (Calculus.premise_failures; the hypersurface's assumption
       certificate is the one place it is reported).
       When it fails, the family is the one clause
@@ -158,12 +158,12 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     if calc.premise_failures:
         report.unmet("clifford_compatibility", "calculus")
         return report
-    # nabla^sp(gamma(w)) - (id (x) gamma) nabla(x)(w) on the free w, whose Leibniz term is empty
-    contracted = ContractedConnection(tensor_connection(conn, spin.spin_connection), spin.gamma)
+    # nabla^sp(gamma(w)) minus gamma at slot 1 of nabla(x)(w), on the free w
+    nabla = tensor_connection(conn, spin.spin_connection).values
 
     def compatibility_image(w: BasisWord) -> TensorElement:
         b = TensorElement.basis(p, w.forms, w.spin)
-        return calc.canon(spin.spin_connection.raw_apply(gamma_apply(spin, b)) - contracted(b))
+        return calc.canon(spin.spin_connection.raw_apply(gamma_apply(spin, b)) - gamma_apply(spin, nabla[w]))
 
     compatibility = LeftLinearMap.on_free_words(p, (1, True), compatibility_image)
     report.family(

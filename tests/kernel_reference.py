@@ -6,9 +6,11 @@ concatenated words and added as a whole AlgebraElement.
 
 The reference loops of the stored clause families: each residual (and each
 induced Clifford image) is expanded from its input pair or basis form, with
-no map stored on the free words.  The loops of inverse_right,
-metric_compatibility, right_leibniz and clifford_compatibility are the
-verifiers' own loops from before those families were stored.
+no map stored on the free words.  The loops of inverse_right and
+right_leibniz are the verifiers' own loops from before those families were
+stored; metric_compatibility and clifford_compatibility apply the
+tensor-product connection to each input (tensor_connection_apply) and
+contract the result by its definition, with no ContractedConnection.
 
 The Leibniz loop as it was before each monomial's derivative terms were
 memoized: add_leibniz computing every phase afresh.
@@ -32,7 +34,7 @@ from fractions import Fraction
 from ncgdirac import algebra, spectrum
 from ncgdirac.algebra import AlgebraElement, _accumulate_triples, _phase, add_term, extend_presentation, normal_form
 from ncgdirac.catalog import dtilde_apply, r4_presentation, sphere_level_function, torus_level_function
-from ncgdirac.geometry import ContractedConnection, tensor_connection
+from ncgdirac.geometry import tensor_connection_apply
 from ncgdirac.reports import Clause, Report
 from ncgdirac.scalars import _GR_ONE, GaussianRational, Scalar
 from ncgdirac.spin import gamma_apply, gamma_iterated
@@ -113,14 +115,14 @@ def reference_families(spin, metric, conn):
     )
 
     def compatibility_checks():
-        # (id (x) g^-1) nabla(x)(pair), with g^-1 applied to each basis value once
-        contracted = ContractedConnection(tensor_connection(conn, conn), metric.g_inv)
+        # g^-1 at slot 1 of nabla(x)(pair), with nabla(x) expanded on the pair itself
         for i in range(p.n):
             for j in range(p.n):
                 pair = pairs[i][j]
+                nabla = tensor_connection_apply(conn, conn, pair)
                 yield (
                     f"dz{i + 1},dz{j + 1}",
-                    calc.canon(contracted(pair) - differential(metric.pair(pair))),
+                    calc.canon(metric.g_inv.apply_at(nabla, 1) - differential(metric.pair(pair))),
                 )
 
     report.family("metric_compatibility", compatibility_checks())
@@ -137,13 +139,13 @@ def reference_families(spin, metric, conn):
     report.family("right_leibniz", leibniz_checks())
 
     def spin_compatibility_checks():
-        # (id (x) gamma) nabla(x)(base), with gamma applied to each basis value once
-        contracted = ContractedConnection(tensor_connection(conn, spin.spin_connection), spin.gamma)
+        # gamma of nabla(x)(base), with nabla(x) expanded on the base itself
         for i in range(p.n):
             for alpha in range(SPINOR_RANK):
                 base = with_spinor(basis[i], alpha)
                 lhs = spin.spin_connection.raw_apply(gamma_apply(spin, base))
-                yield (f"dz{i + 1},e{alpha + 1}", calc.canon(lhs - contracted(base)))
+                rhs = gamma_apply(spin, tensor_connection_apply(conn, spin.spin_connection, base))
+                yield (f"dz{i + 1},e{alpha + 1}", calc.canon(lhs - rhs))
 
     report.family("clifford_compatibility", spin_compatibility_checks())
     return report

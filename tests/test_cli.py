@@ -399,7 +399,7 @@ MALFORMED_PRESENTATIONS = [
     # and a rule rhs 1*z2 + 2*z2 as 2*z2
     pytest.param(
         {"name": "x", "generators": 1, "R": [[{"terms": [[0, "1", "0"], [0, "1", "0"]]}]]},
-        "repeats the q-exponent 0",
+        "repeat the q-exponent 0",
         id="scalar-q-exponent-repeated",
     ),
     pytest.param(
@@ -425,6 +425,16 @@ def test_malformed_presentation_rejected(tmp_path, capsys, payload, reason):
     code, _, err = run(capsys, "verify", "--presentation", str(path))
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and reason in err
+
+
+def test_repeated_q_exponent_is_named_once_not_as_out_of_range(tmp_path, capsys):
+    # Scalar.from_json is the one check of a repeated q-exponent; the reader
+    # passes its message on, naming the scalar and the exponent
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"name": "x", "generators": 1, "R": [[{"terms": [[0, "1", "0"], [0, "1", "0"]]}]]}))
+    code, _, err = run(capsys, "verify", "--presentation", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert err == "error: scalar terms [[0, '1', '0'], [0, '1', '0']] repeat the q-exponent 0\n"
 
 
 @pytest.mark.parametrize(

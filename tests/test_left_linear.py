@@ -353,8 +353,9 @@ def test_kernel_rotated_dirac_matches_the_sum_of_two_elements(t2):
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
 def test_kernel_contracted_connections_match_the_sum_of_two_elements(request, space):
-    # the verifiers' contractions, on their canonical inputs, whose
-    # coefficients are not constant
+    # ContractedConnection at the general slot offset 1: both tensor-product
+    # connections contracted by g^-1 and by gamma, on the verifiers' canonical
+    # inputs, whose coefficients are not constant, so every Leibniz term runs
     s = request.getfixturevalue(space).structures
     calc, conn, spin = s.calculus, s.connection, s.spin
     for phi, other, inputs in (
@@ -366,6 +367,22 @@ def test_kernel_contracted_connections_match_the_sum_of_two_elements(request, sp
         assert any(any(mono) for x in inputs for c in x.terms.values() for mono in c.terms)
         for x in inputs:
             assert got(x) == want(x)
+
+
+def test_kernel_verifiers_construct_no_contracted_connection(s3, t2, monkeypatch):
+    # both compatibility families contract the tensor-product connection's
+    # stored value on each free word directly; D~ is the one ContractedConnection
+    built = []
+    init = ContractedConnection.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ContractedConnection, "__init__", counted)
+    catalog.build_t2(check=True)
+    assert verify_space(s3).all_passed and verify_space(t2).all_passed
+    assert built == []
 
 
 def test_kernel_rotated_dirac_keeps_its_input_checks(s3, t2):

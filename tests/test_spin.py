@@ -170,7 +170,9 @@ def test_r4_spinorial_suite_passes(r4):
 def test_verify_spinorial_applies_gamma_once_per_residual_slot(request, monkeypatch, space):
     # clifford_relations stores gamma_[2] of (w + sigma(w)) (x) e_a on the
     # free words, not of each summand: 2 gamma applications per (w, alpha),
-    # plus one per clifford_compatibility residual
+    # plus 2 per clifford_compatibility image on the free dz_k (x) e_a: gamma
+    # of the word itself, and gamma at slot 1 of the tensor-product
+    # connection's stored value on it, which the image contracts directly
     s = request.getfixturevalue(space).structures
     calls = []
 
@@ -181,7 +183,7 @@ def test_verify_spinorial_applies_gamma_once_per_residual_slot(request, monkeypa
     monkeypatch.setattr(spin_module, "gamma_apply", counting)
     assert verify_spinorial(s.spin, s.metric, s.connection).all_passed
     n = s.presentation.n
-    assert len(calls) == 2 * n * n * SPINOR_RANK + n * SPINOR_RANK
+    assert len(calls) == 2 * n * n * SPINOR_RANK + 2 * n * SPINOR_RANK
 
 
 def test_undeformed_gammas_fail_symbolically(r4):
