@@ -25,10 +25,9 @@ The raw map is known in four modules: here and in ``tensors``, in
 from __future__ import annotations
 
 import json
-import re
 from operator import add, le, mul, sub
 
-from .scalars import _GR_ONE, GaussianRational, RepeatedExponent, Scalar, _scalar, _terms_product
+from .scalars import _GR_ONE, GaussianRational, Scalar, ScalarFormatError, _scalar, _terms_product
 
 Monomial = tuple[int, ...]
 
@@ -41,8 +40,6 @@ STEP_BUDGET = 10**6  # rewrite steps per normal-form computation
 PRODUCT_CACHE_BOUND = 50_000
 
 _new = object.__new__
-
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)  # the string form of a Fraction
 
 
 class PresentationError(ValueError):
@@ -242,27 +239,11 @@ def _element_terms_from_json(data: list, n: int) -> dict[Monomial, Scalar]:
 
 
 def _scalar_from_json(data) -> Scalar:
-    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
-        raise PresentationError("a serialized scalar must be an object with a 'terms' list")
-    for term in data["terms"]:
-        # a float re would be read as its binary value, a float k truncated, and
-        # Fraction("1e1000000000") would build a huge integer, so re and im take
-        # only the integer or p/q strings that Scalar.to_json writes
-        if not (
-            isinstance(term, list)
-            and len(term) == 3
-            and type(term[0]) is int
-            and all(isinstance(part, str) and _RATIONAL.fullmatch(part) for part in term[1:])
-        ):
-            raise PresentationError(
-                f"a scalar term must be [k, re, im] with integer k and p/q strings re, im: {term!r}"
-            )
+    """Scalar.from_json, with its refusals raised as PresentationError."""
     try:
         return Scalar.from_json(data)
-    except RepeatedExponent as exc:  # a ValueError, but no part out of range
+    except ScalarFormatError as exc:  # a ValueError, but no part out of range
         raise PresentationError(str(exc)) from exc
-    except ZeroDivisionError as exc:
-        raise PresentationError(f"scalar {data['terms']!r} has a zero denominator") from exc
     except ValueError as exc:  # e.g. the interpreter's integer string digit limit
         raise PresentationError(f"scalar part out of range: {exc}") from exc
 

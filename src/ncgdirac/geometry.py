@@ -9,13 +9,14 @@ classes is equality of canonical representatives.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .algebra import AlgebraElement, Presentation, _accumulate
 from .reports import Report
 from .scalars import _GR_ONE, Scalar, _scalar
 from .tensors import (
     BasisWord,
     LeftLinearMap,
-    ShapeError,
     TensorElement,
     TensorSum,
     _derivative,
@@ -27,6 +28,7 @@ from .tensors import (
     right_linearity_residuals,
     right_mul,
     tensor,
+    with_spinor,
 )
 
 
@@ -38,10 +40,12 @@ class Calculus:
     1-forms into the free module, applied to every form slot by canon().
     basis[i] is the canonical representative of the class of dz_i: the
     projector's stored image of dz_i, or dz_i itself.  pairs[i][j] is
-    basis[i] (x) basis[j], the input of every pair residual; the n^2 pairs
-    are made on first use and kept with the calculus, so the induced metric
-    and both verifiers of one calculus share them, as they share
-    premise_failures, which only a hypersurface's certificate reports.
+    basis[i] (x) basis[j]; the n^2 pairs are made on first use and kept
+    with the calculus, so the induced metric and both verifiers of one
+    calculus share them, as they share premise_failures, which only a
+    hypersurface's certificate reports.  canonical_input(w) is the input
+    made of them for a free word w, and stored_family evaluates a stored
+    map on every such input.
     """
 
     __slots__ = ("presentation", "projector", "basis", "_pairs", "_premise")
@@ -65,6 +69,27 @@ class Calculus:
         if self._pairs is None:
             self._pairs = tuple(tuple(tensor(bi, bj) for bj in self.basis) for bi in self.basis)
         return self._pairs
+
+    def canonical_input(self, w: BasisWord) -> TensorElement:
+        """b_i1 (x) ... (x) b_ik [(x) e_a] for the free word dz_i1 (x) ... (x) dz_ik [(x) e_a], k >= 1."""
+        forms = w.forms
+        x = self.basis[forms[0]] if len(forms) == 1 else self.pairs[forms[0]][forms[1]]
+        for i in forms[2:]:
+            x = tensor(x, self.basis[i])
+        return x if w.spin is None else with_spinor(x, w.spin)
+
+    def stored_family(self, domain: tuple[int, bool], image: Callable[[BasisWord], TensorElement]):
+        """(label, R(x)) for each free word w of domain, x its canonical input, in all_basis_words order.
+
+        R, with image(w) on every free word w, and the inputs are made before
+        anything is yielded, so each residual is one apply of R; the label of
+        dz_i (x) dz_j (x) e_a is dz{i},dz{j},e{a}.  R(x) is x's residual
+        where the residual is left-linear in x (see verify_metric).
+        """
+        p = self.presentation
+        stored = LeftLinearMap.on_free_words(p, domain, image)
+        inputs = [(repr(w).replace("(x)", ","), self.canonical_input(w)) for w in all_basis_words(p, *domain)]
+        return ((label, stored.apply(x)) for label, x in inputs)
 
     @property
     def premise_failures(self) -> tuple[tuple[str, TensorElement], ...]:
@@ -121,18 +146,20 @@ class Calculus:
 class Connection:
     """Connection on a free-basis module, with optional braiding (bimodule case).
 
-    Stored extensionally on basis words (dz_i for form connections, e_alpha for
-    spin connections) and extended by the left Leibniz rule.  The keys share
-    one shape and the values another; empty values are refused.  On a
-    projected calculus a value may be any representative of its class (the
-    induced connection keeps the Gauss formula's): every reader projects
-    before it compares, as apply does, and canon kills the difference of
-    two representatives (see hypersurface._induced_connection).  The
-    braiding sigma, a map of 2-forms, is stored once: every braiding of the
-    engine is its own inverse (see verify_metric's sigma_invertible).
+    Its values on basis words (dz_i for form connections, e_alpha for spin
+    connections) are kept as one LeftLinearMap, value_map (values reads its
+    images), and extended by the left Leibniz rule.  The map's constructor
+    refuses keys or values of more than one shape; empty values are
+    refused here.  On a projected calculus a value may be any
+    representative of its class (the induced connection keeps the Gauss
+    formula's): every reader projects before it compares, as apply does,
+    and canon kills the difference of two representatives (see
+    hypersurface._induced_connection).  The braiding sigma, a map of
+    2-forms, is stored once: every braiding of the engine is its own
+    inverse (see verify_metric's sigma_invertible).
     """
 
-    __slots__ = ("calculus", "values", "sigma")
+    __slots__ = ("calculus", "value_map", "sigma")
 
     def __init__(
         self, calculus: Calculus, values: dict[BasisWord, TensorElement], sigma: LeftLinearMap | None = None
@@ -140,20 +167,18 @@ class Connection:
         if sigma is not None:
             if sigma.domain != (2, False) or sigma.codomain != (2, False):
                 raise ValueError("sigma must map 2-forms to 2-forms")
-        shapes = {((len(w.forms), w.spin is not None), v.shape()) for w, v in values.items()}
-        if not shapes:
+        if not values:
             raise ValueError("a connection needs a value on at least one basis word")
-        if len(shapes) > 1:
-            raise ShapeError(f"basis words and values must each share one shape: {sorted(shapes)}")
+        w0, v0 = next(iter(values.items()))
+        domain = (len(w0.forms), w0.spin is not None)
         self.calculus = calculus
-        self.values = dict(values)
+        self.value_map = LeftLinearMap(calculus.presentation, domain, v0.shape(), values)
         self.sigma = sigma
 
-    def convert(self, calculus: Calculus) -> Connection:
-        """The same values and braiding with coefficients converted to calculus's presentation."""
-        p = calculus.presentation
-        values = {w: v.convert(p) for w, v in self.values.items()}
-        return Connection(calculus, values, None if self.sigma is None else self.sigma.convert(p))
+    @property
+    def values(self) -> dict[BasisWord, TensorElement]:
+        """The stored value of each basis word: value_map's images."""
+        return self.value_map.images
 
     def apply(self, e: TensorElement) -> TensorElement:
         """The canonical representative canon(raw_apply(e))."""
@@ -162,53 +187,43 @@ class Connection:
     def raw_apply(self, e: TensorElement) -> TensorElement:
         """Left Leibniz extension nabla(c*w) = c*nabla(w) + d(c) (x) w, unprojected.
 
-        canon is additive, so a verifier that compares two sides projects
-        their difference once: canon(raw_apply(x) - y) = apply(x) - canon(y).
+        The first sum is value_map applied over the whole word of e.  canon
+        is additive, so a verifier that compares two sides projects their
+        difference once: canon(raw_apply(x) - y) = apply(x) - canon(y).
         """
-        calc = self.calculus
-        if e.presentation != calc.presentation:
-            raise ValueError("presentation mismatch")
-        sample = next(iter(self.values.values()))
-        out = TensorSum(calc.presentation)
-        for w, c in e.terms.items():
-            value = self.values.get(w)
-            if value is None:
-                raise KeyError(f"connection has no value for basis word {w}")
-            for w2, c2 in value.terms.items():
-                out.add_product(w2, c, c2)
+        m = self.value_map
+        degree, has_spin, whole = m._window(e, 0)
+        m._check_domain(e)
+        out = TensorSum(m.presentation)
+        m._accumulate_at(out.words, e, 0, whole)
         add_leibniz(out, e.terms)
-        return out.element(sample.degree, sample.has_spin)
+        return out.element(degree, has_spin)
 
 
 class ContractedConnection:
-    """K(x) = phi applied at the rightmost slots of conn.apply(x), stored on basis words.
+    """K(x) = phi(conn.apply(x)), stored on basis words.
 
-    conn.apply(x) is canon(sum_w c_w * value(w) + Leibniz term), and canon
-    and phi are left-linear, so phi o canon is stored once (phi_canon) on the
-    basis words of the values' shape, and k = phi_canon o value on the basis
-    words of conn.  Then K(c w) = c * k(w) + phi_canon(d(c) (x) w).  add_term
-    adds that sum into the raw maps of a TensorSum: each monomial's
-    derivative terms (tensors._derivative) multiply the images of phi_canon
-    directly, so no element is built for the Leibniz term.  Calling K on x
-    adds every term of x into one TensorSum and builds one element.  The
-    torus operator D~ (SpaceBundle.rotated_dirac) is its one engine user.
+    conn.apply(x) is canon(sum_w c_w * value(w) + Leibniz term), and phi
+    is left-linear; phi is taken with phi o canon = phi, so k = phi o value
+    is stored on the basis words of conn, and K(c w) = c * k(w) + phi(d(c)
+    (x) w).  A phi whose domain is not the values' shape is refused with
+    ShapeError.  add_term adds that sum into the raw maps of a TensorSum:
+    each monomial's derivative terms (tensors._derivative) multiply the
+    images of phi directly, so no element is built for the Leibniz term.
+    Calling K on x adds every term of x into one TensorSum and builds one
+    element.  The torus operator D~ (SpaceBundle.rotated_dirac) is its one
+    engine user, with phi = Phi: gamma is stored as gamma_C(b_i (x) e_a),
+    so gamma o canon = gamma, and Phi o canon = Phi, once Pi(b_i) = b_i,
+    the certificate's calculus[dz{i}] clause, which every build requires.
     """
 
-    __slots__ = ("presentation", "k", "phi_canon")
+    __slots__ = ("presentation", "k", "phi")
 
     def __init__(self, conn: Connection, phi: LeftLinearMap):
-        calc = conn.calculus
-        p = calc.presentation
-        w0, v0 = next(iter(conn.values.items()))
-        at = v0.degree - phi.domain[0]
-        phi_canon = LeftLinearMap.on_free_words(
-            p, v0.shape(), lambda w: phi.apply_at(calc.canon(TensorElement.basis(p, w.forms, w.spin)), at)
-        )
+        p = conn.calculus.presentation
         self.presentation = p
-        self.phi_canon = phi_canon
-        self.k = LeftLinearMap.on_free_words(
-            p, (len(w0.forms), w0.spin is not None), lambda w: phi_canon.apply(conn.values[w])
-        )
+        self.phi = phi
+        self.k = LeftLinearMap.on_free_words(p, conn.value_map.domain, lambda w: phi.apply(conn.values[w]))
 
     def __call__(self, x: TensorElement) -> TensorElement:
         k = self.k
@@ -225,7 +240,7 @@ class ContractedConnection:
         words = out.words
         for w2, c2 in self.k.images[w].terms.items():
             _accumulate(words.setdefault(w2, {}), p, coeff, c2.terms)
-        images = self.phi_canon.images
+        images = self.phi.images
         for mono, s in coeff.items():
             for g, ((rem, kp, gp),) in _derivative(p, mono):
                 # s times the one derivative term of z^mono under dz_g
@@ -304,8 +319,9 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
 
     Every family but g_central, sigma_right_linear and sigma_invertible is a
     map R stored once per call on the free words, and each residual is one
-    apply of R to its canonical input x = sum_w c_w w (b_i or pairs[i][j]).
-    That is x's residual when the residual is left-linear in x:
+    apply of R to its canonical input x = sum_w c_w w (b_i or pairs[i][j]);
+    all but right_leibniz go through Calculus.stored_family.  That is x's
+    residual when the residual is left-linear in x:
 
     - inverse_left, canon(g^-1 at slot 0 of w (x) g(1)) - w, and symmetry,
       g^-1((sigma - id)(w)) by Metric.pair, are left-linear as they stand.
@@ -335,32 +351,18 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     p = calc.presentation
     report = Report(subject=p.name or "metric")
     g1 = calc.canon(metric.g_element)
-    basis, pairs = calc.basis, calc.pairs
+    basis = calc.basis
     gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
 
-    def pair_labels():
-        return ((f"dz{i + 1},dz{j + 1}", pairs[i][j]) for i in range(p.n) for j in range(p.n))
+    def inverse_image(w: BasisWord, at: int) -> TensorElement:
+        # canon(g^-1 at slot at of w (x) g(1) or g(1) (x) w) - w
+        b = TensorElement.basis(p, w.forms)
+        return calc.canon(metric.g_inv.apply_at(tensor(b, g1) if at == 0 else tensor(g1, b), at)) - b
 
     g_central = report.family("g_central", commutator_residuals(g1))
-    inverse_left = LeftLinearMap.on_free_words(
-        p,
-        (1, False),
-        lambda w: calc.canon(metric.g_inv.apply_at(tensor(TensorElement.basis(p, w.forms), g1), 0)),
-    )
-    report.family(
-        "inverse_left",
-        ((f"dz{i + 1}", inverse_left.apply(basis[i]) - basis[i]) for i in range(p.n)),
-    )
+    report.family("inverse_left", calc.stored_family((1, False), lambda w: inverse_image(w, 0)))
     if g_central:
-        inverse_right = LeftLinearMap.on_free_words(
-            p,
-            (1, False),
-            lambda w: calc.canon(metric.g_inv.apply_at(tensor(g1, TensorElement.basis(p, w.forms)), 1)),
-        )
-        report.family(
-            "inverse_right",
-            ((f"dz{i + 1}", inverse_right.apply(basis[i]) - basis[i]) for i in range(p.n)),
-        )
+        report.family("inverse_right", calc.stored_family((1, False), lambda w: inverse_image(w, 1)))
     else:
         report.unmet("inverse_right", "g_central")
 
@@ -368,10 +370,9 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
         b = TensorElement.basis(p, w.forms)
         return TensorElement.basis(p, (), None, metric.pair(conn.sigma.apply(b) - b))
 
-    symmetry = LeftLinearMap.on_free_words(p, (2, False), symmetry_image)
     report.family(
         "symmetry",
-        ((label, algebra_value(symmetry.apply(x))) for label, x in pair_labels()),
+        ((label, algebra_value(r)) for label, r in calc.stored_family((2, False), symmetry_image)),
     )
 
     calculus_holds = not calc.premise_failures
@@ -383,11 +384,7 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
             b = TensorElement.basis(p, w.forms)
             return calc.canon(metric.g_inv.apply_at(nabla[w], 1) - differential(metric.pair(b)))
 
-        compatibility = LeftLinearMap.on_free_words(p, (2, False), compatibility_image)
-        report.family(
-            "metric_compatibility",
-            ((label, compatibility.apply(x)) for label, x in pair_labels()),
-        )
+        report.family("metric_compatibility", calc.stored_family((2, False), compatibility_image))
     else:
         report.unmet("metric_compatibility", "calculus")
 

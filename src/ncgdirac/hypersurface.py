@@ -249,7 +249,7 @@ def check_induction(h: HypersurfaceSpec, structures: StructureSet) -> Report:
 def _induced_metric(h: HypersurfaceSpec, qc: Calculus) -> Metric:
     metric = h.ambient_q.metric
     g_inv = LeftLinearMap.on_free_words(
-        qc.presentation, (2, False), lambda w: metric.g_inv.apply(qc.pairs[w.forms[0]][w.forms[1]])
+        qc.presentation, (2, False), lambda w: metric.g_inv.apply(qc.canonical_input(w))
     )
     return Metric(qc.canon(metric.g_element), g_inv)
 
@@ -271,10 +271,11 @@ def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
       the gate requires on every build) and Pi is left-linear;
     - every reader of Connection.values projects before it compares:
       Connection.apply is canon o raw_apply, the right_leibniz and both
-      compatibility images end in canon, D~ (ContractedConnection) applies
-      phi o canon, the next induction's Gauss formula stores a
-      value read under the same rules, and the CLI and the goldens print
-      and compare canon of each value.
+      compatibility images end in canon, D~ (ContractedConnection) reads
+      only the spin connection, through Phi, and Phi o canon = Phi, the
+      next induction's Gauss formula stores a value read under the same
+      rules, and the CLI and the goldens print and compare canon of each
+      value.
     """
     quotient = qc.presentation
     amb_q = h.ambient_q
@@ -305,7 +306,7 @@ def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
         lambda w: _gamma2(h, tensor(TensorElement.basis(quotient, w.forms), with_spinor(h.nu_q, w.spin))),
     )
     gamma = LeftLinearMap.on_free_words(
-        quotient, (1, True), lambda w: clifford_nu.apply(with_spinor(qc.basis[w.forms[0]], w.spin))
+        quotient, (1, True), lambda w: clifford_nu.apply(qc.canonical_input(w))
     )
 
     spin_values = {}

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 _new = object.__new__
+
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)  # the string form of a Fraction
 
 
 class GaussianRational:
@@ -204,8 +207,8 @@ def _scalar(terms: dict) -> "Scalar":
     return s
 
 
-class RepeatedExponent(ValueError):
-    """Raised by Scalar.from_json for two terms with one q-exponent."""
+class ScalarFormatError(ValueError):
+    """Raised by Scalar.from_json for input that to_json does not write; the message says what."""
 
 
 class Scalar:
@@ -331,13 +334,36 @@ class Scalar:
 
     @staticmethod
     def from_json(data: dict) -> "Scalar":
-        """Read [k, re, im] terms; a repeated q-exponent k raises RepeatedExponent, a ValueError."""
+        """Read what to_json writes, an object with a list of [k, re, im] terms.
+
+        Any other input raises ScalarFormatError, a ValueError: a term of
+        another form (checked for every term first), a repeated q-exponent k
+        or a zero denominator.  A part past the interpreter's integer string
+        digit limit raises that limit's own ValueError.
+        """
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+            raise ScalarFormatError("a serialized scalar must be an object with a 'terms' list")
+        for term in data["terms"]:
+            # a float re would be read as its binary value, a float k truncated, and
+            # Fraction("1e1000000000") would build a huge integer, so re and im take
+            # only the integer or p/q strings that to_json writes
+            if not (
+                isinstance(term, list)
+                and len(term) == 3
+                and type(term[0]) is int
+                and all(isinstance(part, str) and _RATIONAL.fullmatch(part) for part in term[1:])
+            ):
+                raise ScalarFormatError(
+                    f"a scalar term must be [k, re, im] with integer k and p/q strings re, im: {term!r}"
+                )
         terms = {}
-        for k, re, im in data["terms"]:
-            k = int(k)
+        for k, re_part, im_part in data["terms"]:
             if k in terms:  # a second term would silently replace the first
-                raise RepeatedExponent(f"scalar terms {data['terms']!r} repeat the q-exponent {k}")
-            terms[k] = GaussianRational(Fraction(re), Fraction(im))
+                raise ScalarFormatError(f"scalar terms {data['terms']!r} repeat the q-exponent {k}")
+            try:
+                terms[k] = GaussianRational(Fraction(re_part), Fraction(im_part))
+            except ZeroDivisionError:
+                raise ScalarFormatError(f"scalar {data['terms']!r} has a zero denominator") from None
         return Scalar(terms)
 
     def __repr__(self) -> str:

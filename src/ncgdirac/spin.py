@@ -6,7 +6,7 @@ from .algebra import AlgebraElement, Presentation
 from .geometry import Calculus, Connection, Metric, tensor_connection
 from .reports import Report
 from .scalars import Scalar, _scalar
-from .tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, with_spinor
+from .tensors import BasisWord, LeftLinearMap, TensorElement, TensorSum, with_spinor
 
 ScalarMatrix = tuple[tuple[Scalar, ...], ...]
 
@@ -111,8 +111,8 @@ def dirac(spin: SpinStructure, spinor: TensorElement) -> TensorElement:
 def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> Report:
     """Check the Clifford relations and Clifford compatibility exactly.
 
-    Both families are maps stored once per call on the free words
-    (on_free_words), and each residual is one apply to its canonical input;
+    Both families are maps stored once per call on the free words, and
+    each residual is one apply to its canonical input (Calculus.stored_family);
     R(sum_w c_w w) = sum_w c_w R(w) is exact where the residual is
     left-linear, because the normal-form product is associative and
     distributive:
@@ -134,8 +134,6 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     calc = spin.calculus
     p = calc.presentation
     report = Report(subject=(p.name or "spinorial"))
-    basis, pairs = calc.basis, calc.pairs
-
     two = Scalar.rational(2)
 
     def clifford_image(w: BasisWord) -> TensorElement:
@@ -144,16 +142,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
         sym, two_g = b + conn.sigma.apply(b), metric.g_inv.apply(b).scale(two)
         return gamma_iterated(spin, with_spinor(sym, w.spin)) + with_spinor(two_g, w.spin)
 
-    clifford = LeftLinearMap.on_free_words(p, (2, True), clifford_image)
-    report.family(
-        "clifford_relations",
-        (
-            (f"dz{i + 1},dz{j + 1},e{alpha + 1}", clifford.apply(with_spinor(pairs[i][j], alpha)))
-            for i in range(p.n)
-            for j in range(p.n)
-            for alpha in range(SPINOR_RANK)
-        ),
-    )
+    report.family("clifford_relations", calc.stored_family((2, True), clifford_image))
 
     if calc.premise_failures:
         report.unmet("clifford_compatibility", "calculus")
@@ -165,15 +154,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
         b = TensorElement.basis(p, w.forms, w.spin)
         return calc.canon(spin.spin_connection.raw_apply(gamma_apply(spin, b)) - gamma_apply(spin, nabla[w]))
 
-    compatibility = LeftLinearMap.on_free_words(p, (1, True), compatibility_image)
-    report.family(
-        "clifford_compatibility",
-        (
-            (f"dz{i + 1},e{alpha + 1}", compatibility.apply(with_spinor(basis[i], alpha)))
-            for i in range(p.n)
-            for alpha in range(SPINOR_RANK)
-        ),
-    )
+    report.family("clifford_compatibility", calc.stored_family((1, True), compatibility_image))
     return report
 
 
@@ -196,10 +177,11 @@ class StructureSet:
         """Every structure with coefficients converted to target, on one calculus of target."""
         projector = self.calculus.projector
         calc = Calculus(target, projector.convert(target) if projector else None)
-        metric, spin = self.metric, self.spin
+        metric, conn, spin = self.metric, self.connection, self.spin
+        spin_values = spin.spin_connection.value_map.convert(target)
         return StructureSet(
             calc,
             Metric(metric.g_element.convert(target), metric.g_inv.convert(target)),
-            self.connection.convert(calc),
-            SpinStructure(calc, spin.gamma.convert(target), spin.spin_connection.convert(calc)),
+            Connection(calc, conn.value_map.convert(target).images, conn.sigma.convert(target) if conn.sigma else None),
+            SpinStructure(calc, spin.gamma.convert(target), Connection(calc, spin_values.images)),
         )

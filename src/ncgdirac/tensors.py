@@ -377,7 +377,9 @@ class LeftLinearMap:
     fixed factor left of its input, but also where its Leibniz terms cancel
     or its left factor is central, under premises that verify_metric and
     verify_spinorial name and check.  on_free_words is the one way the
-    engine builds a stored map.
+    engine builds a stored map from an image function; a connection keeps
+    the values it is given on its basis words as one such map
+    (geometry.Connection.value_map).
     """
 
     __slots__ = ("presentation", "domain", "codomain", "images")

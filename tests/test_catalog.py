@@ -710,3 +710,54 @@ def test_deformed_gamma_clifford_at_q1():
                 Scalar.rational(-2 * metric_upper(i, j)),
             )
             assert anti == want
+
+
+# -- two routes to one torus ----------------------------------------------------
+
+
+def _level(p, scale, products, constant):
+    """scale * (sum of c z_i z_j over the products (c, i, j), plus constant)."""
+    f = AlgebraElement.from_scalar(p, Scalar.rational(constant))
+    for c, i, j in products:
+        f = f + normal_form([i, j], Scalar.rational(c), p)
+    return f.scale(Scalar.rational(scale))
+
+
+def test_two_routes_to_one_torus_induce_the_same_structures(r4):
+    # route A cuts the sphere z1z3 + z2z4 = 1/4 by z1z3 - z2z4 = -7/100, route
+    # B the cylinder z1z3 = 9/100 by z2z4 = 4/25: both reach the torus
+    # z1z3 = 9/100, z2z4 = 4/25, each step checked.  The gamma images differ
+    # (a gauge between the two spinor frames is not known), so only the
+    # structures that do not depend on the normal frame are compared
+    p = r4.presentation
+    sphere = catalog._induce(r4, _level(p, 1, [(1, 0, 2), (1, 1, 3)], Fraction(-1, 4)), "a1", True)
+    p_s = sphere.presentation
+    a = catalog._induce(sphere, _level(p_s, Fraction(25, 24), [(1, 0, 2), (-1, 1, 3)], Fraction(7, 100)), "a", True)
+    cylinder = catalog._induce(r4, _level(p, Fraction(5, 3), [(1, 0, 2)], Fraction(-9, 100)), "b1", True)
+    p_c = cylinder.presentation
+    b = catalog._induce(cylinder, _level(p_c, Fraction(5, 4), [(1, 1, 3)], Fraction(-4, 25)), "b", True)
+    pa, pb = a.presentation, b.presentation
+    # the same two rules in opposite order
+    rules_a, rules_b = pa.to_json()["ideal"], pb.to_json()["ideal"]
+    assert rules_a == rules_b[::-1] and rules_a != rules_b and pa.key() != pb.key()
+    sa, sb = a.structures, b.structures
+    canon = sb.calculus.canon
+
+    def converted(images):
+        return {w: v.convert(pb) for w, v in images.items()}
+
+    assert [x.convert(pb) for x in sa.calculus.basis] == list(sb.calculus.basis)
+    assert converted(sa.metric.g_inv.images) == sb.metric.g_inv.images
+    assert converted(sa.connection.sigma.images) == sb.connection.sigma.images
+    # the induced connection keeps unprojected representatives: compare classes
+    assert {w: canon(v) for w, v in converted(sa.connection.values).items()} == {
+        w: canon(v) for w, v in sb.connection.values.items()
+    }
+    assert converted(sa.spin.spin_connection.values) == sb.spin.spin_connection.values
+    # D^2 on the lowest sector: the flat torus value 1/r1^2 + 1/r2^2 with r1 = 3/10, r2 = 2/5
+    for bundle in (a, b):
+        for alpha in range(SPINOR_RANK):
+            s = e(bundle.presentation, alpha)
+            assert dirac(bundle.structures.spin, dirac(bundle.structures.spin, s)) == s.scale(
+                Scalar.rational(Fraction(625, 144))
+            )

@@ -14,7 +14,9 @@ from ncgdirac.geometry import (
 )
 from ncgdirac.scalars import Scalar
 from ncgdirac.spin import verify_spinorial
-from ncgdirac.tensors import BasisWord, LeftLinearMap, ShapeError, TensorElement, differential, tensor
+from ncgdirac.tensors import (
+    BasisWord, LeftLinearMap, ShapeError, TensorElement, all_basis_words, differential, tensor, with_spinor,
+)
 
 
 def dz(p, *indices):
@@ -69,15 +71,39 @@ def test_connection_refuses_a_value_of_another_shape(r4):
     # holding the one-letter word dz2
     conn = r4.structures.connection
     values = {**conn.values, BasisWord((1,), None): dz(r4.presentation, 1)}
-    with pytest.raises(ShapeError, match="share one shape"):
+    with pytest.raises(ShapeError, match="image of dz2 does not fit codomain"):
         Connection(conn.calculus, values, conn.sigma)
 
 
 def test_connection_refuses_a_basis_word_of_another_shape(r4):
     conn = r4.structures.connection
     values = {**conn.values, BasisWord((), 0): TensorElement.zero(r4.presentation, 2)}
-    with pytest.raises(ShapeError, match="share one shape"):
+    with pytest.raises(ShapeError, match="image key e1 does not fit domain"):
         Connection(conn.calculus, values, conn.sigma)
+
+
+def test_canonical_input_is_a_tensor_of_canonical_basis_forms(s3):
+    calc = s3.structures.calculus
+    b = calc.basis
+    assert calc.canonical_input(BasisWord((2,), None)) == b[2]
+    assert calc.canonical_input(BasisWord((0, 3), 1)) == with_spinor(tensor(b[0], b[3]), 1)
+    assert calc.canonical_input(BasisWord((1, 0, 2), None)) == tensor(tensor(b[1], b[0]), b[2])
+
+
+def test_connection_apply_refuses_an_element_of_another_shape(r4, s3):
+    # the values are one stored map, which checks its input's shape and
+    # presentation before any word is looked up
+    s = r4.structures
+    p = r4.presentation
+    for conn, e in (
+        (s.connection, tensor(dz(p, 0), dz(p, 1))),
+        (s.connection, TensorElement.basis(p, (0,), 2)),
+        (s.spin.spin_connection, dz(p, 0)),
+    ):
+        with pytest.raises(ShapeError):
+            conn.apply(e)
+    with pytest.raises(ValueError, match="presentation mismatch"):
+        s.connection.apply(dz(s3.presentation, 0))
 
 
 def test_connection_refuses_empty_values(r4):
@@ -267,40 +293,49 @@ def test_connection_apply_matches_per_word_leibniz(request, space):
     + [("nabla^sp,gamma", "s3"), ("nabla^sp,gamma", "t2"), ("Phi", "t2"), ("flat gamma", "t2")],
 )
 def test_contracted_connection_is_exact(request, space, phi):
-    # contracting nabla's basis values first is left-linearity on
-    # representatives: equal to phi applied at the rightmost slots after the
-    # expanded nabla(x), on every basis word, on the projected pairs and bases
-    # the verifiers use, and on sums with algebra coefficients; over a
-    # projected calculus (the induced spin connections, and the torus Phi of
-    # the rotated operator D~) phi runs after canon, which canon's
-    # left-linearity makes exact; the flat gamma is not class-correct on
-    # torus forms, so only it would notice a missing projection
+    # contracting nabla's stored values with phi directly is left-linearity
+    # on representatives: equal to phi after the unprojected nabla(x), on
+    # every basis spinor and on sums with algebra coefficients; a
+    # class-correct phi (phi o canon = phi: the induced gamma, and the torus
+    # Phi of the rotated operator D~) gives phi after the projected nabla(x)
+    # too, while the flat gamma is not class-correct on torus forms, so it
+    # tells the two apart.  A phi that does not take the values' shape
+    # (g^-1 or gamma after a tensor-product connection, whose values have
+    # one form slot more) is refused
     bundle = request.getfixturevalue(space)
     s = bundle.structures
     p = s.presentation
-    basis = s.calculus.basis
-    spinors = [TensorElement.basis(p, (), alpha) for alpha in range(4)]
-    if phi == "g^-1":
-        nabla, m = tensor_connection(s.connection, s.connection), s.metric.g_inv
-        checked = [tensor(basis[i], basis[j]) for i in range(p.n) for j in range(p.n)]
-    elif phi == "gamma":
-        nabla, m = tensor_connection(s.connection, s.spin.spin_connection), s.spin.gamma
-        checked = [tensor(basis[i], e_a) for i in range(p.n) for e_a in spinors]
-    else:
-        nabla = s.spin.spin_connection
-        assert nabla.calculus.projector is not None
-        if phi == "nabla^sp,gamma":
-            m = s.spin.gamma
-        elif phi == "Phi":
-            m = bundle.rotated_gamma
-        else:
-            m = bundle.flat_gamma
-        checked = list(spinors)
-    at = next(iter(nabla.values.values())).degree - m.domain[0]
+    if phi in ("g^-1", "gamma"):
+        other, m = (s.connection, s.metric.g_inv) if phi == "g^-1" else (s.spin.spin_connection, s.spin.gamma)
+        with pytest.raises(ShapeError, match="does not match domain"):
+            ContractedConnection(tensor_connection(s.connection, other), m)
+        return
+    nabla = s.spin.spin_connection
+    assert nabla.calculus.projector is not None
+    m = {"nabla^sp,gamma": s.spin.gamma, "Phi": bundle.rotated_gamma, "flat gamma": bundle.flat_gamma}[phi]
     contracted = ContractedConnection(nabla, m)
+    checked = [TensorElement.basis(p, (), alpha) for alpha in range(4)]
     checked += _with_coefficients(p, list(nabla.values), random.Random(43))
     for x in checked:
-        assert contracted(x) == m.apply_at(nabla.apply(x), at)
+        assert contracted(x) == m.apply(nabla.raw_apply(x))
+    projected = [contracted(x) == m.apply(nabla.apply(x)) for x in checked]
+    assert all(projected) == (phi != "flat gamma")
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_gamma_and_phi_are_unchanged_by_canon(request, space):
+    # D~ contracts the spin connection with Phi's images directly, which is
+    # exact because Phi o canon = Phi: gamma is stored as gamma_C(b_i (x) e_a),
+    # so gamma o canon = gamma once Pi(b_i) = b_i, and Phi is gamma followed
+    # by a left-linear map
+    bundle = request.getfixturevalue(space)
+    p = bundle.presentation
+    canon = bundle.structures.calculus.canon
+    words = all_basis_words(p, 1, True)
+    assert len(words) == 16
+    for m in (bundle.structures.spin.gamma, bundle.rotated_gamma):
+        for w in words:
+            assert m.apply_at(canon(TensorElement.basis(p, w.forms, w.spin)), 0) == m.images[w]
 
 
 def test_metric_compatibility_residual_exactly_zero(r4):

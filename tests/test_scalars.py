@@ -105,6 +105,21 @@ def test_from_json_names_a_repeated_q_exponent():
         Scalar.from_json({"terms": [[-2, "1", "0"], [1, "1", "0"], [-2, "0", "3"]]})
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        # each was read silently: as q^4, q, q^3 and 3602879701896397/36028797018963968
+        pytest.param([4.7, "1", "0"], id="q-exp-float"),
+        pytest.param([True, "1", "0"], id="q-exp-boolean"),
+        pytest.param(["3", "1", "0"], id="q-exp-string"),
+        pytest.param([0, 0.1, "0"], id="re-float"),
+    ],
+)
+def test_from_json_refuses_a_term_it_does_not_write(term):
+    with pytest.raises(ValueError, match=r"a scalar term must be \[k, re, im\]"):
+        Scalar.from_json({"terms": [term]})
+
+
 # -- integer kernel against a (Fraction, Fraction) oracle ----------------------
 
 

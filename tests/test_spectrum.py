@@ -469,7 +469,7 @@ def test_kernel_sector_columns_match_the_element_loop(t2):
 
 
 def _escaping_bundle(t2, part, word, extra):
-    """A copy of t2 whose operator has extra added to the stored image of word in part (k or phi_canon)."""
+    """A copy of t2 whose operator has extra added to the stored image of word in part (k or phi)."""
     fresh = replace(t2)
     operator = ContractedConnection(t2.structures.spin.spin_connection, t2.rotated_gamma)
     stored = getattr(operator, part)
@@ -479,7 +479,7 @@ def _escaping_bundle(t2, part, word, extra):
     return fresh
 
 
-@pytest.mark.parametrize("part", ["k", "phi_canon"])
+@pytest.mark.parametrize("part", ["k", "phi"])
 def test_kernel_escaping_column_keeps_its_message(t2, part):
     # an image coefficient outside the receiving monomial escapes with the
     # message of the element loop, byte for byte, from either stored map
