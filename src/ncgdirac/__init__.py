@@ -14,6 +14,7 @@ from .algebra import (
     RewriteBudgetExceeded,
     RewriteRule,
     brute_force_normal_form,
+    critical_pairs,
     extend_presentation,
     is_central,
     normal_form,
@@ -51,6 +52,7 @@ __all__ = [
     "RewriteBudgetExceeded",
     "RewriteRule",
     "brute_force_normal_form",
+    "critical_pairs",
     "extend_presentation",
     "is_central",
     "normal_form",

@@ -75,6 +75,11 @@ def _mono_letters(mono: Monomial) -> list[int]:
     return out
 
 
+def _mono_name(mono: Monomial) -> str:
+    """The printed monomial, as z1*z2^2; empty for the unit."""
+    return "*".join(f"z{g + 1}" + (f"^{e}" if e > 1 else "") for g, e in enumerate(mono) if e)
+
+
 def _divides(lhs: Monomial, mono: Monomial) -> bool:
     return all(map(le, lhs, mono))  # stops at the first letter that fails
 
@@ -580,11 +585,7 @@ class AlgebraElement:
             return "0"
         parts = []
         for m, c in sorted(self.terms.items(), key=lambda t: monomial_key(t[0])):
-            name = "*".join(
-                f"z{g + 1}" + (f"^{e}" if e > 1 else "")
-                for g, e in enumerate(m)
-                if e
-            )
+            name = _mono_name(m)
             cs = repr(c)
             if name:
                 parts.append(name if c.is_one() else f"({cs})*{name}")
@@ -637,7 +638,7 @@ def extend_presentation(p: Presentation, f: AlgebraElement, name: str = "") -> P
     Orients f into a rule by solving for its largest monomial under the graded
     order; existing rule right sides are re-reduced against the extended set.
     General completion is out of scope: f must already be oriented into a
-    confluent system together with p's rules, which callers check empirically.
+    confluent system together with p's rules, which critical_pairs decides.
     """
     if f.presentation != p:
         raise ValueError("f must live in the presentation being extended")
@@ -660,6 +661,77 @@ def extend_presentation(p: Presentation, f: AlgebraElement, name: str = "") -> P
     # against the extended set therefore leaves every rhs irreducible
     rules = tuple(RewriteRule(r.lhs, _reduce(r.rhs, extended).terms) for r in extended.rules)
     return Presentation(p.n, p.R, rules, name=name or p.name)
+
+
+def critical_pairs(p: Presentation):
+    """Yield (label, residual) for each ambiguity of p's rules; normal forms are unique iff every residual is 0.
+
+    The ordered monomials are a basis of the quantum affine space A of p.R
+    (pure q-powers with R[i][j] R[j][i] = 1, so A is a G-algebra and
+    reordering letters needs no check), and the kernel rewrites z^m only by
+    a left multiple q**-phase(rem, lhs) z^rem g of a rule polynomial
+    g = z^lhs - rhs.  Its normal forms are those of left reduction by the g,
+    and they are unique modulo the two-sided ideal (g) exactly when both
+    kinds of residual vanish:
+
+    - overlap, for each pair of rules a < b: the g are a left Groebner basis
+      iff each left s-polynomial reduces to 0 (Buchberger's criterion for
+      G-algebras: Levandovskyy-Schoenemann, ISSAC 2003), that is iff the two
+      one-step reductions of z^lcm(lhs_a, lhs_b) reach one normal form, the
+      diamond lemma's condition on overlap and inclusion ambiguities
+      (Bergman, Adv. Math. 29, 1978).  An ambiguity at a multiple z^m of the
+      lcm is z^(m - lcm) times this one up to a phase, since a rewrite
+      commutes with left multiplication by a monomial.  The residual is the
+      normal form of rule a's reduction minus that of rule b's.
+    - homogeneity, for each rule and generator z_j: the left ideal is
+      two-sided iff g z_j lies in it.  With z^lhs z_j = q**alpha z_j z^lhs
+      and z^r z_j = q**beta z_j z^r, g z_j - q**alpha z_j g is the sum of
+      c (q**alpha - q**beta) z_j z^r over the right-hand terms c z^r whose
+      phase beta past z_j differs from alpha; the residual is its normal
+      form, zero outright for a phase-homogeneous rule.
+
+    Termination is a constructor invariant, so the diamond lemma needs
+    nothing more.  Each pair costs a step per letter of the word it rewrites
+    (z^lhs z_j, or z^lcm) and each monomial it reduces that reduction's
+    steps, all charged to one STEP_BUDGET, so many rules raise
+    RewriteBudgetExceeded rather than run O(rules**2) reductions.
+    """
+    steps = 0
+
+    def charge(n: int) -> None:
+        nonlocal steps
+        steps += n
+        if steps > STEP_BUDGET:
+            raise _budget_exceeded()
+
+    def add_reduced(acc: dict, mono: Monomial, coeff: Scalar, shift: int) -> None:
+        reduction, mono_steps = _mono_reduction(p, mono)
+        charge(mono_steps)
+        _accumulate_triples(acc, reduction, coeff, shift)
+
+    units = [(0,) * j + (1,) + (0,) * (p.n - 1 - j) for j in range(p.n)]
+    names = [f"{a} ({_mono_name(rule.lhs)})" for a, rule in enumerate(p.rules, 1)]
+    for rule, name in zip(p.rules, names):
+        for j, unit in enumerate(units):
+            charge(sum(rule.lhs) + 1)
+            alpha = _phase(p, rule.lhs, unit) - _phase(p, unit, rule.lhs)
+            acc: dict = {}
+            for r, c in rule.rhs.items():
+                beta = _phase(p, r, unit) - _phase(p, unit, r)
+                if beta != alpha:  # z_j z^r = q**phase(unit, r) z^(r + unit)
+                    add_reduced(acc, tuple(map(add, r, unit)), c.q_shift(alpha) - c.q_shift(beta), _phase(p, unit, r))
+            yield f"homogeneity: rule {name} past z{j + 1}", _element(p, acc)
+    for a, (rule_a, name_a) in enumerate(zip(p.rules, names)):
+        for rule_b, name_b in zip(p.rules[a + 1:], names[a + 1:]):
+            lcm = tuple(map(max, rule_a.lhs, rule_b.lhs))
+            charge(sum(lcm))
+            acc = {}
+            for rule, negate in ((rule_a, False), (rule_b, True)):
+                rem = tuple(map(sub, lcm, rule.lhs))
+                e = -_phase(p, rem, rule.lhs)
+                for r, c in rule.rhs.items():
+                    add_reduced(acc, tuple(map(add, rem, r)), -c if negate else c, e + _phase(p, rem, r))
+            yield f"overlap: rules {name_a} and {name_b}", _element(p, acc)
 
 
 def brute_force_normal_form(word, coeff: Scalar, p: Presentation, _memo=None) -> AlgebraElement:

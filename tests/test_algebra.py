@@ -14,6 +14,7 @@ from ncgdirac.algebra import (
     RewriteBudgetExceeded,
     RewriteRule,
     brute_force_normal_form,
+    critical_pairs,
     is_central,
     normal_form,
 )
@@ -259,6 +260,97 @@ def test_oracle_checks_every_word_of_the_class(p_r4):
     )
     with pytest.raises(AssertionError, match="non-confluent"):
         brute_force_normal_form([0, 1, 2], Scalar.one(), bad, {})
+
+
+# -- critical pairs ----------------------------------------------------------
+
+def _two_rule_presentation(p_r4):
+    # the presentation of test_oracle_flags_non_confluent_rules: z1 z3 -> 1, z1 z2 z3 -> 1
+    one = {(0, 0, 0, 0): Scalar.one()}
+    return Presentation(
+        4, p_r4.R, (RewriteRule((1, 0, 1, 0), one), RewriteRule((1, 1, 1, 0), one)), name="bad"
+    )
+
+
+# rule sets over the r4 R that only the critical pairs of homogeneity decide
+_RULE_SETS = {
+    # no overlap, but z1 z2 does not commute with z1: z1 z1 z2 rewrites to z1,
+    # and its reordering z1 z2 z1 to a q-multiple of z1
+    "inhomogeneous": [((1, 1, 0, 0), {(0, 0, 0, 0): Scalar.one()})],
+    # z2^2 -> z1 moves past every generator with another phase than z1, but
+    # z1 z1, z2 z1, z3 z1 and z4 z1 all reduce to 0, so the rules are confluent
+    "inhomogeneous-confluent": [
+        ((0, 2, 0, 0), {(1, 0, 0, 0): Scalar.one()}),
+        ((2, 0, 0, 0), {}),
+        ((1, 1, 0, 0), {}),
+        ((1, 0, 1, 0), {}),
+        ((1, 0, 0, 1), {}),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["r4", "classical-r4", "s3", "t2"])
+def test_critical_pairs_vanish_on_the_catalog(name):
+    p = r4_presentation(classical=True) if name == "classical-r4" else presentation(name)
+    pairs = list(critical_pairs(p))
+    # one homogeneity pair per rule and generator, one overlap per pair of rules
+    r = len(p.rules)
+    assert len(pairs) == r * p.n + r * (r - 1) // 2
+    assert all(residual.is_zero() for _, residual in pairs)
+
+
+def test_critical_pairs_name_the_non_confluent_rules(p_r4):
+    bad = _two_rule_presentation(p_r4)
+    failing = [(label, residual) for label, residual in critical_pairs(bad) if not residual.is_zero()]
+    one = Scalar.one()
+    assert failing == [
+        # z1 z2 z3 z1 = q**-4 z1 z1 z2 z3, while 1 z1 = z1 z1
+        ("homogeneity: rule 2 (z1*z2*z3) past z1", AlgebraElement(bad, {(1, 0, 0, 0): Scalar.q_power(-4) - one})),
+        ("homogeneity: rule 2 (z1*z2*z3) past z3", AlgebraElement(bad, {(0, 0, 1, 0): Scalar.q_power(4) - one})),
+        # z1 z2 z3 = q**4 z2 (z1 z3) -> q**4 z2 by rule 1, and -> 1 by rule 2
+        ("overlap: rules 1 (z1*z3) and 2 (z1*z2*z3)", AlgebraElement(bad, {(0, 0, 0, 0): -one, (0, 1, 0, 0): Scalar.q_power(4)})),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, confluent",
+    [
+        ("r4", True),
+        ("s3", True),
+        ("t2", True),
+        ("two-rule", False),
+        ("inhomogeneous", False),
+        ("inhomogeneous-confluent", True),
+    ],
+)
+def test_critical_pairs_fail_exactly_when_the_oracle_raises(name, confluent, p_r4):
+    if name == "two-rule":
+        p = _two_rule_presentation(p_r4)
+    elif name in _RULE_SETS:
+        p = Presentation(4, p_r4.R, tuple(RewriteRule(lhs, rhs) for lhs, rhs in _RULE_SETS[name]))
+    else:
+        p = presentation(name)
+    memo = {}
+    raised = False
+    for word in (w for n in range(6) for w in itertools.product(range(4), repeat=n)):
+        try:
+            brute_force_normal_form(word, Scalar.one(), p, memo)
+        except AssertionError:
+            raised = True
+            break
+    fails = any(not residual.is_zero() for _, residual in critical_pairs(p))
+    assert fails == raised == (not confluent)
+
+
+def test_critical_pairs_charge_one_budget(monkeypatch, p_t2):
+    # t2 spends 3 letters on each of its 8 homogeneity words z^lhs z_j and 4
+    # on its overlap z1 z2 z3 z4, whose reductions of z1 z3 and of z2 z4
+    # take one rule step each: 30 steps
+    monkeypatch.setattr(algebra, "STEP_BUDGET", 30)
+    assert all(residual.is_zero() for _, residual in critical_pairs(p_t2))
+    monkeypatch.setattr(algebra, "STEP_BUDGET", 29)
+    with pytest.raises(RewriteBudgetExceeded):
+        list(critical_pairs(p_t2))
 
 
 # -- quotient construction ---------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,12 +10,10 @@ from pathlib import Path
 import pytest
 
 from ncgdirac import algebra, catalog, cli
-from ncgdirac.algebra import AlgebraElement
 from ncgdirac.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 from ncgdirac.catalog import r4_presentation
-from ncgdirac.scalars import Scalar
 
-from kernel_reference import presentation
+from kernel_reference import letters, presentation
 
 
 # sha256 of exact report bytes; every change to these outputs must be named.
@@ -304,14 +303,19 @@ def test_user_presentation_non_confluent_fails(tmp_path, capsys):
     assert code == EXIT_FAILED
     payload = json.loads(out)
     assert not payload["pass"]
+    assert [c["clause"] for c in payload["clauses"]] == [
+        "critical_pairs[homogeneity: rule 2 (z1*z2*z3) past z1]",
+        "critical_pairs[homogeneity: rule 2 (z1*z2*z3) past z3]",
+        "critical_pairs[overlap: rules 1 (z1*z3) and 2 (z1*z2*z3)]",
+    ]
 
 
 
 # stdout of `verify --presentation` on the catalog quotient presentations, the
 # cli benchmark's input, in the default JSON format
 PRESENTATION_SHA256 = {
-    "s3": "76d7f0f03007604a59eddefe799ea622d8c1e6260f82e498b5854140fc5cbdf9",
-    "t2": "b94136bab21dbcfae7d01678d2143fb5ef316f85e7514be3854ee08c4dcd7756",
+    "s3": "167963501f7fe096991bc4aaadb93c418a080131ec6c0a9532520907f7c699ba",
+    "t2": "dd7474d2287241556a3e42b5885d52187f4060135cbfd8654639f36ac7f0a458",
 }
 
 
@@ -322,28 +326,8 @@ def test_catalog_quotient_presentation_verifies(space, tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--presentation", str(path))
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert [(c["clause"], c["pass"]) for c in payload["clauses"]] == [
-        ("normal_form_idempotent", True),
-        ("brute_force_oracle_agreement", True),
-    ]
+    assert [(c["clause"], c["pass"]) for c in payload["clauses"]] == [("critical_pairs", True)]
     assert sha256(out.encode()) == PRESENTATION_SHA256[space]
-
-
-def test_reducible_normal_form_fails_idempotence(tmp_path, capsys, monkeypatch):
-    # an output monomial that a rule's left-hand side divides is not normal
-    path = tmp_path / "s3.json"
-    path.write_text(json.dumps(presentation("s3").to_json()))
-    real = cli.normal_form
-
-    def reducible(word, coeff, p):
-        out = real(word, coeff, p)
-        return AlgebraElement(p, {**out.terms, p.rules[0].lhs: Scalar.one()})
-
-    monkeypatch.setattr(cli, "normal_form", reducible)
-    code, out, _ = run(capsys, "verify", "--presentation", str(path))
-    assert code == EXIT_FAILED
-    clauses = {c["clause"]: c["pass"] for c in json.loads(out)["clauses"]}
-    assert clauses["normal_form_idempotent"] is False
 
 
 def _doc(**changes):
@@ -480,8 +464,9 @@ def test_oversized_generator_count_is_refused_before_any_rule(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify-presentation", "dirac-t2"])
 def test_exhausted_step_budget_rejected(command, tmp_path, capsys, monkeypatch):
+    # t2's critical pairs take 30 steps; r4 has no rules, so no pair to charge
     path = tmp_path / "pres.json"
-    path.write_text(json.dumps(r4_presentation().to_json()))
+    path.write_text(json.dumps(presentation("t2").to_json()))
     argv = {
         "verify-presentation": ["verify", "--presentation", str(path)],
         "dirac-t2": ["dirac", "t2"],
@@ -490,6 +475,24 @@ def test_exhausted_step_budget_rejected(command, tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and "budget" in err
+
+
+def test_many_rules_exhaust_the_step_budget_quickly(tmp_path, capsys, monkeypatch):
+    # 3,059 rules z^m -> 0, every monomial of degree 1 to 14: their
+    # homogeneity words take 149,324 letters, and the about 4.7 million
+    # overlaps are each charged the letters of their lcm, so the budget stops
+    # the check a few thousand overlaps in, not after every pair
+    monos = [m for d in range(1, 15) for m in itertools.product(range(d + 1), repeat=4) if sum(m) == d]
+    assert len(monos) == 3059
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(_doc(ideal=[{"lhs": letters(m), "rhs": []} for m in monos])))
+    monkeypatch.setattr(algebra, "STEP_BUDGET", 200_000)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--presentation", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == "error: rewrite step budget of 200000 steps exceeded\n"
 
 
 def test_user_presentation_missing_file(capsys):

@@ -17,6 +17,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ncgdirac"
 
 # definitions kept without a caller in src/, each with its reason
 ALLOWED_UNUSED = {
+    "algebra.brute_force_normal_form": (
+        "bench/tracer.py wraps it by name (algebra.brute_force_s) until the in-engine tracer lands "
+        '(ROADMAP, "An in-engine stage tracer"), and tier-1 uses it as the reference that shares '
+        "nothing with the rewriting kernel (criterion 6, test_oracle_decides_every_short_word)"
+    ),
     "catalog.dtilde_apply": (
         "the public operator D~ on torus spinors (ncgdirac.dtilde_apply), which bench/tracer.py "
         "times by name; the spectrum reads the same operator's raw sums (ContractedConnection.add_term)"
