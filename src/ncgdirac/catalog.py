@@ -265,9 +265,14 @@ def _induce(ambient: SpaceBundle, f: AlgebraElement, name: str, check: bool) -> 
     return bundle
 
 
-def build_s3(check: bool = True) -> SpaceBundle:
-    """Induce the sphere structures from the flat space."""
-    r4 = build_r4()
+def build_s3(check: bool = True, r4: SpaceBundle | None = None) -> SpaceBundle:
+    """Induce the sphere structures from the flat space.
+
+    A prebuilt r4 bundle is used as the ambient space as it is; it is not
+    verified again.
+    """
+    if r4 is None:
+        r4 = build_r4()
     return _induce(r4, sphere_level_function(r4.presentation), "s3", check)
 
 

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .algebra import Presentation, RewriteBudgetExceeded, critical_pairs
-from .catalog import GoldenMismatch, SpaceBundle, build_space, build_t2, verify_space
+from .catalog import GoldenMismatch, SpaceBundle, build_r4, build_s3, build_space, build_t2, verify_space
 from .hypersurface import HypersurfaceError
 from .reports import Report, write_report_atomic
 from .spectrum import check_scan_arguments, spectrum_scan
@@ -147,11 +147,13 @@ def _cmd_report_all(args) -> int:
     status = EXIT_OK
     bundles: dict[str, SpaceBundle] = {}
     for name in CATALOG_NAMES:
-        if name == "t2":
-            # induced from the s3 bundle just built and verified
-            bundles[name] = build_t2(check=False, s3=bundles["s3"])
+        # s3 and t2 are each induced from the bundle just built and verified
+        if name == "r4":
+            bundles[name] = build_r4()
+        elif name == "s3":
+            bundles[name] = build_s3(check=False, r4=bundles["r4"])
         else:
-            bundles[name] = build_space(name, check=False)
+            bundles[name] = build_t2(check=False, s3=bundles["s3"])
         report = verify_space(bundles[name])
         payload["spaces"][name] = report.to_json()
         if not report.all_passed:

@@ -398,13 +398,17 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     report.family("sigma_invertible", inverse_checks())
 
     if calculus_holds:
+        # the unprojected nabla(w) on each free 1-form w, read by every z_j's map
+        free = {w: TensorElement.basis(p, w.forms) for w in all_basis_words(p, 1)}
+        raw = {w: conn.raw_apply(b) for w, b in free.items()}
+
         def leibniz(zj: AlgebraElement) -> LeftLinearMap:
             d_zj = calc.d(zj)
 
             def image(w: BasisWord) -> TensorElement:
-                b = TensorElement.basis(p, w.forms)
+                b = free[w]
                 lhs = conn.raw_apply(right_mul(b, zj))
-                rhs = right_mul(conn.raw_apply(b), zj) + conn.sigma.apply(tensor(b, d_zj))
+                rhs = right_mul(raw[w], zj) + conn.sigma.apply(tensor(b, d_zj))
                 return calc.canon(lhs - rhs)
 
             return LeftLinearMap.on_free_words(p, (1, False), image)

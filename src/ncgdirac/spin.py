@@ -6,7 +6,7 @@ from .algebra import AlgebraElement, Presentation
 from .geometry import Calculus, Connection, Metric, tensor_connection
 from .reports import Report
 from .scalars import Scalar, _scalar
-from .tensors import BasisWord, LeftLinearMap, TensorElement, TensorSum, with_spinor
+from .tensors import BasisWord, LeftLinearMap, TensorElement, TensorSum, all_basis_words, with_spinor
 
 ScalarMatrix = tuple[tuple[Scalar, ...], ...]
 
@@ -136,10 +136,15 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     report = Report(subject=(p.name or "spinorial"))
     two = Scalar.rational(2)
 
+    # w + sigma(w) and 2 g^-1(w) on each free pair w, read for every e_a;
+    # built on the free pair, so sigma braids pairs only
+    parts = {}
+    for pair in all_basis_words(p, 2):
+        b = TensorElement.basis(p, pair.forms)
+        parts[pair.forms] = (b + conn.sigma.apply(b), metric.g_inv.apply(b).scale(two))
+
     def clifford_image(w: BasisWord) -> TensorElement:
-        # built from w + sigma(w) on the free pair w, so sigma braids pairs only
-        b = TensorElement.basis(p, w.forms)
-        sym, two_g = b + conn.sigma.apply(b), metric.g_inv.apply(b).scale(two)
+        sym, two_g = parts[w.forms]
         return gamma_iterated(spin, with_spinor(sym, w.spin)) + with_spinor(two_g, w.spin)
 
     report.family("clifford_relations", calc.stored_family((2, True), clifford_image))

@@ -12,6 +12,10 @@ stored; metric_compatibility and clifford_compatibility apply the
 tensor-product connection to each input (tensor_connection_apply) and
 contract the result by its definition, with no ContractedConnection.
 
+The per-residual loops of the assumption certificate's nu_transparency,
+nabla_nu_transparency and corollaries, as they were before those families
+were stored on the free words: each residual expanded from its basis form.
+
 The Leibniz loop as it was before each monomial's derivative terms were
 memoized: add_leibniz computing every phase afresh.
 
@@ -39,8 +43,8 @@ from ncgdirac.reports import Clause, Report
 from ncgdirac.scalars import _GR_ONE, GaussianRational, Scalar
 from ncgdirac.spin import gamma_apply, gamma_iterated
 from ncgdirac.tensors import (
-    SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, add_leibniz, differential, right_mul, tensor,
-    with_spinor,
+    SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, TensorSum, add_leibniz, commutator_residuals, differential,
+    right_mul, tensor, with_spinor,
 )
 
 
@@ -148,6 +152,53 @@ def reference_families(spin, metric, conn):
                 yield (f"dz{i + 1},e{alpha + 1}", calc.canon(lhs - rhs))
 
     report.family("clifford_compatibility", spin_compatibility_checks())
+    return report
+
+
+def reference_certificate_families(h):
+    """nu_transparency, nabla_nu_transparency and corollaries of the certificate, each residual expanded."""
+    amb, amb_q = h.ambient, h.ambient_q
+    n = amb.presentation.n
+    quotient = amb_q.presentation
+    report = Report(subject=quotient.name)
+    sigma_q = amb_q.connection.sigma
+    nabla_nu = h.nabla_nu_q
+    pbasis = h.calculus.basis
+
+    def nu_checks():
+        # assumption 1: sigma(w (x) nu) = nu (x) w and sigma(nu (x) w) = w (x) nu
+        sigma_amb = amb.connection.sigma
+        acanon = amb.calculus.canon
+        for i in range(n):
+            base = amb.calculus.basis[i]
+            w_nu, nu_w = tensor(base, h.nu), tensor(h.nu, base)
+            yield f"dz{i + 1},nu", acanon(sigma_amb.apply(w_nu) - nu_w)
+            yield f"nu,dz{i + 1}", acanon(sigma_amb.apply(nu_w) - w_nu)
+
+    def nabla_nu_checks():
+        # assumption 3: sigma_23 sigma_12 (Pi(w) (x) nabla(nu)) = nabla(nu) (x) Pi(w)
+        # as classes: the difference is projected, with Pi on its first slot
+        for i in range(n):
+            x = tensor(pbasis[i], nabla_nu)
+            lhs = sigma_q.apply_at(sigma_q.apply_at(x, 0), 1)
+            residual = lhs - tensor(nabla_nu, pbasis[i])
+            yield f"dz{i + 1}", h.pi.apply_at(amb_q.calculus.canon(residual), 0)
+
+    def corollary_checks():
+        # lemma corollaries and centrality of nabla(nu)
+        for i in range(n):
+            yield f"dz{i + 1},nu", amb_q.metric.pair(tensor(pbasis[i], h.nu_q))
+            yield f"nu,dz{i + 1}", amb_q.metric.pair(tensor(h.nu_q, pbasis[i]))
+        # lemma item: [(id (x) g^-1)(nabla(nu) (x) nu)] vanishes as a quotient
+        # 1-form class, so the residual is projected before testing
+        c3 = amb_q.metric.g_inv.apply_at(tensor(nabla_nu, h.nu_q), 1)
+        yield "nabla_nu,nu", h.pi.apply_at(amb_q.calculus.canon(c3), 0)
+        for label, residual in commutator_residuals(nabla_nu):
+            yield f"nabla_nu,{label}", residual
+
+    report.family("nu_transparency", nu_checks())
+    report.family("nabla_nu_transparency", nabla_nu_checks())
+    report.family("corollaries", corollary_checks())
     return report
 
 

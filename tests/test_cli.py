@@ -527,6 +527,26 @@ def test_report_all_induces_each_space_once(tmp_path, capsys, monkeypatch):
     assert names == ["s3", "t2"]
 
 
+def test_report_all_builds_r4_once(tmp_path, capsys, monkeypatch):
+    # s3 is induced from the r4 bundle that report-all has just built and
+    # verified; a call through either module's name is counted
+    calls = []
+    build_r4 = catalog.build_r4
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_r4(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "build_r4", counted)
+    monkeypatch.setattr(cli, "build_r4", counted)
+    target = tmp_path / "all.json"
+    code, _, _ = run(capsys, "report-all", "--mmax", "0", "--out", str(target))
+    assert code == EXIT_OK
+    assert calls == [()]
+    spaces = json.dumps(json.loads(target.read_text())["spaces"], indent=2, sort_keys=True)
+    assert sha256(spaces.encode()) == REPORT_ALL_SPACES_SHA256
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -189,8 +189,9 @@ def test_induction_projects_nabla_nu_once(request, monkeypatch, space):
 @pytest.mark.parametrize("space", ["s3", "t2"])
 def test_nu_transparency_projects_each_residual_once(request, monkeypatch, space):
     # nu_transparency projects sigma(a) - b, not sigma(a) and b apart: the
-    # ambient calculus (used by no other family) projects each of the 2n
-    # residuals once, and its basis forms are stored, not projected
+    # ambient calculus (used by no other family) projects the image of each
+    # free dz_k once in each of the two stored maps, 2n projections, and its
+    # basis forms are stored, not projected
     h = request.getfixturevalue(space).hypersurface
     canon = Calculus.canon
     ambient_calls = []
@@ -204,6 +205,71 @@ def test_nu_transparency_projects_each_residual_once(request, monkeypatch, space
     assert check_assumptions(h).all_passed
     n = h.ambient.presentation.n
     assert ambient_calls == [2] * (2 * n)
+
+
+def _stored_maps(monkeypatch):
+    """The domains of the maps LeftLinearMap.on_free_words builds from now on."""
+    built = []
+    on_free_words = LeftLinearMap.on_free_words
+
+    def counting(p, domain, image):
+        built.append(domain)
+        return on_free_words(p, domain, image)
+
+    monkeypatch.setattr(LeftLinearMap, "on_free_words", staticmethod(counting))
+    return built
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_certificate_stores_seven_maps(request, monkeypatch, space):
+    # nu_transparency two on the ambient dz_k, pi_transparency two on the
+    # free pairs, nabla_nu_transparency one and the corollary pairings two
+    h = request.getfixturevalue(space).hypersurface
+    built = _stored_maps(monkeypatch)
+    assert check_assumptions(h).all_passed
+    assert built == [(1, False)] * 2 + [(2, False)] * 2 + [(1, False)] * 3
+
+
+def _premise_failures(cert):
+    return [(c.name, c.residual is None) for c in cert.failures()]
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_a_non_central_nabla_nu_leaves_its_transparency_unmet(request, monkeypatch, space):
+    # nabla(dz1) + dz2 (x) dz3 in the ambient connection: nabla(nu) is not
+    # central, which corollaries reports with its residuals, so its stored
+    # map would not equal nabla_nu_transparency's residuals and is not built
+    h = request.getfixturevalue(space).hypersurface
+    amb, key = h.ambient, BasisWord((0,), None)
+    values = {**amb.connection.values, key: amb.connection.values[key] + dz(amb.presentation, 1, 2)}
+    broken = replace(h, ambient=replace(amb, connection=replace(amb.connection, values=values)))
+    built = _stored_maps(monkeypatch)
+    failures = _premise_failures(check_assumptions(broken))
+    assert ("nabla_nu_transparency[needs corollaries]", True) in failures
+    commutators = [no_residual for name, no_residual in failures if name.startswith("corollaries[nabla_nu,z")]
+    assert commutators and not any(commutators)
+    assert {name.split("[")[0] for name, _ in failures} == {"nabla_nu_transparency", "corollaries"}
+    assert built == [(1, False)] * 2 + [(2, False)] * 2 + [(1, False)] * 2
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_a_non_central_nu_leaves_its_families_unmet(request, monkeypatch, space):
+    # nu replaced by z1 nu: Pi(z1 nu) = z1 Pi(nu) = 0 still, but nu z_j != z_j nu,
+    # which the calculus family reports; nu_transparency and corollaries store
+    # nu left of the input, and nabla_nu_transparency's premise lives in
+    # corollaries, so the three are premise clauses and only
+    # pi_transparency stores its maps
+    h = request.getfixturevalue(space).hypersurface
+    broken = replace(h, nu=h.nu.left_mul(z(h.ambient.presentation, 0)))
+    built = _stored_maps(monkeypatch)
+    assert _premise_failures(check_assumptions(broken)) == [
+        ("calculus[nu,z2]", False),
+        ("calculus[nu,z4]", False),
+        ("nu_transparency[needs calculus]", True),
+        ("nabla_nu_transparency[needs corollaries]", True),
+        ("corollaries[needs calculus]", True),
+    ]
+    assert built == [(2, False)] * 2
 
 
 @pytest.mark.parametrize("space", ["r4", "s3", "t2"])

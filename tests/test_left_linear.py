@@ -20,11 +20,11 @@ from collections import Counter
 
 import pytest
 
-from ncgdirac import catalog, geometry, tensors
+from ncgdirac import catalog, geometry, hypersurface, tensors
 from ncgdirac.algebra import AlgebraElement
 from ncgdirac.catalog import build_r4, verify_space
 from ncgdirac.geometry import Calculus, Connection, ContractedConnection, Metric, verify_metric
-from ncgdirac.hypersurface import HypersurfaceError, _induced_spin
+from ncgdirac.hypersurface import HypersurfaceError, _induced_spin, check_assumptions
 from ncgdirac.reports import Report
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spectrum import sector_basis
@@ -35,7 +35,8 @@ from ncgdirac.tensors import (
 
 from closed_forms import replace
 from kernel_reference import (
-    reference_add_leibniz, reference_contracted_connection, reference_families, reference_induced_gamma,
+    reference_add_leibniz, reference_certificate_families, reference_contracted_connection, reference_families,
+    reference_induced_gamma,
 )
 
 STORED = (
@@ -136,12 +137,13 @@ def test_kernel_induced_gamma_is_gamma2_of_b_nu_e(request, space, change):
     assert _induced_spin(h, qc).gamma.images == reference_induced_gamma(h, qc)
 
 
-@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
-def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
-    # each residual of a stored family is one LeftLinearMap.apply on the
-    # calculus's stored pairs or basis forms, with no tensor(), no
-    # Connection.raw_apply and no Leibniz term
-    s = request.getfixturevalue(space).structures
+def _per_residual_costs(monkeypatch) -> dict:
+    """Each family's residuals, as the counts of (apply, tensor, raw_apply, add_leibniz) calls made for each.
+
+    The dict fills as Report.family consumes the checks: LeftLinearMap.apply,
+    Connection.raw_apply, and tensor() and add_leibniz wherever the engine
+    reads them, are counted between one residual and the next.
+    """
     counts = Counter()
     apply, raw_apply = LeftLinearMap.apply, Connection.raw_apply
 
@@ -155,8 +157,11 @@ def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
 
     monkeypatch.setattr(LeftLinearMap, "apply", counting_apply)
     monkeypatch.setattr(Connection, "raw_apply", counting_raw_apply)
-    for module in (geometry, tensors):
+    for module in (geometry, hypersurface, tensors):
         for name in ("tensor", "add_leibniz"):
+            if not hasattr(module, name):
+                continue
+
             def counting(*args, original=getattr(module, name), name=name):
                 counts[name] += 1
                 return original(*args)
@@ -180,6 +185,16 @@ def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
         return family(self, name, each())
 
     monkeypatch.setattr(Report, "family", watching)
+    return per_residual
+
+
+@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
+def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
+    # each residual of a stored family is one LeftLinearMap.apply on the
+    # calculus's stored pairs or basis forms, with no tensor(), no
+    # Connection.raw_apply and no Leibniz term
+    s = request.getfixturevalue(space).structures
+    per_residual = _per_residual_costs(monkeypatch)
     assert verify_metric(s.metric, s.connection).all_passed
     assert verify_spinorial(s.spin, s.metric, s.connection).all_passed
     n = s.presentation.n
@@ -189,6 +204,77 @@ def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
     assert per_residual["right_leibniz"] == [once] * (n * n)
     assert per_residual["clifford_relations"] == [once] * (n * n * SPINOR_RANK)
     assert per_residual["clifford_compatibility"] == [once] * (n * SPINOR_RANK)
+
+
+# the certificate families whose residuals on an input form are stored maps,
+# and the families each change of one stored image must fail; where nabla(nu)
+# is not central, nabla_nu_transparency is its premise clause
+CERTIFICATE_STORED = ("nu_transparency", "nabla_nu_transparency", "corollaries")
+CERTIFICATE_MUST_FAIL = {
+    None: set(),
+    "ambient sigma(dz1(x)dz3)*2": {"nu_transparency"},
+    "conn_q sigma(dz1(x)dz3)*2": {"nabla_nu_transparency"},
+    "ambient nabla(dz1)+dz2(x)dz3": {"nabla_nu_transparency", "corollaries"},
+    "metric_q g_inv(dz1(x)dz3)*2": {"corollaries"},
+}
+
+
+def _certificate_spec(h, change):
+    """The spec as built, or rebuilt with one stored image of its ambient structures changed."""
+    amb, amb_q = h.ambient, h.ambient_q
+    two, pair = Scalar.rational(2), BasisWord((0, 2), None)
+    if change == "ambient sigma(dz1(x)dz3)*2":
+        conn = amb.connection
+        return replace(h, ambient=replace(amb, connection=replace(conn, sigma=_changed(conn.sigma, pair, two))))
+    if change == "conn_q sigma(dz1(x)dz3)*2":
+        conn = amb_q.connection
+        return replace(h, ambient_q=replace(amb_q, connection=replace(conn, sigma=_changed(conn.sigma, pair, two))))
+    if change == "ambient nabla(dz1)+dz2(x)dz3":
+        conn, key = amb.connection, BasisWord((0,), None)
+        value = conn.values[key] + TensorElement.basis(amb.presentation, (1, 2))
+        return replace(h, ambient=replace(amb, connection=replace(conn, values={**conn.values, key: value})))
+    if change == "metric_q g_inv(dz1(x)dz3)*2":
+        metric = amb_q.metric
+        return replace(h, ambient_q=replace(amb_q, metric=replace(metric, g_inv=_changed(metric.g_inv, pair, two))))
+    return h
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+@pytest.mark.parametrize("change", list(CERTIFICATE_MUST_FAIL))
+def test_kernel_certificate_families_match_the_reference_loops(request, space, change):
+    # the stored certificate families against the per-residual loops; a
+    # non-central nabla(nu), which corollaries reports, leaves
+    # nabla_nu_transparency its premise clause with no residual
+    h = _certificate_spec(request.getfixturevalue(space).hypersurface, change)
+    cert = check_assumptions(h)
+    reference = reference_certificate_families(h)
+    gated = any(c.name.startswith("corollaries[nabla_nu,z") for c in reference.failures())
+    assert gated == (change == "ambient nabla(dz1)+dz2(x)dz3")
+    failing = set()
+    for family in CERTIFICATE_STORED:
+        got = _clauses(cert, family)
+        if family == "nabla_nu_transparency" and gated:
+            assert got == _unmet(family, "corollaries")
+        else:
+            assert got == _clauses(reference, family), family
+        if not got[0]["pass"]:
+            failing.add(family)
+    assert failing == CERTIFICATE_MUST_FAIL[change]
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_certificate_families_apply_once_per_residual(request, monkeypatch, space):
+    # each residual of nu_transparency and nabla_nu_transparency, and each
+    # pairing of corollaries, is one LeftLinearMap.apply to a stored basis
+    # form, with no tensor()
+    h = request.getfixturevalue(space).hypersurface
+    per_residual = _per_residual_costs(monkeypatch)
+    assert check_assumptions(h).all_passed
+    n = h.ambient.presentation.n
+    once = (1, 0, 0, 0)
+    assert per_residual["nu_transparency"] == [once] * (2 * n)
+    assert per_residual["nabla_nu_transparency"] == [once] * n
+    assert per_residual["corollaries"][:2 * n] == [once] * (2 * n)
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
