@@ -9,7 +9,7 @@ classes is equality of canonical representatives.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from .algebra import AlgebraElement, Presentation, _accumulate
 from .reports import Report
@@ -45,7 +45,7 @@ class Calculus:
     calculus share them, as they share premise_failures, which only a
     hypersurface's certificate reports.  canonical_input(w) is the input
     made of them for a free word w, and stored_family evaluates a stored
-    map on every such input.
+    map on every such input, or on none when its images all vanish.
     """
 
     __slots__ = ("presentation", "projector", "basis", "_pairs", "_premise")
@@ -81,15 +81,18 @@ class Calculus:
     def stored_family(self, domain: tuple[int, bool], image: Callable[[BasisWord], TensorElement]):
         """(label, R(x)) for each free word w of domain, x its canonical input, in all_basis_words order.
 
-        R, with image(w) on every free word w, and the inputs are made before
-        anything is yielded, so each residual is one apply of R; the label of
-        dz_i (x) dz_j (x) e_a is dz{i},dz{j},e{a}.  R(x) is x's residual
-        where the residual is left-linear in x (see verify_metric).
+        R is stored with image(w) on every free word w and evaluated by
+        stored_residuals: nothing when every image is zero, else one apply
+        of R per residual; the label of dz_i (x) dz_j (x) e_a is
+        dz{i},dz{j},e{a}.  R(x) is x's residual where the residual is
+        left-linear in x (see verify_metric).
         """
         p = self.presentation
         stored = LeftLinearMap.on_free_words(p, domain, image)
-        inputs = [(repr(w).replace("(x)", ","), self.canonical_input(w)) for w in all_basis_words(p, *domain)]
-        return ((label, stored.apply(x)) for label, x in inputs)
+        return stored_residuals(
+            ((stored, "{}"),),
+            lambda: (((repr(w).replace("(x)", ","),), self.canonical_input(w)) for w in all_basis_words(p, *domain)),
+        )
 
     @property
     def premise_failures(self) -> tuple[tuple[str, TensorElement], ...]:
@@ -141,6 +144,26 @@ class Calculus:
 
     def d(self, a: AlgebraElement) -> TensorElement:
         return self.canon(differential(a))
+
+
+def stored_residuals(
+    maps: Iterable[tuple[LeftLinearMap, str]], inputs: Callable[[], Iterable[tuple[tuple, TensorElement]]]
+):
+    """(label.format(*key), R(x)) for each (key, x) of inputs() and each (R, label) of maps, key outer.
+
+    The one rule of every stored family: a map R whose images on the free
+    words are all zero gives R(x) = sum_w c_w R(w) = 0 on every input x =
+    sum_w c_w w, so its residuals are zero without an apply, and it yields
+    none.  When every map vanishes, inputs is not called, so no input is
+    built, and Report.family records the family's one passing clause.
+    Otherwise the inputs are made before anything is yielded, and each
+    residual of a map with a nonzero image is one apply of it.
+    """
+    live = [(m, label) for m, label in maps if any(img.terms for img in m.images.values())]
+    if not live:
+        return ()
+    xs = list(inputs())
+    return ((label.format(*key), m.apply(x)) for key, x in xs for m, label in live)
 
 
 class Connection:
@@ -318,10 +341,12 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     reported only by the hypersurface's certificate; this report reads it.
 
     Every family but g_central, sigma_right_linear and sigma_invertible is a
-    map R stored once per call on the free words, and each residual is one
-    apply of R to its canonical input x = sum_w c_w w (b_i or pairs[i][j]);
-    all but right_leibniz go through Calculus.stored_family.  That is x's
-    residual when the residual is left-linear in x:
+    map R stored once per call on the free words, evaluated by
+    stored_residuals (all but right_leibniz through Calculus.stored_family):
+    each residual is one apply of R to its canonical input x = sum_w c_w w
+    (b_i or pairs[i][j]), and where every image R(w) is zero the family
+    passes with no input built, since R(x) = sum_w c_w * 0 = 0.  R(x) is
+    x's residual when the residual is left-linear in x:
 
     - inverse_left, canon(g^-1 at slot 0 of w (x) g(1)) - w, and symmetry,
       g^-1((sigma - id)(w)) by Metric.pair, are left-linear as they stand.
@@ -413,13 +438,11 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
 
             return LeftLinearMap.on_free_words(p, (1, False), image)
 
-        leibniz_maps = [leibniz(zj) for zj in gens]
         report.family(
             "right_leibniz",
-            (
-                (f"dz{i + 1},z{j + 1}", leibniz_maps[j].apply(basis[i]))
-                for i in range(p.n)
-                for j in range(p.n)
+            stored_residuals(
+                [(leibniz(zj), f"dz{{}},z{j + 1}") for j, zj in enumerate(gens)],
+                lambda: (((i + 1,), b) for i, b in enumerate(basis)),
             ),
         )
     else:

@@ -21,7 +21,7 @@ reuse the machinery unchanged, with the previous quotient as the ambient space.
 from __future__ import annotations
 
 from .algebra import AlgebraElement, Presentation, extend_presentation, is_central
-from .geometry import Calculus, Connection, Metric, algebra_value
+from .geometry import Calculus, Connection, Metric, algebra_value, stored_residuals
 from .reports import Report
 from .scalars import HALF, Scalar
 from .spin import SpinStructure, StructureSet, dirac
@@ -58,25 +58,35 @@ class HypersurfaceSpec:
     (ambient, and ambient_q, the same structures with coefficients converted
     to the quotient presentation, on one calculus), the normal nu = df and
     the tangential projector pi.  The constructor derives, in this order,
-    nu_q and nabla_nu_q (nu and nabla(nu) converted), the calculus of pi,
-    the certificate and pi_nabla_nu, (Pi (x) id) nabla(nu) as induced_dirac
-    reads it; a spec built from changed fields gets those of its own data.
-    The slots refuse any attribute beyond the nine, and specs compare by
-    identity.
+    nu_commutators, the (label, nu z_j - z_j nu) of commutator_residuals(nu),
+    nu_q and nabla_nu_q (nu and nabla(nu) converted), nabla_nu_nu,
+    nabla(nu) (x) nu as the certificate's corollaries and _induced_spin read
+    it, the calculus of pi, the certificate and pi_nabla_nu, (Pi (x) id)
+    nabla(nu) as induced_dirac reads it; a spec built from changed fields
+    gets those of its own data.  build_hypersurface hands over the
+    commutators its nu_not_central refusal has computed (_derive), so a
+    built spec computes them once.  The slots refuse any attribute beyond
+    the eleven, and specs compare by identity.
     """
 
     __slots__ = (
-        "ambient", "ambient_q", "nu", "pi", "nu_q", "nabla_nu_q", "calculus", "certificate", "pi_nabla_nu",
+        "ambient", "ambient_q", "nu", "pi", "nu_commutators", "nu_q", "nabla_nu_q", "nabla_nu_nu", "calculus",
+        "certificate", "pi_nabla_nu",
     )
 
     def __init__(self, ambient: StructureSet, ambient_q: StructureSet, nu: TensorElement, pi: LeftLinearMap):
+        self._derive(ambient, ambient_q, nu, pi, tuple(commutator_residuals(nu)))
+
+    def _derive(self, ambient, ambient_q, nu, pi, nu_commutators: tuple) -> None:
         self.ambient = ambient
         self.ambient_q = ambient_q
         self.nu = nu
         self.pi = pi
+        self.nu_commutators = nu_commutators
         quotient = ambient_q.presentation
         self.nu_q = nu.convert(quotient)
         self.nabla_nu_q = ambient.connection.apply(nu).convert(quotient)
+        self.nabla_nu_nu = tensor(self.nabla_nu_q, self.nu_q)
         self.calculus = Calculus(quotient, pi)
         self.certificate = check_assumptions(self)
         self.pi_nabla_nu = pi.apply_at(self.nabla_nu_q, 0)
@@ -111,7 +121,8 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
     quotient = extend_presentation(p_amb, f, name=name)
 
     nu = ambient.calculus.d(f)
-    for label, residual in commutator_residuals(nu):
+    nu_commutators = tuple(commutator_residuals(nu))
+    for label, residual in nu_commutators:
         if not residual.is_zero():
             raise HypersurfaceError("nu_not_central", f"nu*{label} != {label}*nu")
 
@@ -131,7 +142,9 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
         return ambient_q.calculus.basis[w.forms[0]] - nu_q.left_mul(b)
 
     pi = LeftLinearMap.on_free_words(quotient, (1, False), tangential)
-    return HypersurfaceSpec(ambient, ambient_q, nu, pi)
+    spec = HypersurfaceSpec.__new__(HypersurfaceSpec)
+    spec._derive(ambient, ambient_q, nu, pi, nu_commutators)
+    return spec
 
 
 def _gamma2(h: HypersurfaceSpec, e: TensorElement) -> TensorElement:
@@ -157,7 +170,11 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     nu_transparency, of h.calculus otherwise) or, for pi_transparency, to
     the pair basis[i] (x) basis[j] of the converted ambient calculus.
     R(sum_k c_k dz_k) = sum_k c_k R(dz_k) is exact where R is left-linear,
-    because the normal-form product is associative and distributive:
+    because the normal-form product is associative and distributive; so a
+    map whose images on the free words all vanish is zero on every input,
+    and geometry.stored_residuals records none of its residuals and builds
+    none of its inputs (on s3 and t2, every map but the corollary pairings,
+    so pi_transparency reads no pairs):
 
     - pi_transparency, sigma o (Pi at one slot) - (Pi at the other) o sigma,
       and the pairings g^-1(w (x) nu), are left-linear as they stand: Pi,
@@ -172,7 +189,9 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
       nabla(nu)) - nabla(nu) (x) w): nabla(nu) (x) c w = c nabla(nu) (x) w
       needs nabla(nu) central (the corollaries family's nabla_nu,z{j}).
 
-    Both commutator sets are computed first.  A family whose premise fails
+    Both commutator sets are read before any family: nu's are the spec's
+    nu_commutators, nabla(nu)'s are computed here (the corollaries clause
+    nabla_nu,nu reads the spec's nabla_nu_nu).  A family whose premise fails
     is the one failing clause name[needs premise], with no residual
     (Report.unmet), and no stored map of it is built: nu_transparency and
     corollaries need calculus's nu,z{j}, and nabla_nu_transparency needs
@@ -186,7 +205,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     sigma_q = amb_q.connection.sigma
     nabla_nu = h.nabla_nu_q
     pbasis = h.calculus.basis
-    nu_commutators = [(f"nu,{label}", r) for label, r in commutator_residuals(h.nu)]
+    nu_commutators = [(f"nu,{label}", r) for label, r in h.nu_commutators]
     nabla_nu_commutators = [(f"nabla_nu,{label}", r) for label, r in commutator_residuals(nabla_nu)]
     nu_central = all(r.is_zero() for _, r in nu_commutators)
     nabla_nu_central = nu_central and all(r.is_zero() for _, r in nabla_nu_commutators)
@@ -194,6 +213,10 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     def stored(p: Presentation, image) -> LeftLinearMap:
         # the composite image(dz_k) on the free 1-forms dz_k of p
         return LeftLinearMap.on_free_words(p, (1, False), lambda w: image(TensorElement.basis(p, w.forms)))
+
+    def on_basis(basis):
+        # the inputs b_i of a family on the 1-forms, keyed by i + 1
+        return (((i + 1,), b) for i, b in enumerate(basis))
 
     def calculus_checks():
         yield from h.calculus.premise_failures
@@ -205,12 +228,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
         sigma_amb, acanon, nu = amb.connection.sigma, amb.calculus.canon, h.nu
         left = stored(amb.presentation, lambda w: acanon(sigma_amb.apply(tensor(w, nu)) - tensor(nu, w)))
         right = stored(amb.presentation, lambda w: acanon(sigma_amb.apply(tensor(nu, w)) - tensor(w, nu)))
-        abasis = amb.calculus.basis
-        return (
-            (label, side.apply(abasis[i]))
-            for i in range(n)
-            for label, side in ((f"dz{i + 1},nu", left), (f"nu,dz{i + 1}", right))
-        )
+        return stored_residuals(((left, "dz{},nu"), (right, "nu,dz{}")), lambda: on_basis(amb.calculus.basis))
 
     def pi_checks():
         # assumption 2: sigma interchanges (Pi (x) id) and (id (x) Pi) on q_! (x) q_!;
@@ -222,12 +240,13 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
                 b = TensorElement.basis(quotient, w.forms)
                 return sigma_q.apply(h.pi.apply_at(b, slot)) - h.pi.apply_at(sigma_q.apply(b), 1 - slot)
 
-            sides.append((side, LeftLinearMap.on_free_words(quotient, (2, False), difference)))
-        for i in range(n):
-            for j in range(n):
-                x = amb_q.calculus.pairs[i][j]
-                for side, difference in sides:
-                    yield f"dz{i + 1},dz{j + 1},{side}", difference.apply(x)
+            sides.append((LeftLinearMap.on_free_words(quotient, (2, False), difference), f"dz{{}},dz{{}},{side}"))
+
+        def pairs():
+            rows = amb_q.calculus.pairs
+            return (((i + 1, j + 1), rows[i][j]) for i in range(n) for j in range(n))
+
+        return stored_residuals(sides, pairs)
 
     def nabla_nu_checks():
         # assumption 3: sigma_23 sigma_12 (Pi(w) (x) nabla(nu)) = nabla(nu) (x) Pi(w)
@@ -236,22 +255,21 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
             lhs = sigma_q.apply_at(sigma_q.apply_at(tensor(w, nabla_nu), 0), 1)
             return h.pi.apply_at(amb_q.calculus.canon(lhs - tensor(nabla_nu, w)), 0)
 
-        transparency = stored(quotient, image)
-        return ((f"dz{i + 1}", transparency.apply(pbasis[i])) for i in range(n))
+        return stored_residuals(((stored(quotient, image), "dz{}"),), lambda: on_basis(pbasis))
 
     def corollary_checks():
         # lemma corollaries and centrality of nabla(nu)
         g_inv, nu = amb_q.metric.g_inv, h.nu_q
         w_nu = stored(quotient, lambda w: g_inv.apply(tensor(w, nu)))
         nu_w = stored(quotient, lambda w: g_inv.apply(tensor(nu, w)))
+        pairings = stored_residuals(((w_nu, "dz{},nu"), (nu_w, "nu,dz{}")), lambda: on_basis(pbasis))
 
         def checks():
-            for i in range(n):
-                yield f"dz{i + 1},nu", algebra_value(w_nu.apply(pbasis[i]))
-                yield f"nu,dz{i + 1}", algebra_value(nu_w.apply(pbasis[i]))
+            for label, r in pairings:
+                yield label, algebra_value(r)
             # lemma item: [(id (x) g^-1)(nabla(nu) (x) nu)] vanishes as a quotient
             # 1-form class, so the residual is projected before testing
-            c3 = g_inv.apply_at(tensor(nabla_nu, nu), 1)
+            c3 = g_inv.apply_at(h.nabla_nu_nu, 1)
             yield "nabla_nu,nu", h.pi.apply_at(amb_q.calculus.canon(c3), 0)
             yield from nabla_nu_commutators
 
@@ -351,22 +369,28 @@ def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
     so it is stored once on the free dz_k (x) e_a, and each induced gamma
     image is one apply of it to b_i (x) e_a: exact, since
     gamma_[2](sum_k c_k dz_k (x) nu (x) e_a) = sum_k c_k gamma_[2](dz_k (x) nu (x) e_a).
+    Its image on dz_k (x) e_a is gamma(dz_k (x) gamma(nu (x) e_a)), with
+    gamma(nu (x) e_a) formed once per a: gamma_[2] first applies gamma at
+    slot 1 of dz_k (x) nu (x) e_a, and apply_at twists each image
+    coefficient left through the prefix dz_k exactly as tensor twists a
+    coefficient of its right factor, so that is dz_k (x) gamma(nu (x) e_a).
     """
     quotient = qc.presentation
+    ambient_gamma = h.ambient_q.spin.gamma
+    gamma_nu = [ambient_gamma.apply(with_spinor(h.nu_q, alpha)) for alpha in range(SPINOR_RANK)]
     clifford_nu = LeftLinearMap.on_free_words(
         quotient,
         (1, True),
-        lambda w: _gamma2(h, tensor(TensorElement.basis(quotient, w.forms), with_spinor(h.nu_q, w.spin))),
+        lambda w: ambient_gamma.apply(tensor(TensorElement.basis(quotient, w.forms), gamma_nu[w.spin])),
     )
     gamma = LeftLinearMap.on_free_words(
         quotient, (1, True), lambda w: clifford_nu.apply(qc.canonical_input(w))
     )
 
     spin_values = {}
-    nabla_nu_nu = tensor(h.nabla_nu_q, h.nu_q)
     for alpha in range(SPINOR_RANK):
         base = h.ambient_q.spin.spin_connection.values[BasisWord((), alpha)]
-        correction = _gamma2(h, with_spinor(nabla_nu_nu, alpha)).scale(HALF)
+        correction = _gamma2(h, with_spinor(h.nabla_nu_nu, alpha)).scale(HALF)
         spin_values[BasisWord((), alpha)] = qc.canon(base + correction)
     spin_connection = Connection(qc, spin_values)
     return SpinStructure(qc, gamma, spin_connection)

@@ -115,7 +115,9 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     each residual is one apply to its canonical input (Calculus.stored_family);
     R(sum_w c_w w) = sum_w c_w R(w) is exact where the residual is
     left-linear, because the normal-form product is associative and
-    distributive:
+    distributive, so a map whose images on the free words all vanish has
+    every residual zero, and its family passes with no input built or
+    applied (geometry.stored_residuals):
 
     - clifford_relations, R(w (x) e_a) = gamma_[2]((w + sigma(w)) (x) e_a)
       + 2 g^-1(w) e_a on the free dz_i (x) dz_j (x) e_a, applied to the pair

@@ -4,12 +4,13 @@ import random
 import pytest
 
 from closed_forms import check_goldens, replace
-from ncgdirac import catalog, cli
+from ncgdirac import catalog, cli, hypersurface
 from ncgdirac.algebra import AlgebraElement, normal_form
 from ncgdirac.catalog import (
     build_r4,
     metric_lower,
     sphere_level_function,
+    torus_level_function,
 )
 from ncgdirac.geometry import Calculus, Connection, Metric, verify_metric
 from ncgdirac.hypersurface import (
@@ -55,6 +56,60 @@ def test_non_central_level_function_rejected():
     with pytest.raises(HypersurfaceError) as exc:
         build_hypersurface(r4.structures, z(r4.presentation, 0))
     assert exc.value.kind == "f_not_central"
+
+
+def test_a_non_central_nu_is_refused_before_the_normalization(monkeypatch):
+    # f doubled is central and not normalized; with nu's commutators made
+    # nonzero at z3 and z4, the refusal names z3 and comes first
+    r4 = build_r4()
+    f = sphere_level_function(r4.presentation).scale(Scalar.rational(2))
+    with pytest.raises(HypersurfaceError) as exc:
+        build_hypersurface(r4.structures, f)
+    assert exc.value.kind == "normalization"
+    real = hypersurface.commutator_residuals
+
+    def skewed(e):
+        for label, r in real(e):
+            yield label, r if label in ("z1", "z2") else r + dz(e.presentation, 0)
+
+    monkeypatch.setattr(hypersurface, "commutator_residuals", skewed)
+    with pytest.raises(HypersurfaceError) as exc:
+        build_hypersurface(r4.structures, f)
+    assert exc.value.kind == "nu_not_central"
+    assert str(exc.value) == "nu*z3 != z3*nu"
+
+
+def _calls(monkeypatch, name):
+    """The argument tuples of each call to hypersurface's name from now on."""
+    calls = []
+    original = getattr(hypersurface, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hypersurface, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_a_built_spec_forms_nu_commutators_and_nabla_nu_nu_once(request, monkeypatch, space):
+    # build_hypersurface hands the commutators of its nu_not_central refusal
+    # to the certificate, and nabla(nu) (x) nu is formed once, for the
+    # corollaries clause nabla_nu,nu and the induced spin connection; a spec
+    # made through its constructor computes its own commutators
+    built = request.getfixturevalue(space).hypersurface
+    level = sphere_level_function if space == "s3" else torus_level_function
+    commutators, tensors = _calls(monkeypatch, "commutator_residuals"), _calls(monkeypatch, "tensor")
+    h = build_hypersurface(built.ambient, level(built.ambient.presentation), name=space)
+    induced_structures(h)
+    assert [args for args in commutators if args[0] is h.nu] == [(h.nu,)]
+    assert [args for args in tensors if args[0] is h.nabla_nu_q and args[1] is h.nu_q] == [(h.nabla_nu_q, h.nu_q)]
+    assert h.certificate == built.certificate
+    commutators.clear()
+    same = HypersurfaceSpec(h.ambient, h.ambient_q, h.nu, h.pi)
+    assert [args for args in commutators if args[0] is h.nu] == [(h.nu,)]
+    assert same.certificate == h.certificate
 
 
 def test_unnormalized_level_function_rejected():

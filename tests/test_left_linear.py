@@ -6,11 +6,15 @@ images.
 verify_metric stores inverse_left, inverse_right, symmetry,
 metric_compatibility and right_leibniz, verify_spinorial stores
 clifford_relations and clifford_compatibility, and _induced_spin stores
-w (x) e_a -> gamma_[2](w (x) nu (x) e_a); each residual or induced image is
-then one apply.  These tests compare them with the reference loops of
-kernel_reference, which expand every residual from its input, on the built
-spaces and on spaces with one stored image changed so that the families
-fail: the clause names, verdicts and residual JSON must agree.  Where a
+w (x) e_a -> gamma_[2](w (x) nu (x) e_a); each induced image is then one
+apply.  Every family is evaluated by geometry.stored_residuals: a family
+whose stored map is zero on every free word has every residual zero, by
+left-linearity, so it yields none, builds no input and applies nothing;
+each residual of any other family is one apply.  These tests compare the
+families with the reference loops of kernel_reference, which expand every
+residual from its input, on the built spaces and on spaces with one stored
+image changed so that the families fail: the clause names, verdicts and
+residual JSON must agree.  Where a
 family's premise fails (the calculus premise, reported by the assumption
 certificate, or g_central for inverse_right), the family is one failing
 clause that names the premise, with no residual.
@@ -137,15 +141,18 @@ def test_kernel_induced_gamma_is_gamma2_of_b_nu_e(request, space, change):
     assert _induced_spin(h, qc).gamma.images == reference_induced_gamma(h, qc)
 
 
-def _per_residual_costs(monkeypatch) -> dict:
+def _per_residual_costs(monkeypatch) -> tuple[dict, Counter]:
     """Each family's residuals, as the counts of (apply, tensor, raw_apply, add_leibniz) calls made for each.
 
     The dict fills as Report.family consumes the checks: LeftLinearMap.apply,
     Connection.raw_apply, and tensor() and add_leibniz wherever the engine
-    reads them, are counted between one residual and the next.
+    reads them, are counted between one residual and the next.  The
+    Counter holds the running totals, with the calls of
+    Calculus.canonical_input and the reads of Calculus.pairs.
     """
     counts = Counter()
     apply, raw_apply = LeftLinearMap.apply, Connection.raw_apply
+    canonical_input, pairs = Calculus.canonical_input, Calculus.pairs.fget
 
     def counting_apply(self, e):
         counts["apply"] += 1
@@ -155,8 +162,18 @@ def _per_residual_costs(monkeypatch) -> dict:
         counts["raw_apply"] += 1
         return raw_apply(self, e)
 
+    def counting_canonical_input(self, w):
+        counts["canonical_input"] += 1
+        return canonical_input(self, w)
+
+    def counting_pairs(self):
+        counts["pairs"] += 1
+        return pairs(self)
+
     monkeypatch.setattr(LeftLinearMap, "apply", counting_apply)
     monkeypatch.setattr(Connection, "raw_apply", counting_raw_apply)
+    monkeypatch.setattr(Calculus, "canonical_input", counting_canonical_input)
+    monkeypatch.setattr(Calculus, "pairs", property(counting_pairs))
     for module in (geometry, hypersurface, tensors):
         for name in ("tensor", "add_leibniz"):
             if not hasattr(module, name):
@@ -185,25 +202,39 @@ def _per_residual_costs(monkeypatch) -> dict:
         return family(self, name, each())
 
     monkeypatch.setattr(Report, "family", watching)
-    return per_residual
+    return per_residual, counts
 
 
-@pytest.mark.parametrize("space", ["r4", "s3", "t2"])
-def test_stored_families_apply_once_per_residual(request, monkeypatch, space):
-    # each residual of a stored family is one LeftLinearMap.apply on the
-    # calculus's stored pairs or basis forms, with no tensor(), no
-    # Connection.raw_apply and no Leibniz term
-    s = request.getfixturevalue(space).structures
-    per_residual = _per_residual_costs(monkeypatch)
-    assert verify_metric(s.metric, s.connection).all_passed
-    assert verify_spinorial(s.spin, s.metric, s.connection).all_passed
-    n = s.presentation.n
+def _cases(spaces, change):
+    """(space, None) for each space, then (space, change) for s3 and t2; the id of an unchanged case is its space."""
+    cases = [(space, None) for space in spaces] + [(space, change) for space in ("s3", "t2")]
+    return pytest.mark.parametrize(
+        "space, change", cases, ids=[space if c is None else f"{space}-{c}" for space, c in cases]
+    )
+
+
+@_cases(("r4", "s3", "t2"), "nabla(dz1)+dz2(x)dz3")
+def test_stored_families_apply_once_per_residual(request, monkeypatch, space, change):
+    # a family whose stored map vanishes on every free word has no residual
+    # and builds no canonical input: on r4 every family, on s3 and t2 all but
+    # inverse_left and inverse_right.  Each residual of any other family, and
+    # of each family the changed nabla(dz1) makes nonzero, is one
+    # LeftLinearMap.apply on the calculus's stored pairs or basis forms,
+    # with no tensor(), no Connection.raw_apply and no Leibniz term
+    spin, metric, conn = _structures(request.getfixturevalue(space).structures, change)
+    per_residual, counts = _per_residual_costs(monkeypatch)
+    assert _verify(spin, metric, conn).all_passed == (change is None)
+    n = conn.calculus.presentation.n
+    inputs = {
+        "inverse_left": n, "inverse_right": n, "symmetry": n * n, "metric_compatibility": n * n,
+        "right_leibniz": n * n, "clifford_relations": n * n * SPINOR_RANK, "clifford_compatibility": n * SPINOR_RANK,
+    }
+    live = MUST_FAIL[change] | (set() if space == "r4" else {"inverse_left", "inverse_right"})
     once = (1, 0, 0, 0)
-    assert per_residual["inverse_left"] == per_residual["inverse_right"] == [once] * n
-    assert per_residual["symmetry"] == per_residual["metric_compatibility"] == [once] * (n * n)
-    assert per_residual["right_leibniz"] == [once] * (n * n)
-    assert per_residual["clifford_relations"] == [once] * (n * n * SPINOR_RANK)
-    assert per_residual["clifford_compatibility"] == [once] * (n * SPINOR_RANK)
+    for family in STORED:
+        assert per_residual[family] == [once] * (inputs[family] if family in live else 0), family
+    # right_leibniz reads the basis forms; every other family builds its inputs
+    assert counts["canonical_input"] == sum(inputs[family] for family in live - {"right_leibniz"})
 
 
 # the certificate families whose residuals on an input form are stored maps,
@@ -262,19 +293,25 @@ def test_kernel_certificate_families_match_the_reference_loops(request, space, c
     assert failing == CERTIFICATE_MUST_FAIL[change]
 
 
-@pytest.mark.parametrize("space", ["s3", "t2"])
-def test_certificate_families_apply_once_per_residual(request, monkeypatch, space):
-    # each residual of nu_transparency and nabla_nu_transparency, and each
-    # pairing of corollaries, is one LeftLinearMap.apply to a stored basis
-    # form, with no tensor()
-    h = request.getfixturevalue(space).hypersurface
-    per_residual = _per_residual_costs(monkeypatch)
-    assert check_assumptions(h).all_passed
+@_cases(("s3", "t2"), "conn_q sigma(dz1(x)dz3)*2")
+def test_certificate_families_apply_once_per_residual(request, monkeypatch, space, change):
+    # as built, the maps of nu_transparency, pi_transparency and
+    # nabla_nu_transparency vanish on the free words: no residual, and
+    # pi_transparency reads no pairs of the converted ambient.  Each pairing
+    # of corollaries, and each residual of the two families the changed
+    # braiding makes nonzero, is one LeftLinearMap.apply to a stored basis
+    # form or pair, with no tensor()
+    h = _certificate_spec(request.getfixturevalue(space).hypersurface, change)
+    per_residual, counts = _per_residual_costs(monkeypatch)
+    assert check_assumptions(h).all_passed == (change is None)
     n = h.ambient.presentation.n
+    inputs = {"nu_transparency": 2 * n, "pi_transparency": 2 * n * n, "nabla_nu_transparency": n}
+    live = set() if change is None else {"pi_transparency", "nabla_nu_transparency"}
     once = (1, 0, 0, 0)
-    assert per_residual["nu_transparency"] == [once] * (2 * n)
-    assert per_residual["nabla_nu_transparency"] == [once] * n
+    for family, count in inputs.items():
+        assert per_residual[family] == [once] * (count if family in live else 0), family
     assert per_residual["corollaries"][:2 * n] == [once] * (2 * n)
+    assert counts["pairs"] == (1 if "pi_transparency" in live else 0)
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
