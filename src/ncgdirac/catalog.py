@@ -138,8 +138,7 @@ class SpaceBundle:
         gamma matrices acting on representatives, not against the induced
         sphere action.
         """
-        calc = Calculus(self.presentation, None)
-        return gamma_from_matrices(calc, self.base_matrices)
+        return gamma_from_matrices(self.presentation, self.base_matrices)
 
     @cached_property
     def rotated_gamma(self) -> LeftLinearMap:
@@ -198,7 +197,7 @@ def build_r4(classical: bool = False) -> SpaceBundle:
     connection = Connection(calc, conn_values, sigma)
 
     matrices = gamma_theta_matrices(classical)
-    gamma = gamma_from_matrices(calc, matrices)
+    gamma = gamma_from_matrices(p, matrices)
     spin_values = {
         BasisWord((), alpha): TensorElement.zero(p, 1, True) for alpha in range(SPINOR_RANK)
     }

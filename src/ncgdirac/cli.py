@@ -70,7 +70,12 @@ def _unique_members(pairs: list) -> dict:
 def _verify_user_presentation(path: str) -> Report:
     """Algebra-level checks for a user presentation file: every critical pair resolves."""
     with open(path) as handle:
-        p = Presentation.from_json(json.load(handle, object_pairs_hook=_unique_members))
+        try:
+            doc = json.load(handle, object_pairs_hook=_unique_members)
+        except RecursionError:
+            # json.load recurses once per nesting level; the file is bad input, not an engine fault
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
+    p = Presentation.from_json(doc)
     report = Report(subject=f"presentation:{p.name or path}")
     report.family("critical_pairs", critical_pairs(p))
     return report

@@ -9,7 +9,7 @@ classes is equality of canonical representatives.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from .algebra import AlgebraElement, Presentation, _accumulate
 from .reports import Report
@@ -44,8 +44,8 @@ class Calculus:
     with the calculus, so the induced metric and both verifiers of one
     calculus share them, as they share premise_failures, which only a
     hypersurface's certificate reports.  canonical_input(w) is the input
-    made of them for a free word w, and stored_family evaluates a stored
-    map on every such input, or on none when its images all vanish.
+    made of them for a free word w, and stored_family, the one path of
+    every stored clause family, evaluates stored maps on those inputs.
     """
 
     __slots__ = ("presentation", "projector", "basis", "_pairs", "_premise")
@@ -78,21 +78,32 @@ class Calculus:
             x = tensor(x, self.basis[i])
         return x if w.spin is None else with_spinor(x, w.spin)
 
-    def stored_family(self, domain: tuple[int, bool], image: Callable[[BasisWord], TensorElement]):
-        """(label, R(x)) for each free word w of domain, x its canonical input, in all_basis_words order.
+    def stored_family(self, domain: tuple[int, bool], *families: tuple[Callable[[BasisWord], TensorElement], str]):
+        """(label.format(key), R(x)) for each free word w of domain and each (image, label) of families.
 
-        R is stored with image(w) on every free word w and evaluated by
-        stored_residuals: nothing when every image is zero, else one apply
-        of R per residual; the label of dz_i (x) dz_j (x) e_a is
-        dz{i},dz{j},e{a}.  R(x) is x's residual where the residual is
-        left-linear in x (see verify_metric).
+        The one way a stored clause family is evaluated.  Each R is stored
+        with image(w) on every free word w of domain; x is w's canonical
+        input and key its label, dz{i},dz{j},e{a} for dz_i (x) dz_j (x) e_a.
+        The residuals come word by word in all_basis_words order, and for
+        each word in the order of families.  R(x) is x's residual where the
+        residual is left-linear in x (see verify_metric): R(sum_w c_w w) =
+        sum_w c_w R(w) is exact because the normal-form product is
+        associative and distributive.  So an R whose images on the free
+        words are all zero is zero on every input: it yields no residual,
+        and where every R is zero no input is built and Report.family
+        records the family's one passing clause.  Otherwise the inputs are
+        made before anything is yielded, and each residual is one apply.
         """
         p = self.presentation
-        stored = LeftLinearMap.on_free_words(p, domain, image)
-        return stored_residuals(
-            ((stored, "{}"),),
-            lambda: (((repr(w).replace("(x)", ","),), self.canonical_input(w)) for w in all_basis_words(p, *domain)),
-        )
+        live = []
+        for image, label in families:
+            m = LeftLinearMap.on_free_words(p, domain, image)
+            if any(img.terms for img in m.images.values()):
+                live.append((m, label))
+        if not live:
+            return ()
+        xs = [(repr(w).replace("(x)", ","), self.canonical_input(w)) for w in all_basis_words(p, *domain)]
+        return ((label.format(key), m.apply(x)) for key, x in xs for m, label in live)
 
     @property
     def premise_failures(self) -> tuple[tuple[str, TensorElement], ...]:
@@ -144,26 +155,6 @@ class Calculus:
 
     def d(self, a: AlgebraElement) -> TensorElement:
         return self.canon(differential(a))
-
-
-def stored_residuals(
-    maps: Iterable[tuple[LeftLinearMap, str]], inputs: Callable[[], Iterable[tuple[tuple, TensorElement]]]
-):
-    """(label.format(*key), R(x)) for each (key, x) of inputs() and each (R, label) of maps, key outer.
-
-    The one rule of every stored family: a map R whose images on the free
-    words are all zero gives R(x) = sum_w c_w R(w) = 0 on every input x =
-    sum_w c_w w, so its residuals are zero without an apply, and it yields
-    none.  When every map vanishes, inputs is not called, so no input is
-    built, and Report.family records the family's one passing clause.
-    Otherwise the inputs are made before anything is yielded, and each
-    residual of a map with a nonzero image is one apply of it.
-    """
-    live = [(m, label) for m, label in maps if any(img.terms for img in m.images.values())]
-    if not live:
-        return ()
-    xs = list(inputs())
-    return ((label.format(*key), m.apply(x)) for key, x in xs for m, label in live)
 
 
 class Connection:
@@ -341,12 +332,10 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     reported only by the hypersurface's certificate; this report reads it.
 
     Every family but g_central, sigma_right_linear and sigma_invertible is a
-    map R stored once per call on the free words, evaluated by
-    stored_residuals (all but right_leibniz through Calculus.stored_family):
-    each residual is one apply of R to its canonical input x = sum_w c_w w
-    (b_i or pairs[i][j]), and where every image R(w) is zero the family
-    passes with no input built, since R(x) = sum_w c_w * 0 = 0.  R(x) is
-    x's residual when the residual is left-linear in x:
+    map R stored once per call on the free words and evaluated by
+    Calculus.stored_family on the canonical inputs x = sum_w c_w w (b_i or
+    pairs[i][j]), which passes a family whose images all vanish with no
+    input built.  R(x) is x's residual when the residual is left-linear in x:
 
     - inverse_left, canon(g^-1 at slot 0 of w (x) g(1)) - w, and symmetry,
       g^-1((sigma - id)(w)) by Metric.pair, are left-linear as they stand.
@@ -376,8 +365,6 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     p = calc.presentation
     report = Report(subject=p.name or "metric")
     g1 = calc.canon(metric.g_element)
-    basis = calc.basis
-    gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
 
     def inverse_image(w: BasisWord, at: int) -> TensorElement:
         # canon(g^-1 at slot at of w (x) g(1) or g(1) (x) w) - w
@@ -385,9 +372,9 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
         return calc.canon(metric.g_inv.apply_at(tensor(b, g1) if at == 0 else tensor(g1, b), at)) - b
 
     g_central = report.family("g_central", commutator_residuals(g1))
-    report.family("inverse_left", calc.stored_family((1, False), lambda w: inverse_image(w, 0)))
+    report.family("inverse_left", calc.stored_family((1, False), (lambda w: inverse_image(w, 0), "{}")))
     if g_central:
-        report.family("inverse_right", calc.stored_family((1, False), lambda w: inverse_image(w, 1)))
+        report.family("inverse_right", calc.stored_family((1, False), (lambda w: inverse_image(w, 1), "{}")))
     else:
         report.unmet("inverse_right", "g_central")
 
@@ -397,7 +384,7 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
 
     report.family(
         "symmetry",
-        ((label, algebra_value(r)) for label, r in calc.stored_family((2, False), symmetry_image)),
+        ((label, algebra_value(r)) for label, r in calc.stored_family((2, False), (symmetry_image, "{}"))),
     )
 
     calculus_holds = not calc.premise_failures
@@ -409,7 +396,7 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
             b = TensorElement.basis(p, w.forms)
             return calc.canon(metric.g_inv.apply_at(nabla[w], 1) - differential(metric.pair(b)))
 
-        report.family("metric_compatibility", calc.stored_family((2, False), compatibility_image))
+        report.family("metric_compatibility", calc.stored_family((2, False), (compatibility_image, "{}")))
     else:
         report.unmet("metric_compatibility", "calculus")
 
@@ -427,7 +414,7 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
         free = {w: TensorElement.basis(p, w.forms) for w in all_basis_words(p, 1)}
         raw = {w: conn.raw_apply(b) for w, b in free.items()}
 
-        def leibniz(zj: AlgebraElement) -> LeftLinearMap:
+        def leibniz(zj: AlgebraElement) -> Callable[[BasisWord], TensorElement]:
             d_zj = calc.d(zj)
 
             def image(w: BasisWord) -> TensorElement:
@@ -436,13 +423,12 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
                 rhs = right_mul(raw[w], zj) + conn.sigma.apply(tensor(b, d_zj))
                 return calc.canon(lhs - rhs)
 
-            return LeftLinearMap.on_free_words(p, (1, False), image)
+            return image
 
         report.family(
             "right_leibniz",
-            stored_residuals(
-                [(leibniz(zj), f"dz{{}},z{j + 1}") for j, zj in enumerate(gens)],
-                lambda: (((i + 1,), b) for i, b in enumerate(basis)),
+            calc.stored_family(
+                (1, False), *((leibniz(AlgebraElement.generator(p, j)), f"{{}},z{j + 1}") for j in range(p.n))
             ),
         )
     else:

@@ -21,7 +21,7 @@ reuse the machinery unchanged, with the previous quotient as the ambient space.
 from __future__ import annotations
 
 from .algebra import AlgebraElement, Presentation, extend_presentation, is_central
-from .geometry import Calculus, Connection, Metric, algebra_value, stored_residuals
+from .geometry import Calculus, Connection, Metric, algebra_value
 from .reports import Report
 from .scalars import HALF, Scalar
 from .spin import SpinStructure, StructureSet, dirac
@@ -165,15 +165,13 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     Assumption 1 lives at the ambient level; assumptions 2 and 3 are checked
     on quotient-coefficient representatives, with the class projections the
     statements require.  Residuals are recorded verbatim.  Each residual
-    on an input form is a composite R stored once on the free words, and
-    is one apply of R to b_i = basis[i] (of the ambient calculus for
-    nu_transparency, of h.calculus otherwise) or, for pi_transparency, to
-    the pair basis[i] (x) basis[j] of the converted ambient calculus.
-    R(sum_k c_k dz_k) = sum_k c_k R(dz_k) is exact where R is left-linear,
-    because the normal-form product is associative and distributive; so a
-    map whose images on the free words all vanish is zero on every input,
-    and geometry.stored_residuals records none of its residuals and builds
-    none of its inputs (on s3 and t2, every map but the corollary pairings,
+    on an input form is a composite R stored once on the free words and
+    evaluated by Calculus.stored_family of the calculus whose canonical
+    inputs it reads: the ambient calculus's b_i for nu_transparency, the
+    converted ambient's pairs b_i (x) b_j for pi_transparency, and
+    h.calculus's b_i otherwise.  That is exact where R is left-linear, and
+    a map whose images on the free words all vanish has no residual and
+    builds no input (on s3 and t2, every map but the corollary pairings,
     so pi_transparency reads no pairs):
 
     - pi_transparency, sigma o (Pi at one slot) - (Pi at the other) o sigma,
@@ -199,70 +197,51 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     evaluated does not establish.
     """
     amb, amb_q = h.ambient, h.ambient_q
-    n = amb.presentation.n
     quotient = amb_q.presentation
     cert = AssumptionCertificate(subject=quotient.name or "assumptions")
     sigma_q = amb_q.connection.sigma
     nabla_nu = h.nabla_nu_q
-    pbasis = h.calculus.basis
     nu_commutators = [(f"nu,{label}", r) for label, r in h.nu_commutators]
     nabla_nu_commutators = [(f"nabla_nu,{label}", r) for label, r in commutator_residuals(nabla_nu)]
     nu_central = all(r.is_zero() for _, r in nu_commutators)
     nabla_nu_central = nu_central and all(r.is_zero() for _, r in nabla_nu_commutators)
-
-    def stored(p: Presentation, image) -> LeftLinearMap:
-        # the composite image(dz_k) on the free 1-forms dz_k of p
-        return LeftLinearMap.on_free_words(p, (1, False), lambda w: image(TensorElement.basis(p, w.forms)))
-
-    def on_basis(basis):
-        # the inputs b_i of a family on the 1-forms, keyed by i + 1
-        return (((i + 1,), b) for i, b in enumerate(basis))
 
     def calculus_checks():
         yield from h.calculus.premise_failures
         yield "nu", h.pi.apply(h.nu_q)
         yield from nu_commutators
 
-    def nu_checks():
+    def nu_transparency(w: BasisWord, nu_right: bool) -> TensorElement:
         # assumption 1: sigma(w (x) nu) = nu (x) w and sigma(nu (x) w) = w (x) nu
-        sigma_amb, acanon, nu = amb.connection.sigma, amb.calculus.canon, h.nu
-        left = stored(amb.presentation, lambda w: acanon(sigma_amb.apply(tensor(w, nu)) - tensor(nu, w)))
-        right = stored(amb.presentation, lambda w: acanon(sigma_amb.apply(tensor(nu, w)) - tensor(w, nu)))
-        return stored_residuals(((left, "dz{},nu"), (right, "nu,dz{}")), lambda: on_basis(amb.calculus.basis))
+        b = TensorElement.basis(amb.presentation, w.forms)
+        w_nu, nu_w = tensor(b, h.nu), tensor(h.nu, b)
+        lhs, rhs = (w_nu, nu_w) if nu_right else (nu_w, w_nu)
+        return amb.calculus.canon(amb.connection.sigma.apply(lhs) - rhs)
 
-    def pi_checks():
+    def pi_transparency(w: BasisWord, slot: int) -> TensorElement:
         # assumption 2: sigma interchanges (Pi (x) id) and (id (x) Pi) on q_! (x) q_!;
-        # each side's difference sigma o (Pi at slot) - (Pi at the other slot) o sigma
-        # is stored on the free pairs
-        sides = []
-        for slot, side in ((0, "left"), (1, "right")):
-            def difference(w: BasisWord) -> TensorElement:
-                b = TensorElement.basis(quotient, w.forms)
-                return sigma_q.apply(h.pi.apply_at(b, slot)) - h.pi.apply_at(sigma_q.apply(b), 1 - slot)
+        # sigma o (Pi at slot) - (Pi at the other slot) o sigma on the free pair w
+        b = TensorElement.basis(quotient, w.forms)
+        return sigma_q.apply(h.pi.apply_at(b, slot)) - h.pi.apply_at(sigma_q.apply(b), 1 - slot)
 
-            sides.append((LeftLinearMap.on_free_words(quotient, (2, False), difference), f"dz{{}},dz{{}},{side}"))
-
-        def pairs():
-            rows = amb_q.calculus.pairs
-            return (((i + 1, j + 1), rows[i][j]) for i in range(n) for j in range(n))
-
-        return stored_residuals(sides, pairs)
-
-    def nabla_nu_checks():
+    def nabla_nu_transparency(w: BasisWord) -> TensorElement:
         # assumption 3: sigma_23 sigma_12 (Pi(w) (x) nabla(nu)) = nabla(nu) (x) Pi(w)
         # as classes: the difference is projected, with Pi on its first slot
-        def image(w: TensorElement) -> TensorElement:
-            lhs = sigma_q.apply_at(sigma_q.apply_at(tensor(w, nabla_nu), 0), 1)
-            return h.pi.apply_at(amb_q.calculus.canon(lhs - tensor(nabla_nu, w)), 0)
-
-        return stored_residuals(((stored(quotient, image), "dz{}"),), lambda: on_basis(pbasis))
+        b = TensorElement.basis(quotient, w.forms)
+        lhs = sigma_q.apply_at(sigma_q.apply_at(tensor(b, nabla_nu), 0), 1)
+        return h.pi.apply_at(amb_q.calculus.canon(lhs - tensor(nabla_nu, b)), 0)
 
     def corollary_checks():
         # lemma corollaries and centrality of nabla(nu)
         g_inv, nu = amb_q.metric.g_inv, h.nu_q
-        w_nu = stored(quotient, lambda w: g_inv.apply(tensor(w, nu)))
-        nu_w = stored(quotient, lambda w: g_inv.apply(tensor(nu, w)))
-        pairings = stored_residuals(((w_nu, "dz{},nu"), (nu_w, "nu,dz{}")), lambda: on_basis(pbasis))
+
+        def pairing(w: BasisWord, nu_right: bool) -> TensorElement:
+            b = TensorElement.basis(quotient, w.forms)
+            return g_inv.apply(tensor(b, nu) if nu_right else tensor(nu, b))
+
+        pairings = h.calculus.stored_family(
+            (1, False), (lambda w: pairing(w, True), "{},nu"), (lambda w: pairing(w, False), "nu,{}")
+        )
 
         def checks():
             for label, r in pairings:
@@ -277,12 +256,14 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
 
     cert.family("calculus", calculus_checks())
     if nu_central:
-        cert.family("nu_transparency", nu_checks())
+        nu_sides = ((lambda w: nu_transparency(w, True), "{},nu"), (lambda w: nu_transparency(w, False), "nu,{}"))
+        cert.family("nu_transparency", amb.calculus.stored_family((1, False), *nu_sides))
     else:
         cert.unmet("nu_transparency", "calculus")
-    cert.family("pi_transparency", pi_checks())
+    pi_sides = ((lambda w: pi_transparency(w, 0), "{},left"), (lambda w: pi_transparency(w, 1), "{},right"))
+    cert.family("pi_transparency", amb_q.calculus.stored_family((2, False), *pi_sides))
     if nabla_nu_central:
-        cert.family("nabla_nu_transparency", nabla_nu_checks())
+        cert.family("nabla_nu_transparency", h.calculus.stored_family((1, False), (nabla_nu_transparency, "{}")))
     else:
         cert.unmet("nabla_nu_transparency", "corollaries")
     if nu_central:

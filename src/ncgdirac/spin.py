@@ -76,11 +76,8 @@ def matrix_act(matrix: ScalarMatrix, s: TensorElement) -> TensorElement:
     return out.element(s.degree, True)
 
 
-def gamma_from_matrices(
-    calculus: Calculus, matrices: tuple[ScalarMatrix, ...]
-) -> LeftLinearMap:
+def gamma_from_matrices(p: Presentation, matrices: tuple[ScalarMatrix, ...]) -> LeftLinearMap:
     """Clifford map with gamma(dz_i (x) e_alpha) = column alpha of matrix i."""
-    p = calculus.presentation
     return LeftLinearMap.on_free_words(
         p, (1, True), lambda w: matrix_act(matrices[w.forms[0]], TensorElement.basis(p, (), w.spin))
     )
@@ -111,13 +108,10 @@ def dirac(spin: SpinStructure, spinor: TensorElement) -> TensorElement:
 def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> Report:
     """Check the Clifford relations and Clifford compatibility exactly.
 
-    Both families are maps stored once per call on the free words, and
-    each residual is one apply to its canonical input (Calculus.stored_family);
-    R(sum_w c_w w) = sum_w c_w R(w) is exact where the residual is
-    left-linear, because the normal-form product is associative and
-    distributive, so a map whose images on the free words all vanish has
-    every residual zero, and its family passes with no input built or
-    applied (geometry.stored_residuals):
+    Both families are maps stored once per call on the free words and
+    evaluated by Calculus.stored_family: each residual is one apply to its
+    canonical input, exact where the residual is left-linear, and a family
+    whose images on the free words all vanish passes with no input built:
 
     - clifford_relations, R(w (x) e_a) = gamma_[2]((w + sigma(w)) (x) e_a)
       + 2 g^-1(w) e_a on the free dz_i (x) dz_j (x) e_a, applied to the pair
@@ -149,7 +143,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
         sym, two_g = parts[w.forms]
         return gamma_iterated(spin, with_spinor(sym, w.spin)) + with_spinor(two_g, w.spin)
 
-    report.family("clifford_relations", calc.stored_family((2, True), clifford_image))
+    report.family("clifford_relations", calc.stored_family((2, True), (clifford_image, "{}")))
 
     if calc.premise_failures:
         report.unmet("clifford_compatibility", "calculus")
@@ -161,7 +155,7 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
         b = TensorElement.basis(p, w.forms, w.spin)
         return calc.canon(spin.spin_connection.raw_apply(gamma_apply(spin, b)) - gamma_apply(spin, nabla[w]))
 
-    report.family("clifford_compatibility", calc.stored_family((1, True), compatibility_image))
+    report.family("clifford_compatibility", calc.stored_family((1, True), (compatibility_image, "{}")))
     return report
 
 

@@ -69,7 +69,7 @@ def phi_basis(t2):
 def undeformed_spin_structure(bundle):
     """Classical gamma matrices over the deformed calculus (negative control)."""
     calc = bundle.structures.calculus
-    gamma = gamma_from_matrices(calc, gamma_theta_matrices(classical=True))
+    gamma = gamma_from_matrices(calc.presentation, gamma_theta_matrices(classical=True))
     return SpinStructure(calc, gamma, bundle.structures.spin.spin_connection)
 
 

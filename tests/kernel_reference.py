@@ -13,8 +13,9 @@ tensor-product connection to each input (tensor_connection_apply) and
 contract the result by its definition, with no ContractedConnection.
 
 The per-residual loops of the assumption certificate's nu_transparency,
-nabla_nu_transparency and corollaries, as they were before those families
-were stored on the free words: each residual expanded from its basis form.
+pi_transparency, nabla_nu_transparency and corollaries, as they were before
+those families were stored on the free words: each residual expanded from
+its basis form or pair.
 
 The Leibniz loop as it was before each monomial's derivative terms were
 memoized: add_leibniz computing every phase afresh.
@@ -156,7 +157,7 @@ def reference_families(spin, metric, conn):
 
 
 def reference_certificate_families(h):
-    """nu_transparency, nabla_nu_transparency and corollaries of the certificate, each residual expanded."""
+    """nu_transparency, pi_transparency, nabla_nu_transparency and corollaries, each residual expanded."""
     amb, amb_q = h.ambient, h.ambient_q
     n = amb.presentation.n
     quotient = amb_q.presentation
@@ -174,6 +175,17 @@ def reference_certificate_families(h):
             w_nu, nu_w = tensor(base, h.nu), tensor(h.nu, base)
             yield f"dz{i + 1},nu", acanon(sigma_amb.apply(w_nu) - nu_w)
             yield f"nu,dz{i + 1}", acanon(sigma_amb.apply(nu_w) - w_nu)
+
+    def pi_checks():
+        # assumption 2: sigma(Pi at slot s of x) = Pi at slot 1 - s of sigma(x),
+        # on each pair x = basis[i] (x) basis[j] of the converted ambient
+        rows = amb_q.calculus.pairs
+        for i in range(n):
+            for j in range(n):
+                x = rows[i][j]
+                for slot, side in ((0, "left"), (1, "right")):
+                    residual = sigma_q.apply(h.pi.apply_at(x, slot)) - h.pi.apply_at(sigma_q.apply(x), 1 - slot)
+                    yield f"dz{i + 1},dz{j + 1},{side}", residual
 
     def nabla_nu_checks():
         # assumption 3: sigma_23 sigma_12 (Pi(w) (x) nabla(nu)) = nabla(nu) (x) Pi(w)
@@ -197,6 +209,7 @@ def reference_certificate_families(h):
             yield f"nabla_nu,{label}", residual
 
     report.family("nu_transparency", nu_checks())
+    report.family("pi_transparency", pi_checks())
     report.family("nabla_nu_transparency", nabla_nu_checks())
     report.family("corollaries", corollary_checks())
     return report

@@ -411,6 +411,17 @@ def test_malformed_presentation_rejected(tmp_path, capsys, payload, reason):
     assert err.startswith("error:") and reason in err
 
 
+def test_deeply_nested_presentation_rejected(tmp_path, capsys):
+    # json.load recurses once per level, so this file used to end in a
+    # RecursionError traceback with status 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, "verify", "--presentation", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply to read\n"
+
+
 def test_repeated_q_exponent_is_named_once_not_as_out_of_range(tmp_path, capsys):
     # Scalar.from_json is the one check of a repeated q-exponent; the reader
     # passes its message on, naming the scalar and the exponent

@@ -5,16 +5,17 @@ function on each free word of the domain and reads the codomain from the
 images.
 verify_metric stores inverse_left, inverse_right, symmetry,
 metric_compatibility and right_leibniz, verify_spinorial stores
-clifford_relations and clifford_compatibility, and _induced_spin stores
-w (x) e_a -> gamma_[2](w (x) nu (x) e_a); each induced image is then one
-apply.  Every family is evaluated by geometry.stored_residuals: a family
-whose stored map is zero on every free word has every residual zero, by
-left-linearity, so it yields none, builds no input and applies nothing;
-each residual of any other family is one apply.  These tests compare the
-families with the reference loops of kernel_reference, which expand every
-residual from its input, on the built spaces and on spaces with one stored
-image changed so that the families fail: the clause names, verdicts and
-residual JSON must agree.  Where a
+clifford_relations and clifford_compatibility, check_assumptions stores
+nu_transparency, pi_transparency, nabla_nu_transparency and the corollary
+pairings, and _induced_spin stores w (x) e_a -> gamma_[2](w (x) nu (x)
+e_a); each induced image is then one apply.  Every family is evaluated by
+Calculus.stored_family, whose docstring gives the rule: a family whose
+stored maps all vanish on the free words yields no residual, builds no
+input and applies nothing; each residual of any other map is one apply.
+These tests compare the families with the reference loops of
+kernel_reference, which expand every residual from its input, on the built
+spaces and on spaces with one stored image changed so that the families
+fail: the clause names, verdicts and residual JSON must agree.  Where a
 family's premise fails (the calculus premise, reported by the assumption
 certificate, or g_central for inverse_right), the family is one failing
 clause that names the premise, with no residual.
@@ -225,26 +226,28 @@ def test_stored_families_apply_once_per_residual(request, monkeypatch, space, ch
     per_residual, counts = _per_residual_costs(monkeypatch)
     assert _verify(spin, metric, conn).all_passed == (change is None)
     n = conn.calculus.presentation.n
-    inputs = {
+    words = {
         "inverse_left": n, "inverse_right": n, "symmetry": n * n, "metric_compatibility": n * n,
-        "right_leibniz": n * n, "clifford_relations": n * n * SPINOR_RANK, "clifford_compatibility": n * SPINOR_RANK,
+        "right_leibniz": n, "clifford_relations": n * n * SPINOR_RANK, "clifford_compatibility": n * SPINOR_RANK,
     }
+    maps = {"right_leibniz": n}  # one per generator z_j; every other family stores one map
     live = MUST_FAIL[change] | (set() if space == "r4" else {"inverse_left", "inverse_right"})
     once = (1, 0, 0, 0)
     for family in STORED:
-        assert per_residual[family] == [once] * (inputs[family] if family in live else 0), family
-    # right_leibniz reads the basis forms; every other family builds its inputs
-    assert counts["canonical_input"] == sum(inputs[family] for family in live - {"right_leibniz"})
+        residuals = words[family] * maps.get(family, 1) if family in live else 0
+        assert per_residual[family] == [once] * residuals, family
+    # each live family builds the canonical input of each of its free words once
+    assert counts["canonical_input"] == sum(words[family] for family in live)
 
 
 # the certificate families whose residuals on an input form are stored maps,
 # and the families each change of one stored image must fail; where nabla(nu)
 # is not central, nabla_nu_transparency is its premise clause
-CERTIFICATE_STORED = ("nu_transparency", "nabla_nu_transparency", "corollaries")
+CERTIFICATE_STORED = ("nu_transparency", "pi_transparency", "nabla_nu_transparency", "corollaries")
 CERTIFICATE_MUST_FAIL = {
     None: set(),
     "ambient sigma(dz1(x)dz3)*2": {"nu_transparency"},
-    "conn_q sigma(dz1(x)dz3)*2": {"nabla_nu_transparency"},
+    "conn_q sigma(dz1(x)dz3)*2": {"pi_transparency", "nabla_nu_transparency"},
     "ambient nabla(dz1)+dz2(x)dz3": {"nabla_nu_transparency", "corollaries"},
     "metric_q g_inv(dz1(x)dz3)*2": {"corollaries"},
 }
@@ -296,11 +299,11 @@ def test_kernel_certificate_families_match_the_reference_loops(request, space, c
 @_cases(("s3", "t2"), "conn_q sigma(dz1(x)dz3)*2")
 def test_certificate_families_apply_once_per_residual(request, monkeypatch, space, change):
     # as built, the maps of nu_transparency, pi_transparency and
-    # nabla_nu_transparency vanish on the free words: no residual, and
-    # pi_transparency reads no pairs of the converted ambient.  Each pairing
-    # of corollaries, and each residual of the two families the changed
-    # braiding makes nonzero, is one LeftLinearMap.apply to a stored basis
-    # form or pair, with no tensor()
+    # nabla_nu_transparency vanish on the free words: no residual, no
+    # canonical input, and pi_transparency reads no pairs of the converted
+    # ambient.  Each pairing of corollaries, and each residual of the two
+    # families the changed braiding makes nonzero, is one LeftLinearMap.apply
+    # to a stored basis form or pair, with no tensor()
     h = _certificate_spec(request.getfixturevalue(space).hypersurface, change)
     per_residual, counts = _per_residual_costs(monkeypatch)
     assert check_assumptions(h).all_passed == (change is None)
@@ -311,7 +314,12 @@ def test_certificate_families_apply_once_per_residual(request, monkeypatch, spac
     for family, count in inputs.items():
         assert per_residual[family] == [once] * (count if family in live else 0), family
     assert per_residual["corollaries"][:2 * n] == [once] * (2 * n)
-    assert counts["pairs"] == (1 if "pi_transparency" in live else 0)
+    # one canonical input per free word of a live family, the pairings' n
+    # basis forms included; each of pi_transparency's n^2 pairs reads
+    # Calculus.pairs once
+    words = {"nu_transparency": n, "pi_transparency": n * n, "nabla_nu_transparency": n}
+    assert counts["canonical_input"] == n + sum(words[family] for family in live)
+    assert counts["pairs"] == (n * n if "pi_transparency" in live else 0)
 
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
