@@ -184,6 +184,9 @@ class Presentation:
     def from_json(data: dict) -> "Presentation":
         if not isinstance(data, dict):
             raise PresentationError("presentation must be a JSON object")
+        name = data.get("name", "")
+        if type(name) is not str:  # the value may nest hundreds deep: name its type, not it
+            raise PresentationError(f"malformed presentation: name must be a string, not {_json_type(name)}")
         try:
             n = data["generators"]
             if type(n) is not int:  # JSON 4.5 or true is not a generator count
@@ -200,8 +203,17 @@ class Presentation:
             # declared count, bounds the work
             if len(R) != n or any(len(row) != n for row in R):
                 raise PresentationError("R must be an n x n scalar matrix")
+            ideal = data.get("ideal", [])
+            if type(ideal) is not list:
+                raise PresentationError(f"malformed presentation: ideal must be a list, not {_json_type(ideal)}")
             rules = []
-            for entry in data.get("ideal", []):
+            for k, entry in enumerate(ideal, 1):  # numbered from 1, as critical_pairs labels rules
+                if type(entry) is not dict:
+                    raise PresentationError(
+                        f"malformed presentation: rule {k} must be an object, not {_json_type(entry)}"
+                    )
+                if type(entry["lhs"]) is not list:
+                    raise PresentationError(f"malformed presentation: rule {k}: lhs must be a list of generators")
                 lhs = [0] * n
                 for g in entry["lhs"]:
                     if type(g) is not int or not 0 <= g < n:  # JSON true is not a letter
@@ -209,8 +221,13 @@ class Presentation:
                             f"rule letter {g!r} is not a generator index 0..{n - 1}"
                         )
                     lhs[g] += 1
-                rules.append(RewriteRule(tuple(lhs), _element_terms_from_json(entry["rhs"], n)))
-            return Presentation(n, R, rules, name=data.get("name", ""))
+                rhs = entry["rhs"]
+                if type(rhs) is not list or any(type(term) is not dict for term in rhs):
+                    raise PresentationError(
+                        f'malformed presentation: rule {k}: rhs must be a list of {{"exps", "coeff"}} objects'
+                    )
+                rules.append(RewriteRule(tuple(lhs), _element_terms_from_json(rhs, n)))
+            return Presentation(n, R, rules, name=name)
         except TypeError as exc:
             raise PresentationError(f"malformed presentation: {exc}") from exc
         except KeyError as exc:  # str(exc) is the quoted field name
@@ -218,6 +235,12 @@ class Presentation:
 
     def __repr__(self) -> str:
         return f"Presentation({self.name or 'anonymous'}, n={self.n}, rules={len(self.rules)})"
+
+
+def _json_type(value) -> str:
+    """The JSON type of a value json.load returned, named by an error in place of the value."""
+    names = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+    return names.get(type(value), "a number")
 
 
 def _element_terms_to_json(terms: dict[Monomial, Scalar]) -> list:

@@ -94,8 +94,8 @@ def _cmd_verify(args) -> int:
 
 
 def _basis_values_json(values: dict) -> dict:
-    """An extensional map or connection as JSON, keyed by printed basis word."""
-    return {repr(w): v.to_json() for w, v in sorted(values.items(), key=lambda t: t[0])}
+    """An extensional map or connection as JSON, keyed by printed basis word; writers sort the keys."""
+    return {repr(w): v.to_json() for w, v in values.items()}
 
 
 def _structures_payload(bundle: SpaceBundle) -> dict:

@@ -4,35 +4,19 @@ from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 
 
-class Clause:
+class Clause(namedtuple("Clause", ("name", "passed", "residual"), defaults=(None,))):
     """One named check and its outcome; residual is a json-serializable payload, None when clean.
 
-    A clause is immutable: a report that shares a certificate's clauses
-    cannot change the certificate through them.
+    An immutable namedtuple record with no __dict__, so a report that shares
+    a certificate's clauses cannot change the certificate through them.  It
+    compares equal to a plain tuple of its items; a report writes it through
+    to_json, never as the array json.dumps would make of it.
     """
 
-    __slots__ = ("name", "passed", "residual")
-
-    def __init__(self, name: str, passed: bool, residual: object | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "residual", residual)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Clause is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Clause is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.passed, self.residual) == (other.name, other.passed, other.residual)
-
-    def __repr__(self) -> str:
-        return f"Clause({self.name!r}, {self.passed!r}, {self.residual!r})"
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"clause": self.name, "pass": self.passed, "residual": self.residual}

@@ -8,13 +8,13 @@ column from the raw coefficient sums of the bundle's one operator,
 rotated_dirac).  When a bundle first needs a sector, certify_sector checks
 exactly that M^2 - lambda^2 I = 0 and tr M = 0, with lambda^2 =
 ((2m+1)^2 + (2n+1)^2)/2 a Fraction; the sector and this verdict are one
-immutable SectorMatrix, kept in the bundle's sector_store and handed out as it
-is.  A certified sector has the eigenvalues -lambda, -lambda, +lambda,
-+lambda at every theta (the isospectrality of the Connes-Landi deformation),
-so a scan reports +-sqrt(lambda^2), with the one deviation the sector keeps,
-and substitutes q = exp(i*theta/4) into no entry.  A sector whose
-certificate fails fails the scan's report and reports no eigenvalues: the
-certificate is the verdict.  A sector that escapes its momentum fails the
+immutable SectorMatrix record, kept in the bundle's sector_store and handed
+out as it is.  A certified sector has the eigenvalues -lambda, -lambda,
++lambda, +lambda at every theta (the isospectrality of the Connes-Landi
+deformation), so a scan reports +-sqrt(lambda^2), with the deviation the
+sector stores, and substitutes q = exp(i*theta/4) into no entry.  A sector
+whose certificate fails fails the scan's report and reports no eigenvalues:
+the certificate is the verdict.  A sector that escapes its momentum fails the
 scan with the clause sector_exact[m,n], and the scan then reports no
 eigenvalues at all.
 """
@@ -22,8 +22,8 @@ eigenvalues at all.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 
 from .algebra import Monomial, _element
@@ -65,69 +65,30 @@ def sector_basis(m: int, n: int) -> list[tuple[Monomial, int]]:
     ]
 
 
-class SectorMatrix:
+class SectorMatrix(namedtuple("SectorMatrix", "m n matrix lambda_sq square trace root deviation")):
     """One exact sector M(m, n) and its certificate, as the bundle's sector_store keeps it.
 
     square and trace hold the nonzero residuals of M^2 - lambda^2 I (labelled
     "m,n,row,col") and of tr M (labelled "m,n"); the sector is certified when
-    both are empty.  root, the float sqrt(lambda^2), and deviation, its
-    distance from closed_form_value(m, n), are computed once and kept.  A
-    sector is immutable (assigning or deleting an attribute raises
-    AttributeError), and sectors with equal fields are equal.
+    both are empty.  It is built from its first six fields and stores root,
+    the float sqrt(lambda^2), and deviation, its distance from
+    closed_form_value(m, n): -root + t = t - root and root - t = -(t - root)
+    in IEEE arithmetic, so each of the four eigenvalues has that deviation,
+    bit for bit.  An immutable namedtuple record with no __dict__, it
+    compares equal to a plain tuple of its items; no report writes it.
     """
 
-    def __init__(
-        self,
-        m: int,
-        n: int,
-        matrix: ScalarMatrix,
-        lambda_sq: Fraction,
-        square: tuple[tuple[str, Scalar], ...],
-        trace: tuple[tuple[str, Scalar], ...],
-    ):
-        # object.__setattr__ keeps every sector's dict on the class's shared
-        # key table; a bulk __dict__.update gives each its own, read slower
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "lambda_sq", lambda_sq)
-        object.__setattr__(self, "square", square)
-        object.__setattr__(self, "trace", trace)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SectorMatrix is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SectorMatrix is immutable: cannot delete {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.m, self.n, self.matrix, self.lambda_sq, self.square, self.trace)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "SectorMatrix({}, {}, {!r}, {!r}, {!r}, {!r})".format(*self._fields())
+    def __new__(cls, m: int, n: int, matrix: ScalarMatrix, lambda_sq: Fraction, square: tuple, trace: tuple):
+        # float(lambda_sq), with no Python-level call
+        root = math.sqrt(lambda_sq.numerator / lambda_sq.denominator)
+        deviation = abs(root - closed_form_value(m, n))
+        return tuple.__new__(cls, (m, n, matrix, lambda_sq, square, trace, root, deviation))
 
     @property
     def certified(self) -> bool:
         return not self.square and not self.trace
-
-    @cached_property
-    def root(self) -> float:
-        lam2 = self.lambda_sq
-        return math.sqrt(lam2.numerator / lam2.denominator)  # float(lam2), with no Python-level call
-
-    @cached_property
-    def deviation(self) -> float:
-        """|root - closed form|: the deviation of each of the four eigenvalues.
-
-        -root + t = t - root and root - t = -(t - root) exactly in IEEE
-        arithmetic, so the four deviations are bit-equal.
-        """
-        return abs(self.root - closed_form_value(self.m, self.n))
 
     def eigenvalues(self) -> list[float]:
         """-sqrt(lambda^2) and +sqrt(lambda^2), each twice: what a certificate proves."""

@@ -473,7 +473,8 @@ def test_gate_refuses_each_scaled_t2_projector_image(t2, k, op):
 
 def test_verify_space_report_cannot_change_the_cached_certificate(t2):
     # verify_space reports the certificate's own clauses; a clause refuses
-    # assignment, so no reader of the report can close or open the gate
+    # assignment and has no __dict__ to take a new attribute, so no reader
+    # of the report can close or open the gate
     s3 = catalog.build_s3(check=False)
     h = s3.hypersurface
     want = h.certificate.to_json()
@@ -482,6 +483,9 @@ def test_verify_space_report_cannot_change_the_cached_certificate(t2):
         clause.passed = False
     with pytest.raises(AttributeError):
         del clause.residual
+    with pytest.raises(AttributeError):
+        clause.forged = 1
+    assert not hasattr(clause, "__dict__")
     assert h.certificate.to_json() == want and h.certificate.all_passed
     induced_dirac(h, TensorElement.basis(h.quotient_presentation, (), 0))
 

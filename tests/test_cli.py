@@ -411,6 +411,49 @@ def test_malformed_presentation_rejected(tmp_path, capsys, payload, reason):
     assert err.startswith("error:") and reason in err
 
 
+@pytest.mark.parametrize(
+    "name, json_type",
+    [
+        ({"a": 1}, "an object"),
+        (7, "a number"),
+        (None, "null"),
+        (json.loads("[" * 500 + "]" * 500), "an array"),
+    ],
+    ids=["object", "number", "null", "list-500-deep"],
+)
+def test_presentation_name_must_be_a_string(tmp_path, capsys, name, json_type):
+    # a name that is no string used to be taken as it was, and its Python
+    # repr became the report subject; the error names its type, not the value
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(_doc(name=name)))
+    code, out, err = run(capsys, "verify", "--presentation", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == f"error: malformed presentation: name must be a string, not {json_type}\n"
+
+
+@pytest.mark.parametrize(
+    "ideal, field",
+    [
+        ({"a": _rule([0, 2])}, "ideal must be a list, not an object"),
+        (["z1*z3"], "rule 1 must be an object, not a string"),
+        ([_rule([0, 2]), {"lhs": 3, "rhs": []}], "rule 2: lhs must be a list of generators"),
+        ([{"lhs": [0, 2], "rhs": [[[]]]}], 'rule 1: rhs must be a list of {"exps", "coeff"} objects'),
+    ],
+    ids=["ideal-object", "rule-string", "lhs-integer", "rhs-nested-list"],
+)
+def test_malformed_rule_is_named_with_its_field(tmp_path, capsys, ideal, field):
+    # each shape used to exit 2 with a TypeError's text, naming neither the
+    # rule nor the field; rules are numbered from 1, as critical_pairs does
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(_doc(ideal=ideal)))
+    code, out, err = run(capsys, "verify", "--presentation", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == f"error: malformed presentation: {field}\n"
+    assert "indices must be" not in err and "not iterable" not in err
+
+
 def test_deeply_nested_presentation_rejected(tmp_path, capsys):
     # json.load recurses once per level, so this file used to end in a
     # RecursionError traceback with status 1

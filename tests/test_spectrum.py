@@ -366,8 +366,8 @@ def test_second_scan_applies_no_operator(t2, monkeypatch):
 
 def test_sector_store_hands_out_a_frozen_sector(t2):
     # the store hands out its sector itself, but nothing in it that a caller
-    # can change: the sector refuses assignment and deletion, and
-    # eigenvalues() is a fresh list
+    # can change: the sector refuses assignment and deletion, takes no new
+    # attribute (it has no __dict__), and eigenvalues() is a fresh list
     fresh = replace(t2)
     want = spectrum_scan(fresh, 1, 0.7).to_json()
     sector = sector_matrix(fresh, 0, 0)
@@ -384,6 +384,9 @@ def test_sector_store_hands_out_a_frozen_sector(t2):
             del stored.trace
         with pytest.raises(AttributeError):
             stored.matrix = ()
+        with pytest.raises(AttributeError):
+            stored.forged = 1
+        assert not hasattr(stored, "__dict__")
         assert (stored.square, stored.trace, stored.matrix) == kept and stored.certified
         assert type(stored.matrix) is tuple and all(type(row) is tuple for row in stored.matrix)
         assert all(type(c) is Scalar for row in stored.matrix for c in row)
@@ -543,14 +546,15 @@ def test_kernel_certify_sector_matches_the_scalar_loop(t2):
 
 
 def test_sector_keeps_one_deviation_for_its_four_eigenvalues(t2):
-    # -root + t, t - root and root - t have one absolute value, bit for bit;
-    # eigenvalues stays a method of the class, as the sector clock wraps it
-    assert "eigenvalues" in SectorMatrix.__dict__
+    # -root + t, t - root and root - t have one absolute value, bit for bit,
+    # stored once as a field of the sector; eigenvalues stays a method of
+    # the class, as the sector clock wraps it
+    assert "eigenvalues" in SectorMatrix.__dict__ and "deviation" in SectorMatrix._fields
     fresh = replace(t2)
     spectrum_scan(fresh, 8, 0.7)
     for (m, n), sector in fresh.sector_store.items():
         t = closed_form_value(m, n)
         v1, v2, v3, v4 = sector.eigenvalues()
         deviations = {abs(v1 + t), abs(v2 + t), abs(v3 - t), abs(v4 - t)}
-        assert deviations == {sector.deviation} and "deviation" in sector.__dict__
+        assert deviations == {sector.deviation}
         assert sector.eigenvalues() is not sector.eigenvalues()
