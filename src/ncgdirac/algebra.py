@@ -226,7 +226,11 @@ class Presentation:
                     raise PresentationError(
                         f'malformed presentation: rule {k}: rhs must be a list of {{"exps", "coeff"}} objects'
                     )
-                rules.append(RewriteRule(tuple(lhs), _element_terms_from_json(rhs, n)))
+                try:
+                    terms = _element_terms_from_json(rhs, n)
+                except PresentationError as exc:
+                    raise PresentationError(f"malformed presentation: rule {k}: rhs {exc}") from exc
+                rules.append(RewriteRule(tuple(lhs), terms))
             return Presentation(n, R, rules, name=name)
         except TypeError as exc:
             raise PresentationError(f"malformed presentation: {exc}") from exc
@@ -251,18 +255,25 @@ def _element_terms_to_json(terms: dict[Monomial, Scalar]) -> list:
 
 
 def _element_terms_from_json(data: list, n: int) -> dict[Monomial, Scalar]:
+    """The terms of a serialized element; a malformed term is a PresentationError that names it, term 1 first."""
     out = {}
-    for entry in data:
-        m = tuple(entry["exps"])
-        if any(type(e) is not int for e in m):
-            raise PresentationError(f"exponents {list(m)} are not all JSON integers")
-        if len(m) != n:
-            raise PresentationError("monomial arity mismatch in serialized element")
-        if any(e < 0 for e in m):
-            raise PresentationError(f"negative exponent in serialized monomial {list(m)}")
-        if m in out:  # a second entry would silently replace the first
-            raise PresentationError(f"monomial {list(m)} appears twice in a serialized element")
-        out[m] = _scalar_from_json(entry["coeff"])
+    for t, entry in enumerate(data, 1):
+        try:
+            exps = entry["exps"]
+            if type(exps) is not list or any(type(e) is not int for e in exps):
+                raise PresentationError("exps must be a list of JSON integers")
+            m = tuple(exps)
+            if len(m) != n:
+                raise PresentationError("monomial arity mismatch in serialized element")
+            if any(e < 0 for e in m):
+                raise PresentationError(f"negative exponent in serialized monomial {exps}")
+            if m in out:  # a second entry would silently replace the first
+                raise PresentationError(f"monomial {exps} appears twice in a serialized element")
+            out[m] = _scalar_from_json(entry["coeff"])
+        except KeyError as exc:  # str(exc) is the quoted field name
+            raise PresentationError(f"term {t}: missing field {exc}") from exc
+        except PresentationError as exc:
+            raise PresentationError(f"term {t}: {exc}") from exc
     return out
 
 

@@ -41,11 +41,14 @@ class Calculus:
     basis[i] is the canonical representative of the class of dz_i: the
     projector's stored image of dz_i, or dz_i itself.  pairs[i][j] is
     basis[i] (x) basis[j]; the n^2 pairs are made on first use and kept
-    with the calculus, so the induced metric and both verifiers of one
-    calculus share them, as they share premise_failures, which only a
+    with the calculus, so the stored families of one calculus that read
+    them share them, as they share premise_failures, which only a
     hypersurface's certificate reports.  canonical_input(w) is the input
     made of them for a free word w, and stored_family, the one path of
-    every stored clause family, evaluates stored maps on those inputs.
+    every stored clause family, evaluates stored maps on those inputs.  A
+    catalog build makes no pair: the induced metric is read through
+    column maps (hypersurface._induced_metric), and every family whose
+    inputs are pairs vanishes on the free words there.
     """
 
     __slots__ = ("presentation", "projector", "basis", "_pairs", "_premise")
@@ -205,13 +208,17 @@ class Connection:
         is additive, so a verifier that compares two sides projects their
         difference once: canon(raw_apply(x) - y) = apply(x) - canon(y).
         """
+        out = TensorSum(self.calculus.presentation)
+        self.add_raw_apply(out, e)
+        return out.element(*self.value_map.codomain)
+
+    def add_raw_apply(self, out: TensorSum, e: TensorElement) -> None:
+        """Add raw_apply(e) to out, the TensorSum of a larger sum, building no element for it."""
         m = self.value_map
-        degree, has_spin, whole = m._window(e, 0)
+        m._window(e, 0)  # refuses another presentation, as apply_at does
         m._check_domain(e)
-        out = TensorSum(m.presentation)
-        m._accumulate_at(out.words, e, 0, whole)
+        m._accumulate_at(out.words, e, 0, True)  # a word of the domain's shape is a whole window
         add_leibniz(out, e.terms)
-        return out.element(degree, has_spin)
 
 
 class ContractedConnection:
@@ -347,7 +354,13 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     - right_leibniz, canon(nabla(x z_j) - nabla(x) z_j - sigma(x (x) d z_j))
       per z_j: nabla(x z_j) and nabla(x) z_j carry the same Leibniz term
       sum_w d(c_w) (x) w z_j once canon(canon(y) z_j) = canon(y z_j), so
-      each image multiplies the unprojected nabla(w) by z_j.
+      each image multiplies the unprojected nabla(w) by z_j.  Each image is
+      one TensorSum, with no element built for either side or their
+      difference before canon: nabla(w z_j) is added, and the subtracted
+      sides with their sign, from -nabla(w) and -d z_j, formed once each.
+      That is exact: (-nabla(w)) z_j = -(nabla(w) z_j), and
+      sigma(w (x) -d z_j) = -sigma(w (x) d z_j), since tensor is linear in
+      its right factor and sigma is left-linear.
 
     Both cancellations need canon o d to be a derivation of the quotient,
     and the last one canon idempotent and right-linear: the calculus
@@ -410,18 +423,21 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     report.family("sigma_invertible", inverse_checks())
 
     if calculus_holds:
-        # the unprojected nabla(w) on each free 1-form w, read by every z_j's map
+        # minus the unprojected nabla(w) on each free 1-form w, read by every z_j's map
         free = {w: TensorElement.basis(p, w.forms) for w in all_basis_words(p, 1)}
-        raw = {w: conn.raw_apply(b) for w, b in free.items()}
+        minus_raw = {w: -conn.raw_apply(b) for w, b in free.items()}
 
         def leibniz(zj: AlgebraElement) -> Callable[[BasisWord], TensorElement]:
-            d_zj = calc.d(zj)
+            minus_d_zj = -calc.d(zj)
 
             def image(w: BasisWord) -> TensorElement:
+                # nabla(w z_j) - nabla(w) z_j - sigma(w (x) d z_j), in one sum
                 b = free[w]
-                lhs = conn.raw_apply(right_mul(b, zj))
-                rhs = right_mul(raw[w], zj) + conn.sigma.apply(tensor(b, d_zj))
-                return calc.canon(lhs - rhs)
+                out = TensorSum(p)
+                conn.add_raw_apply(out, right_mul(b, zj))
+                out.add_right_mul(minus_raw[w], zj)
+                conn.sigma.add_apply_at(out, tensor(b, minus_d_zj), 0)
+                return calc.canon(out.element(2, False))
 
             return image
 

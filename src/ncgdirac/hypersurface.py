@@ -59,19 +59,18 @@ class HypersurfaceSpec:
     to the quotient presentation, on one calculus), the normal nu = df and
     the tangential projector pi.  The constructor derives, in this order,
     nu_commutators, the (label, nu z_j - z_j nu) of commutator_residuals(nu),
-    nu_q and nabla_nu_q (nu and nabla(nu) converted), nabla_nu_nu,
-    nabla(nu) (x) nu as the certificate's corollaries and _induced_spin read
-    it, the calculus of pi, the certificate and pi_nabla_nu, (Pi (x) id)
-    nabla(nu) as induced_dirac reads it; a spec built from changed fields
-    gets those of its own data.  build_hypersurface hands over the
-    commutators its nu_not_central refusal has computed (_derive), so a
-    built spec computes them once.  The slots refuse any attribute beyond
-    the eleven, and specs compare by identity.
+    nu_q and nabla_nu_q (nu and nabla(nu) converted), the calculus of pi,
+    the certificate and pi_nabla_nu, (Pi (x) id) nabla(nu) as induced_dirac
+    reads it; a spec built from changed fields gets those of its own data.
+    build_hypersurface hands over the commutators its nu_not_central
+    refusal has computed (_derive), so a built spec computes them once.  The
+    slots refuse any attribute beyond the ten, and specs compare by
+    identity.
     """
 
     __slots__ = (
-        "ambient", "ambient_q", "nu", "pi", "nu_commutators", "nu_q", "nabla_nu_q", "nabla_nu_nu", "calculus",
-        "certificate", "pi_nabla_nu",
+        "ambient", "ambient_q", "nu", "pi", "nu_commutators", "nu_q", "nabla_nu_q", "calculus", "certificate",
+        "pi_nabla_nu",
     )
 
     def __init__(self, ambient: StructureSet, ambient_q: StructureSet, nu: TensorElement, pi: LeftLinearMap):
@@ -86,7 +85,6 @@ class HypersurfaceSpec:
         quotient = ambient_q.presentation
         self.nu_q = nu.convert(quotient)
         self.nabla_nu_q = ambient.connection.apply(nu).convert(quotient)
-        self.nabla_nu_nu = tensor(self.nabla_nu_q, self.nu_q)
         self.calculus = Calculus(quotient, pi)
         self.certificate = check_assumptions(self)
         self.pi_nabla_nu = pi.apply_at(self.nabla_nu_q, 0)
@@ -188,13 +186,13 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
       needs nabla(nu) central (the corollaries family's nabla_nu,z{j}).
 
     Both commutator sets are read before any family: nu's are the spec's
-    nu_commutators, nabla(nu)'s are computed here (the corollaries clause
-    nabla_nu,nu reads the spec's nabla_nu_nu).  A family whose premise fails
-    is the one failing clause name[needs premise], with no residual
-    (Report.unmet), and no stored map of it is built: nu_transparency and
-    corollaries need calculus's nu,z{j}, and nabla_nu_transparency needs
-    corollaries' nabla_nu,z{j}, which a corollaries family that was not
-    evaluated does not establish.
+    nu_commutators, nabla(nu)'s are computed here.  The corollaries clause
+    nabla_nu,nu, the one reader of nabla(nu) (x) nu, forms it once per spec.
+    A family whose premise fails is the one failing clause name[needs
+    premise], with no residual (Report.unmet), and no stored map of it is
+    built: nu_transparency and corollaries need calculus's nu,z{j}, and
+    nabla_nu_transparency needs corollaries' nabla_nu,z{j}, which a
+    corollaries family that was not evaluated does not establish.
     """
     amb, amb_q = h.ambient, h.ambient_q
     quotient = amb_q.presentation
@@ -248,7 +246,7 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
                 yield label, algebra_value(r)
             # lemma item: [(id (x) g^-1)(nabla(nu) (x) nu)] vanishes as a quotient
             # 1-form class, so the residual is projected before testing
-            c3 = g_inv.apply_at(h.nabla_nu_nu, 1)
+            c3 = g_inv.apply_at(tensor(nabla_nu, nu), 1)
             yield "nabla_nu,nu", h.pi.apply_at(amb_q.calculus.canon(c3), 0)
             yield from nabla_nu_commutators
 
@@ -298,11 +296,28 @@ def check_induction(h: HypersurfaceSpec, structures: StructureSet) -> Report:
 
 
 def _induced_metric(h: HypersurfaceSpec, qc: Calculus) -> Metric:
-    metric = h.ambient_q.metric
-    g_inv = LeftLinearMap.on_free_words(
-        qc.presentation, (2, False), lambda w: metric.g_inv.apply(qc.canonical_input(w))
+    """g(1) projected, and g^-1 stored on each free pair dz_i (x) dz_j as the ambient g^-1(b_i (x) b_j).
+
+    Each image is one apply of the column map H_j(dz_k) = g^-1(dz_k (x) b_j),
+    stored on the free dz_k, to b_i, so no pair b_i (x) b_j is formed.  That
+    is exact: for b_i = sum_k pi_ik dz_k, the balanced tensor product gives
+    b_i (x) b_j = sum_k pi_ik dz_k (x) b_j (tensor twists b_j's coefficients
+    through dz_k, as apply_at twists an image through its prefix), and g^-1
+    is left-linear, so g^-1(b_i (x) b_j) = sum_k pi_ik g^-1(dz_k (x) b_j),
+    which is H_j(b_i).
+    """
+    quotient = qc.presentation
+    g_inv = h.ambient_q.metric.g_inv
+    columns = [
+        LeftLinearMap.on_free_words(
+            quotient, (1, False), lambda w, b=b: g_inv.apply(tensor(TensorElement.basis(quotient, w.forms), b))
+        )
+        for b in qc.basis
+    ]
+    induced = LeftLinearMap.on_free_words(
+        quotient, (2, False), lambda w: columns[w.forms[1]].apply(qc.basis[w.forms[0]])
     )
-    return Metric(qc.canon(metric.g_element), g_inv)
+    return Metric(qc.canon(h.ambient_q.metric.g_element), induced)
 
 
 def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
@@ -355,6 +370,13 @@ def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
     slot 1 of dz_k (x) nu (x) e_a, and apply_at twists each image
     coefficient left through the prefix dz_k exactly as tensor twists a
     coefficient of its right factor, so that is dz_k (x) gamma(nu (x) e_a).
+
+    The spin connection is the ambient one plus the Gauss correction
+    1/2 gamma_[2](nabla(nu) (x) nu (x) e_a), projected.  By the same
+    argument, (id (x) gamma)(X (x) Y) = X (x) gamma(Y) for the 2-form
+    X = nabla(nu), so gamma_[2]'s first contraction, gamma at slot 2, gives
+    nabla(nu) (x) gamma(nu (x) e_a): the correction is gamma at slot 1 of
+    tensor(nabla(nu), gamma(nu (x) e_a)), with the gamma_nu formed above.
     """
     quotient = qc.presentation
     ambient_gamma = h.ambient_q.spin.gamma
@@ -371,7 +393,7 @@ def _induced_spin(h: HypersurfaceSpec, qc: Calculus) -> SpinStructure:
     spin_values = {}
     for alpha in range(SPINOR_RANK):
         base = h.ambient_q.spin.spin_connection.values[BasisWord((), alpha)]
-        correction = _gamma2(h, with_spinor(h.nabla_nu_nu, alpha)).scale(HALF)
+        correction = ambient_gamma.apply_at(tensor(h.nabla_nu_q, gamma_nu[alpha]), 1).scale(HALF)
         spin_values[BasisWord((), alpha)] = qc.canon(base + correction)
     spin_connection = Connection(qc, spin_values)
     return SpinStructure(qc, gamma, spin_connection)

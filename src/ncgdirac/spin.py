@@ -123,7 +123,14 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
       contracts nabla(x)'s stored value on w.  They cancel once canon makes
       d a derivation of the quotient, so the family needs the calculus
       premise (Calculus.premise_failures; the hypersurface's assumption
-      certificate is the one place it is reported).
+      certificate is the one place it is reported).  Each image is one
+      TensorSum, with no element built for either side or their difference
+      before canon: nabla^sp of gamma's stored image of w (w has the
+      coefficient 1, so that is gamma(w)) is added, and the contraction
+      with its sign, by the map -gamma, formed once per call, at slot 1 of
+      nabla(x)(w).  That is exact: the images of -gamma are those of gamma
+      negated, and apply_at is left-linear in the map's images, so it adds
+      -(gamma at slot 1 of nabla(x)(w)).
       When it fails, the family is the one clause
       clifford_compatibility[needs calculus], with no residual.
     """
@@ -148,12 +155,16 @@ def verify_spinorial(spin: SpinStructure, metric: Metric, conn: Connection) -> R
     if calc.premise_failures:
         report.unmet("clifford_compatibility", "calculus")
         return report
-    # nabla^sp(gamma(w)) minus gamma at slot 1 of nabla(x)(w), on the free w
+    # nabla^sp(gamma(w)) minus gamma at slot 1 of nabla(x)(w), on the free w, in one sum
     nabla = tensor_connection(conn, spin.spin_connection).values
+    gamma = spin.gamma
+    minus_gamma = LeftLinearMap(p, gamma.domain, gamma.codomain, {w: -img for w, img in gamma.images.items()})
 
     def compatibility_image(w: BasisWord) -> TensorElement:
-        b = TensorElement.basis(p, w.forms, w.spin)
-        return calc.canon(spin.spin_connection.raw_apply(gamma_apply(spin, b)) - gamma_apply(spin, nabla[w]))
+        out = TensorSum(p)
+        spin.spin_connection.add_raw_apply(out, gamma.images[w])
+        minus_gamma.add_apply_at(out, nabla[w], 1)
+        return calc.canon(out.element(1, True))
 
     report.family("clifford_compatibility", calc.stored_family((1, True), (compatibility_image, "{}")))
     return report

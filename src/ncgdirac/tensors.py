@@ -10,11 +10,11 @@ action, tensor products, applying a map, and the spinor-matrix sums of
 twist as a per-monomial exponent shift, memoized per presentation.  The one
 exception is a product with the coefficient 1 of a single basis word: a map
 applied to such a word gives a copy of its image (twisted through the prefix
-of a slot window), and a tensor product with such a right factor a
-relabelled copy of the left one.  The differential
-and the Leibniz term of a connection are one loop, add_leibniz, through
-_accumulate_triples, with each monomial's derivative terms memoized per
-presentation.
+of a slot window), a tensor product with such a right factor a relabelled
+copy of the left one, and with such a left factor a copy of the right one
+twisted through its word.  The differential and the Leibniz term of a
+connection are one loop, add_leibniz, through _accumulate_triples, with each
+monomial's derivative terms memoized per presentation.
 """
 
 from __future__ import annotations
@@ -121,6 +121,12 @@ class TensorSum:
     def add_product(self, w: BasisWord, a: AlgebraElement, b: AlgebraElement, twist=None):
         """Add a * b under w; twist (see _twist) first moves b left through basis letters."""
         _accumulate(_word_map(self.words, w), self.presentation, a.terms, b.terms, twist)
+
+    def add_right_mul(self, e: "TensorElement", a: AlgebraElement):
+        """Add the right action e * a (see right_mul), building no element for it."""
+        p = self.presentation
+        for w, c in e.terms.items():
+            self.add_product(w, c, a, _twist(p, w.forms))
 
     def element(self, degree: int, has_spin: bool) -> "TensorElement":
         """The sum, whose words the caller vouches fit (degree, has_spin); cancelled words drop."""
@@ -318,15 +324,20 @@ def right_mul(e: TensorElement, a: AlgebraElement) -> TensorElement:
     """Right action e * a, pushing a left through every basis word."""
     if a.presentation is not e.presentation and a.presentation != e.presentation:
         raise ValueError("presentation mismatch")
-    p = e.presentation
-    out = TensorSum(p)
-    for w, c in e.terms.items():
-        out.add_product(w, c, a, _twist(p, w.forms))
+    out = TensorSum(e.presentation)
+    out.add_right_mul(e, a)
     return out.element(e.degree, e.has_spin)
 
 
 def tensor(e1: TensorElement, e2: TensorElement) -> TensorElement:
-    """Relative tensor product over the algebra; e1 must have no spinor slot."""
+    """Relative tensor product over the algebra; e1 must have no spinor slot.
+
+    A unit single-word factor costs no product: 1 moves left through any
+    word, so with it on the right the result relabels e1's words, and with
+    it on the left, w1 (x) c2 w2 = (c2 moved left through w1) w1 (x) w2 is
+    e2's terms twisted through w1 (see _copy), as _accumulate would twist
+    them under 1 * c2.
+    """
     if e1.presentation is not e2.presentation and e1.presentation != e2.presentation:
         raise ValueError("presentation mismatch")
     if e1.has_spin:
@@ -339,6 +350,14 @@ def tensor(e1: TensorElement, e2: TensorElement) -> TensorElement:
             forms, spin = w2.forms, w2.spin
             terms = {
                 _tuple_new(BasisWord, (w1.forms + forms, spin)): _copy(p, c1) for w1, c1 in e1.terms.items()
+            }
+            return _tensor(p, degree, e2.has_spin, terms)
+    if len(e1.terms) == 1:
+        (w1, c1), = e1.terms.items()
+        if _unit(c1):  # 1 * c2 with c2 moved left through w1: a twisted copy of e2's terms
+            forms, twist = w1.forms, _twist(p, w1.forms)
+            terms = {
+                _tuple_new(BasisWord, (forms + w2.forms, w2.spin)): _copy(p, c2, twist) for w2, c2 in e2.terms.items()
             }
             return _tensor(p, degree, e2.has_spin, terms)
     out = TensorSum(p)
@@ -452,6 +471,10 @@ class LeftLinearMap:
         out = TensorSum(p)
         self._accumulate_at(out.words, e, at, whole)
         return out.element(out_degree, out_spin)
+
+    def add_apply_at(self, out: TensorSum, e: TensorElement, at: int) -> None:
+        """Add apply_at(e, at) to out, the TensorSum of a larger sum, building no element for it."""
+        self._accumulate_at(out.words, e, at, self._window(e, at)[2])
 
     def _window(self, e: TensorElement, at: int) -> tuple[int, bool, bool]:
         """Check that the map fits e at slot at; the output shape, and whether the window is whole.

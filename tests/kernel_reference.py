@@ -17,6 +17,10 @@ pi_transparency, nabla_nu_transparency and corollaries, as they were before
 those families were stored on the free words: each residual expanded from
 its basis form or pair.
 
+The induced metric and the spinorial Gauss correction as they were formed
+before each was read through a smaller product: g^-1 of the ambient on every
+pair b_i (x) b_j, and gamma_[2] of nabla(nu) (x) nu (x) e_a.
+
 The Leibniz loop as it was before each monomial's derivative terms were
 memoized: add_leibniz computing every phase afresh.
 
@@ -226,6 +230,26 @@ def reference_induced_gamma(h, qc):
                 t = h.ambient_q.spin.gamma.apply_at(t, t.degree - 1)
             images[BasisWord((i,), alpha)] = t
     return images
+
+
+def reference_induced_metric(h, qc):
+    """The ambient g^-1 on each pair b_i (x) b_j of qc, formed as qc.pairs[i][j], keyed by the free pair."""
+    g_inv = h.ambient_q.metric.g_inv
+    n = qc.presentation.n
+    return {BasisWord((i, j), None): g_inv.apply(qc.pairs[i][j]) for i in range(n) for j in range(n)}
+
+
+def reference_spin_correction(h):
+    """The Gauss correction 1/2 gamma_[2](nabla(nu) (x) nu (x) e_a) of each e_a, from nabla(nu) (x) nu formed whole."""
+    gamma = h.ambient_q.spin.gamma
+    nabla_nu_nu = tensor(h.nabla_nu_q, h.nu_q)
+    corrections = {}
+    for alpha in range(SPINOR_RANK):
+        t = with_spinor(nabla_nu_nu, alpha)
+        for _ in range(2):
+            t = gamma.apply_at(t, t.degree - 1)
+        corrections[BasisWord((), alpha)] = t.scale(Scalar.rational(Fraction(1, 2)))
+    return corrections
 
 
 def reference_add_leibniz(out, terms):

@@ -439,8 +439,12 @@ def test_presentation_name_must_be_a_string(tmp_path, capsys, name, json_type):
         (["z1*z3"], "rule 1 must be an object, not a string"),
         ([_rule([0, 2]), {"lhs": 3, "rhs": []}], "rule 2: lhs must be a list of generators"),
         ([{"lhs": [0, 2], "rhs": [[[]]]}], 'rule 1: rhs must be a list of {"exps", "coeff"} objects'),
+        ([{"lhs": [0, 2], "rhs": [{"exps": 5, "coeff": {"terms": [[0, "1", "0"]]}}]}],
+         "rule 1: rhs term 1: exps must be a list of JSON integers"),
+        ([_rule([0, 2]), {"lhs": [1, 3], "rhs": [_rule([0])["rhs"][0], {"exps": [0, 1, 0, 0]}]}],
+         "rule 2: rhs term 2: missing field 'coeff'"),
     ],
-    ids=["ideal-object", "rule-string", "lhs-integer", "rhs-nested-list"],
+    ids=["ideal-object", "rule-string", "lhs-integer", "rhs-nested-list", "exps-integer", "coeff-missing"],
 )
 def test_malformed_rule_is_named_with_its_field(tmp_path, capsys, ideal, field):
     # each shape used to exit 2 with a TypeError's text, naming neither the

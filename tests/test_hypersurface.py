@@ -24,7 +24,7 @@ from ncgdirac.hypersurface import (
 )
 from ncgdirac.scalars import Scalar
 from ncgdirac.spin import StructureSet, dirac, verify_spinorial
-from ncgdirac.tensors import BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
+from ncgdirac.tensors import SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, right_mul, tensor
 
 
 def dz(p, *indices):
@@ -95,21 +95,32 @@ def _calls(monkeypatch, name):
 @pytest.mark.parametrize("space", ["s3", "t2"])
 def test_a_built_spec_forms_nu_commutators_and_nabla_nu_nu_once(request, monkeypatch, space):
     # build_hypersurface hands the commutators of its nu_not_central refusal
-    # to the certificate, and nabla(nu) (x) nu is formed once, for the
-    # corollaries clause nabla_nu,nu and the induced spin connection; a spec
-    # made through its constructor computes its own commutators
+    # to the certificate, and nabla(nu) (x) nu is formed once per spec, by
+    # its one reader, the corollaries clause nabla_nu,nu; the induced spin
+    # connection's Gauss correction forms nabla(nu) (x) gamma(nu (x) e_a)
+    # instead, once per a.  A spec made through its constructor computes its
+    # own commutators and forms its own nabla(nu) (x) nu once
     built = request.getfixturevalue(space).hypersurface
     level = sphere_level_function if space == "s3" else torus_level_function
     commutators, tensors = _calls(monkeypatch, "commutator_residuals"), _calls(monkeypatch, "tensor")
+
+    def formed(h):
+        """The counts of tensor(nabla(nu), nu) and of tensor(nabla(nu), a spinor)."""
+        left = [args[1] for args in tensors if args[0] is h.nabla_nu_q]
+        return sum(right is h.nu_q for right in left), sum(right.shape() == (0, True) for right in left)
+
     h = build_hypersurface(built.ambient, level(built.ambient.presentation), name=space)
+    assert formed(h) == (1, 0)
     induced_structures(h)
+    assert formed(h) == (1, SPINOR_RANK)
     assert [args for args in commutators if args[0] is h.nu] == [(h.nu,)]
-    assert [args for args in tensors if args[0] is h.nabla_nu_q and args[1] is h.nu_q] == [(h.nabla_nu_q, h.nu_q)]
     assert h.certificate == built.certificate
     commutators.clear()
     same = HypersurfaceSpec(h.ambient, h.ambient_q, h.nu, h.pi)
     assert [args for args in commutators if args[0] is h.nu] == [(h.nu,)]
+    assert formed(same) == (1, 0)
     assert same.certificate == h.certificate
+    assert len(HypersurfaceSpec.__slots__) == 10 and "nabla_nu_nu" not in HypersurfaceSpec.__slots__
 
 
 def test_unnormalized_level_function_rejected():

@@ -7,8 +7,9 @@ verify_metric stores inverse_left, inverse_right, symmetry,
 metric_compatibility and right_leibniz, verify_spinorial stores
 clifford_relations and clifford_compatibility, check_assumptions stores
 nu_transparency, pi_transparency, nabla_nu_transparency and the corollary
-pairings, and _induced_spin stores w (x) e_a -> gamma_[2](w (x) nu (x)
-e_a); each induced image is then one apply.  Every family is evaluated by
+pairings, _induced_spin stores w (x) e_a -> gamma_[2](w (x) nu (x) e_a),
+and _induced_metric stores one column map dz_k -> g^-1(dz_k (x) b_j) per j;
+each induced image is then one apply.  Every family is evaluated by
 Calculus.stored_family, whose docstring gives the rule: a family whose
 stored maps all vanish on the free words yields no residual, builds no
 input and applies nothing; each residual of any other map is one apply.
@@ -29,7 +30,7 @@ from ncgdirac import catalog, geometry, hypersurface, tensors
 from ncgdirac.algebra import AlgebraElement
 from ncgdirac.catalog import build_r4, verify_space
 from ncgdirac.geometry import Calculus, Connection, ContractedConnection, Metric, verify_metric
-from ncgdirac.hypersurface import HypersurfaceError, _induced_spin, check_assumptions
+from ncgdirac.hypersurface import HypersurfaceError, _induced_metric, _induced_spin, check_assumptions
 from ncgdirac.reports import Report
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spectrum import sector_basis
@@ -41,7 +42,7 @@ from ncgdirac.tensors import (
 from closed_forms import replace
 from kernel_reference import (
     reference_add_leibniz, reference_certificate_families, reference_contracted_connection, reference_families,
-    reference_induced_gamma,
+    reference_induced_gamma, reference_induced_metric, reference_spin_correction,
 )
 
 STORED = (
@@ -140,6 +141,53 @@ def test_kernel_induced_gamma_is_gamma2_of_b_nu_e(request, space, change):
     pi = h.pi if change is None else _changed(h.pi, BasisWord((0,), None), Scalar.rational(2))
     qc = Calculus(h.quotient_presentation, pi)
     assert _induced_spin(h, qc).gamma.images == reference_induced_gamma(h, qc)
+
+
+def _induction_spec(h, change):
+    """The spec as built, or rebuilt with one stored image of its converted ambient doubled."""
+    amb_q, two = h.ambient_q, Scalar.rational(2)
+    if change == "g_inv(dz1(x)dz3)*2":
+        metric = replace(amb_q.metric, g_inv=_changed(amb_q.metric.g_inv, BasisWord((0, 2), None), two))
+        return replace(h, ambient_q=replace(amb_q, metric=metric))
+    if change == "gamma(dz1(x)e2)*2":
+        spin = replace(amb_q.spin, gamma=_changed(amb_q.spin.gamma, BasisWord((0,), 1), two))
+        return replace(h, ambient_q=replace(amb_q, spin=spin))
+    return h
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+@pytest.mark.parametrize("change", [None, "g_inv(dz1(x)dz3)*2", "gamma(dz1(x)e2)*2"])
+def test_kernel_induced_metric_and_spin_correction_match_the_reference_loops(request, space, change):
+    # g^-1 on each free pair is one apply of its column map H_j to b_i, with
+    # no pair b_i (x) b_j formed, and the Gauss correction is gamma at slot 1
+    # of nabla(nu) (x) gamma(nu (x) e_a); the references form the pair and
+    # nabla(nu) (x) nu (x) e_a whole.  Each change moves what it feeds
+    built = request.getfixturevalue(space).hypersurface
+    h = _induction_spec(built, change)
+    qc = h.calculus
+    g_inv = _induced_metric(h, qc).g_inv.images
+    assert g_inv == reference_induced_metric(h, qc)
+    assert (g_inv != _induced_metric(built, built.calculus).g_inv.images) == (change == "g_inv(dz1(x)dz3)*2")
+    base = h.ambient_q.spin.spin_connection.values
+    spin_values = _induced_spin(h, qc).spin_connection.values
+    corrections = reference_spin_correction(h)
+    assert spin_values == {w: qc.canon(base[w] + c) for w, c in corrections.items()}
+    assert (corrections != reference_spin_correction(built)) == (change == "gamma(dz1(x)e2)*2")
+
+
+def test_a_checked_build_forms_no_pair_of_basis_forms(monkeypatch):
+    # the induced metric reads its columns, and every family whose inputs
+    # are pairs vanishes on the free words: Calculus.pairs is never read
+    reads = []
+    pairs = Calculus.pairs.fget
+
+    def counting(self):
+        reads.append(self)
+        return pairs(self)
+
+    monkeypatch.setattr(Calculus, "pairs", property(counting))
+    catalog.build_t2(check=True)
+    assert reads == []
 
 
 def _per_residual_costs(monkeypatch) -> tuple[dict, Counter]:

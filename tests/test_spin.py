@@ -13,7 +13,7 @@ from ncgdirac.catalog import (
 )
 from ncgdirac.scalars import GaussianRational, Scalar
 from ncgdirac.spin import dirac, gamma_apply, gamma_iterated, mat_mul, verify_spinorial
-from ncgdirac.tensors import TensorElement, differential, tensor
+from ncgdirac.tensors import LeftLinearMap, TensorElement, differential, tensor
 
 from closed_forms import mat_scale, partial_coeffs, theta_brackets, undeformed_spin_structure
 from kernel_reference import reference_mat_mul
@@ -169,21 +169,30 @@ def test_r4_spinorial_suite_passes(r4):
 @pytest.mark.parametrize("space", ["r4", "s3", "t2"])
 def test_verify_spinorial_applies_gamma_once_per_residual_slot(request, monkeypatch, space):
     # clifford_relations stores gamma_[2] of (w + sigma(w)) (x) e_a on the
-    # free words, not of each summand: 2 gamma applications per (w, alpha),
-    # plus 2 per clifford_compatibility image on the free dz_k (x) e_a: gamma
-    # of the word itself, and gamma at slot 1 of the tensor-product
-    # connection's stored value on it, which the image contracts directly
+    # free words, not of each summand: 2 gamma applications per (w, alpha).
+    # Each clifford_compatibility image on the free dz_k (x) e_a reads
+    # gamma(dz_k (x) e_a) as gamma's stored image, with no gamma_apply, and
+    # contracts the tensor-product connection's stored value on it once: -gamma
+    # at slot 1, added into the image's one sum
     s = request.getfixturevalue(space).structures
-    calls = []
+    calls, contractions = [], []
 
     def counting(spin, e):
         calls.append(e.degree)
         return gamma_apply(spin, e)
 
+    add_apply_at = LeftLinearMap.add_apply_at
+
+    def counting_add(self, out, e, at):
+        contractions.append((self.domain, e.shape(), at))
+        return add_apply_at(self, out, e, at)
+
     monkeypatch.setattr(spin_module, "gamma_apply", counting)
+    monkeypatch.setattr(LeftLinearMap, "add_apply_at", counting_add)
     assert verify_spinorial(s.spin, s.metric, s.connection).all_passed
     n = s.presentation.n
-    assert len(calls) == 2 * n * n * SPINOR_RANK + 2 * n * SPINOR_RANK
+    assert calls == [2, 1] * (n * n * SPINOR_RANK)
+    assert contractions == [((1, True), (2, True), 1)] * (n * SPINOR_RANK)
 
 
 def test_undeformed_gammas_fail_symbolically(r4):
