@@ -150,20 +150,16 @@ def _cmd_report_all(args) -> int:
     check_scan_arguments(args.mmax, args.theta)
     payload = {"spaces": {}}
     status = EXIT_OK
-    bundles: dict[str, SpaceBundle] = {}
-    for name in CATALOG_NAMES:
-        # s3 and t2 are each induced from the bundle just built and verified
-        if name == "r4":
-            bundles[name] = build_r4()
-        elif name == "s3":
-            bundles[name] = build_s3(check=False, r4=bundles["r4"])
-        else:
-            bundles[name] = build_t2(check=False, s3=bundles["s3"])
-        report = verify_space(bundles[name])
+    # s3 and t2 are each induced from the bundle built before it
+    r4 = build_r4()
+    s3 = build_s3(check=False, r4=r4)
+    t2 = build_t2(check=False, s3=s3)
+    for name, bundle in zip(CATALOG_NAMES, (r4, s3, t2)):
+        report = verify_space(bundle)
         payload["spaces"][name] = report.to_json()
         if not report.all_passed:
             status = EXIT_FAILED
-    scan = spectrum_scan(bundles["t2"], args.mmax, args.theta)
+    scan = spectrum_scan(t2, args.mmax, args.theta)
     payload["spectrum"] = scan.to_json()
     if not scan.all_passed:
         status = EXIT_FAILED

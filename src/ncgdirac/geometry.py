@@ -39,19 +39,17 @@ class Calculus:
     projector's extensional images define the canonical embedding of quotient
     1-forms into the free module, applied to every form slot by canon().
     basis[i] is the canonical representative of the class of dz_i: the
-    projector's stored image of dz_i, or dz_i itself.  pairs[i][j] is
-    basis[i] (x) basis[j]; the n^2 pairs are made on first use and kept
-    with the calculus, so the stored families of one calculus that read
-    them share them, as they share premise_failures, which only a
-    hypersurface's certificate reports.  canonical_input(w) is the input
-    made of them for a free word w, and stored_family, the one path of
-    every stored clause family, evaluates stored maps on those inputs.  A
-    catalog build makes no pair: the induced metric is read through
-    column maps (hypersurface._induced_metric), and every family whose
-    inputs are pairs vanishes on the free words there.
+    projector's stored image of dz_i, or dz_i itself.  canonical_input(w)
+    is the input made of them for a free word w, and stored_family, the
+    one path of every stored clause family, evaluates stored maps on those
+    inputs; the stored families of one calculus share premise_failures,
+    which only a hypersurface's certificate reports.  A catalog build forms
+    no pair b_i (x) b_j: the induced metric is read through column maps
+    (hypersurface._induced_metric), and every family whose inputs are
+    pairs vanishes on the free words there.
     """
 
-    __slots__ = ("presentation", "projector", "basis", "_pairs", "_premise")
+    __slots__ = ("presentation", "projector", "basis", "_premise")
 
     def __init__(self, presentation: Presentation, projector: LeftLinearMap | None = None):
         self.presentation = presentation
@@ -64,20 +62,13 @@ class Calculus:
             self.basis = tuple(TensorElement.basis(presentation, w.forms) for w in words)
         else:
             self.basis = tuple(projector.images[w] for w in words)
-        self._pairs = None
         self._premise = None
-
-    @property
-    def pairs(self) -> tuple[tuple[TensorElement, ...], ...]:
-        if self._pairs is None:
-            self._pairs = tuple(tuple(tensor(bi, bj) for bj in self.basis) for bi in self.basis)
-        return self._pairs
 
     def canonical_input(self, w: BasisWord) -> TensorElement:
         """b_i1 (x) ... (x) b_ik [(x) e_a] for the free word dz_i1 (x) ... (x) dz_ik [(x) e_a], k >= 1."""
         forms = w.forms
-        x = self.basis[forms[0]] if len(forms) == 1 else self.pairs[forms[0]][forms[1]]
-        for i in forms[2:]:
+        x = self.basis[forms[0]]
+        for i in forms[1:]:
             x = tensor(x, self.basis[i])
         return x if w.spin is None else with_spinor(x, w.spin)
 
@@ -341,7 +332,7 @@ def verify_metric(metric: Metric, conn: Connection) -> Report:
     Every family but g_central, sigma_right_linear and sigma_invertible is a
     map R stored once per call on the free words and evaluated by
     Calculus.stored_family on the canonical inputs x = sum_w c_w w (b_i or
-    pairs[i][j]), which passes a family whose images all vanish with no
+    b_i (x) b_j), which passes a family whose images all vanish with no
     input built.  R(x) is x's residual when the residual is left-linear in x:
 
     - inverse_left, canon(g^-1 at slot 0 of w (x) g(1)) - w, and symmetry,

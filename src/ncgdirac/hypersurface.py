@@ -24,7 +24,7 @@ from .algebra import AlgebraElement, Presentation, extend_presentation, is_centr
 from .geometry import Calculus, Connection, Metric, algebra_value
 from .reports import Report
 from .scalars import HALF, Scalar
-from .spin import SpinStructure, StructureSet, dirac
+from .spin import SpinStructure, StructureSet, dirac, gamma_iterated
 from .tensors import (
     SPINOR_RANK, BasisWord, LeftLinearMap, TensorElement, commutator_residuals, tensor, with_spinor,
 )
@@ -57,34 +57,34 @@ class HypersurfaceSpec:
     It is made from the paper's three inputs: the ambient structures
     (ambient, and ambient_q, the same structures with coefficients converted
     to the quotient presentation, on one calculus), the normal nu = df and
-    the tangential projector pi.  The constructor derives, in this order,
-    nu_commutators, the (label, nu z_j - z_j nu) of commutator_residuals(nu),
-    nu_q and nabla_nu_q (nu and nabla(nu) converted), the calculus of pi,
-    the certificate and pi_nabla_nu, (Pi (x) id) nabla(nu) as induced_dirac
-    reads it; a spec built from changed fields gets those of its own data.
-    build_hypersurface hands over the commutators its nu_not_central
-    refusal has computed (_derive), so a built spec computes them once.  The
-    slots refuse any attribute beyond the ten, and specs compare by
-    identity.
+    the tangential projector pi.  The constructor, the one way a spec is
+    made, derives in this order nu_commutators, the (label, nu z_j - z_j nu)
+    of commutator_residuals(nu), nu_q and nabla_nu_q (nu and nabla(nu)
+    converted), nu_pairing, the map P(w) = g^-1(w (x) nu_q) stored on the
+    free dz_k (_nu_pairing), the calculus of pi, the certificate and
+    pi_nabla_nu, (Pi (x) id) nabla(nu) as induced_dirac reads it; a spec
+    built from changed fields gets those of its own data.  P is the one
+    pairing with the normal that the spec reads: the corollaries' {},nu
+    image, the Gauss formula (_induced_connection) and build_hypersurface's
+    normalization check.  The slots refuse any attribute beyond the eleven,
+    and specs compare by identity.
     """
 
     __slots__ = (
-        "ambient", "ambient_q", "nu", "pi", "nu_commutators", "nu_q", "nabla_nu_q", "calculus", "certificate",
-        "pi_nabla_nu",
+        "ambient", "ambient_q", "nu", "pi", "nu_commutators", "nu_q", "nabla_nu_q", "nu_pairing", "calculus",
+        "certificate", "pi_nabla_nu",
     )
 
     def __init__(self, ambient: StructureSet, ambient_q: StructureSet, nu: TensorElement, pi: LeftLinearMap):
-        self._derive(ambient, ambient_q, nu, pi, tuple(commutator_residuals(nu)))
-
-    def _derive(self, ambient, ambient_q, nu, pi, nu_commutators: tuple) -> None:
         self.ambient = ambient
         self.ambient_q = ambient_q
         self.nu = nu
         self.pi = pi
-        self.nu_commutators = nu_commutators
+        self.nu_commutators = tuple(commutator_residuals(nu))
         quotient = ambient_q.presentation
         self.nu_q = nu.convert(quotient)
         self.nabla_nu_q = ambient.connection.apply(nu).convert(quotient)
+        self.nu_pairing = _nu_pairing(ambient_q, self.nu_q)
         self.calculus = Calculus(quotient, pi)
         self.certificate = check_assumptions(self)
         self.pi_nabla_nu = pi.apply_at(self.nabla_nu_q, 0)
@@ -103,11 +103,33 @@ class HypersurfaceSpec:
             )
 
 
+def _nu_pairing(ambient_q: StructureSet, nu_q: TensorElement) -> LeftLinearMap:
+    """P(w) = g^-1(w (x) nu_q) with the converted ambient g^-1, stored on the free dz_k.
+
+    P is left-linear: g^-1 is, and nu_q is a fixed factor right of the
+    input, so a coefficient of w stays on the left.
+    """
+    p = ambient_q.presentation
+    g_inv = ambient_q.metric.g_inv
+    return LeftLinearMap.on_free_words(
+        p, (1, False), lambda w: g_inv.apply(tensor(TensorElement.basis(p, w.forms), nu_q))
+    )
+
+
 def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "") -> HypersurfaceSpec:
     """Construct the quotient data for the level-set hypersurface of f, certified.
 
-    Raises HypersurfaceError with kind "f_not_central", "nu_not_central" or
-    "normalization" when the corresponding Definition clause fails.  A failing
+    Builds the quotient, nu = df, ambient_q and the tangential projector
+    Pi(w) = w - g^-1(w (x) nu) nu, whose pairing is a map made by
+    _nu_pairing, and makes the spec with HypersurfaceSpec(ambient,
+    ambient_q, nu, pi).  Raises HypersurfaceError with kind
+    "f_not_central" before any of that, then from the spec's own fields
+    "nu_not_central" (nu_commutators) and "normalization" (nu_pairing),
+    when the corresponding Definition clause fails; a refused nu has had
+    its spec and certificate built.  The normalization [g^-1(nu (x) nu)] is
+    P(nu_q): P is left-linear and nu_q's coefficients sit on the left, so
+    P(nu_q) = g^-1_q(nu_q (x) nu_q), and converting to the quotient is a
+    ring homomorphism, so that is g^-1(nu (x) nu) converted.  A failing
     assumption certificate is recorded, not raised: induction refuses it.
     """
     p_amb = ambient.presentation
@@ -117,39 +139,26 @@ def build_hypersurface(ambient: StructureSet, f: AlgebraElement, name: str = "")
         raise HypersurfaceError("f_not_central", "level function is not central")
 
     quotient = extend_presentation(p_amb, f, name=name)
-
     nu = ambient.calculus.d(f)
-    nu_commutators = tuple(commutator_residuals(nu))
-    for label, residual in nu_commutators:
+    ambient_q = ambient.convert(quotient)
+    nu_q = nu.convert(quotient)
+    pairing = _nu_pairing(ambient_q, nu_q)
+
+    # tangential projector Pi(w) = w - g^-1(w (x) nu) nu on class representatives
+    def tangential(w: BasisWord) -> TensorElement:
+        return ambient_q.calculus.basis[w.forms[0]] - nu_q.left_mul(algebra_value(pairing.images[w]))
+
+    spec = HypersurfaceSpec(ambient, ambient_q, nu, LeftLinearMap.on_free_words(quotient, (1, False), tangential))
+    for label, residual in spec.nu_commutators:
         if not residual.is_zero():
             raise HypersurfaceError("nu_not_central", f"nu*{label} != {label}*nu")
-
-    norm = ambient.metric.pair(tensor(nu, nu)).convert(quotient)
+    norm = algebra_value(spec.nu_pairing.apply(spec.nu_q))
     if not norm.is_one():
         raise HypersurfaceError(
             "normalization",
             f"[g^-1(nu (x) nu)] = {norm!r} != 1 in the quotient",
         )
-
-    ambient_q = ambient.convert(quotient)
-    nu_q = nu.convert(quotient)
-
-    # tangential projector Pi(w) = w - g^-1(w (x) nu) nu on class representatives
-    def tangential(w: BasisWord) -> TensorElement:
-        b = ambient_q.metric.pair(tensor(TensorElement.basis(quotient, w.forms), nu_q))
-        return ambient_q.calculus.basis[w.forms[0]] - nu_q.left_mul(b)
-
-    pi = LeftLinearMap.on_free_words(quotient, (1, False), tangential)
-    spec = HypersurfaceSpec.__new__(HypersurfaceSpec)
-    spec._derive(ambient, ambient_q, nu, pi, nu_commutators)
     return spec
-
-
-def _gamma2(h: HypersurfaceSpec, e: TensorElement) -> TensorElement:
-    """Two ambient Clifford contractions on a degree-2 spinor-valued element."""
-    gamma = h.ambient_q.spin.gamma
-    out = gamma.apply_at(e, e.degree - 1)
-    return gamma.apply_at(out, out.degree - 1)
 
 
 def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
@@ -170,12 +179,13 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
     h.calculus's b_i otherwise.  That is exact where R is left-linear, and
     a map whose images on the free words all vanish has no residual and
     builds no input (on s3 and t2, every map but the corollary pairings,
-    so pi_transparency reads no pairs):
+    so pi_transparency forms no pair):
 
     - pi_transparency, sigma o (Pi at one slot) - (Pi at the other) o sigma,
       and the pairings g^-1(w (x) nu), are left-linear as they stand: Pi,
       sigma, g^-1 and canon are left-linear maps, and a fixed factor right
-      of the input leaves its coefficients on the left.
+      of the input leaves its coefficients on the left.  The {},nu pairing
+      is the spec's nu_pairing, whose images the family stores as they are.
     - nu_transparency, canon(sigma(w (x) nu) - nu (x) w) and
       canon(sigma(nu (x) w) - w (x) nu), and the pairings g^-1(nu (x) w):
       nu (x) c w = (nu c) (x) w = c nu (x) w needs nu central (the
@@ -233,13 +243,10 @@ def check_assumptions(h: HypersurfaceSpec) -> AssumptionCertificate:
         # lemma corollaries and centrality of nabla(nu)
         g_inv, nu = amb_q.metric.g_inv, h.nu_q
 
-        def pairing(w: BasisWord, nu_right: bool) -> TensorElement:
-            b = TensorElement.basis(quotient, w.forms)
-            return g_inv.apply(tensor(b, nu) if nu_right else tensor(nu, b))
+        def nu_left(w: BasisWord) -> TensorElement:
+            return g_inv.apply(tensor(nu, TensorElement.basis(quotient, w.forms)))
 
-        pairings = h.calculus.stored_family(
-            (1, False), (lambda w: pairing(w, True), "{},nu"), (lambda w: pairing(w, False), "nu,{}")
-        )
+        pairings = h.calculus.stored_family((1, False), (lambda w: h.nu_pairing.images[w], "{},nu"), (nu_left, "nu,{}"))
 
         def checks():
             for label, r in pairings:
@@ -323,12 +330,15 @@ def _induced_metric(h: HypersurfaceSpec, qc: Calculus) -> Metric:
 def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
     """Gauss formula: nabla_B(w) = [nabla(w) - g^-1(w (x) nu) nabla(nu)].
 
-    Each value is the formula's own representative, unprojected: on s3 it
-    has 4 terms where canon of it has 20-25, and every later product (both
-    tensor-product connections, right_leibniz, the next induction) pays for
-    the size.  No result can change.  Two representatives of one class
-    differ by an element of the normal submodule N spanned by nu (x) x and
-    x (x) nu (on t2 also by the converted sphere normal), and:
+    The pairing is the spec's nu_pairing P, read on each free dz_k: the
+    value on dz_k is nabla(dz_k) - P(dz_k) nabla(nu), with P(dz_k)'s
+    algebra value.  Each value is the formula's own representative,
+    unprojected: on s3 it has 4 terms where canon of it has 20-25, and
+    every later product (both tensor-product connections, right_leibniz,
+    the next induction) pays for the size.  No result can change.  Two
+    representatives of one class differ by an element of the normal
+    submodule N spanned by nu (x) x and x (x) nu (on t2 also by the
+    converted sphere normal), and:
 
     - nu is central (build_hypersurface refuses it otherwise, and the
       certificate's calculus family checks it on every spec), so N is
@@ -344,13 +354,11 @@ def _induced_connection(h: HypersurfaceSpec, qc: Calculus) -> Connection:
       rules, and the CLI and the goldens print and compare canon of each
       value.
     """
-    quotient = qc.presentation
     amb_q = h.ambient_q
-    values = {}
-    for i in range(quotient.n):
-        free = TensorElement.basis(quotient, (i,))
-        b = amb_q.metric.pair(tensor(free, h.nu_q))
-        values[BasisWord((i,), None)] = amb_q.connection.values[BasisWord((i,), None)] - h.nabla_nu_q.left_mul(b)
+    values = {
+        w: amb_q.connection.values[w] - h.nabla_nu_q.left_mul(algebra_value(p_w))
+        for w, p_w in h.nu_pairing.images.items()
+    }
     # the braiding descends untouched; keeping the ambient single-word images
     # as the working representatives is exact (extensional maps are
     # class-correct at any representative) and much cheaper to apply
@@ -430,6 +438,6 @@ def induced_dirac(h: HypersurfaceSpec, spinor: TensorElement) -> TensorElement:
     minus_half = Scalar.rational(-1) * HALF
     amb_q = h.ambient_q
     t = tensor(h.nu_q, amb_q.spin.spin_connection.apply(spinor))
-    term1 = _gamma2(h, t - amb_q.connection.sigma.apply_at(t, 0)).scale(minus_half)
-    term2 = _gamma2(h, tensor(h.pi_nabla_nu, spinor)).scale(HALF)
+    term1 = gamma_iterated(amb_q.spin, t - amb_q.connection.sigma.apply_at(t, 0)).scale(minus_half)
+    term2 = gamma_iterated(amb_q.spin, tensor(h.pi_nabla_nu, spinor)).scale(HALF)
     return term1 + term2

@@ -414,10 +414,13 @@ class LeftLinearMap:
         self.domain = domain
         self.codomain = codomain
         self.images = dict(images)
+        k, dspin = domain
         for w, img in self.images.items():
-            if len(w.forms) != domain[0] or (w.spin is not None) != domain[1]:
+            if len(w.forms) != k or (w.spin is not None) != dspin:
                 raise ShapeError(f"image key {w} does not fit domain {domain}")
-            if img.shape() != codomain:
+            if img.presentation is not presentation and img.presentation != presentation:
+                raise ValueError(f"image of {w} is over another presentation")
+            if (img.degree, img.has_spin) != codomain:
                 raise ShapeError(f"image of {w} does not fit codomain {codomain}")
 
     @staticmethod

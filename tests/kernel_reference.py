@@ -82,7 +82,7 @@ def reference_families(spin, metric, conn):
     """The seven stored families of verify_metric and verify_spinorial, each residual expanded from its input."""
     calc = conn.calculus
     p = calc.presentation
-    basis, pairs = calc.basis, calc.pairs
+    basis = calc.basis
     g1 = calc.canon(metric.g_element)
     gens = [AlgebraElement.generator(p, j) for j in range(p.n)]
     report = Report(subject=p.name)
@@ -127,7 +127,7 @@ def reference_families(spin, metric, conn):
         # g^-1 at slot 1 of nabla(x)(pair), with nabla(x) expanded on the pair itself
         for i in range(p.n):
             for j in range(p.n):
-                pair = pairs[i][j]
+                pair = tensor(basis[i], basis[j])
                 nabla = tensor_connection_apply(conn, conn, pair)
                 yield (
                     f"dz{i + 1},dz{j + 1}",
@@ -183,10 +183,10 @@ def reference_certificate_families(h):
     def pi_checks():
         # assumption 2: sigma(Pi at slot s of x) = Pi at slot 1 - s of sigma(x),
         # on each pair x = basis[i] (x) basis[j] of the converted ambient
-        rows = amb_q.calculus.pairs
+        amb_basis = amb_q.calculus.basis
         for i in range(n):
             for j in range(n):
-                x = rows[i][j]
+                x = tensor(amb_basis[i], amb_basis[j])
                 for slot, side in ((0, "left"), (1, "right")):
                     residual = sigma_q.apply(h.pi.apply_at(x, slot)) - h.pi.apply_at(sigma_q.apply(x), 1 - slot)
                     yield f"dz{i + 1},dz{j + 1},{side}", residual
@@ -233,10 +233,11 @@ def reference_induced_gamma(h, qc):
 
 
 def reference_induced_metric(h, qc):
-    """The ambient g^-1 on each pair b_i (x) b_j of qc, formed as qc.pairs[i][j], keyed by the free pair."""
+    """The ambient g^-1 on each pair b_i (x) b_j of qc, formed as tensor(b_i, b_j), keyed by the free pair."""
     g_inv = h.ambient_q.metric.g_inv
     n = qc.presentation.n
-    return {BasisWord((i, j), None): g_inv.apply(qc.pairs[i][j]) for i in range(n) for j in range(n)}
+    b = qc.basis
+    return {BasisWord((i, j), None): g_inv.apply(tensor(b[i], b[j])) for i in range(n) for j in range(n)}
 
 
 def reference_spin_correction(h):

@@ -60,7 +60,9 @@ def test_non_central_level_function_rejected():
 
 def test_a_non_central_nu_is_refused_before_the_normalization(monkeypatch):
     # f doubled is central and not normalized; with nu's commutators made
-    # nonzero at z3 and z4, the refusal names z3 and comes first
+    # nonzero at z3 and z4 (the skew touches only the degree-1 commutators,
+    # so nabla(nu)'s, which the certificate of the refused spec reads, are
+    # as built), the refusal names z3 and comes first
     r4 = build_r4()
     f = sphere_level_function(r4.presentation).scale(Scalar.rational(2))
     with pytest.raises(HypersurfaceError) as exc:
@@ -70,7 +72,7 @@ def test_a_non_central_nu_is_refused_before_the_normalization(monkeypatch):
 
     def skewed(e):
         for label, r in real(e):
-            yield label, r if label in ("z1", "z2") else r + dz(e.presentation, 0)
+            yield label, r if label in ("z1", "z2") or e.degree != 1 else r + dz(e.presentation, 0)
 
     monkeypatch.setattr(hypersurface, "commutator_residuals", skewed)
     with pytest.raises(HypersurfaceError) as exc:
@@ -94,12 +96,13 @@ def _calls(monkeypatch, name):
 
 @pytest.mark.parametrize("space", ["s3", "t2"])
 def test_a_built_spec_forms_nu_commutators_and_nabla_nu_nu_once(request, monkeypatch, space):
-    # build_hypersurface hands the commutators of its nu_not_central refusal
-    # to the certificate, and nabla(nu) (x) nu is formed once per spec, by
-    # its one reader, the corollaries clause nabla_nu,nu; the induced spin
-    # connection's Gauss correction forms nabla(nu) (x) gamma(nu (x) e_a)
-    # instead, once per a.  A spec made through its constructor computes its
-    # own commutators and forms its own nabla(nu) (x) nu once
+    # build_hypersurface makes its spec through the constructor, whose
+    # commutators its nu_not_central refusal reads, and nabla(nu) (x) nu is
+    # formed once per spec, by its one reader, the corollaries clause
+    # nabla_nu,nu; the induced spin connection's Gauss correction forms
+    # nabla(nu) (x) gamma(nu (x) e_a) instead, once per a.  A spec made
+    # through its constructor computes its own commutators and forms its own
+    # nabla(nu) (x) nu once
     built = request.getfixturevalue(space).hypersurface
     level = sphere_level_function if space == "s3" else torus_level_function
     commutators, tensors = _calls(monkeypatch, "commutator_residuals"), _calls(monkeypatch, "tensor")
@@ -120,15 +123,58 @@ def test_a_built_spec_forms_nu_commutators_and_nabla_nu_nu_once(request, monkeyp
     assert [args for args in commutators if args[0] is h.nu] == [(h.nu,)]
     assert formed(same) == (1, 0)
     assert same.certificate == h.certificate
-    assert len(HypersurfaceSpec.__slots__) == 10 and "nabla_nu_nu" not in HypersurfaceSpec.__slots__
+    assert len(HypersurfaceSpec.__slots__) == 11 and "nabla_nu_nu" not in HypersurfaceSpec.__slots__
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_a_built_spec_is_the_spec_its_constructor_makes(request, space):
+    # build_hypersurface makes its spec through the constructor: the same
+    # fields give the same commutators, pairing images and certificate
+    h = request.getfixturevalue(space).hypersurface
+    same = HypersurfaceSpec(h.ambient, h.ambient_q, h.nu, h.pi)
+    assert same.nu_commutators == h.nu_commutators
+    assert same.nu_pairing.images == h.nu_pairing.images
+    assert same.certificate == h.certificate
+
+
+@pytest.mark.parametrize("space", ["s3", "t2"])
+def test_a_built_spec_pairs_each_free_form_with_nu_twice(request, monkeypatch, space):
+    # g^-1(dz_k (x) nu_q) is applied once for Pi, before the spec exists,
+    # and once for the spec's nu_pairing, which the corollaries, the Gauss
+    # formula and the normalization read: 2n applies through the induction
+    built = request.getfixturevalue(space).hypersurface
+    level = sphere_level_function if space == "s3" else torus_level_function
+    applied = []
+    apply_at = LeftLinearMap.apply_at
+
+    def recording(self, e, at):
+        applied.append((self, e))
+        return apply_at(self, e, at)
+
+    monkeypatch.setattr(LeftLinearMap, "apply_at", recording)
+    h = build_hypersurface(built.ambient, level(built.ambient.presentation), name=space)
+    induced_structures(h)
+    p, g_inv = h.quotient_presentation, h.ambient_q.metric.g_inv
+    pairings = [tensor(dz(p, k), h.nu_q) for k in range(p.n)]
+    assert [sum(m is g_inv and e == x for m, e in applied) for x in pairings] == [2] * p.n
 
 
 def test_unnormalized_level_function_rejected():
-    # classically z1 is central, but g^-1(dz1 (x) dz1) = 0 != 1
-    r4 = build_r4(classical=True)
-    with pytest.raises(HypersurfaceError) as exc:
-        build_hypersurface(r4.structures, z(r4.presentation, 0))
-    assert exc.value.kind == "normalization"
+    # classically z1 is central, but g^-1(dz1 (x) dz1) = 0 != 1; the sphere's
+    # f scaled by k is central with g^-1(nu (x) nu) = k^2.  The message
+    # prints the norm as the quotient reduces it
+    classical, r4 = build_r4(classical=True), build_r4()
+    sphere = sphere_level_function(r4.presentation)
+    cases = (
+        (classical, z(classical.presentation, 0), "0"),
+        (r4, sphere.scale(Scalar.rational(2)), "(4)"),
+        (r4, sphere.scale(Scalar.rational(3)), "(9)"),
+    )
+    for ambient, f, norm in cases:
+        with pytest.raises(HypersurfaceError) as exc:
+            build_hypersurface(ambient.structures, f)
+        assert exc.value.kind == "normalization"
+        assert str(exc.value) == f"[g^-1(nu (x) nu)] = {norm} != 1 in the quotient"
 
 
 # -- projector -----------------------------------------------------------------
@@ -600,7 +646,8 @@ def test_kernel_tangential_connection_terms_change_the_report(space, s3, t2):
     # the negative control: b1 (x) b2 is tangential, so adding it changes
     # the classes, the report and the payload
     bundle = {"s3": s3, "t2": t2}[space]
-    pair = bundle.structures.calculus.pairs[0][1]
+    basis = bundle.structures.calculus.basis
+    pair = tensor(basis[0], basis[1])
     moved = _with_connection_terms(bundle, lambda i: pair)
     got, want = _observed(moved), _observed(bundle)
     assert not json.loads(got[0])["pass"]

@@ -177,17 +177,21 @@ def test_kernel_induced_metric_and_spin_correction_match_the_reference_loops(req
 
 def test_a_checked_build_forms_no_pair_of_basis_forms(monkeypatch):
     # the induced metric reads its columns, and every family whose inputs
-    # are pairs vanishes on the free words: Calculus.pairs is never read
-    reads = []
-    pairs = Calculus.pairs.fget
+    # are pairs vanishes on the free words: no canonical input of a word of
+    # two forms is made.  On each of s3 and t2 the inputs are the n basis
+    # forms of inverse_left, inverse_right and the corollary pairings, and
+    # the n * SPINOR_RANK of the induced gamma
+    inputs = Counter()
+    canonical_input = Calculus.canonical_input
 
-    def counting(self):
-        reads.append(self)
-        return pairs(self)
+    def counting(self, w):
+        inputs[len(w.forms)] += 1
+        return canonical_input(self, w)
 
-    monkeypatch.setattr(Calculus, "pairs", property(counting))
+    monkeypatch.setattr(Calculus, "canonical_input", counting)
     catalog.build_t2(check=True)
-    assert reads == []
+    n = 4
+    assert inputs == Counter({1: 2 * (3 * n + n * SPINOR_RANK)})
 
 
 def _per_residual_costs(monkeypatch) -> tuple[dict, Counter]:
@@ -197,11 +201,12 @@ def _per_residual_costs(monkeypatch) -> tuple[dict, Counter]:
     Connection.raw_apply, and tensor() and add_leibniz wherever the engine
     reads them, are counted between one residual and the next.  The
     Counter holds the running totals, with the calls of
-    Calculus.canonical_input and the reads of Calculus.pairs.
+    Calculus.canonical_input, and as pairs those on a word of two forms,
+    whose input starts with a pair b_i (x) b_j.
     """
     counts = Counter()
     apply, raw_apply = LeftLinearMap.apply, Connection.raw_apply
-    canonical_input, pairs = Calculus.canonical_input, Calculus.pairs.fget
+    canonical_input = Calculus.canonical_input
 
     def counting_apply(self, e):
         counts["apply"] += 1
@@ -213,16 +218,12 @@ def _per_residual_costs(monkeypatch) -> tuple[dict, Counter]:
 
     def counting_canonical_input(self, w):
         counts["canonical_input"] += 1
+        counts["pairs"] += len(w.forms) == 2
         return canonical_input(self, w)
-
-    def counting_pairs(self):
-        counts["pairs"] += 1
-        return pairs(self)
 
     monkeypatch.setattr(LeftLinearMap, "apply", counting_apply)
     monkeypatch.setattr(Connection, "raw_apply", counting_raw_apply)
     monkeypatch.setattr(Calculus, "canonical_input", counting_canonical_input)
-    monkeypatch.setattr(Calculus, "pairs", property(counting_pairs))
     for module in (geometry, hypersurface, tensors):
         for name in ("tensor", "add_leibniz"):
             if not hasattr(module, name):
@@ -284,8 +285,11 @@ def test_stored_families_apply_once_per_residual(request, monkeypatch, space, ch
     for family in STORED:
         residuals = words[family] * maps.get(family, 1) if family in live else 0
         assert per_residual[family] == [once] * residuals, family
-    # each live family builds the canonical input of each of its free words once
+    # each live family builds the canonical input of each of its free words
+    # once, a pair b_i (x) b_j for each word of two forms
     assert counts["canonical_input"] == sum(words[family] for family in live)
+    two_forms = ("symmetry", "metric_compatibility", "clifford_relations")
+    assert counts["pairs"] == sum(words[family] for family in live if family in two_forms)
 
 
 # the certificate families whose residuals on an input form are stored maps,
@@ -363,8 +367,7 @@ def test_certificate_families_apply_once_per_residual(request, monkeypatch, spac
         assert per_residual[family] == [once] * (count if family in live else 0), family
     assert per_residual["corollaries"][:2 * n] == [once] * (2 * n)
     # one canonical input per free word of a live family, the pairings' n
-    # basis forms included; each of pi_transparency's n^2 pairs reads
-    # Calculus.pairs once
+    # basis forms included; each of pi_transparency's n^2 words is a pair
     words = {"nu_transparency": n, "pi_transparency": n * n, "nabla_nu_transparency": n}
     assert counts["canonical_input"] == n + sum(words[family] for family in live)
     assert counts["pairs"] == (n * n if "pi_transparency" in live else 0)
@@ -488,6 +491,18 @@ def test_kernel_on_free_words_refuses_an_image_of_another_shape(s3, odd_shape):
 
     with pytest.raises(ShapeError, match="does not fit codomain"):
         LeftLinearMap.on_free_words(p, (1, False), image)
+
+
+def test_a_stored_map_refuses_an_image_of_another_presentation(r4, s3):
+    # the r4 element z2*z4 is 1 - z1*z3 in s3's normal form, so an s3 map
+    # holding it would break syntactic class equality
+    p, other = s3.presentation, r4.presentation
+    z2_z4 = AlgebraElement.generator(other, 1) * AlgebraElement.generator(other, 3)
+    foreign = TensorElement.basis(other, (), None, z2_z4)
+    with pytest.raises(ValueError, match="image of dz1 is over another presentation"):
+        LeftLinearMap.on_free_words(p, (1, False), lambda w: foreign)
+    with pytest.raises(ValueError, match="image of dz2 is over another presentation"):
+        LeftLinearMap(p, (1, False), (0, False), {BasisWord((1,), None): foreign})
 
 
 def _sector_columns(p):
